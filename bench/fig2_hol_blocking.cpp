@@ -15,12 +15,10 @@
 #include "bench_common.hpp"
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
-#include "core/tcp_dns_client.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
 #include "resolver/dot_server.hpp"
-#include "resolver/tcp_dns_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "workload/names.hpp"
 
@@ -39,7 +37,7 @@ struct RunResult {
   std::vector<Sample> samples;
 };
 
-/// One experiment run: `transport` in {udp, dot, h1, h2}.
+/// One experiment run: `transport` in {udp, tcp, dot, h1, h2}.
 RunResult run(const std::string& transport, bool delayed,
               std::size_t queries, double rate_qps,
               obs::Tracer* tracer, obs::Registry* registry) {
@@ -67,7 +65,9 @@ RunResult run(const std::string& transport, bool delayed,
 
   // Servers for every front-end (only the probed one sees traffic).
   resolver::UdpServer udp_server(server, engine, 53);
-  resolver::TcpDnsServer tcp_server(server, engine, {}, 53);
+  resolver::DotServerConfig tcp_config;
+  tcp_config.plain_tcp = true;
+  resolver::DotServer tcp_server(server, engine, tcp_config, 53);
   resolver::DotServer dot_server(server, engine, {}, 853);
   resolver::DohServerConfig doh_config;
   doh_config.tls.chain = tlssim::CertificateChain::generic("local.resolver");
@@ -79,15 +79,14 @@ RunResult run(const std::string& transport, bool delayed,
     config.obs = obs;
     resolver_client = std::make_unique<core::UdpResolverClient>(
         client, simnet::Address{server.id(), 53}, config);
-  } else if (transport == "tcp") {
-    resolver_client = std::make_unique<core::TcpDnsClient>(
-        client, simnet::Address{server.id(), 53}, obs);
-  } else if (transport == "dot") {
+  } else if (transport == "tcp" || transport == "dot") {
     core::DotClientConfig config;
     config.server_name = "local.resolver";
+    config.plain_tcp = transport == "tcp";
     config.obs = obs;
+    const std::uint16_t port = config.plain_tcp ? 53 : 853;
     resolver_client = std::make_unique<core::DotClient>(
-        client, simnet::Address{server.id(), 853}, config);
+        client, simnet::Address{server.id(), port}, config);
   } else {
     core::DohClientConfig config;
     config.server_name = "local.resolver";

@@ -15,13 +15,11 @@
 #include "core/doh_client.hpp"
 #include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
-#include "core/tcp_dns_client.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
 #include "resolver/doq_server.hpp"
 #include "resolver/dot_server.hpp"
-#include "resolver/tcp_dns_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "simnet/trace.hpp"
 
@@ -90,7 +88,9 @@ int main(int argc, char** argv) {
       google ? "dns.google.com" : "cloudflare-dns.com";
 
   resolver::UdpServer udp_server(server, engine, 53);
-  resolver::TcpDnsServer tcp_server(server, engine, {}, 53);
+  resolver::DotServerConfig tcp_config;
+  tcp_config.plain_tcp = true;
+  resolver::DotServer tcp_server(server, engine, tcp_config, 53);
   resolver::DotServerConfig dot_config;
   dot_config.tls.chain = chain;
   resolver::DotServer dot_server(server, engine, dot_config, 853);
@@ -105,14 +105,13 @@ int main(int argc, char** argv) {
   if (opt.transport == "udp") {
     resolver_client = std::make_unique<core::UdpResolverClient>(
         client, simnet::Address{server.id(), 53});
-  } else if (opt.transport == "tcp") {
-    resolver_client = std::make_unique<core::TcpDnsClient>(
-        client, simnet::Address{server.id(), 53});
-  } else if (opt.transport == "dot") {
+  } else if (opt.transport == "tcp" || opt.transport == "dot") {
     core::DotClientConfig config;
     config.server_name = hostname;
+    config.plain_tcp = opt.transport == "tcp";
+    const std::uint16_t port = config.plain_tcp ? 53 : 853;
     resolver_client = std::make_unique<core::DotClient>(
-        client, simnet::Address{server.id(), 853}, config);
+        client, simnet::Address{server.id(), port}, config);
   } else if (opt.transport == "doq") {
     core::DoqClientConfig config;
     config.server_name = hostname;

@@ -31,7 +31,8 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
       config_(std::move(config)),
       backoff_(config_.retry),
       metric_key_(config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
-                                                              : "doh_h1") {
+                                                              : "doh_h1"),
+      conn_metrics_(metric_key_) {
   if (config_.migration.enabled && config_.migration.react_to_host_events) {
     listener_id_ = host_.add_network_change_listener(
         [this](simnet::NetworkChangeKind kind) {
@@ -50,25 +51,13 @@ void DohClient::bind_obs_ids() {
   if (r == bound_metrics_) return;
   bound_metrics_ = r;
   if (r == nullptr) return;
-  const std::string prefix = "client." + metric_key_;
-  m_conn_open_ = r->register_counter(prefix + ".conn_open");
-  m_conn_reuse_ = r->register_counter(prefix + ".conn_reuse");
-  m_reconnects_ = r->register_counter(prefix + ".reconnects");
-  m_retries_ = r->register_counter(prefix + ".retries");
-  m_timeouts_ = r->register_counter(prefix + ".timeouts");
-  m_migrations_ = r->register_counter(prefix + ".migrations");
-  m_migration_wasted_ =
-      r->register_counter(prefix + ".migration_wasted_bytes");
-  m_resumed_ = r->register_counter(prefix + ".resumed_handshakes");
   m_hpack_dyn_hits_ = r->register_counter("client.doh.hpack_dyn_hits");
 }
 
 std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
   auto stack = std::make_shared<Stack>();
   bind_obs_ids();
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_open_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
   if (config_.obs.tracer != nullptr) {
     stack->connect_span = config_.obs.tracer->begin(parent, "connect");
     stack->tcp_hs_span =
@@ -207,8 +196,8 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
     } else {
       persistent_stack_ = make_stack(parent);
     }
-  } else if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_reuse_);
+  } else {
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kConnReuse);
   }
   return persistent_stack_;
 }
@@ -423,9 +412,7 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
     if (!scheduled_any) {
       delay = backoff_.next();
       ++retry_stats_.reconnects;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_reconnects_);
-      }
+      conn_metrics_.add(config_.obs, ConnectionMetrics::kReconnects);
       scheduled_any = true;
     }
     if (charge) --state.retries_left;
@@ -441,9 +428,7 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
                            static_cast<std::int64_t>(state.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
     host_.loop().schedule_in(delay,
                              [this, query_id]() { reissue(query_id); });
   }
@@ -453,9 +438,7 @@ void DohClient::on_query_timeout(std::uint64_t query_id) {
   QueryState& state = states_[query_id];
   if (state.done) return;
   ++retry_stats_.query_timeouts;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kTimeouts);
   const auto stack = state.stack;
   // Zero bytes received on the connection across the whole timeout window
   // means the path, not the stream, is stalled (e.g. the 5-tuple died under
@@ -502,9 +485,7 @@ void DohClient::on_query_timeout(std::uint64_t query_id) {
                            static_cast<std::int64_t>(state.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
     reissue(query_id);
     return;
   }
@@ -626,7 +607,7 @@ void DohClient::account_established(const std::shared_ptr<Stack>& stack) {
   const bool resumed = stack->tls->resumed();
   if (resumed) {
     ++migration_stats_.resumed_handshakes;
-    if (config_.obs.metrics != nullptr) config_.obs.metrics->add(m_resumed_);
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kResumedHandshakes);
   } else {
     ++migration_stats_.full_handshakes;
   }
@@ -688,9 +669,7 @@ void DohClient::begin_migration(const char* reason) {
     // when one is configured.
     auto old = persistent_stack_;
     ++migration_stats_.migrations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_migrations_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
     if (migrate_span_ != 0) {
       config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
       config_.obs.end(migrate_span_);
@@ -725,10 +704,9 @@ void DohClient::promote_racer() {
   }
   migration_stats_.migration_wasted_bytes += wasted;
   ++migration_stats_.migrations;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migrations_);
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
+                    wasted);
   persistent_stack_ = std::move(racing_stack_);
   if (migrate_span_ != 0) {
     config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
@@ -754,9 +732,8 @@ void DohClient::teardown_racer() {
     wasted = c.wire_bytes_sent + c.wire_bytes_received;
   }
   migration_stats_.migration_wasted_bytes += wasted;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
+                    wasted);
   // Dangling connect spans of the abandoned racer must not stay open.
   config_.obs.end(racer->tcp_hs_span);
   config_.obs.end(racer->tls_hs_span);

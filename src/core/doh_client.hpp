@@ -139,7 +139,8 @@ class DohClient final : public ResolverClient {
   void on_query_timeout(std::uint64_t query_id);
   /// Re-issue a query on a (possibly fresh) connection.
   void reissue(std::uint64_t query_id);
-  /// Re-register the client.<key>.* handles when the registry changes.
+  /// Re-register the client.doh.hpack_dyn_hits handle when the registry
+  /// changes.
   void bind_obs_ids();
   /// Handshake/resumption accounting when a stack establishes (always on).
   void account_established(const std::shared_ptr<Stack>& stack);
@@ -157,15 +158,8 @@ class DohClient final : public ResolverClient {
   std::string metric_key_;  ///< "doh_h2" or "doh_h1"
   mutable TransportMetrics tmetrics_;  ///< mutable: result() is const
   mutable CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
+  ConnectionMetrics conn_metrics_;
   obs::MetricId m_hpack_dyn_hits_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
   obs::Registry* bound_metrics_ = nullptr;
   MigrationStats migration_stats_;
 

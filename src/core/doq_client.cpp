@@ -23,32 +23,12 @@ DoqClient::~DoqClient() {
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
 }
 
-void DoqClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_conn_open_ = r->register_counter("client.doq.conn_open");
-  m_conn_reuse_ = r->register_counter("client.doq.conn_reuse");
-  m_reconnects_ = r->register_counter("client.doq.reconnects");
-  m_retries_ = r->register_counter("client.doq.retries");
-  m_timeouts_ = r->register_counter("client.doq.timeouts");
-  m_migrations_ = r->register_counter("client.doq.migrations");
-  m_migration_wasted_ =
-      r->register_counter("client.doq.migration_wasted_bytes");
-  m_resumed_ = r->register_counter("client.doq.resumed_handshakes");
-}
-
 void DoqClient::ensure_connection(obs::SpanId parent) {
   if (endpoint_ && !endpoint_->connection().closed()) {
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_conn_reuse_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kConnReuse);
     return;
   }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_open_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
   if (config_.obs.tracer != nullptr) {
     connect_span_ = config_.obs.tracer->begin(parent, "connect");
     quic_hs_span_ =
@@ -74,9 +54,7 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
     // The path survived the address change: migration complete, no new
     // handshake paid.
     ++migration_stats_.migrations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_migrations_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
     if (migrate_span_ != 0) {
       config_.obs.set_attr(migrate_span_, "winner",
                            std::string("same_connection"));
@@ -99,7 +77,6 @@ void DoqClient::account_established() {
 std::uint64_t DoqClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
   const std::uint64_t query_id = next_query_id_++;
-  bind_obs_ids();
   const obs::SpanId span =
       obs_begin_resolution(config_.obs, tmetrics_, "doq", name, type);
   ResolutionResult result;
@@ -205,9 +182,7 @@ void DoqClient::on_query_timeout(std::uint64_t stream_id) {
   const auto it = pending_.find(stream_id);
   if (it == pending_.end()) return;
   ++retry_stats_.query_timeouts;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kTimeouts);
   if (config_.retry.max_retries > 0 && it->second.retries_left > 0) {
     // QUIC's PTO machinery already retries within the connection, so a
     // query timeout means the path (or the server's view of our address)
@@ -264,9 +239,7 @@ void DoqClient::group_reissue() {
     if (!scheduled_any) {
       delay = backoff_.next();
       ++retry_stats_.reconnects;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_reconnects_);
-      }
+      conn_metrics_.add(config_.obs, ConnectionMetrics::kReconnects);
       scheduled_any = true;
     }
     if (charge) --pq.retries_left;
@@ -282,9 +255,7 @@ void DoqClient::group_reissue() {
                            static_cast<std::int64_t>(pq.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
     host_.loop().schedule_in(delay, [this, p = std::move(pq)]() mutable {
       issue(std::move(p));
     });

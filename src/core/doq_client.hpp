@@ -69,8 +69,6 @@ class DoqClient final : public ResolverClient {
   };
 
   void ensure_connection(obs::SpanId parent);
-  /// Re-register the client.doq.* handles when the registry changes.
-  void bind_obs_ids();
   void issue(PendingQuery pq);
   void on_stream_data(std::uint64_t stream_id,
                       std::span<const std::uint8_t> data, bool fin);
@@ -90,15 +88,7 @@ class DoqClient final : public ResolverClient {
   simnet::Host& host_;
   TransportMetrics tmetrics_;
   CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
-  obs::Registry* bound_metrics_ = nullptr;
+  ConnectionMetrics conn_metrics_{"doq"};
   simnet::Address server_;
   DoqClientConfig config_;
   Backoff backoff_;

@@ -1,14 +1,33 @@
 #include "core/dot_client.hpp"
 
+#include <utility>
+
 #include "core/obs_hooks.hpp"
 
 namespace dohperf::core {
+
+bool DotClient::Connection::usable() const {
+  if (!stream) return false;
+  if (tls != nullptr) return !tls->failed() && !tls->closed();
+  return tcp->state() == simnet::TcpState::kSynSent || tcp->established();
+}
+
+bool DotClient::Connection::established() const {
+  return tls != nullptr ? tls->established() : tcp->established();
+}
+
+void DotClient::Connection::abort() {
+  if (tcp) tcp->abort();
+  stream.reset();
+  tls = nullptr;
+}
 
 DotClient::DotClient(simnet::Host& host, simnet::Address server,
                      DotClientConfig config)
     : host_(host),
       server_(server),
       config_(std::move(config)),
+      conn_metrics_(transport()),
       backoff_(config_.retry) {
   if (config_.migration.enabled && config_.migration.react_to_host_events) {
     listener_id_ = host_.add_network_change_listener(
@@ -23,29 +42,38 @@ DotClient::~DotClient() {
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
 }
 
-void DotClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_conn_open_ = r->register_counter("client.dot.conn_open");
-  m_conn_reuse_ = r->register_counter("client.dot.conn_reuse");
-  m_reconnects_ = r->register_counter("client.dot.reconnects");
-  m_retries_ = r->register_counter("client.dot.retries");
-  m_timeouts_ = r->register_counter("client.dot.timeouts");
-  m_migrations_ = r->register_counter("client.dot.migrations");
-  m_migration_wasted_ =
-      r->register_counter("client.dot.migration_wasted_bytes");
-  m_resumed_ = r->register_counter("client.dot.resumed_handshakes");
+DotClient::Connection DotClient::open_connection() {
+  Connection c;
+  c.tcp = host_.tcp_connect(server_);
+  auto transport = std::make_unique<simnet::TcpByteStream>(c.tcp);
+  if (config_.plain_tcp) {
+    c.stream = std::move(transport);
+    return c;
+  }
+  tlssim::ClientConfig tls_config;
+  tls_config.sni = config_.server_name;
+  tls_config.min_version = config_.min_tls;
+  tls_config.max_version = config_.max_tls;
+  tls_config.session_cache = config_.session_cache;
+  // RFC 7858 defines no mandatory ALPN token; offer none.
+  auto tls = std::make_unique<tlssim::TlsConnection>(std::move(transport),
+                                                     std::move(tls_config));
+  c.tls = tls.get();
+  c.stream = std::move(tls);
+  return c;
 }
 
 void DotClient::install_handlers() {
-  tlssim::TlsConnection::Handlers h;
+  simnet::ByteStream::Handlers h;
   h.on_open = [this]() {
-    if (tls_hs_span_ != 0 && tls_) {
+    if (conn_.tls == nullptr) {
+      // Plain TCP: the stream opening is the TCP handshake completing.
+      config_.obs.end(tcp_hs_span_);
+      tcp_hs_span_ = 0;
+    } else if (tls_hs_span_ != 0) {
       config_.obs.set_attr(tls_hs_span_, "tls_version",
-                           tlssim::to_string(tls_->version()));
-      config_.obs.set_attr(tls_hs_span_, "resumed", tls_->resumed());
+                           tlssim::to_string(conn_.tls->version()));
+      config_.obs.set_attr(tls_hs_span_, "resumed", conn_.tls->resumed());
     }
     config_.obs.end(tls_hs_span_);
     config_.obs.end(connect_span_);
@@ -54,24 +82,29 @@ void DotClient::install_handlers() {
     account_established();
   };
   h.on_data = [this](std::span<const std::uint8_t> d) { on_data(d); };
-  h.on_close = [this]() { on_close(); };
-  tls_->set_handlers(std::move(h));
+  h.on_close = [this]() {
+    // The peer closed (or reset): close our side too, as TLS does for its
+    // transport, so both TCP state machines can finish.
+    if (conn_.tls == nullptr) conn_.stream->close();
+    on_close();
+  };
+  conn_.stream->set_handlers(std::move(h));
 }
 
 void DotClient::account_established() {
-  if (!tls_) return;
-  const bool resumed = tls_->resumed();
+  if (conn_.tls == nullptr) return;  // plain TCP: no TLS session to account
+  const bool resumed = conn_.tls->resumed();
   if (resumed) {
     ++migration_stats_.resumed_handshakes;
-    if (config_.obs.metrics != nullptr) config_.obs.metrics->add(m_resumed_);
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kResumedHandshakes);
   } else {
     ++migration_stats_.full_handshakes;
   }
-  const auto& c = tls_->counters();
+  const auto& c = conn_.tls->counters();
   migration_stats_.handshake_bytes +=
       c.handshake_bytes_sent + c.handshake_bytes_received;
   migration_stats_.handshake_rtts +=
-      1 + tls_handshake_rtts(tls_->version(), resumed);  // +1: TCP SYN
+      1 + tls_handshake_rtts(conn_.tls->version(), resumed);  // +1: TCP SYN
   if (ever_connected_ && resumed && config_.obs.tracer != nullptr) {
     // A reconnect that skipped the full handshake via the session ticket.
     const obs::SpanId s =
@@ -86,42 +119,28 @@ void DotClient::ensure_connection(obs::SpanId parent) {
   // A connection is reusable while it is open or still handshaking; one
   // that failed or whose transport closed (including RST mid-handshake)
   // must be replaced.
-  if (tls_ && !tls_->failed() && !tls_->closed()) {
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_conn_reuse_);
-    }
+  if (conn_.usable()) {
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kConnReuse);
     return;
   }
   // The main connection died while a migration race was still on: adopt
   // the racer instead of opening yet another connection.
-  if (racing_tls_ && !racing_tls_->failed() && !racing_tls_->closed()) {
-    tcp_ = std::move(racing_tcp_);
-    tls_ = std::move(racing_tls_);
-    racing_tcp_.reset();
+  if (racer_.usable()) {
+    conn_ = std::exchange(racer_, {});
     rx_.clear();
-    const bool already_open = tls_->established();
+    const bool already_open = conn_.established();
     install_handlers();
     if (already_open) account_established();
     return;
   }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_open_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
   if (config_.obs.tracer != nullptr) {
     connect_span_ = config_.obs.tracer->begin(parent, "connect");
     tcp_hs_span_ = config_.obs.tracer->begin(connect_span_, "tcp_handshake");
   }
-  tcp_ = host_.tcp_connect(server_);
-  tlssim::ClientConfig tls_config;
-  tls_config.sni = config_.server_name;
-  tls_config.min_version = config_.min_tls;
-  tls_config.max_version = config_.max_tls;
-  tls_config.session_cache = config_.session_cache;
-  // RFC 7858 defines no mandatory ALPN token; offer none.
-  tls_ = std::make_unique<tlssim::TlsConnection>(
-      std::make_unique<simnet::TcpByteStream>(tcp_), std::move(tls_config));
-  if (config_.obs.tracer != nullptr) {
-    tls_->set_transport_open_hook([this]() {
+  conn_ = open_connection();
+  if (conn_.tls != nullptr && config_.obs.tracer != nullptr) {
+    conn_.tls->set_transport_open_hook([this]() {
       config_.obs.end(tcp_hs_span_);
       tcp_hs_span_ = 0;
       tls_hs_span_ =
@@ -130,12 +149,6 @@ void DotClient::ensure_connection(obs::SpanId parent) {
   }
   install_handlers();
   rx_.clear();
-}
-
-std::uint16_t DotClient::allocate_dns_id() {
-  std::uint16_t dns_id = next_dns_id_++;
-  while (pending_.count(dns_id) != 0 || dns_id == 0) dns_id = next_dns_id_++;
-  return dns_id;
 }
 
 std::uint64_t DotClient::resolve(const dns::Name& name, dns::RType type,
@@ -152,14 +165,24 @@ std::uint64_t DotClient::resolve(const dns::Name& name, dns::RType type,
   pending.name = name;
   pending.type = type;
   pending.retries_left = config_.retry.max_retries;
-  bind_obs_ids();
   pending.span =
-      obs_begin_resolution(config_.obs, tmetrics_, "dot", name, type);
-  send_query(allocate_dns_id(), std::move(pending));
+      obs_begin_resolution(config_.obs, tmetrics_, transport(), name, type);
+  send_query(std::move(pending));
   return query_id;
 }
 
-void DotClient::send_query(std::uint16_t dns_id, Pending pending) {
+void DotClient::send_query(Pending pending) {
+  const std::optional<std::uint16_t> id =
+      allocate_dns_id(next_dns_id_, pending_);
+  if (!id) {
+    // Every DNS ID is in flight: fail the query, one event later so the
+    // callback never runs inside resolve().
+    host_.loop().schedule_in(0, [this, p = std::move(pending)]() mutable {
+      fail_query(std::move(p));
+    });
+    return;
+  }
+  const std::uint16_t dns_id = *id;
   ensure_connection(pending.span);
   const std::uint64_t query_id = pending.query_id;
   ++pending.attempt;
@@ -186,7 +209,8 @@ void DotClient::send_query(std::uint16_t dns_id, Pending pending) {
   framed.u16(static_cast<std::uint16_t>(wire.size()));
   framed.bytes(wire);
   arm_stall_timer();
-  tls_->send(framed.take());  // queued internally until the handshake ends
+  // Queued until the handshake ends (by TLS, or by TCP itself).
+  conn_.stream->send(framed.take());
 }
 
 void DotClient::on_data(std::span<const std::uint8_t> data) {
@@ -223,7 +247,8 @@ void DotClient::on_data(std::span<const std::uint8_t> data) {
     config_.obs.end(pending.request_span);
     obs_span_cost(config_.obs, pending.span, result.cost);
     obs_count_cost(config_.obs, cmetrics_, result.cost);
-    obs_finish_resolution(config_.obs, tmetrics_, pending.span, "dot", result);
+    obs_finish_resolution(config_.obs, tmetrics_, pending.span, transport(),
+                          result);
     if (pending.callback) pending.callback(result);
     // A full response on the old path while racing: the stall was
     // transient, keep the connection and drop the racer.
@@ -275,9 +300,7 @@ void DotClient::on_close() {
     if (!scheduled_any) {
       delay = backoff_.next();
       ++retry_stats_.reconnects;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_reconnects_);
-      }
+      conn_metrics_.add(config_.obs, ConnectionMetrics::kReconnects);
       scheduled_any = true;
     }
     if (charge) --entry.retries_left;
@@ -293,12 +316,10 @@ void DotClient::on_close() {
                            static_cast<std::int64_t>(entry.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
     host_.loop().schedule_in(
         delay, [this, p = std::move(entry)]() mutable {
-          send_query(allocate_dns_id(), std::move(p));
+          send_query(std::move(p));
         });
   }
 }
@@ -307,20 +328,16 @@ void DotClient::on_query_timeout(std::uint16_t dns_id) {
   const auto it = pending_.find(dns_id);
   if (it == pending_.end()) return;
   ++retry_stats_.query_timeouts;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kTimeouts);
   if (config_.retry.max_retries > 0 && it->second.retries_left > 0) {
-    // DoT serializes responses on one TLS stream (the resolver answers in
-    // order), so a stalled exchange at the head of the line blocks every
-    // response behind it and re-issuing on the same session cannot recover.
-    // Discard the suspect connection -- as real stub resolvers discard
-    // suspect TCP sessions -- and let the reconnect path re-issue every
-    // pending query, this one included.
+    // The resolver answers in order on one stream, so a stalled exchange at
+    // the head of the line blocks every response behind it and re-issuing
+    // on the same connection cannot recover. Discard the suspect connection
+    // -- as real stub resolvers discard suspect TCP sessions -- and let the
+    // reconnect path re-issue every pending query, this one included.
     suspect_dns_id_ = dns_id;
     timeout_teardown_ = true;
-    if (tcp_) tcp_->abort();  // no local callbacks fire; notify ourselves
-    tls_.reset();
+    conn_.abort();  // no local callbacks fire; notify ourselves
     rx_.clear();
     on_close();
     suspect_dns_id_ = 0;
@@ -341,7 +358,8 @@ void DotClient::fail_query(Pending pending) {
   config_.obs.end(pending.request_span);
   obs_span_cost(config_.obs, pending.span, result.cost);
   obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, tmetrics_, pending.span, "dot", result);
+  obs_finish_resolution(config_.obs, tmetrics_, pending.span, transport(),
+                        result);
   if (pending.callback) pending.callback(result);
 }
 
@@ -362,7 +380,7 @@ void DotClient::on_stall() {
   if (config_.obs.tracer != nullptr) {
     // The probe that condemned the old path before we migrate away from it.
     const obs::SpanId s = config_.obs.tracer->begin(0, "path_probe");
-    config_.obs.set_attr(s, "transport", std::string("dot"));
+    config_.obs.set_attr(s, "transport", std::string(transport()));
     config_.obs.end(s);
   }
   begin_migration("stall");
@@ -370,25 +388,21 @@ void DotClient::on_stall() {
 
 void DotClient::begin_migration(const char* reason) {
   if (!config_.migration.enabled || closing_) return;
-  if (racing_tls_) return;  // a race is already deciding the new path
-  if (!tls_ && pending_.empty()) return;  // nothing to migrate
+  if (racer_) return;  // a race is already deciding the new path
+  if (!conn_ && pending_.empty()) return;  // nothing to migrate
   if (config_.obs.tracer != nullptr && migrate_span_ == 0) {
     migrate_span_ = config_.obs.tracer->begin(0, "migrate");
-    config_.obs.set_attr(migrate_span_, "transport", std::string("dot"));
+    config_.obs.set_attr(migrate_span_, "transport", std::string(transport()));
     config_.obs.set_attr(migrate_span_, "reason", std::string(reason));
   }
-  const bool usable = tls_ && !tls_->failed() && !tls_->closed();
-  if (!usable || pending_.empty() || !config_.migration.race) {
+  if (!conn_.usable() || pending_.empty() || !config_.migration.race) {
     // Nothing worth racing against: drop the (suspect or already dead)
     // connection so the next attempt reconnects on the new path, resuming
     // via the session cache when one is configured.
-    if (tcp_) tcp_->abort();
-    tls_.reset();
+    conn_.abort();
     rx_.clear();
     ++migration_stats_.migrations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_migrations_);
-    }
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
     if (migrate_span_ != 0) {
       config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
       config_.obs.end(migrate_span_);
@@ -400,21 +414,11 @@ void DotClient::begin_migration(const char* reason) {
   // Happy-eyeballs: open a fresh connection and race it against the
   // stalled one. Whichever proves the path first wins; the loser's bytes
   // are charged to migration_wasted_bytes.
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_open_);
-  }
-  const auto& tc = tcp_->counters();
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
+  const auto& tc = conn_.tcp->counters();
   race_baseline_bytes_ = tc.wire_bytes_sent + tc.wire_bytes_received;
-  racing_tcp_ = host_.tcp_connect(server_);
-  tlssim::ClientConfig tls_config;
-  tls_config.sni = config_.server_name;
-  tls_config.min_version = config_.min_tls;
-  tls_config.max_version = config_.max_tls;
-  tls_config.session_cache = config_.session_cache;
-  racing_tls_ = std::make_unique<tlssim::TlsConnection>(
-      std::make_unique<simnet::TcpByteStream>(racing_tcp_),
-      std::move(tls_config));
-  tlssim::TlsConnection::Handlers rh;
+  racer_ = open_connection();
+  simnet::ByteStream::Handlers rh;
   // Both outcomes defer one (zero-delay) event: the handlers below must
   // not destroy the std::function currently executing.
   rh.on_open = [this]() {
@@ -422,37 +426,30 @@ void DotClient::begin_migration(const char* reason) {
   };
   rh.on_close = [this]() {
     host_.loop().schedule_in(0, [this]() {
-      if (racing_tls_ && (racing_tls_->failed() || racing_tls_->closed())) {
-        teardown_racer();
-      }
+      if (racer_ && !racer_.usable()) teardown_racer();
     });
   };
-  racing_tls_->set_handlers(std::move(rh));
+  racer_.stream->set_handlers(std::move(rh));
 }
 
 void DotClient::promote_racer() {
-  if (!racing_tls_ || !racing_tls_->established() || racing_tls_->failed() ||
-      racing_tls_->closed()) {
+  if (!racer_.usable() || !racer_.established()) {
     return;  // adopted, torn down, or died before this event fired
   }
   // The fresh path won. Everything the stalled connection moved since the
   // race began bought nothing — charge it as migration waste.
   std::uint64_t wasted = 0;
-  if (tcp_) {
-    const auto& c = tcp_->counters();
+  if (conn_.tcp) {
+    const auto& c = conn_.tcp->counters();
     wasted = c.wire_bytes_sent + c.wire_bytes_received - race_baseline_bytes_;
   }
   migration_stats_.migration_wasted_bytes += wasted;
   ++migration_stats_.migrations;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migrations_);
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
-  if (tcp_) tcp_->abort();
-  tls_.reset();
-  tcp_ = std::move(racing_tcp_);
-  tls_ = std::move(racing_tls_);
-  racing_tcp_.reset();
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
+                    wasted);
+  conn_.abort();
+  conn_ = std::exchange(racer_, {});
   rx_.clear();
   install_handlers();
   account_established();
@@ -465,19 +462,14 @@ void DotClient::promote_racer() {
 }
 
 void DotClient::teardown_racer() {
-  if (!racing_tls_) return;
-  if (racing_tcp_) racing_tcp_->abort();
-  std::uint64_t wasted = 0;
-  if (racing_tcp_) {
-    const auto& c = racing_tcp_->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received;
-  }
+  if (!racer_) return;
+  racer_.abort();
+  const auto& c = racer_.tcp->counters();
+  const std::uint64_t wasted = c.wire_bytes_sent + c.wire_bytes_received;
   migration_stats_.migration_wasted_bytes += wasted;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
-  racing_tls_.reset();
-  racing_tcp_.reset();
+  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
+                    wasted);
+  racer_ = {};
   if (migrate_span_ != 0) {
     config_.obs.set_attr(migrate_span_, "winner", std::string("old"));
     config_.obs.end(migrate_span_);
@@ -510,28 +502,27 @@ void DotClient::reissue_after_migration() {
                            static_cast<std::int64_t>(entry.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
-    send_query(allocate_dns_id(), std::move(entry));
+    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
+    send_query(std::move(entry));
   }
 }
 
 void DotClient::disconnect() {
-  if (!tls_) return;
+  if (!conn_) return;
   closing_ = true;
-  tls_->close();
+  conn_.stream->close();
+  on_close();  // fail what was in flight; no retries
   closing_ = false;
 }
 
-bool DotClient::connected() const { return tls_ && tls_->is_open(); }
+bool DotClient::connected() const { return conn_ && conn_.stream->is_open(); }
 
 const tlssim::TlsCounters* DotClient::tls_counters() const {
-  return tls_ ? &tls_->counters() : nullptr;
+  return conn_.tls != nullptr ? &conn_.tls->counters() : nullptr;
 }
 
 const simnet::TcpCounters* DotClient::tcp_counters() const {
-  return tcp_ ? &tcp_->counters() : nullptr;
+  return conn_.tcp ? &conn_.tcp->counters() : nullptr;
 }
 
 const ResolutionResult& DotClient::result(std::uint64_t id) const {

@@ -1,6 +1,10 @@
 // DNS-over-TLS client (RFC 7858): TLS to port 853, two-byte length framing,
 // multiple outstanding queries matched by DNS message ID.
 //
+// With `plain_tcp` the same client speaks DNS-over-TCP (RFC 7766): the
+// framed messages ride a bare TCP byte stream and there is no TLS layer.
+// Everything else is shared, so the fig2 tcp/dot gap isolates TLS.
+//
 // With a RetryPolicy (config.retry.max_retries > 0) the client reconnects
 // after transport loss with exponential backoff and re-issues the queries
 // that were in flight, each under its own retry budget; a per-query timeout
@@ -24,6 +28,8 @@ namespace dohperf::core {
 
 struct DotClientConfig {
   std::string server_name = "dot.example";  ///< SNI
+  /// DNS-over-TCP (RFC 7766): no TLS layer. Reports as transport "tcp".
+  bool plain_tcp = false;
   tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
   tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
   tlssim::SessionCache* session_cache = nullptr;
@@ -49,12 +55,13 @@ class DotClient final : public ResolverClient {
     return migration_stats_;
   }
 
-  /// Close the TLS connection (a new one is opened on the next resolve).
+  /// Close the connection (a new one is opened on the next resolve).
   /// Outstanding queries fail without retry — the close was deliberate.
   void disconnect();
   bool connected() const;
 
-  /// Connection-level counters of the current connection (null when none).
+  /// Connection-level counters of the current connection (null when none;
+  /// TLS counters are also null for plain TCP).
   const tlssim::TlsCounters* tls_counters() const;
   const simnet::TcpCounters* tcp_counters() const;
 
@@ -72,15 +79,31 @@ class DotClient final : public ResolverClient {
     int attempt = 0;
   };
 
+  /// One connection: TCP, plus a TLS session over it unless plain_tcp.
+  struct Connection {
+    std::shared_ptr<simnet::TcpConnection> tcp;  ///< kept for counters
+    std::unique_ptr<simnet::ByteStream> stream;  ///< the TLS session or TCP
+    tlssim::TlsConnection* tls = nullptr;        ///< stream, unless plain
+
+    explicit operator bool() const noexcept { return stream != nullptr; }
+    /// Open or still handshaking: worth sending on.
+    bool usable() const;
+    /// Every handshake (TCP, then TLS if any) has completed.
+    bool established() const;
+    /// RST the transport (no local callbacks fire) and drop the stream.
+    void abort();
+  };
+
+  const char* transport() const { return config_.plain_tcp ? "tcp" : "dot"; }
+  Connection open_connection();
   void ensure_connection(obs::SpanId parent);
-  /// Re-register the client.dot.* handles when the registry changes.
-  void bind_obs_ids();
-  void send_query(std::uint16_t dns_id, Pending pending);
+  /// Allocate a DNS ID and send one attempt of `pending`; fails it (one
+  /// event later) when all 65,535 non-zero IDs are in flight.
+  void send_query(Pending pending);
   void on_data(std::span<const std::uint8_t> data);
   void on_close();
   void on_query_timeout(std::uint16_t dns_id);
   void fail_query(Pending pending);
-  std::uint16_t allocate_dns_id();
   void install_handlers();
   /// Handshake/resumption accounting at establishment (always on, unlike
   /// the tracer-gated spans).
@@ -93,32 +116,22 @@ class DotClient final : public ResolverClient {
   void reissue_after_migration();
 
   simnet::Host& host_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
-  obs::Registry* bound_metrics_ = nullptr;
   simnet::Address server_;
   DotClientConfig config_;
+  TransportMetrics tmetrics_;
+  CostMetrics cmetrics_;
+  ConnectionMetrics conn_metrics_;
   Backoff backoff_;
   RetryStats retry_stats_;
   MigrationStats migration_stats_;
 
-  std::shared_ptr<simnet::TcpConnection> tcp_;
-  std::unique_ptr<tlssim::TlsConnection> tls_;
+  Connection conn_;
   dns::Bytes rx_;
 
   // Migration machinery: the fresh connection racing the stalled one, the
   // stalled side's byte counts at race start (everything it moves after
   // that is wasted if it loses), and churn-detection state.
-  std::shared_ptr<simnet::TcpConnection> racing_tcp_;
-  std::unique_ptr<tlssim::TlsConnection> racing_tls_;
+  Connection racer_;
   std::uint64_t race_baseline_bytes_ = 0;
   simnet::EventId stall_timer_;
   std::uint64_t listener_id_ = 0;

@@ -3,9 +3,13 @@
 // names are a stable contract documented in EXPERIMENTS.md ("Observability").
 //
 // All helpers are no-ops when the SpanContext carries no tracer/registry, so
-// uninstrumented runs pay only a null-pointer check.
+// uninstrumented runs pay only a null-pointer check. Metric writes go through
+// pre-registered handles: the per-query cost is a dense slot write once the
+// first call has bound them.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 
 #include "core/client.hpp"
@@ -62,15 +66,62 @@ struct CostMetrics {
   }
 };
 
+/// Pre-registered handles for a connection-oriented transport's
+/// connection-lifecycle counters, client.<t>.{conn_open,conn_reuse,
+/// reconnects,retries,timeouts,migrations,migration_wasted_bytes,
+/// resumed_handshakes}. Bound lazily like TransportMetrics: add() re-binds
+/// whenever the context's registry differs from the bound one.
+struct ConnectionMetrics {
+  enum Counter : std::uint8_t {
+    kConnOpen,
+    kConnReuse,
+    kReconnects,
+    kRetries,
+    kTimeouts,
+    kMigrations,
+    kMigrationWastedBytes,
+    kResumedHandshakes,
+    kCount,
+  };
+
+  /// `transport` is the <t> in client.<t>.*.
+  explicit ConnectionMetrics(std::string transport)
+      : transport_(std::move(transport)) {}
+
+  /// Count `delta` on one counter of `obs`'s registry (no-op without one).
+  void add(const obs::SpanContext& obs, Counter counter,
+           std::uint64_t delta = 1) {
+    if (obs.metrics == nullptr) return;
+    if (registry_ != obs.metrics) bind(obs.metrics);
+    obs.metrics->add(ids_[counter], delta);
+  }
+
+ private:
+  void bind(obs::Registry* r) {
+    static constexpr std::array<const char*, kCount> kNames = {
+        "conn_open", "conn_reuse", "reconnects", "retries", "timeouts",
+        "migrations", "migration_wasted_bytes", "resumed_handshakes"};
+    registry_ = r;
+    const std::string prefix = "client." + transport_ + ".";
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ids_[i] = r->register_counter(prefix + kNames[i]);
+    }
+  }
+
+  std::string transport_;
+  obs::Registry* registry_ = nullptr;
+  std::array<obs::MetricId, kCount> ids_;
+};
+
 /// Open the root `resolution` span for one query and count it under
 /// `client.<transport>.queries`. Returns 0 when tracing is off.
 inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
+                                        TransportMetrics& m,
                                         const std::string& transport,
                                         const dns::Name& name,
                                         dns::RType type) {
-  if (obs.metrics != nullptr) {
-    obs.metrics->add("client." + transport + ".queries");
-  }
+  if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
+  if (obs.metrics != nullptr) obs.metrics->add(m.queries);
   const obs::SpanId span = obs.begin("resolution");
   if (span != 0) {
     obs.set_attr(span, "transport", transport);
@@ -98,67 +149,6 @@ inline void obs_span_cost(const obs::SpanContext& obs, obs::SpanId span,
 }
 
 /// Accumulate a CostReport into the global bytes.* counters.
-inline void obs_count_cost(const obs::SpanContext& obs,
-                           const CostReport& cost) {
-  if (obs.metrics == nullptr) return;
-  auto& m = *obs.metrics;
-  m.add("bytes.wire", cost.wire_bytes);
-  m.add("bytes.dns", cost.dns_message_bytes);
-  m.add("bytes.tcp", cost.tcp_overhead_bytes);
-  m.add("bytes.tls", cost.tls_overhead_bytes);
-  m.add("bytes.http_hdr", cost.http_header_bytes);
-  m.add("bytes.http_body", cost.http_body_bytes);
-  m.add("bytes.http_mgmt", cost.http_mgmt_bytes);
-}
-
-/// Close the `resolution` span with its outcome and record the
-/// success/failure/servfail counters plus the resolution-time histogram.
-/// Byte attributes are NOT set here — clients with lazily finalized costs
-/// attach them later via obs_span_cost().
-inline void obs_finish_resolution(const obs::SpanContext& obs,
-                                  obs::SpanId span,
-                                  const std::string& transport,
-                                  const ResolutionResult& result) {
-  if (obs.metrics != nullptr) {
-    auto& m = *obs.metrics;
-    m.add("client." + transport +
-          (result.success ? ".success" : ".failures"));
-    if (result.success &&
-        result.response.flags.rcode == dns::Rcode::kServFail) {
-      m.add("client." + transport + ".servfail");
-    }
-    m.observe("client." + transport + ".resolution_ms",
-              static_cast<double>(result.resolution_time()) / 1000.0);
-  }
-  if (span != 0) {
-    obs.set_attr(span, "success", result.success);
-    obs.end(span);
-  }
-}
-
-// ---- Handle-cached fast-path overloads ------------------------------------
-// Same behaviour and metric names as the name-keyed helpers above (the
-// export is byte-identical either way); the per-query cost drops to dense
-// slot writes after the first call binds the handles.
-
-/// obs_begin_resolution via pre-registered handles.
-inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
-                                        TransportMetrics& m,
-                                        const std::string& transport,
-                                        const dns::Name& name,
-                                        dns::RType type) {
-  if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
-  if (obs.metrics != nullptr) obs.metrics->add(m.queries);
-  const obs::SpanId span = obs.begin("resolution");
-  if (span != 0) {
-    obs.set_attr(span, "transport", transport);
-    obs.set_attr(span, "query", name.to_string());
-    obs.set_attr(span, "qtype", dns::to_string(type));
-  }
-  return span;
-}
-
-/// obs_count_cost via pre-registered handles.
 inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
                            const CostReport& cost) {
   if (obs.metrics == nullptr) return;
@@ -173,7 +163,10 @@ inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
   r.add(m.http_mgmt, cost.http_mgmt_bytes);
 }
 
-/// obs_finish_resolution via pre-registered handles.
+/// Close the `resolution` span with its outcome and record the
+/// success/failure/servfail counters plus the resolution-time histogram.
+/// Byte attributes are NOT set here — clients with lazily finalized costs
+/// attach them later via obs_span_cost().
 inline void obs_finish_resolution(const obs::SpanContext& obs,
                                   TransportMetrics& m, obs::SpanId span,
                                   const std::string& transport,

@@ -35,15 +35,8 @@ std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
                                          dns::RType type,
                                          ResolveCallback callback) {
   const std::uint64_t query_id = next_query_id_++;
-  // Allocate a DNS message ID not currently in flight.
-  std::uint16_t dns_id = next_dns_id_++;
-  while (pending_.count(dns_id) != 0 || dns_id == 0) dns_id = next_dns_id_++;
-
-  const dns::Message query =
-      dns::Message::make_query(dns_id, name, type, config_.edns);
   Pending pending;
   pending.query_id = query_id;
-  pending.wire = query.encode();
   pending.callback = std::move(callback);
   pending.retries_left = config_.max_retries;
   bind_obs_ids();
@@ -52,13 +45,25 @@ std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
 
   ResolutionResult result;
   result.sent_at = host_.loop().now();
+  results_.push_back(std::move(result));
+  const std::optional<std::uint16_t> dns_id =
+      allocate_dns_id(next_dns_id_, pending_);
+  if (!dns_id) {
+    // Every DNS ID is in flight: fail the query, one event later so the
+    // callback never runs inside resolve().
+    host_.loop().schedule_in(0, [this, p = std::move(pending)]() mutable {
+      complete(p, false, {}, 0);
+    });
+    return query_id;
+  }
+  pending.wire =
+      dns::Message::make_query(*dns_id, name, type, config_.edns).encode();
   // UDP cost is exact and known up-front for the query half; the response
   // half is added on completion.
-  result.cost.dns_message_bytes = pending.wire.size();
-  results_.push_back(std::move(result));
+  results_.back().cost.dns_message_bytes = pending.wire.size();
 
-  pending_.emplace(dns_id, std::move(pending));
-  send_query(dns_id);
+  pending_.emplace(*dns_id, std::move(pending));
+  send_query(*dns_id);
   return query_id;
 }
 
@@ -126,7 +131,12 @@ void UdpResolverClient::finish(std::uint16_t dns_id, bool success,
                                dns::Message response,
                                std::size_t response_bytes) {
   auto node = pending_.extract(dns_id);
-  Pending& pending = node.mapped();
+  complete(node.mapped(), success, std::move(response), response_bytes);
+}
+
+void UdpResolverClient::complete(Pending& pending, bool success,
+                                 dns::Message response,
+                                 std::size_t response_bytes) {
   host_.loop().cancel(pending.timer);
 
   ResolutionResult& result = results_[pending.query_id];

@@ -56,6 +56,9 @@ class UdpResolverClient final : public ResolverClient {
   void on_timeout(std::uint16_t dns_id);
   void finish(std::uint16_t dns_id, bool success, dns::Message response,
               std::size_t response_bytes);
+  /// Record the outcome of `pending` (already out of the map) and call back.
+  void complete(Pending& pending, bool success, dns::Message response,
+                std::size_t response_bytes);
 
   /// Re-register the client.udp.* handles when the registry changes.
   void bind_obs_ids();

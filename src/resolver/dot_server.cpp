@@ -51,13 +51,22 @@ void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
   Session* s = session.get();
   session->tcp = conn;
   session->peer = conn->remote().node;
-  session->tls = std::make_unique<tlssim::TlsConnection>(
-      std::make_unique<simnet::TcpByteStream>(std::move(conn)), &config_.tls);
-  tlssim::TlsConnection::Handlers h;
-  h.on_open = []() {};
+  auto transport = std::make_unique<simnet::TcpByteStream>(std::move(conn));
+  if (config_.plain_tcp) {
+    session->stream = std::move(transport);
+  } else {
+    session->stream = std::make_unique<tlssim::TlsConnection>(
+        std::move(transport), &config_.tls);
+  }
+  simnet::ByteStream::Handlers h;
   h.on_data = [this, s](std::span<const std::uint8_t> d) { on_data(*s, d); };
-  h.on_close = [s]() { s->dead = true; };
-  session->tls->set_handlers(std::move(h));
+  h.on_close = [s]() {
+    s->dead = true;
+    // The peer closed (or half-closed): close our side so both TCP state
+    // machines can finish. TLS has already done so for its transport.
+    s->stream->close();
+  };
+  session->stream->set_handlers(std::move(h));
   session->self = session;
   sessions_.push_back(std::move(session));
 }
@@ -70,7 +79,7 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
         (static_cast<std::size_t>(session.rx[0]) << 8) | session.rx[1];
     if (len == 0 || len > config_.max_message_bytes) {
       ++malformed_;
-      session.tls->close();
+      session.stream->close();
       session.dead = true;
       return;
     }
@@ -85,7 +94,7 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
       query = dns::Message::decode(wire);
     } catch (const dns::WireError&) {
       ++malformed_;
-      session.tls->close();
+      session.stream->close();
       session.dead = true;
       return;
     }
@@ -93,7 +102,8 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
     // The continuation may outlive the session (client closed meanwhile);
     // find the live session by address via the weak pointer.
     std::weak_ptr<Session> weak = session.self;
-    const QueryContext context{session.peer, Transport::kDot};
+    const QueryContext context{
+        session.peer, config_.plain_tcp ? Transport::kTcp : Transport::kDot};
     handler_.handle(query, context,
                     [this, weak, sequence](dns::Message response) {
                       if (const auto s = weak.lock()) {
@@ -113,7 +123,7 @@ void DotServer::answer(Session& session, std::uint64_t sequence,
     return w.take();
   };
   if (config_.out_of_order) {
-    session.tls->send(frame(wire));
+    session.stream->send(frame(wire));
     return;
   }
   // In-order: buffer until every earlier response has been sent. This is
@@ -122,7 +132,7 @@ void DotServer::answer(Session& session, std::uint64_t sequence,
   while (true) {
     const auto it = session.ready.find(session.next_to_send);
     if (it == session.ready.end()) break;
-    session.tls->send(frame(it->second));
+    session.stream->send(frame(it->second));
     session.ready.erase(it);
     ++session.next_to_send;
   }

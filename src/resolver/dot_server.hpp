@@ -1,5 +1,8 @@
 // DNS-over-TLS front-end (RFC 7858): TLS on port 853, DNS messages framed
-// with a two-byte length prefix.
+// with a two-byte length prefix. With `plain_tcp` it is the DNS-over-TCP
+// front-end (RFC 7766) instead: the same framing on bare TCP, usually port
+// 53 — the classic truncation-fallback transport and the substrate of
+// "connection-oriented DNS" (Zhu et al., the paper's reference [26]).
 //
 // The ordering policy models the finding in §3: out-of-order responses are
 // permitted by the RFC but require per-request state; of the public DoT
@@ -20,11 +23,15 @@ namespace dohperf::resolver {
 
 struct DotServerConfig {
   tlssim::ServerConfig tls;
+  /// DNS-over-TCP (RFC 7766): no TLS layer; queries reach the handler as
+  /// Transport::kTcp instead of kDot.
+  bool plain_tcp = false;
   /// false (default): responses serialized in query order, like most
   /// 2019-era servers. true: respond as soon as ready (Cloudflare-style).
   bool out_of_order = false;
-  /// Hardening: close on zero-length or oversized frames (see
-  /// TcpDnsServerConfig::max_message_bytes).
+  /// Hardening: a length prefix larger than this (or zero) is treated as a
+  /// malformed peer and the connection is closed deterministically instead
+  /// of buffering up to 64 KiB per frame. Queries never approach this.
   std::size_t max_message_bytes = 4096;
 };
 
@@ -50,7 +57,7 @@ class DotServer {
 
  private:
   struct Session {
-    std::unique_ptr<tlssim::TlsConnection> tls;
+    std::unique_ptr<simnet::ByteStream> stream;  ///< TLS, or bare TCP
     std::weak_ptr<simnet::TcpConnection> tcp;  ///< for abortive restart
     simnet::Bytes rx;
     std::uint64_t next_assigned = 0;

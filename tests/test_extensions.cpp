@@ -1,10 +1,11 @@
 // Tests for the extensions beyond the paper's core experiments:
-// DNS-over-TCP (RFC 7766) and the packet-trace tooling.
+// DNS-over-TCP (RFC 7766: the DoT client and server with `plain_tcp`) and
+// the packet-trace tooling.
 #include <gtest/gtest.h>
 
-#include "core/tcp_dns_client.hpp"
+#include "core/dot_client.hpp"
+#include "resolver/dot_server.hpp"
 #include "resolver/engine.hpp"
-#include "resolver/tcp_dns_server.hpp"
 #include "sim_fixture.hpp"
 #include "simnet/trace.hpp"
 
@@ -12,6 +13,19 @@ namespace dohperf {
 namespace {
 
 using testing::TwoHostFixture;
+
+/// Client and server configs for plain DNS-over-TCP.
+core::DotClientConfig tcp_client_config() {
+  core::DotClientConfig config;
+  config.plain_tcp = true;
+  return config;
+}
+
+resolver::DotServerConfig tcp_server_config() {
+  resolver::DotServerConfig config;
+  config.plain_tcp = true;
+  return config;
+}
 
 class TcpDnsTest : public TwoHostFixture {
  protected:
@@ -25,8 +39,10 @@ class TcpDnsTest : public TwoHostFixture {
 };
 
 TEST_F(TcpDnsTest, EndToEndResolution) {
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
 
   core::ResolutionResult observed;
   client_stub.resolve(dns::Name::parse("abcde.example.com"), dns::RType::kA,
@@ -42,8 +58,10 @@ TEST_F(TcpDnsTest, EndToEndResolution) {
 }
 
 TEST_F(TcpDnsTest, ConnectionReuseAcrossQueries) {
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
   simnet::TimeUs first = 0, second = 0;
   client_stub.resolve(dns::Name::parse("a.example.com"), dns::RType::kA,
                       [&](const core::ResolutionResult& r) {
@@ -62,8 +80,10 @@ TEST_F(TcpDnsTest, ConnectionReuseAcrossQueries) {
 TEST_F(TcpDnsTest, InOrderServerExhibitsHolBlocking) {
   engine_config.delay_policy.every_n = 2;
   engine_config.delay_policy.delay = simnet::ms(300);
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
 
   simnet::TimeUs slow = 0, fast = 0;
   client_stub.resolve(dns::Name::parse("one.example.com"), dns::RType::kA,
@@ -83,10 +103,11 @@ TEST_F(TcpDnsTest, InOrderServerExhibitsHolBlocking) {
 TEST_F(TcpDnsTest, OutOfOrderServerDoesNot) {
   engine_config.delay_policy.every_n = 2;
   engine_config.delay_policy.delay = simnet::ms(300);
-  resolver::TcpDnsServerConfig ooo;
+  resolver::DotServerConfig ooo = tcp_server_config();
   ooo.out_of_order = true;
-  resolver::TcpDnsServer dns_server(server, make_engine(), ooo, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), ooo, 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
 
   simnet::TimeUs slow = 0, fast = 0;
   client_stub.resolve(dns::Name::parse("one.example.com"), dns::RType::kA,
@@ -106,9 +127,10 @@ TEST_F(TcpDnsTest, OutOfOrderServerDoesNot) {
 TEST_F(TcpDnsTest, ServerCloseFailsOutstanding) {
   engine_config.delay_policy.every_n = 1;
   engine_config.delay_policy.delay = simnet::seconds(10);
-  auto server_holder = std::make_unique<resolver::TcpDnsServer>(
-      server, make_engine(), resolver::TcpDnsServerConfig{}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  auto server_holder = std::make_unique<resolver::DotServer>(
+      server, make_engine(), tcp_server_config(), 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
   core::ResolutionResult observed;
   client_stub.resolve(dns::Name::parse("x.example.com"), dns::RType::kA,
                       [&](const core::ResolutionResult& r) { observed = r; });
@@ -120,8 +142,10 @@ TEST_F(TcpDnsTest, ServerCloseFailsOutstanding) {
 }
 
 TEST_F(TcpDnsTest, CheaperThanDotButMoreThanUdp) {
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
   client_stub.resolve(dns::Name::parse("a.example.com"), dns::RType::kA, {});
   loop.run();
   client_stub.disconnect();
@@ -138,8 +162,10 @@ TEST_F(TcpDnsTest, CheaperThanDotButMoreThanUdp) {
 TEST_F(TcpDnsTest, RecordingTapCapturesExchange) {
   simnet::RecordingTap tap;
   net.add_tap(&tap);
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
   client_stub.resolve(dns::Name::parse("traced.example.com"), dns::RType::kA,
                       {});
   loop.run();
@@ -168,8 +194,10 @@ TEST_F(TcpDnsTest, FilteredTapIgnoresOtherNodes) {
   simnet::RecordingTap tap(bystander.id());
   net.add_tap(&tap);
 
-  resolver::TcpDnsServer dns_server(server, make_engine(), {}, 53);
-  core::TcpDnsClient client_stub(client, {server.id(), 53});
+  resolver::DotServer dns_server(server, make_engine(), tcp_server_config(),
+                                 53);
+  core::DotClient client_stub(client, {server.id(), 53},
+                              tcp_client_config());
   client_stub.resolve(dns::Name::parse("x.example.com"), dns::RType::kA, {});
   loop.run();
   EXPECT_EQ(tap.size(), 0u);  // nothing touched the bystander

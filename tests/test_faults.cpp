@@ -1,8 +1,8 @@
 // Fault-injection fabric and resilient clients: scheduled link impairments
 // (outage / latency spike / throttle), Gilbert–Elliott bursty loss,
 // server-side fault policies (SERVFAIL/REFUSED/stall), server restarts, and
-// the reconnect/retry behaviour of the DoH and DoT clients plus the
-// circuit-breaker resolver selector.
+// the reconnect/retry behaviour of the DoH and DoT (and plain DNS-over-TCP)
+// clients plus the circuit-breaker resolver selector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -336,35 +336,6 @@ TEST_F(DohChaosTest, FailFastWithoutRetryPolicy) {
   EXPECT_EQ(stub.retry_stats().retried_queries, 0u);
 }
 
-// --- Reconnecting DoT client -----------------------------------------------------
-
-TEST_F(TwoHostFixture, DotClientReconnectsThroughRestart) {
-  resolver::Engine engine(loop, {});
-  resolver::DotServer dot_server(server, engine, {}, 853);
-  core::DotClientConfig config;
-  config.retry.max_retries = 8;
-  config.retry.backoff_initial = simnet::ms(100);
-  config.retry.backoff_max = simnet::seconds(1);
-  core::DotClient stub(client, {server.id(), 853}, config);
-
-  std::vector<std::uint64_t> ids;
-  loop.schedule_at(simnet::ms(300),
-                   [&]() { dot_server.restart(simnet::seconds(2)); });
-  for (int i = 0; i < 20; ++i) {
-    loop.schedule_at(simnet::ms(150) * i, [&, i]() {
-      ids.push_back(stub.resolve(
-          name(("d" + std::to_string(i) + ".example").c_str()),
-          dns::RType::kA, {}));
-    });
-  }
-  loop.run();
-
-  for (const auto id : ids) EXPECT_TRUE(stub.result(id).success);
-  EXPECT_EQ(stub.retry_stats().budget_exhausted, 0u);
-  EXPECT_GE(stub.retry_stats().reconnects, 1u);
-  EXPECT_EQ(dot_server.restarts(), 1u);
-}
-
 TEST_F(DohChaosTest, RecoversFromLinkOutage) {
   start_server();
   auto config = client_config(core::HttpVersion::kHttp2);
@@ -391,15 +362,68 @@ TEST_F(DohChaosTest, RecoversFromLinkOutage) {
   EXPECT_EQ(stub.retry_stats().budget_exhausted, 0u);
 }
 
-TEST_F(TwoHostFixture, DotClientTimeoutRecoversFromStalledServer) {
+// --- Reconnecting DoT client, with and without TLS -------------------------------
+
+// The DoT client/server pair and its plain DNS-over-TCP mode share one
+// reconnect, retry and timeout path; both must recover alike.
+
+std::uint16_t stream_port(bool plain_tcp) { return plain_tcp ? 53 : 853; }
+
+resolver::DotServerConfig stream_server_config(bool plain_tcp) {
+  resolver::DotServerConfig config;
+  config.plain_tcp = plain_tcp;
+  return config;
+}
+
+core::DotClientConfig stream_client_config(bool plain_tcp) {
+  core::DotClientConfig config;
+  config.plain_tcp = plain_tcp;
+  config.retry.max_retries = 8;
+  return config;
+}
+
+void expect_reconnects_through_restart(simnet::EventLoop& loop,
+                                       simnet::Host& client,
+                                       simnet::Host& server, bool plain_tcp) {
+  resolver::Engine engine(loop, {});
+  resolver::DotServer dot_server(server, engine,
+                                 stream_server_config(plain_tcp),
+                                 stream_port(plain_tcp));
+  core::DotClientConfig config = stream_client_config(plain_tcp);
+  config.retry.backoff_initial = simnet::ms(100);
+  config.retry.backoff_max = simnet::seconds(1);
+  core::DotClient stub(client, {server.id(), stream_port(plain_tcp)}, config);
+
+  std::vector<std::uint64_t> ids;
+  loop.schedule_at(simnet::ms(300),
+                   [&]() { dot_server.restart(simnet::seconds(2)); });
+  for (int i = 0; i < 20; ++i) {
+    loop.schedule_at(simnet::ms(150) * i, [&, i]() {
+      ids.push_back(stub.resolve(
+          name(("d" + std::to_string(i) + ".example").c_str()),
+          dns::RType::kA, {}));
+    });
+  }
+  loop.run();
+
+  for (const auto id : ids) EXPECT_TRUE(stub.result(id).success);
+  EXPECT_EQ(stub.retry_stats().budget_exhausted, 0u);
+  EXPECT_GE(stub.retry_stats().reconnects, 1u);
+  EXPECT_EQ(dot_server.restarts(), 1u);
+}
+
+void expect_timeout_recovers_from_stall(simnet::EventLoop& loop,
+                                        simnet::Host& client,
+                                        simnet::Host& server, bool plain_tcp) {
   resolver::EngineConfig engine_config;
   engine_config.faults.stall_rate = 0.3;
   resolver::Engine engine(loop, engine_config);
-  resolver::DotServer dot_server(server, engine, {}, 853);
-  core::DotClientConfig config;
-  config.retry.max_retries = 8;
+  resolver::DotServer dot_server(server, engine,
+                                 stream_server_config(plain_tcp),
+                                 stream_port(plain_tcp));
+  core::DotClientConfig config = stream_client_config(plain_tcp);
   config.retry.query_timeout = simnet::ms(800);
-  core::DotClient stub(client, {server.id(), 853}, config);
+  core::DotClient stub(client, {server.id(), stream_port(plain_tcp)}, config);
 
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 20; ++i) {
@@ -415,6 +439,22 @@ TEST_F(TwoHostFixture, DotClientTimeoutRecoversFromStalledServer) {
   for (const auto id : ids) EXPECT_TRUE(stub.result(id).success);
   EXPECT_GT(stub.retry_stats().query_timeouts, 0u);
   EXPECT_EQ(stub.retry_stats().budget_exhausted, 0u);
+}
+
+TEST_F(TwoHostFixture, DotClientReconnectsThroughRestart) {
+  expect_reconnects_through_restart(loop, client, server, /*plain_tcp=*/false);
+}
+
+TEST_F(TwoHostFixture, DotClientPlainTcpReconnectsThroughRestart) {
+  expect_reconnects_through_restart(loop, client, server, /*plain_tcp=*/true);
+}
+
+TEST_F(TwoHostFixture, DotClientTimeoutRecoversFromStalledServer) {
+  expect_timeout_recovers_from_stall(loop, client, server, /*plain_tcp=*/false);
+}
+
+TEST_F(TwoHostFixture, DotClientPlainTcpTimeoutRecoversFromStalledServer) {
+  expect_timeout_recovers_from_stall(loop, client, server, /*plain_tcp=*/true);
 }
 
 // --- Circuit-breaker selector ----------------------------------------------------

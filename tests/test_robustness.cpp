@@ -1,12 +1,14 @@
 // Robustness: protocol violations against the HTTP/2 connection and the
-// DoH server's negative request paths, plus the DoH client's RFC 8467
-// query-padding knob.
+// DoH server's negative request paths, the DoH client's RFC 8467
+// query-padding knob, and DNS-ID exhaustion in the ID-matching clients.
 #include <gtest/gtest.h>
 
 #include "core/doh_client.hpp"
+#include "core/dot_client.hpp"
 #include "core/fallback_client.hpp"
 #include "core/udp_client.hpp"
 #include "http2/connection.hpp"
+#include "obs/registry.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
 #include "resolver/udp_server.hpp"
@@ -439,6 +441,72 @@ TEST_F(TwoHostFixture, FallbackTearsDownLatePrimaryAnswer) {
   EXPECT_EQ(s.fallback_used, 1u);
   EXPECT_EQ(s.primary_wins, 0u);
   EXPECT_EQ(s.primary_wasted, 1u);
+}
+
+// --- DNS-ID exhaustion ----------------------------------------------------------------
+//
+// With all 65,535 non-zero DNS IDs in flight no ID is left for one more
+// query. The client must fail it as a counted failure, delivered through
+// the event loop (never from inside resolve()), and the loop must drain.
+
+constexpr std::size_t kAllDnsIds = 65535;
+
+TEST_F(TwoHostFixture, UdpClientFailsQueryWhenDnsIdsExhausted) {
+  // Nothing listens on the server: every query stays in flight until its
+  // timeout.
+  obs::Registry registry;
+  core::UdpClientConfig config;
+  config.obs.metrics = &registry;
+  core::UdpResolverClient stub(client, {server.id(), 53}, config);
+  for (std::size_t i = 0; i < kAllDnsIds; ++i) {
+    stub.resolve(dns::Name::parse("x.example"), dns::RType::kA, {});
+  }
+  bool called = false;
+  const auto last = stub.resolve(dns::Name::parse("x.example"),
+                                 dns::RType::kA,
+                                 [&](const core::ResolutionResult&) {
+                                   called = true;
+                                 });
+  EXPECT_FALSE(called);
+  loop.run();
+
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(stub.result(last).success);
+  EXPECT_EQ(stub.result(last).completed_at, 0);  // at once, not by timeout
+  EXPECT_EQ(stub.completed(), kAllDnsIds + 1);   // the rest timed out
+  EXPECT_EQ(registry.counter("client.udp.failures"), kAllDnsIds + 1);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST_F(TwoHostFixture, DotClientFailsQueryWhenDnsIdsExhausted) {
+  // A server that accepts the connection but never answers.
+  std::shared_ptr<simnet::TcpConnection> accepted;
+  server.tcp_listen(53, [&](std::shared_ptr<simnet::TcpConnection> c) {
+    accepted = std::move(c);
+  });
+  obs::Registry registry;
+  core::DotClientConfig config;
+  config.plain_tcp = true;
+  config.obs.metrics = &registry;
+  core::DotClient stub(client, {server.id(), 53}, config);
+  for (std::size_t i = 0; i < kAllDnsIds; ++i) {
+    stub.resolve(dns::Name::parse("x.example"), dns::RType::kA, {});
+  }
+  bool called = false;
+  const auto last = stub.resolve(dns::Name::parse("x.example"),
+                                 dns::RType::kA,
+                                 [&](const core::ResolutionResult&) {
+                                   called = true;
+                                 });
+  EXPECT_FALSE(called);
+  loop.run();
+
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(stub.result(last).success);
+  EXPECT_EQ(stub.result(last).completed_at, 0);
+  EXPECT_EQ(stub.completed(), 1u);  // the rest are still waiting
+  EXPECT_EQ(registry.counter("client.tcp.failures"), 1u);
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 }  // namespace

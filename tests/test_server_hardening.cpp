@@ -11,7 +11,6 @@
 #include "resolver/doh_server.hpp"
 #include "resolver/dot_server.hpp"
 #include "resolver/engine.hpp"
-#include "resolver/tcp_dns_server.hpp"
 #include "sim_fixture.hpp"
 #include "tlssim/connection.hpp"
 
@@ -29,12 +28,14 @@ class TcpDnsHardeningTest : public TwoHostFixture {
  protected:
   resolver::EngineConfig engine_config;
   std::unique_ptr<resolver::Engine> engine;
-  std::unique_ptr<resolver::TcpDnsServer> tcp_server;
+  std::unique_ptr<resolver::DotServer> tcp_server;
 
-  void start(resolver::TcpDnsServerConfig config = {}) {
+  /// Start the plain DNS-over-TCP front-end (DotServer with plain_tcp).
+  void start(resolver::DotServerConfig config = {}) {
+    config.plain_tcp = true;
     engine = std::make_unique<resolver::Engine>(loop, engine_config);
     tcp_server =
-        std::make_unique<resolver::TcpDnsServer>(server, *engine, config, 53);
+        std::make_unique<resolver::DotServer>(server, *engine, config, 53);
   }
 
   /// Open a raw connection and send `bytes` once connected; returns the
@@ -64,7 +65,7 @@ TEST_F(TcpDnsHardeningTest, ZeroLengthPrefixResetsConnection) {
 }
 
 TEST_F(TcpDnsHardeningTest, OversizedLengthPrefixResetsConnection) {
-  resolver::TcpDnsServerConfig config;
+  resolver::DotServerConfig config;
   config.max_message_bytes = 512;
   start(config);
   Bytes reply;
