@@ -1,7 +1,8 @@
 // Microbenchmark for the simulation core itself: raw event-loop
 // schedule/fire and schedule/cancel throughput, bytes/sec through a full
-// tcp -> tls -> h2 echo path, and fig6-style page-load shard throughput at
-// several --jobs values.
+// tcp -> tls -> h2 echo path, fig6-style page-load shard throughput at
+// several --jobs values, and the fig1 corpus scan (dns::Name parsing and
+// std::map<Name> inserts) with its allocations per page.
 //
 // Unlike the figure harnesses, the numbers here are wall-clock derived and
 // therefore machine-dependent: micro_simcore (like micro_codecs) is exempt
@@ -253,6 +254,43 @@ ShardOutput run_page_shard(std::size_t shard_index, std::size_t pages) {
   return out;
 }
 
+// --- fig1-style corpus scan -------------------------------------------------
+
+struct CorpusRun {
+  double pages_per_sec = 0.0;
+  std::uint64_t arena_allocs = 0;  ///< deterministic for a given rank range
+  std::uint64_t total_queries = 0;
+  std::uint64_t unique_domains = 0;
+};
+
+/// Ranks [1, pages] scanned in 16 corpus_shard calls (each with its own
+/// model, as in fig1) and merged. The scan is dns::Name parsing, comparison
+/// and std::map<Name> inserts; its allocation count per page is the
+/// deterministic figure CI gates.
+CorpusRun bench_corpus(std::size_t pages, std::size_t jobs) {
+  using Shard = workload::AlexaPageModel::CorpusShard;
+  constexpr std::size_t shards = 16;
+  const std::size_t per_shard = (pages + shards - 1) / shards;
+  simnet::ShardMemoryStats mem;
+  const double t0 = now_sec();
+  auto parts = bench::run_sharded<Shard>(
+      shards, jobs,
+      [&](std::size_t i) {
+        workload::AlexaPageModel model;
+        const std::size_t lo = 1 + i * per_shard;
+        return model.corpus_shard(lo, std::min(pages, lo + per_shard - 1));
+      },
+      &mem);
+  const auto stats =
+      workload::AlexaPageModel::merge_corpus_shards(std::move(parts));
+  CorpusRun run;
+  run.pages_per_sec = static_cast<double>(pages) / (now_sec() - t0);
+  run.arena_allocs = mem.arena_allocs + mem.huge_allocs;
+  run.total_queries = stats.total_queries;
+  run.unique_domains = stats.unique_domains;
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,6 +301,8 @@ int main(int argc, char** argv) {
       bench::flag(argc, argv, "echo-bytes", 262144);
   const std::size_t shards = bench::flag(argc, argv, "shards", 12);
   const std::size_t shard_pages = bench::flag(argc, argv, "shard-pages", 3);
+  const std::size_t corpus_pages =
+      bench::flag(argc, argv, "corpus-pages", 16000);
 
   std::printf("=== micro_simcore: simulation-core throughput ===\n\n");
 
@@ -272,6 +312,7 @@ int main(int argc, char** argv) {
   report.params["echo_bytes"] = static_cast<std::int64_t>(echo_bytes);
   report.params["shards"] = static_cast<std::int64_t>(shards);
   report.params["shard_pages"] = static_cast<std::int64_t>(shard_pages);
+  report.params["corpus_pages"] = static_cast<std::int64_t>(corpus_pages);
 
   const double fire_rate = bench_schedule_fire(events);
   std::printf("event_loop schedule/fire   : %12.0f events/sec\n", fire_rate);
@@ -380,6 +421,34 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(mem_stats.huge_allocs));
   report.set("shards/mem", "global_allocs",
              static_cast<std::int64_t>(mem_stats.global_allocs));
+
+  // The fig1 corpus scan, serial and on four workers. Pages per second is
+  // informational; allocations per page are a pure function of the rank
+  // range (CI gates them) and must not move with the jobs value.
+  const CorpusRun corpus = bench_corpus(corpus_pages, 1);
+  const CorpusRun corpus4 = bench_corpus(corpus_pages, 4);
+  if (corpus4.arena_allocs != corpus.arena_allocs ||
+      corpus4.total_queries != corpus.total_queries ||
+      corpus4.unique_domains != corpus.unique_domains) {
+    std::fprintf(stderr,
+                 "FATAL: corpus scan changed at --jobs 4: parallelism leaked "
+                 "into results or allocation counts\n");
+    return 1;
+  }
+  const double allocs_per_page = static_cast<double>(corpus.arena_allocs) /
+                                 static_cast<double>(corpus_pages);
+  std::printf("names/corpus (jobs=1)      : %12.0f pages/sec\n",
+              corpus.pages_per_sec);
+  std::printf("names/corpus (jobs=4)      : %12.0f pages/sec\n",
+              corpus4.pages_per_sec);
+  std::printf("names/corpus               : %12.2f arena allocs/page "
+              "(%llu queries, %llu unique names)\n",
+              allocs_per_page,
+              static_cast<unsigned long long>(corpus.total_queries),
+              static_cast<unsigned long long>(corpus.unique_domains));
+  report.set("names/corpus", "pages_per_sec", corpus.pages_per_sec);
+  report.set("names/corpus", "pages_per_sec_jobs4", corpus4.pages_per_sec);
+  report.set("names/corpus", "arena_allocs_per_page", allocs_per_page);
 
   std::printf("\nshard digests identical across jobs values: OK\n");
   report.params["hw_threads"] =

@@ -124,13 +124,13 @@ void DotClient::ensure_connection(obs::SpanId parent) {
     return;
   }
   // The main connection died while a migration race was still on: adopt
-  // the racer instead of opening yet another connection.
+  // the racer instead of opening yet another connection. Its handshake is
+  // accounted by install_handlers(): an established TLS stream re-fires
+  // on_open at once, one still handshaking fires it on completion.
   if (racer_.usable()) {
     conn_ = std::exchange(racer_, {});
     rx_.clear();
-    const bool already_open = conn_.established();
     install_handlers();
-    if (already_open) account_established();
     return;
   }
   conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
@@ -451,8 +451,7 @@ void DotClient::promote_racer() {
   conn_.abort();
   conn_ = std::exchange(racer_, {});
   rx_.clear();
-  install_handlers();
-  account_established();
+  install_handlers();  // the established racer's on_open accounts it
   if (migrate_span_ != 0) {
     config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
     config_.obs.end(migrate_span_);

@@ -1,7 +1,9 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cstring>
+#include <memory>
+#include <span>
 
 namespace dohperf::dns {
 
@@ -11,33 +13,92 @@ constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 255;
 constexpr std::uint8_t kPointerMask = 0xc0;
 
-std::string fold(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
+static_assert(sizeof(Name) == 48);
+static_assert(kMaxLabel < 'A', "folding must leave length octets alone");
+
+/// ASCII case folding, as std::tolower in the "C" locale.
+constexpr std::uint8_t fold(std::uint8_t c) noexcept {
+  return static_cast<std::uint8_t>(
+      static_cast<unsigned>(c - 'A') < 26u ? c | 0x20 : c);
 }
 
-/// Canonical text of the name starting at label index i ("example.com").
-std::string suffix_key(const std::vector<std::string>& labels, std::size_t i) {
-  std::string key;
-  for (std::size_t j = i; j < labels.size(); ++j) {
-    if (!key.empty()) key += '.';
-    key += fold(labels[j]);
+bool folded_equal(const std::uint8_t* a, const std::uint8_t* b,
+                  std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (fold(a[i]) != fold(b[i])) return false;
   }
-  return key;
+  return true;
 }
 
 }  // namespace
+
+std::uint8_t* Name::heap() const noexcept {
+  std::uint8_t* block = nullptr;
+  std::memcpy(&block, inline_, sizeof block);
+  return block;
+}
+
+void Name::release() noexcept {
+  if (on_heap()) std::allocator<std::uint8_t>{}.deallocate(heap(), size_);
+  size_ = 0;
+  count_ = 0;
+}
+
+std::uint8_t* Name::allocate(std::size_t size) {
+  release();
+  if (size <= kInlineCapacity) {
+    size_ = static_cast<std::uint8_t>(size);
+    return inline_;
+  }
+  std::uint8_t* block = std::allocator<std::uint8_t>{}.allocate(size);
+  std::memcpy(inline_, &block, sizeof block);
+  size_ = static_cast<std::uint8_t>(size);
+  return block;
+}
+
+Name::Name(const Name& other) { *this = other; }
+
+Name::Name(Name&& other) noexcept { *this = std::move(other); }
+
+Name& Name::operator=(const Name& other) {
+  if (this == &other) return *this;
+  if (other.on_heap()) {
+    std::memcpy(allocate(other.size_), other.heap(), other.size_);
+  } else {
+    release();
+    size_ = other.size_;
+    std::memcpy(inline_, other.inline_, kInlineCapacity);
+  }
+  count_ = other.count_;
+  return *this;
+}
+
+Name& Name::operator=(Name&& other) noexcept {
+  if (this == &other) return *this;
+  release();
+  size_ = other.size_;
+  count_ = other.count_;
+  // Takes over the heap block's address along with the inline bytes.
+  std::memcpy(inline_, other.inline_, kInlineCapacity);
+  other.size_ = 0;
+  other.count_ = 0;
+  return *this;
+}
 
 Name Name::parse(std::string_view text) {
   Name name;
   if (text.empty()) throw WireError("empty domain name");
   if (text == ".") return name;
   if (text.back() == '.') text.remove_suffix(1);
+  // Each dot becomes the next label's length octet, plus one for the first
+  // label: the flat form is one octet longer than the text. Labels are
+  // still checked when it is too long, so those errors come first.
+  const std::size_t size = text.size() + 1;
+  const bool fits = size + 1 <= kMaxName;
+  std::uint8_t* out = fits ? name.allocate(size) : nullptr;
+  std::size_t count = 0;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  for (;;) {
     const std::size_t dot = text.find('.', start);
     const std::string_view label = dot == std::string_view::npos
                                        ? text.substr(start)
@@ -46,36 +107,45 @@ Name Name::parse(std::string_view text) {
     if (label.size() > kMaxLabel) {
       throw WireError("label exceeds 63 octets: " + std::string(label));
     }
-    name.labels_.emplace_back(label);
+    if (out != nullptr) {
+      *out++ = static_cast<std::uint8_t>(label.size());
+      std::memcpy(out, label.data(), label.size());
+      out += label.size();
+    }
+    ++count;
     if (dot == std::string_view::npos) break;
     start = dot + 1;
   }
-  if (name.wire_length() > kMaxName) {
-    throw WireError("name exceeds 255 octets: " + std::string(text));
-  }
+  if (!fits) throw WireError("name exceeds 255 octets: " + std::string(text));
+  name.count_ = static_cast<std::uint8_t>(count);
   return name;
 }
 
+std::string_view Name::label(std::size_t i) const noexcept {
+  const std::uint8_t* p = data();
+  for (; i > 0; --i) p += 1 + *p;
+  return {reinterpret_cast<const char*>(p + 1), *p};
+}
+
 std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
-  std::string out;
-  for (const auto& l : labels_) {
-    if (!out.empty()) out += '.';
-    out += l;
+  if (count_ == 0) return ".";
+  // Label bytes keep their offsets; each length octet after the first
+  // becomes the dot in front of its label.
+  std::string out(size_ - 1u, '.');
+  const std::uint8_t* p = data();
+  for (std::size_t at = 0; at < size_; at += 1u + p[at]) {
+    std::memcpy(out.data() + at, p + at + 1, p[at]);
   }
   return out;
 }
 
-std::size_t Name::wire_length() const noexcept {
-  std::size_t len = 1;  // terminating zero octet
-  for (const auto& l : labels_) len += 1 + l.size();
-  return len;
-}
-
 Name Name::parent() const {
   Name p;
-  if (labels_.size() > 1) {
-    p.labels_.assign(labels_.begin() + 1, labels_.end());
+  if (count_ > 1) {
+    const std::uint8_t* d = data();
+    const std::size_t skip = 1u + d[0];
+    std::memcpy(p.allocate(size_ - skip), d + skip, size_ - skip);
+    p.count_ = static_cast<std::uint8_t>(count_ - 1);
   }
   return p;
 }
@@ -84,68 +154,85 @@ Name Name::child(std::string_view label) const {
   if (label.empty() || label.size() > kMaxLabel) {
     throw WireError("invalid child label");
   }
+  const std::size_t size = 1 + label.size() + size_;
+  if (size + 1 > kMaxName) throw WireError("child name too long");
   Name c;
-  c.labels_.reserve(labels_.size() + 1);
-  c.labels_.emplace_back(label);
-  c.labels_.insert(c.labels_.end(), labels_.begin(), labels_.end());
-  if (c.wire_length() > kMaxName) throw WireError("child name too long");
+  std::uint8_t* out = c.allocate(size);
+  out[0] = static_cast<std::uint8_t>(label.size());
+  std::memcpy(out + 1, label.data(), label.size());
+  std::memcpy(out + 1 + label.size(), data(), size_);
+  c.count_ = static_cast<std::uint8_t>(count_ + 1);
   return c;
 }
 
-bool Name::is_subdomain_of(const Name& ancestor) const {
-  if (ancestor.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - ancestor.labels_.size();
-  for (std::size_t i = 0; i < ancestor.labels_.size(); ++i) {
-    if (fold(labels_[offset + i]) != fold(ancestor.labels_[i])) return false;
+bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
+  if (ancestor.count_ > count_) return false;
+  const std::uint8_t* d = data();
+  std::size_t at = 0;
+  for (std::size_t skip = count_ - ancestor.count_; skip > 0; --skip) {
+    at += 1u + d[at];
   }
-  return true;
+  return size_ - at == ancestor.size_ &&
+         folded_equal(d + at, ancestor.data(), ancestor.size_);
 }
 
 bool Name::operator==(const Name& other) const noexcept {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (fold(labels_[i]) != fold(other.labels_[i])) return false;
-  }
-  return true;
+  return size_ == other.size_ && count_ == other.count_ &&
+         folded_equal(data(), other.data(), size_);
 }
 
 bool Name::operator<(const Name& other) const noexcept {
-  const std::size_t n = std::min(labels_.size(), other.labels_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto a = fold(labels_[i]);
-    const auto b = fold(other.labels_[i]);
-    if (a != b) return a < b;
+  const std::uint8_t* a = data();
+  const std::uint8_t* b = other.data();
+  const std::uint8_t* const a_end = a + size_;
+  const std::uint8_t* const b_end = b + other.size_;
+  while (a != a_end && b != b_end) {
+    const std::size_t a_len = *a++;
+    const std::size_t b_len = *b++;
+    const std::size_t n = std::min(a_len, b_len);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t x = fold(a[i]);
+      const std::uint8_t y = fold(b[i]);
+      if (x != y) return x < y;
+    }
+    if (a_len != b_len) return a_len < b_len;
+    a += a_len;
+    b += b_len;
   }
-  return labels_.size() < other.labels_.size();
+  return a == a_end && b != b_end;
 }
 
 void NameCompressor::write(ByteWriter& w, const Name& name) {
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::string key = suffix_key(labels, i);
-    if (enabled_) {
-      const auto it = offsets_.find(key);
-      if (it != offsets_.end() && it->second <= 0x3fff) {
-        // Emit a two-octet pointer to the earlier occurrence and stop.
-        w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
-        return;
-      }
+  const std::uint8_t* flat = name.data();
+  const std::size_t size = name.size_;
+  // Case-folded copy of the name; every suffix key is a view into it.
+  char folded[kMaxName] = {};
+  for (std::size_t i = 0; i < size; ++i) {
+    folded[i] = static_cast<char>(fold(flat[i]));
+  }
+  for (std::size_t at = 0; at < size; at += 1u + flat[at]) {
+    const std::string_view key(folded + at, size - at);
+    const auto it = offsets_.lower_bound(key);
+    const bool seen = it != offsets_.end() && it->first == key;
+    if (enabled_ && seen && it->second <= 0x3fff) {
+      // Emit a two-octet pointer to the earlier occurrence and stop.
+      w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+      return;
     }
     // Record this suffix's offset for future reuse (only if it fits the
     // 14-bit pointer field).
-    if (w.size() <= 0x3fff) {
-      offsets_.emplace(key, w.size());
+    if (!seen && w.size() <= 0x3fff) {
+      offsets_.emplace_hint(it, key, w.size());
     }
-    w.u8(static_cast<std::uint8_t>(labels[i].size()));
-    w.string(labels[i]);
+    w.bytes(std::span<const std::uint8_t>(flat + at, 1u + flat[at]));
   }
   w.u8(0);  // root label terminator
 }
 
 Name read_name(ByteReader& r) {
-  Name name;
-  std::vector<std::string> labels;
-  std::size_t total_len = 1;
+  std::uint8_t flat[kMaxName] = {};
+  std::size_t size = 0;
+  std::size_t count = 0;
   // Loop protection: a valid chain can never visit more positions than the
   // message has bytes.
   std::size_t jumps = 0;
@@ -172,18 +259,22 @@ Name read_name(ByteReader& r) {
       throw WireError("reserved label type");
     }
     if (len == 0) break;  // root terminator
-    total_len += 1 + len;
-    if (total_len > 255) throw WireError("decoded name exceeds 255 octets");
-    labels.push_back(r.string(len));
+    // Wire length so far: these labels, this one, the terminator.
+    if (size + 1 + len + 1 > kMaxName) {
+      throw WireError("decoded name exceeds 255 octets");
+    }
+    const std::size_t at = r.offset();
+    r.skip(len);
+    flat[size] = len;
+    std::memcpy(flat + size + 1, r.data().data() + at, len);
+    size += 1u + len;
+    ++count;
   }
   if (jumped) r.seek(resume);
 
-  // Rebuild through parse-free construction: child() prepends, so build from
-  // the rightmost label outwards.
   Name out;
-  for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
-    out = out.child(*it);
-  }
+  std::memcpy(out.allocate(size), flat, size);
+  out.count_ = static_cast<std::uint8_t>(count);
   return out;
 }
 

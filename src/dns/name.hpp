@@ -2,22 +2,34 @@
 // message compression (RFC 1035 §4.1.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "dns/wire.hpp"
 
 namespace dohperf::dns {
 
-/// A fully-qualified domain name stored as a sequence of labels.
-/// Comparison is case-insensitive per RFC 1035 §2.3.3; the original casing
-/// is preserved for presentation.
+/// A fully-qualified domain name stored flat in wire form: each label is a
+/// length octet followed by its bytes, with no terminating zero octet. A
+/// name whose flat form fits kInlineCapacity bytes lives inside the object;
+/// a longer one (up to the 254 bytes a 255-octet name allows) takes one
+/// heap block. Comparison is case-insensitive per RFC 1035 §2.3.3 and
+/// allocates nothing; the original casing is preserved for presentation.
 class Name {
  public:
+  /// Flat bytes stored inline, sized so that sizeof(Name) is 48.
+  static constexpr std::size_t kInlineCapacity = 46;
+
   Name() = default;  ///< the root name "."
+  Name(const Name& other);
+  Name(Name&& other) noexcept;
+  Name& operator=(const Name& other);
+  Name& operator=(Name&& other) noexcept;
+  ~Name() { release(); }
 
   /// Parse from presentation format ("www.example.com", trailing dot
   /// optional). Throws WireError on invalid names (empty labels, label
@@ -27,16 +39,17 @@ class Name {
   /// The root name ".".
   static Name root() { return Name{}; }
 
-  const std::vector<std::string>& labels() const noexcept { return labels_; }
-  bool is_root() const noexcept { return labels_.empty(); }
-  std::size_t label_count() const noexcept { return labels_.size(); }
+  bool is_root() const noexcept { return count_ == 0; }
+  std::size_t label_count() const noexcept { return count_; }
+  /// Label `i` (0 = leftmost) as stored; requires i < label_count().
+  std::string_view label(std::size_t i) const noexcept;
 
   /// Presentation form without trailing dot (root renders as ".").
   std::string to_string() const;
 
   /// Length of the uncompressed wire encoding in octets (labels + lengths
   /// + terminating zero octet).
-  std::size_t wire_length() const noexcept;
+  std::size_t wire_length() const noexcept { return size_ + 1u; }
 
   /// The name with its first label removed ("www.example.com" -> "example.com").
   /// The parent of the root is the root.
@@ -46,15 +59,34 @@ class Name {
   Name child(std::string_view label) const;
 
   /// True if this name equals `ancestor` or is a subdomain of it.
-  bool is_subdomain_of(const Name& ancestor) const;
+  bool is_subdomain_of(const Name& ancestor) const noexcept;
 
   bool operator==(const Name& other) const noexcept;
   bool operator!=(const Name& other) const noexcept { return !(*this == other); }
-  /// Canonical (case-folded) ordering so Name can key std::map.
+  /// Canonical order so Name can key std::map: labels left to right, each
+  /// compared as case-folded unsigned bytes (a prefix sorts first), then
+  /// fewer labels first.
   bool operator<(const Name& other) const noexcept;
 
  private:
-  std::vector<std::string> labels_;
+  friend class NameCompressor;
+  friend Name read_name(ByteReader& r);
+
+  bool on_heap() const noexcept { return size_ > kInlineCapacity; }
+  std::uint8_t* heap() const noexcept;
+  const std::uint8_t* data() const noexcept {
+    return on_heap() ? heap() : inline_;
+  }
+  /// Drop the current bytes and make room for `size` flat bytes (the label
+  /// count is the caller's to set); returns where to write them.
+  std::uint8_t* allocate(std::size_t size);
+  /// Free the heap block, if any, leaving the root name.
+  void release() noexcept;
+
+  std::uint8_t size_ = 0;   ///< flat bytes in use
+  std::uint8_t count_ = 0;  ///< labels
+  /// The flat bytes, or (past kInlineCapacity) the heap block's address.
+  std::uint8_t inline_[kInlineCapacity] = {};
 };
 
 /// Tracks name -> offset mappings while writing a message so later
@@ -72,8 +104,8 @@ class NameCompressor {
 
  private:
   bool enabled_;
-  // Canonical (lowercased) suffix text -> wire offset.
-  std::map<std::string, std::size_t> offsets_;
+  // Case-folded flat suffix -> wire offset.
+  std::map<std::string, std::size_t, std::less<>> offsets_;
 };
 
 /// Read a possibly-compressed name starting at the reader's position.

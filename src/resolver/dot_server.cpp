@@ -59,6 +59,7 @@ void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
         std::move(transport), &config_.tls);
   }
   simnet::ByteStream::Handlers h;
+  if (!config_.plain_tcp) h.on_open = [this]() { ++tls_handshakes_; };
   h.on_data = [this, s](std::span<const std::uint8_t> d) { on_data(*s, d); };
   h.on_close = [s]() {
     s->dead = true;

@@ -48,6 +48,8 @@ class DotServer {
   std::size_t session_count() const noexcept { return sessions_.size(); }
   /// Connections dropped for unparseable or oversized frames.
   std::uint64_t malformed() const noexcept { return malformed_; }
+  /// TLS handshakes completed, full or resumed (none with plain_tcp).
+  std::uint64_t tls_handshakes() const noexcept { return tls_handshakes_; }
 
   /// Simulate a crash + restart: RST every live connection and stop
   /// listening; the listener comes back after `downtime`.
@@ -79,6 +81,7 @@ class DotServer {
   DotServerConfig config_;
   std::uint16_t port_;
   std::uint64_t malformed_ = 0;
+  std::uint64_t tls_handshakes_ = 0;
   bool listening_ = false;
   std::uint64_t restarts_ = 0;
   /// Guards the deferred re-listen against the server being destroyed.

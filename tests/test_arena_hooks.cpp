@@ -9,15 +9,18 @@
 //   - zero global-heap allocations in shard steady state (the tentpole's
 //     whole point),
 //   - shard results escaping their arena's scope and lifetime,
-//   - run_sharded producing identical results at any --jobs value.
+//   - run_sharded producing identical results at any --jobs value,
+//   - dns::Name copies, compares and decodes without allocating.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/shard_runner.hpp"
+#include "dns/name.hpp"
 #include "simnet/arena.hpp"
 #include "simnet/event_loop.hpp"
 
@@ -179,6 +182,108 @@ TEST(ArenaHooks, RunShardedIsByteIdenticalAcrossJobs) {
     EXPECT_EQ(mem->global_allocs, mem->arena_chunks);
     EXPECT_EQ(mem->huge_allocs, 0u);
   }
+}
+
+// --- dns::Name allocations ----------------------------------------------------
+//
+// A name is one flat buffer, inside the object up to Name::kInlineCapacity
+// bytes, so the name-keyed containers of the corpus scan, the tier cache and
+// the engine allocate nothing for their keys beyond the map nodes.
+
+std::uint64_t allocations(const ShardMemory& arena) {
+  const ShardMemoryStats s = arena.stats();
+  return s.arena_allocs + s.huge_allocs;
+}
+
+TEST(NameAllocations, InlineNamesAllocateNothingButMapNodes) {
+  ShardMemory* arena = ShardMemory::create();
+  {
+    MemoryScope scope(*arena);
+    std::uint64_t before = allocations(*arena);
+    const dns::Name a = dns::Name::parse("cdn12.site123456.web.example");
+    const dns::Name b = dns::Name::parse("TP4711.thirdparty.example");
+    const dns::Name zone = a.parent().parent();
+    dns::Name copy = a;
+    dns::Name moved = std::move(copy);
+    copy = b;
+    moved = std::move(copy);
+    const bool less = a < b;
+    const bool equal = moved == b;
+    const bool within = a.is_subdomain_of(zone);
+    EXPECT_EQ(allocations(*arena) - before, 0u);
+    EXPECT_TRUE(less);
+    EXPECT_TRUE(equal);
+    EXPECT_TRUE(within);
+
+    std::vector<dns::Name> names;
+    names.reserve(64);
+    for (std::size_t i = 0; i < 64; ++i) {
+      names.push_back(a.parent().child(std::to_string(i * 7919)));
+    }
+    std::map<dns::Name, std::size_t> map;
+    before = allocations(*arena);
+    for (std::size_t i = 0; i < names.size(); ++i) map.emplace(names[i], i);
+    for (const auto& n : names) EXPECT_EQ(map.count(n), 1u);
+    EXPECT_EQ(allocations(*arena) - before, names.size()) << "one per node";
+
+    dns::ByteWriter w;
+    dns::NameCompressor compressor;
+    compressor.write(w, a);
+    compressor.write(w, zone);  // a pointer into the first name
+    compressor.write(w, b);
+    const dns::Bytes wire = w.take();
+    before = allocations(*arena);
+    dns::ByteReader r(wire);
+    const dns::Name a2 = dns::read_name(r);
+    const dns::Name zone2 = dns::read_name(r);
+    const dns::Name b2 = dns::read_name(r);
+    EXPECT_EQ(allocations(*arena) - before, 0u);
+    EXPECT_EQ(a2, a);
+    EXPECT_EQ(zone2, zone);
+    EXPECT_EQ(b2, b);
+  }
+  arena->release();
+}
+
+TEST(NameAllocations, LongNameTakesOneHeapBlockAndRoundTrips) {
+  // Four 60-octet labels and "example": 4 * 61 + 8 + 1 = 253 octets.
+  std::string text;
+  for (const char c : {'a', 'b', 'c', 'd'}) {
+    text.append(60, c);
+    text += '.';
+  }
+  text += "example";
+  ShardMemory* arena = ShardMemory::create();
+  {
+    MemoryScope scope(*arena);
+    std::uint64_t before = allocations(*arena);
+    const dns::Name name = dns::Name::parse(text);
+    EXPECT_EQ(allocations(*arena) - before, 1u);
+    EXPECT_EQ(name.wire_length(), 253u);
+
+    before = allocations(*arena);
+    dns::Name copy = name;
+    EXPECT_EQ(allocations(*arena) - before, 1u);
+    before = allocations(*arena);
+    const dns::Name moved = std::move(copy);
+    EXPECT_EQ(allocations(*arena) - before, 0u);
+    EXPECT_EQ(moved, name);
+    EXPECT_FALSE(moved < name);
+    EXPECT_FALSE(name < moved);
+    EXPECT_TRUE(name < name.parent().child("zzz"));
+
+    dns::ByteWriter w;
+    dns::NameCompressor compressor;
+    compressor.write(w, name);
+    compressor.write(w, moved);
+    EXPECT_EQ(w.size(), 253u + 2u) << "the second name is one pointer";
+    dns::ByteReader r(w.data());
+    const dns::Name first = dns::read_name(r);
+    const dns::Name second = dns::read_name(r);
+    EXPECT_EQ(first.to_string(), text);
+    EXPECT_EQ(second, name);
+  }
+  arena->release();
 }
 
 }  // namespace

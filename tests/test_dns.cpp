@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "dns/base64url.hpp"
 #include "dns/json.hpp"
 #include "dns/json_value.hpp"
 #include "dns/message.hpp"
+#include "stats/rng.hpp"
 
 namespace dohperf::dns {
 namespace {
@@ -308,6 +317,591 @@ TEST(Wire, WriterPatch) {
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xdeadbeef);
   EXPECT_THROW(w.patch_u16(5, 1), WireError);
+}
+
+// --- Name against the vector-of-labels reference -----------------------------
+//
+// ref::Name is the Name this library used before names were stored flat: one
+// std::string per label, with every comparison folding a copy of each label
+// it touches. std::map<Name> iteration order and every codec byte reach the
+// bench outputs, so the flat Name must agree with it on seeded names.
+namespace ref {
+
+std::string fold(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return out;
+}
+
+struct Name {
+  std::vector<std::string> labels;
+
+  static Name parse(std::string_view text) {
+    Name name;
+    if (text.empty()) throw WireError("empty domain name");
+    if (text == ".") return name;
+    if (text.back() == '.') text.remove_suffix(1);
+    std::size_t start = 0;
+    while (start <= text.size()) {
+      const std::size_t dot = text.find('.', start);
+      const std::string_view label = dot == std::string_view::npos
+                                         ? text.substr(start)
+                                         : text.substr(start, dot - start);
+      if (label.empty()) {
+        throw WireError("empty label in name: " + std::string(text));
+      }
+      if (label.size() > 63) {
+        throw WireError("label exceeds 63 octets: " + std::string(label));
+      }
+      name.labels.emplace_back(label);
+      if (dot == std::string_view::npos) break;
+      start = dot + 1;
+    }
+    if (name.wire_length() > 255) {
+      throw WireError("name exceeds 255 octets: " + std::string(text));
+    }
+    return name;
+  }
+
+  std::string to_string() const {
+    if (labels.empty()) return ".";
+    std::string out;
+    for (const auto& l : labels) {
+      if (!out.empty()) out += '.';
+      out += l;
+    }
+    return out;
+  }
+
+  std::size_t wire_length() const {
+    std::size_t len = 1;
+    for (const auto& l : labels) len += 1 + l.size();
+    return len;
+  }
+
+  Name parent() const {
+    Name p;
+    if (labels.size() > 1) p.labels.assign(labels.begin() + 1, labels.end());
+    return p;
+  }
+
+  Name child(std::string_view label) const {
+    if (label.empty() || label.size() > 63) {
+      throw WireError("invalid child label");
+    }
+    Name c;
+    c.labels.emplace_back(label);
+    c.labels.insert(c.labels.end(), labels.begin(), labels.end());
+    if (c.wire_length() > 255) throw WireError("child name too long");
+    return c;
+  }
+
+  bool is_subdomain_of(const Name& ancestor) const {
+    if (ancestor.labels.size() > labels.size()) return false;
+    const std::size_t offset = labels.size() - ancestor.labels.size();
+    for (std::size_t i = 0; i < ancestor.labels.size(); ++i) {
+      if (fold(labels[offset + i]) != fold(ancestor.labels[i])) return false;
+    }
+    return true;
+  }
+
+  bool operator==(const Name& other) const {
+    if (labels.size() != other.labels.size()) return false;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (fold(labels[i]) != fold(other.labels[i])) return false;
+    }
+    return true;
+  }
+
+  bool operator<(const Name& other) const {
+    const std::size_t n = std::min(labels.size(), other.labels.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto a = fold(labels[i]);
+      const auto b = fold(other.labels[i]);
+      if (a != b) return a < b;
+    }
+    return labels.size() < other.labels.size();
+  }
+};
+
+/// Suffix key from label i on: folded labels joined by '.'. Labels that
+/// themselves hold a '.' make it ambiguous (see DottedLabelsKeepTheirOwnKeys).
+std::string suffix_key(const std::vector<std::string>& labels, std::size_t i) {
+  std::string key;
+  for (std::size_t j = i; j < labels.size(); ++j) {
+    if (!key.empty()) key += '.';
+    key += fold(labels[j]);
+  }
+  return key;
+}
+
+class Compressor {
+ public:
+  explicit Compressor(bool enabled) : enabled_(enabled) {}
+
+  void write(ByteWriter& w, const Name& name) {
+    for (std::size_t i = 0; i < name.labels.size(); ++i) {
+      const std::string key = suffix_key(name.labels, i);
+      if (enabled_) {
+        const auto it = offsets_.find(key);
+        if (it != offsets_.end() && it->second <= 0x3fff) {
+          w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+          return;
+        }
+      }
+      if (w.size() <= 0x3fff) offsets_.emplace(key, w.size());
+      w.u8(static_cast<std::uint8_t>(name.labels[i].size()));
+      w.string(name.labels[i]);
+    }
+    w.u8(0);
+  }
+
+ private:
+  bool enabled_;
+  std::map<std::string, std::size_t> offsets_;
+};
+
+Name read_name(ByteReader& r) {
+  std::vector<std::string> labels;
+  std::size_t total_len = 1;
+  std::size_t jumps = 0;
+  const std::size_t max_jumps = r.data().size() + 1;
+  bool jumped = false;
+  std::size_t resume = 0;
+  for (;;) {
+    const std::uint8_t len = r.u8();
+    if ((len & 0xc0) == 0xc0) {
+      const std::uint8_t lo = r.u8();
+      const std::size_t target = (static_cast<std::size_t>(len & 0x3f) << 8) | lo;
+      if (!jumped) {
+        resume = r.offset();
+        jumped = true;
+      }
+      if (++jumps > max_jumps) throw WireError("compression pointer loop");
+      r.seek(target);
+      continue;
+    }
+    if ((len & 0xc0) != 0) throw WireError("reserved label type");
+    if (len == 0) break;
+    total_len += 1 + len;
+    if (total_len > 255) throw WireError("decoded name exceeds 255 octets");
+    labels.push_back(r.string(len));
+  }
+  if (jumped) r.seek(resume);
+  Name out;
+  for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
+    out = out.child(*it);
+  }
+  return out;
+}
+
+}  // namespace ref
+
+/// The flat Name holding exactly `r`'s labels. It is built with child(), so
+/// labels may hold any byte, '.' and 0x00 included, as decoded ones can.
+Name flat(const ref::Name& r) {
+  Name n;
+  for (auto it = r.labels.rbegin(); it != r.labels.rend(); ++it) {
+    n = n.child(*it);
+  }
+  return n;
+}
+
+std::vector<std::string> labels_of(const Name& n) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < n.label_count(); ++i) out.emplace_back(n.label(i));
+  return out;
+}
+
+/// Seeded names that stress the order: mixed case, labels that are
+/// prefixes of one another ("ab" < "abc"), bytes >= 0x80, label counts from
+/// 0 to many, long labels that push names past the inline capacity, and (for
+/// `wire` names) labels holding '.' or 0x00.
+class NameGen {
+ public:
+  explicit NameGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string label(bool wire) {
+    static const std::vector<std::string> kStems = {
+        "a", "A", "ab", "AB", "abc", "aBc", "ab-", "b", "www", "WWW",
+        "com", "Com", "example", "EXAMPLE", "z", "xn--bcher-kva"};
+    const std::uint64_t kind = rng_.next_below(wire ? 10 : 9);
+    std::string out;
+    if (kind < 4) {
+      out = kStems[rng_.next_below(kStems.size())];
+      for (std::uint64_t i = rng_.next_below(3); i > 0; --i) out += pick("bcBC9-");
+    } else if (kind < 7) {
+      for (std::uint64_t i = 1 + rng_.next_below(8); i > 0; --i) {
+        out += pick("abcxyzABCXYZ09-_");
+      }
+    } else if (kind == 7) {
+      for (std::uint64_t i = 1 + rng_.next_below(5); i > 0; --i) {
+        out += static_cast<char>(kHighBytes[rng_.next_below(kHighBytes.size())]);
+      }
+    } else if (kind == 8) {
+      for (std::uint64_t i = 40 + rng_.next_below(24); i > 0; --i) {
+        out += pick("abcdefghijKLMNOP");
+      }
+    } else {
+      static const std::vector<std::string> kWireOnly = {
+          "a.b", ".", "ab.", std::string("a\0b", 3), std::string(1, '\0'),
+          std::string("\0.", 2)};
+      out = kWireOnly[rng_.next_below(kWireOnly.size())];
+    }
+    return out;
+  }
+
+  ref::Name name(bool wire) {
+    ref::Name n;
+    const std::uint64_t labels = rng_.next_below(8);
+    for (std::uint64_t i = 0; i < labels; ++i) {
+      std::string l = label(wire);
+      if (n.wire_length() + 1 + l.size() > 255) break;
+      n.labels.push_back(std::move(l));
+    }
+    return n;
+  }
+
+  /// A pool of names plus case flips, parents and children of its members,
+  /// so equal, prefix and ancestor pairs are common.
+  std::vector<ref::Name> pool(std::size_t base, bool wire) {
+    std::vector<ref::Name> out;
+    for (std::size_t i = 0; i < base; ++i) out.push_back(name(wire));
+    for (std::size_t i = 0; i < base; ++i) {
+      const ref::Name& src = out[rng_.next_below(base)];
+      ref::Name variant = src;
+      switch (rng_.next_below(4)) {
+        case 0:
+          for (auto& l : variant.labels) {
+            for (auto& c : l) {
+              if (std::isalpha(static_cast<unsigned char>(c)) &&
+                  rng_.next_below(2) == 0) {
+                c = static_cast<char>(c ^ 0x20);
+              }
+            }
+          }
+          break;
+        case 1:
+          variant = src.parent();
+          break;
+        case 2: {
+          std::string l = label(wire);
+          if (src.wire_length() + 1 + l.size() <= 255) variant = src.child(l);
+          break;
+        }
+        default:
+          break;  // an exact duplicate
+      }
+      out.push_back(std::move(variant));
+    }
+    return out;
+  }
+
+  std::uint64_t below(std::uint64_t n) { return rng_.next_below(n); }
+
+ private:
+  static constexpr std::array<std::uint8_t, 6> kHighBytes = {
+      0x80, 0xc1, 0xe9, 0xff, 'a', 'A'};
+
+  char pick(std::string_view alphabet) {
+    return alphabet[rng_.next_below(alphabet.size())];
+  }
+
+  stats::SplitMix64 rng_;
+};
+
+constexpr std::array<std::uint64_t, 3> kDiffSeeds = {1, 7, 2019};
+
+TEST(NameDifferential, AgreesWithReferenceOnSeededNames) {
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    const std::vector<ref::Name> refs = gen.pool(120, /*wire=*/true);
+    std::vector<Name> names;
+    for (const auto& r : refs) names.push_back(flat(r));
+
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const ref::Name& r = refs[i];
+      const Name& n = names[i];
+      ASSERT_EQ(labels_of(n), r.labels) << "seed " << seed << " name " << i;
+      EXPECT_EQ(n.to_string(), r.to_string());
+      EXPECT_EQ(n.wire_length(), r.wire_length());
+      EXPECT_EQ(n.label_count(), r.labels.size());
+      EXPECT_EQ(n.is_root(), r.labels.empty());
+      EXPECT_EQ(labels_of(n.parent()), r.parent().labels);
+      for (const std::string& l :
+           {std::string("x"), std::string("Ab"), std::string(63, 'q')}) {
+        bool ref_threw = false;
+        ref::Name rc;
+        try {
+          rc = r.child(l);
+        } catch (const WireError&) {
+          ref_threw = true;
+        }
+        if (ref_threw) {
+          EXPECT_THROW(n.child(l), WireError);
+        } else {
+          EXPECT_EQ(labels_of(n.child(l)), rc.labels);
+        }
+      }
+    }
+
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      for (std::size_t j = 0; j < refs.size(); ++j) {
+        ASSERT_EQ(names[i] < names[j], refs[i] < refs[j])
+            << "seed " << seed << ": " << refs[i].to_string() << " vs "
+            << refs[j].to_string();
+        ASSERT_EQ(names[i] == names[j], refs[i] == refs[j]);
+        ASSERT_EQ(names[i].is_subdomain_of(names[j]),
+                  refs[i].is_subdomain_of(refs[j]));
+      }
+    }
+
+    // The order std::map<Name> iterates in, which reaches bench outputs.
+    std::map<Name, std::size_t> flat_map;
+    std::map<ref::Name, std::size_t> ref_map;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      flat_map.emplace(names[i], i);
+      ref_map.emplace(refs[i], i);
+    }
+    ASSERT_EQ(flat_map.size(), ref_map.size());
+    auto it = ref_map.begin();
+    for (const auto& [name, index] : flat_map) {
+      EXPECT_EQ(index, it->second);
+      EXPECT_EQ(labels_of(name), it->first.labels);
+      ++it;
+    }
+  }
+}
+
+TEST(NameDifferential, ParseAcceptsAndRejectsLikeReference) {
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    std::vector<std::string> texts = {"", ".", "..", "a.", "a..", ".a",
+                                      std::string(63, 'a'),
+                                      std::string(64, 'a') + ".com"};
+    for (int i = 0; i < 400; ++i) {
+      std::string text = gen.name(/*wire=*/false).to_string();
+      switch (gen.below(6)) {
+        case 0:
+          text += '.';
+          break;
+        case 1: {
+          const std::size_t at = gen.below(text.size() + 1);
+          text = text.substr(0, at) + '.' + text.substr(at);
+          break;
+        }
+        case 2:
+          text += '.';
+          text.append(gen.below(3) == 0 ? 64 : 63, 'L');
+          break;
+        case 3:
+          while (text.size() < 250 + gen.below(10)) text += ".abcdefgh";
+          break;
+        default:
+          break;
+      }
+      texts.push_back(std::move(text));
+    }
+    for (const std::string& text : texts) {
+      std::string ref_error;
+      std::string flat_error;
+      ref::Name r;
+      Name n;
+      try {
+        r = ref::Name::parse(text);
+      } catch (const WireError& e) {
+        ref_error = e.what();
+      }
+      try {
+        n = Name::parse(text);
+      } catch (const WireError& e) {
+        flat_error = e.what();
+      }
+      ASSERT_EQ(flat_error, ref_error) << text;
+      EXPECT_EQ(labels_of(n), r.labels) << text;
+    }
+  }
+}
+
+TEST(NameDifferential, CompressorWritesReferenceBytes) {
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    // Labels without '.' only: those keep the reference's text keys apart.
+    const std::vector<ref::Name> refs = gen.pool(60, /*wire=*/false);
+    for (int message = 0; message < 150; ++message) {
+      for (const bool enabled : {true, false}) {
+        ByteWriter ref_w;
+        ByteWriter flat_w;
+        // Some messages start past the 14-bit pointer range.
+        const std::size_t pad = message % 10 == 0 ? 0x3ff0 : gen.below(40);
+        for (std::size_t i = 0; i < pad; ++i) {
+          ref_w.u8(0xee);
+          flat_w.u8(0xee);
+        }
+        ref::Compressor ref_c(enabled);
+        NameCompressor flat_c(enabled);
+        std::vector<std::size_t> starts;
+        std::vector<std::size_t> picked;
+        for (std::uint64_t k = 1 + gen.below(10); k > 0; --k) {
+          picked.push_back(gen.below(refs.size()));
+          starts.push_back(flat_w.size());
+          ref_c.write(ref_w, refs[picked.back()]);
+          flat_c.write(flat_w, flat(refs[picked.back()]));
+        }
+        ASSERT_EQ(flat_w.data(), ref_w.data()) << "seed " << seed;
+        for (std::size_t k = 0; k < starts.size(); ++k) {
+          ByteReader r(flat_w.data());
+          r.seek(starts[k]);
+          EXPECT_EQ(read_name(r), flat(refs[picked[k]]));
+        }
+      }
+    }
+  }
+}
+
+TEST(NameDifferential, DottedLabelsKeepTheirOwnKeys) {
+  // ["a.b", "c"] and ["a", "b", "c"] shared the reference's text key
+  // "a.b.c", so it compressed the second into a pointer to the first. The
+  // flat compressor keys on wire form and writes it in full.
+  const ref::Name dotted{{"a.b", "c"}};
+  const ref::Name plain{{"a", "b", "c"}};
+  ByteWriter w;
+  NameCompressor c;
+  c.write(w, flat(dotted));
+  const std::size_t second = w.size();
+  c.write(w, flat(plain));
+  ByteReader r(w.data());
+  r.seek(second);
+  EXPECT_EQ(labels_of(read_name(r)), plain.labels);
+
+  ByteWriter ref_w;
+  ref::Compressor ref_c(true);
+  ref_c.write(ref_w, dotted);
+  ref_c.write(ref_w, plain);
+  ByteReader ref_r(ref_w.data());
+  ref_r.seek(second);
+  EXPECT_EQ(ref::read_name(ref_r).labels, dotted.labels);
+}
+
+TEST(NameDifferential, ReadNameMatchesReferenceOnMutatedMessages) {
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    const std::vector<ref::Name> refs = gen.pool(40, /*wire=*/true);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int round = 0; round < 1500; ++round) {
+      // A valid message body: padding, then names written with compression.
+      ByteWriter w;
+      for (std::uint64_t i = gen.below(12); i > 0; --i) {
+        w.u8(static_cast<std::uint8_t>(gen.below(256)));
+      }
+      ref::Compressor c(gen.below(2) == 0);
+      std::vector<std::size_t> starts;
+      for (std::uint64_t k = 1 + gen.below(5); k > 0; --k) {
+        starts.push_back(w.size());
+        c.write(w, refs[gen.below(refs.size())]);
+      }
+      Bytes bytes = w.data();
+      for (std::uint64_t m = gen.below(4); m > 0; --m) {
+        const std::size_t at = gen.below(bytes.size());
+        switch (gen.below(6)) {
+          case 0:  // bit flip
+            bytes[at] ^= static_cast<std::uint8_t>(1u << gen.below(8));
+            break;
+          case 1: {  // pointer to a name start: chains, and loops back
+            const std::size_t target = starts[gen.below(starts.size())];
+            bytes[at] = static_cast<std::uint8_t>(0xc0 | (target >> 8));
+            if (at + 1 < bytes.size()) {
+              bytes[at + 1] = static_cast<std::uint8_t>(target & 0xff);
+            }
+            break;
+          }
+          case 2: {  // pointer anywhere, past the end included
+            const std::size_t target = gen.below(bytes.size() + 8);
+            bytes[at] = static_cast<std::uint8_t>(0xc0 | (target >> 8));
+            if (at + 1 < bytes.size()) {
+              bytes[at + 1] = static_cast<std::uint8_t>(target & 0xff);
+            }
+            break;
+          }
+          case 3:  // reserved label types 01 and 10
+            bytes[at] = static_cast<std::uint8_t>(
+                (bytes[at] & 0x3f) | (gen.below(2) == 0 ? 0x40 : 0x80));
+            break;
+          case 4:  // truncation
+            bytes.resize(at);
+            break;
+          default: {  // a long label that may take a chain past 255 octets
+            bytes[at] = static_cast<std::uint8_t>(40 + gen.below(24));
+            break;
+          }
+        }
+        if (bytes.empty()) break;
+      }
+      starts.push_back(gen.below(bytes.size() + 1));
+      for (const std::size_t start : starts) {
+        if (start > bytes.size()) continue;
+        ByteReader ref_r(bytes);
+        ByteReader flat_r(bytes);
+        ref_r.seek(start);
+        flat_r.seek(start);
+        std::string ref_error;
+        std::string flat_error;
+        ref::Name r;
+        Name n;
+        try {
+          r = ref::read_name(ref_r);
+        } catch (const WireError& e) {
+          ref_error = e.what();
+        }
+        try {
+          n = read_name(flat_r);
+        } catch (const WireError& e) {
+          flat_error = e.what();
+        }
+        ASSERT_EQ(flat_error, ref_error) << "seed " << seed << " round " << round;
+        ASSERT_EQ(labels_of(n), r.labels);
+        if (ref_error.empty()) {
+          EXPECT_EQ(flat_r.offset(), ref_r.offset());
+          ++accepted;
+        } else {
+          ++rejected;
+        }
+      }
+    }
+    // Both outcomes are well represented.
+    EXPECT_GT(accepted, 1000u) << "seed " << seed;
+    EXPECT_GT(rejected, 1000u) << "seed " << seed;
+  }
+}
+
+TEST(NameDifferential, ReadNameStopsAtExactly255Octets) {
+  // Four 62-octet labels make a 253-octet name. A one-octet label in front
+  // of a pointer to it makes 255 octets, the limit; a two-octet one, 256.
+  ref::Name base;
+  for (char c : {'a', 'b', 'c', 'd'}) base.labels.push_back(std::string(62, c));
+  for (const std::size_t extra : {1u, 2u}) {
+    ByteWriter w;
+    ref::Compressor(false).write(w, base);
+    const std::size_t start = w.size();
+    w.u8(static_cast<std::uint8_t>(extra));
+    for (std::size_t i = 0; i < extra; ++i) w.u8('x');
+    w.u16(0xc000);  // pointer to the base name at offset 0
+    ByteReader ref_r(w.data());
+    ByteReader flat_r(w.data());
+    ref_r.seek(start);
+    flat_r.seek(start);
+    if (extra == 1) {
+      const Name n = read_name(flat_r);
+      EXPECT_EQ(n.wire_length(), 255u);
+      EXPECT_EQ(labels_of(n), ref::read_name(ref_r).labels);
+    } else {
+      EXPECT_THROW(read_name(flat_r), WireError);
+      EXPECT_THROW(ref::read_name(ref_r), WireError);
+    }
+  }
 }
 
 }  // namespace

@@ -299,6 +299,40 @@ TEST_F(MigrationClientTest, DotReconnectResumesFromSessionCache) {
   EXPECT_LT(m.handshake_bytes - full_hs_bytes, full_hs_bytes);
 }
 
+TEST_F(MigrationClientTest, DotRaceWinAccountsEachHandshakeOnce) {
+  resolver::DotServer dot_server(server, make_engine(), {}, 853);
+  tlssim::SessionCache cache;
+  core::DotClientConfig config;
+  config.server_name = "local.resolver";
+  config.session_cache = &cache;
+  config.retry = retry_policy();
+  config.migration.enabled = true;
+  core::DotClient stub(client, {server.id(), 853}, config);
+
+  bool q1_ok = false;
+  bool q2_ok = false;
+  stub.resolve(name("one.example.com"), dns::RType::kA,
+               [&](const core::ResolutionResult& r) { q1_ok = r.success; });
+  loop.schedule_at(simnet::ms(200), [&]() {
+    // Silent NAT rebind: the next query stalls on the old connection, the
+    // stall timer races a fresh connection against it, and the fresh one
+    // wins with a resumed handshake.
+    client.rebind(/*rst_old_flows=*/false);
+    stub.resolve(name("two.example.com"), dns::RType::kA,
+                 [&](const core::ResolutionResult& r) { q2_ok = r.success; });
+  });
+  loop.run();
+
+  EXPECT_TRUE(q1_ok);
+  EXPECT_TRUE(q2_ok);
+  const auto& m = stub.migration_stats();
+  EXPECT_EQ(m.migrations, 1u);
+  EXPECT_EQ(m.full_handshakes, 1u);
+  EXPECT_EQ(m.resumed_handshakes, 1u);
+  EXPECT_EQ(m.full_handshakes + m.resumed_handshakes,
+            dot_server.tls_handshakes());
+}
+
 TEST_F(MigrationClientTest, ServerRestartInvalidatesSessionTicket) {
   resolver::DotServer dot_server(server, make_engine(), {}, 853);
   tlssim::SessionCache cache;

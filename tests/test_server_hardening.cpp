@@ -43,8 +43,10 @@ class TcpDnsHardeningTest : public TwoHostFixture {
   std::shared_ptr<simnet::TcpConnection> send_raw(Bytes bytes, Bytes* reply) {
     auto conn = client.tcp_connect({server.id(), 53});
     simnet::TcpCallbacks cbs;
-    cbs.on_connected = [conn, bytes = std::move(bytes)]() {
-      conn->send(bytes);
+    // The connection owns its callbacks: capturing its shared_ptr would
+    // make a cycle that leaks it, so they hold a raw pointer.
+    cbs.on_connected = [raw = conn.get(), bytes = std::move(bytes)]() {
+      raw->send(bytes);
     };
     cbs.on_data = [reply](std::span<const std::uint8_t> d) {
       if (reply) reply->insert(reply->end(), d.begin(), d.end());
@@ -186,11 +188,11 @@ TEST_F(DohHardeningTest, RawGarbageToTlsPortIsRejectedNotFatal) {
   start();
   auto conn = client.tcp_connect({server.id(), 443});
   simnet::TcpCallbacks cbs;
-  cbs.on_connected = [conn]() {
+  cbs.on_connected = [raw = conn.get()]() {
     // A complete record whose body is not a TLS handshake message: the
     // terminator must answer with a decode_error alert and close, not
     // propagate an exception or crash.
-    conn->send(Bytes{0x16, 0x03, 0x03, 0x00, 0x03, 0xde, 0xad, 0xbe});
+    raw->send(Bytes{0x16, 0x03, 0x03, 0x00, 0x03, 0xde, 0xad, 0xbe});
   };
   conn->set_callbacks(std::move(cbs));
   loop.run();

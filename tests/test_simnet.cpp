@@ -217,8 +217,10 @@ class TcpTest : public TwoHostFixture {
     server.tcp_listen(port, [this](std::shared_ptr<TcpConnection> conn) {
       accepted = conn;
       TcpCallbacks cbs;
-      cbs.on_data = [conn](std::span<const std::uint8_t> data) {
-        conn->send(Bytes(data.begin(), data.end()));
+      // The connection owns its callbacks: capturing its shared_ptr would
+      // make a cycle that leaks it, so they hold a raw pointer.
+      cbs.on_data = [raw = conn.get()](std::span<const std::uint8_t> data) {
+        raw->send(Bytes(data.begin(), data.end()));
       };
       conn->set_callbacks(std::move(cbs));
     });
@@ -304,9 +306,9 @@ TEST_F(TcpTest, OrderlyCloseBothSides) {
   server.tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) {
     accepted = c;
     TcpCallbacks scbs;
-    scbs.on_remote_closed = [&remote_closed_on_server, c]() {
+    scbs.on_remote_closed = [&remote_closed_on_server, raw = c.get()]() {
       remote_closed_on_server = true;
-      c->close();  // close our side too
+      raw->close();  // close our side too
     };
     c->set_callbacks(std::move(scbs));
   });

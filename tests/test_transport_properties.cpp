@@ -99,8 +99,10 @@ TEST_P(TcpBidirectional, EchoSurvivesLoss) {
 
   b.tcp_listen(80, [](std::shared_ptr<simnet::TcpConnection> c) {
     simnet::TcpCallbacks cbs;
-    cbs.on_data = [c](std::span<const std::uint8_t> d) {
-      c->send(Bytes(d.begin(), d.end()));
+    // Raw pointer: the connection owns its callbacks, and capturing its
+    // shared_ptr would make a cycle that leaks it.
+    cbs.on_data = [raw = c.get()](std::span<const std::uint8_t> d) {
+      raw->send(Bytes(d.begin(), d.end()));
     };
     c->set_callbacks(std::move(cbs));
   });

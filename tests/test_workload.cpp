@@ -15,7 +15,7 @@ TEST(UniqueNameGenerator, ShapeMatchesPaper) {
   UniqueNameGenerator gen("example.com", 42);
   const auto n = gen.next();
   EXPECT_EQ(n.label_count(), 3u);
-  EXPECT_EQ(n.labels()[0].size(), 5u);
+  EXPECT_EQ(n.label(0).size(), 5u);
   EXPECT_TRUE(n.is_subdomain_of(dns::Name::parse("example.com")));
 }
 
