@@ -24,27 +24,24 @@ CostReport DohClient::Stack::snapshot() const {
                         h2 ? &h2->counters() : nullptr);
 }
 
+bool DohClient::Stack::usable() const {
+  return !broken && !tls->failed() && !tls->closed() &&
+         !(h2 && h2->goaway_received());
+}
+
 DohClient::DohClient(simnet::Host& host, simnet::Address server,
                      DohClientConfig config)
     : host_(host),
       server_(server),
       config_(std::move(config)),
-      backoff_(config_.retry),
-      metric_key_(config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
-                                                              : "doh_h1"),
-      conn_metrics_(metric_key_) {
-  if (config_.migration.enabled && config_.migration.react_to_host_events) {
-    listener_id_ = host_.add_network_change_listener(
-        [this](simnet::NetworkChangeKind kind) {
-          begin_migration(simnet::to_string(kind));
-        });
-  }
-}
-
-DohClient::~DohClient() {
-  host_.loop().cancel(stall_timer_);
-  if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
-}
+      recovery_(host_, config_.retry, config_.migration, config_.obs,
+                config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
+                                                            : "doh_h1",
+                [this]() {
+                  return persistent_stack_ &&
+                         !persistent_stack_->outstanding.empty();
+                },
+                [this](const char* reason) { begin_migration(reason); }) {}
 
 void DohClient::bind_obs_ids() {
   obs::Registry* r = config_.obs.metrics;
@@ -57,7 +54,7 @@ void DohClient::bind_obs_ids() {
 std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
   auto stack = std::make_shared<Stack>();
   bind_obs_ids();
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
+  recovery_.count(ConnectionMetrics::kConnOpen);
   if (config_.obs.tracer != nullptr) {
     stack->connect_span = config_.obs.tracer->begin(parent, "connect");
     stack->tcp_hs_span =
@@ -113,7 +110,7 @@ std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
     config_.obs.end(s->connect_span);
     s->tls_hs_span = 0;
     s->connect_span = 0;
-    account_established(s);
+    if (s->tls != nullptr) recovery_.account_tls(*s->tls);
     if (s == racing_stack_) {
       // Defer one (zero-delay) event: promotion tears the old stack down
       // and must not run inside this stack's own TLS callback.
@@ -181,12 +178,7 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
   if (!config_.persistent) return make_stack(parent);
   // Reuse the stack while it is connecting or open; replace it once the
   // transport failed, closed, or the server announced shutdown (GOAWAY).
-  const bool usable = persistent_stack_ && !persistent_stack_->broken &&
-                      !persistent_stack_->tls->failed() &&
-                      !persistent_stack_->tls->closed() &&
-                      !(persistent_stack_->h2 &&
-                        persistent_stack_->h2->goaway_received());
-  if (!usable) {
+  if (!persistent_stack_ || !persistent_stack_->usable()) {
     // The main stack died while a migration race was still on: adopt the
     // racer (whose handshake, possibly resumed, is already paid for)
     // instead of opening yet another connection.
@@ -197,7 +189,7 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
       persistent_stack_ = make_stack(parent);
     }
   } else {
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kConnReuse);
+    recovery_.count(ConnectionMetrics::kConnReuse);
   }
   return persistent_stack_;
 }
@@ -206,8 +198,8 @@ std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
   const std::uint64_t query_id = next_query_id_++;
   bind_obs_ids();
-  const obs::SpanId span =
-      obs_begin_resolution(config_.obs, tmetrics_, metric_key_, name, type);
+  const obs::SpanId span = obs_begin_resolution(
+      config_.obs, tmetrics_, recovery_.transport(), name, type);
   auto stack = stack_for_query(span);
 
   ResolutionResult result;
@@ -215,14 +207,10 @@ std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
   results_.push_back(std::move(result));
 
   QueryState state;
-  state.callback = std::move(callback);
-  state.name = name;
-  state.type = type;
-  state.retries_left = config_.retry.max_retries;
+  recovery_.track(state, query_id, std::move(callback), name, type, span);
   state.stack = stack;
   state.start = stack->snapshot();
   state.fresh_stack = !config_.persistent;
-  state.span = span;
   states_.push_back(std::move(state));
 
   issue(stack, query_id, name, type);
@@ -284,12 +272,9 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
   }
 
   stack->outstanding.push_back(query_id);
-  arm_stall_timer();
-  if (config_.retry.query_timeout > 0) {
-    states_[query_id].timeout_timer = host_.loop().schedule_in(
-        config_.retry.query_timeout,
-        [this, query_id]() { on_query_timeout(query_id); });
-  }
+  recovery_.arm_stall_timer();
+  recovery_.arm_timeout(states_[query_id],
+                        [this, query_id]() { on_query_timeout(query_id); });
 
   const auto handle_body = [this, query_id](int status,
                                             const std::string& content_type,
@@ -387,59 +372,34 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
   std::vector<std::uint64_t> victims;
   victims.swap(stack->outstanding);
   if (victims.empty()) return;
-
-  const bool can_retry = config_.retry.max_retries > 0;
-  // One reconnect delay per connection failure; every surviving query
-  // re-issues together on the replacement connection.
-  simnet::TimeUs delay = 0;
-  bool scheduled_any = false;
-  for (const std::uint64_t query_id : victims) {
-    QueryState& state = states_[query_id];
-    if (state.done) continue;
-    host_.loop().cancel(state.timeout_timer);
-    config_.obs.end(state.request_span);
-    config_.obs.end(state.response_span);
-    state.request_span = state.response_span = 0;
-    // A connection failure charges every query's retry budget (their
-    // attempts died with the transport); a timeout teardown charges only
-    // the suspect -- the rest were merely queued behind it.
-    const bool charge = !timeout_teardown_ || query_id == suspect_query_id_;
-    if (!can_retry || (charge && state.retries_left <= 0)) {
-      if (can_retry) ++retry_stats_.budget_exhausted;
-      complete(query_id, false, {}, 0);
-      continue;
-    }
-    if (!scheduled_any) {
-      delay = backoff_.next();
-      ++retry_stats_.reconnects;
-      conn_metrics_.add(config_.obs, ConnectionMetrics::kReconnects);
-      scheduled_any = true;
-    }
-    if (charge) --state.retries_left;
-    ++retry_stats_.retried_queries;
-    if (state.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(state.span, "retry");
-      config_.obs.set_attr(
-          retry, "reason",
-          std::string(timeout_teardown_ ? "timeout_teardown"
-                                        : "connection_loss"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(state.attempt));
-      config_.obs.end(retry);
-    }
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
-    host_.loop().schedule_in(delay,
-                             [this, query_id]() { reissue(query_id); });
-  }
+  recovery_.lose_batch(
+      victims,
+      [this](std::uint64_t query_id) -> Attempt* {
+        QueryState& state = states_[query_id];
+        if (state.done) return nullptr;
+        config_.obs.end(state.response_span);
+        state.response_span = 0;
+        return &state;
+      },
+      [this](std::uint64_t query_id) { complete(query_id, false, {}, 0); },
+      [this](std::uint64_t query_id, simnet::TimeUs delay) {
+        host_.loop().schedule_in(delay,
+                                 [this, query_id]() { reissue(query_id); });
+      });
 }
 
 void DohClient::on_query_timeout(std::uint64_t query_id) {
   QueryState& state = states_[query_id];
   if (state.done) return;
-  ++retry_stats_.query_timeouts;
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kTimeouts);
   const auto stack = state.stack;
+  if (stack) {
+    auto& out = stack->outstanding;
+    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
+  }
+  if (!recovery_.timed_out(state)) {
+    complete(query_id, false, {}, 0);
+    return;
+  }
   // Zero bytes received on the connection across the whole timeout window
   // means the path, not the stream, is stalled (e.g. the 5-tuple died under
   // a silent NAT rebind) — the moral equivalent of an h2 PING timeout. An
@@ -447,54 +407,25 @@ void DohClient::on_query_timeout(std::uint64_t query_id) {
   const bool conn_dead =
       stack && !stack->broken && stack->tcp &&
       stack->tcp->counters().wire_bytes_received == state.rx_at_issue;
-  if (config_.retry.max_retries > 0 && state.retries_left > 0) {
-    if (stack && !stack->broken && (stack->h1 || conn_dead)) {
-      // HTTP/1.1 serializes responses on the connection, so a stalled
-      // exchange blocks everything queued behind it; re-issuing here would
-      // join the same blocked queue. Kill the suspect connection and let
-      // the reconnect path re-issue every query in flight on it, this one
-      // included.
-      auto& out = stack->outstanding;
-      out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-      out.push_back(query_id);  // re-issue the suspect last: a repeat stall
-                                // then cannot block the rest of the batch
-      suspect_query_id_ = query_id;
-      timeout_teardown_ = true;
+  if (stack && !stack->broken && (stack->h1 || conn_dead)) {
+    // HTTP/1.1 serializes responses on the connection, so a stalled
+    // exchange blocks everything queued behind it; re-issuing here would
+    // join the same blocked queue. Kill the suspect connection and let the
+    // reconnect path re-issue every query in flight on it, this one
+    // included.
+    stack->outstanding.push_back(query_id);  // back in the batch it condemns
+    recovery_.tear_down_for(query_id, [&]() {
       if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
       on_stack_error(stack);
-      suspect_query_id_ = 0;
-      timeout_teardown_ = false;
-      return;
-    }
-    // HTTP/2 multiplexes streams independently: only this exchange is
-    // stalled, so re-issue immediately — the elapsed timeout was the wait.
-    if (stack) {
-      auto& out = stack->outstanding;
-      out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-    }
-    --state.retries_left;
-    ++retry_stats_.retried_queries;
-    config_.obs.end(state.request_span);
-    config_.obs.end(state.response_span);
-    state.request_span = state.response_span = 0;
-    if (state.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(state.span, "retry");
-      config_.obs.set_attr(retry, "reason", std::string("timeout"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(state.attempt));
-      config_.obs.end(retry);
-    }
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
-    reissue(query_id);
+    });
     return;
   }
-  if (stack) {
-    auto& out = stack->outstanding;
-    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-  }
-  if (config_.retry.max_retries > 0) ++retry_stats_.budget_exhausted;
-  complete(query_id, false, {}, 0);
+  // HTTP/2 multiplexes streams independently: only this exchange is
+  // stalled, so re-issue immediately — the elapsed timeout was the wait.
+  config_.obs.end(state.response_span);
+  state.response_span = 0;
+  recovery_.retry(state, RetryReason::kTimeout);
+  reissue(query_id);
 }
 
 void DohClient::reissue(std::uint64_t query_id) {
@@ -512,14 +443,13 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   if (state.done) return;  // error handler may race the response
   state.done = true;
   host_.loop().cancel(state.timeout_timer);
-  host_.loop().cancel(stall_timer_);
-  stall_timer_ = simnet::EventId{};
+  recovery_.disarm_stall_timer();
   if (state.stack) {
     auto& out = state.stack->outstanding;
     out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
   }
   if (success) {
-    backoff_.reset();
+    recovery_.answered();
     // A full response on the old path while racing: the stall was
     // transient, keep the connection and drop the racer.
     teardown_racer();
@@ -561,8 +491,8 @@ void DohClient::complete(std::uint64_t query_id, bool success,
       state.stack->hpack_reported = hits;
     }
   }
-  obs_finish_resolution(config_.obs, tmetrics_, state.span, metric_key_,
-                        result);
+  obs_finish_resolution(config_.obs, tmetrics_, state.span,
+                        recovery_.transport(), result);
 
   if (!config_.persistent && state.stack) {
     // Tear the connection down; the remaining FIN/close-notify bytes are
@@ -575,7 +505,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   auto callback = std::move(state.callback);
   if (callback) callback(result);
   if (persistent_stack_ && !persistent_stack_->outstanding.empty()) {
-    arm_stall_timer();
+    recovery_.arm_stall_timer();
   }
 }
 
@@ -602,79 +532,17 @@ const ResolutionResult& DohClient::result(std::uint64_t id) const {
   return result;
 }
 
-void DohClient::account_established(const std::shared_ptr<Stack>& stack) {
-  if (stack->tls == nullptr) return;
-  const bool resumed = stack->tls->resumed();
-  if (resumed) {
-    ++migration_stats_.resumed_handshakes;
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kResumedHandshakes);
-  } else {
-    ++migration_stats_.full_handshakes;
-  }
-  const auto& c = stack->tls->counters();
-  migration_stats_.handshake_bytes +=
-      c.handshake_bytes_sent + c.handshake_bytes_received;
-  migration_stats_.handshake_rtts +=
-      1 + tls_handshake_rtts(stack->tls->version(), resumed);  // +1: TCP SYN
-  if (ever_connected_ && resumed && config_.obs.tracer != nullptr) {
-    // A reconnect that skipped the full handshake via the session ticket.
-    const obs::SpanId s = config_.obs.tracer->begin(0, "reconnect_resume");
-    config_.obs.set_attr(s, "transport", metric_key_);
-    config_.obs.end(s);
-  }
-  ever_connected_ = true;
-}
-
-void DohClient::arm_stall_timer() {
-  if (!config_.migration.enabled || config_.migration.stall_timeout <= 0) {
-    return;
-  }
-  if (stall_timer_.valid) return;
-  stall_timer_ = host_.loop().schedule_in(
-      config_.migration.stall_timeout, [this]() {
-        stall_timer_ = simnet::EventId{};
-        on_stall();
-      });
-}
-
-void DohClient::on_stall() {
-  if (!persistent_stack_ || persistent_stack_->outstanding.empty()) return;
-  if (config_.obs.tracer != nullptr) {
-    // The probe that condemned the old path before we migrate away from it.
-    const obs::SpanId s = config_.obs.tracer->begin(0, "path_probe");
-    config_.obs.set_attr(s, "transport", metric_key_);
-    config_.obs.end(s);
-  }
-  begin_migration("stall");
-}
-
 void DohClient::begin_migration(const char* reason) {
-  if (!config_.migration.enabled || !config_.persistent) return;
+  if (!config_.persistent) return;
   if (racing_stack_) return;  // a race is already deciding the new path
   if (!persistent_stack_) return;  // nothing to migrate; next query reconnects
-  if (config_.obs.tracer != nullptr && migrate_span_ == 0) {
-    migrate_span_ = config_.obs.tracer->begin(0, "migrate");
-    config_.obs.set_attr(migrate_span_, "transport", metric_key_);
-    config_.obs.set_attr(migrate_span_, "reason", std::string(reason));
-  }
-  const bool usable = !persistent_stack_->broken &&
-                      !persistent_stack_->tls->failed() &&
-                      !persistent_stack_->tls->closed() &&
-                      !(persistent_stack_->h2 &&
-                        persistent_stack_->h2->goaway_received());
-  if (!usable || persistent_stack_->outstanding.empty() ||
-      !config_.migration.race) {
+  recovery_.open_migrate_span(reason);
+  if (!persistent_stack_->usable() || persistent_stack_->outstanding.empty()) {
     // Nothing worth racing against: drop the suspect connection so the next
     // attempt reconnects on the new path, resuming via the session cache
     // when one is configured.
     auto old = persistent_stack_;
-    ++migration_stats_.migrations;
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
-    if (migrate_span_ != 0) {
-      config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
-      config_.obs.end(migrate_span_);
-      migrate_span_ = 0;
-    }
+    recovery_.migrated("fresh");
     if (old->tcp) old->tcp->abort();  // no local callbacks fire
     on_stack_error(old);  // clears persistent_stack_, re-issues in flight
     return;
@@ -683,9 +551,8 @@ void DohClient::begin_migration(const char* reason) {
   // make_stack wires the promote/teardown plumbing via the established and
   // error hooks; whichever path proves itself first wins, and the loser's
   // bytes are charged to migration_wasted_bytes.
-  const auto& tc = persistent_stack_->tcp->counters();
-  race_baseline_bytes_ = tc.wire_bytes_sent + tc.wire_bytes_received;
-  racing_stack_ = make_stack(migrate_span_);
+  recovery_.start_race(*persistent_stack_->tcp);
+  racing_stack_ = make_stack(recovery_.migrate_span());
 }
 
 void DohClient::promote_racer() {
@@ -694,25 +561,9 @@ void DohClient::promote_racer() {
       racing_stack_->tls->failed() || racing_stack_->tls->closed()) {
     return;  // adopted, torn down, or died before this event fired
   }
-  // The fresh path won. Everything the stalled stack moved since the race
-  // began bought nothing — charge it as migration waste.
   auto old = persistent_stack_;
-  std::uint64_t wasted = 0;
-  if (old && old->tcp) {
-    const auto& c = old->tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received - race_baseline_bytes_;
-  }
-  migration_stats_.migration_wasted_bytes += wasted;
-  ++migration_stats_.migrations;
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
-                    wasted);
+  recovery_.race_won(old ? old->tcp.get() : nullptr);
   persistent_stack_ = std::move(racing_stack_);
-  if (migrate_span_ != 0) {
-    config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
-    config_.obs.end(migrate_span_);
-    migrate_span_ = 0;
-  }
   if (old) {
     // Abort the stalled transport and let the group-retry path re-issue its
     // in-flight queries — stack_for_query now hands out the promoted stack.
@@ -726,31 +577,24 @@ void DohClient::teardown_racer() {
   auto racer = std::move(racing_stack_);
   racer->broken = true;
   if (racer->tcp) racer->tcp->abort();
-  std::uint64_t wasted = 0;
-  if (racer->tcp) {
-    const auto& c = racer->tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received;
-  }
-  migration_stats_.migration_wasted_bytes += wasted;
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrationWastedBytes,
-                    wasted);
   // Dangling connect spans of the abandoned racer must not stay open.
   config_.obs.end(racer->tcp_hs_span);
   config_.obs.end(racer->tls_hs_span);
   config_.obs.end(racer->connect_span);
   racer->tcp_hs_span = racer->tls_hs_span = racer->connect_span = 0;
-  if (migrate_span_ != 0) {
-    config_.obs.set_attr(migrate_span_, "winner", std::string("old"));
-    config_.obs.end(migrate_span_);
-    migrate_span_ = 0;
-  }
+  recovery_.race_lost(racer->tcp.get());
 }
 
 void DohClient::disconnect() {
   if (!persistent_stack_) return;
-  if (persistent_stack_->h2) persistent_stack_->h2->close();
-  if (persistent_stack_->h1) persistent_stack_->h1->close();
-  persistent_stack_.reset();
+  const auto stack = persistent_stack_;
+  recovery_.close_deliberately([&]() {
+    if (stack->h2) stack->h2->close();
+    if (stack->h1) stack->h1->close();
+    // The closed TLS session never reports the peer's FIN: fail what was
+    // in flight here (no retries, the close was deliberate).
+    on_stack_error(stack);
+  });
 }
 
 const simnet::TcpCounters* DohClient::tcp_counters() const {

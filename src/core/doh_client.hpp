@@ -16,14 +16,10 @@
 // finalized once the connection has fully closed (run the event loop to
 // idle before reading it).
 //
-// Resilience: with a RetryPolicy (config.retry.max_retries > 0) the client
-// survives transport loss, server restarts and GOAWAY — a failed connection
-// is replaced after an exponentially backed-off, jittered delay and every
-// in-flight query is re-issued on the new connection until its per-query
-// retry budget runs out. An optional per-query timeout additionally covers
-// accept-then-never-answer stalls. For a retried query the recorded cost
-// window covers its final attempt (dns_message_bytes accumulates across
-// attempts — retransmitted queries do cost bytes).
+// Resilience follows core::Recovery: a connection lost to a reset, server
+// restart or GOAWAY is replaced and its queries re-issued within their
+// budgets. For a retried query the recorded cost window covers its final
+// attempt (dns_message_bytes accumulates: retransmissions cost bytes).
 #pragma once
 
 #include <deque>
@@ -32,9 +28,8 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "core/migration.hpp"
 #include "core/obs_hooks.hpp"
-#include "core/retry.hpp"
+#include "core/recovery.hpp"
 #include "http1/client.hpp"
 #include "http2/connection.hpp"
 #include "obs/span.hpp"
@@ -77,7 +72,6 @@ class DohClient final : public ResolverClient {
  public:
   DohClient(simnet::Host& host, simnet::Address server,
             DohClientConfig config = {});
-  ~DohClient() override;
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
@@ -85,12 +79,15 @@ class DohClient final : public ResolverClient {
   const ResolutionResult& result(std::uint64_t id) const override;
   std::size_t completed() const override { return completed_; }
   std::uint64_t failures() const noexcept { return failures_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const RetryStats& retry_stats() const noexcept {
+    return recovery_.retry_stats();
+  }
   const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
+    return recovery_.migration_stats();
   }
 
-  /// Close the persistent connection (if any).
+  /// Close the persistent connection (if any). Queries in flight on it
+  /// fail at once without retry — the close was deliberate.
   void disconnect();
 
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
@@ -123,6 +120,8 @@ class DohClient final : public ResolverClient {
     std::uint64_t hpack_reported = 0;  ///< dyn-table hits already counted
 
     CostReport snapshot() const;
+    /// Connecting or open: not failed, closed or shut down by GOAWAY.
+    bool usable() const;
   };
 
   std::shared_ptr<Stack> make_stack(obs::SpanId parent);
@@ -142,10 +141,6 @@ class DohClient final : public ResolverClient {
   /// Re-register the client.doh.hpack_dyn_hits handle when the registry
   /// changes.
   void bind_obs_ids();
-  /// Handshake/resumption accounting when a stack establishes (always on).
-  void account_established(const std::shared_ptr<Stack>& stack);
-  void arm_stall_timer();
-  void on_stall();
   void begin_migration(const char* reason);
   void promote_racer();
   void teardown_racer();
@@ -153,37 +148,20 @@ class DohClient final : public ResolverClient {
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  std::string metric_key_;  ///< "doh_h2" or "doh_h1"
   mutable TransportMetrics tmetrics_;  ///< mutable: result() is const
   mutable CostMetrics cmetrics_;
-  ConnectionMetrics conn_metrics_;
   obs::MetricId m_hpack_dyn_hits_;
   obs::Registry* bound_metrics_ = nullptr;
-  MigrationStats migration_stats_;
+  Recovery recovery_;  ///< transport "doh_h2" or "doh_h1"
 
-  /// Query whose timeout triggered the current connection teardown: the
-  /// group-retry charges only its budget and re-issues it last.
-  std::uint64_t suspect_query_id_ = 0;
-  bool timeout_teardown_ = false;
   std::shared_ptr<Stack> persistent_stack_;
   /// Migration race: a fresh stack racing the stalled persistent one.
   std::shared_ptr<Stack> racing_stack_;
-  std::uint64_t race_baseline_bytes_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  bool ever_connected_ = false;
-  obs::SpanId migrate_span_ = 0;
   std::uint64_t next_query_id_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failures_ = 0;
 
-  struct QueryState {
-    ResolveCallback callback;
-    dns::Name name;                ///< kept for re-issue
-    dns::RType type = dns::RType::kA;
-    int retries_left = 0;
+  struct QueryState : Attempt {
     std::shared_ptr<Stack> stack;  ///< stack this query ran on
     CostReport start;              ///< stack snapshot at issue time
     CostReport end;                ///< snapshot at completion (persistent)
@@ -191,14 +169,10 @@ class DohClient final : public ResolverClient {
     /// has not advanced by the query timeout, the connection (not just the
     /// stream) is stalled.
     std::uint64_t rx_at_issue = 0;
-    simnet::EventId timeout_timer;
+    obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
     bool have_end = false;
     bool fresh_stack = false;      ///< cost = whole stack incl. teardown
     bool done = false;
-    obs::SpanId span = 0;           ///< the resolution span
-    obs::SpanId request_span = 0;   ///< current attempt
-    obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
-    int attempt = 0;
     /// Span byte attrs / bytes.* counters recorded (result() is const and
     /// may be called repeatedly; the first finalized read wins).
     mutable bool cost_observed = false;

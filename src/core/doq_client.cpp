@@ -9,26 +9,16 @@ DoqClient::DoqClient(simnet::Host& host, simnet::Address server,
     : host_(host),
       server_(server),
       config_(std::move(config)),
-      backoff_(config_.retry) {
-  if (config_.migration.enabled && config_.migration.react_to_host_events) {
-    listener_id_ = host_.add_network_change_listener(
-        [this](simnet::NetworkChangeKind kind) {
-          begin_migration(simnet::to_string(kind));
-        });
-  }
-}
-
-DoqClient::~DoqClient() {
-  host_.loop().cancel(stall_timer_);
-  if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
-}
+      recovery_(host_, config_.retry, config_.migration, config_.obs, "doq",
+                [this]() { return !pending_.empty(); },
+                [this](const char* reason) { begin_migration(reason); }) {}
 
 void DoqClient::ensure_connection(obs::SpanId parent) {
   if (endpoint_ && !endpoint_->connection().closed()) {
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kConnReuse);
+    recovery_.count(ConnectionMetrics::kConnReuse);
     return;
   }
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kConnOpen);
+  recovery_.count(ConnectionMetrics::kConnOpen);
   if (config_.obs.tracer != nullptr) {
     connect_span_ = config_.obs.tracer->begin(parent, "connect");
     quic_hs_span_ =
@@ -44,7 +34,7 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
     config_.obs.end(connect_span_);
     quic_hs_span_ = 0;
     connect_span_ = 0;
-    account_established();
+    recovery_.account_quic(endpoint_->connection().counters().handshake_bytes);
   });
   endpoint_->connection().set_on_stream_data(
       [this](std::uint64_t stream_id, std::span<const std::uint8_t> data,
@@ -53,43 +43,21 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
   endpoint_->connection().set_on_path_validated([this]() {
     // The path survived the address change: migration complete, no new
     // handshake paid.
-    ++migration_stats_.migrations;
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kMigrations);
-    if (migrate_span_ != 0) {
-      config_.obs.set_attr(migrate_span_, "winner",
-                           std::string("same_connection"));
-      config_.obs.end(migrate_span_);
-      migrate_span_ = 0;
-    }
+    recovery_.migrated("same_connection");
   });
-}
-
-void DoqClient::account_established() {
-  if (!endpoint_) return;
-  // quicsim models no 0-RTT resumption: every handshake is a full one, one
-  // combined transport+crypto round trip (QUIC's selling point).
-  ++migration_stats_.full_handshakes;
-  migration_stats_.handshake_bytes +=
-      endpoint_->connection().counters().handshake_bytes;
-  migration_stats_.handshake_rtts += 1;
 }
 
 std::uint64_t DoqClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
   const std::uint64_t query_id = next_query_id_++;
-  const obs::SpanId span =
-      obs_begin_resolution(config_.obs, tmetrics_, "doq", name, type);
+  const obs::SpanId span = obs_begin_resolution(
+      config_.obs, tmetrics_, recovery_.transport(), name, type);
   ResolutionResult result;
   result.sent_at = host_.loop().now();
   results_.push_back(std::move(result));
 
   PendingQuery pq;
-  pq.query_id = query_id;
-  pq.callback = std::move(callback);
-  pq.name = name;
-  pq.type = type;
-  pq.retries_left = config_.retry.max_retries;
-  pq.span = span;
+  recovery_.track(pq, query_id, std::move(callback), name, type, span);
   issue(std::move(pq));
   return query_id;
 }
@@ -116,32 +84,28 @@ void DoqClient::issue(PendingQuery pq) {
                          static_cast<std::int64_t>(pq.attempt));
   }
   pq.rx.clear();
-  if (config_.retry.query_timeout > 0) {
-    pq.timeout_timer = host_.loop().schedule_in(
-        config_.retry.query_timeout,
-        [this, stream_id]() { on_query_timeout(stream_id); });
-  }
+  recovery_.arm_timeout(pq,
+                        [this, stream_id]() { on_query_timeout(stream_id); });
   pending_.emplace(stream_id, std::move(pq));
-  arm_stall_timer();
+  recovery_.arm_stall_timer();
   conn.send_stream(stream_id, framed.take(), /*fin=*/true);
 }
 
 void DoqClient::on_stream_data(std::uint64_t stream_id,
                                std::span<const std::uint8_t> data, bool fin) {
   // Bytes arriving means the path is alive: restart stall detection.
-  host_.loop().cancel(stall_timer_);
-  stall_timer_ = simnet::EventId{};
+  recovery_.disarm_stall_timer();
   const auto it = pending_.find(stream_id);
   if (it == pending_.end()) return;
   PendingQuery& pq = it->second;
   pq.rx.insert(pq.rx.end(), data.begin(), data.end());
   if (!fin) {  // the response ends with the stream
-    if (!pending_.empty()) arm_stall_timer();
+    if (!pending_.empty()) recovery_.arm_stall_timer();
     return;
   }
 
   host_.loop().cancel(pq.timeout_timer);
-  backoff_.reset();
+  recovery_.answered();
   ResolutionResult& result = results_[pq.query_id];
   result.completed_at = host_.loop().now();
   if (pq.rx.size() >= 2) {
@@ -163,10 +127,11 @@ void DoqClient::on_stream_data(std::uint64_t stream_id,
   config_.obs.end(pq.request_span);
   obs_span_cost(config_.obs, pq.span, result.cost);
   obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, tmetrics_, pq.span, "doq", result);
+  obs_finish_resolution(config_.obs, tmetrics_, pq.span,
+                        recovery_.transport(), result);
   pending_.erase(it);
   if (callback) callback(result);
-  if (!pending_.empty()) arm_stall_timer();
+  if (!pending_.empty()) recovery_.arm_stall_timer();
 }
 
 void DoqClient::on_closed() {
@@ -181,85 +146,31 @@ void DoqClient::on_closed() {
 void DoqClient::on_query_timeout(std::uint64_t stream_id) {
   const auto it = pending_.find(stream_id);
   if (it == pending_.end()) return;
-  ++retry_stats_.query_timeouts;
-  conn_metrics_.add(config_.obs, ConnectionMetrics::kTimeouts);
-  if (config_.retry.max_retries > 0 && it->second.retries_left > 0) {
+  if (recovery_.timed_out(it->second)) {
     // QUIC's PTO machinery already retries within the connection, so a
     // query timeout means the path (or the server's view of our address)
     // is dead. Discard the endpoint and re-issue everything in flight; the
     // suspect is charged and goes last.
-    suspect_stream_id_ = stream_id;
-    timeout_teardown_ = true;
-    endpoint_.reset();  // dropped, not closed: the path may be dead anyway
-    group_reissue();
-    suspect_stream_id_ = 0;
-    timeout_teardown_ = false;
+    recovery_.tear_down_for(stream_id, [this]() {
+      endpoint_.reset();  // dropped, not closed: the path may be dead anyway
+      group_reissue();
+    });
     return;
   }
   PendingQuery pq = std::move(it->second);
   pending_.erase(it);
-  if (config_.retry.max_retries > 0) ++retry_stats_.budget_exhausted;
   fail_query(std::move(pq));
 }
 
 void DoqClient::group_reissue() {
-  host_.loop().cancel(stall_timer_);
-  stall_timer_ = simnet::EventId{};
-  auto pending = std::move(pending_);
-  pending_.clear();
-  const bool can_retry = !closing_ && config_.retry.max_retries > 0;
-
-  // Re-issue in stream order, suspect (if any) last, so a repeat stall
-  // cannot head-of-line-block the rest of the batch again.
-  std::vector<std::pair<bool, PendingQuery>> order;
-  order.reserve(pending.size());
-  for (auto& [stream_id, pq] : pending) {
-    if (timeout_teardown_ && stream_id == suspect_stream_id_) continue;
-    order.emplace_back(false, std::move(pq));
-  }
-  if (timeout_teardown_) {
-    if (const auto it = pending.find(suspect_stream_id_);
-        it != pending.end()) {
-      order.emplace_back(true, std::move(it->second));
-    }
-  }
-
-  simnet::TimeUs delay = 0;
-  bool scheduled_any = false;
-  for (auto& [is_suspect, pq] : order) {
-    host_.loop().cancel(pq.timeout_timer);
-    config_.obs.end(pq.request_span);
-    pq.request_span = 0;
-    const bool charge = !timeout_teardown_ || is_suspect;
-    if (!can_retry || (charge && pq.retries_left <= 0)) {
-      if (can_retry) ++retry_stats_.budget_exhausted;
-      fail_query(std::move(pq));
-      continue;
-    }
-    if (!scheduled_any) {
-      delay = backoff_.next();
-      ++retry_stats_.reconnects;
-      conn_metrics_.add(config_.obs, ConnectionMetrics::kReconnects);
-      scheduled_any = true;
-    }
-    if (charge) --pq.retries_left;
-    ++retry_stats_.retried_queries;
-    if (pq.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(pq.span, "retry");
-      config_.obs.set_attr(
-          retry, "reason",
-          std::string(timeout_teardown_ ? "timeout_teardown"
-                                        : "connection_loss"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(pq.attempt));
-      config_.obs.end(retry);
-    }
-    conn_metrics_.add(config_.obs, ConnectionMetrics::kRetries);
-    host_.loop().schedule_in(delay, [this, p = std::move(pq)]() mutable {
-      issue(std::move(p));
-    });
-  }
+  recovery_.disarm_stall_timer();
+  recovery_.lose_all(
+      pending_, [this](PendingQuery&& pq) { fail_query(std::move(pq)); },
+      [this](PendingQuery&& pq, simnet::TimeUs delay) {
+        host_.loop().schedule_in(delay, [this, p = std::move(pq)]() mutable {
+          issue(std::move(p));
+        });
+      });
 }
 
 void DoqClient::fail_query(PendingQuery pq) {
@@ -268,43 +179,19 @@ void DoqClient::fail_query(PendingQuery pq) {
   result.completed_at = host_.loop().now();
   ++completed_;
   config_.obs.end(pq.request_span);
-  obs_finish_resolution(config_.obs, tmetrics_, pq.span, "doq", result);
+  obs_span_cost(config_.obs, pq.span, result.cost);
+  obs_count_cost(config_.obs, cmetrics_, result.cost);
+  obs_finish_resolution(config_.obs, tmetrics_, pq.span, recovery_.transport(),
+                        result);
   if (pq.callback) pq.callback(result);
 }
 
-void DoqClient::arm_stall_timer() {
-  if (!config_.migration.enabled || config_.migration.stall_timeout <= 0) {
-    return;
-  }
-  if (stall_timer_.valid) return;
-  stall_timer_ = host_.loop().schedule_in(
-      config_.migration.stall_timeout, [this]() {
-        stall_timer_ = simnet::EventId{};
-        on_stall();
-      });
-}
-
-void DoqClient::on_stall() {
-  if (pending_.empty()) return;
-  if (config_.obs.tracer != nullptr) {
-    const obs::SpanId s = config_.obs.tracer->begin(0, "path_probe");
-    config_.obs.set_attr(s, "transport", std::string("doq"));
-    config_.obs.end(s);
-  }
-  begin_migration("stall");
-}
-
 void DoqClient::begin_migration(const char* reason) {
-  if (!config_.migration.enabled) return;
   if (!endpoint_ || endpoint_->connection().closed() ||
       !endpoint_->connection().established()) {
     return;  // nothing to migrate; the retry path handles reconnects
   }
-  if (config_.obs.tracer != nullptr && migrate_span_ == 0) {
-    migrate_span_ = config_.obs.tracer->begin(0, "migrate");
-    config_.obs.set_attr(migrate_span_, "transport", std::string("doq"));
-    config_.obs.set_attr(migrate_span_, "reason", std::string(reason));
-  }
+  recovery_.open_migrate_span(reason);
   // QUIC migrates in place: probe the path from the (new) address. The
   // probe datagram itself teaches a migration-capable server our new
   // address; the matching PATH_RESPONSE completes the migration.
@@ -313,9 +200,8 @@ void DoqClient::begin_migration(const char* reason) {
 
 void DoqClient::disconnect() {
   if (!endpoint_) return;
-  closing_ = true;
-  endpoint_->connection().close();
-  closing_ = false;
+  recovery_.close_deliberately(
+      [this]() { endpoint_->connection().close(); });
 }
 
 bool DoqClient::connected() const {

@@ -4,12 +4,9 @@
 // independent as DoH/2 streams but without TCP's loss-induced head-of-line
 // blocking underneath.
 //
-// Resilience: with a RetryPolicy the client replaces a dead connection and
-// re-issues in-flight queries under their budgets. With MigrationConfig the
-// client reacts to network churn the QUIC way — the connection itself
-// migrates: a PATH_CHALLENGE probes the (possibly re-addressed) path and,
-// when the server permits migration, the connection survives without a new
-// handshake.
+// Resilience follows core::Recovery, but DoQ migrates the QUIC way: a
+// PATH_CHALLENGE probes the (possibly re-addressed) path and, when the
+// server permits migration, the connection survives without a new handshake.
 #pragma once
 
 #include <map>
@@ -17,9 +14,8 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "core/migration.hpp"
 #include "core/obs_hooks.hpp"
-#include "core/retry.hpp"
+#include "core/recovery.hpp"
 #include "obs/span.hpp"
 #include "quicsim/endpoint.hpp"
 
@@ -39,15 +35,16 @@ class DoqClient final : public ResolverClient {
  public:
   DoqClient(simnet::Host& host, simnet::Address server,
             DoqClientConfig config = {});
-  ~DoqClient() override;
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
   const ResolutionResult& result(std::uint64_t id) const override;
   std::size_t completed() const override { return completed_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const RetryStats& retry_stats() const noexcept {
+    return recovery_.retry_stats();
+  }
   const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
+    return recovery_.migration_stats();
   }
 
   void disconnect();
@@ -55,17 +52,8 @@ class DoqClient final : public ResolverClient {
   const quicsim::QuicCounters* quic_counters() const;
 
  private:
-  struct PendingQuery {
-    std::uint64_t query_id = 0;
-    ResolveCallback callback;
-    dns::Bytes rx;
-    dns::Name name;  ///< kept for re-issue
-    dns::RType type = dns::RType::kA;
-    int retries_left = 0;
-    simnet::EventId timeout_timer;
-    obs::SpanId span = 0;
-    obs::SpanId request_span = 0;
-    int attempt = 0;
+  struct PendingQuery : Attempt {
+    dns::Bytes rx;  ///< the response stream so far
   };
 
   void ensure_connection(obs::SpanId parent);
@@ -78,9 +66,6 @@ class DoqClient final : public ResolverClient {
   /// connection died or was condemned by a query timeout.
   void group_reissue();
   void fail_query(PendingQuery pq);
-  void account_established();
-  void arm_stall_timer();
-  void on_stall();
   /// QUIC migration: validate the current path with a PATH_CHALLENGE. The
   /// connection — handshake included — survives the address change.
   void begin_migration(const char* reason);
@@ -88,23 +73,12 @@ class DoqClient final : public ResolverClient {
   simnet::Host& host_;
   TransportMetrics tmetrics_;
   CostMetrics cmetrics_;
-  ConnectionMetrics conn_metrics_{"doq"};
   simnet::Address server_;
   DoqClientConfig config_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  MigrationStats migration_stats_;
+  Recovery recovery_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
   obs::SpanId connect_span_ = 0;
   obs::SpanId quic_hs_span_ = 0;
-  obs::SpanId migrate_span_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  /// Stream whose query timeout condemned the connection (re-issued last,
-  /// sole budget charge of the teardown).
-  std::uint64_t suspect_stream_id_ = 0;
-  bool timeout_teardown_ = false;
-  bool closing_ = false;  ///< disconnect() in progress: do not retry
 
   std::map<std::uint64_t, PendingQuery> pending_;  ///< keyed by stream id
   std::uint64_t next_query_id_ = 0;

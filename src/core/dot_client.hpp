@@ -5,10 +5,8 @@
 // framed messages ride a bare TCP byte stream and there is no TLS layer.
 // Everything else is shared, so the fig2 tcp/dot gap isolates TLS.
 //
-// With a RetryPolicy (config.retry.max_retries > 0) the client reconnects
-// after transport loss with exponential backoff and re-issues the queries
-// that were in flight, each under its own retry budget; a per-query timeout
-// optionally covers servers that accept but never answer.
+// Reconnects, re-issues, query timeouts and migration follow core::Recovery
+// (config.retry, config.migration); a won migration race re-issues at once.
 #pragma once
 
 #include <map>
@@ -16,9 +14,8 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "core/migration.hpp"
-#include "core/retry.hpp"
 #include "core/obs_hooks.hpp"
+#include "core/recovery.hpp"
 #include "obs/span.hpp"
 #include "simnet/host.hpp"
 #include "simnet/stream.hpp"
@@ -44,15 +41,16 @@ class DotClient final : public ResolverClient {
  public:
   DotClient(simnet::Host& host, simnet::Address server,
             DotClientConfig config = {});
-  ~DotClient() override;
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
   const ResolutionResult& result(std::uint64_t id) const override;
   std::size_t completed() const override { return completed_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const RetryStats& retry_stats() const noexcept {
+    return recovery_.retry_stats();
+  }
   const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
+    return recovery_.migration_stats();
   }
 
   /// Close the connection (a new one is opened on the next resolve).
@@ -66,19 +64,6 @@ class DotClient final : public ResolverClient {
   const simnet::TcpCounters* tcp_counters() const;
 
  private:
-  /// Everything needed to answer — or re-issue — one query.
-  struct Pending {
-    std::uint64_t query_id = 0;
-    ResolveCallback callback;
-    dns::Name name;
-    dns::RType type = dns::RType::kA;
-    int retries_left = 0;
-    simnet::EventId timeout_timer;
-    obs::SpanId span = 0;          ///< the resolution span
-    obs::SpanId request_span = 0;  ///< current attempt
-    int attempt = 0;
-  };
-
   /// One connection: TCP, plus a TLS session over it unless plain_tcp.
   struct Connection {
     std::shared_ptr<simnet::TcpConnection> tcp;  ///< kept for counters
@@ -94,65 +79,39 @@ class DotClient final : public ResolverClient {
     void abort();
   };
 
-  const char* transport() const { return config_.plain_tcp ? "tcp" : "dot"; }
   Connection open_connection();
   void ensure_connection(obs::SpanId parent);
   /// Allocate a DNS ID and send one attempt of `pending`; fails it (one
   /// event later) when all 65,535 non-zero IDs are in flight.
-  void send_query(Pending pending);
+  void send_query(Attempt pending);
   void on_data(std::span<const std::uint8_t> data);
   void on_close();
   void on_query_timeout(std::uint16_t dns_id);
-  void fail_query(Pending pending);
+  void fail_query(Attempt pending);
   void install_handlers();
-  /// Handshake/resumption accounting at establishment (always on, unlike
-  /// the tracer-gated spans).
-  void account_established();
-  void arm_stall_timer();
-  void on_stall();
   void begin_migration(const char* reason);
   void promote_racer();
   void teardown_racer();
-  void reissue_after_migration();
 
   simnet::Host& host_;
   simnet::Address server_;
   DotClientConfig config_;
   TransportMetrics tmetrics_;
   CostMetrics cmetrics_;
-  ConnectionMetrics conn_metrics_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  MigrationStats migration_stats_;
+  Recovery recovery_;
 
   Connection conn_;
   dns::Bytes rx_;
-
-  // Migration machinery: the fresh connection racing the stalled one, the
-  // stalled side's byte counts at race start (everything it moves after
-  // that is wasted if it loses), and churn-detection state.
+  /// The fresh connection racing the stalled one during a migration.
   Connection racer_;
-  std::uint64_t race_baseline_bytes_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  bool ever_connected_ = false;
-  obs::SpanId migrate_span_ = 0;
   obs::SpanId connect_span_ = 0;
   obs::SpanId tcp_hs_span_ = 0;
   obs::SpanId tls_hs_span_ = 0;
-  bool closing_ = false;  ///< disconnect() in progress: do not retry
-  /// DNS ID of a query whose timeout triggered the current connection
-  /// teardown. The reconnect path re-issues it after everything else so a
-  /// repeat stall cannot head-of-line-block the rest of the batch again,
-  /// and charges only its retry budget: the other in-flight queries did
-  /// not fail, the client preempted them.
-  std::uint16_t suspect_dns_id_ = 0;
-  bool timeout_teardown_ = false;
 
   std::uint16_t next_dns_id_ = 1;
   std::uint64_t next_query_id_ = 0;
   std::uint64_t completed_ = 0;
-  std::map<std::uint16_t, Pending> pending_;
+  std::map<std::uint16_t, Attempt> pending_;  ///< keyed by DNS message ID
   std::vector<ResolutionResult> results_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/udp_client.hpp"
 
 #include "core/obs_hooks.hpp"
+#include "core/recovery.hpp"
 
 namespace dohperf::core {
 
@@ -93,14 +94,7 @@ void UdpResolverClient::on_timeout(std::uint16_t dns_id) {
     Pending& p = it->second;
     config_.obs.end(p.request_span);
     p.request_span = 0;
-    if (p.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(p.span, "retry");
-      config_.obs.set_attr(retry, "reason", std::string("timeout"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(p.attempt));
-      config_.obs.end(retry);
-    }
+    trace_retry(config_.obs, p.span, RetryReason::kTimeout, p.attempt);
     if (config_.obs.metrics != nullptr) {
       config_.obs.metrics->add(m_retries_);
     }

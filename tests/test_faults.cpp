@@ -10,7 +10,7 @@
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/health_client.hpp"
-#include "core/retry.hpp"
+#include "core/recovery.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
@@ -336,6 +336,46 @@ TEST_F(DohChaosTest, FailFastWithoutRetryPolicy) {
   EXPECT_EQ(stub.retry_stats().retried_queries, 0u);
 }
 
+// disconnect() is deliberate: whatever is in flight on the persistent
+// connection fails at once and is never re-issued, on either HTTP version
+// and with or without a RetryPolicy.
+TEST_F(DohChaosTest, DisconnectFailsOutstanding) {
+  start_server();
+  for (const auto version :
+       {core::HttpVersion::kHttp1, core::HttpVersion::kHttp2}) {
+    for (const bool with_retries : {false, true}) {
+      SCOPED_TRACE(std::string(version == core::HttpVersion::kHttp2 ? "h2"
+                                                                     : "h1") +
+                   (with_retries ? " with retries" : " without retries"));
+      auto config = client_config(version);
+      if (!with_retries) config.retry = {};
+      core::DohClient stub(client, {server.id(), 443}, config);
+      const auto warm = stub.resolve(name("warm.example"), dns::RType::kA, {});
+      loop.run();
+      ASSERT_TRUE(stub.result(warm).success);
+
+      bool done = false;
+      core::ResolutionResult observed;
+      const auto id = stub.resolve(name("cut.example"), dns::RType::kA,
+                                   [&](const core::ResolutionResult& r) {
+                                     done = true;
+                                     observed = r;
+                                   });
+      const simnet::TimeUs cut_at = loop.now() + 1;  // request in flight
+      loop.schedule_at(cut_at, [&]() { stub.disconnect(); });
+      loop.run_until(loop.now() + simnet::seconds(60));
+
+      ASSERT_TRUE(done);
+      EXPECT_FALSE(observed.success);
+      EXPECT_EQ(observed.completed_at, cut_at);
+      EXPECT_FALSE(stub.result(id).success);
+      EXPECT_EQ(stub.retry_stats().retried_queries, 0u);
+      EXPECT_EQ(stub.retry_stats().budget_exhausted, 0u);
+      EXPECT_EQ(stub.completed(), 2u);
+    }
+  }
+}
+
 TEST_F(DohChaosTest, RecoversFromLinkOutage) {
   start_server();
   auto config = client_config(core::HttpVersion::kHttp2);
@@ -547,8 +587,6 @@ TEST(Backoff, GrowsGeometricallyWithinJitterAndResets) {
   core::RetryPolicy policy;
   policy.backoff_initial = simnet::ms(100);
   policy.backoff_max = simnet::seconds(2);
-  policy.backoff_multiplier = 2.0;
-  policy.jitter = 0.2;
   core::Backoff backoff(policy);
 
   double expected_base = 100e3;

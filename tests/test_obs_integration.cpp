@@ -9,12 +9,14 @@
 #include <string>
 
 #include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
 #include "core/udp_client.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "sim_fixture.hpp"
 
@@ -214,18 +216,21 @@ TEST_F(ObsResolveTest, SpanByteAttributesMatchCostReport) {
   loop.run();
   const CostReport& cost = client_stub.result(id).cost;
 
+  const auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const auto expect_span_matches = [&](const obs::Span& span,
+                                       const CostReport& cost) {
+    EXPECT_EQ(u64(attr_int(span, "bytes.wire")), cost.wire_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.dns")), cost.dns_message_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.tcp")), cost.tcp_overhead_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.tls")), cost.tls_overhead_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.http_hdr")), cost.http_header_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.http_body")), cost.http_body_bytes);
+    EXPECT_EQ(u64(attr_int(span, "bytes.http_mgmt")), cost.http_mgmt_bytes);
+    EXPECT_EQ(u64(attr_int(span, "packets")), cost.packets);
+  };
   const auto resolutions = spans_named("resolution");
   ASSERT_EQ(resolutions.size(), 1u);
-  const obs::Span& span = *resolutions[0];
-  const auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
-  EXPECT_EQ(u64(attr_int(span, "bytes.wire")), cost.wire_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.dns")), cost.dns_message_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.tcp")), cost.tcp_overhead_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.tls")), cost.tls_overhead_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.http_hdr")), cost.http_header_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.http_body")), cost.http_body_bytes);
-  EXPECT_EQ(u64(attr_int(span, "bytes.http_mgmt")), cost.http_mgmt_bytes);
-  EXPECT_EQ(u64(attr_int(span, "packets")), cost.packets);
+  expect_span_matches(*resolutions[0], cost);
   // One resolution on a fresh registry: the global counters equal the report.
   EXPECT_EQ(registry.counter("bytes.wire"), cost.wire_bytes);
   EXPECT_EQ(registry.counter("bytes.tls"), cost.tls_overhead_bytes);
@@ -235,6 +240,36 @@ TEST_F(ObsResolveTest, SpanByteAttributesMatchCostReport) {
   EXPECT_EQ(spans_named("tcp_handshake").size(), 1u);
   EXPECT_EQ(spans_named("tls_handshake").size(), 1u);
   EXPECT_EQ(tracer.open_spans(), 0u);
+
+  // A failed resolution keeps the contract too: a DoQ query that times out
+  // against a server that never answers still paid for its query bytes.
+  obs::Tracer doq_tracer(loop);
+  obs::Registry doq_registry;
+  resolver::EngineConfig stalled;
+  stalled.faults.stall_rate = 1.0;  // accept, never answer
+  resolver::Engine stalled_engine(loop, stalled);
+  resolver::DoqServerConfig doq_server_config;
+  doq_server_config.tls.chain =
+      tlssim::CertificateChain::generic("local.resolver");
+  resolver::DoqServer doq_server(server, stalled_engine, doq_server_config,
+                                 8853);
+  DoqClientConfig doq_config;
+  doq_config.server_name = "local.resolver";
+  doq_config.retry.query_timeout = simnet::ms(400);
+  doq_config.obs = {&doq_tracer, 0, &doq_registry};
+  DoqClient doq_stub(client, {server.id(), 8853}, doq_config);
+
+  const auto failed =
+      doq_stub.resolve(name("abcde.example.com"), dns::RType::kA, {});
+  loop.run();
+  const ResolutionResult& doq_result = doq_stub.result(failed);
+  ASSERT_FALSE(doq_result.success);
+  EXPECT_GT(doq_result.cost.dns_message_bytes, 0u);
+  ASSERT_EQ(doq_tracer.spans().front().name, "resolution");
+  expect_span_matches(doq_tracer.spans().front(), doq_result.cost);
+  EXPECT_EQ(doq_registry.counter("bytes.dns"),
+            doq_result.cost.dns_message_bytes);
+  EXPECT_EQ(doq_registry.counter("bytes.wire"), doq_result.cost.wire_bytes);
 }
 
 }  // namespace

@@ -1,0 +1,358 @@
+// Characterization of how the stateful DNS clients recover. Every transport
+// that keeps a connection — plain DNS-over-TCP, DoT, DoH over HTTP/1.1 and
+// HTTP/2, DoQ — runs four faults:
+//   * restart: the server crashes with three queries in flight and comes
+//     back 150 ms later (RetryPolicy on, no per-query timeout);
+//   * timeout_teardown: the server stalls about half the queries (seeded)
+//     and the 300 ms per-query timeout has to recover them;
+//   * budget_exhausted: the server crashes and never comes back, so the
+//     retry budget runs out;
+//   * silent_rebind: migration on, a NAT rebind the OS never reports (the
+//     stall detector must notice it), then an OS-visible profile swap while
+//     a query is in flight on a connection that still works.
+// Each case renders everything the client reports — every result, its
+// RetryStats and MigrationStats, its client.<t>.* counters — and the whole
+// span timeline, and compares the text byte for byte with
+// recovery_golden/<transport>.<fault>.txt. Retry order, backoff draws,
+// budget charges, span order and handshake accounting are all pinned, so a
+// change to recovery behaviour must come with a deliberate golden update.
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
+#include "core/dot_client.hpp"
+#include "obs/export.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
+#include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
+#include "resolver/dot_server.hpp"
+#include "resolver/engine.hpp"
+#include "sim_fixture.hpp"
+#include "simnet/netchange.hpp"
+
+namespace dohperf {
+namespace {
+
+enum class Transport { kTcp, kDot, kDohH1, kDohH2, kDoq };
+enum class Fault { kRestart, kTimeoutTeardown, kBudgetExhausted, kSilentRebind };
+
+const char* to_string(Transport t) {
+  switch (t) {
+    case Transport::kTcp: return "tcp";
+    case Transport::kDot: return "dot";
+    case Transport::kDohH1: return "doh_h1";
+    case Transport::kDohH2: return "doh_h2";
+    case Transport::kDoq: return "doq";
+  }
+  return "?";
+}
+
+const char* to_string(Fault f) {
+  switch (f) {
+    case Fault::kRestart: return "restart";
+    case Fault::kTimeoutTeardown: return "timeout_teardown";
+    case Fault::kBudgetExhausted: return "budget_exhausted";
+    case Fault::kSilentRebind: return "silent_rebind";
+  }
+  return "?";
+}
+
+struct Case {
+  Transport transport;
+  Fault fault;
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+class RecoveryTest : public testing::TwoHostFixture,
+                     public ::testing::WithParamInterface<Case> {
+ protected:
+  RecoveryTest() { tracer.bind(loop); }
+
+  void start_server() {
+    const auto chain = tlssim::CertificateChain::generic("local.resolver");
+    switch (GetParam().transport) {
+      case Transport::kTcp:
+      case Transport::kDot: {
+        resolver::DotServerConfig config;
+        config.tls.chain = chain;
+        config.plain_tcp = GetParam().transport == Transport::kTcp;
+        dot_server = std::make_unique<resolver::DotServer>(
+            server, *engine, config, port());
+        return;
+      }
+      case Transport::kDohH1:
+      case Transport::kDohH2: {
+        resolver::DohServerConfig config;
+        config.tls.chain = chain;
+        doh_server = std::make_unique<resolver::DohServer>(server, *engine,
+                                                           config, port());
+        return;
+      }
+      case Transport::kDoq: {
+        resolver::DoqServerConfig config;
+        config.tls.chain = chain;
+        config.quic.allow_migration = true;
+        doq_server = std::make_unique<resolver::DoqServer>(server, *engine,
+                                                           config, port());
+        return;
+      }
+    }
+  }
+
+  std::uint16_t port() const {
+    switch (GetParam().transport) {
+      case Transport::kTcp: return 53;
+      case Transport::kDot: return 853;
+      case Transport::kDohH1:
+      case Transport::kDohH2: return 443;
+      case Transport::kDoq: return 8853;
+    }
+    return 0;
+  }
+
+  /// Crash the server for `downtime`. The TCP servers RST every connection
+  /// and close the listener. quicsim has no server restart, so the DoQ
+  /// server object goes away (its connection state dies with it; the
+  /// client's packets meet a closed port) and a fresh one comes up later.
+  void crash_server(simnet::TimeUs downtime) {
+    if (dot_server) {
+      dot_server->restart(downtime);
+    } else if (doh_server) {
+      doh_server->restart(downtime);
+    } else {
+      doq_server.reset();
+      loop.schedule_in(downtime, [this]() { start_server(); });
+    }
+  }
+
+  void start_client(const core::RetryPolicy& retry,
+                    const core::MigrationConfig& migration) {
+    const obs::SpanContext obs{&tracer, 0, &registry};
+    const simnet::Address address{server.id(), port()};
+    switch (GetParam().transport) {
+      case Transport::kTcp:
+      case Transport::kDot: {
+        core::DotClientConfig config;
+        config.server_name = "local.resolver";
+        config.plain_tcp = GetParam().transport == Transport::kTcp;
+        config.session_cache = &cache;
+        config.retry = retry;
+        config.migration = migration;
+        config.obs = obs;
+        dot = std::make_unique<core::DotClient>(client, address, config);
+        stub = dot.get();
+        return;
+      }
+      case Transport::kDohH1:
+      case Transport::kDohH2: {
+        core::DohClientConfig config;
+        config.server_name = "local.resolver";
+        config.http_version = GetParam().transport == Transport::kDohH2
+                                  ? core::HttpVersion::kHttp2
+                                  : core::HttpVersion::kHttp1;
+        config.session_cache = &cache;
+        config.retry = retry;
+        config.migration = migration;
+        config.obs = obs;
+        doh = std::make_unique<core::DohClient>(client, address, config);
+        stub = doh.get();
+        return;
+      }
+      case Transport::kDoq: {
+        core::DoqClientConfig config;
+        config.server_name = "local.resolver";
+        config.retry = retry;
+        config.migration = migration;
+        config.obs = obs;
+        doq = std::make_unique<core::DoqClient>(client, address, config);
+        stub = doq.get();
+        return;
+      }
+    }
+  }
+
+  void resolve_at(simnet::TimeUs when, const std::string& label) {
+    loop.schedule_at(when, [this, label]() {
+      ids.push_back(stub->resolve(dns::Name::parse(label + ".example.com"),
+                                  dns::RType::kA, {}));
+    });
+  }
+
+  /// Drive the case's fault to completion (the loop runs dry).
+  void run_fault() {
+    resolver::EngineConfig engine_config;
+    engine_config.upstream.processing = simnet::us(50);
+    engine_config.seed = 0x5eed;
+    core::RetryPolicy retry;
+    retry.max_retries = 3;
+    retry.backoff_initial = simnet::ms(50);
+    retry.backoff_max = simnet::ms(400);
+    retry.seed = 99;
+    core::MigrationConfig migration;
+
+    switch (GetParam().fault) {
+      case Fault::kRestart:
+        break;
+      case Fault::kTimeoutTeardown:
+        engine_config.faults.stall_rate = 0.5;
+        retry.query_timeout = simnet::ms(300);
+        break;
+      case Fault::kBudgetExhausted:
+        retry.max_retries = 2;
+        break;
+      case Fault::kSilentRebind:
+        retry.query_timeout = simnet::ms(500);
+        migration.enabled = true;
+        break;
+    }
+    engine = std::make_unique<resolver::Engine>(loop, engine_config);
+    start_server();
+    start_client(retry, migration);
+
+    switch (GetParam().fault) {
+      case Fault::kRestart:
+        resolve_at(0, "warm");
+        for (const char* q : {"q1", "q2", "q3"}) resolve_at(simnet::ms(200), q);
+        loop.schedule_at(simnet::ms(200) + 1,
+                         [this]() { crash_server(simnet::ms(150)); });
+        break;
+      case Fault::kTimeoutTeardown:
+        resolve_at(0, "warm");
+        for (int i = 1; i <= 4; ++i) {
+          resolve_at(simnet::ms(200) + simnet::ms(20) * i,
+                     "s" + std::to_string(i));
+        }
+        break;
+      case Fault::kBudgetExhausted:
+        resolve_at(0, "warm");
+        for (const char* q : {"q1", "q2", "q3"}) resolve_at(simnet::ms(200), q);
+        loop.schedule_at(simnet::ms(200) + 1,
+                         [this]() { crash_server(simnet::seconds(3600)); });
+        break;
+      case Fault::kSilentRebind: {
+        resolve_at(0, "warm");
+        loop.schedule_at(simnet::ms(200),
+                         [this]() { client.rebind(/*rst_old_flows=*/false); });
+        for (const char* q : {"q1", "q2", "q3"}) resolve_at(simnet::ms(200), q);
+        simnet::LinkConfig lte;
+        lte.latency = simnet::ms(40);
+        simnet::NetworkChangeSchedule schedule;
+        schedule.add_profile_swap(simnet::seconds(2), lte);
+        simnet::apply_network_changes(client, server.id(), schedule);
+        // q4 is still in flight when the swap lands: the old connection
+        // keeps working, so it answers before any racer can win.
+        resolve_at(simnet::seconds(2) - simnet::ms(5), "q4");
+        resolve_at(simnet::seconds(3), "q5");
+        break;
+      }
+    }
+    loop.run();
+  }
+
+  const core::RetryStats& retry_stats() const {
+    if (dot) return dot->retry_stats();
+    if (doh) return doh->retry_stats();
+    return doq->retry_stats();
+  }
+
+  const core::MigrationStats& migration_stats() const {
+    if (dot) return dot->migration_stats();
+    if (doh) return doh->migration_stats();
+    return doq->migration_stats();
+  }
+
+  /// Everything the client reports, then the span timeline.
+  std::string report() const {
+    std::ostringstream os;
+    os << "results:\n";
+    for (const std::uint64_t id : ids) {
+      const core::ResolutionResult& r = stub->result(id);
+      os << "  q" << id << (r.success ? " ok" : " fail")
+         << " sent_us=" << r.sent_at << " done_us=" << r.completed_at
+         << " dns_bytes=" << r.cost.dns_message_bytes
+         << " wire_bytes=" << r.cost.wire_bytes << '\n';
+    }
+    const core::RetryStats& rs = retry_stats();
+    os << "retry: reconnects=" << rs.reconnects
+       << " retried_queries=" << rs.retried_queries
+       << " budget_exhausted=" << rs.budget_exhausted
+       << " query_timeouts=" << rs.query_timeouts << '\n';
+    const core::MigrationStats& ms = migration_stats();
+    os << "migration: migrations=" << ms.migrations
+       << " migration_wasted_bytes=" << ms.migration_wasted_bytes
+       << " resumed_handshakes=" << ms.resumed_handshakes
+       << " full_handshakes=" << ms.full_handshakes
+       << " handshake_bytes=" << ms.handshake_bytes
+       << " handshake_rtts=" << ms.handshake_rtts << '\n';
+    os << "counters:\n";
+    for (const auto& [name, value] : registry.counters()) {
+      if (name.rfind("client.", 0) == 0) {
+        os << "  " << name << '=' << value << '\n';
+      }
+    }
+    os << "timeline:\n" << obs::render_timeline(tracer);
+    return os.str();
+  }
+
+  static std::string golden_path() {
+    return std::string(RECOVERY_GOLDEN_DIR) + "/" +
+           to_string(GetParam().transport) + "." +
+           to_string(GetParam().fault) + ".txt";
+  }
+
+  obs::Tracer tracer;
+  obs::Registry registry;
+  tlssim::SessionCache cache;
+  std::unique_ptr<resolver::Engine> engine;
+  std::unique_ptr<resolver::DotServer> dot_server;
+  std::unique_ptr<resolver::DohServer> doh_server;
+  std::unique_ptr<resolver::DoqServer> doq_server;
+  std::unique_ptr<core::DotClient> dot;
+  std::unique_ptr<core::DohClient> doh;
+  std::unique_ptr<core::DoqClient> doq;
+  core::ResolverClient* stub = nullptr;
+  std::vector<std::uint64_t> ids;
+};
+
+TEST_P(RecoveryTest, MatchesGolden) {
+  run_fault();
+  const std::string actual = report();
+  const std::string path = golden_path();
+  EXPECT_EQ(read_file(path), actual) << "golden file: " << path;
+}
+
+std::vector<Case> all_cases() {
+  std::vector<Case> cases;
+  for (const Transport t : {Transport::kTcp, Transport::kDot,
+                            Transport::kDohH1, Transport::kDohH2,
+                            Transport::kDoq}) {
+    for (const Fault f : {Fault::kRestart, Fault::kTimeoutTeardown,
+                          Fault::kBudgetExhausted, Fault::kSilentRebind}) {
+      cases.push_back({t, f});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Clients, RecoveryTest, ::testing::ValuesIn(all_cases()),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return std::string(to_string(info.param.transport)) + "_" +
+             to_string(info.param.fault);
+    });
+
+}  // namespace
+}  // namespace dohperf
