@@ -339,6 +339,7 @@ int main(int argc, char** argv) {
   // hot path served zero global-heap allocations when mem.global_allocs
   // stays near the per-worker warm-up chunk count.
   std::int64_t reference_digest = 0;
+  double reference_allocs_per_load = 0.0;
   double serial_rate = 0.0;
   obs::Registry registry;
   simnet::ShardMemoryStats mem_stats;
@@ -357,14 +358,27 @@ int main(int argc, char** argv) {
       digest += o.digest_us;
       loads += o.loads;
     }
+    // Allocations per completed load: a pure function of the shard
+    // workload, so like the digest it may not move with the jobs value.
+    const double allocs_per_load =
+        static_cast<double>(mem_stats.arena_allocs + mem_stats.huge_allocs) /
+        static_cast<double>(std::max<std::uint64_t>(loads, 1));
     if (jobs == 1) {
       reference_digest = digest;
+      reference_allocs_per_load = allocs_per_load;
     } else if (digest != reference_digest) {
       std::fprintf(stderr,
                    "FATAL: shard digest changed at --jobs %zu "
                    "(%lld != %lld): parallelism leaked into results\n",
                    jobs, static_cast<long long>(digest),
                    static_cast<long long>(reference_digest));
+      return 1;
+    } else if (allocs_per_load != reference_allocs_per_load) {
+      std::fprintf(stderr,
+                   "FATAL: arena allocations per load changed at --jobs %zu "
+                   "(%.2f != %.2f): parallelism leaked into the allocation "
+                   "count\n",
+                   jobs, allocs_per_load, reference_allocs_per_load);
       return 1;
     }
     const double rate = static_cast<double>(shards) / elapsed;
@@ -421,6 +435,9 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(mem_stats.huge_allocs));
   report.set("shards/mem", "global_allocs",
              static_cast<std::int64_t>(mem_stats.global_allocs));
+  std::printf("page-load shards            : %12.2f arena allocs/load\n",
+              reference_allocs_per_load);
+  report.set("shards/mem", "arena_allocs_per_load", reference_allocs_per_load);
 
   // The fig1 corpus scan, serial and on four workers. Pages per second is
   // informational; allocations per page are a pure function of the rank

@@ -1,5 +1,6 @@
 #include "browser/web_farm.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "simnet/stream.hpp"
@@ -16,6 +17,15 @@ WebFarm::WebFarm(simnet::Network& net, simnet::Host& browser_host,
 
 std::string WebFarm::object_target(std::size_t bytes) {
   return "/o/" + std::to_string(bytes);
+}
+
+simnet::BufferSlice WebFarm::object_body(std::size_t bytes) {
+  const std::size_t capacity = bodies_ ? bodies_->size() : 0;
+  if (bytes > capacity) {
+    bodies_ = std::make_shared<const dns::Bytes>(std::max(bytes, 2 * capacity),
+                                                 0x42);
+  }
+  return simnet::BufferSlice(bodies_, 0, bytes);
 }
 
 simnet::Address WebFarm::origin_for(const dns::Name& domain) {
@@ -75,7 +85,7 @@ void WebFarm::accept(Origin& origin,
           response.status = 200;
           response.headers.add("Server", "webfarm/1.0");
           response.headers.add("Content-Type", "application/octet-stream");
-          response.body.assign(size, 0x42);
+          response.body = object_body(size);
           // Model server think time before the first response byte.
           net_.loop().schedule_in(
               config_.server_think_time,

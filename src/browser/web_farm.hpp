@@ -54,6 +54,8 @@ class WebFarm {
   };
 
   void accept(Origin& origin, std::shared_ptr<simnet::TcpConnection> conn);
+  /// An object body: `bytes` of 0x42, a window of bodies_.
+  simnet::BufferSlice object_body(std::size_t bytes);
 
   simnet::Network& net_;
   simnet::Host& browser_host_;
@@ -61,6 +63,11 @@ class WebFarm {
   stats::SplitMix64 rng_;
   tlssim::ServerConfig tls_config_;
   std::map<dns::Name, std::unique_ptr<Origin>> origins_;
+  /// Every body served is a window of this one buffer. An object larger
+  /// than it replaces it with one at least twice the size; bodies already
+  /// handed out keep the old buffer alive. One per farm, so shards running
+  /// on different threads share no reference count.
+  std::shared_ptr<const dns::Bytes> bodies_;
   std::uint64_t objects_served_ = 0;
 };
 

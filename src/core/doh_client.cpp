@@ -276,9 +276,9 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
   recovery_.arm_timeout(states_[query_id],
                         [this, query_id]() { on_query_timeout(query_id); });
 
-  const auto handle_body = [this, query_id](int status,
-                                            const std::string& content_type,
-                                            const dns::Bytes& payload) {
+  const auto handle_body = [this, query_id](
+                               int status, const std::string& content_type,
+                               std::span<const std::uint8_t> payload) {
     if (status != 200) {
       complete(query_id, false, {}, 0);
       return;

@@ -85,6 +85,8 @@ void ByteWriter::string(std::string_view s) {
   out_.insert(out_.end(), s.begin(), s.end());
 }
 
+void ByteWriter::zeros(std::size_t n) { out_.resize(out_.size() + n); }
+
 void ByteWriter::patch_u16(std::size_t pos, std::uint16_t v) {
   if (pos + 2 > out_.size()) throw WireError("patch_u16 out of range");
   out_[pos] = static_cast<std::uint8_t>(v >> 8);

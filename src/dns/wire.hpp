@@ -63,9 +63,13 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-/// Append-only big-endian writer.
+/// Append-only big-endian writer. The buffer starts at kMinCapacity bytes,
+/// so a small message costs one allocation, not one per doubling from a
+/// single byte.
 class ByteWriter {
  public:
+  ByteWriter() { out_.reserve(kMinCapacity); }
+
   std::size_t size() const noexcept { return out_.size(); }
 
   void u8(std::uint8_t v);
@@ -73,6 +77,10 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void bytes(std::span<const std::uint8_t> data);
   void string(std::string_view s);
+  /// Append `n` zero bytes in one step.
+  void zeros(std::size_t n);
+  /// Make room for `n` bytes in total, so the writes up to it never regrow.
+  void reserve(std::size_t n) { out_.reserve(n); }
 
   /// Overwrite a previously written 16-bit field (e.g. RDLENGTH backpatch).
   void patch_u16(std::size_t pos, std::uint16_t v);
@@ -81,6 +89,8 @@ class ByteWriter {
   Bytes take() noexcept { return std::move(out_); }
 
  private:
+  static constexpr std::size_t kMinCapacity = 64;
+
   Bytes out_;
 };
 

@@ -1,10 +1,13 @@
 #include "http1/message.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <utility>
 
 namespace dohperf::http1 {
 
@@ -47,49 +50,85 @@ void HeaderMap::set(std::string name, std::string value) {
   add(std::move(name), std::move(value));
 }
 
-std::optional<std::string> HeaderMap::get(std::string_view name) const {
+const std::string* HeaderMap::find(std::string_view name) const {
   for (const auto& [n, v] : entries_) {
-    if (iequals(n, name)) return v;
+    if (iequals(n, name)) return &v;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
-std::string Request::head() const {
-  std::ostringstream os;
-  os << method << ' ' << target << " HTTP/1.1\r\n";
-  for (const auto& [n, v] : headers.entries()) {
-    os << n << ": " << v << "\r\n";
-  }
-  os << "\r\n";
-  return os.str();
-}
-
-std::string Response::head() const {
-  std::ostringstream os;
-  os << "HTTP/1.1 " << status << ' ' << reason << "\r\n";
-  for (const auto& [n, v] : headers.entries()) {
-    os << n << ": " << v << "\r\n";
-  }
-  os << "\r\n";
-  return os.str();
+std::optional<std::string> HeaderMap::get(std::string_view name) const {
+  const std::string* value = find(name);
+  if (value == nullptr) return std::nullopt;
+  return *value;
 }
 
 namespace {
 
+void append(Bytes& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+/// A start line in pieces: "GET /o/1 HTTP/1.1", "HTTP/1.1 200 OK". A
+/// response's status is formatted into `digits`.
+using StartLine = std::array<std::string_view, 4>;
+StartLine start_line(const Request& r, std::span<char, 16>) {
+  return {r.method, " ", r.target, " HTTP/1.1"};
+}
+StartLine start_line(const Response& r, std::span<char, 16> digits) {
+  const char* end =
+      std::to_chars(digits.data(), digits.data() + digits.size(), r.status)
+          .ptr;
+  return {"HTTP/1.1 ",
+          {digits.data(), static_cast<std::size_t>(end - digits.data())},
+          " ", r.reason};
+}
+
+/// Write `msg`'s start line, then `headers` and the blank line. `extra` is
+/// room reserved after the head, for a body to follow.
 template <typename Message>
-Bytes serialize_impl(Message msg, WireSizes* sizes) {
-  if (!msg.body.empty() || msg.headers.has("content-type")) {
-    msg.headers.set("Content-Length", std::to_string(msg.body.size()));
-  }
-  const std::string head = msg.head();
+Bytes write_head(const Message& msg, const HeaderMap& headers,
+                 std::size_t extra = 0) {
+  char digits[16];
+  const StartLine start = start_line(msg, digits);
+  std::size_t size = 4 + extra;
+  for (const std::string_view part : start) size += part.size();
+  for (const auto& [n, v] : headers.entries()) size += n.size() + v.size() + 4;
   Bytes out;
-  out.reserve(head.size() + msg.body.size());
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), msg.body.begin(), msg.body.end());
+  out.reserve(size);
+  for (const std::string_view part : start) append(out, part);
+  append(out, "\r\n");
+  for (const auto& [n, v] : headers.entries()) {
+    append(out, n);
+    append(out, ": ");
+    append(out, v);
+    append(out, "\r\n");
+  }
+  append(out, "\r\n");
+  return out;
+}
+
+/// The head `serialize` writes: Content-Length set from the body whenever
+/// there is a body or a Content-Type.
+template <typename Message>
+Bytes serialize_head_impl(const Message& msg, WireSizes* sizes,
+                          std::size_t extra) {
+  HeaderMap headers = msg.headers;
+  if (!msg.body.empty() || headers.has("content-type")) {
+    headers.set("Content-Length", std::to_string(msg.body.size()));
+  }
+  Bytes head = write_head(msg, headers, extra);
   if (sizes != nullptr) {
     sizes->header_bytes = head.size();
     sizes->body_bytes = msg.body.size();
   }
+  return head;
+}
+
+template <typename Message>
+Bytes serialize_impl(const Message& msg, WireSizes* sizes) {
+  Bytes out = serialize_head_impl(msg, sizes, msg.body.size());
+  out.insert(out.end(), msg.body.begin(), msg.body.end());
   return out;
 }
 
@@ -103,22 +142,24 @@ Bytes serialize(const Response& response, WireSizes* sizes) {
   return serialize_impl(response, sizes);
 }
 
+Bytes serialize_head(const Response& response, WireSizes* sizes) {
+  return serialize_head_impl(response, sizes, 0);
+}
+
 Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
                         WireSizes* sizes) {
   Response msg = response;
   msg.headers.set("Transfer-Encoding", "chunked");
-  const std::string head = msg.head();
-  Bytes out(head.begin(), head.end());
-  const std::size_t body_start = out.size();
+  Bytes out = write_head(msg, msg.headers);
+  const std::size_t head_size = out.size();
   std::size_t offset = 0;
   char size_line[32];
   while (offset < msg.body.size()) {
     const std::size_t n = std::min(chunk_size, msg.body.size() - offset);
     std::snprintf(size_line, sizeof size_line, "%zx\r\n", n);
     out.insert(out.end(), size_line, size_line + std::strlen(size_line));
-    out.insert(out.end(),
-               msg.body.begin() + static_cast<std::ptrdiff_t>(offset),
-               msg.body.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    out.insert(out.end(), msg.body.begin() + offset,
+               msg.body.begin() + offset + n);
     out.push_back('\r');
     out.push_back('\n');
     offset += n;
@@ -126,13 +167,43 @@ Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
   const char* terminator = "0\r\n\r\n";
   out.insert(out.end(), terminator, terminator + 5);
   if (sizes != nullptr) {
-    sizes->header_bytes = head.size();
-    sizes->body_bytes = out.size() - body_start;
+    sizes->header_bytes = head_size;
+    sizes->body_bytes = out.size() - head_size;
   }
   return out;
 }
 
+namespace {
+
+/// Bodies travel as BufferSlices, whose window is 32 bits wide; a longer
+/// Content-Length is malformed input, not a size to add or allocate.
+constexpr std::size_t kMaxContentLength = UINT32_MAX;
+/// The most a Content-Length header alone reserves: a peer that declares a
+/// huge body gets its buffer grown only as the bytes actually arrive.
+constexpr std::size_t kMaxBodyReserve = std::size_t{1} << 20;
+
+/// Split off the next line of `text` by std::getline's rules: lines end at
+/// '\n', a final line needs none, and no line follows a trailing '\n'. One
+/// trailing '\r' is dropped, as HTTP's CRLF requires.
+bool next_line(std::string_view& text, std::string_view& line) {
+  if (text.empty()) return false;
+  const std::size_t nl = text.find('\n');
+  line = text.substr(0, nl);
+  text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return true;
+}
+
+}  // namespace
+
 void Parser::feed(std::span<const std::uint8_t> data) {
+  if (head_done_ && !chunked_) {
+    // Mid-body (buffer_ is empty here): copy straight into the message.
+    const std::size_t take =
+        std::min(content_length_ - body_.size(), data.size());
+    body_.insert(body_.end(), data.begin(), data.begin() + take);
+    data = data.subspan(take);
+  }
   buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
@@ -141,20 +212,19 @@ bool Parser::parse_head() {
   if (end == std::string::npos) return false;
   head_bytes_ = end + 4;
 
-  std::istringstream head(buffer_.substr(0, end));
-  std::string line;
-  if (!std::getline(head, line)) {
+  std::string_view head(buffer_.data(), end);
+  std::string_view line;
+  if (!next_line(head, line)) {
     error_ = true;
     return false;
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
 
   // Start line.
   if (mode_ == Mode::kRequest) {
     pending_request_ = Request{};
     const std::size_t sp1 = line.find(' ');
     const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
       error_ = true;
       return false;
     }
@@ -164,13 +234,14 @@ bool Parser::parse_head() {
     pending_response_ = Response{};
     // "HTTP/1.1 200 OK"
     const std::size_t sp1 = line.find(' ');
-    if (sp1 == std::string::npos) {
+    if (sp1 == std::string_view::npos) {
       error_ = true;
       return false;
     }
     const std::size_t sp2 = line.find(' ', sp1 + 1);
-    const std::string code = line.substr(
-        sp1 + 1, sp2 == std::string::npos ? std::string::npos : sp2 - sp1 - 1);
+    const std::string_view code = line.substr(
+        sp1 + 1,
+        sp2 == std::string_view::npos ? std::string_view::npos : sp2 - sp1 - 1);
     int status = 0;
     const auto [p, ec] =
         std::from_chars(code.data(), code.data() + code.size(), status);
@@ -180,23 +251,24 @@ bool Parser::parse_head() {
     }
     pending_response_.status = status;
     pending_response_.reason =
-        sp2 == std::string::npos ? "" : line.substr(sp2 + 1);
+        sp2 == std::string_view::npos ? "" : line.substr(sp2 + 1);
   }
 
   // Headers.
   HeaderMap& headers = mode_ == Mode::kRequest ? pending_request_.headers
                                                : pending_response_.headers;
+  const auto lines = std::count(head.begin(), head.end(), '\n');
+  headers.reserve(static_cast<std::size_t>(lines) + 1);
   content_length_ = 0;
-  while (std::getline(head, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  while (next_line(head, line)) {
     if (line.empty()) continue;
     const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) {
+    if (colon == std::string_view::npos) {
       error_ = true;
       return false;
     }
-    std::string name = line.substr(0, colon);
-    std::string value(trim(std::string_view(line).substr(colon + 1)));
+    const std::string_view name = line.substr(0, colon);
+    const std::string_view value = trim(line.substr(colon + 1));
     if (iequals(name, "transfer-encoding") && iequals(value, "chunked")) {
       chunked_ = true;
     }
@@ -204,13 +276,14 @@ bool Parser::parse_head() {
       std::size_t len = 0;
       const auto [p, ec] =
           std::from_chars(value.data(), value.data() + value.size(), len);
-      if (ec != std::errc{} || p != value.data() + value.size()) {
+      if (ec != std::errc{} || p != value.data() + value.size() ||
+          len > kMaxContentLength) {
         error_ = true;
         return false;
       }
       content_length_ = len;
     }
-    headers.add(std::move(name), std::move(value));
+    headers.add(std::string(name), std::string(value));
   }
   head_done_ = true;
   return true;
@@ -218,7 +291,7 @@ bool Parser::parse_head() {
 
 bool Parser::try_extract_chunked() {
   // RFC 7230 §4.1 framing: hex size CRLF, chunk CRLF, ..., 0 CRLF CRLF.
-  std::size_t pos = head_bytes_ + chunk_wire_bytes_;
+  std::size_t pos = chunk_wire_bytes_;
   for (;;) {
     const std::size_t line_end = buffer_.find("\r\n", pos);
     if (line_end == std::string::npos) return false;
@@ -237,49 +310,53 @@ bool Parser::try_extract_chunked() {
         return false;
       }
       const std::size_t total = line_end + 4;
-      Bytes body = std::move(chunked_body_);
-      chunked_body_.clear();
-      if (mode_ == Mode::kRequest) {
-        pending_request_.body = std::move(body);
-      } else {
-        pending_response_.body = std::move(body);
-      }
       last_sizes_.header_bytes = head_bytes_;
-      last_sizes_.body_bytes = total - head_bytes_;
+      last_sizes_.body_bytes = total;
       buffer_.erase(0, total);
-      head_done_ = false;
       chunked_ = false;
       chunk_wire_bytes_ = 0;
-      have_message_ = true;
       return true;
     }
     const std::size_t data_start = line_end + 2;
-    if (buffer_.size() < data_start + chunk_len + 2) return false;
-    chunked_body_.insert(
-        chunked_body_.end(), buffer_.begin() + static_cast<long>(data_start),
-        buffer_.begin() + static_cast<long>(data_start + chunk_len));
+    if (buffer_.size() - data_start < chunk_len ||
+        buffer_.size() - data_start - chunk_len < 2) {
+      return false;
+    }
+    body_.insert(body_.end(), buffer_.begin() + static_cast<long>(data_start),
+                 buffer_.begin() + static_cast<long>(data_start + chunk_len));
     pos = data_start + chunk_len + 2;  // skip chunk + CRLF
-    chunk_wire_bytes_ = pos - head_bytes_;
+    chunk_wire_bytes_ = pos;
   }
 }
 
 bool Parser::try_extract() {
   if (error_ || have_message_) return have_message_;
-  if (!head_done_ && !parse_head()) return false;
-  if (chunked_) return try_extract_chunked();
-  if (buffer_.size() < head_bytes_ + content_length_) return false;
-
-  Bytes body(buffer_.begin() + static_cast<std::ptrdiff_t>(head_bytes_),
-             buffer_.begin() +
-                 static_cast<std::ptrdiff_t>(head_bytes_ + content_length_));
-  if (mode_ == Mode::kRequest) {
-    pending_request_.body = std::move(body);
-  } else {
-    pending_response_.body = std::move(body);
+  if (!head_done_) {
+    if (!parse_head()) return false;
+    buffer_.erase(0, head_bytes_);
+    if (!chunked_) {
+      // The body so far moves from buffer_ to body_; feed() appends the
+      // rest there directly.
+      const std::size_t take = std::min(content_length_, buffer_.size());
+      body_.reserve(std::min(content_length_,
+                             std::max(take, kMaxBodyReserve)));
+      body_.insert(body_.end(), buffer_.begin(),
+                   buffer_.begin() + static_cast<std::ptrdiff_t>(take));
+      buffer_.erase(0, take);
+    }
   }
-  last_sizes_.header_bytes = head_bytes_;
-  last_sizes_.body_bytes = content_length_;
-  buffer_.erase(0, head_bytes_ + content_length_);
+  if (chunked_) {
+    if (!try_extract_chunked()) return false;
+  } else {
+    if (body_.size() < content_length_) return false;
+    last_sizes_.header_bytes = head_bytes_;
+    last_sizes_.body_bytes = content_length_;
+  }
+  if (mode_ == Mode::kRequest) {
+    pending_request_.body = std::exchange(body_, {});
+  } else if (!body_.empty()) {
+    pending_response_.body = BufferSlice(std::exchange(body_, {}));
+  }
   head_done_ = false;
   have_message_ = true;
   return true;

@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "dns/wire.hpp"
+#include "simnet/buffer.hpp"
 
 namespace dohperf::http1 {
 
 using dns::Bytes;
+using simnet::BufferSlice;
 
 /// Ordered header list with case-insensitive lookup (header order matters
 /// for byte-accurate serialization).
@@ -23,13 +25,16 @@ class HeaderMap {
   /// Replace existing (first) occurrence or add.
   void set(std::string name, std::string value);
   std::optional<std::string> get(std::string_view name) const;
-  bool has(std::string_view name) const { return get(name).has_value(); }
+  bool has(std::string_view name) const { return find(name) != nullptr; }
   const std::vector<std::pair<std::string, std::string>>& entries() const {
     return entries_;
   }
   std::size_t size() const noexcept { return entries_.size(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
  private:
+  const std::string* find(std::string_view name) const;
+
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
@@ -38,18 +43,15 @@ struct Request {
   std::string target = "/";
   HeaderMap headers;
   Bytes body;
-
-  /// Serialized head (request line + headers + CRLF), excluding the body.
-  std::string head() const;
 };
 
 struct Response {
   int status = 200;
   std::string reason = "OK";
   HeaderMap headers;
-  Bytes body;
-
-  std::string head() const;
+  /// A view of the body's bytes, never a copy: an origin serves windows of
+  /// one shared buffer, and the server sends the slice as it is.
+  BufferSlice body;
 };
 
 /// Byte sizes of the serialized parts — the paper's Fig 5 separates header
@@ -63,6 +65,11 @@ struct WireSizes {
 Bytes serialize(const Request& request, WireSizes* sizes = nullptr);
 Bytes serialize(const Response& response, WireSizes* sizes = nullptr);
 
+/// The head `serialize` starts with (start line, headers with
+/// Content-Length set from the body, blank line): sending it and then the
+/// body puts the same bytes on the wire without copying the body.
+Bytes serialize_head(const Response& response, WireSizes* sizes = nullptr);
+
 /// Serialize a response with "Transfer-Encoding: chunked", splitting the
 /// body into `chunk_size`-byte chunks (used by origin servers that stream
 /// documents of unknown length).
@@ -70,14 +77,16 @@ Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
                         WireSizes* sizes = nullptr);
 
 /// Incremental parser: feed() bytes, poll for complete messages.
-/// Parses either requests or responses depending on `Mode`.
+/// Parses either requests or responses depending on `Mode`. A
+/// Content-Length body is copied once, from the fed bytes into the message.
 class Parser {
  public:
   enum class Mode { kRequest, kResponse };
 
   explicit Parser(Mode mode) : mode_(mode) {}
 
-  /// Append raw bytes from the stream.
+  /// Take raw bytes from the stream (copied; `data` need not outlive the
+  /// call).
   void feed(std::span<const std::uint8_t> data);
 
   /// Extract the next complete request, if any. Mode must be kRequest.
@@ -97,6 +106,9 @@ class Parser {
   bool try_extract_chunked();
 
   Mode mode_;
+  /// Bytes not yet parsed: a head, chunked framing, or what follows the
+  /// current message. Once a Content-Length head is parsed, this is empty
+  /// until the body is complete, and feed() appends to body_ directly.
   std::string buffer_;
   bool error_ = false;
 
@@ -105,7 +117,7 @@ class Parser {
   bool chunked_ = false;
   std::size_t head_bytes_ = 0;
   std::size_t content_length_ = 0;
-  Bytes chunked_body_;       ///< accumulated de-chunked body
+  Bytes body_;  ///< body received so far (de-chunked when chunked_)
   std::size_t chunk_wire_bytes_ = 0;  ///< raw chunked framing consumed
   Request pending_request_;
   Response pending_response_;

@@ -37,11 +37,13 @@ void Http1ServerConnection::flush_in_order() {
     const auto it = ready_.find(next_to_send_);
     if (it == ready_.end()) break;
     WireSizes sizes;
-    Bytes wire = serialize(it->second, &sizes);
+    // One logical write of {head, body}: the body slice goes out uncopied.
+    const BufferSlice wire[] = {serialize_head(it->second, &sizes),
+                                it->second.body};
     ++counters_.responses;
     counters_.header_bytes_sent += sizes.header_bytes;
     counters_.body_bytes_sent += sizes.body_bytes;
-    if (transport_->is_open()) transport_->send(std::move(wire));
+    if (transport_->is_open()) transport_->send_chain(wire);
     ready_.erase(it);
     ++next_to_send_;
   }

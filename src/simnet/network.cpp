@@ -11,6 +11,7 @@ Network::Network(EventLoop& loop, std::uint64_t seed)
 NodeId Network::add_node(std::string name) {
   node_names_.push_back(std::move(name));
   handlers_.emplace_back();
+  links_.emplace_back();
   return static_cast<NodeId>(node_names_.size() - 1);
 }
 
@@ -25,8 +26,17 @@ void Network::connect(NodeId a, NodeId b, const LinkConfig& config) {
   if (a == b) throw std::logic_error("connect: self link");
   Channel fresh;
   fresh.config = config;
-  channels_[{a, b}] = fresh;
-  channels_[{b, a}] = fresh;
+  if (Channel* ab = find_channel(a, b)) {
+    // Connecting a linked pair again starts both directions afresh.
+    *ab = fresh;
+    *find_channel(b, a) = fresh;
+    return;
+  }
+  const auto k = static_cast<std::uint32_t>(channels_.size());
+  channels_.push_back(fresh);
+  channels_.push_back(fresh);
+  links_[a].push_back({b, k});
+  links_[b].push_back({a, k + 1});
 }
 
 void Network::reconfigure(NodeId a, NodeId b, const LinkConfig& config) {
@@ -57,8 +67,20 @@ void Network::set_handler(NodeId node, PacketHandler handler) {
 }
 
 Network::Channel* Network::find_channel(NodeId from, NodeId to) {
-  const auto it = channels_.find({from, to});
-  return it == channels_.end() ? nullptr : &it->second;
+  if (from >= links_.size() || to >= links_.size()) return nullptr;
+  // Search from the endpoint with fewer links, so a hub with thousands of
+  // spokes costs each packet one step from the spoke's side. The two
+  // directions of a link sit at 2k and 2k + 1: flipping the low bit turns
+  // a channel into its reverse.
+  const bool from_side = links_[from].size() <= links_[to].size();
+  const NodeId near = from_side ? from : to;
+  const NodeId far = from_side ? to : from;
+  for (const Link& link : links_[near]) {
+    if (link.peer == far) {
+      return &channels_[from_side ? link.channel : link.channel ^ 1u];
+    }
+  }
+  return nullptr;
 }
 
 void Network::send(Packet packet) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,13 +78,23 @@ class Network {
     std::shared_ptr<const FaultSchedule> faults;  ///< may be null
   };
 
+  /// A link as one endpoint sees it: the node at the other end and the
+  /// index of the channel towards it.
+  struct Link {
+    NodeId peer;
+    std::uint32_t channel;
+  };
+
   Channel* find_channel(NodeId from, NodeId to);
 
   EventLoop& loop_;
   stats::SplitMix64 rng_;
   std::vector<std::string> node_names_;
   std::vector<PacketHandler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, Channel> channels_;
+  /// Both directions of the k-th link: a -> b at 2k, b -> a at 2k + 1.
+  std::vector<Channel> channels_;
+  /// Per node, its links in connect() order.
+  std::vector<std::vector<Link>> links_;
   std::vector<PacketTap*> taps_;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;

@@ -205,8 +205,7 @@ void TcpConnection::try_send_data() {
     if (chunk == 0) break;
     BufferSlice payload = take_send_bytes(chunk);
     const std::uint32_t seq = snd_nxt_;
-    inflight_.emplace(seq, payload);
-    send_times_.emplace(seq, host_.loop().now());
+    inflight_.push_back({seq, payload, host_.loop().now(), false});
     snd_nxt_ += static_cast<std::uint32_t>(chunk);
     send_segment(/*syn=*/false, /*fin=*/false, /*force_ack=*/true,
                  std::move(payload), seq);
@@ -246,6 +245,12 @@ BufferSlice TcpConnection::take_send_bytes(std::size_t chunk) {
     }
   }
   return BufferSlice{std::move(merged)};
+}
+
+void TcpConnection::retransmit_first() {
+  Inflight& first = inflight_.front();
+  first.retransmitted = true;
+  send_segment(false, false, true, first.payload, first.seq);
 }
 
 void TcpConnection::maybe_send_fin() {
@@ -296,22 +301,15 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
     rto_backoff_ = 0;
     rto_expirations_ = 0;
 
-    // Retire fully acknowledged segments; sample RTT from any segment that
-    // is now covered and was never retransmitted (Karn's rule: retransmits
-    // have their send_times_ entries removed).
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
+    // Retire fully acknowledged segments, a prefix of the contiguous
+    // in-flight run; sample RTT from each one never retransmitted.
+    while (!inflight_.empty()) {
+      const Inflight& seg = inflight_.front();
       const std::uint32_t end =
-          it->first + static_cast<std::uint32_t>(it->second.size());
-      if (seq_le(end, ack)) {
-        const auto ts = send_times_.find(it->first);
-        if (ts != send_times_.end()) {
-          update_rtt(host_.loop().now() - ts->second);
-          send_times_.erase(ts);
-        }
-        it = inflight_.erase(it);
-      } else {
-        ++it;
-      }
+          seg.seq + static_cast<std::uint32_t>(seg.payload.size());
+      if (!seq_le(end, ack)) break;
+      if (!seg.retransmitted) update_rtt(host_.loop().now() - seg.sent_at);
+      inflight_.pop_front();
     }
 
     // After a timeout, retransmission is ack-clocked (go-back-N): each ACK
@@ -320,11 +318,8 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
     // segment.
     if (in_rto_recovery_) {
       if (seq_lt(snd_una_, recovery_point_) && !inflight_.empty()) {
-        const auto first = inflight_.begin();
-        send_times_.erase(first->first);  // Karn's rule
         ++counters_.retransmits;
-        BufferSlice copy = first->second;  // refcount bump, no byte copy
-        send_segment(false, false, true, std::move(copy), first->first);
+        retransmit_first();
       } else {
         in_rto_recovery_ = false;
       }
@@ -364,13 +359,10 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
     // Duplicate ACK.
     if (++dup_acks_ == 3) {
       // Fast retransmit + simplified fast recovery.
-      const auto first = inflight_.begin();
       ssthresh_ = std::max(flight_size() / 2, 2 * config_.mss);
       cwnd_ = ssthresh_;
       ++counters_.retransmits;
-      send_times_.erase(first->first);
-      BufferSlice copy = first->second;  // refcount bump, no byte copy
-      send_segment(false, false, true, std::move(copy), first->first);
+      retransmit_first();
       arm_rto();
     }
   }
@@ -515,10 +507,7 @@ void TcpConnection::on_rto() {
   } else if (state_ == TcpState::kSynReceived) {
     send_segment(true, false, true, {}, iss_);
   } else if (!inflight_.empty()) {
-    const auto first = inflight_.begin();
-    send_times_.erase(first->first);  // Karn's rule
-    BufferSlice copy = first->second;  // refcount bump, no byte copy
-    send_segment(false, false, true, std::move(copy), first->first);
+    retransmit_first();
   } else if (fin_sent_ && seq_le(snd_una_, fin_seq_)) {
     send_segment(false, true, true, {}, fin_seq_);
   }
@@ -599,7 +588,6 @@ void TcpConnection::enter_closed() {
   send_buffer_.clear();
   send_buffer_bytes_ = 0;
   inflight_.clear();
-  send_times_.clear();
   out_of_order_.clear();
   host_.tcp_unregister(
       Host::TcpKey{local_port_, remote_.node, remote_.port});

@@ -144,6 +144,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// queued slices is coalesced (copy) so segment payloads stay contiguous.
   BufferSlice take_send_bytes(std::size_t chunk);
   void maybe_send_fin();
+  /// Resend the oldest unacked segment (no byte copy) and mark it so it
+  /// gives no RTT sample.
+  void retransmit_first();
   void process_ack(const TcpSegment& seg);
   void process_payload(const TcpSegment& seg);
   void schedule_delayed_ack();
@@ -175,9 +178,17 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t snd_wnd_ = 65535;
   std::deque<BufferSlice> send_buffer_;    ///< not yet segmented
   std::size_t send_buffer_bytes_ = 0;      ///< total bytes across slices
-  /// Sent-but-unacked payload keyed by starting seq, for retransmission.
-  /// Slices alias the sender's buffers, so a retransmit is a refcount bump.
-  std::map<std::uint32_t, BufferSlice> inflight_;
+  /// A sent-but-unacked segment, kept for retransmission and RTT sampling.
+  struct Inflight {
+    std::uint32_t seq = 0;
+    /// Aliases the sender's buffers, so a retransmit is a refcount bump.
+    BufferSlice payload;
+    TimeUs sent_at = 0;
+    /// Karn's rule: a retransmitted segment gives no RTT sample.
+    bool retransmitted = false;
+  };
+  /// Unacked segments in sequence order: an ACK retires a prefix.
+  std::deque<Inflight> inflight_;
   bool fin_pending_ = false;    ///< close() called, FIN not yet sent
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;
@@ -196,9 +207,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// next retransmission.
   bool in_rto_recovery_ = false;
   std::uint32_t recovery_point_ = 0;
-  /// Send time of each in-flight segment for RTT sampling (Karn's rule:
-  /// retransmitted segments are removed).
-  std::map<std::uint32_t, TimeUs> send_times_;
 
   // --- congestion control ---------------------------------------------------
   std::size_t cwnd_ = 0;

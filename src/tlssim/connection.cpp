@@ -1,6 +1,7 @@
 #include "tlssim/connection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <vector>
 
@@ -10,6 +11,14 @@ namespace {
 
 bool version_le(TlsVersion a, TlsVersion b) noexcept {
   return static_cast<std::uint16_t>(a) <= static_cast<std::uint16_t>(b);
+}
+
+/// Type, legacy record version 0x0303, length.
+std::array<std::uint8_t, kRecordHeaderBytes> record_header(
+    ContentType type, std::size_t record_len) {
+  return {static_cast<std::uint8_t>(type), 0x03, 0x03,
+          static_cast<std::uint8_t>(record_len >> 8),
+          static_cast<std::uint8_t>(record_len & 0xff)};
 }
 
 /// Shared all-zero buffer for the synthetic AEAD expansion; every record's
@@ -75,45 +84,52 @@ Bytes TlsConnection::expected_ticket() const {
                        std::to_string(server_config_->ticket_epoch));
 }
 
-void TlsConnection::send_record(ContentType type, Bytes body) {
-  const BufferSlice slice{std::move(body)};
-  send_record_chain(type, std::span<const BufferSlice>(&slice, 1),
-                    slice.size());
-}
-
-void TlsConnection::send_record_chain(ContentType type,
-                                      std::span<const BufferSlice> body,
-                                      std::size_t body_len) {
+std::size_t TlsConnection::count_sent_record(ContentType type,
+                                             std::size_t body_len) {
   // CCS records are never encrypted (middlebox-compatibility framing).
   const std::size_t tag =
       type == ContentType::kChangeCipherSpec ? 0 : send_tag_bytes();
   const std::size_t record_len = body_len + tag;
   if (record_len > kMaxFragment + 256) throw WireError("record too large");
-
-  ByteWriter header;
-  header.u8(static_cast<std::uint8_t>(type));
-  header.u16(0x0303);  // legacy record version
-  header.u16(static_cast<std::uint16_t>(record_len));
-
   ++counters_.records_sent;
-  const std::size_t wire = kRecordHeaderBytes + record_len;
   if (type == ContentType::kApplicationData) {
     counters_.app_bytes_sent += body_len;
     counters_.record_overhead_sent += kRecordHeaderBytes + tag;
   } else {
-    counters_.handshake_bytes_sent += wire;
+    counters_.handshake_bytes_sent += kRecordHeaderBytes + record_len;
   }
+  return tag;
+}
 
+void TlsConnection::send_record(ContentType type,
+                                std::span<const std::uint8_t> body) {
+  // Header, body and tag in one buffer: one allocation, and segments cut
+  // from it need no coalescing below.
+  const std::size_t tag = count_sent_record(type, body.size());
+  const auto header = record_header(type, body.size() + tag);
+  Bytes record;
+  record.reserve(header.size() + body.size() + tag);
+  record.insert(record.end(), header.begin(), header.end());
+  record.insert(record.end(), body.begin(), body.end());
+  record.resize(record.size() + tag);  // the synthetic tag is zeros
+  transport_->send(std::move(record));
+}
+
+void TlsConnection::send_app_record(std::span<BufferSlice> record,
+                                    std::size_t body_len) {
+  const std::size_t tag =
+      count_sent_record(ContentType::kApplicationData, body_len);
+  const auto header =
+      record_header(ContentType::kApplicationData, body_len + tag);
+  record.front() = BufferSlice{Bytes(header.begin(), header.end())};
   // One logical write per record: {header, plaintext slices, synthetic tag}.
   // The transport appends all pieces before segmenting, so the wire is
-  // byte-identical to the old single contiguous record buffer.
-  std::vector<BufferSlice> record;
-  record.reserve(body.size() + 2);
-  record.emplace_back(header.take());
-  for (const auto& slice : body) {
-    if (!slice.empty()) record.push_back(slice);
+  // byte-identical to one contiguous record buffer.
+  if (tag > 0) {
+    record.back() = zero_tag_bytes().subslice(0, tag);
+  } else {
+    record = record.first(record.size() - 1);
   }
-  if (tag > 0) record.push_back(zero_tag_bytes().subslice(0, tag));
   transport_->send_chain(record);
 }
 
@@ -151,14 +167,18 @@ void TlsConnection::send_client_hello() {
 }
 
 void TlsConnection::on_transport_data(std::span<const std::uint8_t> data) {
+  assert(!in_rx_ && "a record handler fed its own connection");
   rx_buffer_.insert(rx_buffer_.end(), data.begin(), data.end());
   // Hardening: bytes that don't parse as TLS (garbage to the port, a
   // truncated/oversized record, an out-of-place handshake message) must
   // never propagate an exception into the transport layer — answer with a
   // fatal decode_error alert and tear the connection down deterministically.
   try {
+    in_rx_ = true;
     process_rx_buffer();
+    in_rx_ = false;
   } catch (const WireError&) {
+    in_rx_ = false;
     if (!failed_ && !closed_) fail(AlertDescription::kDecodeError);
   }
 }
@@ -192,12 +212,12 @@ void TlsConnection::process_rx_buffer() {
       counters_.handshake_bytes_received += wire;
     }
 
-    // Copy out the body and advance the cursor before dispatching (handlers
-    // may re-enter by sending data). The consumed prefix is reclaimed below
-    // instead of front-erasing per record.
-    Bytes body(record_at + kRecordHeaderBytes,
-               record_at +
-                   static_cast<std::ptrdiff_t>(kRecordHeaderBytes + body_len));
+    // Advance the cursor before dispatching (handlers may re-enter by
+    // sending data), and hand the body out as a view: rx_buffer_ stays put
+    // until the loop ends. The consumed prefix is reclaimed below instead
+    // of front-erasing per record.
+    const std::span<const std::uint8_t> body(&record_at[kRecordHeaderBytes],
+                                             body_len);
     rx_offset_ += kRecordHeaderBytes + record_len;
     handle_record(type, body);
   }
@@ -496,10 +516,8 @@ void TlsConnection::send(BufferSlice data) {
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t chunk = std::min(kMaxFragment, data.size() - offset);
-    const BufferSlice fragment = data.subslice(offset, chunk);
-    send_record_chain(ContentType::kApplicationData,
-                      std::span<const BufferSlice>(&fragment, 1),
-                      fragment.size());
+    BufferSlice record[3] = {{}, data.subslice(offset, chunk), {}};
+    send_app_record(record, chunk);
     offset += chunk;
   }
 }
@@ -515,9 +533,23 @@ void TlsConnection::send_chain(std::span<const BufferSlice> chain) {
     return;
   }
   // One logical write: pack records up to kMaxFragment across slice
-  // boundaries, exactly where a contiguous buffer would fragment.
-  std::vector<BufferSlice> record;
+  // boundaries, exactly where a contiguous buffer would fragment. A record
+  // takes at most one piece from each slice, plus header and tag slots, so
+  // a short chain's records are assembled on the stack.
+  std::array<BufferSlice, 8> stack_room;
+  std::vector<BufferSlice> heap_room;
+  std::span<BufferSlice> room(stack_room);
+  if (chain.size() + 2 > stack_room.size()) {
+    heap_room.resize(chain.size() + 2);
+    room = heap_room;
+  }
+  std::size_t pieces = 1;  // room[0] is the header slot
   std::size_t record_len = 0;
+  const auto send_pending = [&]() {
+    send_app_record(room.first(pieces + 1), record_len);
+    pieces = 1;
+    record_len = 0;
+  };
   for (std::size_t idx = 0, offset = 0; idx < chain.size();) {
     const BufferSlice& slice = chain[idx];
     if (offset >= slice.size()) {
@@ -527,18 +559,12 @@ void TlsConnection::send_chain(std::span<const BufferSlice> chain) {
     }
     const std::size_t take =
         std::min(kMaxFragment - record_len, slice.size() - offset);
-    record.push_back(slice.subslice(offset, take));
+    room[pieces++] = slice.subslice(offset, take);
     record_len += take;
     offset += take;
-    if (record_len == kMaxFragment) {
-      send_record_chain(ContentType::kApplicationData, record, record_len);
-      record.clear();
-      record_len = 0;
-    }
+    if (record_len == kMaxFragment) send_pending();
   }
-  if (record_len > 0) {
-    send_record_chain(ContentType::kApplicationData, record, record_len);
-  }
+  if (record_len > 0) send_pending();
 }
 
 void TlsConnection::flush_pending_app_data() {

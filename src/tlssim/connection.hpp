@@ -110,14 +110,18 @@ class TlsConnection final : public ByteStream {
   void handle_record(ContentType type, std::span<const std::uint8_t> body);
   void process_rx_buffer();
 
-  /// Wrap and transmit one record. `body` is the plaintext; AEAD expansion
-  /// is appended when the connection's send direction is encrypted.
-  void send_record(ContentType type, Bytes body);
-  /// Chain form: the record body is the concatenation of `body` (totalling
-  /// `body_len` bytes). Application payload slices are referenced, not
-  /// copied — the record goes to the transport as {header, body..., tag}.
-  void send_record_chain(ContentType type, std::span<const BufferSlice> body,
-                         std::size_t body_len);
+  /// Count a record of `body_len` plaintext bytes about to be sent and
+  /// return its AEAD expansion (nonzero once the send direction is
+  /// encrypted).
+  std::size_t count_sent_record(ContentType type, std::size_t body_len);
+  /// Wrap and transmit one record whose plaintext is `body` (handshake,
+  /// alert and CCS records, built by the handshake code).
+  void send_record(ContentType type, std::span<const std::uint8_t> body);
+  /// Transmit one application-data record from its pieces: slot 0 for the
+  /// header, then the plaintext slices (`body_len` bytes in all), then a
+  /// slot for the tag. Both slots are filled in here; the slices are
+  /// referenced, not copied, and go to the transport as one write.
+  void send_app_record(std::span<BufferSlice> record, std::size_t body_len);
   void send_alert(AlertDescription desc, bool fatal);
   void send_change_cipher_spec();
   void finish_handshake();
@@ -159,6 +163,9 @@ class TlsConnection final : public ByteStream {
   bool sent_finished_ = false;
   bool received_finished_ = false;
   bool received_server_hello_done_ = false;
+  /// True while records are handed out as views into rx_buffer_, which
+  /// nothing may then grow: no handler can feed this connection more bytes.
+  bool in_rx_ = false;
 };
 
 }  // namespace dohperf::tlssim

@@ -4,9 +4,11 @@ namespace dohperf::tlssim {
 
 namespace {
 
-/// Write the 4-byte handshake header (type + 24-bit length).
+/// Write the 4-byte handshake header (type + 24-bit length), with room
+/// reserved for the body that follows.
 void write_header(ByteWriter& w, HsType type, std::size_t body_len) {
   if (body_len > 0xffffff) throw WireError("handshake message too large");
+  w.reserve(w.size() + 4 + body_len);
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(static_cast<std::uint8_t>((body_len >> 16) & 0xff));
   w.u16(static_cast<std::uint16_t>(body_len & 0xffff));
@@ -15,7 +17,8 @@ void write_header(ByteWriter& w, HsType type, std::size_t body_len) {
 /// Pad `w` with zeros until the body that started at `body_start` reaches
 /// `target` bytes.
 void pad_body(ByteWriter& w, std::size_t body_start, std::size_t target) {
-  while (w.size() - body_start < target) w.u8(0);
+  const std::size_t written = w.size() - body_start;
+  if (written < target) w.zeros(target - written);
 }
 
 void write_lv_string(ByteWriter& w, const std::string& s) {

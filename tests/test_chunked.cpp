@@ -13,10 +13,11 @@ Response sample_response(std::size_t body_size) {
   r.status = 200;
   r.reason = "OK";
   r.headers.add("Content-Type", "application/octet-stream");
-  r.body.resize(body_size);
+  Bytes body(body_size);
   for (std::size_t i = 0; i < body_size; ++i) {
-    r.body[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    body[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
+  r.body = std::move(body);
   return r;
 }
 

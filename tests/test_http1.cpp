@@ -102,6 +102,89 @@ TEST(Message, ParserRejectsBadContentLength) {
   EXPECT_TRUE(parser.error());
 }
 
+TEST(Message, ParserRejectsContentLengthPastTheSliceWindow) {
+  // 2^64 - 1 wraps "head + Content-Length"; 2^32 no longer fits the 32-bit
+  // window of the BufferSlice a body travels in. Both are malformed.
+  for (const std::string length : {"18446744073709551615", "4294967296"}) {
+    Parser requests(Parser::Mode::kRequest);
+    requests.feed(dns::to_bytes("POST / HTTP/1.1\r\nContent-Length: " +
+                                length + "\r\n\r\nxyz"));
+    EXPECT_FALSE(requests.next_request().has_value()) << length;
+    EXPECT_TRUE(requests.error()) << length;
+
+    Parser responses(Parser::Mode::kResponse);
+    responses.feed(dns::to_bytes("HTTP/1.1 200 OK\r\nContent-Length: " +
+                                 length + "\r\n\r\nxyz"));
+    EXPECT_FALSE(responses.next_response().has_value()) << length;
+    EXPECT_TRUE(responses.error()) << length;
+  }
+  // The largest length that fits is well-formed: the parser waits for it.
+  Parser parser(Parser::Mode::kResponse);
+  parser.feed(dns::to_bytes(
+      "HTTP/1.1 200 OK\r\nContent-Length: 4294967295\r\n\r\nxyz"));
+  EXPECT_FALSE(parser.next_response().has_value());
+  EXPECT_FALSE(parser.error());
+}
+
+/// serialize(message) must be `head` followed by the body.
+template <typename Message>
+void expect_head_then_body(const Message& message, const std::string& head) {
+  WireSizes sizes;
+  const Bytes wire = serialize(message, &sizes);
+  std::string expected = head;
+  expected.append(message.body.begin(), message.body.end());
+  EXPECT_EQ(dns::to_string(wire), expected);
+  EXPECT_EQ(sizes.header_bytes, head.size());
+  EXPECT_EQ(sizes.body_bytes, message.body.size());
+}
+
+TEST(Message, SerializeIsHeadThenBody) {
+  // Start line, headers with Content-Length set from the body when there is
+  // a body or a Content-Type, blank line, body. A server sends
+  // {serialize_head, body} as one write, so serialize_head must be exactly
+  // the head serialize() starts with.
+  for (const bool content_type : {false, true}) {
+    for (const bool body : {false, true}) {
+      Request request;
+      request.method = "POST";
+      request.target = "/dns-query";
+      request.headers.add("Host", "doh.example");
+      std::string request_head =
+          "POST /dns-query HTTP/1.1\r\nHost: doh.example\r\n";
+      Response response;
+      response.status = 404;
+      response.reason = "Not Found";
+      response.headers.add("Server", "test");
+      std::string response_head = "HTTP/1.1 404 Not Found\r\nServer: test\r\n";
+      if (content_type) {
+        request.headers.add("Content-Type", "application/dns-message");
+        request_head += "Content-Type: application/dns-message\r\n";
+        response.headers.add("content-type", "text/plain");
+        response_head += "content-type: text/plain\r\n";
+      }
+      if (body) {
+        request.body = dns::to_bytes("query");
+        response.body = Bytes(300, 0x42);
+      }
+      if (content_type || body) {
+        request_head += "Content-Length: " +
+                        std::to_string(request.body.size()) + "\r\n";
+        response_head += "Content-Length: " +
+                         std::to_string(response.body.size()) + "\r\n";
+      }
+      request_head += "\r\n";
+      response_head += "\r\n";
+      expect_head_then_body(request, request_head);
+      expect_head_then_body(response, response_head);
+      WireSizes sizes;
+      EXPECT_EQ(dns::to_string(serialize_head(response, &sizes)),
+                response_head);
+      EXPECT_EQ(sizes.header_bytes, response_head.size());
+      EXPECT_EQ(sizes.body_bytes, response.body.size());
+    }
+  }
+}
+
 // --- client/server over simulated TCP ---------------------------------------------
 
 class Http1Test : public TwoHostFixture {

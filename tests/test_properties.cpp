@@ -211,7 +211,7 @@ TEST_P(H1ChunkingProperty, ParserInvariantUnderChunkSize) {
     http1::Response r;
     r.status = 200;
     r.headers.add("Content-Type", "application/octet-stream");
-    r.body.assign(size, 0x5a);
+    r.body = Bytes(size, 0x5a);
     const auto one = http1::serialize(r);
     wire.insert(wire.end(), one.begin(), one.end());
   }

@@ -228,6 +228,36 @@ TEST_F(DohHardeningTest, BadHttp2PrefaceAfterTlsResetsSession) {
             200);
 }
 
+TEST_F(DohHardeningTest, OverflowingContentLengthClosesOnlyThatConnection) {
+  start();
+  tlssim::ClientConfig tls_config;
+  tls_config.sni = "example.net";
+  tls_config.alpn = {"http/1.1"};
+  auto tls = std::make_unique<tlssim::TlsConnection>(
+      std::make_unique<simnet::TcpByteStream>(
+          client.tcp_connect({server.id(), 443})),
+      std::move(tls_config));
+  bool closed = false;
+  simnet::ByteStream::Handlers h;
+  h.on_open = [&tls]() {
+    // 2^64 - 1 wraps when added to the head length: the parser must call
+    // it malformed, not build a body from an inverted range and throw.
+    tls->send(dns::to_bytes("POST /dns-query HTTP/1.1\r\nHost: example.net\r\n"
+                            "Content-Length: 18446744073709551615\r\n\r\n"));
+  };
+  h.on_close = [&closed]() { closed = true; };
+  tls->set_handlers(std::move(h));
+  loop.run();
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(tls->is_open());
+
+  // The server stays up for everyone else.
+  EXPECT_EQ(raw_request("POST", "/dns-query", "application/dns-message",
+                        dns::Message::make_query(3, name("z.example"))
+                            .encode()),
+            200);
+}
+
 // --- DoH resource limits ----------------------------------------------------
 
 TEST_F(DohHardeningTest, OversizedBodyAnswers413WithoutResolving) {

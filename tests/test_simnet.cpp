@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "sim_fixture.hpp"
 #include "simnet/stream.hpp"
 
@@ -206,6 +211,69 @@ TEST(Network, TapSeesPackets) {
   EXPECT_EQ(tap.packets(), 1u);  // unchanged after removal
 }
 
+TEST(Network, HubWithManySpokesKeepsEachDirectionOnItsOwnChannel) {
+  // 1000 B/s links: a 1000-byte datagram takes a second to serialise, so a
+  // packet put on a channel another packet already holds arrives late.
+  EventLoop loop;
+  Network net(loop);
+  Host hub(net, "hub");
+  LinkConfig link;
+  link.latency = 0;
+  link.bandwidth_bps = 8000.0;
+  constexpr std::size_t kSpokes = 1000;
+  std::vector<std::unique_ptr<Host>> spokes;
+  for (std::size_t i = 0; i < kSpokes; ++i) {
+    spokes.push_back(std::make_unique<Host>(net, "spoke" + std::to_string(i)));
+    net.connect(hub.id(), spokes.back()->id(), link);
+  }
+  std::vector<TimeUs> at_hub;
+  std::vector<TimeUs> at_spokes;
+  hub.udp_open(7).set_receiver(
+      [&](const Bytes&, Address) { at_hub.push_back(loop.now()); });
+  auto& hub_tx = hub.udp_open();
+  for (auto& spoke : spokes) {
+    spoke->udp_open(7).set_receiver(
+        [&](const Bytes&, Address) { at_spokes.push_back(loop.now()); });
+    // Both directions of every link carry one datagram at the same instant.
+    spoke->udp_open().send_to({hub.id(), 7}, Bytes(972, 0));
+    hub_tx.send_to({spoke->id(), 7}, Bytes(972, 0));
+  }
+  loop.run();
+  ASSERT_EQ(at_hub.size(), kSpokes);
+  ASSERT_EQ(at_spokes.size(), kSpokes);
+  for (const TimeUs t : at_hub) EXPECT_EQ(t, seconds(1));
+  for (const TimeUs t : at_spokes) EXPECT_EQ(t, seconds(1));
+}
+
+TEST(Network, ConnectingAgainReplacesTheLink) {
+  EventLoop loop;
+  Network net(loop);
+  Host a(net, "a");
+  Host b(net, "b");
+  LinkConfig slow;
+  slow.latency = ms(1);
+  slow.bandwidth_bps = 8000.0;  // 1000 bytes/sec
+  net.connect(a.id(), b.id(), slow);
+  std::vector<TimeUs> at_a;
+  std::vector<TimeUs> at_b;
+  auto& tx_a = a.udp_open(7);
+  auto& tx_b = b.udp_open(7);
+  tx_a.set_receiver([&](const Bytes&, Address) { at_a.push_back(loop.now()); });
+  tx_b.set_receiver([&](const Bytes&, Address) { at_b.push_back(loop.now()); });
+  tx_a.send_to({b.id(), 7}, Bytes(972, 0));  // holds a -> b for a second
+
+  // Connecting again, endpoints swapped, replaces config and state of both
+  // directions: the new channels start idle.
+  LinkConfig fast;
+  fast.latency = ms(7);
+  net.connect(b.id(), a.id(), fast);
+  tx_a.send_to({b.id(), 7}, Bytes(972, 0));
+  tx_b.send_to({a.id(), 7}, Bytes(972, 0));
+  loop.run();
+  EXPECT_EQ(at_b, (std::vector<TimeUs>{ms(7), seconds(1) + ms(1)}));
+  EXPECT_EQ(at_a, (std::vector<TimeUs>{ms(7)}));
+}
+
 // --- TCP ---------------------------------------------------------------------------
 
 class TcpTest : public TwoHostFixture {
@@ -409,6 +477,89 @@ TEST_F(TcpTest, AbortSendsReset) {
   conn->set_callbacks(std::move(cbs));
   loop.run();
   EXPECT_TRUE(server_reset);
+}
+
+/// Records when each client data segment enters the link, by sequence
+/// number, and counts the server's pure ACKs.
+class SegmentTap : public PacketTap {
+ public:
+  explicit SegmentTap(NodeId client) : client_(client) {}
+
+  void on_packet(TimeUs when, const Packet& packet, bool) override {
+    const auto* seg = std::get_if<TcpSegment>(&packet.body);
+    if (seg == nullptr) return;
+    if (packet.src_node == client_ && !seg->payload.empty()) {
+      sends[seg->seq].push_back(when);
+      ++data_segments;
+    } else if (packet.src_node != client_ && seg->is_pure_ack()) {
+      ++acks;
+    }
+  }
+
+  std::map<std::uint32_t, std::vector<TimeUs>> sends;
+  std::size_t data_segments = 0;
+  std::size_t acks = 0;
+
+ private:
+  NodeId client_;
+};
+
+TEST_F(TcpTest, CumulativeAckRetiresSeveralSegmentsInOrder) {
+  // With delayed ACKs one ACK covers two segments. Every ACK must retire
+  // all it covers, or stale segments linger and the RTO resends them.
+  std::size_t received = 0;
+  server.tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) {
+    accepted = c;
+    TcpCallbacks cbs;
+    cbs.on_data = [&received](std::span<const std::uint8_t> d) {
+      received += d.size();
+    };
+    c->set_callbacks(std::move(cbs));
+  });
+  SegmentTap tap(client.id());
+  net.add_tap(&tap);
+  auto conn = client.tcp_connect({server.id(), 80});
+  const Bytes sent(8 * 1460, 0x5a);
+  TcpCallbacks cbs;
+  cbs.on_connected = [&]() { conn->send(sent); };
+  conn->set_callbacks(std::move(cbs));
+  loop.run();
+  net.remove_tap(&tap);
+  EXPECT_EQ(received, sent.size());
+  EXPECT_EQ(tap.data_segments, 8u);
+  EXPECT_LE(tap.acks, 5u);  // cumulative: fewer ACKs than segments
+  EXPECT_EQ(conn->counters().retransmits, 0u);
+  for (const auto& [seq, times] : tap.sends) EXPECT_EQ(times.size(), 1u);
+}
+
+TEST_F(TcpTest, RetransmittedSegmentGivesNoRttSample) {
+  // RTT 10 ms; with rto_min at 1 ms the handshake sample sets RTO = 10 ms +
+  // 4 * 5 ms = 30 ms. The first segment is lost twice and acked 100 ms
+  // after it first left. Sampling that (Karn's rule forbids it) would push
+  // the RTO to 126 ms; the second lost segment shows which one is in force.
+  TcpConfig config;
+  config.rto_min = ms(1);
+  config.delayed_ack = false;
+  server.tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) {
+    accepted = c;
+  }, config);
+  FaultSchedule faults;
+  faults.add_outage(ms(20), ms(70));
+  faults.add_outage(ms(200), ms(10));
+  net.inject_faults(client.id(), server.id(), std::move(faults));
+  SegmentTap tap(client.id());
+  net.add_tap(&tap);
+  auto conn = client.tcp_connect({server.id(), 80}, config);
+  loop.schedule_at(ms(20), [&]() { conn->send(Bytes(100, 1)); });
+  loop.schedule_at(ms(200), [&]() { conn->send(Bytes(100, 2)); });
+  loop.run();
+  net.remove_tap(&tap);
+  ASSERT_EQ(tap.sends.size(), 2u);
+  const auto& first = tap.sends.begin()->second;
+  const auto& second = std::next(tap.sends.begin())->second;
+  // Lost at 20 ms, resent at 50 ms (RTO) and 110 ms (backed off), acked.
+  EXPECT_EQ(first, (std::vector<TimeUs>{ms(20), ms(50), ms(110)}));
+  EXPECT_EQ(second, (std::vector<TimeUs>{ms(200), ms(230)}));
 }
 
 // --- TcpByteStream adapter ------------------------------------------------------
