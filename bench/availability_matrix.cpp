@@ -364,7 +364,8 @@ std::string render_matrix(const std::vector<Cell>& cells,
 int main(int argc, char** argv) {
   const std::size_t queries = bench::flag(argc, argv, "queries", 300);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  const std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
   const double rate_qps = 20.0;
 
   std::printf("=== Availability matrix: outage scenarios x degradation "

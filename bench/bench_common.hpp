@@ -5,9 +5,11 @@
 //   --trace=<path>  Chrome trace_event document (chrome://tracing, Perfetto)
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <system_error>
 #include <string>
 #include <vector>
 
@@ -21,16 +23,33 @@
 
 namespace dohperf::bench {
 
-/// Parse "--key=value" style integer flags; returns `fallback` if absent.
+/// Parse an integer flag given as "--key=value" or "--key value"; returns
+/// `fallback` if absent. A missing value, or one that is not a whole
+/// decimal number, ends the program with status 2 and names the flag.
 inline std::size_t flag(int argc, char** argv, const std::string& key,
                         std::size_t fallback) {
-  const std::string prefix = "--" + key + "=";
+  const std::string bare = "--" + key;
+  const std::string prefix = bare + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string value;
     if (arg.rfind(prefix, 0) == 0) {
-      return static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + prefix.size(), nullptr, 10));
+      value = arg.substr(prefix.size());
+    } else if (arg == bare) {
+      if (i + 1 < argc) value = argv[i + 1];
+    } else {
+      continue;
     }
+    std::size_t n = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+    if (value.empty() || ec != std::errc() || ptr != end) {
+      std::fprintf(stderr,
+                   "error: %s needs a whole decimal number, got \"%s\"\n",
+                   bare.c_str(), value.c_str());
+      std::exit(2);
+    }
+    return n;
   }
   return fallback;
 }
@@ -74,6 +93,10 @@ inline void print_cdf(const std::string& label, const stats::Cdf& cdf,
 inline void print_box(const std::string& label,
                       const std::vector<double>& xs,
                       const std::string& unit) {
+  if (xs.empty()) {
+    std::printf("%-22s (no samples)\n", label.c_str());
+    return;
+  }
   const auto bw = stats::BoxWhisker::from(xs);
   std::printf("%-22s min=%-9.0f q1=%-9.0f med=%-9.0f q3=%-9.0f max=%-9.0f %s\n",
               label.c_str(), bw.min, bw.q1, bw.median, bw.q3, bw.max,
@@ -82,9 +105,10 @@ inline void print_box(const std::string& label,
 
 /// Quantile summary of a sample as a JSON object (Fig 3-5 presentation).
 inline dns::JsonValue box_json(const std::vector<double>& xs) {
-  const auto bw = stats::BoxWhisker::from(xs);
   dns::JsonObject o;
   o["n"] = static_cast<std::int64_t>(xs.size());
+  if (xs.empty()) return dns::JsonValue(std::move(o));
+  const auto bw = stats::BoxWhisker::from(xs);
   o["min"] = bw.min;
   o["q1"] = bw.q1;
   o["med"] = bw.median;

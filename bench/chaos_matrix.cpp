@@ -377,7 +377,8 @@ std::string render_matrix(const std::vector<Cell>& cells,
 int main(int argc, char** argv) {
   const std::size_t queries = bench::flag(argc, argv, "queries", 100);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 5);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  const std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
   const double rate_qps = 10.0;
 
   std::printf("=== Chaos matrix: fault scenarios x DNS transports ===\n");

@@ -14,7 +14,8 @@
 int main(int argc, char** argv) {
   using namespace dohperf;
   const std::size_t pages = bench::flag(argc, argv, "pages", 100000);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  const std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
 
   std::printf("=== Figure 1: DNS queries per page (Alexa top %zu) ===\n\n",
               pages);

@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
     }
     bench::print_box(scenario.label, bytes, "bytes");
     report.set(scenario.label, "wire_bytes", bench::box_json(bytes));
-    if (scenario.label == "U/CF") udp_median = stats::median(bytes);
+    if (scenario.label == "U/CF" && !bytes.empty()) {
+      udp_median = stats::median(bytes);
+    }
   }
 
   std::printf("\nRatios vs UDP median (%0.0f B):\n", udp_median);
@@ -40,6 +42,10 @@ int main(int argc, char** argv) {
     std::vector<double> bytes;
     for (const auto& c : scenario.costs) {
       bytes.push_back(static_cast<double>(c.wire_bytes));
+    }
+    if (bytes.empty()) {
+      std::printf("  %-8s (no samples)\n", scenario.label.c_str());
+      continue;
     }
     std::printf("  %-8s %.1fx\n", scenario.label.c_str(),
                 stats::median(bytes) / udp_median);

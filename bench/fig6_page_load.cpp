@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
       bench::flag(argc, argv, "planetlab-pages", 25);
 
   const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
-  std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
   if (want_trace && jobs > 1) {
     // The tracer binds to one shard's event loop; tracing forces serial so
     // the trace covers the same spans it always has.

@@ -1,8 +1,9 @@
 // Microbenchmark for the simulation core itself: raw event-loop
 // schedule/fire and schedule/cancel throughput, bytes/sec through a full
 // tcp -> tls -> h2 echo path, fig6-style page-load shard throughput at
-// several --jobs values, and the fig1 corpus scan (dns::Name parsing and
-// std::map<Name> inserts) with its allocations per page.
+// several --jobs values, the fig1 corpus scan (dns::Name parsing and
+// std::map<Name> inserts) with its allocations per page, and the resolver
+// tier's cache under churn with its evictions and allocations per query.
 //
 // Unlike the figure harnesses, the numbers here are wall-clock derived and
 // therefore machine-dependent: micro_simcore (like micro_codecs) is exempt
@@ -16,6 +17,7 @@
 // and diff two snapshots with tools/perf_compare.
 #include <algorithm>
 #include <chrono>  // detlint: allow(DET001) wall-clock timing is the measurement here
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -27,6 +29,7 @@
 #include "core/udp_client.hpp"
 #include "http2/connection.hpp"
 #include "resolver/engine.hpp"
+#include "resolver/recursive_tier.hpp"
 #include "resolver/udp_server.hpp"
 #include "shard_runner.hpp"
 #include "simnet/event_loop.hpp"
@@ -291,6 +294,99 @@ CorpusRun bench_corpus(std::size_t pages, std::size_t jobs) {
   return run;
 }
 
+// --- resolver tier cache churn ----------------------------------------------
+
+/// Queries in the tier/churn stream: 20 s of virtual time at 2,000 q/s.
+constexpr std::size_t kTierQueries = 40000;
+
+struct TierArrival {
+  simnet::TimeUs at = 0;
+  dns::Name name;
+};
+
+/// perfbench resolve's query mix, without its network: Poisson arrivals at
+/// 2,000 q/s of virtual time, names Zipf-drawn from the Alexa third-party
+/// pool plus 15 % one-off page primaries.
+std::vector<TierArrival> tier_stream() {
+  const workload::AlexaPageModel model;
+  const stats::ZipfSampler zipf(model.config().third_party_pool,
+                                model.config().zipf_exponent, 0);
+  stats::SplitMix64 rng(0x7469657263687572ULL);
+  std::vector<TierArrival> arrivals;
+  arrivals.reserve(kTierQueries);
+  double t_us = 0.0;
+  std::size_t next_primary = 1000000;
+  for (std::size_t i = 0; i < kTierQueries; ++i) {
+    t_us += -std::log(1.0 - rng.next_double()) * 1e6 / 2000.0;
+    TierArrival a;
+    a.at = static_cast<simnet::TimeUs>(t_us);
+    a.name = rng.next_double() < 0.15
+                 ? workload::AlexaPageModel::primary_domain(next_primary++)
+                 : model.third_party_domain(zipf.sample(rng) - 1);
+    arrivals.push_back(std::move(a));
+  }
+  return arrivals;
+}
+
+// detlint: hot-slot
+struct alignas(64) TierShard {
+  std::uint64_t answered = 0;  ///< NOERROR answers
+  std::uint64_t evictions = 0;
+};
+
+struct TierChurnRun {
+  double queries_per_sec = 0.0;
+  std::uint64_t answered = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t arena_allocs = 0;  ///< deterministic for the fixed stream
+};
+
+/// The stream through RecursiveTier::handle into an Engine on one event
+/// loop, in one arena shard: 2 s TTLs churn a 2,048-entry cache, so about
+/// one insert in three evicts.
+TierChurnRun bench_tier_churn() {
+  const std::vector<TierArrival> arrivals = tier_stream();
+  simnet::ShardMemoryStats mem;
+  const double t0 = now_sec();
+  const auto shards = bench::run_sharded<TierShard>(
+      1, 1,
+      [&arrivals](std::size_t) {
+        simnet::EventLoop loop;
+        resolver::EngineConfig engine_config;
+        engine_config.ttl = 2;
+        engine_config.upstream.cache_hit_ratio = 0.0;  // the tier is the cache
+        engine_config.seed = 13;
+        resolver::Engine engine(loop, engine_config);
+        resolver::TierConfig tier_config;
+        tier_config.workers = 64;  // capacity far above 2,000 q/s
+        tier_config.cache_entries = 2048;
+        resolver::RecursiveTier tier(loop, engine, tier_config);
+        TierShard out;
+        for (std::size_t i = 0; i < arrivals.size(); ++i) {
+          loop.schedule_at(arrivals[i].at, [&, i]() {
+            tier.handle(dns::Message::make_query(static_cast<std::uint16_t>(i),
+                                                 arrivals[i].name),
+                        {}, [&out](dns::Message response) {
+                          if (response.flags.rcode == dns::Rcode::kNoError) {
+                            ++out.answered;
+                          }
+                        });
+          });
+        }
+        loop.run();
+        out.evictions = tier.stats().cache_evictions;
+        return out;
+      },
+      &mem);
+  TierChurnRun run;
+  run.queries_per_sec =
+      static_cast<double>(arrivals.size()) / (now_sec() - t0);
+  run.answered = shards[0].answered;
+  run.evictions = shards[0].evictions;
+  run.arena_allocs = mem.arena_allocs + mem.huge_allocs;
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -466,6 +562,27 @@ int main(int argc, char** argv) {
   report.set("names/corpus", "pages_per_sec", corpus.pages_per_sec);
   report.set("names/corpus", "pages_per_sec_jobs4", corpus4.pages_per_sec);
   report.set("names/corpus", "arena_allocs_per_page", allocs_per_page);
+
+  // The resolver tier under churn. Queries per second is informational;
+  // evictions and allocations per query are a pure function of the fixed
+  // stream (CI gates both).
+  const TierChurnRun tier = bench_tier_churn();
+  if (tier.answered != kTierQueries) {
+    std::fprintf(stderr, "FATAL: tier/churn answered %llu of %zu queries\n",
+                 static_cast<unsigned long long>(tier.answered), kTierQueries);
+    return 1;
+  }
+  const auto queries = static_cast<double>(kTierQueries);
+  std::printf("tier/churn                 : %12.0f queries/sec "
+              "(%.3f evictions/query, %.2f arena allocs/query)\n",
+              tier.queries_per_sec,
+              static_cast<double>(tier.evictions) / queries,
+              static_cast<double>(tier.arena_allocs) / queries);
+  report.set("tier/churn", "queries_per_sec", tier.queries_per_sec);
+  report.set("tier/churn", "evictions_per_query",
+             static_cast<double>(tier.evictions) / queries);
+  report.set("tier/churn", "arena_allocs_per_query",
+             static_cast<double>(tier.arena_allocs) / queries);
 
   std::printf("\nshard digests identical across jobs values: OK\n");
   report.params["hw_threads"] =

@@ -352,7 +352,8 @@ const RunMetrics& cell_at(const std::vector<Cell>& cells, std::size_t churn,
 int main(int argc, char** argv) {
   const std::size_t queries = bench::flag(argc, argv, "queries", 600);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  const std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
   // --no-gate: reduced workloads (e.g. TSan CI) shrink the horizon below
   // the slow churn intervals, so the churn-dependent gates can't hold.
   const bool no_gate = bench::flag_set(argc, argv, "no-gate");

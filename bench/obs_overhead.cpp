@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
   work.tier_requests =
       bench::flag(argc, argv, "tier-requests", work.tier_requests);
   work.reps = bench::flag(argc, argv, "reps", work.reps);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, 1);
+  const std::size_t jobs = bench::flag(argc, argv, "jobs", 1);
   const bool gate = !bench::flag_set(argc, argv, "no-gate");
 
   const std::array<const char*, 2> cells = {"pageload", "tier"};

@@ -397,7 +397,8 @@ std::string render_matrix(const std::vector<Cell>& cells,
 int main(int argc, char** argv) {
   const std::size_t duration_sec = bench::flag(argc, argv, "duration", 10);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
+  const std::size_t jobs =
+      bench::flag(argc, argv, "jobs", bench::default_jobs());
   const bool no_gate = bench::flag_set(argc, argv, "no-gate");
 
   std::printf("=== Overload matrix: offered load x control ladder ===\n");

@@ -26,11 +26,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <new>
-#include <string>
 #include <thread>  // detlint: allow(DET004) shard fan-out; shards share no mutable state
 #include <utility>
 #include <vector>
@@ -46,25 +44,6 @@ inline std::size_t default_jobs() {
   // detlint: allow(DET004) thread count changes speed, never results
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-/// Parse the standard `--jobs=N` / `--jobs N` flag (default: serial).
-inline std::size_t jobs_flag(int argc, char** argv,
-                             std::size_t fallback = 1) {
-  const std::string prefix = "--jobs=";
-  const std::string bare = "--jobs";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + prefix.size(), nullptr, 10));
-    }
-    if (arg == bare && i + 1 < argc) {
-      return static_cast<std::size_t>(
-          std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
 }
 
 /// Run `shard_count` independent shards, `jobs` at a time, and return their

@@ -134,22 +134,16 @@ void RecursiveTier::deliver(Job& job, const dns::Message& response) {
   job.done(std::move(copy));
 }
 
-std::optional<dns::Message> RecursiveTier::cache_lookup(
-    const Key& key, const dns::Message& query) {
-  if (!config_.cache_enabled) return std::nullopt;
+RecursiveTier::Answer RecursiveTier::cache_lookup(const Key& key) const {
+  if (!config_.cache_enabled) return nullptr;
   const auto it = cache_.find(key);
-  if (it == cache_.end() || it->second.expires <= loop_.now()) {
-    return std::nullopt;
-  }
-  dns::Message copy = it->second.response;
-  copy.id = query.id;
-  return copy;
+  if (it == cache_.end() || it->second.expires <= loop_.now()) return nullptr;
+  return it->second.response;
 }
 
-void RecursiveTier::cache_insert(const Key& key,
-                                 const dns::Message& response) {
-  if (!config_.cache_enabled) return;
-  const dns::Rcode rcode = response.flags.rcode;
+void RecursiveTier::cache_insert(const Key& key, Answer response) {
+  if (!config_.cache_enabled || config_.cache_entries == 0) return;
+  const dns::Rcode rcode = response->flags.rcode;
   if (rcode != dns::Rcode::kNoError && rcode != dns::Rcode::kNxDomain) {
     return;  // never cache SERVFAIL/REFUSED (including our own sheds)
   }
@@ -157,12 +151,12 @@ void RecursiveTier::cache_insert(const Key& key,
   // rule of RFC 2308. No TTL source => uncacheable.
   std::uint32_t ttl = 0;
   bool have_ttl = false;
-  for (const auto& rr : response.answers) {
+  for (const auto& rr : response->answers) {
     ttl = have_ttl ? std::min(ttl, rr.ttl) : rr.ttl;
     have_ttl = true;
   }
   if (!have_ttl) {
-    for (const auto& rr : response.authorities) {
+    for (const auto& rr : response->authorities) {
       if (rr.type != dns::RType::kSOA) continue;
       const auto& soa = std::get<dns::SoaRdata>(rr.rdata);
       ttl = std::min(rr.ttl, soa.minimum);
@@ -171,19 +165,24 @@ void RecursiveTier::cache_insert(const Key& key,
     }
   }
   if (!have_ttl || ttl == 0) return;
-  if (cache_.find(key) == cache_.end() &&
-      cache_.size() >= config_.cache_entries) {
-    // Evict the earliest-expiring entry (ties break on key order — both
-    // deterministic). Linear scan; population caches stay small.
-    auto victim = cache_.begin();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second.expires < victim->second.expires) victim = it;
+  const simnet::TimeUs expires = loop_.now() + simnet::seconds(ttl);
+  const auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    // Refreshing a cached key (live or expired) evicts nothing.
+    expiry_.erase({it->second.expires, key});
+    it->second = CacheEntry{std::move(response), expires};
+  } else {
+    if (cache_.size() >= config_.cache_entries) {
+      // The earliest expiry goes; on a tie, the smaller key.
+      const auto victim = expiry_.begin();
+      cache_.erase(victim->second);
+      expiry_.erase(victim);
+      ++stats_.cache_evictions;
+      count(m_cache_evictions_);
     }
-    cache_.erase(victim);
-    ++stats_.cache_evictions;
-    count(m_cache_evictions_);
+    cache_.emplace(key, CacheEntry{std::move(response), expires});
   }
-  cache_[key] = CacheEntry{response, loop_.now() + simnet::seconds(ttl)};
+  expiry_.emplace(expires, key);
   ++stats_.cache_insertions;
 }
 
@@ -262,8 +261,8 @@ void RecursiveTier::handle(const dns::Message& query,
   job.arrived = loop_.now();
 
   // 2. Shared cache; hits still queue for a worker (hit_processing).
-  job.cached = cache_lookup(key, query);
-  if (job.cached.has_value()) {
+  job.cached = cache_lookup(key);
+  if (job.cached) {
     ++stats_.cache_hits;
     count(m_cache_hits_);
     decide("hit");
@@ -356,7 +355,7 @@ void RecursiveTier::dispatch(Job job) {
   if (inflight_ > stats_.inflight_peak) stats_.inflight_peak = inflight_;
   set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
 
-  if (job.cached.has_value()) {
+  if (job.cached) {
     // Serve from cache after the hit-processing cost; the slot is held for
     // that long, which is what makes hits part of the capacity model.
     loop_.schedule_in(config_.hit_processing, [this, job = std::move(job)]()
@@ -408,15 +407,16 @@ void RecursiveTier::complete(const Key& key, dns::Message response,
   if (timed_out) {
     response = dns::Message::make_error(pending.waiters.front().query,
                                         dns::Rcode::kServFail);
-  } else {
-    cache_insert(key, response);
   }
+  // The cache entry and every waiter share the one answer.
+  const auto answer = std::make_shared<const dns::Message>(std::move(response));
+  if (!timed_out) cache_insert(key, answer);
   if (admission_ && !pending.waiters.empty()) {
     // One sample per back-end round trip, from the dispatching job.
     admission_->record(loop_.now() - pending.waiters.front().arrived);
   }
   for (auto& waiter : pending.waiters) {
-    deliver(waiter, response);
+    deliver(waiter, *answer);
   }
   --inflight_;
   set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));

@@ -35,7 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -53,7 +53,8 @@ struct TierConfig {
 
   // --- shared cache -------------------------------------------------------
   bool cache_enabled = true;
-  std::size_t cache_entries = 65536;  ///< evict earliest-expiring beyond this
+  /// Evict the earliest-expiring entry beyond this many; 0 caches nothing.
+  std::size_t cache_entries = 65536;
   /// Worker time a cache hit costs (decode, lookup, encode). Non-zero so
   /// saturation physics include the hit path.
   simnet::TimeUs hit_processing = simnet::us(500);
@@ -152,6 +153,8 @@ class RecursiveTier final : public QueryHandler {
 
  private:
   using Key = std::pair<dns::Name, dns::RType>;
+  /// One cached answer, shared by the cache entry and every hit in flight.
+  using Answer = std::shared_ptr<const dns::Message>;
 
   enum class ShedReason {
     kQueueFull,
@@ -168,7 +171,7 @@ class RecursiveTier final : public QueryHandler {
     simnet::TimeUs arrived = 0;
     /// Cache hit captured at admission: answered after hit_processing
     /// without touching the back-end.
-    std::optional<dns::Message> cached;
+    Answer cached;
   };
 
   /// In-flight back-end resolution; `waiters` holds the dispatching job
@@ -184,9 +187,9 @@ class RecursiveTier final : public QueryHandler {
   void pump();
   void dispatch(Job job);
   void complete(const Key& key, dns::Message response, bool timed_out);
-  std::optional<dns::Message> cache_lookup(const Key& key,
-                                           const dns::Message& query);
-  void cache_insert(const Key& key, const dns::Message& response);
+  /// The live cached answer for `key`, or null.
+  Answer cache_lookup(const Key& key) const;
+  void cache_insert(const Key& key, Answer response);
   /// True when the request is a retry (same client/name/type seen within
   /// retry_window). Updates the seen map either way.
   bool detect_retry(const Key& key, const QueryContext& context);
@@ -224,10 +227,13 @@ class RecursiveTier final : public QueryHandler {
   std::map<Key, Pending> pending_;  ///< in-flight back-end resolutions
 
   struct CacheEntry {
-    dns::Message response;
+    Answer response;
     simnet::TimeUs expires = 0;
   };
   std::map<Key, CacheEntry> cache_;
+  /// (expires, key) of every cache_ entry, kept in step with it: begin() is
+  /// the eviction victim, the earliest expiry with ties on the smaller key.
+  std::set<std::pair<simnet::TimeUs, Key>> expiry_;
 
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<FairnessArbiter> fairness_;

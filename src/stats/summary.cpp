@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace dohperf::stats {
 
@@ -38,7 +39,9 @@ double Summary::variance() const noexcept {
 double Summary::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile_sorted(std::span<const double> sorted, double p) {
-  assert(!sorted.empty());
+  if (sorted.empty()) {
+    throw std::invalid_argument("percentile of an empty sample");
+  }
   assert(p >= 0.0 && p <= 100.0);
   if (sorted.size() == 1) return sorted[0];
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
@@ -57,6 +60,9 @@ double percentile(std::span<const double> xs, double p) {
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 BoxWhisker BoxWhisker::from(std::span<const double> xs) {
+  if (xs.empty()) {
+    throw std::invalid_argument("box-whisker summary of an empty sample");
+  }
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
   BoxWhisker bw;

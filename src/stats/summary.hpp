@@ -35,7 +35,8 @@ class Summary {
 
 /// Percentile of a sample using linear interpolation between closest ranks
 /// (the same convention as numpy's default). `p` is in [0, 100].
-/// The input need not be sorted; a sorted copy is made.
+/// The input need not be sorted; a sorted copy is made. Throws
+/// std::invalid_argument for an empty sample, as do the functions below.
 double percentile(std::span<const double> xs, double p);
 
 /// Percentile of an already-sorted sample (ascending). No copy.

@@ -11,7 +11,9 @@
 //   - shard results escaping their arena's scope and lifetime,
 //   - run_sharded producing identical results at any --jobs value,
 //   - dns::Name copies, compares and decodes without allocating,
-//   - a ceiling on the allocations of one HTTP/1.1 object fetch.
+//   - a ceiling on the allocations of one HTTP/1.1 object fetch,
+//   - ceilings on the allocations of a resolver-tier cache hit and of a
+//     miss that evicts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "dns/name.hpp"
 #include "http1/client.hpp"
 #include "http1/server.hpp"
+#include "resolver/recursive_tier.hpp"
 #include "simnet/arena.hpp"
 #include "simnet/event_loop.hpp"
 #include "simnet/host.hpp"
@@ -362,6 +365,82 @@ TEST(FetchAllocations, OneMibHttp1FetchOverTls) {
   // keeping two maps per TCP connection, the same fetch made 2,168.
   EXPECT_LE(fetch_allocations, 425u);
   EXPECT_GT(fetch_allocations, 0u);
+}
+
+// --- Resolver-tier allocations -------------------------------------------------
+//
+// A RecursiveTier driven directly on an event loop, no network, counted per
+// query from building the query to its answer: a hit on a warm cache, and a
+// miss that goes upstream and evicts an entry from a full cache.
+
+/// Answers every query with one A record (TTL 60 s) after 1 ms.
+class FixedUpstream final : public resolver::QueryHandler {
+ public:
+  explicit FixedUpstream(simnet::EventLoop& loop) : loop_(loop) {}
+
+  void handle(const dns::Message& query, const resolver::QueryContext&,
+              Continuation done) override {
+    dns::Message response = dns::Message::make_response(
+        query, {dns::ResourceRecord::a(query.questions.front().qname,
+                                       "192.0.2.1", 60)});
+    loop_.schedule_in(simnet::ms(1), [response = std::move(response),
+                                      done = std::move(done)]() mutable {
+      done(std::move(response));
+    });
+  }
+
+ private:
+  simnet::EventLoop& loop_;
+};
+
+TEST(TierAllocations, WarmHitAndEvictingMiss) {
+  constexpr std::size_t kEntries = 64;
+  ShardMemory* arena = ShardMemory::create();
+  double per_hit = 0.0;
+  double per_miss = 0.0;
+  {
+    MemoryScope scope(*arena);
+    simnet::EventLoop loop;
+    FixedUpstream upstream(loop);
+    resolver::TierConfig config;
+    config.cache_entries = kEntries;
+    resolver::RecursiveTier tier(loop, upstream, config);
+    std::vector<dns::Name> names;
+    names.reserve(3 * kEntries);
+    for (std::size_t i = 0; i < 3 * kEntries; ++i) {
+      names.push_back(
+          dns::Name::parse("tp" + std::to_string(i) + ".thirdparty.example"));
+    }
+    std::uint16_t id = 0;
+    std::size_t answered = 0;
+    // Resolve names [first, first + kEntries) one at a time; returns the
+    // allocations per query.
+    const auto resolve = [&](std::size_t first) {
+      const std::uint64_t before = allocations(*arena);
+      for (std::size_t i = first; i < first + kEntries; ++i) {
+        tier.handle(dns::Message::make_query(++id, names[i]), {},
+                    [&answered](dns::Message) { ++answered; });
+        loop.run();
+      }
+      return static_cast<double>(allocations(*arena) - before) /
+             static_cast<double>(kEntries);
+    };
+    resolve(0);         // fills the cache
+    resolve(0);         // warm hits
+    resolve(kEntries);  // evicting misses
+    per_hit = resolve(kEntries);
+    per_miss = resolve(2 * kEntries);
+    EXPECT_EQ(answered, 5 * kEntries);
+    EXPECT_EQ(tier.stats().cache_hits, 2 * kEntries);
+    EXPECT_EQ(tier.stats().cache_evictions, 2 * kEntries);
+  }
+  arena->release();
+  // Measured 8.5 per hit and 20.5 per evicting miss with GCC 12 and
+  // libstdc++; the ceilings are those plus 10 %. Copying the cached answer
+  // at lookup and again at delivery, a hit made 12 and such a miss 22.
+  EXPECT_LE(per_hit, 9.35);
+  EXPECT_LE(per_miss, 22.55);
+  EXPECT_GT(per_hit, 0.0);
 }
 
 }  // namespace

@@ -3,16 +3,22 @@
 // admission controller, retry budget, fairness arbiter) and event-loop
 // tests for every tier decision path (cache hit, coalesce, queue bound,
 // deadline shed, admission shed, fairness shed, retry-budget shed, upstream
-// service timeout).
+// service timeout), plus the tier cache's eviction order, checked case by
+// case and against a linear-scan reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dns/message.hpp"
 #include "resolver/overload.hpp"
 #include "resolver/recursive_tier.hpp"
 #include "simnet/event_loop.hpp"
+#include "stats/rng.hpp"
 
 namespace dohperf {
 namespace {
@@ -176,13 +182,15 @@ TEST(FairnessArbiter, PerClientBucketsAreIndependent) {
 // --- RecursiveTier ---------------------------------------------------------
 
 /// Scriptable back-end: answers every query with one A record after
-/// `delay`, unless `respond` is off (stall).
+/// `delay`, unless `respond` is off (stall). The record's TTL is
+/// `ttls[query id]` when set, else `ttl`.
 class ScriptedUpstream final : public resolver::QueryHandler {
  public:
   explicit ScriptedUpstream(simnet::EventLoop& loop) : loop_(loop) {}
 
   simnet::TimeUs delay = simnet::ms(10);
   std::uint32_t ttl = 60;
+  std::map<std::uint16_t, std::uint32_t> ttls;
   bool respond = true;
   int calls = 0;
 
@@ -190,9 +198,11 @@ class ScriptedUpstream final : public resolver::QueryHandler {
               Continuation done) override {
     ++calls;
     if (!respond) return;  // stall: accept, never answer
+    const auto scripted = ttls.find(query.id);
     dns::Message response = dns::Message::make_response(
-        query, {dns::ResourceRecord::a(query.questions.front().qname,
-                                       "192.0.2.1", ttl)});
+        query, {dns::ResourceRecord::a(
+                   query.questions.front().qname, "192.0.2.1",
+                   scripted == ttls.end() ? ttl : scripted->second)});
     loop_.schedule_in(delay, [response = std::move(response),
                               done = std::move(done)]() mutable {
       done(std::move(response));
@@ -206,9 +216,10 @@ class ScriptedUpstream final : public resolver::QueryHandler {
 class RecursiveTierTest : public ::testing::Test {
  protected:
   /// Issue a query through the tier at `at`, recording the response.
-  void ask(resolver::RecursiveTier& tier, const char* qname,
-           std::uint64_t client, simnet::TimeUs at,
-           std::optional<dns::Message>* out) {
+  /// Returns the query's id.
+  std::uint16_t ask(resolver::RecursiveTier& tier, const char* qname,
+                    std::uint64_t client, simnet::TimeUs at,
+                    std::optional<dns::Message>* out) {
     const std::uint16_t id = next_id_++;
     loop.schedule_at(at, [this, &tier, qname, client, id, out]() {
       const dns::Message query = dns::Message::make_query(id, name(qname));
@@ -217,10 +228,19 @@ class RecursiveTierTest : public ::testing::Test {
       tier.handle(query, context,
                   [out](dns::Message response) { *out = std::move(response); });
     });
+    return id;
+  }
+
+  /// ask() from client 1 whose upstream answer carries a TTL of `ttl`
+  /// seconds; the response itself is dropped.
+  void ask_ttl(resolver::RecursiveTier& tier, ScriptedUpstream& upstream,
+               const char* qname, simnet::TimeUs at, std::uint32_t ttl) {
+    upstream.ttls[ask(tier, qname, 1, at, &sink_)] = ttl;
   }
 
   simnet::EventLoop loop;
   std::uint16_t next_id_ = 1;
+  std::optional<dns::Message> sink_;
 };
 
 TEST_F(RecursiveTierTest, CacheHitSkipsUpstreamAndKeepsQueryId) {
@@ -476,6 +496,229 @@ TEST_F(RecursiveTierTest, ShedResponsesAreNeverCached) {
   ASSERT_TRUE(c_again.has_value());
   EXPECT_EQ(c_again->flags.rcode, dns::Rcode::kNoError);
   EXPECT_EQ(upstream.calls, 3);
+}
+
+// --- RecursiveTier cache eviction ---------------------------------------------
+
+TEST_F(RecursiveTierTest, EvictionTakesTheEarliestExpiryFirst) {
+  ScriptedUpstream upstream(loop);
+  resolver::TierConfig config;
+  config.cache_entries = 2;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  // a is the smallest key and went in first; b expires first.
+  ask_ttl(tier, upstream, "a.example.com", 0, 30);
+  ask_ttl(tier, upstream, "b.example.com", simnet::ms(100), 10);
+  ask_ttl(tier, upstream, "c.example.com", simnet::ms(200), 20);
+  loop.run_until(simnet::ms(500));
+  EXPECT_EQ(tier.stats().cache_evictions, 1u);
+
+  ask_ttl(tier, upstream, "a.example.com", simnet::seconds(1), 30);
+  ask_ttl(tier, upstream, "c.example.com", simnet::seconds(1), 20);
+  loop.run_until(simnet::ms(1500));
+  EXPECT_EQ(upstream.calls, 3) << "a and c stayed cached";
+  EXPECT_EQ(tier.stats().cache_hits, 2u);
+
+  ask_ttl(tier, upstream, "b.example.com", simnet::seconds(2), 10);
+  loop.run();
+  EXPECT_EQ(upstream.calls, 4) << "b was the one evicted";
+  EXPECT_EQ(tier.stats().cache_evictions, 2u);
+}
+
+TEST_F(RecursiveTierTest, ExpiryTieEvictsTheSmallerKey) {
+  ScriptedUpstream upstream(loop);
+  resolver::TierConfig config;
+  config.cache_entries = 2;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  // Both answers land at 10 ms with one TTL, so they expire at one instant;
+  // b goes into the cache first.
+  ask_ttl(tier, upstream, "b.example.com", 0, 5);
+  ask_ttl(tier, upstream, "a.example.com", 0, 5);
+  ask_ttl(tier, upstream, "c.example.com", simnet::ms(100), 5);
+  loop.run_until(simnet::ms(500));
+  EXPECT_EQ(tier.stats().cache_evictions, 1u);
+
+  ask_ttl(tier, upstream, "b.example.com", simnet::seconds(1), 5);
+  loop.run_until(simnet::ms(1500));
+  EXPECT_EQ(upstream.calls, 3) << "b stayed cached";
+  EXPECT_EQ(tier.stats().cache_hits, 1u);
+
+  ask_ttl(tier, upstream, "a.example.com", simnet::seconds(2), 5);
+  loop.run();
+  EXPECT_EQ(upstream.calls, 4) << "a was the one evicted";
+}
+
+TEST_F(RecursiveTierTest, CachingAnAlreadyCachedKeyEvictsNothing) {
+  ScriptedUpstream upstream(loop);
+  resolver::TierConfig config;
+  config.cache_entries = 2;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  ask_ttl(tier, upstream, "a.example.com", 0, 1);
+  ask_ttl(tier, upstream, "b.example.com", 0, 60);
+  // The cache is full, and a has expired but is still in it: a's refresh
+  // replaces the entry in place.
+  ask_ttl(tier, upstream, "a.example.com", simnet::seconds(2), 60);
+  ask_ttl(tier, upstream, "a.example.com", simnet::seconds(3), 60);
+  ask_ttl(tier, upstream, "b.example.com", simnet::seconds(3), 60);
+  loop.run();
+  EXPECT_EQ(upstream.calls, 3);
+  EXPECT_EQ(tier.stats().cache_insertions, 3u);
+  EXPECT_EQ(tier.stats().cache_hits, 2u);
+  EXPECT_EQ(tier.stats().cache_evictions, 0u);
+}
+
+TEST_F(RecursiveTierTest, ExpiredEntryIsEvictedBeforeLiveOnes) {
+  ScriptedUpstream upstream(loop);
+  resolver::TierConfig config;
+  config.cache_entries = 2;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  ask_ttl(tier, upstream, "a.example.com", 0, 60);
+  // z is the larger key and the last in, and it expires at 1.11 s.
+  ask_ttl(tier, upstream, "z.example.com", simnet::ms(100), 1);
+  ask_ttl(tier, upstream, "c.example.com", simnet::seconds(2), 60);
+  ask_ttl(tier, upstream, "a.example.com", simnet::ms(2500), 60);
+  ask_ttl(tier, upstream, "c.example.com", simnet::ms(2500), 60);
+  loop.run();
+  EXPECT_EQ(upstream.calls, 3) << "a and c stayed cached";
+  EXPECT_EQ(tier.stats().cache_hits, 2u);
+  EXPECT_EQ(tier.stats().cache_evictions, 1u);
+}
+
+TEST_F(RecursiveTierTest, ZeroCacheEntriesCachesNothing) {
+  ScriptedUpstream upstream(loop);
+  resolver::TierConfig config;
+  config.cache_entries = 0;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  ask_ttl(tier, upstream, "a.example.com", 0, 60);
+  ask_ttl(tier, upstream, "a.example.com", simnet::seconds(1), 60);
+  loop.run();
+  EXPECT_EQ(upstream.calls, 2);
+  EXPECT_EQ(tier.stats().cache_insertions, 0u);
+  EXPECT_EQ(tier.stats().cache_evictions, 0u);
+}
+
+/// The tier cache's eviction rule as a linear scan: the entry with the
+/// earliest expiry goes, the first in key order on a tie, and a key that is
+/// already cached is replaced in place. The differential test below checks
+/// the tier against it query by query.
+class LinearScanCache {
+ public:
+  explicit LinearScanCache(std::size_t capacity) : capacity_(capacity) {}
+
+  bool live(const dns::Name& key, simnet::TimeUs now) const {
+    const auto it = entries_.find(key);
+    return it != entries_.end() && it->second > now;
+  }
+
+  void insert(const dns::Name& key, simnet::TimeUs expires) {
+    if (entries_.find(key) == entries_.end() &&
+        entries_.size() >= capacity_) {
+      auto victim = entries_.begin();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->second < victim->second) victim = it;
+      }
+      for (const auto& [other, other_expires] : entries_) {
+        if (other_expires == victim->second && !(other == victim->first)) {
+          ++tied_evictions;
+          break;
+        }
+      }
+      entries_.erase(victim);
+      ++evictions;
+    }
+    entries_[key] = expires;
+  }
+
+  std::uint64_t evictions = 0;
+  /// Evictions where another entry shared the victim's expiry.
+  std::uint64_t tied_evictions = 0;
+
+ private:
+  std::size_t capacity_;
+  std::map<dns::Name, simnet::TimeUs> entries_;
+};
+
+TEST_F(RecursiveTierTest, EvictionMatchesALinearScanQueryByQuery) {
+  constexpr std::size_t kQueries = 6000;
+  constexpr std::size_t kNames = 96;
+  constexpr simnet::TimeUs kTick = simnet::ms(10);
+  ScriptedUpstream upstream(loop);
+  upstream.delay = simnet::ms(5);  // every burst's answers land together
+  resolver::TierConfig config;
+  config.workers = 1024;  // nothing queues: a miss dispatches at once
+  config.cache_entries = 16;
+  resolver::RecursiveTier tier(loop, upstream, config);
+
+  std::vector<dns::Name> names;
+  for (std::size_t i = 0; i < kNames; ++i) {
+    names.push_back(name(("n" + std::to_string(i) + ".example.com").c_str()));
+  }
+  // Seeded bursts of 1-4 queries, one per tick, names skewed towards low
+  // indices, each answer's TTL drawn from {1, 2, 3} s.
+  struct Query {
+    std::size_t name = 0;
+    std::uint32_t ttl = 0;
+  };
+  std::vector<std::vector<Query>> bursts;
+  stats::SplitMix64 rng(1801);
+  for (std::size_t issued = 0; issued < kQueries;) {
+    std::vector<Query> burst;
+    const std::uint64_t size = 1 + rng.next_below(4);
+    for (std::uint64_t k = 0; k < size && issued < kQueries; ++k, ++issued) {
+      Query q;
+      q.name = rng.next_below(1 + rng.next_below(kNames));
+      q.ttl = static_cast<std::uint32_t>(1 + rng.next_below(3));
+      burst.push_back(q);
+    }
+    bursts.push_back(std::move(burst));
+  }
+
+  LinearScanCache model(config.cache_entries);
+  int model_calls = 0;
+  std::uint64_t model_hits = 0;
+  std::uint16_t id = 0;
+  std::string divergence;  // the first query or landing that differs
+  for (std::size_t b = 0; b < bursts.size(); ++b) {
+    loop.schedule_at(static_cast<simnet::TimeUs>(b) * kTick, [&, b]() {
+      std::vector<Query> dispatched;  // misses that reach the upstream
+      for (const Query& q : bursts[b]) {
+        if (model.live(names[q.name], loop.now())) {
+          ++model_hits;
+        } else if (std::none_of(
+                       dispatched.begin(), dispatched.end(),
+                       [&](const Query& d) { return d.name == q.name; })) {
+          ++model_calls;
+          dispatched.push_back(q);
+        }  // else coalesced onto this burst's miss
+        upstream.ttls[++id] = q.ttl;
+        tier.handle(dns::Message::make_query(id, names[q.name]), {},
+                    [](dns::Message) {});
+        if (divergence.empty() && (upstream.calls != model_calls ||
+                                   tier.stats().cache_hits != model_hits)) {
+          divergence = "query " + std::to_string(id);
+        }
+      }
+      // Scheduled after the upstream's answers, so it runs after they land.
+      loop.schedule_in(upstream.delay, [&, dispatched]() {
+        for (const Query& q : dispatched) {
+          model.insert(names[q.name], loop.now() + simnet::seconds(q.ttl));
+        }
+        if (divergence.empty() &&
+            tier.stats().cache_evictions != model.evictions) {
+          divergence = "landing at " + std::to_string(loop.now()) + " us";
+        }
+      });
+    });
+  }
+  loop.run();
+
+  EXPECT_EQ(divergence, "");
+  EXPECT_EQ(upstream.calls, model_calls);
+  EXPECT_EQ(tier.stats().cache_hits, model_hits);
+  EXPECT_EQ(tier.stats().cache_evictions, model.evictions);
+  EXPECT_EQ(tier.stats().served, kQueries);
+  // The run exercises what it is for: a full cache and exact expiry ties.
+  EXPECT_GT(model.evictions, 1000u);
+  EXPECT_GT(model.tied_evictions, 100u);
 }
 
 }  // namespace

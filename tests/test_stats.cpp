@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "stats/cdf.hpp"
 #include "stats/rng.hpp"
@@ -129,6 +131,15 @@ TEST(Percentile, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile(xs, 37.5), 42.0);
 }
 
+// An empty sample has no percentiles in any build type (with NDEBUG an
+// unchecked one read out of bounds).
+TEST(Percentile, EmptySampleThrows) {
+  const std::vector<double> none;
+  EXPECT_THROW(percentile(none, 50), std::invalid_argument);
+  EXPECT_THROW(percentile_sorted(none, 0), std::invalid_argument);
+  EXPECT_THROW(median(none), std::invalid_argument);
+}
+
 TEST(BoxWhisker, FiveNumbers) {
   std::vector<double> xs;
   for (int i = 1; i <= 101; ++i) xs.push_back(i);
@@ -138,6 +149,10 @@ TEST(BoxWhisker, FiveNumbers) {
   EXPECT_DOUBLE_EQ(bw.median, 51);
   EXPECT_DOUBLE_EQ(bw.q3, 76);
   EXPECT_DOUBLE_EQ(bw.max, 101);
+}
+
+TEST(BoxWhisker, EmptySampleThrows) {
+  EXPECT_THROW(BoxWhisker::from(std::vector<double>{}), std::invalid_argument);
 }
 
 TEST(Cdf, FractionAtValue) {
