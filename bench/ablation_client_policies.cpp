@@ -152,7 +152,10 @@ void fallback_ablation(std::size_t queries, bench::BenchReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 400);
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 400);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   std::printf("=== Ablation: client-side resolution policies ===\n\n");
   bench::BenchReport report("ablation_client_policies");
   report.params["queries"] = static_cast<std::int64_t>(queries);
@@ -162,6 +165,6 @@ int main(int argc, char** argv) {
       "\nCaching collapses most DoH queries to zero network cost (the\n"
       "paper's cache-emptying methodology measures the worst case); the\n"
       "TRR fallback bounds a degraded DoH service's tail at the deadline.\n");
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

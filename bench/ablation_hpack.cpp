@@ -46,7 +46,10 @@ std::vector<double> run(bool dynamic_table, const std::vector<dns::Name>& names)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t count = bench::flag(argc, argv, "names", 500);
+  bench::Flags flags(argc, argv);
+  const std::size_t count = flags.num("names", 500);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   workload::AlexaPageModel model;
   std::vector<dns::Name> names;
   for (std::size_t rank = 1; names.size() < count; ++rank) {
@@ -74,6 +77,6 @@ int main(int argc, char** argv) {
              bench::box_json(with_table));
   report.set("dynamic_table_off", "http_header_bytes",
              bench::box_json(without_table));
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

@@ -62,6 +62,9 @@ SetupCost fresh_resolution(tlssim::TlsVersion version, bool resume,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Flags flags(argc, argv);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   using tlssim::TlsVersion;
   std::printf("=== Ablation: TLS version / resumption / certificate size "
               "===\n");
@@ -124,6 +127,6 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(unpadded_sizes.size()));
   report.set("padding", "padded_distinct_sizes",
              static_cast<std::int64_t>(padded_sizes.size()));
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

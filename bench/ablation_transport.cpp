@@ -92,7 +92,10 @@ Outcome run(const std::string& variant, std::size_t queries,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 100);
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 100);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   std::printf("=== Ablation: transport design choices under delayed queries "
               "===\n");
   std::printf("(fig2 workload: %zu queries, 1 in 25 delayed by 1000ms)\n\n",
@@ -119,6 +122,6 @@ int main(int argc, char** argv) {
       "complexity of reimplementing stream multiplexing inside DoT is why\n"
       "DoT lost to DoH/2. Serial (unpipelined) HTTP/1.1 avoids *response*\n"
       "blocking but pays queueing delay at 10 q/s instead.\n");
-  bench::finish(argc, argv, report, nullptr, &registry);
+  bench::finish(output, report, nullptr, &registry);
   return 0;
 }

@@ -33,8 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/caching_client.hpp"
 #include "core/doh_client.hpp"
 #include "core/hedging_client.hpp"
@@ -261,111 +260,15 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
   return m;
 }
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(grid[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                queries, rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
-}
-
-double availability_pct(const RunMetrics& m) {
-  return m.queries == 0 ? 0.0
-                        : 100.0 * static_cast<double>(m.available) /
-                              static_cast<double>(m.queries);
-}
-
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "rung", "avail%", "stale%", "stale-age-p50(s)",
-                 "p50(ms)", "p99(ms)", "upstream", "coalesced", "hedges"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double avail = availability_pct(m);
-      const double stale_pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.stale_answers) /
-                               static_cast<double>(m.queries);
-      const auto pctl = [&](const std::vector<double>& xs, double p) {
-        return xs.empty() ? std::string("-")
-                          : stats::format_double(stats::percentile(xs, p), 1);
-      };
-      // Upstream query count: for the bare-DoH rung every query is its own
-      // upstream query by definition.
-      const std::uint64_t upstream = std::string(rung) == "no-cache"
-                                         ? m.queries
-                                         : m.cache.upstream_queries;
-      const auto stale_age_p50 =
-          m.staleness_ms.empty()
-              ? std::string("-")
-              : stats::format_double(
-                    stats::percentile(m.staleness_ms, 50) / 1e3, 1);
-      table.add_row({scenario.name, rung, stats::format_double(avail, 1),
-                     stats::format_double(stale_pct, 1), stale_age_p50,
-                     pctl(m.resolution_ms, 50), pctl(m.resolution_ms, 99),
-                     std::to_string(upstream),
-                     std::to_string(m.cache.coalesced),
-                     std::to_string(m.hedge.hedges_issued)});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + rung;
-        json_report->set(key, "available",
-                         static_cast<std::int64_t>(m.available));
-        json_report->set(key, "availability_pct", avail);
-        json_report->set(key, "stale_answers",
-                         static_cast<std::int64_t>(m.stale_answers));
-        json_report->set(key, "stale_pct", stale_pct);
-        stats::Cdf staleness;
-        staleness.add_all(m.staleness_ms);
-        json_report->set(key, "staleness_age_ms", bench::cdf_json(staleness));
-        json_report->set(key, "p99_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 99));
-        json_report->set(key, "upstream_queries",
-                         static_cast<std::int64_t>(upstream));
-        json_report->set(key, "coalesced",
-                         static_cast<std::int64_t>(m.cache.coalesced));
-        json_report->set(key, "stale_serves",
-                         static_cast<std::int64_t>(m.cache.stale_serves));
-        json_report->set(key, "negative_entries",
-                         static_cast<std::int64_t>(m.cache.negative_entries));
-        json_report->set(key, "hedges_issued",
-                         static_cast<std::int64_t>(m.hedge.hedges_issued));
-        json_report->set(key, "hedge_wins",
-                         static_cast<std::int64_t>(m.hedge.hedge_wins));
-        json_report->set(key, "hedge_wasted_wire_bytes",
-                         static_cast<std::int64_t>(
-                             m.hedge.wasted_wire_bytes));
-      }
-    }
-  }
-  return table.render();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 300);
-  const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 300);
+  const std::uint64_t seed = flags.num("seed", 7);
+  const std::size_t jobs = flags.num("jobs", bench::default_jobs());
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   const double rate_qps = 20.0;
 
   std::printf("=== Availability matrix: outage scenarios x degradation "
@@ -375,36 +278,72 @@ int main(int argc, char** argv) {
               "NOERROR within 2s)\n\n",
               queries, rate_qps, static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("availability_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
+  const auto grid = scenarios();
+  std::vector<std::string> rows;
+  for (const Scenario& scenario : grid) rows.push_back(scenario.name);
+  bench::Matrix<RunMetrics> matrix("availability_matrix", rows,
+                                   {kRungs.begin(), kRungs.end()}, jobs);
+  matrix.report().params["queries"] = static_cast<std::int64_t>(queries);
+  matrix.report().params["seed"] = static_cast<std::int64_t>(seed);
 
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  // Second full grid run for the determinism check (no registry: metric
-  // collection must not influence results).
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
+  matrix.run_grid([&](std::size_t s, std::size_t r, obs::Registry* registry) {
+    return run(grid[s], kRungs[r], seed, queries, rate_qps, registry);
+  });
+  matrix.print(
+      {"scenario", "rung", "avail%", "stale%", "stale-age-p50(s)", "p50(ms)",
+       "p99(ms)", "upstream", "coalesced", "hedges"},
+      [&](std::size_t s, std::size_t r, const RunMetrics& m,
+          bench::CellJson& json) -> std::vector<std::string> {
+        const double avail = bench::pct(m.available, m.queries);
+        const double stale_pct = bench::pct(m.stale_answers, m.queries);
+        // Upstream query count: for the bare-DoH rung every query is its
+        // own upstream query by definition.
+        const std::uint64_t upstream = std::string(kRungs[r]) == "no-cache"
+                                           ? m.queries
+                                           : m.cache.upstream_queries;
+        json.set("available", static_cast<std::int64_t>(m.available));
+        json.set("availability_pct", avail);
+        json.set("stale_answers", static_cast<std::int64_t>(m.stale_answers));
+        json.set("stale_pct", stale_pct);
+        stats::Cdf staleness;
+        staleness.add_all(m.staleness_ms);
+        json.set("staleness_age_ms", bench::cdf_json(staleness));
+        json.set("p99_ms", m.resolution_ms.empty()
+                               ? 0.0
+                               : stats::percentile(m.resolution_ms, 99));
+        json.set("upstream_queries", static_cast<std::int64_t>(upstream));
+        json.set("coalesced", static_cast<std::int64_t>(m.cache.coalesced));
+        json.set("stale_serves",
+                 static_cast<std::int64_t>(m.cache.stale_serves));
+        json.set("negative_entries",
+                 static_cast<std::int64_t>(m.cache.negative_entries));
+        json.set("hedges_issued",
+                 static_cast<std::int64_t>(m.hedge.hedges_issued));
+        json.set("hedge_wins", static_cast<std::int64_t>(m.hedge.hedge_wins));
+        json.set("hedge_wasted_wire_bytes",
+                 static_cast<std::int64_t>(m.hedge.wasted_wire_bytes));
+        return {grid[s].name, kRungs[r], stats::format_double(avail, 1),
+                stats::format_double(stale_pct, 1),
+                bench::pctl(m.staleness_ms, 50, /*unit=*/1e3),
+                bench::pctl(m.resolution_ms, 50),
+                bench::pctl(m.resolution_ms, 99), std::to_string(upstream),
+                std::to_string(m.cache.coalesced),
+                std::to_string(m.hedge.hedges_issued)};
+      });
 
   // The headline claim: each rung of the ladder is at least as available as
   // the one below it in *every* scenario, strictly better through the cache
   // rungs under the gated outage, and the full stack rides out the standard
   // outage at >= 99%.
   bool ladder_ok = true;
-  const auto grid = scenarios();
   for (std::size_t s = 0; s < grid.size(); ++s) {
-    const double none = availability_pct(cells[s * kRungs.size() + 0].metrics);
-    const double cached =
-        availability_pct(cells[s * kRungs.size() + 1].metrics);
-    const double stale =
-        availability_pct(cells[s * kRungs.size() + 2].metrics);
-    const double hedged =
-        availability_pct(cells[s * kRungs.size() + 3].metrics);
+    const auto avail = [&](std::size_t r) {
+      return bench::pct(matrix.at(s, r).available, matrix.at(s, r).queries);
+    };
+    const double none = avail(0);
+    const double cached = avail(1);
+    const double stale = avail(2);
+    const double hedged = avail(3);
     // Gated scenarios demand the strict ladder. Elsewhere the middle rungs
     // may jitter by a query (background refreshes shift the seeded retry
     // streams), so only the headline ordering is enforced: the full stack
@@ -420,13 +359,9 @@ int main(int argc, char** argv) {
       ladder_ok = false;
     }
   }
-  std::printf("ladder check (monotone per scenario, full stack >=99%% "
-              "through outage-6s): %s\n",
-              ladder_ok ? "PASS" : "FAIL");
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "ladder",
-                  std::string(ladder_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && ladder_ok ? 0 : 1;
+  matrix.gate("ladder",
+              "ladder check (monotone per scenario, full stack >=99% "
+              "through outage-6s)",
+              ladder_ok);
+  return matrix.finish(output, /*enforce=*/true);
 }

@@ -1,14 +1,16 @@
-// Helpers shared by the figure/table harnesses: flag parsing, the
+// Helpers shared by the figure/table harnesses: the flag parser, the
 // CDF/box-whisker printers that emit the same rows/series the paper plots,
 // and the deterministic JSON/trace export every bench supports:
 //   --json=<path>   machine-readable results ("dohperf-bench-v1" schema)
 //   --trace=<path>  Chrome trace_event document (chrome://tracing, Perfetto)
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <system_error>
 #include <string>
 #include <vector>
@@ -23,57 +25,101 @@
 
 namespace dohperf::bench {
 
-/// Parse an integer flag given as "--key=value" or "--key value"; returns
-/// `fallback` if absent. A missing value, or one that is not a whole
-/// decimal number, ends the program with status 2 and names the flag.
-inline std::size_t flag(int argc, char** argv, const std::string& key,
-                        std::size_t fallback) {
-  const std::string bare = "--" + key;
-  const std::string prefix = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg.rfind(prefix, 0) == 0) {
-      value = arg.substr(prefix.size());
-    } else if (arg == bare) {
-      if (i + 1 < argc) value = argv[i + 1];
-    } else {
-      continue;
-    }
+/// Paths of the two documents every bench can write; empty when not asked.
+struct Output {
+  std::string json;   ///< --json=<path>: the BenchReport
+  std::string trace;  ///< --trace=<path>: the Chrome trace_event document
+};
+
+/// A bench's command line. The bench asks for every flag it reads by name,
+/// --json and --trace included (output()), then calls reject_unknown()
+/// before any simulation runs, so a misspelled or foreign flag stops the
+/// program instead of silently leaving a default in place. A value takes
+/// the "--key=value" or the "--key value" form; the first occurrence wins.
+class Flags {
+ public:
+  Flags(int argc, char** argv)
+      : args_(argv + std::min(argc, 1), argv + argc),
+        asked_(args_.size(), false) {}
+
+  /// A whole decimal number; `fallback` when absent. A missing value, or
+  /// one that is not a whole decimal number, ends the program with status 2
+  /// and names the flag.
+  std::size_t num(const std::string& key, std::size_t fallback) {
+    const std::optional<std::string> value = take(key);
+    if (!value) return fallback;
     std::size_t n = 0;
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
-    if (value.empty() || ec != std::errc() || ptr != end) {
+    const char* end = value->data() + value->size();
+    const auto [ptr, ec] = std::from_chars(value->data(), end, n);
+    if (value->empty() || ec != std::errc() || ptr != end) {
       std::fprintf(stderr,
-                   "error: %s needs a whole decimal number, got \"%s\"\n",
-                   bare.c_str(), value.c_str());
+                   "error: --%s needs a whole decimal number, got \"%s\"\n",
+                   key.c_str(), value->c_str());
       std::exit(2);
     }
     return n;
   }
-  return fallback;
-}
 
-inline bool flag_set(int argc, char** argv, const std::string& key) {
-  const std::string want = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (want == argv[i]) return true;
+  /// A string value; empty when absent.
+  std::string str(const std::string& key) {
+    return take(key).value_or("");
   }
-  return false;
-}
 
-/// Parse "--key=value" or "--key value" string flags; `fallback` if absent.
-inline std::string flag_str(int argc, char** argv, const std::string& key,
-                            const std::string& fallback = "") {
-  const std::string bare = "--" + key;
-  const std::string prefix = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == bare && i + 1 < argc) return argv[i + 1];
+  /// A switch: true when "--key" is given.
+  bool on(const std::string& key) {
+    bool found = false;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (args_[i] != "--" + key) continue;
+      asked_[i] = true;
+      found = true;
+    }
+    return found;
   }
-  return fallback;
-}
+
+  /// The --json and --trace paths finish() writes to.
+  Output output() { return {str("json"), str("trace")}; }
+
+  /// Ends the program with status 2, naming each argument that no ask
+  /// consumed.
+  void reject_unknown() const {
+    bool unknown = false;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (asked_[i]) continue;
+      std::fprintf(stderr, "error: unknown argument %s\n", args_[i].c_str());
+      unknown = true;
+    }
+    if (unknown) std::exit(2);
+  }
+
+ private:
+  /// Marks every occurrence of --key (and the value token after a bare
+  /// --key) as asked, and returns the first occurrence's value. A bare
+  /// --key at the end of the line has the empty value.
+  std::optional<std::string> take(const std::string& key) {
+    const std::string bare = "--" + key;
+    const std::string prefix = bare + "=";
+    std::optional<std::string> value;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      std::string found;
+      if (args_[i].rfind(prefix, 0) == 0) {
+        found = args_[i].substr(prefix.size());
+      } else if (args_[i] == bare) {
+        if (i + 1 < args_.size()) {
+          found = args_[i + 1];
+          asked_[i + 1] = true;
+        }
+      } else {
+        continue;
+      }
+      asked_[i] = true;
+      if (!value) value = std::move(found);
+    }
+    return value;
+  }
+
+  std::vector<std::string> args_;
+  std::vector<bool> asked_;
+};
 
 /// Print a CDF as quantile rows plus a terminal sparkline.
 inline void print_cdf(const std::string& label, const stats::Cdf& cdf,
@@ -101,6 +147,22 @@ inline void print_box(const std::string& label,
   std::printf("%-22s min=%-9.0f q1=%-9.0f med=%-9.0f q3=%-9.0f max=%-9.0f %s\n",
               label.c_str(), bw.min, bw.q1, bw.median, bw.q3, bw.max,
               unit.c_str());
+}
+
+/// `part` as a percentage of `whole`; 0 when `whole` is 0.
+inline double pct(std::size_t part, std::size_t whole) {
+  return whole == 0 ? 0.0
+                    : 100.0 * static_cast<double>(part) /
+                          static_cast<double>(whole);
+}
+
+/// Percentile `p` of `xs`, divided by `unit`, as a one-decimal table cell;
+/// "-" for an empty sample, which has no percentiles.
+inline std::string pctl(const std::vector<double>& xs, double p,
+                        double unit = 1.0) {
+  return xs.empty()
+             ? std::string("-")
+             : stats::format_double(stats::percentile(xs, p) / unit, 1);
 }
 
 /// Quantile summary of a sample as a JSON object (Fig 3-5 presentation).
@@ -182,19 +244,17 @@ inline void write_file(const std::string& path, const std::string& text) {
   }
 }
 
-/// Common bench epilogue: honour --json=<path> and --trace=<path>.
-/// `tracer`/`registry` may be null — the bench still emits a valid (empty)
-/// trace document and a report without a "metrics" section.
-inline void finish(int argc, char** argv, const BenchReport& report,
+/// Common bench epilogue: write the --json and --trace documents `output`
+/// names. `tracer`/`registry` may be null — the bench still emits a valid
+/// (empty) trace document and a report without a "metrics" section.
+inline void finish(const Output& output, const BenchReport& report,
                    const obs::Tracer* tracer = nullptr,
                    const obs::Registry* registry = nullptr) {
-  const std::string json_path = flag_str(argc, argv, "json");
-  if (!json_path.empty()) {
-    write_file(json_path, report.to_json(registry).dump() + "\n");
-    std::printf("wrote %s\n", json_path.c_str());
+  if (!output.json.empty()) {
+    write_file(output.json, report.to_json(registry).dump() + "\n");
+    std::printf("wrote %s\n", output.json.c_str());
   }
-  const std::string trace_path = flag_str(argc, argv, "trace");
-  if (!trace_path.empty()) {
+  if (!output.trace.empty()) {
     std::string doc;
     if (tracer != nullptr) {
       doc = obs::chrome_trace_json(*tracer);
@@ -202,8 +262,8 @@ inline void finish(int argc, char** argv, const BenchReport& report,
       static const obs::Tracer kEmpty;
       doc = obs::chrome_trace_json(kEmpty);
     }
-    write_file(trace_path, doc + "\n");
-    std::printf("wrote %s\n", trace_path.c_str());
+    write_file(output.trace, doc + "\n");
+    std::printf("wrote %s\n", output.trace.c_str());
   }
 }
 

@@ -31,8 +31,7 @@
 #include <string_view>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/udp_client.hpp"
@@ -288,97 +287,15 @@ RunMetrics run(const Scenario& scenario, const std::string& transport,
 
 constexpr std::array<const char*, 4> kTransports = {"udp", "dot", "h1", "h2"};
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-/// Run the full scenario x transport grid, one shard per cell. Every cell
-/// builds an isolated simulation seeded only by (seed, scenario, transport),
-/// so cells parallelize without sharing any mutable state.
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kTransports.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics = run(grid[i / kTransports.size()],
-                           kTransports[i % kTransports.size()], seed, queries,
-                           rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
-}
-
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "transport", "ok", "rcode-fail", "success%",
-                 "med(ms)", "p95(ms)", "max(ms)", "retries", "reconnects",
-                 "timeouts", "exhausted"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* transport : kTransports) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
-      const std::uint64_t timeouts =
-          m.udp_final_timeouts + m.retry.query_timeouts;
-      // percentile() requires a non-empty sample; a cell with zero
-      // successful resolutions (e.g. --queries=0) has no latencies.
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(stats::percentile(m.resolution_ms, p),
-                                          1);
-      };
-      table.add_row(
-          {scenario.name, transport, std::to_string(m.ok),
-           std::to_string(m.rcode_fail), stats::format_double(pct, 1),
-           pctl(50), pctl(95), pctl(100),
-           std::to_string(m.retry.retried_queries),
-           std::to_string(m.retry.reconnects), std::to_string(timeouts),
-           std::to_string(m.retry.budget_exhausted)});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + transport;
-        json_report->set(key, "ok", static_cast<std::int64_t>(m.ok));
-        json_report->set(key, "rcode_fail",
-                         static_cast<std::int64_t>(m.rcode_fail));
-        json_report->set(key, "success_pct", pct);
-        json_report->set(key, "resolution_ms",
-                         bench::box_json(m.resolution_ms));
-        json_report->set(key, "retries", static_cast<std::int64_t>(
-                                             m.retry.retried_queries));
-        json_report->set(key, "reconnects",
-                         static_cast<std::int64_t>(m.retry.reconnects));
-        json_report->set(key, "timeouts",
-                         static_cast<std::int64_t>(timeouts));
-        json_report->set(key, "budget_exhausted",
-                         static_cast<std::int64_t>(m.retry.budget_exhausted));
-        json_report->set(key, "tier_retries_detected",
-                         static_cast<std::int64_t>(m.tier_retries_detected));
-        json_report->set(key, "tier_shed_retry_budget",
-                         static_cast<std::int64_t>(m.tier_shed_retry_budget));
-        json_report->set(key, "tier_upstream_timeouts",
-                         static_cast<std::int64_t>(m.tier_upstream_timeouts));
-      }
-    }
-  }
-  return table.render();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 100);
-  const std::uint64_t seed = bench::flag(argc, argv, "seed", 5);
-  const std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 100);
+  const std::uint64_t seed = flags.num("seed", 5);
+  const std::size_t jobs = flags.num("jobs", bench::default_jobs());
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   const double rate_qps = 10.0;
 
   std::printf("=== Chaos matrix: fault scenarios x DNS transports ===\n");
@@ -387,21 +304,54 @@ int main(int argc, char** argv) {
               queries, rate_qps,
               static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("chaos_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
+  const auto grid = scenarios();
+  std::vector<std::string> rows;
+  for (const Scenario& scenario : grid) rows.push_back(scenario.name);
+  bench::Matrix<RunMetrics> matrix(
+      "chaos_matrix", rows, {kTransports.begin(), kTransports.end()}, jobs);
+  matrix.report().params["queries"] = static_cast<std::int64_t>(queries);
+  matrix.report().params["seed"] = static_cast<std::int64_t>(seed);
 
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  // Second full grid run for the determinism check (no registry: metric
-  // collection must not influence results).
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
+  // Every cell builds an isolated simulation seeded only by (seed,
+  // scenario, transport), so cells parallelize without sharing any mutable
+  // state.
+  matrix.run_grid([&](std::size_t s, std::size_t t, obs::Registry* registry) {
+    return run(grid[s], kTransports[t], seed, queries, rate_qps, registry);
+  });
+  matrix.print(
+      {"scenario", "transport", "ok", "rcode-fail", "success%", "med(ms)",
+       "p95(ms)", "max(ms)", "retries", "reconnects", "timeouts",
+       "exhausted"},
+      [&](std::size_t s, std::size_t t, const RunMetrics& m,
+          bench::CellJson& json) -> std::vector<std::string> {
+        const double pct = bench::pct(m.ok, m.queries);
+        const std::uint64_t timeouts =
+            m.udp_final_timeouts + m.retry.query_timeouts;
+        json.set("ok", static_cast<std::int64_t>(m.ok));
+        json.set("rcode_fail", static_cast<std::int64_t>(m.rcode_fail));
+        json.set("success_pct", pct);
+        json.set("resolution_ms", bench::box_json(m.resolution_ms));
+        json.set("retries",
+                 static_cast<std::int64_t>(m.retry.retried_queries));
+        json.set("reconnects", static_cast<std::int64_t>(m.retry.reconnects));
+        json.set("timeouts", static_cast<std::int64_t>(timeouts));
+        json.set("budget_exhausted",
+                 static_cast<std::int64_t>(m.retry.budget_exhausted));
+        json.set("tier_retries_detected",
+                 static_cast<std::int64_t>(m.tier_retries_detected));
+        json.set("tier_shed_retry_budget",
+                 static_cast<std::int64_t>(m.tier_shed_retry_budget));
+        json.set("tier_upstream_timeouts",
+                 static_cast<std::int64_t>(m.tier_upstream_timeouts));
+        return {grid[s].name, kTransports[t], std::to_string(m.ok),
+                std::to_string(m.rcode_fail), stats::format_double(pct, 1),
+                bench::pctl(m.resolution_ms, 50),
+                bench::pctl(m.resolution_ms, 95),
+                bench::pctl(m.resolution_ms, 100),
+                std::to_string(m.retry.retried_queries),
+                std::to_string(m.retry.reconnects), std::to_string(timeouts),
+                std::to_string(m.retry.budget_exhausted)};
+      });
 
   // The headline robustness claim: through a 2s resolver outage — or a 2s
   // interface flap that comes back on a new address — the reconnecting
@@ -409,7 +359,6 @@ int main(int argc, char** argv) {
   // blowing any per-query retry budget. The grid cells already hold these
   // runs; index back into them.
   bool recovered = true;
-  const auto grid = scenarios();
   for (std::size_t s = 0; s < grid.size(); ++s) {
     const auto& scenario = grid[s];
     if (scenario.restart_at == 0 && scenario.flap_at == 0) continue;
@@ -418,11 +367,9 @@ int main(int argc, char** argv) {
           std::find(kTransports.begin(), kTransports.end(),
                     std::string_view(transport)) -
           kTransports.begin());
-      const RunMetrics& m = cells[s * kTransports.size() + t].metrics;
+      const RunMetrics& m = matrix.at(s, t);
       const double pct =
-          m.queries == 0 ? 100.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
+          m.queries == 0 ? 100.0 : bench::pct(m.ok, m.queries);
       if (pct < 99.0 || m.retry.budget_exhausted != 0) {
         std::printf("recovery check FAIL: %s/%s success=%.1f%% "
                     "budget_exhausted=%llu\n",
@@ -433,9 +380,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("recovery check (>=99%% success through restart-2s and "
-              "link-flap, budget intact): %s\n",
-              recovered ? "PASS" : "FAIL");
+  matrix.gate("recovery",
+              "recovery check (>=99% success through restart-2s and "
+              "link-flap, budget intact)",
+              recovered);
 
   // The retry-storm claim, end to end: in every retry-storm cell the tier
   // detected the client retransmissions/re-issues, and the drained budget
@@ -445,7 +393,7 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < grid.size(); ++s) {
     if (!grid[s].tier_storm) continue;
     for (std::size_t t = 0; t < kTransports.size(); ++t) {
-      const RunMetrics& m = cells[s * kTransports.size() + t].metrics;
+      const RunMetrics& m = matrix.at(s, t);
       storm_sheds += m.tier_shed_retry_budget;
       if (m.tier_retries_detected == 0) {
         std::printf("storm check FAIL: %s/%s detected no retries\n",
@@ -454,16 +402,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  storm_ok = storm_ok && storm_sheds > 0;
-  std::printf("storm check (tier detects retries on every transport, "
-              "budget sheds the excess): %s\n",
-              storm_ok ? "PASS" : "FAIL");
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "recovery",
-                  std::string(recovered ? "PASS" : "FAIL"));
-  json_report.set("checks", "storm",
-                  std::string(storm_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && recovered && storm_ok ? 0 : 1;
+  matrix.gate("storm",
+              "storm check (tier detects retries on every transport, "
+              "budget sheds the excess)",
+              storm_ok && storm_sheds > 0);
+  return matrix.finish(output, /*enforce=*/true);
 }

@@ -208,7 +208,10 @@ void hol_under_loss(double loss, std::size_t queries,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 200);
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 200);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   std::printf("=== Extension: DNS-over-QUIC vs the paper's transports ===\n\n");
   bench::BenchReport report("ext_doq_comparison");
   report.params["queries"] = static_cast<std::int64_t>(queries);
@@ -220,6 +223,6 @@ int main(int argc, char** argv) {
       "transport+crypto), matches DoH/2's immunity to slow queries, and\n"
       "under loss avoids TCP's cross-stream retransmission stalls — the\n"
       "transport-level head-of-line blocking HTTP/2 cannot escape.\n");
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

@@ -13,9 +13,11 @@
 
 int main(int argc, char** argv) {
   using namespace dohperf;
-  const std::size_t pages = bench::flag(argc, argv, "pages", 100000);
-  const std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
+  bench::Flags flags(argc, argv);
+  const std::size_t pages = flags.num("pages", 100000);
+  const std::size_t jobs = flags.num("jobs", bench::default_jobs());
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
   std::printf("=== Figure 1: DNS queries per page (Alexa top %zu) ===\n\n",
               pages);
@@ -72,6 +74,6 @@ int main(int argc, char** argv) {
   report.set("corpus", "unique_domains",
              static_cast<std::int64_t>(stats.unique_domains));
   report.set("corpus", "top15_query_share", stats.top15_query_share);
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

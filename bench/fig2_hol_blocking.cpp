@@ -149,9 +149,12 @@ void report(const RunResult& r, bool verbose, bench::BenchReport& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 100);
-  const bool verbose = bench::flag_set(argc, argv, "series");
-  const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 100);
+  const bool verbose = flags.on("series");
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
+  const bool want_trace = !output.trace.empty();
 
   std::printf("=== Figure 2: head-of-line blocking across DNS transports "
               "===\n");
@@ -178,6 +181,6 @@ int main(int argc, char** argv) {
       "Expected shape (paper): in the delayed run, UDP and HTTP/2 show ~4 "
       "slow\nqueries (the delayed ones only); TLS (DoT) and HTTP/1.1 drag "
       "subsequent\nqueries past 100ms through in-order delivery.\n");
-  bench::finish(argc, argv, json_report, &tracer, &registry);
+  bench::finish(output, json_report, &tracer, &registry);
   return 0;
 }

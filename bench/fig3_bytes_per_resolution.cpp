@@ -11,8 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace dohperf;
-  const std::size_t names = bench::flag(argc, argv, "names", 2000);
-  const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
+  bench::Flags flags(argc, argv);
+  const std::size_t names = flags.num("names", 2000);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
+  const bool want_trace = !output.trace.empty();
 
   std::printf("=== Figure 3: total bytes per DNS resolution (%zu names) "
               "===\n\n", names);
@@ -52,6 +55,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nPaper reference medians: U=182B  H/CF=5737B  H/GO=6941B  "
               "HP/CF=864B  HP/GO=1203B\n");
-  bench::finish(argc, argv, report, &tracer, &registry);
+  bench::finish(output, report, &tracer, &registry);
   return 0;
 }

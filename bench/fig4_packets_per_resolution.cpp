@@ -9,8 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace dohperf;
-  const std::size_t names = bench::flag(argc, argv, "names", 2000);
-  const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
+  bench::Flags flags(argc, argv);
+  const std::size_t names = flags.num("names", 2000);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
+  const bool want_trace = !output.trace.empty();
 
   std::printf("=== Figure 4: total packets per DNS resolution (%zu names) "
               "===\n\n", names);
@@ -44,6 +47,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nPaper reference medians: U=2  H/CF=27  H/GO=31  HP/CF=8  "
               "HP/GO=11\n");
-  bench::finish(argc, argv, report, &tracer, &registry);
+  bench::finish(output, report, &tracer, &registry);
   return 0;
 }

@@ -42,8 +42,11 @@ void breakdown(const bench::ScenarioCosts& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t names = bench::flag(argc, argv, "names", 1500);
-  const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
+  bench::Flags flags(argc, argv);
+  const std::size_t names = flags.num("names", 1500);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
+  const bool want_trace = !output.trace.empty();
   const auto corpus = bench::corpus_names(names);
 
   std::printf("=== Figure 5: DoH/2 per-layer overhead per resolution (%zu "
@@ -69,6 +72,6 @@ int main(int argc, char** argv) {
       "headers) and Mgmt; non-persistent TLS is certificate-dominated\n"
       "(Google > Cloudflare); persistent-median TLS and TCP each remain\n"
       "comparable to the DNS payload itself.\n");
-  bench::finish(argc, argv, report, &tracer, &registry);
+  bench::finish(output, report, &tracer, &registry);
   return 0;
 }

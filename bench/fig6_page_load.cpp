@@ -169,20 +169,20 @@ void report(const std::string& title, const std::string& key_prefix,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Flags flags(argc, argv);
   // Paper-scale defaults (Böttger et al. §5: Alexa top-1000 from the
   // university vantage, 39 PlanetLab nodes): affordable since the per-shard
   // arena removed the allocator bottleneck and the benches went parallel by
   // default.
-  const std::size_t pages = bench::flag(argc, argv, "pages", 1000);
-  const std::size_t loads = bench::flag(argc, argv, "loads", 3);
-  const std::size_t planetlab_nodes =
-      bench::flag(argc, argv, "planetlab-nodes", 39);
-  const std::size_t planetlab_pages =
-      bench::flag(argc, argv, "planetlab-pages", 25);
+  const std::size_t pages = flags.num("pages", 1000);
+  const std::size_t loads = flags.num("loads", 3);
+  const std::size_t planetlab_nodes = flags.num("planetlab-nodes", 39);
+  const std::size_t planetlab_pages = flags.num("planetlab-pages", 25);
+  std::size_t jobs = flags.num("jobs", bench::default_jobs());
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
-  const bool want_trace = !bench::flag_str(argc, argv, "trace").empty();
-  std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
+  const bool want_trace = !output.trace.empty();
   if (want_trace && jobs > 1) {
     // The tracer binds to one shard's event loop; tracing forces serial so
     // the trace covers the same spans it always has.
@@ -245,6 +245,6 @@ int main(int argc, char** argv) {
       "Expected shape (paper): cloud UDP < local resolver on DNS time;\n"
       "DoH slower than UDP to the same provider (CF < GO in both); onload\n"
       "times nearly identical across all five configurations.\n");
-  bench::finish(argc, argv, json_report, &tracer, &registry);
+  bench::finish(output, json_report, &tracer, &registry);
   return 0;
 }

@@ -205,7 +205,10 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // Strip the repo-wide --json/--trace flags before google-benchmark sees
-  // (and rejects) them; everything else passes through to the library.
+  // (and rejects) them; everything else passes through to the library,
+  // which rejects what it does not know.
+  const dohperf::bench::Output output =
+      dohperf::bench::Flags(argc, argv).output();
   std::vector<char*> bench_argv;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -229,6 +232,6 @@ int main(int argc, char** argv) {
   RecordingReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  dohperf::bench::finish(argc, argv, report);
+  dohperf::bench::finish(output, report);
   return 0;
 }

@@ -390,15 +390,15 @@ TierChurnRun bench_tier_churn() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t events = bench::flag(argc, argv, "events", 2000000);
-  const std::size_t echo_requests =
-      bench::flag(argc, argv, "echo-requests", 50);
-  const std::size_t echo_bytes =
-      bench::flag(argc, argv, "echo-bytes", 262144);
-  const std::size_t shards = bench::flag(argc, argv, "shards", 12);
-  const std::size_t shard_pages = bench::flag(argc, argv, "shard-pages", 3);
-  const std::size_t corpus_pages =
-      bench::flag(argc, argv, "corpus-pages", 16000);
+  bench::Flags flags(argc, argv);
+  const std::uint64_t events = flags.num("events", 2000000);
+  const std::size_t echo_requests = flags.num("echo-requests", 50);
+  const std::size_t echo_bytes = flags.num("echo-bytes", 262144);
+  const std::size_t shards = flags.num("shards", 12);
+  const std::size_t shard_pages = flags.num("shard-pages", 3);
+  const std::size_t corpus_pages = flags.num("corpus-pages", 16000);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
   std::printf("=== micro_simcore: simulation-core throughput ===\n\n");
 
@@ -587,6 +587,6 @@ int main(int argc, char** argv) {
   std::printf("\nshard digests identical across jobs values: OK\n");
   report.params["hw_threads"] =
       static_cast<std::int64_t>(bench::default_jobs());
-  bench::finish(argc, argv, report, nullptr, &registry);
+  bench::finish(output, report, nullptr, &registry);
   return 0;
 }

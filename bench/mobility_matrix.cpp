@@ -27,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
@@ -251,112 +250,18 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
   return m;
 }
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto churns = churn_rates();
-  return bench::run_sharded<Cell>(
-      churns.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(churns[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                queries, rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
-}
-
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"churn", "transport", "policy", "avail%", "p50(ms)",
-                 "p99(ms)", "migr", "resumed", "full-hs", "hs-bytes",
-                 "hs-rtts", "wasted", "retries"});
-  std::size_t cell_index = 0;
-  for (const auto& churn : churn_rates()) {
-    for (const Rung& rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(
-                         stats::percentile(m.resolution_ms, p), 1);
-      };
-      table.add_row({churn.name, rung.transport, rung.policy,
-                     stats::format_double(pct, 1), pctl(50), pctl(99),
-                     std::to_string(m.migration.migrations),
-                     std::to_string(m.migration.resumed_handshakes),
-                     std::to_string(m.migration.full_handshakes),
-                     std::to_string(m.migration.handshake_bytes),
-                     std::to_string(m.migration.handshake_rtts),
-                     std::to_string(m.migration.migration_wasted_bytes),
-                     std::to_string(m.retry.retried_queries)});
-      if (json_report != nullptr) {
-        const std::string key = churn.name + "/" + rung.transport + "/" +
-                                rung.policy;
-        json_report->set(key, "ok", static_cast<std::int64_t>(m.ok));
-        json_report->set(key, "avail_pct", pct);
-        json_report->set(key, "resolution_ms",
-                         bench::box_json(m.resolution_ms));
-        json_report->set(key, "churn_events",
-                         static_cast<std::int64_t>(m.churn_events));
-        json_report->set(key, "migrations",
-                         static_cast<std::int64_t>(m.migration.migrations));
-        json_report->set(
-            key, "migration_wasted_bytes",
-            static_cast<std::int64_t>(m.migration.migration_wasted_bytes));
-        json_report->set(
-            key, "resumed_handshakes",
-            static_cast<std::int64_t>(m.migration.resumed_handshakes));
-        json_report->set(
-            key, "full_handshakes",
-            static_cast<std::int64_t>(m.migration.full_handshakes));
-        json_report->set(
-            key, "handshake_bytes",
-            static_cast<std::int64_t>(m.migration.handshake_bytes));
-        json_report->set(
-            key, "handshake_rtts",
-            static_cast<std::int64_t>(m.migration.handshake_rtts));
-        json_report->set(key, "retries", static_cast<std::int64_t>(
-                                             m.retry.retried_queries));
-        json_report->set(key, "reconnects",
-                         static_cast<std::int64_t>(m.retry.reconnects));
-        json_report->set(
-            key, "timeouts",
-            static_cast<std::int64_t>(m.udp_final_timeouts +
-                                      m.retry.query_timeouts));
-      }
-    }
-  }
-  return table.render();
-}
-
-const RunMetrics& cell_at(const std::vector<Cell>& cells, std::size_t churn,
-                          std::size_t rung) {
-  return cells[churn * kRungs.size() + rung].metrics;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 600);
-  const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
+  bench::Flags flags(argc, argv);
+  const std::size_t queries = flags.num("queries", 600);
+  const std::uint64_t seed = flags.num("seed", 7);
+  const std::size_t jobs = flags.num("jobs", bench::default_jobs());
   // --no-gate: reduced workloads (e.g. TSan CI) shrink the horizon below
   // the slow churn intervals, so the churn-dependent gates can't hold.
-  const bool no_gate = bench::flag_set(argc, argv, "no-gate");
+  const bool no_gate = flags.on("no-gate");
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   const double rate_qps = 10.0;
 
   std::printf("=== Mobility matrix: network churn x transport x recovery "
@@ -365,21 +270,59 @@ int main(int argc, char** argv) {
               "= silent NAT rebind + Wi-Fi<->LTE profile swap)\n\n",
               queries, rate_qps, static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("mobility_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
-
   const auto churns = churn_rates();
+  std::vector<std::string> rows;
+  for (const ChurnRate& churn : churns) rows.push_back(churn.name);
+  std::vector<std::string> cols;
+  for (const Rung& rung : kRungs) {
+    cols.push_back(std::string(rung.transport) + "/" + rung.policy);
+  }
+  bench::Matrix<RunMetrics> matrix("mobility_matrix", rows, cols, jobs);
+  matrix.report().params["queries"] = static_cast<std::int64_t>(queries);
+  matrix.report().params["seed"] = static_cast<std::int64_t>(seed);
+
+  matrix.run_grid([&](std::size_t c, std::size_t r, obs::Registry* registry) {
+    return run(churns[c], kRungs[r], seed, queries, rate_qps, registry);
+  });
+  matrix.print(
+      {"churn", "transport", "policy", "avail%", "p50(ms)", "p99(ms)", "migr",
+       "resumed", "full-hs", "hs-bytes", "hs-rtts", "wasted", "retries"},
+      [&](std::size_t c, std::size_t r, const RunMetrics& m,
+          bench::CellJson& json) -> std::vector<std::string> {
+        const double pct = bench::pct(m.ok, m.queries);
+        json.set("ok", static_cast<std::int64_t>(m.ok));
+        json.set("avail_pct", pct);
+        json.set("resolution_ms", bench::box_json(m.resolution_ms));
+        json.set("churn_events", static_cast<std::int64_t>(m.churn_events));
+        json.set("migrations",
+                 static_cast<std::int64_t>(m.migration.migrations));
+        json.set("migration_wasted_bytes",
+                 static_cast<std::int64_t>(m.migration.migration_wasted_bytes));
+        json.set("resumed_handshakes",
+                 static_cast<std::int64_t>(m.migration.resumed_handshakes));
+        json.set("full_handshakes",
+                 static_cast<std::int64_t>(m.migration.full_handshakes));
+        json.set("handshake_bytes",
+                 static_cast<std::int64_t>(m.migration.handshake_bytes));
+        json.set("handshake_rtts",
+                 static_cast<std::int64_t>(m.migration.handshake_rtts));
+        json.set("retries",
+                 static_cast<std::int64_t>(m.retry.retried_queries));
+        json.set("reconnects", static_cast<std::int64_t>(m.retry.reconnects));
+        json.set("timeouts", static_cast<std::int64_t>(
+                                 m.udp_final_timeouts + m.retry.query_timeouts));
+        return {churns[c].name, kRungs[r].transport, kRungs[r].policy,
+                stats::format_double(pct, 1), bench::pctl(m.resolution_ms, 50),
+                bench::pctl(m.resolution_ms, 99),
+                std::to_string(m.migration.migrations),
+                std::to_string(m.migration.resumed_handshakes),
+                std::to_string(m.migration.full_handshakes),
+                std::to_string(m.migration.handshake_bytes),
+                std::to_string(m.migration.handshake_rtts),
+                std::to_string(m.migration.migration_wasted_bytes),
+                std::to_string(m.retry.retried_queries)};
+      });
+
   // Rung indices into kRungs.
   constexpr std::size_t kDotNaive = 1, kDotResume = 2, kDotRace = 3;
   constexpr std::size_t kDohNaive = 4, kDohResume = 5, kDohRace = 6;
@@ -390,13 +333,13 @@ int main(int argc, char** argv) {
   bool ladder_ok = true;
   for (std::size_t c = 0; c < churns.size(); ++c) {
     const auto check = [&](std::size_t lo, std::size_t hi) {
-      if (cell_at(cells, c, lo).ok > cell_at(cells, c, hi).ok) {
+      if (matrix.at(c, lo).ok > matrix.at(c, hi).ok) {
         std::printf("ladder check FAIL: churn=%s %s/%s ok=%zu > %s/%s "
                     "ok=%zu\n",
                     churns[c].name.c_str(), kRungs[lo].transport,
-                    kRungs[lo].policy, cell_at(cells, c, lo).ok,
+                    kRungs[lo].policy, matrix.at(c, lo).ok,
                     kRungs[hi].transport, kRungs[hi].policy,
-                    cell_at(cells, c, hi).ok);
+                    matrix.at(c, hi).ok);
         ladder_ok = false;
       }
     };
@@ -406,9 +349,10 @@ int main(int argc, char** argv) {
     check(kDohResume, kDohRace);
     check(kDoqNaive, kDoqMigrate);
   }
-  std::printf("ladder check (availability monotone up the policy ladder at "
-              "every churn rate): %s\n",
-              ladder_ok ? "PASS" : "FAIL");
+  matrix.gate("ladder",
+              "ladder check (availability monotone up the policy ladder at "
+              "every churn rate)",
+              ladder_ok);
 
   // Gate 2: under churn, session resumption pays strictly fewer handshake
   // bytes (and no more handshake RTTs) than the full-handshake rung, and
@@ -418,8 +362,8 @@ int main(int argc, char** argv) {
     if (churns[c].interval == 0) continue;
     for (const auto& [naive, resume] :
          {std::pair{kDotNaive, kDotResume}, {kDohNaive, kDohResume}}) {
-      const auto& n = cell_at(cells, c, naive).migration;
-      const auto& r = cell_at(cells, c, resume).migration;
+      const auto& n = matrix.at(c, naive).migration;
+      const auto& r = matrix.at(c, resume).migration;
       if (r.resumed_handshakes == 0 || r.handshake_bytes >= n.handshake_bytes ||
           r.handshake_rtts > n.handshake_rtts) {
         std::printf("resumption check FAIL: churn=%s %s resumed=%llu "
@@ -434,9 +378,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("resumption check (under churn: strictly fewer handshake bytes "
-              "than naive, no extra RTTs): %s\n",
-              resume_ok ? "PASS" : "FAIL");
+  matrix.gate("resumption",
+              "resumption check (under churn: strictly fewer handshake bytes "
+              "than naive, no extra RTTs)",
+              resume_ok);
 
   // Gate 3: real QUIC migration — under churn the DoQ connection survives
   // every re-addressing: exactly the one original handshake, and at least
@@ -444,7 +389,7 @@ int main(int argc, char** argv) {
   bool doq_ok = true;
   for (std::size_t c = 0; c < churns.size(); ++c) {
     if (churns[c].interval == 0) continue;
-    const auto& m = cell_at(cells, c, kDoqMigrate).migration;
+    const auto& m = matrix.at(c, kDoqMigrate).migration;
     if (m.full_handshakes != 1 || m.migrations == 0) {
       std::printf("doq migration check FAIL: churn=%s full_handshakes=%llu "
                   "migrations=%llu\n",
@@ -454,21 +399,13 @@ int main(int argc, char** argv) {
       doq_ok = false;
     }
   }
-  std::printf("doq migration check (connection survives re-addressing with "
-              "zero new handshakes): %s\n",
-              doq_ok ? "PASS" : "FAIL");
-
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "ladder", std::string(ladder_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "resumption",
-                  std::string(resume_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "doq_migration",
-                  std::string(doq_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
+  matrix.gate("doq_migration",
+              "doq migration check (connection survives re-addressing with "
+              "zero new handshakes)",
+              doq_ok);
+  const int status = matrix.finish(output, /*enforce=*/!no_gate);
   if (no_gate) {
     std::printf("(--no-gate: churn gates reported but not enforced)\n");
   }
-  const bool gates_ok = ladder_ok && resume_ok && doq_ok;
-  return first == second && (no_gate || gates_ok) ? 0 : 1;
+  return status;
 }

@@ -371,14 +371,17 @@ CellShard run_cell(const std::string& cell, const Rung& rung,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Flags flags(argc, argv);
   Workload work;
-  work.pages = bench::flag(argc, argv, "pages", work.pages);
-  work.loads = bench::flag(argc, argv, "loads", work.loads);
-  work.tier_requests =
-      bench::flag(argc, argv, "tier-requests", work.tier_requests);
-  work.reps = bench::flag(argc, argv, "reps", work.reps);
-  const std::size_t jobs = bench::flag(argc, argv, "jobs", 1);
-  const bool gate = !bench::flag_set(argc, argv, "no-gate");
+  work.pages = flags.num("pages", work.pages);
+  work.loads = flags.num("loads", work.loads);
+  work.tier_requests = flags.num("tier-requests", work.tier_requests);
+  work.reps = flags.num("reps", work.reps);
+  const std::size_t jobs = flags.num("jobs", 1);
+  const bool gate = !flags.on("no-gate");
+  const std::string digest_path = flags.str("digest");
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
   const std::array<const char*, 2> cells = {"pageload", "tier"};
 
@@ -493,13 +496,12 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const std::string digest_path = bench::flag_str(argc, argv, "digest");
   if (!digest_path.empty()) {
     bench::write_file(digest_path, digest.to_json(&full_registry).dump() +
                                        "\n");
     std::printf("wrote %s\n", digest_path.c_str());
   }
-  bench::finish(argc, argv, report, nullptr, &full_registry);
+  bench::finish(output, report, nullptr, &full_registry);
 
   if (gate && !gates_ok) {
     std::printf("self-gate FAILED (re-run with --no-gate to inspect)\n");

@@ -40,8 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/doh_server.hpp"
@@ -139,12 +138,6 @@ struct RunMetrics {
   std::size_t window_offered = 0;
   std::size_t window_good = 0;
 };
-
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0
-                    : 100.0 * static_cast<double>(part) /
-                          static_cast<double>(whole);
-}
 
 double raf(const RunMetrics& m) {
   return m.offered == 0
@@ -283,123 +276,16 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
   return m;
 }
 
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t duration_sec,
-                           std::size_t jobs, bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(grid[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                duration_sec, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
-}
-
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "rung", "offered", "good%", "p50(ms)", "p99(ms)",
-                 "shed%", "raf", "hit%", "conns", "mem(KB)", "aux%"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double good_pct = pct(m.good, m.offered);
-      const double shed_pct =
-          pct(static_cast<std::size_t>(m.tier.sheds()),
-              static_cast<std::size_t>(m.tier.requests));
-      const double hit_pct =
-          pct(static_cast<std::size_t>(m.tier.cache_hits),
-              static_cast<std::size_t>(m.tier.cache_hits +
-                                       m.tier.cache_misses));
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(
-                         stats::percentile(m.resolution_ms, p), 1);
-      };
-      // aux%: post-recovery goodput for herd rows, non-hot-client goodput
-      // for hotspot rows (the two scenario-specific gate inputs).
-      std::string aux = "-";
-      double aux_pct = 0.0;
-      if (scenario.herd) {
-        aux_pct = pct(m.window_good, m.window_offered);
-        aux = stats::format_double(aux_pct, 1);
-      } else if (scenario.hot_share > 0.0) {
-        aux_pct = pct(m.nonhot_good, m.nonhot_offered);
-        aux = stats::format_double(aux_pct, 1);
-      }
-      table.add_row({scenario.name, rung, std::to_string(m.offered),
-                     stats::format_double(good_pct, 1), pctl(50), pctl(99),
-                     stats::format_double(shed_pct, 1),
-                     stats::format_double(raf(m), 2),
-                     stats::format_double(hit_pct, 1),
-                     std::to_string(m.doh_peak_sessions),
-                     std::to_string(m.doh_memory_bytes / 1024), aux});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + rung;
-        json_report->set(key, "offered",
-                         static_cast<std::int64_t>(m.offered));
-        json_report->set(key, "good", static_cast<std::int64_t>(m.good));
-        json_report->set(key, "goodput_pct", good_pct);
-        json_report->set(key, "p50_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 50));
-        json_report->set(key, "p99_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 99));
-        json_report->set(key, "shed_pct", shed_pct);
-        json_report->set(key, "raf", raf(m));
-        json_report->set(key, "udp_retransmissions",
-                         static_cast<std::int64_t>(m.udp_retransmissions));
-        json_report->set(key, "doh_reissues",
-                         static_cast<std::int64_t>(m.doh_reissues));
-        json_report->set(key, "doh_reconnects",
-                         static_cast<std::int64_t>(m.doh_reconnects));
-        json_report->set(key, "cache_hit_pct", hit_pct);
-        json_report->set(key, "coalesced",
-                         static_cast<std::int64_t>(m.tier.coalesced));
-        json_report->set(key, "retries_detected",
-                         static_cast<std::int64_t>(m.tier.retries_detected));
-        dns::JsonObject shed;
-        shed["queue_full"] =
-            static_cast<std::int64_t>(m.tier.shed_queue_full);
-        shed["deadline"] = static_cast<std::int64_t>(m.tier.shed_deadline);
-        shed["admission"] = static_cast<std::int64_t>(m.tier.shed_admission);
-        shed["fairness"] = static_cast<std::int64_t>(m.tier.shed_fairness);
-        shed["retry_budget"] =
-            static_cast<std::int64_t>(m.tier.shed_retry_budget);
-        json_report->set(key, "shed", dns::JsonValue(std::move(shed)));
-        json_report->set(key, "queue_peak",
-                         static_cast<std::int64_t>(m.tier.queue_peak));
-        json_report->set(key, "doh_peak_sessions",
-                         static_cast<std::int64_t>(m.doh_peak_sessions));
-        json_report->set(key, "doh_memory_bytes",
-                         static_cast<std::int64_t>(m.doh_memory_bytes));
-        json_report->set(key, "aux_pct", aux_pct);
-      }
-    }
-  }
-  return table.render();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t duration_sec = bench::flag(argc, argv, "duration", 10);
-  const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs =
-      bench::flag(argc, argv, "jobs", bench::default_jobs());
-  const bool no_gate = bench::flag_set(argc, argv, "no-gate");
+  bench::Flags flags(argc, argv);
+  const std::size_t duration_sec = flags.num("duration", 10);
+  const std::uint64_t seed = flags.num("seed", 7);
+  const std::size_t jobs = flags.num("jobs", bench::default_jobs());
+  const bool no_gate = flags.on("no-gate");
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
   std::printf("=== Overload matrix: offered load x control ladder ===\n");
   std::printf("(~%.0f q/s nominal capacity, %zu clients (even DoH/h2, odd "
@@ -409,81 +295,132 @@ int main(int argc, char** argv) {
               kNominalQps, kClients, kNames, duration_sec,
               static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("overload_matrix");
-  json_report.params["duration"] = static_cast<std::int64_t>(duration_sec);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-  json_report.params["clients"] = static_cast<std::int64_t>(kClients);
-  json_report.params["nominal_qps"] = kNominalQps;
+  const auto grid = scenarios();
+  std::vector<std::string> rows;
+  for (const Scenario& scenario : grid) rows.push_back(scenario.name);
+  bench::Matrix<RunMetrics> matrix("overload_matrix", rows,
+                                   {kRungs.begin(), kRungs.end()}, jobs);
+  matrix.report().params["duration"] = static_cast<std::int64_t>(duration_sec);
+  matrix.report().params["seed"] = static_cast<std::int64_t>(seed);
+  matrix.report().params["clients"] = static_cast<std::int64_t>(kClients);
+  matrix.report().params["nominal_qps"] = kNominalQps;
 
-  const auto cells = run_grid(seed, duration_sec, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  const std::string second =
-      render_matrix(run_grid(seed, duration_sec, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
+  matrix.run_grid([&](std::size_t s, std::size_t r, obs::Registry* registry) {
+    return run(grid[s], kRungs[r], seed, duration_sec, registry);
+  });
+  matrix.print(
+      {"scenario", "rung", "offered", "good%", "p50(ms)", "p99(ms)", "shed%",
+       "raf", "hit%", "conns", "mem(KB)", "aux%"},
+      [&](std::size_t s, std::size_t r, const RunMetrics& m,
+          bench::CellJson& json) -> std::vector<std::string> {
+        const Scenario& scenario = grid[s];
+        const double good_pct = bench::pct(m.good, m.offered);
+        const double shed_pct =
+            bench::pct(static_cast<std::size_t>(m.tier.sheds()),
+                       static_cast<std::size_t>(m.tier.requests));
+        const double hit_pct =
+            bench::pct(static_cast<std::size_t>(m.tier.cache_hits),
+                       static_cast<std::size_t>(m.tier.cache_hits +
+                                                m.tier.cache_misses));
+        // aux%: post-recovery goodput for herd rows, non-hot-client goodput
+        // for hotspot rows (the two scenario-specific gate inputs).
+        std::string aux = "-";
+        double aux_pct = 0.0;
+        if (scenario.herd) {
+          aux_pct = bench::pct(m.window_good, m.window_offered);
+          aux = stats::format_double(aux_pct, 1);
+        } else if (scenario.hot_share > 0.0) {
+          aux_pct = bench::pct(m.nonhot_good, m.nonhot_offered);
+          aux = stats::format_double(aux_pct, 1);
+        }
+        json.set("offered", static_cast<std::int64_t>(m.offered));
+        json.set("good", static_cast<std::int64_t>(m.good));
+        json.set("goodput_pct", good_pct);
+        json.set("p50_ms", m.resolution_ms.empty()
+                               ? 0.0
+                               : stats::percentile(m.resolution_ms, 50));
+        json.set("p99_ms", m.resolution_ms.empty()
+                               ? 0.0
+                               : stats::percentile(m.resolution_ms, 99));
+        json.set("shed_pct", shed_pct);
+        json.set("raf", raf(m));
+        json.set("udp_retransmissions",
+                 static_cast<std::int64_t>(m.udp_retransmissions));
+        json.set("doh_reissues", static_cast<std::int64_t>(m.doh_reissues));
+        json.set("doh_reconnects",
+                 static_cast<std::int64_t>(m.doh_reconnects));
+        json.set("cache_hit_pct", hit_pct);
+        json.set("coalesced", static_cast<std::int64_t>(m.tier.coalesced));
+        json.set("retries_detected",
+                 static_cast<std::int64_t>(m.tier.retries_detected));
+        dns::JsonObject shed;
+        shed["queue_full"] = static_cast<std::int64_t>(m.tier.shed_queue_full);
+        shed["deadline"] = static_cast<std::int64_t>(m.tier.shed_deadline);
+        shed["admission"] = static_cast<std::int64_t>(m.tier.shed_admission);
+        shed["fairness"] = static_cast<std::int64_t>(m.tier.shed_fairness);
+        shed["retry_budget"] =
+            static_cast<std::int64_t>(m.tier.shed_retry_budget);
+        json.set("shed", dns::JsonValue(std::move(shed)));
+        json.set("queue_peak", static_cast<std::int64_t>(m.tier.queue_peak));
+        json.set("doh_peak_sessions",
+                 static_cast<std::int64_t>(m.doh_peak_sessions));
+        json.set("doh_memory_bytes",
+                 static_cast<std::int64_t>(m.doh_memory_bytes));
+        json.set("aux_pct", aux_pct);
+        return {scenario.name, kRungs[r], std::to_string(m.offered),
+                stats::format_double(good_pct, 1),
+                bench::pctl(m.resolution_ms, 50),
+                bench::pctl(m.resolution_ms, 99),
+                stats::format_double(shed_pct, 1),
+                stats::format_double(raf(m), 2),
+                stats::format_double(hit_pct, 1),
+                std::to_string(m.doh_peak_sessions),
+                std::to_string(m.doh_memory_bytes / 1024), aux};
+      });
 
   // Cell coordinates in the fixed scenario x rung grid.
-  const auto cell = [&](std::size_t scenario, std::size_t rung)
-      -> const RunMetrics& { return cells[scenario * kRungs.size() + rung].metrics; };
   constexpr std::size_t k1x = 1, k2x = 2, kHotspot = 4, kHerd = 5;
   constexpr std::size_t kNone = 0, kFull = 3;
 
-  const RunMetrics& full_1x = cell(k1x, kFull);
-  const RunMetrics& full_2x = cell(k2x, kFull);
-  const RunMetrics& none_2x = cell(k2x, kNone);
-  const bool retention_ok =
-      static_cast<double>(full_2x.good) >=
-      0.8 * static_cast<double>(full_1x.good);
-  const bool collapse_ok =
-      pct(none_2x.good, none_2x.offered) <=
-      0.5 * pct(full_2x.good, full_2x.offered);
-  const bool raf_ok = raf(none_2x) >= 1.5 && raf(full_2x) <= 1.2;
-  const RunMetrics& full_hot = cell(kHotspot, kFull);
-  const RunMetrics& none_hot = cell(kHotspot, kNone);
-  const double full_nonhot = pct(full_hot.nonhot_good, full_hot.nonhot_offered);
-  const bool fairness_ok =
-      full_nonhot >= 85.0 &&
-      full_nonhot >= pct(none_hot.nonhot_good, none_hot.nonhot_offered);
-  const RunMetrics& full_herd = cell(kHerd, kFull);
-  const bool herd_ok =
-      pct(full_herd.window_good, full_herd.window_offered) >= 99.0;
+  const RunMetrics& full_1x = matrix.at(k1x, kFull);
+  const RunMetrics& full_2x = matrix.at(k2x, kFull);
+  const RunMetrics& none_2x = matrix.at(k2x, kNone);
+  const double none_2x_pct = bench::pct(none_2x.good, none_2x.offered);
+  const double full_2x_pct = bench::pct(full_2x.good, full_2x.offered);
+  const RunMetrics& full_hot = matrix.at(kHotspot, kFull);
+  const RunMetrics& none_hot = matrix.at(kHotspot, kNone);
+  const double full_nonhot =
+      bench::pct(full_hot.nonhot_good, full_hot.nonhot_offered);
+  const RunMetrics& full_herd = matrix.at(kHerd, kFull);
+  const double herd_pct =
+      bench::pct(full_herd.window_good, full_herd.window_offered);
 
-  std::printf("retention gate (full@2x >= 80%% of full@1x goodput): %s "
-              "(%zu vs %zu)\n",
-              retention_ok ? "PASS" : "FAIL", full_2x.good, full_1x.good);
-  std::printf("collapse gate (none@2x <= half of full@2x goodput%%): %s "
-              "(%.1f%% vs %.1f%%)\n",
-              collapse_ok ? "PASS" : "FAIL", pct(none_2x.good, none_2x.offered),
-              pct(full_2x.good, full_2x.offered));
-  std::printf("raf gate (none@2x >= 1.5, full@2x <= 1.2): %s "
-              "(%.2f / %.2f)\n",
-              raf_ok ? "PASS" : "FAIL", raf(none_2x), raf(full_2x));
-  std::printf("fairness gate (hotspot full non-hot >= 85%%, beats none): %s "
-              "(%.1f%%)\n",
-              fairness_ok ? "PASS" : "FAIL", full_nonhot);
-  std::printf("herd gate (post-recovery window >= 99%% on full): %s "
-              "(%.1f%%)\n",
-              herd_ok ? "PASS" : "FAIL",
-              pct(full_herd.window_good, full_herd.window_offered));
-  const bool gates_ok =
-      retention_ok && collapse_ok && raf_ok && fairness_ok && herd_ok;
+  matrix.gate("retention",
+              "retention gate (full@2x >= 80% of full@1x goodput)",
+              static_cast<double>(full_2x.good) >=
+                  0.8 * static_cast<double>(full_1x.good),
+              " (" + std::to_string(full_2x.good) + " vs " +
+                  std::to_string(full_1x.good) + ")");
+  matrix.gate("collapse",
+              "collapse gate (none@2x <= half of full@2x goodput%)",
+              none_2x_pct <= 0.5 * full_2x_pct,
+              " (" + stats::format_double(none_2x_pct, 1) + "% vs " +
+                  stats::format_double(full_2x_pct, 1) + "%)");
+  matrix.gate("raf", "raf gate (none@2x >= 1.5, full@2x <= 1.2)",
+              raf(none_2x) >= 1.5 && raf(full_2x) <= 1.2,
+              " (" + stats::format_double(raf(none_2x), 2) + " / " +
+                  stats::format_double(raf(full_2x), 2) + ")");
+  matrix.gate("fairness",
+              "fairness gate (hotspot full non-hot >= 85%, beats none)",
+              full_nonhot >= 85.0 &&
+                  full_nonhot >=
+                      bench::pct(none_hot.nonhot_good, none_hot.nonhot_offered),
+              " (" + stats::format_double(full_nonhot, 1) + "%)");
+  matrix.gate("herd", "herd gate (post-recovery window >= 99% on full)",
+              herd_pct >= 99.0,
+              " (" + stats::format_double(herd_pct, 1) + "%)");
   if (no_gate) {
     std::printf("(--no-gate: ladder gates reported but not enforced)\n");
   }
-
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "retention",
-                  std::string(retention_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "collapse",
-                  std::string(collapse_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "raf", std::string(raf_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "fairness",
-                  std::string(fairness_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "herd", std::string(herd_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && (no_gate || gates_ok) ? 0 : 1;
+  return matrix.finish(output, /*enforce=*/!no_gate);
 }

@@ -9,6 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace dohperf;
+  bench::Flags flags(argc, argv);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
   std::printf("=== Table 1: Compared DoH resolvers ===\n\n");
   const auto& providers = survey::paper_providers();
   std::printf("%s\n", survey::render_table1(providers).c_str());
@@ -27,6 +30,6 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(providers.size()));
   report.set("landscape", "distinct_url_paths",
              static_cast<std::int64_t>(paths.size()));
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

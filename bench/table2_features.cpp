@@ -12,6 +12,9 @@
 
 int main(int argc, char** argv) {
   using namespace dohperf;
+  bench::Flags flags(argc, argv);
+  const bench::Output output = flags.output();
+  flags.reject_unknown();
 
   simnet::EventLoop loop;
   simnet::Network net(loop, /*seed=*/2);
@@ -66,6 +69,6 @@ int main(int argc, char** argv) {
              static_cast<std::int64_t>(paths_2019.size()));
   report.set("2019", "tls13_services",
              static_cast<std::int64_t>(tls13_2019));
-  bench::finish(argc, argv, report);
+  bench::finish(output, report);
   return 0;
 }

@@ -64,7 +64,6 @@ std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
 
   tlssim::ClientConfig tls_config;
   tls_config.sni = config_.server_name;
-  tls_config.min_version = config_.min_tls;
   tls_config.max_version = config_.max_tls;
   tls_config.session_cache = config_.session_cache;
   tls_config.alpn = {config_.http_version == HttpVersion::kHttp2

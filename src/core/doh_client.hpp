@@ -53,7 +53,6 @@ struct DohClientConfig {
   DohMethod method = DohMethod::kPost;
   bool persistent = true;
   bool h1_pipelining = true;
-  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
   tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
   tlssim::SessionCache* session_cache = nullptr;
   http2::Http2Config h2;  ///< HPACK table size etc. (fig5 ablation knob)

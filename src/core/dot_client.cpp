@@ -42,8 +42,6 @@ DotClient::Connection DotClient::open_connection() {
   }
   tlssim::ClientConfig tls_config;
   tls_config.sni = config_.server_name;
-  tls_config.min_version = config_.min_tls;
-  tls_config.max_version = config_.max_tls;
   tls_config.session_cache = config_.session_cache;
   // RFC 7858 defines no mandatory ALPN token; offer none.
   auto tls = std::make_unique<tlssim::TlsConnection>(std::move(transport),

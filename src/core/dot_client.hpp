@@ -27,8 +27,6 @@ struct DotClientConfig {
   std::string server_name = "dot.example";  ///< SNI
   /// DNS-over-TCP (RFC 7766): no TLS layer. Reports as transport "tcp".
   bool plain_tcp = false;
-  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
-  tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
   tlssim::SessionCache* session_cache = nullptr;
   /// Reconnection + per-query retry behaviour; default is fail-fast.
   RetryPolicy retry;

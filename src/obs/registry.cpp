@@ -58,21 +58,6 @@ void Registry::sync() const {
   slots_dirty_ = false;
 }
 
-void Registry::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
-void Registry::set_gauge(const std::string& name, std::int64_t value) {
-  // Last write wins across both paths: fold older slot writes in first so a
-  // stale dirty slot cannot overwrite this value at the next sync.
-  sync();
-  gauges_[name] = value;
-}
-
-void Registry::observe(const std::string& name, double value) {
-  histograms_[name].add(value);
-}
-
 std::uint64_t Registry::counter(const std::string& name) const {
   sync();
   const auto it = counters_.find(name);

@@ -4,15 +4,12 @@
 // runs. Metric names form a stable contract documented in EXPERIMENTS.md
 // ("Observability" section); benches and tests key on them.
 //
-// Two write paths share one export shape:
-//   * the name-keyed slow path (`add("cache.hits")`) — an ordered-map
-//     lookup per call, fine for cold/startup code;
-//   * pre-registered MetricId handles (`register_counter` once, then
-//     `add(id)`) — a dense-slot array write, for hot loops (tier dispatch,
-//     cache lookups, per-packet taps, shard inner loops).
-// Slot writes are folded lazily into the ordered maps on any read
-// (sync-on-read), so exports, merge_from and render stay byte-identical to
-// the name-keyed path regardless of which mix of paths produced the data.
+// Every write goes through a pre-registered MetricId handle
+// (`register_counter` once, then `add(id)`): a dense-slot array write, for
+// hot loops (tier dispatch, cache lookups, per-packet taps, shard inner
+// loops). The name-keyed overloads (`add("cache.hits")`) are sugar for
+// cold code: register, then write through the handle. Slot writes are
+// folded lazily into the ordered maps on any read (sync-on-read).
 #pragma once
 
 #include <cstdint>
@@ -77,7 +74,7 @@ class Registry {
     slots_dirty_ = true;
   }
 
-  /// Set a pre-registered gauge (last write wins across both paths).
+  /// Set a pre-registered gauge (last write wins).
   void set_gauge(MetricId id, std::int64_t value) {
     if (id.kind_ != MetricKind::kGauge) return;
     GaugeSlot& slot = gauge_slots_[id.index_];
@@ -93,16 +90,22 @@ class Registry {
     slots_dirty_ = true;
   }
 
-  // ---- Name-keyed slow path ---------------------------------------------
+  // ---- Name-keyed sugar: register, then write through the handle -------
 
   /// Increment a counter (created at 0 on first touch).
-  void add(const std::string& name, std::uint64_t delta = 1);
+  void add(const std::string& name, std::uint64_t delta = 1) {
+    add(register_counter(name), delta);
+  }
 
   /// Set a gauge to an absolute value (e.g. circuit-breaker state).
-  void set_gauge(const std::string& name, std::int64_t value);
+  void set_gauge(const std::string& name, std::int64_t value) {
+    set_gauge(register_gauge(name), value);
+  }
 
   /// Record one histogram observation (fixed-quantile export).
-  void observe(const std::string& name, double value);
+  void observe(const std::string& name, double value) {
+    observe(register_histogram(name), value);
+  }
 
   // ---- Reads / exports (sync slot writes first) -------------------------
 

@@ -135,14 +135,13 @@ void RecursiveTier::deliver(Job& job, const dns::Message& response) {
 }
 
 RecursiveTier::Answer RecursiveTier::cache_lookup(const Key& key) const {
-  if (!config_.cache_enabled) return nullptr;
   const auto it = cache_.find(key);
   if (it == cache_.end() || it->second.expires <= loop_.now()) return nullptr;
   return it->second.response;
 }
 
 void RecursiveTier::cache_insert(const Key& key, Answer response) {
-  if (!config_.cache_enabled || config_.cache_entries == 0) return;
+  if (config_.cache_entries == 0) return;
   const dns::Rcode rcode = response->flags.rcode;
   if (rcode != dns::Rcode::kNoError && rcode != dns::Rcode::kNxDomain) {
     return;  // never cache SERVFAIL/REFUSED (including our own sheds)

@@ -52,8 +52,8 @@ struct TierConfig {
   std::size_t workers = 4;  ///< concurrent service slots
 
   // --- shared cache -------------------------------------------------------
-  bool cache_enabled = true;
-  /// Evict the earliest-expiring entry beyond this many; 0 caches nothing.
+  /// Evict the earliest-expiring entry beyond this many; 0 turns the cache
+  /// off (nothing is stored, so nothing hits).
   std::size_t cache_entries = 65536;
   /// Worker time a cache hit costs (decode, lookup, encode). Non-zero so
   /// saturation physics include the hit path.

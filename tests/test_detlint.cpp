@@ -203,6 +203,14 @@ TEST(DetlintConc, Conc001MutableStaticState) {
   EXPECT_EQ(counts.size(), 1u);
 }
 
+TEST(DetlintConc, Conc001ThroughAMatrixCellFunctor) {
+  auto counts = live_counts(conc_fixtures({"conc001_matrix_cell.cpp"}));
+  // The cell functor handed to run_grid() is a shard root, so the static
+  // in the per-cell function it calls is parallel-reachable.
+  EXPECT_EQ(counts[Code::CONC001], 1);
+  EXPECT_EQ(counts.size(), 1u);
+}
+
 TEST(DetlintConc, Conc002EscapingCaptureWrites) {
   auto diags = conc_fixtures({"conc002_escaping_capture.cpp"});
   auto counts = live_counts(diags);

@@ -222,8 +222,10 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
   };
 
   // Collects call/ref/static/sync facts from a token range into a Region,
-  // and records run_sharded call sites (whose lambda bodies re-enter the
-  // same analysis) — a struct so it can recurse.
+  // and records shard sites (whose lambda bodies re-enter the same
+  // analysis) — a struct so it can recurse. A shard site is a call to
+  // run_sharded, or to bench::Matrix::run_grid, which runs its cell functor
+  // as one run_sharded shard per cell from inside the harness header.
   struct BodyAnalyzer {
     const std::vector<Token>& t;
     FileModel& model;
@@ -272,7 +274,8 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
         const std::size_t open = call_open_paren(t, i);
         if (open == 0) continue;
         region.calls.insert(text);
-        if (collect_sites && text == "run_sharded") {
+        if (collect_sites &&
+            (text == "run_sharded" || text == "run_grid")) {
           collect_shard_site(i, open, region);
         }
       }

@@ -3,13 +3,14 @@
 //
 // Unlike the DET/HYG checks (pure per-file functions), the CONC pass is a
 // lightweight *cross-file* analysis built on the same lexer: it extracts a
-// per-file model (function definitions, the calls they make, run_sharded
-// call sites with their shard lambdas, struct definitions, mutable static
-// state, synchronization tokens), links the models into a name-based call
-// graph, and marks everything reachable from a shard functor as
-// *parallel-reachable*.  Lambda bodies are attributed to the function that
-// textually contains them, so server/tier callbacks registered inside a
-// reachable function are covered without tracking std::function values.
+// per-file model (function definitions, the calls they make, shard sites —
+// run_sharded and bench::Matrix::run_grid calls — with their shard
+// lambdas, struct definitions, mutable static state, synchronization
+// tokens), links the models into a name-based call graph, and marks
+// everything reachable from a shard functor as *parallel-reachable*.
+// Lambda bodies are attributed to the function that textually contains
+// them, so server/tier callbacks registered inside a reachable function are
+// covered without tracking std::function values.
 //
 // Diagnostics (all suppressible with `// detlint: allow(CONC00x) reason`):
 //   CONC001  mutable static state (function-local static or namespace-scope
