@@ -34,14 +34,9 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
     : host_(host),
       server_(server),
       config_(std::move(config)),
-      recovery_(host_, config_.retry, config_.migration, config_.obs,
+      recovery_(host_, *this, config_.retry, config_.migration, config_.obs,
                 config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
-                                                            : "doh_h1",
-                [this]() {
-                  return persistent_stack_ &&
-                         !persistent_stack_->outstanding.empty();
-                },
-                [this](const char* reason) { begin_migration(reason); }) {}
+                                                            : "doh_h1") {}
 
 void DohClient::bind_obs_ids() {
   obs::Registry* r = config_.obs.metrics;
@@ -144,29 +139,31 @@ void DohClient::on_stream_event(const std::shared_ptr<Stack>& stack,
       const std::uint64_t query_id = stack->awaiting_stream.front();
       stack->awaiting_stream.pop_front();
       stack->stream_to_query.emplace(stream_id, query_id);
-      QueryState& state = states_[query_id];
-      config_.obs.set_attr(state.request_span, "stream_id",
-                           static_cast<std::int64_t>(stream_id));
-      config_.obs.end(state.request_span);
+      if (const Attempt* a = recovery_.find(query_id)) {
+        config_.obs.set_attr(a->request_span, "stream_id",
+                             static_cast<std::int64_t>(stream_id));
+        config_.obs.end(a->request_span);
+      }
       return;
     }
     case http2::StreamEvent::kResponseBegan: {
       const auto it = stack->stream_to_query.find(stream_id);
       if (it == stack->stream_to_query.end()) return;
-      QueryState& state = states_[it->second];
-      if (state.done || state.span == 0) return;
-      state.response_span = config_.obs.tracer->begin(state.span, "response");
-      config_.obs.set_attr(state.response_span, "stream_id",
+      const Attempt* a = recovery_.find(it->second);
+      if (a == nullptr || a->span == 0) return;
+      Exchange& x = exchanges_[it->second];
+      x.response_span = config_.obs.tracer->begin(a->span, "response");
+      config_.obs.set_attr(x.response_span, "stream_id",
                            static_cast<std::int64_t>(stream_id));
       return;
     }
     case http2::StreamEvent::kStreamClosed: {
       const auto it = stack->stream_to_query.find(stream_id);
       if (it == stack->stream_to_query.end()) return;
-      QueryState& state = states_[it->second];
+      Exchange& x = exchanges_[it->second];
       stack->stream_to_query.erase(it);
-      config_.obs.end(state.response_span);
-      state.response_span = 0;
+      config_.obs.end(x.response_span);
+      x.response_span = 0;
       return;
     }
   }
@@ -195,33 +192,27 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
 
 std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
-  const std::uint64_t query_id = next_query_id_++;
   bind_obs_ids();
-  const obs::SpanId span = obs_begin_resolution(
-      config_.obs, tmetrics_, recovery_.transport(), name, type);
-  auto stack = stack_for_query(span);
-
-  ResolutionResult result;
-  result.sent_at = host_.loop().now();
-  results_.push_back(std::move(result));
-
-  QueryState state;
-  recovery_.track(state, query_id, std::move(callback), name, type, span);
-  state.stack = stack;
-  state.start = stack->snapshot();
-  state.fresh_stack = !config_.persistent;
-  states_.push_back(std::move(state));
-
-  issue(stack, query_id, name, type);
-  return query_id;
+  exchanges_.emplace_back();
+  return recovery_.accept(name, type, std::move(callback));
 }
 
-void DohClient::issue(const std::shared_ptr<Stack>& stack,
-                      std::uint64_t query_id, const dns::Name& name,
-                      dns::RType type) {
+void DohClient::send(Attempt&& a) {
+  const std::uint64_t query_id = a.query_id;
+  Exchange& x = exchanges_[query_id];
+  if (x.stack) {  // a re-send: the attempt leaves the stack it rode on
+    auto& out = x.stack->outstanding;
+    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
+    config_.obs.end(x.response_span);
+    x.response_span = 0;
+  }
+  const std::shared_ptr<Stack> stack = stack_for_query(a.span);
+  x.stack = stack;
+  x.start = stack->snapshot();
+
   // RFC 8484 §4.1: use DNS ID 0 for cache friendliness; correlation is via
   // the HTTP exchange itself.
-  dns::Message query = dns::Message::make_query(0, name, type);
+  dns::Message query = dns::Message::make_query(0, a.name, a.type);
   if (config_.pad_queries_to > 0) {
     query.pad_to_multiple(config_.pad_queries_to);
   }
@@ -247,53 +238,40 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
       break;
     }
     case DohMethod::kJsonGet: {
-      target += "?" + dns::dns_json_query_string(name, type);
+      target += "?" + dns::dns_json_query_string(a.name, a.type);
       method = "GET";
       accept = kDnsJson;
       content_type.clear();
       break;
     }
   }
-  results_[query_id].cost.dns_message_bytes += query_dns_bytes;
 
-  ++states_[query_id].attempt;
-  states_[query_id].rx_at_issue =
-      stack->tcp ? stack->tcp->counters().wire_bytes_received : 0;
-  if (states_[query_id].span != 0) {
-    QueryState& qstate = states_[query_id];
-    qstate.request_span =
-        config_.obs.tracer->begin(qstate.span, "request");
-    config_.obs.set_attr(qstate.request_span, "attempt",
-                         static_cast<std::int64_t>(qstate.attempt));
-    // h2: the stream observer resolves this to a stream id once the
-    // HEADERS actually leaves (possibly after the handshake).
-    if (stack->h2) stack->awaiting_stream.push_back(query_id);
-  }
-
+  recovery_.open_request(a);
+  x.rx_at_issue = stack->tcp ? stack->tcp->counters().wire_bytes_received : 0;
+  // h2: the stream observer resolves the request span to a stream id once
+  // the HEADERS actually leaves (possibly after the handshake).
+  if (a.span != 0 && stack->h2) stack->awaiting_stream.push_back(query_id);
   stack->outstanding.push_back(query_id);
   recovery_.arm_stall_timer();
-  recovery_.arm_timeout(states_[query_id],
-                        [this, query_id]() { on_query_timeout(query_id); });
+  recovery_.sent(query_id, std::move(a), query_dns_bytes);
 
   const auto handle_body = [this, query_id](
                                int status, const std::string& content_type,
                                std::span<const std::uint8_t> payload) {
     if (status != 200) {
-      complete(query_id, false, {}, 0);
+      recovery_.fail(query_id);
       return;
     }
+    dns::Message response;
     try {
-      if (content_type == kDnsJson) {
-        dns::Message response =
-            dns::from_dns_json(dns::to_string(payload));
-        complete(query_id, true, std::move(response), payload.size());
-      } else {
-        dns::Message response = dns::Message::decode(payload);
-        complete(query_id, true, std::move(response), payload.size());
-      }
+      response = content_type == kDnsJson
+                     ? dns::from_dns_json(dns::to_string(payload))
+                     : dns::Message::decode(payload);
     } catch (const std::exception&) {
-      complete(query_id, false, {}, 0);
+      recovery_.fail(query_id);
+      return;
     }
+    recovery_.answer(query_id, std::move(response), payload.size());
   };
 
   if (stack->h2) {
@@ -371,167 +349,96 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
   std::vector<std::uint64_t> victims;
   victims.swap(stack->outstanding);
   if (victims.empty()) return;
-  recovery_.lose_batch(
-      victims,
-      [this](std::uint64_t query_id) -> Attempt* {
-        QueryState& state = states_[query_id];
-        if (state.done) return nullptr;
-        config_.obs.end(state.response_span);
-        state.response_span = 0;
-        return &state;
-      },
-      [this](std::uint64_t query_id) { complete(query_id, false, {}, 0); },
-      [this](std::uint64_t query_id, simnet::TimeUs delay) {
-        host_.loop().schedule_in(delay,
-                                 [this, query_id]() { reissue(query_id); });
-      });
+  for (const std::uint64_t query_id : victims) {
+    Exchange& x = exchanges_[query_id];
+    config_.obs.end(x.response_span);
+    x.response_span = 0;
+  }
+  recovery_.lose(victims);
 }
 
-void DohClient::on_query_timeout(std::uint64_t query_id) {
-  QueryState& state = states_[query_id];
-  if (state.done) return;
-  const auto stack = state.stack;
-  if (stack) {
-    auto& out = stack->outstanding;
-    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-  }
-  if (!recovery_.timed_out(state)) {
-    complete(query_id, false, {}, 0);
-    return;
-  }
+void DohClient::abort(std::uint64_t key) {
+  // HTTP/1.1 serializes responses on the connection, so a stalled exchange
+  // blocks everything queued behind it, and an h2 connection that received
+  // nothing since the attempt left is dead. Kill the suspect connection.
+  const std::shared_ptr<Stack> stack = exchanges_[key].stack;
+  if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
+  on_stack_error(stack);
+}
+
+bool DohClient::resend_alone(std::uint64_t key) const {
+  const Exchange& x = exchanges_[key];
+  const Stack* stack = x.stack.get();
+  if (stack == nullptr || stack->broken) return true;
   // Zero bytes received on the connection across the whole timeout window
   // means the path, not the stream, is stalled (e.g. the 5-tuple died under
   // a silent NAT rebind) — the moral equivalent of an h2 PING timeout. An
-  // h2 per-stream re-issue would just rejoin the dead connection.
+  // h2 per-stream re-send would just rejoin the dead connection.
   const bool conn_dead =
-      stack && !stack->broken && stack->tcp &&
-      stack->tcp->counters().wire_bytes_received == state.rx_at_issue;
-  if (stack && !stack->broken && (stack->h1 || conn_dead)) {
-    // HTTP/1.1 serializes responses on the connection, so a stalled
-    // exchange blocks everything queued behind it; re-issuing here would
-    // join the same blocked queue. Kill the suspect connection and let the
-    // reconnect path re-issue every query in flight on it, this one
-    // included.
-    stack->outstanding.push_back(query_id);  // back in the batch it condemns
-    recovery_.tear_down_for(query_id, [&]() {
-      if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
-      on_stack_error(stack);
-    });
-    return;
-  }
-  // HTTP/2 multiplexes streams independently: only this exchange is
-  // stalled, so re-issue immediately — the elapsed timeout was the wait.
-  config_.obs.end(state.response_span);
-  state.response_span = 0;
-  recovery_.retry(state, RetryReason::kTimeout);
-  reissue(query_id);
+      stack->tcp &&
+      stack->tcp->counters().wire_bytes_received == x.rx_at_issue;
+  return !stack->h1 && !conn_dead;
 }
 
-void DohClient::reissue(std::uint64_t query_id) {
-  QueryState& state = states_[query_id];
-  if (state.done) return;
-  auto stack = stack_for_query(state.span);
-  state.stack = stack;
-  state.start = stack->snapshot();
-  issue(stack, query_id, state.name, state.type);
-}
-
-void DohClient::complete(std::uint64_t query_id, bool success,
-                         dns::Message response, std::size_t dns_bytes) {
-  QueryState& state = states_[query_id];
-  if (state.done) return;  // error handler may race the response
-  state.done = true;
-  host_.loop().cancel(state.timeout_timer);
+void DohClient::finishing(Attempt& a, bool success) {
+  const std::uint64_t query_id = a.query_id;
   recovery_.disarm_stall_timer();
-  if (state.stack) {
-    auto& out = state.stack->outstanding;
-    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-  }
+  Exchange& x = exchanges_[query_id];
+  const std::shared_ptr<Stack> stack = x.stack;
+  auto& out = stack->outstanding;
+  out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
   if (success) {
-    recovery_.answered();
     // A full response on the old path while racing: the stall was
     // transient, keep the connection and drop the racer.
     teardown_racer();
   }
-  if (!state.fresh_stack && state.stack) {
-    // Persistent connection: freeze the counter window one event from now,
-    // so the TCP ACK triggered by the response segment is still attributed
-    // to this query, but later queries are not.
+  if (config_.persistent) {
+    // Freeze the counter window one event from now, so the TCP ACK
+    // triggered by the response segment is still attributed to this query,
+    // but later queries are not.
     host_.loop().schedule_in(0, [this, query_id]() {
-      QueryState& s = states_[query_id];
-      if (s.stack && !s.have_end) {
-        s.end = s.stack->snapshot();
-        s.have_end = true;
+      Exchange& e = exchanges_[query_id];
+      if (!e.have_end) {
+        e.end = e.stack->snapshot();
+        e.have_end = true;
       }
     });
   }
-
-  ResolutionResult& result = results_[query_id];
-  result.success = success;
-  result.completed_at = host_.loop().now();
-  if (success) {
-    result.cost.dns_message_bytes += dns_bytes;
-    result.response = std::move(response);
-  } else {
-    ++failures_;
-  }
-  ++completed_;
-
-  config_.obs.end(state.request_span);
-  config_.obs.end(state.response_span);
-  state.request_span = state.response_span = 0;
-  if (state.stack && state.stack->h2 && config_.obs.metrics != nullptr) {
+  config_.obs.end(x.response_span);
+  x.response_span = 0;
+  if (stack->h2 && config_.obs.metrics != nullptr) {
     // HPACK dynamic-table hits are per-connection cumulative; export the
     // delta since the last completion on this stack.
-    const std::uint64_t hits = state.stack->h2->encoder_stats().indexed_dynamic;
-    if (hits > state.stack->hpack_reported) {
-      config_.obs.metrics->add(m_hpack_dyn_hits_,
-                               hits - state.stack->hpack_reported);
-      state.stack->hpack_reported = hits;
+    const std::uint64_t hits = stack->h2->encoder_stats().indexed_dynamic;
+    if (hits > stack->hpack_reported) {
+      config_.obs.metrics->add(m_hpack_dyn_hits_, hits - stack->hpack_reported);
+      stack->hpack_reported = hits;
     }
   }
-  obs_finish_resolution(config_.obs, tmetrics_, state.span,
-                        recovery_.transport(), result);
-
-  if (!config_.persistent && state.stack) {
+  if (!config_.persistent) {
     // Tear the connection down; the remaining FIN/close-notify bytes are
-    // captured when the cost is finalized in result().
-    if (state.stack->h2) state.stack->h2->close();
-    if (state.stack->h1) state.stack->h1->close();
+    // captured when result() settles the cost.
+    if (stack->h2) stack->h2->close();
+    if (stack->h1) stack->h1->close();
   }
-  // Move the callback out first: it may start new resolutions, which can
-  // reallocate states_ and invalidate `state`.
-  auto callback = std::move(state.callback);
-  if (callback) callback(result);
   if (persistent_stack_ && !persistent_stack_->outstanding.empty()) {
     recovery_.arm_stall_timer();
   }
 }
 
 const ResolutionResult& DohClient::result(std::uint64_t id) const {
-  const QueryState& state = states_.at(id);
-  ResolutionResult& result = results_.at(id);
-  if (state.done && state.stack) {
-    // Finalize the transport cost. Fresh stacks are read at call time so
-    // the teardown packets are included (run the loop to idle first);
-    // persistent stacks use the window frozen at completion.
-    const std::size_t dns_bytes = result.cost.dns_message_bytes;
-    const CostReport end =
-        state.have_end ? state.end : state.stack->snapshot();
-    result.cost = end - state.start;
-    result.cost.dns_message_bytes = dns_bytes;
-    if (!state.cost_observed) {
-      // Attach the per-layer byte attributes the first time the finalized
-      // cost is read — by construction they match this CostReport exactly.
-      state.cost_observed = true;
-      obs_span_cost(config_.obs, state.span, result.cost);
-      obs_count_cost(config_.obs, cmetrics_, result.cost);
-    }
+  const Exchange& x = exchanges_.at(id);
+  // Fresh stacks are read at call time so the teardown packets are included
+  // (run the loop to idle first); persistent stacks use the window frozen
+  // at completion.
+  if (x.stack) {
+    recovery_.record_cost(
+        id, (x.have_end ? x.end : x.stack->snapshot()) - x.start);
   }
-  return result;
+  return recovery_.result(id);
 }
 
-void DohClient::begin_migration(const char* reason) {
+void DohClient::migrate(const char* reason) {
   if (!config_.persistent) return;
   if (racing_stack_) return;  // a race is already deciding the new path
   if (!persistent_stack_) return;  // nothing to migrate; next query reconnects

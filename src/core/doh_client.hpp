@@ -67,7 +67,7 @@ struct DohClientConfig {
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class DohClient final : public ResolverClient {
+class DohClient final : public ResolverClient, private Session {
  public:
   DohClient(simnet::Host& host, simnet::Address server,
             DohClientConfig config = {});
@@ -76,8 +76,8 @@ class DohClient final : public ResolverClient {
                         ResolveCallback callback) override;
   /// Lazily finalizes the cost if the stack has quiesced.
   const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
-  std::uint64_t failures() const noexcept { return failures_; }
+  std::size_t completed() const override { return recovery_.completed(); }
+  std::uint64_t failures() const noexcept { return recovery_.failures(); }
   const RetryStats& retry_stats() const noexcept {
     return recovery_.retry_stats();
   }
@@ -105,7 +105,8 @@ class DohClient final : public ResolverClient {
     tlssim::TlsConnection* tls = nullptr;  ///< owned by the HTTP layer
     std::unique_ptr<http1::Http1Client> h1;
     std::unique_ptr<http2::Http2Connection> h2;
-    std::vector<std::uint64_t> outstanding;  ///< query ids in flight here
+    /// Query ids in flight here, in issue order: the loss batch's order.
+    std::vector<std::uint64_t> outstanding;
     bool broken = false;  ///< transport failed; never reuse
 
     // Observability state (all unused when tracing is off).
@@ -123,32 +124,47 @@ class DohClient final : public ResolverClient {
     bool usable() const;
   };
 
+  /// What DoH keeps per query beside Recovery's record: the stack its
+  /// latest attempt rode on and the counter window its cost is read from.
+  struct Exchange {
+    std::shared_ptr<Stack> stack;
+    CostReport start;  ///< stack snapshot when the latest attempt was sent
+    CostReport end;    ///< snapshot one event after completion (persistent)
+    /// Stack's TCP wire_bytes_received when the latest attempt was sent; if
+    /// it has not advanced by the deadline, the connection (not just the
+    /// stream) is stalled.
+    std::uint64_t rx_at_issue = 0;
+    obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
+    bool have_end = false;
+  };
+
+  // Session: queries are keyed by query id.
+  void send(Attempt&& a) override;
+  void abort(std::uint64_t key) override;
+  void migrate(const char* reason) override;
+  /// HTTP/2 multiplexes streams independently: while the connection still
+  /// receives bytes, only the late exchange is stalled.
+  bool resend_alone(std::uint64_t key) const override;
+  void finishing(Attempt& a, bool success) override;
+  /// A cost is the stack's counter delta, settled in result().
+  bool cost_final_at_finish() const override { return false; }
+
   std::shared_ptr<Stack> make_stack(obs::SpanId parent);
   std::shared_ptr<Stack> stack_for_query(obs::SpanId parent);
   void on_stream_event(const std::shared_ptr<Stack>& stack,
                        std::uint32_t stream_id, http2::StreamEvent event);
-  void issue(const std::shared_ptr<Stack>& stack, std::uint64_t query_id,
-             const dns::Name& name, dns::RType type);
-  void complete(std::uint64_t query_id, bool success, dns::Message response,
-                std::size_t dns_bytes);
   /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
   /// fail every query that was in flight on `stack`.
   void on_stack_error(const std::shared_ptr<Stack>& stack);
-  void on_query_timeout(std::uint64_t query_id);
-  /// Re-issue a query on a (possibly fresh) connection.
-  void reissue(std::uint64_t query_id);
   /// Re-register the client.doh.hpack_dyn_hits handle when the registry
   /// changes.
   void bind_obs_ids();
-  void begin_migration(const char* reason);
   void promote_racer();
   void teardown_racer();
 
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
-  mutable TransportMetrics tmetrics_;  ///< mutable: result() is const
-  mutable CostMetrics cmetrics_;
   obs::MetricId m_hpack_dyn_hits_;
   obs::Registry* bound_metrics_ = nullptr;
   Recovery recovery_;  ///< transport "doh_h2" or "doh_h1"
@@ -156,28 +172,7 @@ class DohClient final : public ResolverClient {
   std::shared_ptr<Stack> persistent_stack_;
   /// Migration race: a fresh stack racing the stalled persistent one.
   std::shared_ptr<Stack> racing_stack_;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failures_ = 0;
-
-  struct QueryState : Attempt {
-    std::shared_ptr<Stack> stack;  ///< stack this query ran on
-    CostReport start;              ///< stack snapshot at issue time
-    CostReport end;                ///< snapshot at completion (persistent)
-    /// Stack's TCP wire_bytes_received when this attempt was issued; if it
-    /// has not advanced by the query timeout, the connection (not just the
-    /// stream) is stalled.
-    std::uint64_t rx_at_issue = 0;
-    obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
-    bool have_end = false;
-    bool fresh_stack = false;      ///< cost = whole stack incl. teardown
-    bool done = false;
-    /// Span byte attrs / bytes.* counters recorded (result() is const and
-    /// may be called repeatedly; the first finalized read wins).
-    mutable bool cost_observed = false;
-  };
-  mutable std::vector<ResolutionResult> results_;
-  std::vector<QueryState> states_;
+  std::vector<Exchange> exchanges_;  ///< by query id
 };
 
 }  // namespace dohperf::core

@@ -11,10 +11,8 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/client.hpp"
-#include "core/obs_hooks.hpp"
 #include "core/recovery.hpp"
 #include "obs/span.hpp"
 #include "quicsim/endpoint.hpp"
@@ -31,15 +29,19 @@ struct DoqClientConfig {
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class DoqClient final : public ResolverClient {
+class DoqClient final : public ResolverClient, private Session {
  public:
   DoqClient(simnet::Host& host, simnet::Address server,
             DoqClientConfig config = {});
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
-                        ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+                        ResolveCallback callback) override {
+    return recovery_.accept(name, type, std::move(callback));
+  }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return recovery_.result(id);
+  }
+  std::size_t completed() const override { return recovery_.completed(); }
   const RetryStats& retry_stats() const noexcept {
     return recovery_.retry_stats();
   }
@@ -52,38 +54,31 @@ class DoqClient final : public ResolverClient {
   const quicsim::QuicCounters* quic_counters() const;
 
  private:
-  struct PendingQuery : Attempt {
-    dns::Bytes rx;  ///< the response stream so far
-  };
+  // Session: queries are keyed by stream id.
+  void send(Attempt&& a) override;
+  /// QUIC's PTO machinery already retries within the connection, so a
+  /// query deadline means the path (or the server's view of our address)
+  /// is dead: drop the endpoint and re-issue everything in flight.
+  void abort(std::uint64_t key) override;
+  /// QUIC migration: validate the current path with a PATH_CHALLENGE. The
+  /// connection — handshake included — survives the address change.
+  void migrate(const char* reason) override;
 
   void ensure_connection(obs::SpanId parent);
-  void issue(PendingQuery pq);
   void on_stream_data(std::uint64_t stream_id,
                       std::span<const std::uint8_t> data, bool fin);
   void on_closed();
-  void on_query_timeout(std::uint64_t stream_id);
-  /// Fail or (budget permitting) re-issue every query in flight after the
-  /// connection died or was condemned by a query timeout.
-  void group_reissue();
-  void fail_query(PendingQuery pq);
-  /// QUIC migration: validate the current path with a PATH_CHALLENGE. The
-  /// connection — handshake included — survives the address change.
-  void begin_migration(const char* reason);
 
   simnet::Host& host_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
   simnet::Address server_;
   DoqClientConfig config_;
   Recovery recovery_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
+  /// Responses that arrived in more than one STREAM frame, by stream id, on
+  /// the current endpoint.
+  std::map<std::uint64_t, dns::Bytes> partial_;
   obs::SpanId connect_span_ = 0;
   obs::SpanId quic_hs_span_ = 0;
-
-  std::map<std::uint64_t, PendingQuery> pending_;  ///< keyed by stream id
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::vector<ResolutionResult> results_;
 };
 
 }  // namespace dohperf::core

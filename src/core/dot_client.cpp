@@ -27,10 +27,8 @@ DotClient::DotClient(simnet::Host& host, simnet::Address server,
     : host_(host),
       server_(server),
       config_(std::move(config)),
-      recovery_(host_, config_.retry, config_.migration, config_.obs,
-                config_.plain_tcp ? "tcp" : "dot",
-                [this]() { return !pending_.empty(); },
-                [this](const char* reason) { begin_migration(reason); }) {}
+      recovery_(host_, *this, config_.retry, config_.migration, config_.obs,
+                config_.plain_tcp ? "tcp" : "dot") {}
 
 DotClient::Connection DotClient::open_connection() {
   Connection c;
@@ -116,52 +114,22 @@ void DotClient::ensure_connection(obs::SpanId parent) {
   rx_.clear();
 }
 
-std::uint64_t DotClient::resolve(const dns::Name& name, dns::RType type,
-                                 ResolveCallback callback) {
-  const std::uint64_t query_id = next_query_id_++;
-
-  ResolutionResult result;
-  result.sent_at = host_.loop().now();
-  results_.push_back(std::move(result));
-
-  const obs::SpanId span = obs_begin_resolution(
-      config_.obs, tmetrics_, recovery_.transport(), name, type);
-  Attempt pending;
-  recovery_.track(pending, query_id, std::move(callback), name, type, span);
-  send_query(std::move(pending));
-  return query_id;
-}
-
-void DotClient::send_query(Attempt pending) {
+void DotClient::send(Attempt&& a) {
   const std::optional<std::uint16_t> id =
-      allocate_dns_id(next_dns_id_, pending_);
+      allocate_dns_id(next_dns_id_, recovery_.in_flight());
   if (!id) {
     // Every DNS ID is in flight: fail the query, one event later so the
     // callback never runs inside resolve().
-    host_.loop().schedule_in(0, [this, p = std::move(pending)]() mutable {
-      fail_query(std::move(p));
+    host_.loop().schedule_in(0, [this, a = std::move(a)]() mutable {
+      recovery_.fail(std::move(a));
     });
     return;
   }
-  const std::uint16_t dns_id = *id;
-  ensure_connection(pending.span);
-  const std::uint64_t query_id = pending.query_id;
-  ++pending.attempt;
-  if (pending.span != 0) {
-    pending.request_span =
-        config_.obs.tracer->begin(pending.span, "request");
-    config_.obs.set_attr(pending.request_span, "attempt",
-                         static_cast<std::int64_t>(pending.attempt));
-  }
-
-  const dns::Message query =
-      dns::Message::make_query(dns_id, pending.name, pending.type);
-  const dns::Bytes wire = query.encode();
-  results_[query_id].cost.dns_message_bytes += wire.size();
-
-  recovery_.arm_timeout(pending,
-                        [this, dns_id]() { on_query_timeout(dns_id); });
-  pending_.emplace(dns_id, std::move(pending));
+  ensure_connection(a.span);
+  recovery_.open_request(a);
+  const dns::Bytes wire =
+      dns::Message::make_query(*id, a.name, a.type).encode();
+  recovery_.sent(*id, std::move(a), wire.size());
 
   dns::ByteWriter framed;
   framed.u16(static_cast<std::uint16_t>(wire.size()));
@@ -188,30 +156,13 @@ void DotClient::on_data(std::span<const std::uint8_t> data) {
     } catch (const dns::WireError&) {
       continue;
     }
-    const auto it = pending_.find(response.id);
-    if (it == pending_.end()) continue;
-    Attempt pending = std::move(it->second);
-    pending_.erase(it);
-    host_.loop().cancel(pending.timeout_timer);
-    recovery_.answered();
-
-    ResolutionResult& result = results_[pending.query_id];
-    result.success = true;
-    result.completed_at = host_.loop().now();
-    result.cost.dns_message_bytes += wire.size();
-    result.response = std::move(response);
-    ++completed_;
-    config_.obs.end(pending.request_span);
-    obs_span_cost(config_.obs, pending.span, result.cost);
-    obs_count_cost(config_.obs, cmetrics_, result.cost);
-    obs_finish_resolution(config_.obs, tmetrics_, pending.span,
-                          recovery_.transport(), result);
-    if (pending.callback) pending.callback(result);
+    const std::uint16_t id = response.id;
+    if (!recovery_.answer(id, std::move(response), wire.size())) continue;
     // A full response on the old path while racing: the stall was
     // transient, keep the connection and drop the racer.
     teardown_racer();
   }
-  if (!pending_.empty()) recovery_.arm_stall_timer();
+  if (!recovery_.in_flight().empty()) recovery_.arm_stall_timer();
 }
 
 void DotClient::on_close() {
@@ -220,61 +171,32 @@ void DotClient::on_close() {
   config_.obs.end(tls_hs_span_);
   config_.obs.end(connect_span_);
   tcp_hs_span_ = tls_hs_span_ = connect_span_ = 0;
-  recovery_.lose_all(
-      pending_, [this](Attempt&& p) { fail_query(std::move(p)); },
-      [this](Attempt&& p, simnet::TimeUs delay) {
-        host_.loop().schedule_in(delay, [this, p = std::move(p)]() mutable {
-          send_query(std::move(p));
-        });
-      });
+  recovery_.lose();
 }
 
-void DotClient::on_query_timeout(std::uint16_t dns_id) {
-  const auto it = pending_.find(dns_id);
-  if (it == pending_.end()) return;
-  if (recovery_.timed_out(it->second)) {
-    // The resolver answers in order on one stream, so a stalled exchange at
-    // the head of the line blocks every response behind it and re-issuing
-    // on the same connection cannot recover. Discard the suspect connection
-    // -- as real stub resolvers discard suspect TCP sessions -- and let the
-    // reconnect path re-issue every pending query, this one included.
-    recovery_.tear_down_for(dns_id, [this]() {
-      conn_.abort();  // no local callbacks fire; notify ourselves
-      rx_.clear();
-      on_close();
-    });
-    return;
-  }
-  Attempt pending = std::move(it->second);
-  pending_.erase(it);
-  fail_query(std::move(pending));
+void DotClient::abort(std::uint64_t /*key*/) {
+  // The resolver answers in order on one stream, so a stalled exchange at
+  // the head of the line blocks every response behind it. Discard the
+  // suspect connection, as real stub resolvers discard suspect TCP
+  // sessions.
+  conn_.abort();  // no local callbacks fire; notify ourselves
+  rx_.clear();
+  on_close();
 }
 
-void DotClient::fail_query(Attempt pending) {
-  ResolutionResult& result = results_[pending.query_id];
-  result.success = false;
-  result.completed_at = host_.loop().now();
-  ++completed_;
-  config_.obs.end(pending.request_span);
-  obs_span_cost(config_.obs, pending.span, result.cost);
-  obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, tmetrics_, pending.span,
-                        recovery_.transport(), result);
-  if (pending.callback) pending.callback(result);
-}
-
-void DotClient::begin_migration(const char* reason) {
+void DotClient::migrate(const char* reason) {
   if (racer_) return;  // a race is already deciding the new path
-  if (!conn_ && pending_.empty()) return;  // nothing to migrate
+  const bool in_flight = !recovery_.in_flight().empty();
+  if (!conn_ && !in_flight) return;  // nothing to migrate
   recovery_.open_migrate_span(reason);
-  if (!conn_.usable() || pending_.empty()) {
+  if (!conn_.usable() || !in_flight) {
     // Nothing worth racing against: drop the (suspect or already dead)
     // connection so the next attempt reconnects on the new path, resuming
     // via the session cache when one is configured.
     conn_.abort();
     rx_.clear();
     recovery_.migrated("fresh");
-    if (!pending_.empty()) on_close();  // reconnect + re-issue in flight
+    if (in_flight) on_close();  // reconnect + re-issue in flight
     return;
   }
   // Happy-eyeballs: open a fresh connection and race it against the
@@ -306,10 +228,7 @@ void DotClient::promote_racer() {
   conn_ = std::exchange(racer_, {});
   rx_.clear();
   install_handlers();  // the established racer's on_open accounts it
-  recovery_.lose_all(
-      pending_, [this](Attempt&& p) { fail_query(std::move(p)); },
-      [this](Attempt&& p, simnet::TimeUs) { send_query(std::move(p)); },
-      /*migrated=*/true);
+  recovery_.lose(/*migrated=*/true);
 }
 
 void DotClient::teardown_racer() {
@@ -335,10 +254,6 @@ const tlssim::TlsCounters* DotClient::tls_counters() const {
 
 const simnet::TcpCounters* DotClient::tcp_counters() const {
   return conn_.tcp ? &conn_.tcp->counters() : nullptr;
-}
-
-const ResolutionResult& DotClient::result(std::uint64_t id) const {
-  return results_.at(id);
 }
 
 }  // namespace dohperf::core

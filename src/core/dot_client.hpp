@@ -9,12 +9,9 @@
 // (config.retry, config.migration); a won migration race re-issues at once.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "core/client.hpp"
-#include "core/obs_hooks.hpp"
 #include "core/recovery.hpp"
 #include "obs/span.hpp"
 #include "simnet/host.hpp"
@@ -35,15 +32,19 @@ struct DotClientConfig {
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class DotClient final : public ResolverClient {
+class DotClient final : public ResolverClient, private Session {
  public:
   DotClient(simnet::Host& host, simnet::Address server,
             DotClientConfig config = {});
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
-                        ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+                        ResolveCallback callback) override {
+    return recovery_.accept(name, type, std::move(callback));
+  }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return recovery_.result(id);
+  }
+  std::size_t completed() const override { return recovery_.completed(); }
   const RetryStats& retry_stats() const noexcept {
     return recovery_.retry_stats();
   }
@@ -77,25 +78,24 @@ class DotClient final : public ResolverClient {
     void abort();
   };
 
+  // Session: queries are keyed by DNS message ID.
+  /// Allocate a DNS ID and send one attempt of `a`; fails it (one event
+  /// later) when all 65,535 non-zero IDs are in flight.
+  void send(Attempt&& a) override;
+  void abort(std::uint64_t key) override;
+  void migrate(const char* reason) override;
+
   Connection open_connection();
   void ensure_connection(obs::SpanId parent);
-  /// Allocate a DNS ID and send one attempt of `pending`; fails it (one
-  /// event later) when all 65,535 non-zero IDs are in flight.
-  void send_query(Attempt pending);
   void on_data(std::span<const std::uint8_t> data);
   void on_close();
-  void on_query_timeout(std::uint16_t dns_id);
-  void fail_query(Attempt pending);
   void install_handlers();
-  void begin_migration(const char* reason);
   void promote_racer();
   void teardown_racer();
 
   simnet::Host& host_;
   simnet::Address server_;
   DotClientConfig config_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
   Recovery recovery_;
 
   Connection conn_;
@@ -107,10 +107,6 @@ class DotClient final : public ResolverClient {
   obs::SpanId tls_hs_span_ = 0;
 
   std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::map<std::uint16_t, Attempt> pending_;  ///< keyed by DNS message ID
-  std::vector<ResolutionResult> results_;
 };
 
 }  // namespace dohperf::core

@@ -114,7 +114,11 @@ void HealthTrackingClient::on_result(std::uint64_t id, std::size_t resolver,
   out.success = ok;
   ++completed_;
   auto callback = std::move(pending.callback);
-  if (callback) callback(out);
+  // The callback gets the result moved out of results_: a resolve() inside
+  // it grows results_ and may move every result. It goes back afterwards.
+  ResolutionResult done = std::move(out);
+  if (callback) callback(done);
+  results_[id] = std::move(done);
 }
 
 void HealthTrackingClient::record_success(std::size_t resolver) {

@@ -1,5 +1,6 @@
 #include "core/recovery.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string_view>
 
@@ -37,24 +38,21 @@ void trace_retry(const obs::SpanContext& obs, obs::SpanId span,
   obs.end(retry);
 }
 
-Recovery::Recovery(simnet::Host& host, const RetryPolicy& retry,
-                   const MigrationConfig& migration,
-                   const obs::SpanContext& obs, std::string transport,
-                   std::function<bool()> in_flight,
-                   std::function<void(const char* reason)> migrate)
+Recovery::Recovery(simnet::Host& host, Session& session,
+                   const RetryPolicy& retry, const MigrationConfig& migration,
+                   const obs::SpanContext& obs, std::string transport)
     : host_(host),
+      session_(session),
       retry_(retry),
       migration_(migration),
       obs_(obs),
       transport_(std::move(transport)),
-      in_flight_(std::move(in_flight)),
-      migrate_(std::move(migrate)),
       metrics_(transport_),
       backoff_(retry) {
   if (migration_.enabled) {
     listener_id_ = host_.add_network_change_listener(
         [this](simnet::NetworkChangeKind kind) {
-          migrate_(simnet::to_string(kind));
+          session_.migrate(simnet::to_string(kind));
         });
   }
 }
@@ -64,24 +62,140 @@ Recovery::~Recovery() {
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
 }
 
-void Recovery::track(Attempt& a, std::uint64_t query_id,
-                     ResolveCallback callback, const dns::Name& name,
-                     dns::RType type, obs::SpanId span) const {
-  a.query_id = query_id;
+std::uint64_t Recovery::accept(const dns::Name& name, dns::RType type,
+                               ResolveCallback callback) {
+  const std::uint64_t id = slots_.size();
+  slots_.emplace_back().result.sent_at = host_.loop().now();
+  Attempt a;
+  a.query_id = id;
   a.callback = std::move(callback);
   a.name = name;
   a.type = type;
   a.retries_left = retry_.max_retries;
-  a.span = span;
+  a.span = obs_begin_resolution(obs_, tmetrics_, transport_, name, type);
+  session_.send(std::move(a));
+  return id;
 }
 
-bool Recovery::timed_out(const Attempt& a) {
+void Recovery::open_request(Attempt& a,
+                            std::optional<std::uint64_t> stream_id) {
+  ++a.attempt;
+  if (a.span == 0) return;
+  a.request_span = obs_.tracer->begin(a.span, "request");
+  if (stream_id) {
+    obs_.set_attr(a.request_span, "stream_id",
+                  static_cast<std::int64_t>(*stream_id));
+  }
+  obs_.set_attr(a.request_span, "attempt",
+                static_cast<std::int64_t>(a.attempt));
+}
+
+void Recovery::sent(std::uint64_t key, Attempt&& a, std::size_t query_bytes) {
+  slots_[a.query_id].result.cost.dns_message_bytes += query_bytes;
+  if (retry_.query_timeout > 0) {
+    a.timeout_timer = host_.loop().schedule_in(
+        retry_.query_timeout, [this, key]() { on_deadline(key); });
+  }
+  in_flight_.emplace(key, std::move(a));
+}
+
+Attempt* Recovery::find(std::uint64_t key) {
+  const auto it = in_flight_.find(key);
+  return it == in_flight_.end() ? nullptr : &it->second;
+}
+
+bool Recovery::answer(std::uint64_t key, dns::Message&& response,
+                      std::size_t dns_bytes) {
+  auto node = in_flight_.extract(key);
+  if (node.empty()) return false;
+  finish(std::move(node.mapped()), &response, dns_bytes);
+  return true;
+}
+
+bool Recovery::fail(std::uint64_t key) {
+  auto node = in_flight_.extract(key);
+  if (node.empty()) return false;
+  finish(std::move(node.mapped()), nullptr, 0);
+  return true;
+}
+
+void Recovery::fail(Attempt&& a) { finish(std::move(a), nullptr, 0); }
+
+void Recovery::finish(Attempt&& a, dns::Message* response,
+                      std::size_t dns_bytes) {
+  const bool success = response != nullptr;
+  host_.loop().cancel(a.timeout_timer);
+  // Only a usable answer proves the path: the next loss starts small again.
+  if (success) backoff_.reset();
+  session_.finishing(a, success);
+
+  Slot& slot = slots_[a.query_id];
+  ResolutionResult& result = slot.result;
+  result.success = success;
+  result.completed_at = host_.loop().now();
+  if (success) {
+    result.cost.dns_message_bytes += dns_bytes;
+    result.response = std::move(*response);
+  } else {
+    ++failures_;
+  }
+  ++completed_;
+  slot.span = a.span;
+  obs_.end(a.request_span);
+  if (session_.cost_final_at_finish()) {
+    slot.cost_recorded = true;
+    observe_cost(slot);
+  }
+  obs_finish_resolution(obs_, tmetrics_, a.span, transport_, result);
+
+  // The callback gets the result moved out of slots_: a resolve() inside it
+  // may grow slots_ and move every slot. It goes back afterwards.
+  ResolutionResult done = std::move(result);
+  if (a.callback) a.callback(done);
+  Slot& after = slots_[a.query_id];
+  after.result = std::move(done);
+  after.finished = true;
+}
+
+void Recovery::record_cost(std::uint64_t id, const CostReport& cost) const {
+  Slot& slot = slots_.at(id);
+  if (!slot.finished) return;
+  const std::uint64_t dns_bytes = slot.result.cost.dns_message_bytes;
+  slot.result.cost = cost;
+  slot.result.cost.dns_message_bytes = dns_bytes;
+  if (slot.cost_recorded) return;
+  slot.cost_recorded = true;
+  observe_cost(slot);
+}
+
+void Recovery::observe_cost(const Slot& slot) const {
+  obs_span_cost(obs_, slot.span, slot.result.cost);
+  obs_count_cost(obs_, cmetrics_, slot.result.cost);
+}
+
+void Recovery::on_deadline(std::uint64_t key) {
+  const auto it = in_flight_.find(key);
+  if (it == in_flight_.end()) return;
+  Attempt& a = it->second;
   ++retry_stats_.query_timeouts;
   count(ConnectionMetrics::kTimeouts);
-  if (retry_.max_retries <= 0) return false;
-  if (a.retries_left > 0) return true;
-  ++retry_stats_.budget_exhausted;
-  return false;
+  if (retry_.max_retries <= 0 || a.retries_left <= 0) {
+    if (retry_.max_retries > 0) ++retry_stats_.budget_exhausted;
+    fail(key);
+    return;
+  }
+  if (session_.resend_alone(key)) {
+    // Only this exchange stalled: the elapsed deadline was the wait.
+    retry(a, RetryReason::kTimeout);
+    session_.send(std::move(in_flight_.extract(it).mapped()));
+    return;
+  }
+  // A stalled exchange blocks what is queued behind it on the connection,
+  // so re-sending on it cannot recover: condemn the connection, and let the
+  // loss batch re-issue everything in flight on it, this query last.
+  suspect_ = a.query_id;
+  session_.abort(key);
+  suspect_.reset();
 }
 
 bool Recovery::retry(Attempt& a, RetryReason reason, bool charged) {
@@ -100,15 +214,67 @@ bool Recovery::retry(Attempt& a, RetryReason reason, bool charged) {
   return true;
 }
 
+void Recovery::lose(bool migrated) {
+  std::vector<Attempt> batch;
+  batch.reserve(in_flight_.size());
+  for (auto& entry : in_flight_) batch.push_back(std::move(entry.second));
+  in_flight_.clear();
+  lose_batch(batch, migrated);
+}
+
+void Recovery::lose(const std::vector<std::uint64_t>& keys) {
+  std::vector<Attempt> batch;
+  batch.reserve(keys.size());
+  for (const std::uint64_t key : keys) {
+    auto node = in_flight_.extract(key);
+    if (!node.empty()) batch.push_back(std::move(node.mapped()));
+  }
+  lose_batch(batch, /*migrated=*/false);
+}
+
+void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
+  // Every lost query is out of flight before any callback runs: a callback
+  // that resolves again may open a connection whose keys start over.
+  const auto is_suspect = [this](const Attempt& a) {
+    return suspect_ && a.query_id == *suspect_;
+  };
+  const auto it = std::find_if(batch.begin(), batch.end(), is_suspect);
+  if (it != batch.end()) std::rotate(it, it + 1, batch.end());
+  const RetryReason reason = migrated  ? RetryReason::kMigration
+                             : suspect_ ? RetryReason::kTimeoutTeardown
+                                        : RetryReason::kConnectionLoss;
+  simnet::TimeUs delay = 0;
+  bool drew = false;
+  for (Attempt& a : batch) {
+    if (!retry(a, reason, !suspect_ || is_suspect(a))) {
+      finish(std::move(a), nullptr, 0);
+      continue;
+    }
+    if (migrated) {  // the new path is validated: no wait
+      session_.send(std::move(a));
+      continue;
+    }
+    if (!drew) {  // one reconnect for the whole batch
+      delay = backoff_.next();
+      ++retry_stats_.reconnects;
+      count(ConnectionMetrics::kReconnects);
+      drew = true;
+    }
+    host_.loop().schedule_in(delay, [this, a = std::move(a)]() mutable {
+      session_.send(std::move(a));
+    });
+  }
+}
+
 void Recovery::on_stall() {
-  if (!in_flight_()) return;
+  if (in_flight_.empty()) return;
   if (obs_.tracer != nullptr) {
     // The probe that condemned the old path before we migrate away from it.
     const obs::SpanId s = obs_.tracer->begin(0, "path_probe");
     obs_.set_attr(s, "transport", transport_);
     obs_.end(s);
   }
-  migrate_("stall");
+  session_.migrate("stall");
 }
 
 void Recovery::open_migrate_span(const char* reason) {

@@ -1,16 +1,17 @@
-// How a stateful DNS client recovers when its connection dies — one policy
-// for DotClient (DoT and plain TCP), DohClient and DoqClient. DoH and DoT
-// amortize TCP+TLS setup over a long-lived connection (the paper's cost
-// argument), so what losing it costs is decided here, once: the per-query
-// retry budget and backoff, the loss batch, stall detection, handshake and
-// migration accounting, and every retry/path_probe/migrate/reconnect_resume
-// span. A client keeps its connection object, its in-flight container, how
-// it migrates, and where it arms and disarms the stall timer.
+// How a stateful DNS client runs its queries and recovers when its
+// connection dies — one path for DotClient (DoT and plain TCP), DohClient
+// and DoqClient. DoH and DoT amortize TCP+TLS setup over a long-lived
+// connection (the paper's cost argument), so what losing it costs is decided
+// here, once: the per-query retry budget and backoff, the loss batch, stall
+// detection, handshake and migration accounting, and every
+// retry/path_probe/migrate/reconnect_resume span. Recovery also owns each
+// query from resolve() to its callback: its id and result, its spans, the
+// in-flight map, its deadline and its completion. A client supplies a
+// Session: its connection object, its framing, how it migrates, and where
+// it arms and disarms the stall timer.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -122,7 +123,7 @@ enum class RetryReason : std::uint8_t {
 void trace_retry(const obs::SpanContext& obs, obs::SpanId span,
                  RetryReason reason, int attempt);
 
-/// One query as its client tracks it, across every attempt.
+/// One query as Recovery tracks it, across every attempt.
 struct Attempt {
   std::uint64_t query_id = 0;
   ResolveCallback callback;
@@ -135,6 +136,36 @@ struct Attempt {
   dns::RType type = dns::RType::kA;
 };
 
+/// What a DoT, DoH or DoQ client supplies to Recovery: how one attempt goes
+/// on the wire, how a condemned connection is dropped, and how the client
+/// migrates. The client implements it privately and hands itself to its
+/// Recovery; every query it accepts then runs through Recovery.
+class Session {
+ public:
+  /// Send one attempt of `a`'s query: open the connection if needed, call
+  /// Recovery::open_request, then hand `a` back with Recovery::sent under
+  /// the key its response will carry.
+  virtual void send(Attempt&& a) = 0;
+  /// The deadline of the query in flight under `key` condemned its
+  /// connection: drop the connection (no local callbacks fire) and run the
+  /// loss batch.
+  virtual void abort(std::uint64_t key) = 0;
+  /// An OS-visible network change, or a stall, asks for a migration.
+  virtual void migrate(const char* reason) = 0;
+  /// The deadline of `key` passed with budget left: true re-sends that
+  /// query alone, at once, and leaves its connection be.
+  virtual bool resend_alone(std::uint64_t /*key*/) const { return false; }
+  /// `a` is about to complete: the transport's bookkeeping, run before the
+  /// result is recorded and the callback runs.
+  virtual void finishing(Attempt& /*a*/, bool /*success*/) {}
+  /// False when a result's cost settles only after completion; the client
+  /// then reports it with Recovery::record_cost.
+  virtual bool cost_final_at_finish() const { return true; }
+
+ protected:
+  ~Session() = default;
+};
+
 class Recovery {
  public:
   /// With queries in flight and no progress for this long, the path is
@@ -143,12 +174,10 @@ class Recovery {
 
   /// `retry`, `migration` and `obs` live in the client's config and are
   /// read at each use (set_obs rebinds the sink); `transport` is the <t> of
-  /// client.<t>.*. `in_flight()`: is any query outstanding?
-  /// `migrate(reason)` starts the client's migration.
-  Recovery(simnet::Host& host, const RetryPolicy& retry,
+  /// client.<t>.*.
+  Recovery(simnet::Host& host, Session& session, const RetryPolicy& retry,
            const MigrationConfig& migration, const obs::SpanContext& obs,
-           std::string transport, std::function<bool()> in_flight,
-           std::function<void(const char* reason)> migrate);
+           std::string transport);
   ~Recovery();
 
   Recovery(const Recovery&) = delete;
@@ -164,105 +193,55 @@ class Recovery {
     metrics_.add(obs_, counter, delta);
   }
 
-  // --- the per-query attempt record --------------------------------------
+  // --- a query from resolve() to its callback ----------------------------
 
-  /// Fill in the record of a query resolve() just accepted: full budget.
-  void track(Attempt& a, std::uint64_t query_id, ResolveCallback callback,
-             const dns::Name& name, dns::RType type, obs::SpanId span) const;
-
-  /// Start `a`'s deadline, if the policy has one.
-  template <typename F>
-  void arm_timeout(Attempt& a, F&& on_timeout) {
-    if (retry_.query_timeout > 0) {
-      a.timeout_timer = host_.loop().schedule_in(retry_.query_timeout,
-                                                 std::forward<F>(on_timeout));
-    }
+  /// resolve(): record the query with its full budget, open its resolution
+  /// span, and send its first attempt. Returns the query id.
+  std::uint64_t accept(const dns::Name& name, dns::RType type,
+                       ResolveCallback callback);
+  /// Number `a`'s next attempt and open its request span; `stream_id`, if
+  /// any, is named on the span before the attempt.
+  void open_request(Attempt& a, std::optional<std::uint64_t> stream_id = {});
+  /// `a` went on the wire as `query_bytes` of DNS message, and its response
+  /// will carry `key`: count the bytes, start the deadline, keep it in
+  /// flight.
+  void sent(std::uint64_t key, Attempt&& a, std::size_t query_bytes);
+  /// Queries in flight, by key.
+  const std::map<std::uint64_t, Attempt>& in_flight() const noexcept {
+    return in_flight_;
   }
+  /// The in-flight record of `key`, or null.
+  Attempt* find(std::uint64_t key);
+  /// `response` (`dns_bytes` on the wire) answers `key`: complete it. False
+  /// when `key` is not in flight.
+  bool answer(std::uint64_t key, dns::Message&& response,
+              std::size_t dns_bytes);
+  /// A response for `key` arrived but cannot be used: fail the query, with
+  /// no retry. False when `key` is not in flight.
+  bool fail(std::uint64_t key);
+  /// Fail `a`, which never went in flight.
+  void fail(Attempt&& a);
 
-  /// A response arrived: the next loss starts the backoff small again.
-  void answered() noexcept { backoff_.reset(); }
-
-  /// `a`'s deadline passed. True when its budget allows a retry; false
-  /// when it must fail (counted as an exhausted budget under a policy).
-  bool timed_out(const Attempt& a);
-
-  /// End `a`'s attempt (timer, request span) and charge and record a retry
-  /// for `reason`. False when it must fail instead: a deliberate close, no
-  /// policy, or a charged attempt out of budget (counted as exhausted).
-  bool retry(Attempt& a, RetryReason reason, bool charged = true);
+  const ResolutionResult& result(std::uint64_t id) const {
+    return slots_.at(id).result;
+  }
+  std::size_t completed() const noexcept { return completed_; }
+  std::uint64_t failures() const noexcept { return failures_; }
+  /// The settled transport cost of the completed query `id` (its DNS
+  /// bytes are kept); ignored before completion. The first report goes on
+  /// the resolution span and the bytes.* counters. Const because result()
+  /// settles it.
+  void record_cost(std::uint64_t id, const CostReport& cost) const;
 
   // --- the loss batch ----------------------------------------------------
 
-  /// A connection died, or a query timeout condemned it, with `keys` in
-  /// flight in issue order. Each query either fails — a deliberate close,
-  /// or a charged query whose budget is spent — or is re-issued after one
-  /// jittered backoff delay drawn for the whole batch. A connection loss
-  /// charges every query; a timeout teardown charges only the suspect (the
-  /// rest were merely queued behind it) and re-issues it last, so a repeat
-  /// stall cannot block the rest of the batch again. `migrated`: a race was
-  /// won, so each query moves to the validated new path at once (no
-  /// backoff), charged one retry.
-  ///
-  /// `find(key)` returns the query's record, or null to skip it (already
-  /// complete); it runs afresh per key because `fail` runs callbacks that
-  /// may issue new queries. `fail(key)` completes the query as failed;
-  /// `reissue(key, delay)` sends its next attempt after `delay`.
-  template <typename Key, typename Find, typename Fail, typename Reissue>
-  void lose_batch(std::vector<Key>& keys, Find&& find, Fail&& fail,
-                  Reissue&& reissue, bool migrated = false) {
-    const auto is_suspect = [this](Key key) {
-      return suspect_ && static_cast<std::uint64_t>(key) == *suspect_;
-    };
-    const auto it = std::find_if(keys.begin(), keys.end(), is_suspect);
-    if (it != keys.end()) std::rotate(it, it + 1, keys.end());
-    const RetryReason reason = migrated  ? RetryReason::kMigration
-                               : suspect_ ? RetryReason::kTimeoutTeardown
-                                          : RetryReason::kConnectionLoss;
-    simnet::TimeUs delay = 0;
-    bool drew = migrated;
-    for (const Key key : keys) {
-      Attempt* a = find(key);
-      if (a == nullptr) continue;
-      if (!retry(*a, reason, !suspect_ || is_suspect(key))) {
-        fail(key);
-        continue;
-      }
-      if (!drew) {  // one reconnect for the whole batch
-        delay = backoff_.next();
-        ++retry_stats_.reconnects;
-        count(ConnectionMetrics::kReconnects);
-        drew = true;
-      }
-      reissue(key, delay);
-    }
-  }
-
-  /// lose_batch over a client's whole in-flight map, moved out first:
-  /// `fail(record&&)`, `reissue(record&&, delay)`.
-  template <typename Key, typename Record, typename Fail, typename Reissue>
-  void lose_all(std::map<Key, Record>& in_flight, Fail&& fail,
-                Reissue&& reissue, bool migrated = false) {
-    std::map<Key, Record> lost = std::exchange(in_flight, {});
-    std::vector<Key> keys;
-    keys.reserve(lost.size());
-    for (const auto& entry : lost) keys.push_back(entry.first);
-    lose_batch(
-        keys, [&](Key key) -> Attempt* { return &lost.at(key); },
-        [&](Key key) { fail(std::move(lost.at(key))); },
-        [&](Key key, simnet::TimeUs delay) {
-          reissue(std::move(lost.at(key)), delay);
-        },
-        migrated);
-  }
-
-  /// `suspect`'s deadline passed with budget left: `teardown()` kills its
-  /// connection and runs the loss batch, which charges only the suspect.
-  template <typename F>
-  void tear_down_for(std::uint64_t suspect, F&& teardown) {
-    suspect_ = suspect;
-    teardown();
-    suspect_.reset();
-  }
+  /// The connection died, or a deadline condemned it, with every query in
+  /// flight on it: run the loss batch over them in key order. `migrated`:
+  /// a race was won, so each query moves to the validated new path at
+  /// once (no backoff), charged one retry.
+  void lose(bool migrated = false);
+  /// The loss batch over the queries in flight under `keys`, in that order.
+  void lose(const std::vector<std::uint64_t>& keys);
 
   /// `close()` shuts the connection on purpose: the loss batch it runs
   /// fails everything in flight.
@@ -312,22 +291,53 @@ class Recovery {
   void account_quic(std::uint64_t handshake_bytes);
 
  private:
+  /// A query's result, and what record_cost needs after its attempt is gone.
+  struct Slot {
+    ResolutionResult result;
+    obs::SpanId span = 0;  ///< the resolution span
+    bool finished = false;       ///< its callback has run
+    bool cost_recorded = false;  ///< bytes.* attributes and counters added
+  };
+
+  /// `key`'s deadline passed: fail it, re-send it alone, or condemn its
+  /// connection, which charges only it.
+  void on_deadline(std::uint64_t key);
+  /// End `a`'s attempt (timer, request span) and charge and record a retry
+  /// for `reason`. False when it must fail instead: a deliberate close, no
+  /// policy, or a charged attempt out of budget (counted as exhausted).
+  bool retry(Attempt& a, RetryReason reason, bool charged = true);
+  /// Fail or re-issue each of `batch`, already out of flight, in order. A
+  /// connection loss charges every query; a timeout teardown charges only
+  /// the suspect (the rest were merely queued behind it) and re-issues it
+  /// last, so a repeat stall cannot block the rest of the batch again.
+  /// Re-issues wait one jittered backoff delay drawn for the whole batch.
+  void lose_batch(std::vector<Attempt>& batch, bool migrated);
+  /// Complete `a`: record the result, close its spans, count it, and run
+  /// its callback. `response` is null on failure.
+  void finish(Attempt&& a, dns::Message* response, std::size_t dns_bytes);
+  void observe_cost(const Slot& slot) const;
   void on_stall();
   void close_migrate_span(const char* winner);
   /// Charge `bytes` of race traffic as migration waste.
   void waste(std::uint64_t bytes);
 
   simnet::Host& host_;
+  Session& session_;
   const RetryPolicy& retry_;
   const MigrationConfig& migration_;
   const obs::SpanContext& obs_;
   std::string transport_;
-  std::function<bool()> in_flight_;
-  std::function<void(const char*)> migrate_;
+  TransportMetrics tmetrics_;
+  mutable CostMetrics cmetrics_;  ///< mutable: record_cost() is const
   ConnectionMetrics metrics_;
   Backoff backoff_;
   RetryStats retry_stats_;
   MigrationStats migration_stats_;
+
+  mutable std::vector<Slot> slots_;  ///< by query id
+  std::map<std::uint64_t, Attempt> in_flight_;
+  std::size_t completed_ = 0;
+  std::uint64_t failures_ = 0;
 
   simnet::EventId stall_timer_;
   std::uint64_t listener_id_ = 0;
@@ -336,7 +346,7 @@ class Recovery {
   std::uint64_t race_baseline_bytes_ = 0;
   bool ever_connected_ = false;
   bool closing_ = false;  ///< close_deliberately() in progress: no retries
-  /// Key of the query whose timeout is tearing its connection down.
+  /// Query id of the query whose deadline is tearing its connection down.
   std::optional<std::uint64_t> suspect_;
 };
 

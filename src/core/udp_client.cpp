@@ -148,7 +148,11 @@ void UdpResolverClient::complete(Pending& pending, bool success,
   obs_span_cost(config_.obs, pending.span, result.cost);
   obs_count_cost(config_.obs, cmetrics_, result.cost);
   obs_finish_resolution(config_.obs, tmetrics_, pending.span, "udp", result);
-  if (pending.callback) pending.callback(result);
+  // The callback gets the result moved out of results_: a resolve() inside
+  // it may grow results_ and move every result. It goes back afterwards.
+  ResolutionResult done = std::move(result);
+  if (pending.callback) pending.callback(done);
+  results_[pending.query_id] = std::move(done);
 }
 
 const ResolutionResult& UdpResolverClient::result(std::uint64_t id) const {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/doq_client.hpp"
+#include "obs/registry.hpp"
 #include "quicsim/endpoint.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doq_server.hpp"
@@ -303,6 +304,59 @@ TEST_F(DoqTest, DisconnectFailsOutstanding) {
   loop.run_until(simnet::seconds(1));
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(client_stub.completed(), 1u);
+}
+
+/// Answers every query with one TXT record of kTxtBytes octets: a response
+/// longer than one QUIC packet's payload.
+class LongTxtHandler final : public resolver::QueryHandler {
+ public:
+  static constexpr std::size_t kTxtBytes = 3000;
+
+  explicit LongTxtHandler(simnet::EventLoop& loop) : loop_(loop) {}
+
+  void handle(const dns::Message& query, const resolver::QueryContext&,
+              Continuation done) override {
+    dns::Message response = dns::Message::make_response(
+        query, {dns::ResourceRecord::txt(query.questions.front().qname,
+                                         std::string(kTxtBytes, 't'))});
+    loop_.schedule_in(simnet::ms(1), [response = std::move(response),
+                                      done = std::move(done)]() mutable {
+      done(std::move(response));
+    });
+  }
+
+ private:
+  simnet::EventLoop& loop_;
+};
+
+TEST_F(DoqTest, ResponseSplitOverStreamFramesDecodesAndCountsOnce) {
+  LongTxtHandler handler(loop);
+  resolver::DoqServerConfig server_config;
+  server_config.tls.chain = tlssim::CertificateChain::generic("doq.example");
+  resolver::DoqServer txt_server(server, handler, server_config, 853);
+  obs::Registry registry;
+  core::DoqClientConfig config;
+  config.obs.metrics = &registry;
+  core::DoqClient client_stub(client, {server.id(), 853}, config);
+
+  const dns::Name name = dns::Name::parse("long.example.com");
+  core::ResolutionResult observed;
+  client_stub.resolve(name, dns::RType::kTXT,
+                      [&](const core::ResolutionResult& r) { observed = r; });
+  loop.run();
+
+  ASSERT_TRUE(observed.success);
+  const auto& txt =
+      std::get<dns::TxtRdata>(observed.response.answers.at(0).rdata);
+  std::size_t text_bytes = 0;
+  for (const std::string& segment : txt.strings) text_bytes += segment.size();
+  EXPECT_EQ(text_bytes, LongTxtHandler::kTxtBytes);
+  const std::size_t query_bytes =
+      dns::Message::make_query(0, name, dns::RType::kTXT).encode().size();
+  const std::size_t response_bytes = observed.response.encode().size();
+  EXPECT_GT(response_bytes, kMaxPacketPayload);
+  EXPECT_EQ(observed.cost.dns_message_bytes, query_bytes + response_bytes);
+  EXPECT_EQ(registry.counter("bytes.dns"), query_bytes + response_bytes);
 }
 
 }  // namespace

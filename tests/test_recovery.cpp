@@ -16,9 +16,15 @@
 // recovery_golden/<transport>.<fault>.txt. Retry order, backoff draws,
 // budget charges, span order and handshake accounting are all pinned, so a
 // change to recovery behaviour must come with a deliberate golden update.
+//
+// The RecoveryRules cases at the end drive core::Recovery through a fake
+// Session, with no network: each rule of the loss batch and the deadline
+// on its own.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -353,6 +359,221 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param.transport)) + "_" +
              to_string(info.param.fault);
     });
+
+// --- Recovery through a fake Session ------------------------------------------
+
+/// A transport that puts nothing on the wire: it logs each attempt Recovery
+/// sends and never answers. Its n-th attempt gets key 20, 30, 10, 50, 60, 40,
+/// …, so key order is not issue order.
+class FakeSession final : public core::Session {
+ public:
+  FakeSession(simnet::Host& host, const core::RetryPolicy& retry,
+              const core::MigrationConfig& migration,
+              const obs::SpanContext& obs)
+      : recovery(host, *this, retry, migration, obs, "fake"),
+        loop_(host.loop()) {}
+
+  std::uint64_t resolve(int label) {
+    return recovery.accept(
+        dns::Name::parse("q" + std::to_string(label) + ".example"),
+        dns::RType::kA, [this](const core::ResolutionResult& r) {
+          callbacks.push_back(r.success);
+        });
+  }
+
+  /// "q<id>@<ms>#<attempt>" per attempt sent, from the `first`-th on.
+  std::vector<std::string> sent(std::size_t first = 0) const {
+    return {log_.begin() + static_cast<std::ptrdiff_t>(first), log_.end()};
+  }
+  /// Key of the latest attempt of query `id`.
+  std::uint64_t key_of(std::uint64_t id) const { return keys_.at(id); }
+
+  void send(core::Attempt&& a) override {
+    static constexpr std::uint64_t kRank[] = {1, 2, 0};
+    const std::size_t n = log_.size();
+    const std::uint64_t key = 10 * (n - n % 3 + kRank[n % 3]) + 10;
+    recovery.open_request(a);
+    log_.push_back("q" + std::to_string(a.query_id) + "@" +
+                   std::to_string(loop_.now() / 1000) + "#" +
+                   std::to_string(a.attempt));
+    keys_[a.query_id] = key;
+    recovery.sent(key, std::move(a), 10);
+  }
+  void abort(std::uint64_t key) override {
+    aborted.push_back(key);
+    recovery.lose();
+  }
+  void migrate(const char*) override {}
+  bool resend_alone(std::uint64_t) const override { return alone; }
+
+  core::Recovery recovery;
+  bool alone = false;  ///< resend_alone's answer
+  std::vector<std::uint64_t> aborted;
+  std::vector<bool> callbacks;  ///< success of each callback, in order
+
+ private:
+  simnet::EventLoop& loop_;
+  std::vector<std::string> log_;
+  std::map<std::uint64_t, std::uint64_t> keys_;
+};
+
+class RecoveryRules : public testing::TwoHostFixture {
+ protected:
+  RecoveryRules() {
+    tracer.bind(loop);
+    retry.max_retries = 2;
+    retry.backoff_initial = simnet::ms(100);
+    retry.backoff_max = simnet::seconds(1);
+    retry.seed = 99;
+  }
+
+  FakeSession& start() {
+    fake = std::make_unique<FakeSession>(client, retry, migration, obs);
+    return *fake;
+  }
+
+  /// "q<id> <reason> attempt=<n>" per retry span, in begin order.
+  std::vector<std::string> retries() const {
+    std::map<obs::SpanId, std::string> query_of;
+    std::vector<std::string> out;
+    for (const obs::Span& s : tracer.spans()) {
+      if (s.name == "resolution") {
+        query_of[s.id] = "q" + std::to_string(query_of.size());
+      } else if (s.name == "retry") {
+        const auto attempt = std::get<std::int64_t>(*s.attr("attempt"));
+        out.push_back(query_of.at(s.parent) + " " +
+                      std::get<std::string>(*s.attr("reason")) +
+                      " attempt=" + std::to_string(attempt));
+      }
+    }
+    return out;
+  }
+
+  void at(simnet::TimeUs when, std::function<void()> fn) {
+    loop.schedule_at(when, std::move(fn));
+  }
+
+  using Strings = std::vector<std::string>;
+
+  core::RetryPolicy retry;
+  core::MigrationConfig migration;
+  obs::Tracer tracer;
+  obs::Registry registry;
+  obs::SpanContext obs{&tracer, 0, &registry};  ///< Recovery keeps a reference
+  std::unique_ptr<FakeSession> fake;
+};
+
+TEST_F(RecoveryRules, LossResendsTheBatchInKeyOrderAfterOneBackoffDraw) {
+  FakeSession& s = start();
+  for (int i = 0; i < 3; ++i) s.resolve(i);
+  at(simnet::ms(10), [&]() { s.recovery.lose(); });
+  loop.run();
+
+  // q2 holds key 10, q0 20, q1 30; one backoff draw (90 ms: 100 ms with
+  // ±20 % jitter) for all three.
+  EXPECT_EQ(s.sent(3), (Strings{"q2@100#2", "q0@100#2", "q1@100#2"}));
+  EXPECT_EQ(retries(), (Strings{"q2 connection_loss attempt=1",
+                                "q0 connection_loss attempt=1",
+                                "q1 connection_loss attempt=1"}));
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.reconnects, 1u);
+  EXPECT_EQ(rs.retried_queries, 3u);
+  EXPECT_EQ(rs.budget_exhausted, 0u);
+  EXPECT_TRUE(s.callbacks.empty());
+}
+
+TEST_F(RecoveryRules, TimeoutTeardownChargesOnlyTheSuspectAndResendsItLast) {
+  retry.query_timeout = simnet::ms(300);
+  FakeSession& s = start();
+  for (int i = 0; i < 3; ++i) {
+    at(simnet::ms(10) * i, [&s, i]() { s.resolve(i); });
+  }
+  loop.run_until(simnet::ms(500));
+
+  // q0's deadline condemned its connection: keys 20 (q0), 30 (q1), 10 (q2)
+  // are lost in key order, q0 moved last.
+  EXPECT_EQ(s.aborted, (std::vector<std::uint64_t>{20}));
+  EXPECT_EQ(retries(), (Strings{"q2 timeout_teardown attempt=1",
+                                "q1 timeout_teardown attempt=1",
+                                "q0 timeout_teardown attempt=1"}));
+  EXPECT_EQ(s.sent(3), (Strings{"q2@390#2", "q1@390#2", "q0@390#2"}));
+  EXPECT_EQ(s.recovery.find(s.key_of(0))->retries_left, 1);
+  EXPECT_EQ(s.recovery.find(s.key_of(1))->retries_left, 2);
+  EXPECT_EQ(s.recovery.find(s.key_of(2))->retries_left, 2);
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.query_timeouts, 1u);
+  EXPECT_EQ(rs.reconnects, 1u);
+  EXPECT_EQ(rs.retried_queries, 3u);
+}
+
+TEST_F(RecoveryRules, ExhaustedBudgetFailsTheQueryAndCallsBackOnce) {
+  retry.max_retries = 1;
+  FakeSession& s = start();
+  const std::uint64_t id = s.resolve(0);
+  at(simnet::ms(10), [&]() { s.recovery.lose(); });
+  at(simnet::ms(500), [&]() { s.recovery.lose(); });
+  loop.run();
+
+  EXPECT_EQ(s.sent(), (Strings{"q0@0#1", "q0@100#2"}));
+  EXPECT_EQ(s.callbacks, (std::vector<bool>{false}));
+  EXPECT_FALSE(s.recovery.result(id).success);
+  EXPECT_EQ(s.recovery.result(id).completed_at, simnet::ms(500));
+  EXPECT_EQ(s.recovery.completed(), 1u);
+  EXPECT_TRUE(s.recovery.in_flight().empty());
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.retried_queries, 1u);
+  EXPECT_EQ(rs.budget_exhausted, 1u);
+  EXPECT_EQ(rs.reconnects, 1u);  // the second batch re-sent nothing
+}
+
+TEST_F(RecoveryRules, DeliberateCloseFailsEverythingInFlightWithoutRetry) {
+  FakeSession& s = start();
+  for (int i = 0; i < 3; ++i) s.resolve(i);
+  at(simnet::ms(10), [&]() {
+    s.recovery.close_deliberately([&]() { s.recovery.lose(); });
+  });
+  loop.run();
+
+  EXPECT_EQ(s.callbacks, (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(s.sent().size(), 3u);
+  EXPECT_TRUE(retries().empty());
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.retried_queries, 0u);
+  EXPECT_EQ(rs.reconnects, 0u);
+  EXPECT_EQ(rs.budget_exhausted, 0u);
+  EXPECT_EQ(registry.counter("client.fake.failures"), 3u);
+}
+
+TEST_F(RecoveryRules, ResendAloneRetriesAtOnceWithReasonTimeout) {
+  retry.query_timeout = simnet::ms(300);
+  FakeSession& s = start();
+  s.alone = true;
+  s.resolve(0);
+  loop.run_until(simnet::ms(400));
+
+  EXPECT_EQ(s.sent(), (Strings{"q0@0#1", "q0@300#2"}));
+  EXPECT_EQ(retries(), (Strings{"q0 timeout attempt=1"}));
+  EXPECT_TRUE(s.aborted.empty());
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.query_timeouts, 1u);
+  EXPECT_EQ(rs.retried_queries, 1u);
+  EXPECT_EQ(rs.reconnects, 0u);
+}
+
+TEST_F(RecoveryRules, WonRaceResendsEveryQueryAtOnceWithReasonMigration) {
+  FakeSession& s = start();
+  for (int i = 0; i < 3; ++i) s.resolve(i);
+  at(simnet::ms(50), [&]() { s.recovery.lose(/*migrated=*/true); });
+  loop.run();
+
+  EXPECT_EQ(s.sent(3), (Strings{"q2@50#2", "q0@50#2", "q1@50#2"}));
+  EXPECT_EQ(retries(), (Strings{"q2 migration attempt=1",
+                                "q0 migration attempt=1",
+                                "q1 migration attempt=1"}));
+  const core::RetryStats& rs = s.recovery.retry_stats();
+  EXPECT_EQ(rs.reconnects, 0u);
+  EXPECT_EQ(rs.retried_queries, 3u);
+}
 
 }  // namespace
 }  // namespace dohperf

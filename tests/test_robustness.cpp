@@ -3,14 +3,20 @@
 // query-padding knob, and DNS-ID exhaustion in the ID-matching clients.
 #include <gtest/gtest.h>
 
+#include "core/caching_client.hpp"
 #include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/fallback_client.hpp"
+#include "core/health_client.hpp"
+#include "core/hedging_client.hpp"
 #include "core/udp_client.hpp"
 #include "http2/connection.hpp"
 #include "obs/registry.hpp"
-#include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
+#include "resolver/dot_server.hpp"
+#include "resolver/engine.hpp"
 #include "resolver/udp_server.hpp"
 #include "sim_fixture.hpp"
 #include "simnet/fault.hpp"
@@ -508,6 +514,123 @@ TEST_F(TwoHostFixture, DotClientFailsQueryWhenDnsIdsExhausted) {
   EXPECT_EQ(registry.counter("client.tcp.failures"), 1u);
   EXPECT_EQ(loop.pending(), 0u);
 }
+
+// --- A callback that resolves again -------------------------------------------------
+//
+// A callback may start the next query on the client that called it, and then
+// read the result it was handed. That resolve() records one more result, so
+// the result handed over must not live in storage the new query can move.
+
+class ReentrantCallbackTest
+    : public TwoHostFixture,
+      public ::testing::WithParamInterface<std::string> {
+ protected:
+  ReentrantCallbackTest() {
+    const auto chain = tlssim::CertificateChain::generic("local.resolver");
+    resolver::DotServerConfig tcp_config;
+    tcp_config.plain_tcp = true;
+    resolver::DotServerConfig dot_config;
+    dot_config.tls.chain = chain;
+    resolver::DohServerConfig doh_config;
+    doh_config.tls.chain = chain;
+    resolver::DoqServerConfig doq_config;
+    doq_config.tls.chain = chain;
+    udp_server = std::make_unique<resolver::UdpServer>(server, engine, 53);
+    tcp_server = std::make_unique<resolver::DotServer>(server, engine,
+                                                       tcp_config, 53);
+    dot_server = std::make_unique<resolver::DotServer>(server, engine,
+                                                       dot_config, 853);
+    doh_server = std::make_unique<resolver::DohServer>(server, engine,
+                                                       doh_config, 443);
+    doq_server = std::make_unique<resolver::DoqServer>(server, engine,
+                                                       doq_config, 8853);
+  }
+
+  /// The client under test; decorators sit on UDP clients.
+  core::ResolverClient& client_under_test() {
+    const std::string& kind = GetParam();
+    const auto udp = [this]() {
+      return own(std::make_unique<core::UdpResolverClient>(
+          client, simnet::Address{server.id(), 53}));
+    };
+    if (kind == "udp") return *udp();
+    if (kind == "tcp" || kind == "dot") {
+      core::DotClientConfig config;
+      config.server_name = "local.resolver";
+      config.plain_tcp = kind == "tcp";
+      const std::uint16_t port = kind == "tcp" ? 53 : 853;
+      return *own(std::make_unique<core::DotClient>(
+          client, simnet::Address{server.id(), port}, config));
+    }
+    if (kind == "doh_h1" || kind == "doh_h2") {
+      core::DohClientConfig config;
+      config.server_name = "local.resolver";
+      config.http_version = kind == "doh_h2" ? core::HttpVersion::kHttp2
+                                             : core::HttpVersion::kHttp1;
+      return *own(std::make_unique<core::DohClient>(
+          client, simnet::Address{server.id(), 443}, config));
+    }
+    if (kind == "doq") {
+      core::DoqClientConfig config;
+      config.server_name = "local.resolver";
+      return *own(std::make_unique<core::DoqClient>(
+          client, simnet::Address{server.id(), 8853}, config));
+    }
+    if (kind == "caching") {
+      return *own(
+          std::make_unique<core::CachingResolverClient>(loop, *udp()));
+    }
+    if (kind == "fallback") {
+      return *own(std::make_unique<core::FallbackResolverClient>(
+          loop, *udp(), *udp()));
+    }
+    if (kind == "hedging") {
+      return *own(std::make_unique<core::HedgingResolverClient>(
+          loop, *udp(), *udp()));
+    }
+    return *own(std::make_unique<core::HealthTrackingClient>(
+        loop, std::vector<core::ResolverClient*>{udp()}));
+  }
+
+  template <typename Client>
+  Client* own(std::unique_ptr<Client> c) {
+    Client* raw = c.get();
+    clients.push_back(std::move(c));
+    return raw;
+  }
+
+  resolver::Engine engine{loop, resolver::EngineConfig{}};
+  std::unique_ptr<resolver::UdpServer> udp_server;
+  std::unique_ptr<resolver::DotServer> tcp_server;
+  std::unique_ptr<resolver::DotServer> dot_server;
+  std::unique_ptr<resolver::DohServer> doh_server;
+  std::unique_ptr<resolver::DoqServer> doq_server;
+  std::vector<std::unique_ptr<core::ResolverClient>> clients;
+};
+
+TEST_P(ReentrantCallbackTest, CallbackReadsItsResultAfterResolvingAgain) {
+  core::ResolverClient& stub = client_under_test();
+  const dns::Name first = dns::Name::parse("first.example.com");
+  bool checked = false;
+  stub.resolve(first, dns::RType::kA, [&](const core::ResolutionResult& r) {
+    stub.resolve(dns::Name::parse("second.example.com"), dns::RType::kA, {});
+    ASSERT_TRUE(r.success);
+    ASSERT_EQ(r.response.answers.size(), 1u);
+    EXPECT_EQ(r.response.answers.front().name, first);
+    checked = true;
+  });
+  loop.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(stub.completed(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Clients, ReentrantCallbackTest,
+    ::testing::Values("udp", "tcp", "dot", "doh_h1", "doh_h2", "doq",
+                      "caching", "fallback", "hedging", "health"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace dohperf
