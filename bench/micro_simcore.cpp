@@ -1,8 +1,8 @@
 // Microbenchmark for the simulation core itself: raw event-loop
 // schedule/fire and schedule/cancel throughput, bytes/sec through a full
 // tcp -> tls -> h2 echo path, fig6-style page-load shard throughput at
-// several --jobs values, the fig1 corpus scan (dns::Name parsing and
-// std::map<Name> inserts) with its allocations per page, and the resolver
+// several --jobs values, the fig1 corpus scan (dns::Name parsing, sorting
+// and run merging) with its allocations per page, and the resolver
 // tier's cache under churn with its evictions and allocations per query.
 //
 // Unlike the figure harnesses, the numbers here are wall-clock derived and
@@ -267,9 +267,10 @@ struct CorpusRun {
 };
 
 /// Ranks [1, pages] scanned in 16 corpus_shard calls (each with its own
-/// model, as in fig1) and merged. The scan is dns::Name parsing, comparison
-/// and std::map<Name> inserts; its allocation count per page is the
-/// deterministic figure CI gates.
+/// model, as in fig1) and merged. The scan is the domain draw, dns::Name
+/// parsing and comparison: each shard sorts its pages' names into one
+/// counted run, and the merge joins the runs. Its allocation count per page
+/// is the deterministic figure CI gates.
 CorpusRun bench_corpus(std::size_t pages, std::size_t jobs) {
   using Shard = workload::AlexaPageModel::CorpusShard;
   constexpr std::size_t shards = 16;

@@ -181,7 +181,7 @@ bool Name::operator==(const Name& other) const noexcept {
          folded_equal(data(), other.data(), size_);
 }
 
-bool Name::operator<(const Name& other) const noexcept {
+int Name::compare(const Name& other) const noexcept {
   const std::uint8_t* a = data();
   const std::uint8_t* b = other.data();
   const std::uint8_t* const a_end = a + size_;
@@ -193,13 +193,13 @@ bool Name::operator<(const Name& other) const noexcept {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint8_t x = fold(a[i]);
       const std::uint8_t y = fold(b[i]);
-      if (x != y) return x < y;
+      if (x != y) return x < y ? -1 : 1;
     }
-    if (a_len != b_len) return a_len < b_len;
+    if (a_len != b_len) return a_len < b_len ? -1 : 1;
     a += a_len;
     b += b_len;
   }
-  return a == a_end && b != b_end;
+  return (a != a_end) - (b != b_end);
 }
 
 void NameCompressor::write(ByteWriter& w, const Name& name) {

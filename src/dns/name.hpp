@@ -2,6 +2,7 @@
 // message compression (RFC 1035 §4.1.4).
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -65,8 +66,17 @@ class Name {
   bool operator!=(const Name& other) const noexcept { return !(*this == other); }
   /// Canonical order so Name can key std::map: labels left to right, each
   /// compared as case-folded unsigned bytes (a prefix sorts first), then
-  /// fewer labels first.
-  bool operator<(const Name& other) const noexcept;
+  /// fewer labels first. Returns a negative value, zero or a positive value
+  /// as this name sorts before, equal to (==) or after `other`, in one walk.
+  int compare(const Name& other) const noexcept;
+  bool operator<(const Name& other) const noexcept {
+    return compare(other) < 0;
+  }
+  /// Weak, not strong: names that differ only in case are equivalent. Lets
+  /// std::pair and std::tuple keys compare a Name once, not twice with <.
+  std::weak_ordering operator<=>(const Name& other) const noexcept {
+    return compare(other) <=> 0;
+  }
 
  private:
   friend class NameCompressor;

@@ -1,11 +1,59 @@
 #include "workload/alexa.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <map>
 #include <set>
+#include <string_view>
 
 namespace dohperf::workload {
+
+namespace {
+
+/// `prefix`, the decimal `n`, then `suffix`, parsed as a name. The text is
+/// formatted on the stack, so a name that fits inline allocates nothing.
+dns::Name numbered_name(std::string_view prefix, std::size_t n,
+                        std::string_view suffix) {
+  char text[64];  // the longest use: 4 + 20 digits + 19
+  char* end = std::copy(prefix.begin(), prefix.end(), text);
+  end = std::to_chars(end, text + sizeof text, n).ptr;
+  end = std::copy(suffix.begin(), suffix.end(), end);
+  return dns::Name::parse({text, static_cast<std::size_t>(end - text)});
+}
+
+/// A name read in place from a shard's query_counts, and its count summed
+/// over the shards merged so far.
+struct Tally {
+  const dns::Name* name;
+  std::uint64_t count;
+};
+
+/// The name-sorted union of two name-sorted runs, summing the counts of a
+/// name both hold. Each step compares the two heads once.
+std::vector<Tally> merge_runs(const std::vector<Tally>& a,
+                              const std::vector<Tally>& b) {
+  std::vector<Tally> out;
+  out.reserve(a.size() + b.size());
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() && y != b.end()) {
+    const int order = x->name->compare(*y->name);
+    if (order < 0) {
+      out.push_back(*x++);
+    } else if (order > 0) {
+      out.push_back(*y++);
+    } else {
+      out.push_back({x->name, x->count + y->count});
+      ++x;
+      ++y;
+    }
+  }
+  out.insert(out.end(), x, a.end());
+  out.insert(out.end(), y, b.end());
+  return out;
+}
+
+}  // namespace
 
 std::vector<dns::Name> Page::unique_domains() const {
   std::set<dns::Name> seen;
@@ -20,29 +68,24 @@ AlexaPageModel::AlexaPageModel(AlexaModelConfig config)
                               config_.zipf_exponent, /*seed=*/0) {}
 
 dns::Name AlexaPageModel::third_party_domain(std::size_t index) const {
-  return dns::Name::parse("tp" + std::to_string(index) +
-                          ".thirdparty.example");
+  return numbered_name("tp", index, ".thirdparty.example");
 }
 
 dns::Name AlexaPageModel::primary_domain(std::size_t rank) {
-  return dns::Name::parse("site" + std::to_string(rank) + ".web.example");
+  return numbered_name("site", rank, ".web.example");
 }
 
-Page AlexaPageModel::page(std::size_t rank) {
+AlexaPageModel::DomainDraw AlexaPageModel::draw_domains(
+    std::size_t rank) const {
   // Per-rank deterministic RNG so pages are stable independent of the
   // order they are generated in.
-  stats::SplitMix64 rng(config_.seed ^ (rank * 0x9e3779b97f4a7c15ULL));
+  DomainDraw draw{
+      {}, 0, stats::SplitMix64(config_.seed ^ (rank * 0x9e3779b97f4a7c15ULL))};
+  stats::SplitMix64& rng = draw.rng;
   stats::LogNormalSampler query_count(config_.queries_mu,
                                       config_.queries_sigma,
                                       rng.next());
-  stats::LogNormalSampler object_size(config_.object_mu, config_.object_sigma,
-                                      rng.next());
-
-  Page page;
-  page.rank = rank;
-  page.primary = primary_domain(rank);
-  page.html_bytes =
-      static_cast<std::size_t>(std::clamp(object_size.sample(), 2e3, 5e5));
+  draw.object_size_seed = rng.next();
 
   // Number of *distinct resolutions* the page needs (what Figure 1 counts),
   // including the primary domain itself.
@@ -51,17 +94,44 @@ Page AlexaPageModel::page(std::size_t rank) {
 
   // Pick the set of domains: the primary plus (resolutions - 1) others,
   // mostly shared third parties (popular by Zipf), the rest being
-  // page-specific subdomains (cdn.siteX, img.siteX, ...).
-  std::vector<dns::Name> domains{page.primary};
-  std::set<dns::Name> seen{page.primary};
+  // page-specific subdomains (cdn.siteX, img.siteX, ...). `sorted` holds
+  // the indices of `domains` in name order, so a repeat draw is found by
+  // binary search.
+  std::vector<dns::Name>& domains = draw.domains;
+  domains.reserve(resolutions);
+  domains.push_back(primary_domain(rank));
+  std::vector<std::size_t> sorted;
+  sorted.reserve(resolutions);
+  sorted.push_back(0);
   int subdomain_counter = 0;
   while (domains.size() < resolutions) {
     dns::Name candidate =
         rng.next_double() < config_.third_party_fraction
             ? third_party_domain(third_party_popularity_.sample(rng) - 1)
-            : page.primary.child("cdn" + std::to_string(subdomain_counter++));
-    if (seen.insert(candidate).second) domains.push_back(candidate);
+            : domains.front().child("cdn" +
+                                    std::to_string(subdomain_counter++));
+    const auto at = std::lower_bound(
+        sorted.begin(), sorted.end(), candidate,
+        [&](std::size_t i, const dns::Name& n) { return domains[i] < n; });
+    if (at != sorted.end() && domains[*at] == candidate) continue;
+    sorted.insert(at, domains.size());
+    domains.push_back(std::move(candidate));
   }
+  return draw;
+}
+
+Page AlexaPageModel::page(std::size_t rank) {
+  DomainDraw draw = draw_domains(rank);
+  stats::SplitMix64& rng = draw.rng;
+  const std::vector<dns::Name>& domains = draw.domains;
+  stats::LogNormalSampler object_size(config_.object_mu, config_.object_sigma,
+                                      draw.object_size_seed);
+
+  Page page;
+  page.rank = rank;
+  page.primary = domains.front();
+  page.html_bytes =
+      static_cast<std::size_t>(std::clamp(object_size.sample(), 2e3, 5e5));
 
   // Objects: at least one per non-primary domain (that is what forced the
   // resolution), plus extra objects on already-resolved origins.
@@ -113,13 +183,37 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
                                                          std::size_t hi) {
   CorpusShard shard;
   if (lo == 0) lo = 1;
-  if (hi >= lo) shard.queries_per_page.reserve(hi - lo + 1);
+  if (hi < lo) return shard;
+  shard.queries_per_page.reserve(hi - lo + 1);
+  // Each page's distinct domains, kept as drawn (each vector is exactly
+  // full). Sorting pointers to all of them puts a name's pages next to each
+  // other, so one pass counts them; a pointer moves in one word where a
+  // Name moves in 48 bytes.
+  std::vector<std::vector<dns::Name>> pages;
+  pages.reserve(hi - lo + 1);
   for (std::size_t rank = lo; rank <= hi; ++rank) {
-    const Page p = page(rank);
-    const auto domains = p.unique_domains();
-    shard.queries_per_page.push_back(domains.size());
-    shard.total_queries += domains.size();
-    for (const auto& d : domains) ++shard.query_counts[d];
+    pages.push_back(draw_domains(rank).domains);
+    shard.queries_per_page.push_back(pages.back().size());
+    shard.total_queries += pages.back().size();
+  }
+  std::vector<const dns::Name*> order;
+  order.reserve(shard.total_queries);
+  for (const auto& domains : pages) {
+    for (const dns::Name& name : domains) order.push_back(&name);
+  }
+  std::sort(order.begin(), order.end(),
+            [](const dns::Name* a, const dns::Name* b) { return *a < *b; });
+  // Sized exactly: the run stays alive until the merge.
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || *order[i - 1] != *order[i]) ++distinct;
+  }
+  shard.query_counts.reserve(distinct);
+  for (const dns::Name* name : order) {
+    if (shard.query_counts.empty() || shard.query_counts.back().name != *name) {
+      shard.query_counts.push_back({*name, 0});
+    }
+    ++shard.query_counts.back().count;
   }
   return shard;
 }
@@ -127,30 +221,45 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
 AlexaPageModel::CorpusStats AlexaPageModel::merge_corpus_shards(
     std::vector<CorpusShard> shards) {
   CorpusStats stats;
-  std::map<dns::Name, std::uint64_t> query_counts;
-  for (auto& shard : shards) {
+  std::vector<std::vector<Tally>> runs;
+  runs.reserve(shards.size());
+  for (const auto& shard : shards) {
     stats.total_queries += shard.total_queries;
     stats.queries_per_page.insert(stats.queries_per_page.end(),
                                   shard.queries_per_page.begin(),
                                   shard.queries_per_page.end());
-    if (query_counts.empty()) {
-      query_counts = std::move(shard.query_counts);
-    } else {
-      for (const auto& [name, c] : shard.query_counts) {
-        query_counts[name] += c;
-      }
+    std::vector<Tally>& run = runs.emplace_back();
+    run.reserve(shard.query_counts.size());
+    for (const auto& [name, count] : shard.query_counts) {
+      run.push_back({&name, count});
     }
   }
-  stats.unique_domains = query_counts.size();
-
-  std::vector<std::uint64_t> counts;
-  counts.reserve(query_counts.size());
-  for (const auto& [name, c] : query_counts) counts.push_back(c);
-  std::sort(counts.rbegin(), counts.rend());
-  std::uint64_t top15 = 0;
-  for (std::size_t i = 0; i < std::min<std::size_t>(15, counts.size()); ++i) {
-    top15 += counts[i];
+  // Merge neighbouring runs pairwise until one is left, freeing each input
+  // as soon as it is merged: a name is compared about log2(shards) times.
+  while (runs.size() > 1) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < runs.size(); i += 2) {
+      if (i + 1 == runs.size()) {
+        runs[kept++] = std::move(runs[i]);
+        break;
+      }
+      std::vector<Tally> merged = merge_runs(runs[i], runs[i + 1]);
+      runs[i] = std::vector<Tally>();
+      runs[i + 1] = std::vector<Tally>();
+      runs[kept++] = std::move(merged);
+    }
+    runs.resize(kept);
   }
+  if (runs.empty()) return stats;
+  const std::vector<Tally>& all = runs.front();
+  stats.unique_domains = all.size();
+
+  std::vector<Tally> top(std::min<std::size_t>(15, all.size()));
+  std::partial_sort_copy(
+      all.begin(), all.end(), top.begin(), top.end(),
+      [](const Tally& a, const Tally& b) { return a.count > b.count; });
+  std::uint64_t top15 = 0;
+  for (const Tally& t : top) top15 += t.count;
   stats.top15_query_share =
       stats.total_queries == 0
           ? 0.0

@@ -11,7 +11,7 @@
 // (Figure 6) can replay them.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +69,12 @@ class AlexaPageModel {
   };
   CorpusStats corpus_stats(std::size_t n);
 
+  /// How many of a shard's pages resolve one name.
+  struct NameCount {
+    dns::Name name;
+    std::uint64_t count = 0;
+  };
+
   /// Partial corpus statistics over the inclusive rank range [lo, hi]:
   /// the mergeable intermediate form behind corpus_stats(). Because pages
   /// are a pure function of rank, disjoint ranges computed by different
@@ -78,7 +84,8 @@ class AlexaPageModel {
   struct alignas(64) CorpusShard {
     std::uint64_t total_queries = 0;
     std::vector<std::size_t> queries_per_page;  ///< ranks lo..hi, in order
-    std::map<dns::Name, std::uint64_t> query_counts;
+    /// Every name the range resolves, once each, sorted by Name's order.
+    std::vector<NameCount> query_counts;
   };
   CorpusShard corpus_shard(std::size_t lo, std::size_t hi);
 
@@ -94,6 +101,17 @@ class AlexaPageModel {
   static dns::Name primary_domain(std::size_t rank);
 
  private:
+  /// How page(rank) starts: its distinct domains, drawn from the rank's
+  /// RNG. corpus_shard() needs only the domains; page() goes on to draw
+  /// the objects from where the domain draw left `rng`.
+  struct DomainDraw {
+    /// The primary, then the others in the order they were drawn.
+    std::vector<dns::Name> domains;
+    std::uint64_t object_size_seed = 0;  ///< seeds page()'s size sampler
+    stats::SplitMix64 rng;
+  };
+  DomainDraw draw_domains(std::size_t rank) const;
+
   AlexaModelConfig config_;
   /// Shared popularity table (its cumulative masses are expensive to
   /// build); pages draw from it with their own per-rank RNGs.

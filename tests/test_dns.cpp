@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <compare>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dns/base64url.hpp"
@@ -671,6 +673,57 @@ TEST(NameDifferential, AgreesWithReferenceOnSeededNames) {
       EXPECT_EQ(index, it->second);
       EXPECT_EQ(labels_of(name), it->first.labels);
       ++it;
+    }
+  }
+}
+
+TEST(NameDifferential, ThreeWayCompareAgreesWithLessAndEqual) {
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    const std::vector<ref::Name> refs = gen.pool(120, /*wire=*/true);
+    std::vector<Name> names;
+    for (const auto& r : refs) names.push_back(flat(r));
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      for (std::size_t j = 0; j < refs.size(); ++j) {
+        const int order = names[i].compare(names[j]);
+        const std::weak_ordering spaceship = names[i] <=> names[j];
+        ASSERT_EQ(order < 0, refs[i] < refs[j])
+            << "seed " << seed << ": " << refs[i].to_string() << " vs "
+            << refs[j].to_string();
+        ASSERT_EQ(order == 0, refs[i] == refs[j]);
+        ASSERT_EQ(order > 0, refs[j] < refs[i]);
+        ASSERT_EQ(order < 0, names[i] < names[j]);
+        ASSERT_EQ(order == 0, names[i] == names[j]);
+        ASSERT_EQ(spaceship < 0, order < 0);
+        ASSERT_EQ(spaceship == 0, order == 0);
+        ASSERT_EQ(spaceship > 0, order > 0);
+      }
+    }
+  }
+}
+
+TEST(NameDifferential, PairKeysOrderAsTwoLessCompares) {
+  // std::pair<Name, RType> (RecursiveTier's cache key) compares through
+  // Name's <=>; its order must be the one the pair had through two <.
+  using Key = std::pair<Name, RType>;
+  const auto two_less = [](const Key& a, const Key& b) {
+    if (a.first < b.first) return true;
+    if (b.first < a.first) return false;
+    return a.second < b.second;
+  };
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    std::vector<Key> keys;
+    for (const auto& r : gen.pool(60, /*wire=*/true)) {
+      keys.emplace_back(flat(r), gen.below(2) == 0 ? RType::kA : RType::kAAAA);
+    }
+    for (const Key& a : keys) {
+      for (const Key& b : keys) {
+        ASSERT_EQ(a < b, two_less(a, b))
+            << "seed " << seed << ": " << a.first.to_string() << " vs "
+            << b.first.to_string();
+        ASSERT_EQ(a == b, !two_less(a, b) && !two_less(b, a));
+      }
     }
   }
 }

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "workload/alexa.hpp"
 #include "workload/names.hpp"
@@ -127,6 +133,185 @@ TEST(AlexaPageModel, ObjectSizesAreReasonable) {
   }
   EXPECT_GT(sizes.mean(), 5e3);
   EXPECT_LT(sizes.mean(), 1e5);
+}
+
+/// FNV-1a over a fixed little-endian encoding of the values added.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void add(const dns::Name& name) {
+    const std::string text = name.to_string();
+    add(text.size());
+    for (const char c : text) byte(static_cast<std::uint8_t>(c));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void byte(std::uint8_t b) { hash_ = (hash_ ^ b) * 0x100000001b3ULL; }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(AlexaPageModel, PagesMatchParentDigest) {
+  // Every field of pages 1-2,000, digested. The value was recorded before
+  // page() drew its domains through draw_domains(), so a draw taken out of
+  // the per-rank RNG's order shows here, not only in the bench outputs.
+  AlexaPageModel model;
+  Fnv1a digest;
+  for (std::size_t rank = 1; rank <= 2000; ++rank) {
+    const Page p = model.page(rank);
+    digest.add(p.rank);
+    digest.add(p.primary);
+    digest.add(p.html_bytes);
+    digest.add(p.objects.size());
+    for (const auto& obj : p.objects) {
+      digest.add(obj.domain);
+      digest.add(obj.bytes);
+      digest.add(static_cast<std::uint64_t>(obj.depth));
+      digest.add(static_cast<std::uint64_t>(obj.parent));
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x5bacf3dcf4ef6b02ULL);
+}
+
+// --- corpus shards against the map-based reference ---------------------------
+//
+// The reference is the scan as it was written over std::map: a shard counts
+// page(r).unique_domains() of each rank into a map, and shards merge by
+// adding their maps into one, whose sorted counts give the top 15.
+
+using CorpusShard = AlexaPageModel::CorpusShard;
+using CorpusStats = AlexaPageModel::CorpusStats;
+using RefCounts = std::map<dns::Name, std::uint64_t>;
+
+struct RefShard {
+  std::uint64_t total_queries = 0;
+  std::vector<std::size_t> queries_per_page;
+  RefCounts counts;
+};
+
+RefShard ref_shard(AlexaPageModel& model, std::size_t lo, std::size_t hi) {
+  RefShard shard;
+  if (lo == 0) lo = 1;
+  for (std::size_t rank = lo; rank <= hi; ++rank) {
+    const auto domains = model.page(rank).unique_domains();
+    shard.queries_per_page.push_back(domains.size());
+    shard.total_queries += domains.size();
+    for (const auto& d : domains) ++shard.counts[d];
+  }
+  return shard;
+}
+
+CorpusStats ref_merge(const std::vector<RefShard>& shards) {
+  CorpusStats stats;
+  RefCounts counts;
+  for (const auto& shard : shards) {
+    stats.total_queries += shard.total_queries;
+    stats.queries_per_page.insert(stats.queries_per_page.end(),
+                                  shard.queries_per_page.begin(),
+                                  shard.queries_per_page.end());
+    for (const auto& [name, c] : shard.counts) counts[name] += c;
+  }
+  stats.unique_domains = counts.size();
+  std::vector<std::uint64_t> sorted;
+  for (const auto& [name, c] : counts) sorted.push_back(c);
+  std::sort(sorted.rbegin(), sorted.rend());
+  std::uint64_t top15 = 0;
+  for (std::size_t i = 0; i < std::min<std::size_t>(15, sorted.size()); ++i) {
+    top15 += sorted[i];
+  }
+  stats.top15_query_share =
+      stats.total_queries == 0 ? 0.0
+                               : static_cast<double>(top15) /
+                                     static_cast<double>(stats.total_queries);
+  return stats;
+}
+
+/// Sorted, each name once, and the reference's counts.
+void expect_same_shard(const CorpusShard& shard, const RefShard& ref) {
+  EXPECT_EQ(shard.total_queries, ref.total_queries);
+  EXPECT_EQ(shard.queries_per_page, ref.queries_per_page);
+  ASSERT_EQ(shard.query_counts.size(), ref.counts.size());
+  auto it = ref.counts.begin();
+  for (std::size_t i = 0; i < shard.query_counts.size(); ++i, ++it) {
+    const auto& entry = shard.query_counts[i];
+    if (i > 0) {
+      EXPECT_LT(shard.query_counts[i - 1].name, entry.name);
+    }
+    EXPECT_EQ(entry.name.to_string(), it->first.to_string());
+    EXPECT_EQ(entry.count, it->second) << entry.name.to_string();
+  }
+}
+
+void expect_same_stats(const CorpusStats& got, const CorpusStats& want) {
+  EXPECT_EQ(got.total_queries, want.total_queries);
+  EXPECT_EQ(got.unique_domains, want.unique_domains);
+  EXPECT_EQ(got.queries_per_page, want.queries_per_page);
+  EXPECT_EQ(got.top15_query_share, want.top15_query_share);
+}
+
+TEST(CorpusShards, MatchMapReferenceAtEverySplit) {
+  // Seeded rank ranges, one from rank 0 (read as 1), each cut into 1, 2, 7
+  // and 64 shards with an empty shard (hi < lo) spliced in.
+  AlexaPageModel model;
+  stats::SplitMix64 rng(2019);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, 300}};
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t lo = 1 + rng.next_below(1000000);
+    ranges.emplace_back(lo, lo + 200 + rng.next_below(400));
+  }
+  for (const auto& [lo, hi] : ranges) {
+    for (const std::size_t split : {1, 2, 7, 64}) {
+      SCOPED_TRACE("ranks " + std::to_string(lo) + "-" + std::to_string(hi) +
+                   " in " + std::to_string(split) + " shards");
+      const std::size_t first = std::max<std::size_t>(lo, 1);
+      const std::size_t pages = hi - first + 1;
+      std::vector<CorpusShard> shards;
+      std::vector<RefShard> refs;
+      for (std::size_t i = 0; i < split; ++i) {
+        // Shard 0 keeps `lo` as given, so the range from 0 passes 0 on.
+        const std::size_t a = i == 0 ? lo : first + i * pages / split;
+        const std::size_t b = first + (i + 1) * pages / split - 1;
+        shards.push_back(model.corpus_shard(a, b));
+        refs.push_back(ref_shard(model, a, b));
+        expect_same_shard(shards.back(), refs.back());
+        if (i == split / 2) {
+          shards.push_back(model.corpus_shard(b + 1, b));
+          refs.push_back(ref_shard(model, b + 1, b));
+          EXPECT_TRUE(shards.back().query_counts.empty());
+          EXPECT_TRUE(shards.back().queries_per_page.empty());
+        }
+      }
+      const CorpusStats want = ref_merge(refs);
+      ASSERT_EQ(want.queries_per_page.size(), pages);
+      expect_same_stats(
+          AlexaPageModel::merge_corpus_shards(std::move(shards)), want);
+    }
+  }
+}
+
+TEST(CorpusShards, MergeOfNothingIsEmpty) {
+  const CorpusStats none = AlexaPageModel::merge_corpus_shards({});
+  EXPECT_EQ(none.total_queries, 0u);
+  EXPECT_EQ(none.unique_domains, 0u);
+  EXPECT_TRUE(none.queries_per_page.empty());
+  EXPECT_EQ(none.top15_query_share, 0.0);
+}
+
+TEST(CorpusShards, SingleRankNamesAreThePagesUniqueDomains) {
+  AlexaPageModel model;
+  for (std::size_t rank = 1; rank <= 5000; ++rank) {
+    const CorpusShard shard = model.corpus_shard(rank, rank);
+    const auto domains = model.page(rank).unique_domains();
+    ASSERT_EQ(shard.query_counts.size(), domains.size()) << "rank " << rank;
+    ASSERT_EQ(shard.queries_per_page,
+              std::vector<std::size_t>{domains.size()});
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      ASSERT_EQ(shard.query_counts[i].name, domains[i]) << "rank " << rank;
+      ASSERT_EQ(shard.query_counts[i].count, 1u);
+    }
+  }
 }
 
 }  // namespace
