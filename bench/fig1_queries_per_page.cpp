@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(1, (pages + kRanksPerShard - 1) / kRanksPerShard);
   auto shards = bench::run_sharded<workload::AlexaPageModel::CorpusShard>(
       shard_count, jobs, [&](std::size_t i) {
-        workload::AlexaPageModel shard_model;  // each shard owns its model
+        // Each shard owns its model; every model draws from one shared,
+        // read-only popularity table.
+        workload::AlexaPageModel shard_model;
         const std::size_t lo = 1 + i * kRanksPerShard;
         const std::size_t hi = std::min(pages, lo + kRanksPerShard - 1);
         return shard_model.corpus_shard(lo, hi);

@@ -267,8 +267,9 @@ struct CorpusRun {
 };
 
 /// Ranks [1, pages] scanned in 16 corpus_shard calls (each with its own
-/// model, as in fig1) and merged. The scan is the domain draw, dns::Name
-/// parsing and comparison: each shard sorts its pages' names into one
+/// model, as in fig1, and every model sharing one popularity table) and
+/// merged. The scan is the domain draw, dns::Name formatting and
+/// comparison: each shard sorts its pages' names by order key into one
 /// counted run, and the merge joins the runs. Its allocation count per page
 /// is the deterministic figure CI gates.
 CorpusRun bench_corpus(std::size_t pages, std::size_t jobs) {

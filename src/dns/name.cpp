@@ -202,6 +202,18 @@ int Name::compare(const Name& other) const noexcept {
   return (a != a_end) - (b != b_end);
 }
 
+std::uint64_t Name::order_key() const noexcept {
+  std::uint64_t key = 0;
+  const std::size_t n = count_ == 0 ? 0 : std::min<std::size_t>(data()[0], 8);
+  const std::uint8_t* label = data() + 1;
+  // A label shorter than 8 bytes pads with zeros, which sort no later than
+  // any byte, as a shorter label sorts before a longer one it prefixes.
+  for (std::size_t i = 0; i < 8; ++i) {
+    key = key << 8 | (i < n ? fold(label[i]) : 0u);
+  }
+  return key;
+}
+
 void NameCompressor::write(ByteWriter& w, const Name& name) {
   const std::uint8_t* flat = name.data();
   const std::size_t size = name.size_;

@@ -77,6 +77,11 @@ class Name {
   std::weak_ordering operator<=>(const Name& other) const noexcept {
     return compare(other) <=> 0;
   }
+  /// The first label's first 8 case-folded bytes, big-endian, zero-padded
+  /// (the root's key is 0): a prefix of compare()'s order. If
+  /// order_key(a) < order_key(b) then a < b, and equal names have equal
+  /// keys, so a sort can order by key and compare names only on a tie.
+  std::uint64_t order_key() const noexcept;
 
  private:
   friend class NameCompressor;

@@ -76,7 +76,8 @@ class BufferSlice {
   Bytes to_bytes() const { return Bytes(begin(), end()); }
 
   /// Number of slices sharing this storage (1 when sole owner, 0 when
-  /// empty-default); test/diagnostic aid for refcount-lifetime assertions.
+  /// empty-default or a view of storage nobody owns, such as TLS's static
+  /// tag zeros); test/diagnostic aid for refcount-lifetime assertions.
   long use_count() const noexcept { return buffer_.use_count(); }
 
   /// Content equality (byte-wise), not identity: two slices over different

@@ -64,15 +64,27 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent, std::uint64_t seed)
     cumulative_.push_back(total);
   }
   for (auto& c : cumulative_) c /= total;
+  // The last mass is total / total, exactly 1, so every cut finds a rank.
+  assert(n <= UINT32_MAX);
+  cuts_.reserve(kCuts + 1);
+  std::uint32_t index = 0;
+  for (std::size_t j = 0; j <= kCuts; ++j) {
+    const double threshold = static_cast<double>(j) / kCuts;
+    while (cumulative_[index] < threshold) ++index;
+    cuts_.push_back(index);
+  }
 }
 
 std::size_t ZipfSampler::sample() noexcept { return sample(rng_); }
 
-std::size_t ZipfSampler::sample(SplitMix64& rng) const noexcept {
-  const double u = rng.next_double();
+std::size_t ZipfSampler::rank_at(double u) const noexcept {
+  assert(u >= 0.0 && u < 1.0);
+  // j / kCuts <= u < (j + 1) / kCuts, so the first mass >= u lies between
+  // the first mass >= j / kCuts and the first mass >= (j + 1) / kCuts.
+  const auto j = static_cast<std::size_t>(u * kCuts);
+  std::size_t lo = cuts_[j];
+  std::size_t hi = cuts_[j + 1];
   // Binary search for the first cumulative mass >= u.
-  std::size_t lo = 0;
-  std::size_t hi = cumulative_.size() - 1;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (cumulative_[mid] < u) {

@@ -60,6 +60,10 @@ class PoissonArrivals {
 /// the paper observes ~25% of all queries going to just 15 names).
 class ZipfSampler {
  public:
+  /// Cut points in the index: cut j is the first rank whose cumulative mass
+  /// reaches j / kCuts. A power of two, so u * kCuts and j / kCuts are exact.
+  static constexpr std::size_t kCuts = 4096;
+
   ZipfSampler(std::size_t n, double exponent, std::uint64_t seed);
 
   /// Sample a rank in [1, n].
@@ -67,13 +71,21 @@ class ZipfSampler {
 
   /// Sample using an external RNG (lets one (possibly large) cumulative
   /// table serve many deterministic streams).
-  std::size_t sample(SplitMix64& rng) const noexcept;
+  std::size_t sample(SplitMix64& rng) const noexcept {
+    return rank_at(rng.next_double());
+  }
+
+  /// The first rank whose cumulative mass is >= u, for u in [0, 1): the
+  /// rank a full binary search of the table finds, searched only between
+  /// the two cut points around u.
+  std::size_t rank_at(double u) const noexcept;
 
   std::size_t n() const noexcept { return n_; }
 
  private:
   std::size_t n_;
   std::vector<double> cumulative_;  // normalised cumulative mass
+  std::vector<std::uint32_t> cuts_;  // kCuts + 1 indices into cumulative_
   SplitMix64 rng_;
 };
 

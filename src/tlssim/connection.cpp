@@ -21,11 +21,18 @@ std::array<std::uint8_t, kRecordHeaderBytes> record_header(
           static_cast<std::uint8_t>(record_len & 0xff)};
 }
 
-/// Shared all-zero buffer for the synthetic AEAD expansion; every record's
-/// tag is a subslice of this, so encryption overhead never allocates.
-const BufferSlice& zero_tag_bytes() {
-  static const BufferSlice zeros{Bytes(kTls12RecordOverhead, 0)};
-  return zeros;
+/// The zeros of the synthetic AEAD expansion, built during static
+/// initialisation, before any shard's arena exists, and never freed.
+const Bytes kZeroTag(kTls12RecordOverhead, 0);
+
+/// A record's tag: the first `size` zeros of kZeroTag, so encryption
+/// overhead never allocates. The slice's owner is empty, so copying it
+/// touches no reference count: shard threads share the bytes, not a count.
+BufferSlice zero_tag(std::size_t size) {
+  assert(size <= kZeroTag.size());
+  return BufferSlice{
+      std::shared_ptr<const Bytes>(std::shared_ptr<const Bytes>(), &kZeroTag),
+      0, size};
 }
 
 }  // namespace
@@ -126,7 +133,7 @@ void TlsConnection::send_app_record(std::span<BufferSlice> record,
   // The transport appends all pieces before segmenting, so the wire is
   // byte-identical to one contiguous record buffer.
   if (tag > 0) {
-    record.back() = zero_tag_bytes().subslice(0, tag);
+    record.back() = zero_tag(tag);
   } else {
     record = record.first(record.size() - 1);
   }

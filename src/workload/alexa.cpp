@@ -21,6 +21,21 @@ dns::Name numbered_name(std::string_view prefix, std::size_t n,
   return dns::Name::parse({text, static_cast<std::size_t>(end - text)});
 }
 
+/// The default pool's popularity table, shared read-only by every model
+/// with the default pool and exponent.
+const stats::ZipfSampler& default_popularity() {
+  static const stats::ZipfSampler table(AlexaModelConfig{}.third_party_pool,
+                                        AlexaModelConfig{}.zipf_exponent,
+                                        /*seed=*/0);
+  return table;
+}
+
+/// Builds the table during static initialisation, before main() can open a
+/// shard's arena scope: a block first allocated inside a shard's arena would
+/// keep that whole arena alive until exit.
+[[maybe_unused]] const stats::ZipfSampler& kPopularityBuiltAtStart =
+    default_popularity();
+
 /// A name read in place from a shard's query_counts, and its count summed
 /// over the shards merged so far.
 struct Tally {
@@ -63,9 +78,15 @@ std::vector<dns::Name> Page::unique_domains() const {
 }
 
 AlexaPageModel::AlexaPageModel(AlexaModelConfig config)
-    : config_(config),
-      third_party_popularity_(config_.third_party_pool,
-                              config_.zipf_exponent, /*seed=*/0) {}
+    : config_(config), popularity_(&default_popularity()) {
+  const AlexaModelConfig defaults;
+  if (config_.third_party_pool != defaults.third_party_pool ||
+      config_.zipf_exponent != defaults.zipf_exponent) {
+    own_popularity_ = std::make_unique<const stats::ZipfSampler>(
+        config_.third_party_pool, config_.zipf_exponent, /*seed=*/0);
+    popularity_ = own_popularity_.get();
+  }
+}
 
 dns::Name AlexaPageModel::third_party_domain(std::size_t index) const {
   return numbered_name("tp", index, ".thirdparty.example");
@@ -94,28 +115,28 @@ AlexaPageModel::DomainDraw AlexaPageModel::draw_domains(
 
   // Pick the set of domains: the primary plus (resolutions - 1) others,
   // mostly shared third parties (popular by Zipf), the rest being
-  // page-specific subdomains (cdn.siteX, img.siteX, ...). `sorted` holds
-  // the indices of `domains` in name order, so a repeat draw is found by
-  // binary search.
+  // page-specific subdomains (cdn.siteX, img.siteX, ...). Only a third
+  // party can repeat, and two third parties are equal exactly when their
+  // pool indices are, so a repeat draw is found by binary search in the
+  // sorted indices drawn so far. Each subdomain takes a fresh counter, so
+  // it never repeats.
   std::vector<dns::Name>& domains = draw.domains;
   domains.reserve(resolutions);
   domains.push_back(primary_domain(rank));
-  std::vector<std::size_t> sorted;
-  sorted.reserve(resolutions);
-  sorted.push_back(0);
+  std::vector<std::size_t> drawn;
+  drawn.reserve(resolutions);
   int subdomain_counter = 0;
   while (domains.size() < resolutions) {
-    dns::Name candidate =
-        rng.next_double() < config_.third_party_fraction
-            ? third_party_domain(third_party_popularity_.sample(rng) - 1)
-            : domains.front().child("cdn" +
-                                    std::to_string(subdomain_counter++));
-    const auto at = std::lower_bound(
-        sorted.begin(), sorted.end(), candidate,
-        [&](std::size_t i, const dns::Name& n) { return domains[i] < n; });
-    if (at != sorted.end() && domains[*at] == candidate) continue;
-    sorted.insert(at, domains.size());
-    domains.push_back(std::move(candidate));
+    if (rng.next_double() < config_.third_party_fraction) {
+      const std::size_t index = popularity_->sample(rng) - 1;
+      const auto at = std::lower_bound(drawn.begin(), drawn.end(), index);
+      if (at != drawn.end() && *at == index) continue;
+      drawn.insert(at, index);
+      domains.push_back(third_party_domain(index));
+    } else {
+      domains.push_back(
+          domains.front().child("cdn" + std::to_string(subdomain_counter++)));
+    }
   }
   return draw;
 }
@@ -186,9 +207,10 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
   if (hi < lo) return shard;
   shard.queries_per_page.reserve(hi - lo + 1);
   // Each page's distinct domains, kept as drawn (each vector is exactly
-  // full). Sorting pointers to all of them puts a name's pages next to each
-  // other, so one pass counts them; a pointer moves in one word where a
-  // Name moves in 48 bytes.
+  // full). Sorting (key, pointer) pairs for all of them puts a name's pages
+  // next to each other, so one pass counts them; a pair moves in two words
+  // where a Name moves in 48 bytes. Names are compared only when their
+  // order keys tie, which orders the pairs exactly as the names.
   std::vector<std::vector<dns::Name>> pages;
   pages.reserve(hi - lo + 1);
   for (std::size_t rank = lo; rank <= hi; ++rank) {
@@ -196,22 +218,32 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
     shard.queries_per_page.push_back(pages.back().size());
     shard.total_queries += pages.back().size();
   }
-  std::vector<const dns::Name*> order;
+  struct Keyed {
+    std::uint64_t key;
+    const dns::Name* name;
+  };
+  std::vector<Keyed> order;
   order.reserve(shard.total_queries);
   for (const auto& domains : pages) {
-    for (const dns::Name& name : domains) order.push_back(&name);
+    for (const dns::Name& name : domains) {
+      order.push_back({name.order_key(), &name});
+    }
   }
-  std::sort(order.begin(), order.end(),
-            [](const dns::Name* a, const dns::Name* b) { return *a < *b; });
+  std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
+    return a.key != b.key ? a.key < b.key : *a.name < *b.name;
+  });
+  const auto same = [](const Keyed& a, const Keyed& b) {
+    return a.key == b.key && *a.name == *b.name;
+  };
   // Sized exactly: the run stays alive until the merge.
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || *order[i - 1] != *order[i]) ++distinct;
+    if (i == 0 || !same(order[i - 1], order[i])) ++distinct;
   }
   shard.query_counts.reserve(distinct);
-  for (const dns::Name* name : order) {
-    if (shard.query_counts.empty() || shard.query_counts.back().name != *name) {
-      shard.query_counts.push_back({*name, 0});
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || !same(order[i - 1], order[i])) {
+      shard.query_counts.push_back({*order[i].name, 0});
     }
     ++shard.query_counts.back().count;
   }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,9 +114,12 @@ class AlexaPageModel {
   DomainDraw draw_domains(std::size_t rank) const;
 
   AlexaModelConfig config_;
-  /// Shared popularity table (its cumulative masses are expensive to
-  /// build); pages draw from it with their own per-rank RNGs.
-  stats::ZipfSampler third_party_popularity_;
+  /// Third-party popularity, which pages draw from with their own per-rank
+  /// RNGs. Its cumulative masses take 1-2 ms to build, so every model with
+  /// the default pool and exponent shares one process-wide table; a model
+  /// with another pool or exponent builds its own in `own_popularity_`.
+  const stats::ZipfSampler* popularity_;
+  std::unique_ptr<const stats::ZipfSampler> own_popularity_;
 };
 
 }  // namespace dohperf::workload

@@ -11,7 +11,8 @@
 //   - shard results escaping their arena's scope and lifetime,
 //   - run_sharded producing identical results at any --jobs value,
 //   - dns::Name copies, compares and decodes without allocating,
-//   - a ceiling on the allocations per page of the fig1 corpus scan,
+//   - a ceiling on the allocations per page of the fig1 corpus scan, and
+//     a default page model allocating no popularity table of its own,
 //   - a ceiling on the allocations of one HTTP/1.1 object fetch,
 //   - ceilings on the allocations of a resolver-tier cache hit and of a
 //     miss that evicts,
@@ -311,9 +312,9 @@ TEST(NameAllocations, LongNameTakesOneHeapBlockAndRoundTrips) {
 
 // --- Corpus scan allocations ------------------------------------------------
 //
-// fig1's corpus_shard over 1,000 ranks, counted from after the model (and its
-// Zipf table) is built: the per-page cost of drawing each page's domains and
-// counting them into the shard's sorted run.
+// fig1's corpus_shard over 1,000 ranks, counted from after the model is
+// built: the per-page cost of drawing each page's domains and counting them
+// into the shard's sorted run.
 
 TEST(CorpusAllocations, ShardScanPerPage) {
   constexpr std::size_t kPages = 1000;
@@ -334,6 +335,26 @@ TEST(CorpusAllocations, ShardScanPerPage) {
   // std::set and the shard's std::map made 141.2.
   EXPECT_LE(per_page, 2.2);
   EXPECT_GT(per_page, 0.0);
+}
+
+// Every default model draws from one popularity table built before main(),
+// so a shard's models allocate nothing in the shard's arena, not even the
+// first one: a table first built there would keep the whole arena alive
+// until exit.
+TEST(CorpusAllocations, ModelSharesThePopularityTable) {
+  ShardMemory* arena = ShardMemory::create();
+  std::uint64_t grown = 0;
+  {
+    MemoryScope scope(*arena);
+    const auto in_bump_chunk = std::make_unique<std::uint64_t>(1);
+    const std::uint64_t before = arena->stats().arena_bytes;
+    const workload::AlexaPageModel first;
+    const workload::AlexaPageModel second;
+    grown = arena->stats().arena_bytes - before;
+  }
+  arena->release();
+  // A table is 60,000 doubles: a 512 KiB slab.
+  EXPECT_LT(grown, std::uint64_t{64} << 10);
 }
 
 // --- HTTP/1.1 fetch allocations ----------------------------------------------

@@ -203,6 +203,15 @@ TEST(DetlintConc, Conc001MutableStaticState) {
   EXPECT_EQ(counts.size(), 1u);
 }
 
+TEST(DetlintConc, Conc001CountsRefcountedConstStatics) {
+  auto counts = live_counts(conc_fixtures({"conc001_refcounted_static.cpp"}));
+  // The const BufferSlice and the const shared_ptr, plus the reference to
+  // the namespace-scope const weak_ptr: copying any of them writes a count
+  // every shard shares. The thread_local and the const int stay exempt.
+  EXPECT_EQ(counts[Code::CONC001], 3);
+  EXPECT_EQ(counts.size(), 1u);
+}
+
 TEST(DetlintConc, Conc001ThroughAMatrixCellFunctor) {
   auto counts = live_counts(conc_fixtures({"conc001_matrix_cell.cpp"}));
   // The cell functor handed to run_grid() is a shard root, so the static

@@ -702,6 +702,59 @@ TEST(NameDifferential, ThreeWayCompareAgreesWithLessAndEqual) {
   }
 }
 
+TEST(NameDifferential, OrderKeyNeverContradictsCompare) {
+  // Besides the seeded pools: the root, 0x00 and 0x01 bytes inside and just
+  // past a short label, first labels of 7 to 9 bytes, and heap-sized names.
+  const std::vector<std::vector<std::string>> extra = {
+      {},
+      {"ab"},
+      {"abc"},
+      {"AB", "x"},
+      {std::string("ab\0", 3), "x"},
+      {std::string("ab\0\0\0\0\0\0", 8)},
+      {"ab\x01"},
+      {std::string(1, '\0')},
+      {"\x01"},
+      {"\x80"},
+      {"a\xff"},
+      {"abcdefg"},
+      {"abcdefgh"},
+      {"ABCDEFGHi"},
+      {"abcdefgh\x01"},
+      {std::string("abcdefgh\0", 9)},
+      {std::string(63, 'a'), std::string(63, 'b')},
+      {std::string(63, 'A'), "x"},
+  };
+  for (const std::uint64_t seed : kDiffSeeds) {
+    NameGen gen(seed);
+    std::vector<ref::Name> refs = gen.pool(120, /*wire=*/true);
+    for (const auto& labels : extra) refs.push_back(ref::Name{labels});
+    std::vector<Name> names;
+    for (const auto& r : refs) names.push_back(flat(r));
+    std::size_t ordered_by_key = 0;
+    std::size_t tied_but_different = 0;
+    for (const Name& a : names) {
+      for (const Name& b : names) {
+        const std::uint64_t ka = a.order_key();
+        const std::uint64_t kb = b.order_key();
+        if (ka < kb) {
+          ++ordered_by_key;
+          ASSERT_LT(a.compare(b), 0)
+              << "seed " << seed << ": " << a.to_string() << " vs "
+              << b.to_string();
+        }
+        if (a == b) {
+          ASSERT_EQ(ka, kb) << a.to_string() << " vs " << b.to_string();
+        }
+        if (ka == kb && a != b) ++tied_but_different;
+      }
+    }
+    // Both cases a keyed sort meets: keys decide, and keys tie.
+    EXPECT_GT(ordered_by_key, 0u);
+    EXPECT_GT(tied_but_different, 0u);
+  }
+}
+
 TEST(NameDifferential, PairKeysOrderAsTwoLessCompares) {
   // std::pair<Name, RType> (RecursiveTier's cache key) compares through
   // Name's <=>; its order must be the one the pair had through two <.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ios>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "stats/cdf.hpp"
@@ -92,6 +95,59 @@ TEST(ZipfSampler, HeadIsHot) {
   const double share = static_cast<double>(head) / n;
   EXPECT_GT(share, 0.3);
   EXPECT_LT(share, 0.6);
+}
+
+/// The sampler without cut points: the same cumulative masses, searched in
+/// full for the first mass >= u.
+class FullSearchZipf {
+ public:
+  FullSearchZipf(std::size_t n, double exponent) {
+    double total = 0.0;
+    for (std::size_t k = 1; k <= n; ++k) {
+      total += 1.0 / std::pow(static_cast<double>(k), exponent);
+      cumulative_.push_back(total);
+    }
+    for (auto& c : cumulative_) c /= total;
+  }
+
+  std::size_t rank_at(double u) const {
+    const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
+    return static_cast<std::size_t>(it - cumulative_.begin()) + 1;
+  }
+
+  const std::vector<double>& cumulative() const { return cumulative_; }
+
+ private:
+  std::vector<double> cumulative_;
+};
+
+TEST(ZipfSampler, CutPointsFindTheFullSearchRank) {
+  const std::vector<std::pair<std::size_t, double>> tables = {
+      {1, 1.22}, {7, 1.0}, {100, 1.2}, {5000, 1.1}, {60000, 1.22}};
+  for (const auto& [n, exponent] : tables) {
+    const ZipfSampler zipf(n, exponent, 0);
+    const FullSearchZipf full(n, exponent);
+    // Seeded draws, 1.25 M over the five tables.
+    SplitMix64 drawn(n);
+    SplitMix64 same(n);
+    for (int i = 0; i < 250000; ++i) {
+      ASSERT_EQ(zipf.sample(drawn), full.rank_at(same.next_double()))
+          << "n " << n << " draw " << i;
+    }
+    // Every cut point and every mass, each with its neighbours in [0, 1).
+    std::vector<double> edges = full.cumulative();
+    for (std::size_t j = 0; j <= ZipfSampler::kCuts; ++j) {
+      edges.push_back(static_cast<double>(j) / ZipfSampler::kCuts);
+    }
+    for (const double edge : edges) {
+      for (const double u : {std::nextafter(edge, -1.0), edge,
+                             std::nextafter(edge, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(zipf.rank_at(u), full.rank_at(u))
+            << "n " << n << " u " << std::hexfloat << u;
+      }
+    }
+  }
 }
 
 TEST(LogNormalSampler, MedianNearExpMu) {

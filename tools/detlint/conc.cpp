@@ -18,10 +18,16 @@ const std::set<std::string_view> kNotACall = {
     "assert",   "typeid",   "requires",  "new",        "delete",
 };
 
-// Type qualifiers that make a `static` declaration immutable (or
-// thread-confined), i.e. safe to reach from parallel code.
+// Type qualifiers that make a `static` declaration immutable, i.e. safe to
+// reach from parallel code unless its type is reference-counted.
 const std::set<std::string_view> kImmutableQualifiers = {
-    "const", "constexpr", "constinit", "thread_local",
+    "const", "constexpr", "constinit",
+};
+
+// Reference-counted types: copying even a `const` instance writes the
+// shared count, so a `static` of one is shared mutable state (CONC001).
+const std::set<std::string_view> kRefcountedTypes = {
+    "BufferSlice", "shared_ptr", "weak_ptr",
 };
 
 // Synchronization / shared-memory primitives that have no business inside a
@@ -190,14 +196,22 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
 
   // Classifies the `static` at token index s (inside or outside a body).
   // Returns true and fills (line, name) when it declares a mutable
-  // variable; static functions and const/constexpr/thread_local data are
-  // not hazards.
+  // variable; static functions, thread_local data and const/constexpr data
+  // of a type without a reference count are not hazards.
   const auto classify_static = [&](std::size_t s,
                                    std::pair<int, std::string>& out) {
     std::string last_ident;
+    bool immutable = false;
+    bool refcounted = false;
     for (std::size_t j = s + 1; j < t.size() && j < s + 40; ++j) {
       if (t[j].kind == TokenKind::Identifier) {
-        if (kImmutableQualifiers.count(t[j].text)) return false;
+        if (t[j].text == "thread_local") return false;
+        if (kImmutableQualifiers.count(t[j].text)) {
+          immutable = true;
+          continue;
+        }
+        // The type names come before the variable's own (last) name.
+        if (kRefcountedTypes.count(last_ident)) refcounted = true;
         last_ident = t[j].text;
         continue;
       }
@@ -208,7 +222,7 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
       if (is_punct(t, j, '(')) return false;  // static function
       if (is_punct(t, j, '=') || is_punct(t, j, ';') ||
           is_punct(t, j, '{')) {
-        if (last_ident.empty()) return false;
+        if (last_ident.empty() || (immutable && !refcounted)) return false;
         out = {t[s].line, last_ident};
         return true;
       }

@@ -14,7 +14,9 @@
 //
 // Diagnostics (all suppressible with `// detlint: allow(CONC00x) reason`):
 //   CONC001  mutable static state (function-local static or namespace-scope
-//            static variable) reached from parallel-reachable code
+//            static variable) reached from parallel-reachable code; a
+//            `const` static of a reference-counted type (BufferSlice,
+//            shared_ptr, weak_ptr) counts, since a copy writes its count
 //   CONC002  a shard lambda writes through a reference capture — per-shard
 //            results must live in the shard's own slot, not escape
 //   CONC003  a per-shard result type stored in adjacent array slots by
