@@ -20,12 +20,11 @@ std::string WebFarm::object_target(std::size_t bytes) {
 }
 
 simnet::BufferSlice WebFarm::object_body(std::size_t bytes) {
-  const std::size_t capacity = bodies_ ? bodies_->size() : 0;
+  const std::size_t capacity = bodies_.size();
   if (bytes > capacity) {
-    bodies_ = std::make_shared<const dns::Bytes>(std::max(bytes, 2 * capacity),
-                                                 0x42);
+    bodies_ = dns::Bytes(std::max(bytes, 2 * capacity), 0x42);
   }
-  return simnet::BufferSlice(bodies_, 0, bytes);
+  return bodies_.subslice(0, bytes);
 }
 
 simnet::Address WebFarm::origin_for(const dns::Name& domain) {

@@ -66,8 +66,8 @@ class WebFarm {
   /// Every body served is a window of this one buffer. An object larger
   /// than it replaces it with one at least twice the size; bodies already
   /// handed out keep the old buffer alive. One per farm, so shards running
-  /// on different threads share no reference count.
-  std::shared_ptr<const dns::Bytes> bodies_;
+  /// on different threads share no count.
+  simnet::BufferSlice bodies_;
   std::uint64_t objects_served_ = 0;
 };
 

@@ -85,25 +85,50 @@ StartLine start_line(const Response& r, std::span<char, 16> digits) {
 }
 
 /// Write `msg`'s start line, then `headers` and the blank line. `extra` is
-/// room reserved after the head, for a body to follow.
+/// room reserved after the head, for a body to follow. A non-empty
+/// `content_length` is written where HeaderMap::set would put it: as the
+/// value of the first Content-Length header, else as a new last header.
 template <typename Message>
 Bytes write_head(const Message& msg, const HeaderMap& headers,
-                 std::size_t extra = 0) {
+                 std::size_t extra = 0,
+                 std::string_view content_length = {}) {
+  constexpr std::string_view kContentLength = "Content-Length";
   char digits[16];
   const StartLine start = start_line(msg, digits);
+  const auto& entries = headers.entries();
+  std::size_t replaced = entries.size();
+  if (!content_length.empty()) {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const auto& entry) {
+                                   return iequals(entry.first, kContentLength);
+                                 });
+    replaced = static_cast<std::size_t>(it - entries.begin());
+  }
+  const bool added = !content_length.empty() && replaced == entries.size();
+  const auto value = [&](std::size_t i) -> std::string_view {
+    return i == replaced ? content_length : std::string_view(entries[i].second);
+  };
+
   std::size_t size = 4 + extra;
   for (const std::string_view part : start) size += part.size();
-  for (const auto& [n, v] : headers.entries()) size += n.size() + v.size() + 4;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    size += entries[i].first.size() + value(i).size() + 4;
+  }
+  if (added) size += kContentLength.size() + content_length.size() + 4;
   Bytes out;
   out.reserve(size);
-  for (const std::string_view part : start) append(out, part);
-  append(out, "\r\n");
-  for (const auto& [n, v] : headers.entries()) {
-    append(out, n);
+  const auto header = [&](std::string_view name, std::string_view v) {
+    append(out, name);
     append(out, ": ");
     append(out, v);
     append(out, "\r\n");
+  };
+  for (const std::string_view part : start) append(out, part);
+  append(out, "\r\n");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    header(entries[i].first, value(i));
   }
+  if (added) header(kContentLength, content_length);
   append(out, "\r\n");
   return out;
 }
@@ -113,11 +138,14 @@ Bytes write_head(const Message& msg, const HeaderMap& headers,
 template <typename Message>
 Bytes serialize_head_impl(const Message& msg, WireSizes* sizes,
                           std::size_t extra) {
-  HeaderMap headers = msg.headers;
-  if (!msg.body.empty() || headers.has("content-type")) {
-    headers.set("Content-Length", std::to_string(msg.body.size()));
+  char length[24] = {};
+  std::string_view content_length;
+  if (!msg.body.empty() || msg.headers.has("content-type")) {
+    const char* end =
+        std::to_chars(length, length + sizeof length, msg.body.size()).ptr;
+    content_length = {length, static_cast<std::size_t>(end - length)};
   }
-  Bytes head = write_head(msg, headers, extra);
+  Bytes head = write_head(msg, msg.headers, extra, content_length);
   if (sizes != nullptr) {
     sizes->header_bytes = head.size();
     sizes->body_bytes = msg.body.size();
@@ -289,6 +317,14 @@ bool Parser::parse_head() {
   return true;
 }
 
+void Parser::append_body(const char* data, std::size_t size) {
+  // The buffer holds chars and the body bytes: inserting the chars would
+  // convert them one at a time, inserting the same bytes as bytes is one
+  // memmove.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
+  body_.insert(body_.end(), bytes, bytes + size);
+}
+
 bool Parser::try_extract_chunked() {
   // RFC 7230 §4.1 framing: hex size CRLF, chunk CRLF, ..., 0 CRLF CRLF.
   std::size_t pos = chunk_wire_bytes_;
@@ -322,8 +358,7 @@ bool Parser::try_extract_chunked() {
         buffer_.size() - data_start - chunk_len < 2) {
       return false;
     }
-    body_.insert(body_.end(), buffer_.begin() + static_cast<long>(data_start),
-                 buffer_.begin() + static_cast<long>(data_start + chunk_len));
+    append_body(buffer_.data() + data_start, chunk_len);
     pos = data_start + chunk_len + 2;  // skip chunk + CRLF
     chunk_wire_bytes_ = pos;
   }
@@ -340,8 +375,7 @@ bool Parser::try_extract() {
       const std::size_t take = std::min(content_length_, buffer_.size());
       body_.reserve(std::min(content_length_,
                              std::max(take, kMaxBodyReserve)));
-      body_.insert(body_.end(), buffer_.begin(),
-                   buffer_.begin() + static_cast<std::ptrdiff_t>(take));
+      append_body(buffer_.data(), take);
       buffer_.erase(0, take);
     }
   }

@@ -104,6 +104,8 @@ class Parser {
   bool parse_head();
   bool try_extract();
   bool try_extract_chunked();
+  /// Append `size` bytes of buffer_ (from `data`) to body_.
+  void append_body(const char* data, std::size_t size);
 
   Mode mode_;
   /// Bytes not yet parsed: a head, chunked framing, or what follows the

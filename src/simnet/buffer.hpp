@@ -1,4 +1,4 @@
-// BufferSlice: an immutable, ref-counted view over a shared byte buffer.
+// BufferSlice: an immutable, counted view over a byte buffer.
 //
 // The zero-copy spine of the simulator: a response body (or any protocol
 // payload) is materialized into a Bytes exactly once, wrapped in a
@@ -6,22 +6,108 @@
 // fragmentation, TCP segmentation, the packet in flight, and the
 // receiver's reassembly — works with subslices of that one allocation
 // instead of copying the bytes at each crossing. Copying a slice bumps a
-// reference count; subslicing adjusts an (offset, length) window.
+// plain (non-atomic) count kept in the storage block it views; subslicing
+// moves a (pointer, length) window.
 //
-// Slices are immutable by construction (the underlying Bytes is const), so
-// aliasing is always safe: a retransmitted TCP segment and the original
+// Slices are immutable by construction (nothing writes through a slice),
+// so aliasing is always safe: a retransmitted TCP segment and the original
 // in-flight copy may view the same storage from different virtual times.
+//
+// One thread at a time: a slice and every copy of it belong to one thread.
+// The count is a plain integer, so two threads must never copy or drop
+// slices of one block concurrently. Slices may change threads only across
+// a happens-before edge such as a thread join, which is how run_sharded
+// hands shard results back. Non-owning slices (`unowned()`, such as TLS's
+// static tag zeros) carry no count and may be shared freely. detlint
+// CONC004 reports a slice declared outside a shard functor and used in it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <utility>
 
 #include "dns/wire.hpp"  // Bytes
 
 namespace dohperf::simnet {
+
+class BufferSlice;
+class ByteSlab;
+
+namespace detail {
+
+/// A block of bytes that slices own: it counts the slices (and the slab
+/// writer) referring to it and frees itself with the last of them.
+class SliceStorage {
+ public:
+  SliceStorage() = default;
+  SliceStorage(const SliceStorage&) = delete;
+  SliceStorage& operator=(const SliceStorage&) = delete;
+
+  void retain() noexcept { ++refs_; }
+  void release() noexcept {
+    // detlint: allow(HYG002) intrusive count: the last reference frees the block
+    if (--refs_ == 0) delete this;
+  }
+  /// Slices sharing the block, plus any owners of the bytes outside it.
+  long use_count() const noexcept { return refs_ + other_owners(); }
+
+ protected:
+  virtual ~SliceStorage() = default;
+  virtual long other_owners() const noexcept { return 0; }
+
+ private:
+  long refs_ = 1;
+};
+
+/// A Bytes handed to a slice by value.
+class OwnedBytes final : public SliceStorage {
+ public:
+  explicit OwnedBytes(dns::Bytes bytes) noexcept : bytes(std::move(bytes)) {}
+  const dns::Bytes bytes;
+};
+
+/// A buffer a shared_ptr owns: the block holds one reference for all of
+/// its slices, so use_count() reads as if each slice held its own.
+class SharedBytes final : public SliceStorage {
+ public:
+  explicit SharedBytes(std::shared_ptr<const dns::Bytes> owner) noexcept
+      : owner(std::move(owner)) {}
+  const std::shared_ptr<const dns::Bytes> owner;
+
+ private:
+  long other_owners() const noexcept override {
+    return owner.use_count() - 1;
+  }
+};
+
+/// Header of a ByteSlab block; its `capacity` bytes follow in the same
+/// allocation.
+class SlabBlock final : public SliceStorage {
+ public:
+  static SlabBlock* create(std::size_t capacity) {
+    void* raw = ::operator new(sizeof(SlabBlock) + capacity);
+    // detlint: allow(HYG002) placement new of the header in front of its own bytes
+    return ::new (raw) SlabBlock(capacity);
+  }
+  /// Pairs with create()'s ::operator new (the block is larger than the
+  /// class, so the sized global form must not be used).
+  static void operator delete(void* raw) noexcept { ::operator delete(raw); }
+
+  std::uint8_t* bytes() noexcept {
+    return reinterpret_cast<std::uint8_t*>(this + 1);
+  }
+
+  const std::size_t capacity;
+  std::size_t used = 0;
+
+ private:
+  explicit SlabBlock(std::size_t capacity) noexcept : capacity(capacity) {}
+};
+
+}  // namespace detail
 
 class BufferSlice {
  public:
@@ -31,16 +117,65 @@ class BufferSlice {
 
   /// Materialize a buffer (implicit on purpose: every legacy call site that
   /// built a Bytes and sent it keeps compiling, now sharing instead of
-  /// copying downstream).
-  BufferSlice(Bytes bytes)  // NOLINT(google-explicit-constructor)
-      : buffer_(std::make_shared<const Bytes>(std::move(bytes))),
-        offset_(0), length_(static_cast<std::uint32_t>(buffer_->size())) {}
+  /// copying downstream). An empty buffer allocates nothing.
+  BufferSlice(Bytes bytes) {  // NOLINT(google-explicit-constructor)
+    if (bytes.empty()) return;
+    // detlint: allow(HYG002) intrusive count: the last slice frees the block
+    auto* block = new detail::OwnedBytes(std::move(bytes));
+    data_ = block->bytes.data();
+    owner_ = block;
+    length_ = static_cast<std::uint32_t>(block->bytes.size());
+  }
 
+  /// A window of a shared buffer. A shared_ptr that owns nothing (an
+  /// aliasing pointer with an empty owner) makes a non-owning slice.
   BufferSlice(std::shared_ptr<const Bytes> buffer, std::size_t offset,
-              std::size_t length) noexcept
-      : buffer_(std::move(buffer)),
-        offset_(static_cast<std::uint32_t>(offset)),
-        length_(static_cast<std::uint32_t>(length)) {}
+              std::size_t length) {
+    if (!buffer) return;
+    data_ = buffer->data() + offset;
+    length_ = static_cast<std::uint32_t>(length);
+    if (buffer.use_count() != 0) {
+      // detlint: allow(HYG002) intrusive count: the last slice frees the block
+      owner_ = new detail::SharedBytes(std::move(buffer));
+    }
+  }
+
+  /// A slice of bytes nobody owns, such as static storage that outlives
+  /// every slice. It carries no count, so copying it on any thread is free.
+  static BufferSlice unowned(std::span<const std::uint8_t> bytes) noexcept {
+    return BufferSlice(nullptr, bytes.data(), bytes.size());
+  }
+
+  BufferSlice(const BufferSlice& other) noexcept
+      : BufferSlice(other.owner_, other.data_, other.length_) {}
+
+  BufferSlice(BufferSlice&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        owner_(std::exchange(other.owner_, nullptr)),
+        length_(std::exchange(other.length_, 0)) {}
+
+  BufferSlice& operator=(const BufferSlice& other) noexcept {
+    if (other.owner_ != nullptr) other.owner_->retain();  // first: self-copy
+    if (owner_ != nullptr) owner_->release();
+    data_ = other.data_;
+    owner_ = other.owner_;
+    length_ = other.length_;
+    return *this;
+  }
+
+  BufferSlice& operator=(BufferSlice&& other) noexcept {
+    if (this != &other) {
+      if (owner_ != nullptr) owner_->release();
+      data_ = std::exchange(other.data_, nullptr);
+      owner_ = std::exchange(other.owner_, nullptr);
+      length_ = std::exchange(other.length_, 0);
+    }
+    return *this;
+  }
+
+  ~BufferSlice() {
+    if (owner_ != nullptr) owner_->release();
+  }
 
   /// A window into the same storage; never copies payload bytes.
   /// `length` is clamped to the slice end.
@@ -48,37 +183,35 @@ class BufferSlice {
                        std::size_t length = SIZE_MAX) const noexcept {
     if (offset > length_) offset = length_;
     const std::size_t avail = length_ - offset;
-    return BufferSlice{buffer_, offset_ + offset,
-                       length < avail ? length : avail};
+    return BufferSlice(owner_, data_ + offset,
+                       length < avail ? length : avail);
   }
 
   std::size_t size() const noexcept { return length_; }
   bool empty() const noexcept { return length_ == 0; }
 
-  const std::uint8_t* data() const noexcept {
-    return buffer_ ? buffer_->data() + offset_ : nullptr;
-  }
-  const std::uint8_t* begin() const noexcept { return data(); }
-  const std::uint8_t* end() const noexcept { return data() + length_; }
+  const std::uint8_t* data() const noexcept { return data_; }
+  const std::uint8_t* begin() const noexcept { return data_; }
+  const std::uint8_t* end() const noexcept { return data_ + length_; }
 
-  std::uint8_t operator[](std::size_t i) const noexcept {
-    return *(data() + i);
-  }
+  std::uint8_t operator[](std::size_t i) const noexcept { return data_[i]; }
 
   operator std::span<const std::uint8_t>() const noexcept {  // NOLINT
-    return {data(), length_};
+    return {data_, length_};
   }
   std::span<const std::uint8_t> span() const noexcept {
-    return {data(), length_};
+    return {data_, length_};
   }
 
   /// Copy the viewed bytes into a fresh Bytes (the one deliberate copy).
   Bytes to_bytes() const { return Bytes(begin(), end()); }
 
-  /// Number of slices sharing this storage (1 when sole owner, 0 when
-  /// empty-default or a view of storage nobody owns, such as TLS's static
-  /// tag zeros); test/diagnostic aid for refcount-lifetime assertions.
-  long use_count() const noexcept { return buffer_.use_count(); }
+  /// Number of slices sharing this storage, plus the other holders of a
+  /// shared_ptr it was built from (1 when sole owner, 0 when empty-default
+  /// or non-owning); test/diagnostic aid for lifetime assertions.
+  long use_count() const noexcept {
+    return owner_ != nullptr ? owner_->use_count() : 0;
+  }
 
   /// Content equality (byte-wise), not identity: two slices over different
   /// buffers with the same bytes are equal, matching Bytes semantics.
@@ -93,17 +226,78 @@ class BufferSlice {
   }
 
  private:
-  std::shared_ptr<const Bytes> buffer_;
-  /// 32-bit window keeps a slice at 24 bytes — the same size as the Bytes
+  friend class ByteSlab;
+
+  /// A window of `owner`'s bytes (or of unowned bytes when null); takes a
+  /// reference of its own.
+  BufferSlice(detail::SliceStorage* owner, const std::uint8_t* data,
+              std::size_t length) noexcept
+      : data_(data), owner_(owner),
+        length_(static_cast<std::uint32_t>(length)) {
+    if (owner_ != nullptr) owner_->retain();
+  }
+
+  const std::uint8_t* data_ = nullptr;
+  detail::SliceStorage* owner_ = nullptr;
+  /// A 32-bit length keeps a slice at 24 bytes — the same size as the Bytes
   /// it replaced, so packets (and the per-packet delivery closure, which
-  /// must fit SmallFn's inline buffer) do not grow. Simulated payloads are
-  /// bounded far below 4 GiB.
-  std::uint32_t offset_ = 0;
+  /// must fit the event loop's inline storage) do not grow. Simulated
+  /// payloads are bounded far below 4 GiB.
   std::uint32_t length_ = 0;
 };
 
 static_assert(sizeof(BufferSlice) == sizeof(dns::Bytes),
               "a slice must not be bigger than the buffer it views");
+
+/// An append-only writer of small buffers — record headers, handshake
+/// records, coalesced segments — into shared blocks, one allocation per
+/// block instead of a Bytes per buffer. A block stays alive while any
+/// slice of it does. Bytes handed out are never written again: a write
+/// that does not fit in the current block starts a new one.
+class ByteSlab {
+ public:
+  /// Allocation sizes of the blocks, headers included. Most connections
+  /// write a few hundred bytes, so the first block is small; each next one
+  /// doubles, up to the largest. A bigger write gets a block of its size.
+  static constexpr std::size_t kFirstBlockAlloc = std::size_t{2} << 10;
+  static constexpr std::size_t kMaxBlockAlloc = std::size_t{16} << 10;
+  /// Room left in each allocation for the block and allocator headers.
+  static constexpr std::size_t kHeaderRoom = 64;
+
+  ByteSlab() noexcept = default;
+  ByteSlab(const ByteSlab&) = delete;
+  ByteSlab& operator=(const ByteSlab&) = delete;
+  ~ByteSlab() { reset(); }
+
+  /// Let go of the current block (slices of it keep it alive); the next
+  /// write starts a new one.
+  void reset() noexcept {
+    if (block_ != nullptr) block_->release();
+    block_ = nullptr;
+  }
+
+  /// Append `size` bytes, written by `fill(std::uint8_t* out)`, and return
+  /// a slice of them.
+  template <typename Fill>
+  BufferSlice write(std::size_t size, Fill&& fill) {
+    if (size == 0) return {};
+    if (block_ == nullptr || block_->capacity - block_->used < size) {
+      const std::size_t alloc =
+          block_ == nullptr
+              ? kFirstBlockAlloc
+              : std::min(2 * (block_->capacity + kHeaderRoom), kMaxBlockAlloc);
+      reset();
+      block_ = detail::SlabBlock::create(std::max(size, alloc - kHeaderRoom));
+    }
+    std::uint8_t* out = block_->bytes() + block_->used;
+    fill(out);
+    block_->used += size;
+    return BufferSlice(block_, out, size);
+  }
+
+ private:
+  detail::SlabBlock* block_ = nullptr;
+};
 
 /// Concatenate a chain of slices into one contiguous buffer. Used where a
 /// logical multi-slice write must be flattened (rare slow paths that must

@@ -7,7 +7,7 @@ namespace dohperf::simnet {
 void EventLoop::compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) {
-                               const Slot& slot = slots_[e.slot];
+                               const Slot& slot = slot_at(e.slot);
                                return !slot.live || slot.gen != e.gen;
                              }),
               heap_.end());
@@ -22,9 +22,19 @@ void EventLoop::compact() {
 void EventLoop::prune() {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_.front();
-    const Slot& slot = slots_[top.slot];
+    const Slot& slot = slot_at(top.slot);
     if (slot.live && slot.gen == top.gen) return;
     pop_root();
+  }
+}
+
+void EventLoop::add_chunk() {
+  const auto base = static_cast<std::uint32_t>(capacity());
+  chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlotsPerChunk));
+  Slot* chunk = chunks_.back().get();
+  for (std::uint32_t i = kSlotsPerChunk; i-- > 0;) {
+    chunk[i].next_free = free_head_;
+    free_head_ = base + i;
   }
 }
 

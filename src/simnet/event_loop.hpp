@@ -5,16 +5,21 @@
 // exchanges deterministic.
 //
 // Internally the queue is a binary min-heap of POD entries keyed by
-// (when, seq), with callbacks held in a side slot table using SmallFn
-// inline storage — the common timer/packet-delivery event allocates
-// nothing. cancel() is O(1): it releases the slot and bumps its
-// generation, leaving a tombstone in the heap that dispatch skips lazily;
-// when tombstones outnumber live events the heap is compacted in one O(n)
-// pass so cancel-heavy workloads (RTO/delayed-ACK churn) never inflate
-// sift depth. The pop order is the total order (when, seq) — unique
-// because seq never repeats — so neither lazy deletion nor compaction can
-// reorder events, and seeded runs stay byte-identical to the previous
-// std::map implementation.
+// (when, seq), with callbacks held in a side slot table. The table is a
+// list of fixed-size chunks of slots whose addresses never move, and
+// schedule_at constructs the callable directly in its slot (SmallFn inline
+// storage), so the common timer/packet-delivery event allocates nothing
+// and is never relocated: step() marks the slot fired, runs the callable
+// where it is stored, then destroys it and frees the slot. A callback may
+// therefore schedule any number of events (growing the table by whole
+// chunks) while its own captures stay put. cancel() is O(1): it frees the
+// slot and bumps its generation, leaving a tombstone in the heap that
+// dispatch skips lazily; when tombstones outnumber live events the heap is
+// compacted in one O(n) pass so cancel-heavy workloads (RTO/delayed-ACK
+// churn) never inflate sift depth. The pop order is the total order
+// (when, seq) — unique because seq never repeats — so neither lazy
+// deletion nor compaction can reorder events, and seeded runs stay
+// byte-identical to the previous std::map implementation.
 //
 // The hot path (schedule/cancel/step) is defined inline in this header
 // with hand-rolled hole-insertion sifts: the comparator and the sift loops
@@ -24,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "simnet/small_fn.hpp"
@@ -45,29 +51,42 @@ struct EventId {
 
 class EventLoop {
  public:
+  /// Slots per chunk of the slot table; the table grows a chunk at a time.
+  static constexpr std::uint32_t kSlotsPerChunk = 256;
+
   TimeUs now() const noexcept { return now_; }
 
   /// Schedule `fn` at absolute virtual time `when` (clamped to now()).
-  EventId schedule_at(TimeUs when, SmallFn fn) {
+  template <typename F>
+  EventId schedule_at(TimeUs when, F&& fn) {
     if (when < now_) when = now_;
-    const std::uint32_t slot = acquire_slot(std::move(fn));
-    sift_up(HeapEntry{when, next_seq_++, slot, slots_[slot].gen});
-    return EventId{slot, slots_[slot].gen, true};
+    if (free_head_ == kNoSlot) add_chunk();
+    const std::uint32_t index = free_head_;
+    Slot& slot = slot_at(index);
+    slot.fn.emplace(std::forward<F>(fn));  // if this throws, the slot stays free
+    free_head_ = slot.next_free;
+    slot.next_free = kNoSlot;
+    slot.live = true;
+    ++live_;
+    sift_up(HeapEntry{when, next_seq_++, index, slot.gen});
+    return EventId{index, slot.gen, true};
   }
 
   /// Schedule `fn` after `delay` microseconds.
-  EventId schedule_in(TimeUs delay, SmallFn fn) {
-    return schedule_at(delay > 0 ? now_ + delay : now_, std::move(fn));
+  template <typename F>
+  EventId schedule_in(TimeUs delay, F&& fn) {
+    return schedule_at(delay > 0 ? now_ + delay : now_, std::forward<F>(fn));
   }
 
   /// Cancel a pending event; cancelling an already-fired or invalid id is
   /// a harmless no-op. O(1): the heap entry stays behind as a tombstone.
   // detlint: hot-loop
   void cancel(const EventId& id) {
-    if (!id.valid || id.slot >= slots_.size()) return;
-    const Slot& slot = slots_[id.slot];
-    if (!slot.live || slot.gen != id.gen) return;  // already fired/cancelled
-    release_slot(id.slot);
+    if (!id.valid || id.slot >= capacity()) return;
+    Slot& slot = slot_at(id.slot);
+    if (!slot.live || slot.gen != id.gen) return;  // fired, running, cancelled
+    retire(slot);
+    free_slot(id.slot);
     // Lazy deletion keeps cancel O(1), but unfired far-future tombstones
     // (a cancelled RTO is typically rescheduled long before it fires)
     // would otherwise pile up and deepen every sift. Compact once they
@@ -93,15 +112,15 @@ class EventLoop {
       if (heap_.empty()) return false;
       const HeapEntry top = heap_[0];
       pop_root();
-      Slot& slot = slots_[top.slot];
+      Slot& slot = slot_at(top.slot);
       if (!slot.live || slot.gen != top.gen) continue;  // tombstone
       now_ = top.when;
-      // Move the callback out and release the slot *before* invoking: the
-      // callback may schedule new events (growing slots_) or cancel others.
-      SmallFn fn = std::move(slot.fn);
-      release_slot(top.slot);
+      // Fired: its id no longer cancels anything, but the slot stays taken
+      // until the callable, which runs in place, has returned (or thrown).
+      retire(slot);
       ++executed_;
-      fn();
+      const FreeOnExit free_on_exit{*this, top.slot};
+      slot.fn();
       return true;
     }
   }
@@ -132,6 +151,20 @@ class EventLoop {
     std::uint32_t next_free = kNoSlot;
     bool live = false;
   };
+
+  /// Frees a fired event's slot when its callable returns or throws.
+  struct FreeOnExit {
+    EventLoop& loop;
+    std::uint32_t index;
+    ~FreeOnExit() { loop.free_slot(index); }
+  };
+
+  std::size_t capacity() const noexcept {
+    return chunks_.size() * kSlotsPerChunk;
+  }
+  Slot& slot_at(std::uint32_t index) noexcept {
+    return chunks_[index / kSlotsPerChunk][index % kSlotsPerChunk];
+  }
 
   static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
@@ -177,32 +210,24 @@ class EventLoop {
     if (!heap_.empty()) sift_down(0, last);
   }
 
-  std::uint32_t acquire_slot(SmallFn&& fn) {
-    std::uint32_t index;
-    if (free_head_ != kNoSlot) {
-      index = free_head_;
-      Slot& slot = slots_[index];
-      free_head_ = slot.next_free;
-      slot.next_free = kNoSlot;
-      slot.fn = std::move(fn);
-      slot.live = true;
-    } else {
-      index = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(Slot{std::move(fn), 0, kNoSlot, true});
-    }
-    ++live_;
-    return index;
-  }
-
-  void release_slot(std::uint32_t index) {
-    Slot& slot = slots_[index];
-    slot.fn = SmallFn{};
+  /// Mark a slot's event fired or cancelled: stale ids and heap entries
+  /// stop matching it.
+  void retire(Slot& slot) noexcept {
     slot.live = false;
-    ++slot.gen;  // invalidate outstanding EventIds and heap tombstones
-    slot.next_free = free_head_;
-    free_head_ = index;
+    ++slot.gen;
     --live_;
   }
+
+  /// Destroy a retired slot's callable and return the slot to the free list.
+  void free_slot(std::uint32_t index) noexcept {
+    Slot& slot = slot_at(index);
+    slot.fn.reset();
+    slot.next_free = free_head_;
+    free_head_ = index;
+  }
+
+  /// Append one chunk of free slots, lowest index first on the free list.
+  void add_chunk();
 
   /// Drop every tombstone and rebuild the heap in one O(n) pass.
   void compact();
@@ -214,7 +239,7 @@ class EventLoop {
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
 };
 

@@ -1,5 +1,6 @@
 #include "simnet/host.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dohperf::simnet {
@@ -11,6 +12,12 @@ Host::Host(Network& net, std::string name) : net_(net) {
 
 Host::~Host() {
   net_.set_handler(id_, nullptr);
+  // Dropping tcp_conns_ destroys each connection nobody else holds, and
+  // ~TcpConnection cancels its timers. One a caller keeps past its host is
+  // disarmed here, so it never touches this host or the event loop again.
+  for (const TcpEntry& entry : tcp_conns_) {
+    if (entry.conn.use_count() > 1) entry.conn->disarm_timers();
+  }
 }
 
 const std::string& Host::name() const { return net_.node_name(id_); }
@@ -53,8 +60,7 @@ std::shared_ptr<TcpConnection> Host::tcp_connect(const Address& remote,
   const std::uint16_t local_port = allocate_ephemeral();
   auto conn = std::make_shared<TcpConnection>(*this, local_port, remote,
                                               config, /*is_server=*/false);
-  const TcpKey key{local_port, remote.node, remote.port};
-  tcp_conns_.emplace(key, conn);
+  tcp_register(tcp_key(local_port, remote.node, remote.port), conn);
   conn->start_connect();
   return conn;
 }
@@ -67,14 +73,11 @@ std::uint16_t Host::allocate_ephemeral() {
         next_ephemeral_ >= 65535 ? 49152 : next_ephemeral_ + 1;
     if (udp_ports_.count(candidate) != 0) continue;
     if (tcp_listeners_.count(candidate) != 0) continue;
-    bool used_by_tcp = false;
-    for (const auto& [key, conn] : tcp_conns_) {
-      if (std::get<0>(key) == candidate) {
-        used_by_tcp = true;
-        break;
-      }
+    // Connections on a port sort together, from key (port << 48) up.
+    const auto it = tcp_lower_bound(tcp_key(candidate, 0, 0));
+    if (it == tcp_conns_.end() || (it->key >> 48) != candidate) {
+      return candidate;
     }
-    if (!used_by_tcp) return candidate;
   }
   throw std::runtime_error("ephemeral port space exhausted");
 }
@@ -94,12 +97,14 @@ void Host::rebind(bool rst_old_flows) {
     udp_ports_.emplace(fresh, std::move(socket));
   }
   if (rst_old_flows) {
-    // A RST-ing middlebox: each connection observes an immediate reset.
-    // abort()/unregister happen inside on_segment, so snapshot first.
-    std::vector<std::shared_ptr<TcpConnection>> victims;
+    // A RST-ing middlebox: each connection observes an immediate reset, in
+    // key order. Unregistering happens inside on_segment, so snapshot
+    // first; the scope keeps every victim alive until the loop is done.
+    const CallScope scope(*this);
+    std::vector<TcpConnection*> victims;
     victims.reserve(tcp_conns_.size());
-    for (const auto& [key, conn] : tcp_conns_) victims.push_back(conn);
-    for (const auto& conn : victims) {
+    for (const TcpEntry& entry : tcp_conns_) victims.push_back(entry.conn.get());
+    for (TcpConnection* conn : victims) {
       TcpSegment rst;
       rst.rst = true;
       rst.ack_flag = true;
@@ -108,7 +113,7 @@ void Host::rebind(bool rst_old_flows) {
   } else {
     // Silent NAT: the mapping is simply gone. Gate the flows both ways;
     // the client learns of it only through stalls and RTOs.
-    for (const auto& [key, conn] : tcp_conns_) blackholed_tcp_.insert(key);
+    for (const TcpEntry& entry : tcp_conns_) entry.conn->blackholed_ = true;
   }
 }
 
@@ -154,10 +159,6 @@ void Host::notify_network_change(NetworkChangeKind kind) {
 
 void Host::send_gated(Packet packet) {
   if (!if_up_) return;  // interface down: frames die at the NIC
-  if (const auto* seg = std::get_if<TcpSegment>(&packet.body)) {
-    const TcpKey key{seg->src_port, packet.dst_node, seg->dst_port};
-    if (blackholed_tcp_.count(key) != 0) return;  // dead NAT mapping
-  }
   net_.send(std::move(packet));
 }
 
@@ -174,15 +175,15 @@ void Host::dispatch(const Packet& packet) {
 }
 
 void Host::dispatch_tcp(const TcpSegment& seg, NodeId from) {
-  const TcpKey key{seg.dst_port, from, seg.src_port};
-  // Black-holed flows swallow ingress too — crucially before the RST
-  // fall-through below, so a dead mapping never answers anything.
-  if (blackholed_tcp_.count(key) != 0) return;
-  const auto it = tcp_conns_.find(key);
-  if (it != tcp_conns_.end()) {
-    // Hold a reference so the connection can unregister itself mid-call.
-    const auto conn = it->second;
-    conn->on_segment(seg);
+  const std::uint64_t key = tcp_key(seg.dst_port, from, seg.src_port);
+  const auto it = tcp_lower_bound(key);
+  if (it != tcp_conns_.end() && it->key == key) {
+    TcpConnection& conn = *it->conn;
+    // Black-holed flows swallow ingress too — crucially before the RST
+    // fall-through below, so a dead mapping never answers anything.
+    if (conn.blackholed_) return;
+    const CallScope scope(*this);  // the connection may unregister mid-call
+    conn.on_segment(seg);
     return;
   }
   // New connection: a SYN to a listening port.
@@ -195,9 +196,10 @@ void Host::dispatch_tcp(const TcpSegment& seg, NodeId from) {
       // Deliver the connection to the application once established.
       auto& listener = *lit->second;
       conn->set_callbacks({});  // application sets real callbacks on accept
-      tcp_conns_.emplace(key, conn);
       conn->accept_handler_ = listener.on_accept_;
-      conn->handle_syn(seg);
+      TcpConnection& raw = *conn;
+      tcp_register(key, std::move(conn));
+      raw.handle_syn(seg);
       return;
     }
   }
@@ -221,17 +223,47 @@ void Host::send_rst(const TcpSegment& offending, NodeId to) {
 }
 
 void Host::tcp_reset_port(std::uint16_t port) {
-  // abort() unregisters the connection, so collect victims first.
-  std::vector<std::shared_ptr<TcpConnection>> victims;
-  for (const auto& [key, conn] : tcp_conns_) {
-    if (std::get<0>(key) == port) victims.push_back(conn);
+  // abort() unregisters the connection, so collect victims first (in key
+  // order); the scope keeps them alive until the loop is done.
+  const CallScope scope(*this);
+  std::vector<TcpConnection*> victims;
+  for (auto it = tcp_lower_bound(tcp_key(port, 0, 0));
+       it != tcp_conns_.end() && (it->key >> 48) == port; ++it) {
+    victims.push_back(it->conn.get());
   }
-  for (const auto& conn : victims) conn->abort();
+  for (TcpConnection* conn : victims) conn->abort();
 }
 
-void Host::tcp_unregister(const TcpKey& key) {
-  tcp_conns_.erase(key);
-  blackholed_tcp_.erase(key);
+std::vector<Host::TcpEntry>::iterator Host::tcp_lower_bound(
+    std::uint64_t key) {
+  return std::lower_bound(
+      tcp_conns_.begin(), tcp_conns_.end(), key,
+      [](const TcpEntry& entry, std::uint64_t k) { return entry.key < k; });
+}
+
+void Host::tcp_register(std::uint64_t key,
+                        std::shared_ptr<TcpConnection> conn) {
+  const auto it = tcp_lower_bound(key);
+  if (it != tcp_conns_.end() && it->key == key) return;  // already taken
+  tcp_conns_.insert(it, TcpEntry{key, std::move(conn)});
+}
+
+void Host::tcp_unregister(std::uint64_t key) {
+  const auto it = tcp_lower_bound(key);
+  if (it == tcp_conns_.end() || it->key != key) return;
+  // The connection is running one of its own calls: park it until that
+  // call has returned (see CallScope).
+  parked_.push_back(std::move(it->conn));
+  tcp_conns_.erase(it);
+}
+
+void Host::release_parked() {
+  // Freeing a connection may free application objects that abort others,
+  // which park again: drain until nothing is left.
+  while (!parked_.empty()) {
+    std::vector<std::shared_ptr<TcpConnection>> done;
+    done.swap(parked_);
+  }
 }
 
 }  // namespace dohperf::simnet

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,30 +89,65 @@ class Host {
   friend class TcpConnection;
   friend class UdpSocket;
 
-  using TcpKey = std::tuple<std::uint16_t, NodeId, std::uint16_t>;
+  /// The part of a connection's 5-tuple that varies within this host,
+  /// packed as (local_port << 48) | (remote_node << 16) | remote_port,
+  /// which orders exactly as the (local_port, remote_node, remote_port)
+  /// tuple does.
+  static std::uint64_t tcp_key(std::uint16_t local_port, NodeId remote_node,
+                               std::uint16_t remote_port) noexcept {
+    return (std::uint64_t{local_port} << 48) |
+           (std::uint64_t{remote_node} << 16) | remote_port;
+  }
+
+  struct TcpEntry {
+    std::uint64_t key;
+    std::shared_ptr<TcpConnection> conn;
+  };
+
+  /// Marks a call into connection code (a segment, a timer, an abort).
+  /// A connection that unregisters during such a call is parked, not
+  /// freed; the outermost scope's end releases everything parked, after
+  /// every call that could still be using a parked connection returned.
+  class CallScope {
+   public:
+    explicit CallScope(Host& host) noexcept : host_(host) { ++host_.depth_; }
+    ~CallScope() {
+      if (--host_.depth_ == 0 && !host_.parked_.empty()) host_.release_parked();
+    }
+    CallScope(const CallScope&) = delete;
+    CallScope& operator=(const CallScope&) = delete;
+
+   private:
+    Host& host_;
+  };
 
   void dispatch(const Packet& packet);
   void dispatch_tcp(const TcpSegment& seg, NodeId from);
   void send_rst(const TcpSegment& offending, NodeId to);
   std::uint16_t allocate_ephemeral();
-  void tcp_unregister(const TcpKey& key);
+  /// First entry whose key is not below `key`.
+  std::vector<TcpEntry>::iterator tcp_lower_bound(std::uint64_t key);
+  void tcp_register(std::uint64_t key, std::shared_ptr<TcpConnection> conn);
+  void tcp_unregister(std::uint64_t key);
+  void release_parked();
 
   /// The single egress point for this host's sockets: drops everything
-  /// while the interface is down, and TCP segments of black-holed (pre-
-  /// rebind) flows. Everything UdpSocket/TcpConnection emit funnels here.
+  /// while the interface is down. Everything UdpSocket/TcpConnection emit
+  /// funnels here (a connection drops its own segments while black-holed).
   void send_gated(Packet packet);
 
   Network& net_;
   NodeId id_;
   std::map<std::uint16_t, std::unique_ptr<UdpSocket>> udp_ports_;
   std::map<std::uint16_t, std::unique_ptr<TcpListener>> tcp_listeners_;
-  std::map<TcpKey, std::shared_ptr<TcpConnection>> tcp_conns_;
+  /// Registered connections, sorted by key.
+  std::vector<TcpEntry> tcp_conns_;
+  /// Connections unregistered during a call still running (see CallScope).
+  std::vector<std::shared_ptr<TcpConnection>> parked_;
+  int depth_ = 0;
   std::uint16_t next_ephemeral_ = 49152;
   bool if_up_ = true;
   std::uint64_t addr_gen_ = 0;
-  /// 5-tuples whose NAT mapping died in a rebind: gated on both egress and
-  /// ingress until the owning connection unregisters.
-  std::set<TcpKey> blackholed_tcp_;
   std::vector<std::pair<std::uint64_t, NetworkChangeListener>> listeners_;
   std::uint64_t next_listener_id_ = 1;
 };

@@ -1,15 +1,15 @@
-// A move-only type-erased callable with inline small-object storage, used
-// by the event loop so the common simulation events — protocol timers
-// capturing a weak_ptr, packet deliveries capturing a Packet whose payload
-// is a ref-counted BufferSlice — are stored without any heap allocation.
+// A type-erased callable constructed in place in inline small-object
+// storage, used by the event loop's slots so the common simulation events —
+// protocol timers capturing their connection's `this`, packet deliveries
+// capturing a Packet whose payload is a counted BufferSlice — are stored
+// without any heap allocation and never move once stored.
 //
-// Callables larger than the inline buffer (or with throwing moves) are
-// boxed behind a unique_ptr, which itself fits inline; correctness never
-// depends on the size threshold, only speed does.
+// Callables larger than the inline buffer are boxed behind a unique_ptr,
+// which itself fits inline; correctness never depends on the size
+// threshold, only speed does.
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -26,69 +26,50 @@ class SmallFn {
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
   SmallFn() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (fits_inline<D>()) {
-      emplace<D>(std::forward<F>(fn));
-    } else {
-      emplace<Boxed<D>>(Boxed<D>{std::make_unique<D>(std::forward<F>(fn))});
-    }
-  }
-
-  SmallFn(SmallFn&& other) noexcept : vtable_(other.vtable_) {
-    if (vtable_ != nullptr) {
-      relocate_from(other);
-      other.vtable_ = nullptr;
-    }
-  }
-
-  SmallFn& operator=(SmallFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      vtable_ = other.vtable_;
-      if (vtable_ != nullptr) {
-        relocate_from(other);
-        other.vtable_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
-
   ~SmallFn() { reset(); }
 
+  /// Construct the callable in place; the SmallFn must be empty.
+  template <typename F>
+  void emplace(F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>);
+    if constexpr (fits_inline<D>()) {
+      // detlint: allow(HYG002) placement new into inline SBO storage
+      ::new (storage_) D(std::forward<F>(fn));
+      vtable_ = &kVTable<D>;
+    } else {
+      using B = Boxed<D>;
+      // detlint: allow(HYG002) placement new into inline SBO storage
+      ::new (storage_) B{std::make_unique<D>(std::forward<F>(fn))};
+      vtable_ = &kVTable<B>;
+    }
+  }
+
   void operator()() { vtable_->invoke(storage_); }
+
+  /// Destroy the callable, leaving the SmallFn empty.
+  void reset() noexcept {
+    if (vtable_ != nullptr) {
+      if (vtable_->destroy != nullptr) vtable_->destroy(storage_);
+      vtable_ = nullptr;
+    }
+  }
 
   explicit operator bool() const noexcept { return vtable_ != nullptr; }
 
   /// True when callables of type D are stored inline (no allocation).
   template <typename D>
   static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
-           std::is_nothrow_move_constructible_v<D>;
+    return sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign;
   }
 
  private:
-  /// Relocation fast-path cutoff: trivially copyable callables up to this
-  /// size (the typical timer closure captures one or two pointers) move as
-  /// one fixed-size inline copy instead of an indirect vtable call.
-  static constexpr std::size_t kTrivialCopySize = 16;
-
-  using RelocateFn = void (*)(void* src, void* dst) noexcept;
   using DestroyFn = void (*)(void* p) noexcept;
 
   struct VTable {
     void (*invoke)(void*);
-    /// Move-construct into `dst` from `src`, then destroy `src`.
-    /// Null for trivially copyable callables <= kTrivialCopySize.
-    RelocateFn relocate;
     /// Null for trivially destructible callables: destruction is a no-op.
     DestroyFn destroy;
   };
@@ -103,44 +84,10 @@ class SmallFn {
   template <typename D>
   static constexpr VTable kVTable{
       [](void* p) { (*static_cast<D*>(p))(); },
-      std::is_trivially_copyable_v<D> && sizeof(D) <= kTrivialCopySize
-          ? RelocateFn{nullptr}
-          : RelocateFn{[](void* src, void* dst) noexcept {
-              // detlint: allow(HYG002) placement new into inline SBO storage
-              ::new (dst) D(std::move(*static_cast<D*>(src)));
-              static_cast<D*>(src)->~D();
-            }},
       std::is_trivially_destructible_v<D>
           ? DestroyFn{nullptr}
           : DestroyFn{[](void* p) noexcept { static_cast<D*>(p)->~D(); }},
   };
-
-  template <typename D, typename F>
-  void emplace(F&& fn) {
-    static_assert(fits_inline<D>());
-    // detlint: allow(HYG002) placement new into inline SBO storage
-    ::new (storage_) D(std::forward<F>(fn));
-    vtable_ = &kVTable<D>;
-  }
-
-  void relocate_from(SmallFn& other) noexcept {
-    if (vtable_->relocate != nullptr) {
-      vtable_->relocate(other.storage_, storage_);
-    } else {
-      // Trivially copyable and small: a fixed-size inline copy beats an
-      // indirect call, and the moved-from bytes need no destruction.
-      // (Copying the full 16 bytes of a smaller callable is harmless —
-      // the storage array is always readable.)
-      std::memcpy(storage_, other.storage_, kTrivialCopySize);
-    }
-  }
-
-  void reset() noexcept {
-    if (vtable_ != nullptr) {
-      if (vtable_->destroy != nullptr) vtable_->destroy(storage_);
-      vtable_ = nullptr;
-    }
-  }
 
   alignas(kInlineAlign) unsigned char storage_[kInlineSize];
   const VTable* vtable_ = nullptr;

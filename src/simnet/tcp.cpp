@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "simnet/host.hpp"
 
@@ -47,12 +48,14 @@ const char* to_string(TcpState s) noexcept {
 
 TcpConnection::TcpConnection(Host& host, std::uint16_t local_port,
                              Address remote, TcpConfig config, bool is_server)
-    : host_(host), local_port_(local_port), remote_(remote),
-      config_(config), rto_(config.rto_initial) {
+    : host_(host), loop_(host.loop()), local_port_(local_port),
+      remote_(remote), config_(config), rto_(config.rto_initial) {
   (void)is_server;
   cwnd_ = config_.initial_cwnd_segments * config_.mss;
   ssthresh_ = 64 * 1024;
 }
+
+TcpConnection::~TcpConnection() { disarm_timers(); }
 
 Address TcpConnection::local() const noexcept {
   return Address{host_.id(), local_port_};
@@ -65,7 +68,7 @@ std::size_t TcpConnection::flight_size() const noexcept {
 void TcpConnection::start_connect() {
   assert(state_ == TcpState::kClosed);
   state_ = TcpState::kSynSent;
-  syn_time_ = host_.loop().now();
+  syn_time_ = loop_.now();
   iss_ = 1;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;  // SYN consumes one sequence number
@@ -132,6 +135,7 @@ void TcpConnection::close() {
 
 void TcpConnection::abort() {
   if (state_ == TcpState::kClosed) return;
+  const Host::CallScope scope(host_);  // unregistering parks us until here
   TcpSegment seg;
   seg.src_port = local_port_;
   seg.dst_port = remote_.port;
@@ -139,15 +143,20 @@ void TcpConnection::abort() {
   seg.ack_flag = true;
   seg.seq = snd_nxt_;
   seg.ack = rcv_nxt_;
+  ++counters_.packets_sent;
+  counters_.wire_bytes_sent += kIpHeaderBytes + kTcpHeaderBytes;
+  counters_.header_bytes_sent += kIpHeaderBytes + kTcpHeaderBytes;
+  emit(std::move(seg));
+  enter_closed();
+}
+
+void TcpConnection::emit(TcpSegment seg) {
+  if (blackholed_) return;  // dead NAT mapping
   Packet packet;
   packet.src_node = host_.id();
   packet.dst_node = remote_.node;
   packet.body = std::move(seg);
-  ++counters_.packets_sent;
-  counters_.wire_bytes_sent += kIpHeaderBytes + kTcpHeaderBytes;
-  counters_.header_bytes_sent += kIpHeaderBytes + kTcpHeaderBytes;
   host_.send_gated(std::move(packet));
-  enter_closed();
 }
 
 void TcpConnection::send_segment(bool syn, bool fin, bool force_ack,
@@ -175,15 +184,10 @@ void TcpConnection::send_segment(bool syn, bool fin, bool force_ack,
   if (seg.ack_flag) {
     // Any ACK-bearing segment satisfies the delayed-ACK obligation.
     segs_since_ack_ = 0;
-    host_.loop().cancel(delayed_ack_timer_);
+    loop_.cancel(delayed_ack_timer_);
     delayed_ack_timer_ = EventId{};
   }
-
-  Packet packet;
-  packet.src_node = host_.id();
-  packet.dst_node = remote_.node;
-  packet.body = std::move(seg);
-  host_.send_gated(std::move(packet));
+  emit(std::move(seg));
 }
 
 void TcpConnection::send_ack() {
@@ -205,7 +209,7 @@ void TcpConnection::try_send_data() {
     if (chunk == 0) break;
     BufferSlice payload = take_send_bytes(chunk);
     const std::uint32_t seq = snd_nxt_;
-    inflight_.push_back({seq, payload, host_.loop().now(), false});
+    inflight_.push_back({seq, payload, loop_.now(), false});
     snd_nxt_ += static_cast<std::uint32_t>(chunk);
     send_segment(/*syn=*/false, /*fin=*/false, /*force_ack=*/true,
                  std::move(payload), seq);
@@ -230,21 +234,21 @@ BufferSlice TcpConnection::take_send_bytes(std::size_t chunk) {
   }
   // Segment spans queued slices (e.g. a TLS record boundary inside an MSS):
   // coalesce just these bytes so the segment payload stays contiguous.
-  Bytes merged;
-  merged.reserve(chunk);
-  std::size_t needed = chunk;
-  while (needed > 0) {
-    BufferSlice& head = send_buffer_.front();
-    const std::size_t take = std::min(head.size(), needed);
-    merged.insert(merged.end(), head.begin(), head.begin() + take);
-    needed -= take;
-    if (take == head.size()) {
-      send_buffer_.pop_front();
-    } else {
-      head = head.subslice(take);
+  return slab_.write(chunk, [this, chunk](std::uint8_t* out) {
+    std::size_t needed = chunk;
+    while (needed > 0) {
+      BufferSlice& head = send_buffer_.front();
+      const std::size_t take = std::min(head.size(), needed);
+      std::memcpy(out, head.data(), take);
+      out += take;
+      needed -= take;
+      if (take == head.size()) {
+        send_buffer_.pop_front();
+      } else {
+        head = head.subslice(take);
+      }
     }
-  }
-  return BufferSlice{std::move(merged)};
+  });
 }
 
 void TcpConnection::retransmit_first() {
@@ -308,7 +312,7 @@ void TcpConnection::process_ack(const TcpSegment& seg) {
       const std::uint32_t end =
           seg.seq + static_cast<std::uint32_t>(seg.payload.size());
       if (!seq_le(end, ack)) break;
-      if (!seg.retransmitted) update_rtt(host_.loop().now() - seg.sent_at);
+      if (!seg.retransmitted) update_rtt(loop_.now() - seg.sent_at);
       inflight_.pop_front();
     }
 
@@ -443,13 +447,11 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
 
 void TcpConnection::schedule_delayed_ack() {
   if (delayed_ack_timer_.valid) return;
-  std::weak_ptr<TcpConnection> weak = shared_from_this();
-  delayed_ack_timer_ = host_.loop().schedule_in(
-      config_.delayed_ack_timeout, [weak]() {
-        if (auto self = weak.lock()) {
-          self->delayed_ack_timer_ = EventId{};
-          if (self->segs_since_ack_ > 0) self->send_ack();
-        }
+  // `this` is safe: ~TcpConnection cancels the timer.
+  delayed_ack_timer_ =
+      loop_.schedule_in(config_.delayed_ack_timeout, [this]() {
+        delayed_ack_timer_ = EventId{};
+        if (segs_since_ack_ > 0) send_ack();
       });
 }
 
@@ -464,20 +466,26 @@ void TcpConnection::ensure_rto() {
 void TcpConnection::arm_rto() {
   disarm_rto();
   if (state_ == TcpState::kClosed) return;
-  std::weak_ptr<TcpConnection> weak = shared_from_this();
   const TimeUs timeout = rto_ << rto_backoff_;
-  rto_timer_ = host_.loop().schedule_in(
-      std::min(timeout, config_.rto_max), [weak]() {
-        if (auto self = weak.lock()) {
-          self->rto_timer_ = EventId{};
-          self->on_rto();
-        }
-      });
+  // `this` is safe: ~TcpConnection cancels the timer.
+  rto_timer_ = loop_.schedule_in(std::min(timeout, config_.rto_max), [this]() {
+    const Host::CallScope scope(host_);  // giving up unregisters us
+    rto_timer_ = EventId{};
+    on_rto();
+  });
 }
 
 void TcpConnection::disarm_rto() {
-  host_.loop().cancel(rto_timer_);
+  loop_.cancel(rto_timer_);
   rto_timer_ = EventId{};
+}
+
+void TcpConnection::disarm_timers() noexcept {
+  if (rto_timer_) disarm_rto();
+  if (delayed_ack_timer_) {
+    loop_.cancel(delayed_ack_timer_);
+    delayed_ack_timer_ = EventId{};
+  }
 }
 
 void TcpConnection::on_rto() {
@@ -515,9 +523,8 @@ void TcpConnection::on_rto() {
 }
 
 void TcpConnection::on_segment(const TcpSegment& seg) {
-  // Keep ourselves alive across callbacks that may drop the last reference.
-  const auto self = shared_from_this();
-
+  // The host calls in under a CallScope: if a callback drops the last
+  // application reference, or we unregister, we stay alive until it ends.
   ++counters_.packets_received;
   counters_.wire_bytes_received += seg.wire_size();
   counters_.header_bytes_received += seg.header_size();
@@ -537,7 +544,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
         snd_una_ = seg.ack;
         snd_wnd_ = seg.window;
         state_ = TcpState::kEstablished;
-        update_rtt(host_.loop().now() - syn_time_);  // handshake RTT sample
+        update_rtt(loop_.now() - syn_time_);  // handshake RTT sample
         disarm_rto();
         send_ack();  // completes the 3-way handshake
         if (callbacks_.on_connected) callbacks_.on_connected();
@@ -553,7 +560,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
         state_ = TcpState::kEstablished;
         disarm_rto();
         if (accept_handler_) {
-          accept_handler_(self);
+          accept_handler_(shared_from_this());
           accept_handler_ = nullptr;
         }
         if (callbacks_.on_connected) callbacks_.on_connected();
@@ -582,15 +589,13 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
 
 void TcpConnection::enter_closed() {
   state_ = TcpState::kClosed;
-  disarm_rto();
-  host_.loop().cancel(delayed_ack_timer_);
-  delayed_ack_timer_ = EventId{};
+  disarm_timers();
   send_buffer_.clear();
   send_buffer_bytes_ = 0;
+  slab_.reset();
   inflight_.clear();
   out_of_order_.clear();
-  host_.tcp_unregister(
-      Host::TcpKey{local_port_, remote_.node, remote_.port});
+  host_.tcp_unregister(Host::tcp_key(local_port_, remote_.node, remote_.port));
 }
 
 }  // namespace dohperf::simnet

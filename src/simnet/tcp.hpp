@@ -94,6 +94,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   TcpConnection(Host& host, std::uint16_t local_port, Address remote,
                 TcpConfig config, bool is_server);
 
+  /// Cancels any armed timer: a destroyed connection leaves no event
+  /// behind that could call into it.
+  ~TcpConnection();
+
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
@@ -137,11 +141,14 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   void send_segment(bool syn, bool fin, bool force_ack, BufferSlice payload,
                     std::uint32_t seq);
+  /// Hand a segment to the host unless this flow is black-holed.
+  void emit(TcpSegment seg);
   void send_ack();
   void try_send_data();
   /// Detach the next `chunk` bytes of the send buffer as one slice. A chunk
   /// inside a single queued slice is a zero-copy subslice; a chunk spanning
-  /// queued slices is coalesced (copy) so segment payloads stay contiguous.
+  /// queued slices is coalesced (copied into slab_) so segment payloads
+  /// stay contiguous.
   BufferSlice take_send_bytes(std::size_t chunk);
   void maybe_send_fin();
   /// Resend the oldest unacked segment (no byte copy) and mark it so it
@@ -156,11 +163,14 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void ensure_rto();
   void disarm_rto();
   void on_rto();
+  /// Cancel both timers (retransmission and delayed ACK).
+  void disarm_timers() noexcept;
   void update_rtt(TimeUs measured);
   void enter_closed();
   std::size_t flight_size() const noexcept;
 
   Host& host_;
+  EventLoop& loop_;
   std::uint16_t local_port_;
   Address remote_;
   TcpConfig config_;
@@ -169,6 +179,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// can hand the connection to the application.
   std::function<void(std::shared_ptr<TcpConnection>)> accept_handler_;
   TcpState state_ = TcpState::kClosed;
+  /// Set by Host::rebind: this flow's NAT mapping died, so its segments
+  /// vanish both ways until it unregisters.
+  bool blackholed_ = false;
   TcpCounters counters_;
 
   // --- send side -----------------------------------------------------------
@@ -178,10 +191,11 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t snd_wnd_ = 65535;
   std::deque<BufferSlice> send_buffer_;    ///< not yet segmented
   std::size_t send_buffer_bytes_ = 0;      ///< total bytes across slices
+  ByteSlab slab_;                          ///< coalesced segment payloads
   /// A sent-but-unacked segment, kept for retransmission and RTT sampling.
   struct Inflight {
     std::uint32_t seq = 0;
-    /// Aliases the sender's buffers, so a retransmit is a refcount bump.
+    /// Aliases the sender's buffers, so a retransmit is a count bump.
     BufferSlice payload;
     TimeUs sent_at = 0;
     /// Karn's rule: a retransmitted segment gives no RTT sample.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 namespace dohperf::tlssim {
@@ -14,11 +15,13 @@ bool version_le(TlsVersion a, TlsVersion b) noexcept {
 }
 
 /// Type, legacy record version 0x0303, length.
-std::array<std::uint8_t, kRecordHeaderBytes> record_header(
-    ContentType type, std::size_t record_len) {
-  return {static_cast<std::uint8_t>(type), 0x03, 0x03,
-          static_cast<std::uint8_t>(record_len >> 8),
-          static_cast<std::uint8_t>(record_len & 0xff)};
+void write_record_header(std::uint8_t* out, ContentType type,
+                         std::size_t record_len) {
+  out[0] = static_cast<std::uint8_t>(type);
+  out[1] = 0x03;
+  out[2] = 0x03;
+  out[3] = static_cast<std::uint8_t>(record_len >> 8);
+  out[4] = static_cast<std::uint8_t>(record_len & 0xff);
 }
 
 /// The zeros of the synthetic AEAD expansion, built during static
@@ -26,13 +29,11 @@ std::array<std::uint8_t, kRecordHeaderBytes> record_header(
 const Bytes kZeroTag(kTls12RecordOverhead, 0);
 
 /// A record's tag: the first `size` zeros of kZeroTag, so encryption
-/// overhead never allocates. The slice's owner is empty, so copying it
-/// touches no reference count: shard threads share the bytes, not a count.
+/// overhead never allocates. The slice is non-owning, so copying it
+/// touches no count: shard threads share the bytes, not a count.
 BufferSlice zero_tag(std::size_t size) {
   assert(size <= kZeroTag.size());
-  return BufferSlice{
-      std::shared_ptr<const Bytes>(std::shared_ptr<const Bytes>(), &kZeroTag),
-      0, size};
+  return BufferSlice::unowned(std::span(kZeroTag).first(size));
 }
 
 }  // namespace
@@ -110,25 +111,29 @@ std::size_t TlsConnection::count_sent_record(ContentType type,
 
 void TlsConnection::send_record(ContentType type,
                                 std::span<const std::uint8_t> body) {
-  // Header, body and tag in one buffer: one allocation, and segments cut
-  // from it need no coalescing below.
+  // Header, body and tag written together into the send slab: no
+  // allocation of its own, and segments cut from it need no coalescing.
   const std::size_t tag = count_sent_record(type, body.size());
-  const auto header = record_header(type, body.size() + tag);
-  Bytes record;
-  record.reserve(header.size() + body.size() + tag);
-  record.insert(record.end(), header.begin(), header.end());
-  record.insert(record.end(), body.begin(), body.end());
-  record.resize(record.size() + tag);  // the synthetic tag is zeros
-  transport_->send(std::move(record));
+  const std::size_t record_len = body.size() + tag;
+  transport_->send(send_slab_.write(
+      kRecordHeaderBytes + record_len, [&](std::uint8_t* out) {
+        write_record_header(out, type, record_len);
+        if (!body.empty()) {
+          std::memcpy(out + kRecordHeaderBytes, body.data(), body.size());
+        }
+        std::memset(out + kRecordHeaderBytes + body.size(), 0, tag);
+      }));
 }
 
 void TlsConnection::send_app_record(std::span<BufferSlice> record,
                                     std::size_t body_len) {
   const std::size_t tag =
       count_sent_record(ContentType::kApplicationData, body_len);
-  const auto header =
-      record_header(ContentType::kApplicationData, body_len + tag);
-  record.front() = BufferSlice{Bytes(header.begin(), header.end())};
+  record.front() =
+      send_slab_.write(kRecordHeaderBytes, [&](std::uint8_t* out) {
+        write_record_header(out, ContentType::kApplicationData,
+                            body_len + tag);
+      });
   // One logical write per record: {header, plaintext slices, synthetic tag}.
   // The transport appends all pieces before segmenting, so the wire is
   // byte-identical to one contiguous record buffer.
@@ -253,7 +258,7 @@ void TlsConnection::handle_record(ContentType type,
         closed_ = true;
         // Complete the TCP teardown from our side too, as real TLS stacks
         // do on close_notify — otherwise the peer lingers in FIN_WAIT_2.
-        transport_->close();
+        close_transport();
         if (const auto on_close = handlers_.on_close) on_close();
       } else {
         failed_ = true;
@@ -506,7 +511,7 @@ void TlsConnection::fail(AlertDescription desc) {
   failed_ = true;
   failure_alert_ = desc;
   send_alert(desc, /*fatal=*/true);
-  transport_->close();
+  close_transport();
   if (handlers_.on_close) handlers_.on_close();
 }
 
@@ -586,6 +591,13 @@ void TlsConnection::close() {
   if (closed_ || failed_) return;
   closed_ = true;
   if (established_) send_alert(AlertDescription::kCloseNotify, false);
+  close_transport();
+}
+
+void TlsConnection::close_transport() {
+  // Nothing is sent after this, so the slab lets go of its block: a closed
+  // connection an application keeps around holds no send buffer.
+  send_slab_.reset();
   transport_->close();
 }
 
@@ -598,7 +610,7 @@ void TlsConnection::on_transport_close() {
   closed_ = true;
   // The peer closed (or half-closed) the transport: close our side so the
   // TCP state machines on both ends can finish and free their ports.
-  transport_->close();
+  close_transport();
   if (const auto on_close = handlers_.on_close) on_close();
 }
 

@@ -126,6 +126,8 @@ class TlsConnection final : public ByteStream {
   void send_change_cipher_spec();
   void finish_handshake();
   void fail(AlertDescription desc);
+  /// Close the transport once nothing more will be sent.
+  void close_transport();
   void flush_pending_app_data();
   std::size_t send_tag_bytes() const noexcept;
   std::size_t recv_tag_bytes() const noexcept;
@@ -133,6 +135,9 @@ class TlsConnection final : public ByteStream {
 
   std::unique_ptr<ByteStream> transport_;
   TlsRole role_;
+  /// Next to role_ so it fills that field's padding: DohServer's
+  /// memory estimate counts sizeof(TlsConnection).
+  TlsVersion version_ = TlsVersion::kTls13;
   ClientConfig client_config_;
   const ServerConfig* server_config_ = nullptr;
   Handlers handlers_;
@@ -145,8 +150,10 @@ class TlsConnection final : public ByteStream {
   /// the prefix reclaimed lazily, instead of an O(n) front-erase per record.
   std::size_t rx_offset_ = 0;
   std::deque<BufferSlice> pending_app_data_;
+  /// Record headers and whole handshake/alert/CCS records are written here
+  /// and sent as slices of it.
+  simnet::ByteSlab send_slab_;
 
-  TlsVersion version_ = TlsVersion::kTls13;
   std::string alpn_;
   bool resumed_ = false;
   bool established_ = false;

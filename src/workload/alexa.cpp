@@ -219,7 +219,7 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
     shard.total_queries += pages.back().size();
   }
   struct Keyed {
-    std::uint64_t key;
+    std::uint64_t key;  ///< order key; a run's length once compacted
     const dns::Name* name;
   };
   std::vector<Keyed> order;
@@ -232,20 +232,29 @@ AlexaPageModel::CorpusShard AlexaPageModel::corpus_shard(std::size_t lo,
   std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
     return a.key != b.key ? a.key < b.key : *a.name < *b.name;
   });
-  const auto same = [](const Keyed& a, const Keyed& b) {
-    return a.key == b.key && *a.name == *b.name;
-  };
-  // Sized exactly: the run stays alive until the merge.
+  // Compact the runs in place, comparing each adjacent pair once: order[w]
+  // heads the current run, and once a run ends its key (no longer needed)
+  // holds its length. query_counts is then sized exactly, as the counts
+  // stay alive until the merge.
   std::size_t distinct = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || !same(order[i - 1], order[i])) ++distinct;
+  if (!order.empty()) {
+    std::size_t w = 0;
+    std::uint64_t run = 1;
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      if (order[i].key == order[w].key && *order[i].name == *order[w].name) {
+        ++run;
+        continue;
+      }
+      order[w].key = run;
+      order[++w] = order[i];
+      run = 1;
+    }
+    order[w].key = run;
+    distinct = w + 1;
   }
   shard.query_counts.reserve(distinct);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || !same(order[i - 1], order[i])) {
-      shard.query_counts.push_back({*order[i].name, 0});
-    }
-    ++shard.query_counts.back().count;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    shard.query_counts.push_back({*order[i].name, order[i].key});
   }
   return shard;
 }

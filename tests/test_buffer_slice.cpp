@@ -1,9 +1,12 @@
 // BufferSlice: the zero-copy invariants the byte path depends on —
-// subslices alias (never copy), slices keep the storage alive, and
-// equality is by content like the Bytes it replaced.
+// subslices alias (never copy), slices keep the storage alive, counts stay
+// right through every copy and move, slab bytes never change once handed
+// out, and equality is by content like the Bytes it replaced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -72,6 +75,97 @@ TEST(BufferSlice, CopyBumpsRefcountInsteadOfCopyingBytes) {
   const BufferSlice b = a;  // slice copy: refcount bump, no byte copy
   EXPECT_EQ(a.use_count(), 2);
   EXPECT_EQ(b.data(), a.data());
+}
+
+TEST(BufferSlice, CountsFollowCopyMoveSubsliceAndSelfAssignment) {
+  BufferSlice a{iota_bytes(64)};
+  EXPECT_EQ(a.use_count(), 1);
+  BufferSlice b = a;  // copy
+  EXPECT_EQ(a.use_count(), 2);
+  BufferSlice c = std::move(b);  // move: no new reference
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.use_count(), 0);
+  {
+    const BufferSlice d = c.subslice(8, 8);
+    EXPECT_EQ(a.use_count(), 3);
+  }
+  EXPECT_EQ(a.use_count(), 2);
+
+  BufferSlice& alias = c;
+  c = alias;  // self copy-assignment
+  EXPECT_EQ(a.use_count(), 2);
+  c = std::move(alias);  // self move-assignment
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_EQ(c.size(), 64u);
+
+  BufferSlice other{iota_bytes(8)};
+  other = c;  // drops its own block, joins a's
+  EXPECT_EQ(a.use_count(), 3);
+  other = BufferSlice{};
+  c = BufferSlice{};
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(a[63], 63);
+}
+
+TEST(BufferSlice, SharedPtrAndNonOwningCountsReadAsAShared_ptrWould) {
+  auto owner = std::make_shared<const Bytes>(iota_bytes(32));
+  {
+    const BufferSlice s(owner, 4, 8);
+    EXPECT_EQ(s.use_count(), 2);  // the caller's shared_ptr and the slice
+    EXPECT_EQ(s[0], 4);
+    const BufferSlice t = s.subslice(2);
+    EXPECT_EQ(s.use_count(), 3);
+    owner.reset();
+    EXPECT_EQ(s.use_count(), 2);  // the bytes live on in the slices
+    EXPECT_EQ(t[0], 6);
+  }
+
+  // An aliasing pointer with an empty owner views bytes nobody owns.
+  static const Bytes kStatic = iota_bytes(4);
+  const BufferSlice view(
+      std::shared_ptr<const Bytes>(std::shared_ptr<const Bytes>(), &kStatic),
+      1, 2);
+  EXPECT_EQ(view.use_count(), 0);
+  EXPECT_EQ(view.data(), kStatic.data() + 1);
+  const BufferSlice unowned = BufferSlice::unowned(kStatic);
+  const BufferSlice copy = unowned;
+  EXPECT_EQ(copy.use_count(), 0);
+  EXPECT_EQ(copy.size(), 4u);
+}
+
+TEST(ByteSlab, HandedOutBytesNeverChangeWhileLaterWritesFillIt) {
+  std::vector<std::pair<BufferSlice, std::uint8_t>> out;
+  {
+    ByteSlab slab;
+    // Enough writes, of varied sizes, to fill several blocks, including
+    // one larger than any block.
+    for (int i = 0; i < 400; ++i) {
+      const auto fill = static_cast<std::uint8_t>(i);
+      const std::size_t size = i == 200 ? ByteSlab::kMaxBlockAlloc * 2
+                                        : 1 + static_cast<std::size_t>(i * 37 % 300);
+      out.emplace_back(slab.write(size,
+                                  [&](std::uint8_t* p) {
+                                    std::memset(p, fill, size);
+                                  }),
+                       fill);
+      ASSERT_EQ(out.back().first.size(), size);
+    }
+  }  // the slab is gone; its blocks live on in the slices
+  for (const auto& [slice, fill] : out) {
+    for (const std::uint8_t byte : slice) ASSERT_EQ(byte, fill);
+  }
+  // Consecutive small writes share a block.
+  ByteSlab slab;
+  const BufferSlice first =
+      slab.write(3, [](std::uint8_t* p) { std::memset(p, 1, 3); });
+  const BufferSlice second =
+      slab.write(2, [](std::uint8_t* p) { std::memset(p, 2, 2); });
+  EXPECT_EQ(second.data(), first.data() + 3);
+  EXPECT_EQ(first.use_count(), 3);  // both slices and the slab
+  slab.reset();
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_TRUE(slab.write(0, [](std::uint8_t*) {}).empty());
 }
 
 TEST(BufferSlice, EqualityIsByContentNotIdentity) {

@@ -247,6 +247,15 @@ TEST(DetlintConc, Conc004SharedRng) {
   EXPECT_EQ(counts.size(), 1u);
 }
 
+TEST(DetlintConc, Conc004SharedSlice) {
+  auto diags = conc_fixtures({"conc004_shared_slice.cpp"});
+  auto counts = live_counts(diags);
+  // A slice's count is a plain integer: the lambda copying the outer
+  // `body` is a finding, the one building its own slice is not.
+  EXPECT_EQ(counts[Code::CONC004], 1);
+  EXPECT_EQ(counts.size(), 1u);
+}
+
 TEST(DetlintConc, Conc005SyncInParallelReachableCode) {
   auto diags = conc_fixtures({"conc005_sync_in_sim.cpp"});
   auto counts = live_counts(diags);

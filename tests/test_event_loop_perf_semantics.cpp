@@ -1,12 +1,17 @@
 // Semantics the event loop's heap fast path must preserve, exercised in the
 // shapes the optimizations changed: same-instant FIFO across heap rebuilds,
 // lazy cancellation with compaction, scheduling/cancelling from inside
-// callbacks, and pending() counting live events only.
+// callbacks, pending() counting live events only, and callables that run
+// where they are stored.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simnet/event_loop.hpp"
@@ -104,6 +109,113 @@ TEST(EventLoopSemantics, StaleIdCannotCancelReusedSlot) {
   loop.cancel(first);
   loop.run();
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EventLoopSemantics, CallbackCancellingItsOwnIdIsANoOp) {
+  EventLoop loop;
+  int fired = 0;
+  EventId self;
+  self = loop.schedule_at(10, [&]() {
+    loop.schedule_at(20, [&]() { ++fired; });
+    loop.cancel(self);  // already fired: must not cancel anything
+    ++fired;
+  });
+  loop.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+/// Counts the moves of the closure that captures it.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves(m) {}
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+};
+
+TEST(EventLoopSemantics, CallableRunsWhereItIsStoredWhileTheTableGrows) {
+  EventLoop loop;
+  int moves = 0;
+  int moves_inside = -1;
+  std::vector<std::uint32_t> fired;
+  const std::uint32_t flood = 3 * EventLoop::kSlotsPerChunk;
+  loop.schedule_at(1, [&, counter = MoveCounter(&moves),
+                       payload = std::make_unique<int>(42)]() {
+    // More events than one slot chunk holds: the table grows by chunks
+    // while this callable runs, and must not move it.
+    for (std::uint32_t i = 0; i < flood; ++i) {
+      loop.schedule_at(2, [&fired, i]() { fired.push_back(i); });
+    }
+    moves_inside = *counter.moves;
+    EXPECT_EQ(*payload, 42);
+  });
+  // Constructed in its slot: one move from the argument, none after.
+  EXPECT_EQ(moves, 1);
+  loop.run();
+  EXPECT_EQ(moves_inside, 1);
+  ASSERT_EQ(fired.size(), flood);
+  for (std::uint32_t i = 0; i < flood; ++i) EXPECT_EQ(fired[i], i);
+}
+
+TEST(EventLoopSemantics, ThrowingCallbackFreesItsSlotAndTheLoopGoesOn) {
+  EventLoop loop;
+  const auto token = std::make_shared<int>(0);
+  int after = 0;
+  loop.schedule_at(1, [token]() { throw std::runtime_error("boom"); });
+  loop.schedule_at(2, [&]() { ++after; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  // The thrown callable was destroyed and its slot freed.
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(after, 1);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+// Differential test with callbacks that schedule and cancel: every callback
+// mirrors its actions on a std::map keyed by (when, seq), and the event the
+// loop runs must always be the map's first.
+TEST(EventLoopSemantics, NestedScheduleCancelMatchesMapReference) {
+  stats::SplitMix64 rng(77);
+  EventLoop loop;
+  std::map<std::pair<TimeUs, std::uint64_t>, int> reference;
+  std::vector<std::pair<EventId, std::pair<TimeUs, std::uint64_t>>> issued;
+  std::uint64_t seq = 0;
+  int next_tag = 0;
+  int ran = 0;
+  int mismatches = 0;
+  std::function<void(TimeUs)> add;
+  const auto body = [&](int tag) {
+    ASSERT_FALSE(reference.empty());
+    if (reference.begin()->second != tag) ++mismatches;
+    reference.erase(reference.begin());
+    ++ran;
+    if (next_tag < 4000) {
+      for (std::uint64_t k = rng.next() % 3; k > 0; --k) {
+        add(loop.now() + static_cast<TimeUs>(rng.next() % 50));
+      }
+    }
+    if (rng.next() % 4 == 0 && !issued.empty()) {
+      const auto& [id, key] = issued[rng.next() % issued.size()];
+      if (reference.count(key) != 0) {
+        loop.cancel(id);
+        reference.erase(key);
+      }
+    }
+  };
+  add = [&](TimeUs when) {
+    const int tag = next_tag++;
+    const auto key = std::make_pair(when, seq++);
+    const EventId id = loop.schedule_at(when, [&body, tag]() { body(tag); });
+    reference.emplace(key, tag);
+    issued.emplace_back(id, key);
+  };
+  for (int i = 0; i < 64; ++i) add(static_cast<TimeUs>(rng.next() % 20));
+  loop.run();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GT(ran, 1000);
 }
 
 // Differential test: drive the heap-based loop and a simple reference model

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim_fixture.hpp"
@@ -560,6 +564,216 @@ TEST_F(TcpTest, RetransmittedSegmentGivesNoRttSample) {
   // Lost at 20 ms, resent at 50 ms (RTO) and 110 ms (backed off), acked.
   EXPECT_EQ(first, (std::vector<TimeUs>{ms(20), ms(50), ms(110)}));
   EXPECT_EQ(second, (std::vector<TimeUs>{ms(200), ms(230)}));
+}
+
+// --- Connection lifetimes ---------------------------------------------------------
+//
+// The host calls connections through raw pointers, and timers capture
+// `this`: these pin down who keeps a connection alive, and that no event
+// outlives the connection it would call.
+
+TEST_F(TcpTest, DroppingTheLastReferenceInOnResetFreesAfterTheCall) {
+  auto conn = client.tcp_connect({server.id(), 81});  // nobody listening: RST
+  const std::weak_ptr<TcpConnection> weak = conn;
+  TcpConnection* raw = conn.get();
+  bool checked = false;
+  TcpCallbacks cbs;
+  cbs.on_reset = [&]() {
+    conn.reset();  // the application's last reference
+    // The host parked the connection: it lives until this call returns.
+    EXPECT_FALSE(weak.expired());
+    EXPECT_EQ(raw->state(), TcpState::kClosed);
+    checked = true;
+  };
+  conn->set_callbacks(std::move(cbs));
+  loop.run();
+  EXPECT_TRUE(checked);
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(client.tcp_connection_count(), 0u);
+}
+
+TEST_F(TcpTest, DroppingTheLastReferenceInOnClosedFreesAfterTheCall) {
+  server.tcp_listen(80, [this](std::shared_ptr<TcpConnection> c) {
+    accepted = c;
+    TcpCallbacks scbs;
+    scbs.on_remote_closed = [raw = c.get()]() { raw->close(); };
+    c->set_callbacks(std::move(scbs));
+  });
+  auto conn = client.tcp_connect({server.id(), 80});
+  const std::weak_ptr<TcpConnection> weak = conn;
+  TcpConnection* raw = conn.get();
+  bool checked = false;
+  TcpCallbacks cbs;
+  cbs.on_connected = [raw]() { raw->close(); };
+  cbs.on_closed = [&]() {
+    conn.reset();
+    EXPECT_FALSE(weak.expired());
+    EXPECT_EQ(raw->state(), TcpState::kClosed);
+    checked = true;
+  };
+  conn->set_callbacks(std::move(cbs));
+  loop.run();
+  EXPECT_TRUE(checked);
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST_F(TcpTest, DestroyedConnectionTakesBothTimersOffTheLoop) {
+  std::optional<Host> edge;
+  edge.emplace(net, "edge");
+  LinkConfig link;
+  link.latency = ms(5);
+  net.connect(edge->id(), server.id(), link);
+  // The server answers the handshake with data; the edge sends data once
+  // connected. At 20 ms the edge has received that data (delayed ACK
+  // armed) while its own data is still unacknowledged (RTO armed).
+  server.tcp_listen(80, [this](std::shared_ptr<TcpConnection> c) {
+    accepted = c;
+    c->send(Bytes(100, 1));
+  });
+  auto conn = edge->tcp_connect({server.id(), 80});
+  TcpCallbacks cbs;
+  cbs.on_connected = [raw = conn.get()]() { raw->send(Bytes(100, 2)); };
+  conn->set_callbacks(std::move(cbs));
+  const std::weak_ptr<TcpConnection> weak = conn;
+  conn.reset();  // only the edge host holds it now
+  loop.run_until(ms(30));
+  ASSERT_EQ(weak.lock()->state(), TcpState::kEstablished);
+
+  const std::size_t before = loop.pending();
+  edge.reset();  // frees the connection
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(loop.pending(), before - 2);  // its RTO and delayed-ACK timers
+}
+
+TEST(TcpLifetime, CallerHeldConnectionOutlivesItsHostAndLoop) {
+  // The loop, network and hosts live in storage the test overwrites once
+  // they are destroyed: a connection that still reached into its host or
+  // its loop would follow garbage pointers and crash.
+  alignas(EventLoop) std::byte loop_mem[sizeof(EventLoop)];
+  alignas(Network) std::byte net_mem[sizeof(Network)];
+  alignas(Host) std::byte a_mem[sizeof(Host)];
+  alignas(Host) std::byte b_mem[sizeof(Host)];
+  // detlint: allow(HYG002) placement new into storage the test poisons after destruction
+  auto* loop = ::new (loop_mem) EventLoop;
+  // detlint: allow(HYG002) placement new into storage the test poisons after destruction
+  auto* net = ::new (net_mem) Network(*loop, 7);
+  // detlint: allow(HYG002) placement new into storage the test poisons after destruction
+  auto* a = ::new (a_mem) Host(*net, "a");
+  // detlint: allow(HYG002) placement new into storage the test poisons after destruction
+  auto* b = ::new (b_mem) Host(*net, "b");
+  LinkConfig link;
+  link.latency = ms(5);
+  net->connect(a->id(), b->id(), link);
+  b->tcp_listen(80, [](std::shared_ptr<TcpConnection> c) {
+    c->send(Bytes(100, 1));
+  });
+  std::shared_ptr<TcpConnection> kept = a->tcp_connect({b->id(), 80});
+  TcpCallbacks cbs;
+  cbs.on_connected = [raw = kept.get()]() { raw->send(Bytes(100, 2)); };
+  kept->set_callbacks(std::move(cbs));
+  loop->run_until(ms(30));  // both of kept's timers armed, as above
+  ASSERT_EQ(kept->state(), TcpState::kEstablished);
+
+  const auto poison = [](std::byte* mem, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      mem[i] = static_cast<std::byte>(i * 37 + 11);
+    }
+  };
+  a->~Host();
+  poison(a_mem, sizeof a_mem);
+  b->~Host();
+  poison(b_mem, sizeof b_mem);
+  net->~Network();
+  poison(net_mem, sizeof net_mem);
+  loop->~EventLoop();
+  poison(loop_mem, sizeof loop_mem);
+
+  EXPECT_EQ(kept.use_count(), 1);
+  kept.reset();  // touches neither the dead host nor the dead loop
+}
+
+/// Builds a server with listeners on ports 80 and 81 and four client hosts
+/// that connect in an order matching neither node nor port order.
+class TcpKeyOrderTest : public ::testing::Test {
+ protected:
+  using Key = std::tuple<std::uint16_t, NodeId, std::uint16_t>;
+
+  TcpKeyOrderTest() : net(loop, 7), server(net, "server") {
+    for (int i = 0; i < 4; ++i) {
+      clients.push_back(std::make_unique<Host>(net, "c" + std::to_string(i)));
+      LinkConfig link;
+      link.latency = ms(1 + i);
+      net.connect(clients.back()->id(), server.id(), link);
+    }
+    const auto on_accept = [this](std::shared_ptr<TcpConnection> c) {
+      TcpCallbacks cbs;
+      cbs.on_reset = [this, raw = c.get()]() { resets.push_back(key(*raw)); };
+      c->set_callbacks(std::move(cbs));
+      reference.emplace(key(*c), 0);
+      accepted.push_back(std::move(c));
+    };
+    server.tcp_listen(80, on_accept);
+    server.tcp_listen(81, on_accept);
+    const int plan[][2] = {{3, 81}, {1, 80}, {2, 81}, {0, 80}, {3, 80},
+                           {1, 81}, {2, 80}, {0, 81}, {3, 80}};
+    for (const auto& [c, port] : plan) {
+      conns.push_back(clients[c]->tcp_connect(
+          {server.id(), static_cast<std::uint16_t>(port)}));
+    }
+    loop.run();
+  }
+
+  static Key key(const TcpConnection& c) {
+    return {c.local().port, c.remote().node, c.remote().port};
+  }
+
+  EventLoop loop;
+  Network net;
+  Host server;
+  std::vector<std::unique_ptr<Host>> clients;
+  std::vector<std::shared_ptr<TcpConnection>> conns;
+  std::vector<std::shared_ptr<TcpConnection>> accepted;
+  /// The server's connections in std::map<TcpKey> order.
+  std::map<Key, int> reference;
+  std::vector<Key> resets;
+};
+
+TEST_F(TcpKeyOrderTest, RebindResetsInKeyOrder) {
+  ASSERT_EQ(reference.size(), 9u);
+  server.rebind(/*rst_old_flows=*/true);
+  std::vector<Key> expected;
+  for (const auto& [k, unused] : reference) expected.push_back(k);
+  EXPECT_EQ(resets, expected);
+  EXPECT_EQ(server.tcp_connection_count(), 0u);
+}
+
+/// Records the RST segments a node emits, in send order.
+class RstTap : public PacketTap {
+ public:
+  explicit RstTap(NodeId node) : node_(node) {}
+  void on_packet(TimeUs, const Packet& packet, bool) override {
+    const auto* seg = std::get_if<TcpSegment>(&packet.body);
+    if (seg == nullptr || !seg->rst || packet.src_node != node_) return;
+    sent.emplace_back(seg->src_port, packet.dst_node, seg->dst_port);
+  }
+  std::vector<std::tuple<std::uint16_t, NodeId, std::uint16_t>> sent;
+
+ private:
+  NodeId node_;
+};
+
+TEST_F(TcpKeyOrderTest, ResetPortAbortsInKeyOrder) {
+  RstTap tap(server.id());
+  net.add_tap(&tap);
+  server.tcp_reset_port(80);
+  std::vector<Key> expected;
+  for (const auto& [k, unused] : reference) {
+    if (std::get<0>(k) == 80) expected.push_back(k);
+  }
+  ASSERT_EQ(expected.size(), 5u);
+  EXPECT_EQ(tap.sent, expected);
+  EXPECT_EQ(server.tcp_connection_count(), 4u);  // port 81 untouched
+  net.remove_tap(&tap);
 }
 
 // --- TcpByteStream adapter ------------------------------------------------------

@@ -51,10 +51,11 @@ const std::set<std::string_view> kSyncIdents = {
 };
 
 // Types whose instances must be per-shard (CONC004): sharing one across
-// shard functors either races (RNG state, registry counters, span storage)
-// or makes results depend on shard completion order.
+// shard functors either races (RNG state, registry counters, span storage,
+// a BufferSlice's plain non-atomic count) or makes results depend on shard
+// completion order.
 const std::set<std::string_view> kPerShardTypes = {
-    "SplitMix64", "Registry", "Tracer", "Cdf",
+    "SplitMix64", "Registry", "Tracer", "Cdf", "BufferSlice",
 };
 
 // Allocation-by-name calls for CONC006: constructions that always hit
@@ -180,10 +181,21 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
   // `stats::SplitMix64 rng(seed);`, `obs::Tracer tracer;`, ... anywhere in
   // the file; uses inside a shard lambda are checked against this map
   // unless the lambda declares its own instance.
+  // A function returning one of these types (`BufferSlice tag() {`,
+  // `BufferSlice take(std::size_t n) const;`) declares no instance.
+  const auto declares_function = [&](std::size_t open) {
+    const std::size_t after = skip_balanced(t, open, '(', ')');
+    if (is_punct(t, after, '{') || is_ident(t, after, "const") ||
+        is_ident(t, after, "noexcept") || is_ident(t, after, "override")) {
+      return true;
+    }
+    return after == open + 2 && is_punct(t, after, ';');  // `T f();`
+  };
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
     if (t[i].kind != TokenKind::Identifier) continue;
     if (!kPerShardTypes.count(t[i - 1].text)) continue;
     if (t[i - 1].kind != TokenKind::Identifier) continue;
+    if (is_punct(t, i + 1, '(') && declares_function(i + 1)) continue;
     if (is_punct(t, i + 1, ';') || is_punct(t, i + 1, '=') ||
         is_punct(t, i + 1, '{') || is_punct(t, i + 1, '(')) {
       model.shared_decls.emplace(
@@ -632,7 +644,7 @@ std::vector<Diagnostic> ConcAnalyzer::finish() {
                      "' captured by reference; per-shard output must be "
                      "returned through the shard's own result slot");
         }
-        // CONC004 — shared RNG/Registry/Tracer/Cdf instances.
+        // CONC004 — shared RNG/Registry/Tracer/Cdf/BufferSlice instances.
         for (const auto& [name, decl] : file.shared_decls) {
           if (lambda.locals.count(name)) continue;  // shard-local instance
           const auto ref = lambda.region.refs.find(name);

@@ -22,9 +22,9 @@
 //   CONC003  a per-shard result type stored in adjacent array slots by
 //            run_sharded (or any struct annotated `// detlint: hot-slot`)
 //            lacks alignas(64), a false-sharing candidate
-//   CONC004  a shared RNG/Registry/Tracer/Cdf instance declared outside the
-//            shard lambda is used inside it (shards need their own,
-//            merged by shard index)
+//   CONC004  a shared RNG/Registry/Tracer/Cdf/BufferSlice instance declared
+//            outside the shard lambda is used inside it (shards need their
+//            own, merged by shard index; a slice's count is not atomic)
 //   CONC005  synchronization primitives (atomics, mutexes, memory orders)
 //            inside parallel-reachable simulation code — each shard is
 //            single-threaded by design, so synchronization there signals

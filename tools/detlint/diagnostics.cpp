@@ -47,7 +47,7 @@ std::string_view code_summary(Code code) {
     case Code::CONC003:
       return "per-shard result slot lacks alignas(64) (false sharing)";
     case Code::CONC004:
-      return "shared RNG/Registry/Tracer used inside a shard functor";
+      return "shared RNG/Registry/Tracer/slice used inside a shard functor";
     case Code::CONC005:
       return "synchronization primitive in parallel-reachable sim code";
     case Code::CONC006:

@@ -28,7 +28,7 @@ enum class Code {
   CONC001,  // mutable static state reached from parallel code
   CONC002,  // shard lambda writes through an escaping capture
   CONC003,  // per-shard result slot without alignas(64) (false sharing)
-  CONC004,  // shared RNG/Registry/Tracer object used across shards
+  CONC004,  // shared RNG/Registry/Tracer/slice object used across shards
   CONC005,  // synchronization primitive inside parallel-reachable sim code
   CONC006,  // global-heap allocation inside a `// detlint: hot-loop` body
 };
