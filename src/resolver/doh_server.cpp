@@ -79,6 +79,12 @@ DohServer::DohServer(simnet::Host& host, QueryHandler& handler,
   listen();
 }
 
+// The estimate below is published (overload_matrix's doh_memory_bytes and
+// its golden output), so a field added to TlsConnection must not silently
+// move it: change this size, and the recorded outputs, on purpose.
+static_assert(sizeof(tlssim::TlsConnection) == 544,
+              "TlsConnection's size feeds DohServer::memory_estimate_bytes");
+
 std::size_t DohServer::memory_estimate_bytes() const noexcept {
   // Modeled per-session state: the TLS connection plus whichever HTTP
   // layer is attached, and the session bookkeeping itself. Deliberately a

@@ -3,9 +3,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>  // detlint: allow(DET004) the chunk pool is shared by run_sharded's workers
 #include <new>
-#include <type_traits>
 
 namespace dohperf::simnet {
 
@@ -53,25 +51,6 @@ struct ShardMemory::Chunk {
 
   std::byte* payload() { return reinterpret_cast<std::byte*>(this + 1); }
 };
-
-// Released bump chunks, kept for the next arena instead of going back to
-// malloc (see "Chunk pool" in arena.hpp). Constant-initialised and never
-// destroyed, so an arena that dies during static destruction can still
-// return its chunks; pooled chunks stay reachable until exit.
-struct ChunkPool {
-  // The pool's memory is lent to no other allocation, so it stays small
-  // (see "Chunk pool" in arena.hpp).
-  static constexpr std::size_t kMaxChunks = 8;
-
-  std::mutex mutex;  // detlint: allow(DET004) guards the pool, which only moves chunks between arenas
-  ShardMemory::Chunk* head = nullptr;
-  std::size_t size = 0;
-  std::uint64_t heap_bump_chunks = 0;  // pool misses, served by malloc
-};
-static_assert(std::is_trivially_destructible_v<ChunkPool>);
-// detlint: allow(CONC001) shared by the worker threads on purpose: every access holds its mutex, and a chunk it hands out belongs to one arena
-static constinit ChunkPool g_chunk_pool;
-
 std::size_t ShardMemory::class_for(std::size_t total_bytes) {
   if (total_bytes <= kMinClassBytes) return 0;
   if (total_bytes > kMaxClassBytes) return kHugeClass;
@@ -98,19 +77,7 @@ ShardMemory::ShardMemory() {
 }
 
 ShardMemory::~ShardMemory() {
-  Chunk* spill = bump_head_;
-  if (spill != nullptr) {
-    // detlint: allow(CONC005) returns this arena's chunks to the chunk pool under its lock
-    const std::lock_guard<std::mutex> lock(g_chunk_pool.mutex);  // detlint: allow(DET004) chunk pool lock
-    while (spill != nullptr && g_chunk_pool.size < ChunkPool::kMaxChunks) {
-      Chunk* next = spill->next;
-      spill->next = g_chunk_pool.head;
-      g_chunk_pool.head = spill;
-      ++g_chunk_pool.size;
-      spill = next;
-    }
-  }
-  Chunk* lists[2] = {spill, slab_head_};  // what the pool has no room for
+  Chunk* lists[2] = {bump_head_, slab_head_};
   for (Chunk* head : lists) {
     while (head != nullptr) {
       Chunk* next = head->next;
@@ -134,22 +101,9 @@ void ShardMemory::maybe_self_destruct() {
 
 auto ShardMemory::new_chunk(std::size_t payload_bytes, std::uint64_t kind)
     -> Chunk* {
-  Chunk* chunk = nullptr;
-  if (kind == kBumpKind) {
-    // detlint: allow(CONC005) the chunk pool is the one structure arenas share; locked per chunk, never per allocation
-    const std::lock_guard<std::mutex> lock(g_chunk_pool.mutex);  // detlint: allow(DET004) chunk pool lock
-    if (g_chunk_pool.head != nullptr) {
-      chunk = g_chunk_pool.head;
-      g_chunk_pool.head = chunk->next;
-      --g_chunk_pool.size;
-    } else {
-      ++g_chunk_pool.heap_bump_chunks;
-    }
-  }
-  if (chunk == nullptr) {
-    chunk = static_cast<Chunk*>(std::malloc(sizeof(Chunk) + payload_bytes));
-    if (chunk == nullptr) throw std::bad_alloc{};
-  }
+  auto* chunk =
+      static_cast<Chunk*>(std::malloc(sizeof(Chunk) + payload_bytes));
+  if (chunk == nullptr) throw std::bad_alloc{};
   chunk->next = nullptr;
   chunk->payload_bytes = payload_bytes;
   chunk->kind = kind;
@@ -169,12 +123,6 @@ auto ShardMemory::new_chunk(std::size_t payload_bytes, std::uint64_t kind)
     slab_head_ = chunk;
   }
   return chunk;
-}
-
-std::uint64_t ShardMemory::heap_bump_chunks() {
-  // detlint: allow(CONC005) reads the chunk pool's counter under its lock
-  const std::lock_guard<std::mutex> lock(g_chunk_pool.mutex);  // detlint: allow(DET004) chunk pool lock
-  return g_chunk_pool.heap_bump_chunks;
 }
 
 void* ShardMemory::bump_alloc(std::size_t cls) {

@@ -33,19 +33,6 @@
 //   - `reset()` rewinds the bump cursor and rebuilds the freelists so one
 //     worker can recycle a warm arena between shards without returning
 //     chunks to the OS. Legal only with zero live blocks.
-//   - Chunk pool: a destroyed arena hands its bump chunks to one
-//     process-wide free list, and `new_chunk` takes from that list before
-//     calling malloc. run_sharded makes fresh arenas every call, so without
-//     the pool each round faulted its chunks in again, and how much that
-//     cost moved with glibc's dynamic mmap threshold. A mutex guards the
-//     list; it is taken only to fetch or return chunks, never per
-//     allocation. The list holds at most 8 chunks (2 MiB) and the rest go
-//     back to free(): unlike glibc's free lists it lends its memory to no
-//     other allocation, so an uncapped pool added a whole round's chunks
-//     to peak RSS (+30 % on perfbench corpus). So a small round (the
-//     tests, resolve) is served from the pool, while a page-load round's
-//     hundreds of chunks still mostly come from malloc.
-//     Dedicated big-class chunks always go back to free().
 //
 // Determinism: the arena changes where memory lives, never iteration order
 // or contents — all sharded benches stay byte-identical across `--jobs`
@@ -71,21 +58,17 @@ void* global_alloc(std::size_t size, std::size_t align);
 }  // namespace detail
 
 // Allocation accounting surfaced as the mem.* metric family (see the
-// metric-name contract in EXPERIMENTS.md). `global_allocs` counts the
-// arena's trips outside itself made while an arena scope was active (chunk
-// fetches plus huge passthroughs); in shard steady state its per-shard
-// delta must be 0. A chunk taken from the pool counts exactly like one
-// from malloc in `arena_chunks`, `arena_bytes` and `global_allocs`, so
-// these figures describe the shard's own demand whatever ran before it;
-// `ShardMemory::heap_bump_chunks()` counts the chunks malloc supplied.
+// metric-name contract in EXPERIMENTS.md). `global_allocs` counts
+// global-heap hits made while an arena scope was active (new chunks plus
+// huge passthroughs); in shard steady state its per-shard delta must be 0.
 struct ShardMemoryStats {
   std::uint64_t arena_bytes = 0;     // payload bytes reserved in chunks
-  std::uint64_t arena_chunks = 0;    // chunks obtained (pool or malloc)
+  std::uint64_t arena_chunks = 0;    // chunks obtained from the global heap
   std::uint64_t arena_allocs = 0;    // allocations served by the arena
   std::uint64_t freelist_hits = 0;   // of those, served by recycling
   std::uint64_t huge_allocs = 0;     // above max class, global passthrough
   std::uint64_t live_blocks = 0;     // arena blocks not yet freed
-  std::uint64_t global_allocs = 0;   // chunk fetches + huge, scope active
+  std::uint64_t global_allocs = 0;   // global-heap hits while scope active
 
   void accumulate(const ShardMemoryStats& other) {
     arena_bytes += other.arena_bytes;
@@ -133,10 +116,6 @@ class ShardMemory {
 
   ShardMemoryStats stats() const { return stats_snapshot(); }
 
-  // Bump chunks the process has taken from malloc because the chunk pool
-  // was empty (each call locks the pool).
-  static std::uint64_t heap_bump_chunks();
-
   // Exposed for tests and accounting.
   static std::size_t class_for(std::size_t total_bytes);
   static std::size_t class_bytes(std::size_t cls);
@@ -145,12 +124,11 @@ class ShardMemory {
   ShardMemory(const ShardMemory&) = delete;
   ShardMemory& operator=(const ShardMemory&) = delete;
 
-  // A chunk header; defined in arena.cpp (the chunk pool links them too).
-  struct Chunk;
-
  private:
   ShardMemory();
   ~ShardMemory();
+
+  struct Chunk;
   struct FreeNode {
     FreeNode* next;
   };

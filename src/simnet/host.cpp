@@ -12,12 +12,9 @@ Host::Host(Network& net, std::string name) : net_(net) {
 
 Host::~Host() {
   net_.set_handler(id_, nullptr);
-  // Dropping tcp_conns_ destroys each connection nobody else holds, and
-  // ~TcpConnection cancels its timers. One a caller keeps past its host is
-  // disarmed here, so it never touches this host or the event loop again.
-  for (const TcpEntry& entry : tcp_conns_) {
-    if (entry.conn.use_count() > 1) entry.conn->disarm_timers();
-  }
+  // Disarmed here so a connection a caller keeps past its host never
+  // touches this host or the event loop again.
+  for (const TcpEntry& entry : tcp_conns_) entry.conn->disarm_timers();
 }
 
 const std::string& Host::name() const { return net_.node_name(id_); }

@@ -136,7 +136,7 @@ class TlsConnection final : public ByteStream {
   std::unique_ptr<ByteStream> transport_;
   TlsRole role_;
   /// Next to role_ so it fills that field's padding: DohServer's
-  /// memory estimate counts sizeof(TlsConnection).
+  /// memory estimate counts sizeof(TlsConnection) (asserted there).
   TlsVersion version_ = TlsVersion::kTls13;
   ClientConfig client_config_;
   const ServerConfig* server_config_ = nullptr;

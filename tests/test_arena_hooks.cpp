@@ -15,8 +15,6 @@
 //     a default page model allocating no popularity table of its own,
 //   - a ceiling on the allocations of one HTTP/1.1 object fetch, and of
 //     one WebFarm page load,
-//   - a second identical run_sharded call taking every chunk from the
-//     chunk pool, none from malloc,
 //   - ceilings on the allocations of a resolver-tier cache hit and of a
 //     miss that evicts,
 //   - ceilings on the allocations of one warm query over UDP, DoT, DoH/h2
@@ -211,25 +209,6 @@ TEST(ArenaHooks, RunShardedIsByteIdenticalAcrossJobs) {
     EXPECT_EQ(mem->global_allocs, mem->arena_chunks);
     EXPECT_EQ(mem->huge_allocs, 0u);
   }
-}
-
-TEST(ArenaHooks, SecondIdenticalRunShardedTakesNoChunkFromMalloc) {
-  constexpr std::size_t kShards = 8;
-  ShardMemoryStats first_mem, second_mem;
-  {
-    const auto first = bench::run_sharded<MiniResult>(
-        kShards, 1, run_mini_shard, &first_mem);
-    ASSERT_EQ(first.size(), kShards);
-  }  // the results die, then the arena: its chunks go to the pool
-  const std::uint64_t from_malloc = ShardMemory::heap_bump_chunks();
-  const auto second = bench::run_sharded<MiniResult>(
-      kShards, 1, run_mini_shard, &second_mem);
-  ASSERT_EQ(second.size(), kShards);
-  EXPECT_EQ(ShardMemory::heap_bump_chunks(), from_malloc);
-  // A pooled chunk counts like a fresh one, so both calls report the same.
-  EXPECT_GT(second_mem.arena_chunks, 0u);
-  EXPECT_EQ(second_mem.arena_chunks, first_mem.arena_chunks);
-  EXPECT_EQ(second_mem.global_allocs, first_mem.global_allocs);
 }
 
 // --- dns::Name allocations ----------------------------------------------------
