@@ -125,8 +125,9 @@ void fallback_ablation(std::size_t queries, bench::BenchReport& report) {
 
     std::vector<double> times_ms;
     for (std::size_t i = 0; i < queries; ++i) {
+      const std::string index = std::to_string(i);
       resolver_client.resolve(
-          dns::Name::parse("q" + std::to_string(i) + ".example.com"),
+          dns::Name::parse("q" + index + ".example.com"),
           dns::RType::kA, [&](const core::ResolutionResult& r) {
             times_ms.push_back(simnet::to_ms(r.resolution_time()));
           });

@@ -11,7 +11,7 @@
 // each run over the same five-rung instrumentation ladder:
 //
 //   off         no tracer, no registry (the one-null-check fast path)
-//   metrics     registry only (pre-registered MetricId dense-slot writes)
+//   metrics     registry only (metric handles' dense-slot writes)
 //   sampled256  SamplingTracer keeping 1/256 roots + metrics
 //   sampled64   SamplingTracer keeping 1/64 roots + metrics
 //   full        every root traced (period 1) + metrics
@@ -268,7 +268,8 @@ std::uint64_t run_tier_rep(Instruments& inst, std::size_t requests) {
   std::vector<dns::Name> names;
   names.reserve(kNames);
   for (std::size_t i = 0; i < kNames; ++i) {
-    names.push_back(dns::Name::parse("n" + std::to_string(i) + ".example."));
+    const std::string index = std::to_string(i);
+    names.push_back(dns::Name::parse("n" + index + ".example."));
   }
 
   // Open-loop arrivals at one query per 1.6ms: ~625 q/s against the ~300

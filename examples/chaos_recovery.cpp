@@ -50,8 +50,9 @@ int main() {
   std::vector<std::uint64_t> ids(n);
   for (int i = 0; i < n; ++i) {
     loop.schedule_at(simnet::ms(250) * i, [&, i]() {
+      const std::string index = std::to_string(i);
       ids[i] = stub.resolve(
-          dns::Name::parse("q" + std::to_string(i) + ".example.com"),
+          dns::Name::parse("q" + index + ".example.com"),
           dns::RType::kA, {});
     });
   }

@@ -49,8 +49,8 @@ void run(const std::string& transport) {
   std::printf("--- %s (query 2 delayed 1000ms at the server) ---\n",
               transport.c_str());
   for (int i = 1; i <= 5; ++i) {
-    const auto name =
-        dns::Name::parse("q" + std::to_string(i) + ".example.com");
+    const std::string index = std::to_string(i);
+    const auto name = dns::Name::parse("q" + index + ".example.com");
     resolver_client->resolve(
         name, dns::RType::kA, [i, &loop](const core::ResolutionResult& r) {
           std::printf("  query %d answered at t=%7.1f ms (took %7.1f ms)\n",

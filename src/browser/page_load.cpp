@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/registry.hpp"
 #include "simnet/stream.hpp"
 
 namespace dohperf::browser {
@@ -27,32 +26,18 @@ PageLoader::~PageLoader() {
 
 simnet::EventLoop& PageLoader::loop() { return browser_.loop(); }
 
-void PageLoader::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_pages_ = r->register_counter("browser.pages");
-  m_dns_queries_ = r->register_counter("browser.dns_queries");
-  m_fetches_ = r->register_counter("browser.fetches");
-  m_fetch_failures_ = r->register_counter("browser.fetch_failures");
-}
-
 void PageLoader::load(const workload::Page& page,
                       std::function<void(const PageLoadResult&)> done) {
   page_ = page;
   done_ = std::move(done);
   result_ = PageLoadResult{};
   result_.started_at = loop().now();
-  bind_obs_ids();
   page_span_ = config_.obs.begin("page_load");
   config_.obs.set_attr(page_span_, "page", page_.primary.to_string());
   config_.obs.set_attr(page_span_, "objects",
                        static_cast<std::int64_t>(page_.objects.size()));
   page_obs_ = config_.obs.child(page_span_);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_pages_);
-  }
+  metrics_.pages.add(config_.obs);
   // Everything that must complete before onload: the HTML + all objects.
   objects_outstanding_ = page_.objects.size() + 1;
 
@@ -69,9 +54,7 @@ void PageLoader::resolve_origin(const dns::Name& domain) {
   const obs::SpanId span = page_obs_.begin("resolve_origin");
   page_obs_.set_attr(span, "domain", domain.to_string());
   resolve_spans_[domain] = span;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_dns_queries_);
-  }
+  metrics_.dns_queries.add(config_.obs);
   resolver_.resolve(domain, dns::RType::kA,
                     [this, domain](const core::ResolutionResult& r) {
                       on_resolved(domain, r);
@@ -169,9 +152,7 @@ void PageLoader::pump_origin(const dns::Name& domain) {
     page_obs_.set_attr(fetch_span, "bytes",
                        static_cast<std::int64_t>(bytes));
     fetch_spans_[index] = fetch_span;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_fetches_);
-    }
+    metrics_.fetches.add(config_.obs);
 
     ++best->outstanding;
     Connection* conn_ptr = best;
@@ -201,9 +182,7 @@ void PageLoader::on_object_done(int object_index, bool success) {
     ++result_.objects_fetched;
   } else {
     ++result_.fetch_failures;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_fetch_failures_);
-    }
+    metrics_.fetch_failures.add(config_.obs);
   }
   --objects_outstanding_;
 

@@ -16,7 +16,7 @@
 #include "browser/web_farm.hpp"
 #include "core/client.hpp"
 #include "http1/client.hpp"
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "workload/alexa.hpp"
 
@@ -83,8 +83,6 @@ class PageLoader {
   void on_object_done(int object_index, bool success);
   void discover_children(int object_index);
   void maybe_finish();
-  /// Re-register the browser.* handles when the registry changes.
-  void bind_obs_ids();
 
   simnet::EventLoop& loop();
 
@@ -98,11 +96,12 @@ class PageLoader {
   PageLoadResult result_;
   obs::SpanId page_span_ = 0;
   obs::SpanContext page_obs_;  ///< children hang under the page_load span
-  obs::Registry* bound_metrics_ = nullptr;
-  obs::MetricId m_pages_;
-  obs::MetricId m_dns_queries_;
-  obs::MetricId m_fetches_;
-  obs::MetricId m_fetch_failures_;
+  struct Metrics {
+    obs::CounterHandle pages{"browser.pages"};
+    obs::CounterHandle dns_queries{"browser.dns_queries"};
+    obs::CounterHandle fetches{"browser.fetches"};
+    obs::CounterHandle fetch_failures{"browser.fetch_failures"};
+  } metrics_;
   std::map<dns::Name, obs::SpanId> resolve_spans_;
   std::map<int, obs::SpanId> fetch_spans_;
   std::map<dns::Name, Origin> origins_;

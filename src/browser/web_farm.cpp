@@ -29,10 +29,9 @@ simnet::BufferSlice WebFarm::object_body(std::size_t bytes) {
 
 simnet::Address WebFarm::origin_for(const dns::Name& domain) {
   const auto it = origins_.find(domain);
-  if (it != origins_.end()) return {it->second->host->id(), 443};
+  if (it != origins_.end()) return {it->second->id(), 443};
 
-  auto origin = std::make_unique<Origin>();
-  origin->host =
+  auto host =
       std::make_unique<simnet::Host>(net_, "origin:" + domain.to_string());
 
   simnet::LinkConfig link;
@@ -40,25 +39,23 @@ simnet::Address WebFarm::origin_for(const dns::Name& domain) {
                  static_cast<simnet::TimeUs>(rng_.next_below(
                      static_cast<std::uint64_t>(config_.latency_jitter) + 1));
   link.bandwidth_bps = config_.bandwidth_bps;
-  net_.connect(browser_host_.id(), origin->host->id(), link);
+  net_.connect(browser_host_.id(), host->id(), link);
 
-  Origin* origin_ptr = origin.get();
-  origin->host->tcp_listen(
-      443, [this, origin_ptr](std::shared_ptr<simnet::TcpConnection> c) {
-        accept(*origin_ptr, std::move(c));
-      });
+  host->tcp_listen(443, [this](std::shared_ptr<simnet::TcpConnection> c) {
+    accept(std::move(c));
+  });
 
-  const simnet::Address addr{origin->host->id(), 443};
-  origins_.emplace(domain, std::move(origin));
+  const simnet::Address addr{host->id(), 443};
+  origins_.emplace(domain, std::move(host));
   return addr;
 }
 
-void WebFarm::accept(Origin& origin,
-                     std::shared_ptr<simnet::TcpConnection> conn) {
-  std::erase_if(origin.sessions,
-                [](const std::shared_ptr<Session>& s) {
-                  return s->dead || (s->http && !s->http->is_open());
-                });
+void WebFarm::accept(std::shared_ptr<simnet::TcpConnection> conn) {
+  // Every origin's closed sessions go, not only this origin's: a page's
+  // third-party origins may never be fetched from again.
+  std::erase_if(sessions_, [](const std::shared_ptr<Session>& s) {
+    return s->dead || (s->http && !s->http->is_open());
+  });
 
   auto session = std::make_shared<Session>();
   session->tls_holder = std::make_unique<tlssim::TlsConnection>(
@@ -96,7 +93,7 @@ void WebFarm::accept(Origin& origin,
     if (const auto s = weak.lock()) s->dead = true;
   };
   session->tls_holder->set_handlers(std::move(h));
-  origin.sessions.push_back(std::move(session));
+  sessions_.push_back(std::move(session));
 }
 
 }  // namespace dohperf::browser

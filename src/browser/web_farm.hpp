@@ -38,6 +38,8 @@ class WebFarm {
 
   std::size_t origin_count() const noexcept { return origins_.size(); }
   std::uint64_t objects_served() const noexcept { return objects_served_; }
+  /// Server sessions held, open or closed since the last accept.
+  std::size_t session_count() const noexcept { return sessions_.size(); }
 
   /// Request target that makes an origin return `bytes` of body.
   static std::string object_target(std::size_t bytes);
@@ -48,12 +50,8 @@ class WebFarm {
     std::unique_ptr<http1::Http1ServerConnection> http;
     bool dead = false;
   };
-  struct Origin {
-    std::unique_ptr<simnet::Host> host;
-    std::vector<std::shared_ptr<Session>> sessions;
-  };
 
-  void accept(Origin& origin, std::shared_ptr<simnet::TcpConnection> conn);
+  void accept(std::shared_ptr<simnet::TcpConnection> conn);
   /// An object body: `bytes` of 0x42, a window of bodies_.
   simnet::BufferSlice object_body(std::size_t bytes);
 
@@ -62,7 +60,10 @@ class WebFarm {
   WebFarmConfig config_;
   stats::SplitMix64 rng_;
   tlssim::ServerConfig tls_config_;
-  std::map<dns::Name, std::unique_ptr<Origin>> origins_;
+  std::map<dns::Name, std::unique_ptr<simnet::Host>> origins_;
+  /// Every origin's sessions. A closed one is released at the next accept
+  /// of any origin, which runs outside every session's own callbacks.
+  std::vector<std::shared_ptr<Session>> sessions_;
   /// Every body served is a window of this one buffer. An object larger
   /// than it replaces it with one at least twice the size; bodies already
   /// handed out keep the old buffer alive. One per farm, so shards running

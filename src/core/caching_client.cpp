@@ -5,8 +5,6 @@
 #include <utility>
 #include <variant>
 
-#include "obs/registry.hpp"
-
 namespace dohperf::core {
 
 namespace {
@@ -39,29 +37,9 @@ bool CachingResolverClient::usable(const ResolutionResult& r) {
   return rcode == dns::Rcode::kNoError || rcode == dns::Rcode::kNxDomain;
 }
 
-void CachingResolverClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_hits_ = r->register_counter("cache.hits");
-  m_negative_hits_ = r->register_counter("cache.negative_hits");
-  m_expirations_ = r->register_counter("cache.expirations");
-  m_misses_ = r->register_counter("cache.misses");
-  m_coalesced_ = r->register_counter("cache.coalesced");
-  m_upstream_queries_ = r->register_counter("cache.upstream_queries");
-  m_proactive_refreshes_ = r->register_counter("cache.proactive_refreshes");
-  m_revalidations_ = r->register_counter("cache.revalidations");
-  m_stale_serves_ = r->register_counter("cache.stale_serves");
-  m_staleness_age_ms_ = r->register_histogram("cache.staleness_age_ms");
-  m_negative_entries_ = r->register_counter("cache.negative_entries");
-  m_evictions_ = r->register_counter("cache.evictions");
-}
-
 std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
                                              dns::RType type,
                                              ResolveCallback callback) {
-  bind_obs_ids();
   const std::uint64_t id = results_.size();
   results_.emplace_back();
   staleness_.push_back(0);
@@ -76,15 +54,11 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
     if (entry.expires_at > now) {
       ++stats_.hits;
       config_.obs.set_attr(lookup, "hit", true);
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_hits_);
-      }
+      metrics_.hits.add(config_.obs);
       if (entry.negative) {
         ++stats_.negative_hits;
         config_.obs.set_attr(lookup, "negative", true);
-        if (config_.obs.metrics != nullptr) {
-          config_.obs.metrics->add(m_negative_hits_);
-        }
+        metrics_.negative_hits.add(config_.obs);
       }
       config_.obs.end(lookup);
       touch(entry);
@@ -109,9 +83,7 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
       stale_available = true;  // kept: may be served while the refresh runs
     } else {
       ++stats_.expirations;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_expirations_);
-      }
+      metrics_.expirations.add(config_.obs);
       entries_.erase(it);
     }
   }
@@ -119,9 +91,7 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
   ++stats_.misses;
   config_.obs.set_attr(lookup, "hit", false);
   config_.obs.end(lookup);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_misses_);
-  }
+  metrics_.misses.add(config_.obs);
 
   const auto [fit, first_for_key] = inflight_.try_emplace(key);
   Waiter waiter;
@@ -136,9 +106,7 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
   fit->second.waiters.push_back(std::move(waiter));
   if (!first_for_key) {
     ++stats_.coalesced;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_coalesced_);
-    }
+    metrics_.coalesced.add(config_.obs);
     const obs::SpanId join = config_.obs.begin("coalesce_join");
     config_.obs.set_attr(
         join, "waiters",
@@ -152,9 +120,7 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
 
 void CachingResolverClient::start_upstream(const Key& key) {
   ++stats_.upstream_queries;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_upstream_queries_);
-  }
+  metrics_.upstream_queries.add(config_.obs);
   upstream_.resolve(key.name, key.type,
                     [this, key](const ResolutionResult& r) {
                       on_upstream_done(key, r);
@@ -167,9 +133,7 @@ void CachingResolverClient::maybe_refresh_ahead(const Key& key,
   if (entry.expires_at - loop_.now() > config_.refresh_ahead) return;
   if (inflight_.find(key) != inflight_.end()) return;  // refresh in flight
   ++stats_.proactive_refreshes;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_proactive_refreshes_);
-  }
+  metrics_.proactive_refreshes.add(config_.obs);
   inflight_.try_emplace(key);  // no waiters: a pure background refresh
   start_upstream(key);
 }
@@ -210,9 +174,7 @@ void CachingResolverClient::on_upstream_done(const Key& key,
   }
   if (answer_usable && repaired_stale_serve) {
     ++stats_.revalidations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_revalidations_);
-    }
+    metrics_.revalidations.add(config_.obs);
   }
 }
 
@@ -238,11 +200,9 @@ bool CachingResolverClient::serve_stale(const Key& key, Waiter& waiter,
                                  : 0;
   if (age >= config_.max_stale) return false;  // beyond the stale window
   ++stats_.stale_serves;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_stale_serves_);
-    config_.obs.metrics->observe(m_staleness_age_ms_,
-                                 static_cast<double>(age) / 1e3);
-  }
+  metrics_.stale_serves.add(config_.obs);
+  metrics_.staleness_age_ms.observe(config_.obs,
+                                    static_cast<double>(age) / 1e3);
   const obs::SpanId span = config_.obs.begin("stale_serve");
   config_.obs.set_attr(span, "staleness_ms",
                        static_cast<std::int64_t>(age / 1000));
@@ -309,9 +269,7 @@ void CachingResolverClient::insert(const Key& key,
   entries_[key] = std::move(entry);
   if (negative) {
     ++stats_.negative_entries;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_negative_entries_);
-    }
+    metrics_.negative_entries.add(config_.obs);
   }
 }
 
@@ -330,9 +288,7 @@ void CachingResolverClient::evict_if_needed() {
   }
   entries_.erase(victim);
   ++stats_.evictions;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_evictions_);
-  }
+  metrics_.evictions.add(config_.obs);
 }
 
 const ResolutionResult& CachingResolverClient::result(

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "simnet/event_loop.hpp"
 
@@ -99,7 +99,7 @@ class CachingResolverClient final : public ResolverClient {
 
   const CacheStats& stats() const noexcept { return stats_; }
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
-  /// a different context; metric handles re-bind automatically).
+  /// a different context; metric handles follow the registry it carries).
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -143,9 +143,6 @@ class CachingResolverClient final : public ResolverClient {
   /// serve-stale) per RFC 8767 §4.
   static bool usable(const ResolutionResult& r);
 
-  /// Re-register the cache.* handles when the registry changes.
-  void bind_obs_ids();
-
   void insert(const Key& key, const dns::Message& response);
   void evict_if_needed();
   void touch(Entry& entry) { entry.last_used_seq = next_seq_++; }
@@ -162,19 +159,20 @@ class CachingResolverClient final : public ResolverClient {
   ResolverClient& upstream_;
   CacheConfig config_;
   CacheStats stats_;
-  obs::MetricId m_hits_;
-  obs::MetricId m_negative_hits_;
-  obs::MetricId m_expirations_;
-  obs::MetricId m_misses_;
-  obs::MetricId m_coalesced_;
-  obs::MetricId m_upstream_queries_;
-  obs::MetricId m_proactive_refreshes_;
-  obs::MetricId m_revalidations_;
-  obs::MetricId m_stale_serves_;
-  obs::MetricId m_staleness_age_ms_;
-  obs::MetricId m_negative_entries_;
-  obs::MetricId m_evictions_;
-  obs::Registry* bound_metrics_ = nullptr;
+  struct Metrics {
+    obs::CounterHandle hits{"cache.hits"};
+    obs::CounterHandle negative_hits{"cache.negative_hits"};
+    obs::CounterHandle expirations{"cache.expirations"};
+    obs::CounterHandle misses{"cache.misses"};
+    obs::CounterHandle coalesced{"cache.coalesced"};
+    obs::CounterHandle upstream_queries{"cache.upstream_queries"};
+    obs::CounterHandle proactive_refreshes{"cache.proactive_refreshes"};
+    obs::CounterHandle revalidations{"cache.revalidations"};
+    obs::CounterHandle stale_serves{"cache.stale_serves"};
+    obs::HistogramHandle staleness_age_ms{"cache.staleness_age_ms"};
+    obs::CounterHandle negative_entries{"cache.negative_entries"};
+    obs::CounterHandle evictions{"cache.evictions"};
+  } metrics_;
   std::map<Key, Entry> entries_;
   std::map<Key, InFlight> inflight_;
   std::uint64_t next_seq_ = 0;

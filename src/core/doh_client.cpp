@@ -38,18 +38,9 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
                 config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
                                                             : "doh_h1") {}
 
-void DohClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_hpack_dyn_hits_ = r->register_counter("client.doh.hpack_dyn_hits");
-}
-
 std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
   auto stack = std::make_shared<Stack>();
-  bind_obs_ids();
-  recovery_.count(ConnectionMetrics::kConnOpen);
+  recovery_.metrics().conn_open.add(config_.obs);
   if (config_.obs.tracer != nullptr) {
     stack->connect_span = config_.obs.tracer->begin(parent, "connect");
     stack->tcp_hs_span =
@@ -185,14 +176,13 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
       persistent_stack_ = make_stack(parent);
     }
   } else {
-    recovery_.count(ConnectionMetrics::kConnReuse);
+    recovery_.metrics().conn_reuse.add(config_.obs);
   }
   return persistent_stack_;
 }
 
 std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
-  bind_obs_ids();
   exchanges_.emplace_back();
   return recovery_.accept(name, type, std::move(callback));
 }
@@ -406,12 +396,12 @@ void DohClient::finishing(Attempt& a, bool success) {
   }
   config_.obs.end(x.response_span);
   x.response_span = 0;
-  if (stack->h2 && config_.obs.metrics != nullptr) {
+  if (stack->h2 && config_.obs.metrics) {
     // HPACK dynamic-table hits are per-connection cumulative; export the
-    // delta since the last completion on this stack.
+    // delta since the last completion that had a registry to count it in.
     const std::uint64_t hits = stack->h2->encoder_stats().indexed_dynamic;
     if (hits > stack->hpack_reported) {
-      config_.obs.metrics->add(m_hpack_dyn_hits_, hits - stack->hpack_reported);
+      hpack_dyn_hits_.add(config_.obs, hits - stack->hpack_reported);
       stack->hpack_reported = hits;
     }
   }

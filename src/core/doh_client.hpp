@@ -90,7 +90,7 @@ class DohClient final : public ResolverClient, private Session {
   void disconnect();
 
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
-  /// a different context; metric handles re-bind automatically).
+  /// a different context; metric handles follow the registry it carries).
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
   /// Counters of the current persistent stack (null when none / fresh mode).
@@ -156,17 +156,13 @@ class DohClient final : public ResolverClient, private Session {
   /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
   /// fail every query that was in flight on `stack`.
   void on_stack_error(const std::shared_ptr<Stack>& stack);
-  /// Re-register the client.doh.hpack_dyn_hits handle when the registry
-  /// changes.
-  void bind_obs_ids();
   void promote_racer();
   void teardown_racer();
 
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
-  obs::MetricId m_hpack_dyn_hits_;
-  obs::Registry* bound_metrics_ = nullptr;
+  obs::CounterHandle hpack_dyn_hits_{"client.doh.hpack_dyn_hits"};
   Recovery recovery_;  ///< transport "doh_h2" or "doh_h1"
 
   std::shared_ptr<Stack> persistent_stack_;

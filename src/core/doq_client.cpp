@@ -29,10 +29,10 @@ DoqClient::DoqClient(simnet::Host& host, simnet::Address server,
 
 void DoqClient::ensure_connection(obs::SpanId parent) {
   if (endpoint_ && !endpoint_->connection().closed()) {
-    recovery_.count(ConnectionMetrics::kConnReuse);
+    recovery_.metrics().conn_reuse.add(config_.obs);
     return;
   }
-  recovery_.count(ConnectionMetrics::kConnOpen);
+  recovery_.metrics().conn_open.add(config_.obs);
   if (config_.obs.tracer != nullptr) {
     connect_span_ = config_.obs.tracer->begin(parent, "connect");
     quic_hs_span_ =

@@ -83,7 +83,7 @@ void DotClient::ensure_connection(obs::SpanId parent) {
   // that failed or whose transport closed (including RST mid-handshake)
   // must be replaced.
   if (conn_.usable()) {
-    recovery_.count(ConnectionMetrics::kConnReuse);
+    recovery_.metrics().conn_reuse.add(config_.obs);
     return;
   }
   // The main connection died while a migration race was still on: adopt
@@ -96,7 +96,7 @@ void DotClient::ensure_connection(obs::SpanId parent) {
     install_handlers();
     return;
   }
-  recovery_.count(ConnectionMetrics::kConnOpen);
+  recovery_.metrics().conn_open.add(config_.obs);
   if (config_.obs.tracer != nullptr) {
     connect_span_ = config_.obs.tracer->begin(parent, "connect");
     tcp_hs_span_ = config_.obs.tracer->begin(connect_span_, "tcp_handshake");
@@ -202,7 +202,7 @@ void DotClient::migrate(const char* reason) {
   // Happy-eyeballs: open a fresh connection and race it against the
   // stalled one. Whichever proves the path first wins; the loser's bytes
   // are charged to migration_wasted_bytes.
-  recovery_.count(ConnectionMetrics::kConnOpen);
+  recovery_.metrics().conn_open.add(config_.obs);
   recovery_.start_race(*conn_.tcp);
   racer_ = open_connection();
   simnet::ByteStream::Handlers rh;

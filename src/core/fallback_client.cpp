@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/registry.hpp"
-
 namespace dohperf::core {
 
 FallbackResolverClient::FallbackResolverClient(simnet::EventLoop& loop,
@@ -39,9 +37,7 @@ std::uint64_t FallbackResolverClient::resolve(const dns::Name& name,
       // (A late shed answer is not useful work, so it isn't "wasted".)
       if (usable(r)) {
         ++stats_.primary_wasted;
-        if (config_.obs.metrics != nullptr) {
-          config_.obs.metrics->add("fallback.primary_wasted");
-        }
+        metrics_.primary_wasted.add(config_.obs);
       }
       maybe_erase(id);
       return;
@@ -49,9 +45,7 @@ std::uint64_t FallbackResolverClient::resolve(const dns::Name& name,
     if (usable(r)) {
       if (!it->second.fallback_started) {
         ++stats_.primary_wins;
-        if (config_.obs.metrics != nullptr) {
-          config_.obs.metrics->add("fallback.primary_wins");
-        }
+        metrics_.primary_wins.add(config_.obs);
       }
       finish(id, r, /*from_primary=*/true);
     } else if (!it->second.fallback_started) {
@@ -59,9 +53,7 @@ std::uint64_t FallbackResolverClient::resolve(const dns::Name& name,
         // Transport delivered an answer but the server was shedding
         // (SERVFAIL/REFUSED): never surface it — fall back instead.
         ++stats_.primary_shed;
-        if (config_.obs.metrics != nullptr) {
-          config_.obs.metrics->add("fallback.primary_shed");
-        }
+        metrics_.primary_shed.add(config_.obs);
         start_fallback(id, "primary_shed");
       } else {
         // Hard failure before the deadline: fall back immediately.
@@ -104,14 +96,10 @@ void FallbackResolverClient::start_fallback(std::uint64_t id,
                       if (p == pending_.end() || p->second.done) return;
                       if (usable(r)) {
                         ++stats_.fallback_used;
-                        if (config_.obs.metrics != nullptr) {
-                          config_.obs.metrics->add("fallback.used");
-                        }
+                        metrics_.used.add(config_.obs);
                       } else {
                         ++stats_.both_failed;
-                        if (config_.obs.metrics != nullptr) {
-                          config_.obs.metrics->add("fallback.both_failed");
-                        }
+                        metrics_.both_failed.add(config_.obs);
                       }
                       finish(id, r, /*from_primary=*/false);
                     });

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "simnet/event_loop.hpp"
 
@@ -94,6 +95,13 @@ class FallbackResolverClient final : public ResolverClient {
   ResolverClient& fallback_;
   FallbackConfig config_;
   FallbackStats stats_;
+  struct Metrics {
+    obs::CounterHandle primary_wins{"fallback.primary_wins"};
+    obs::CounterHandle primary_shed{"fallback.primary_shed"};
+    obs::CounterHandle primary_wasted{"fallback.primary_wasted"};
+    obs::CounterHandle used{"fallback.used"};
+    obs::CounterHandle both_failed{"fallback.both_failed"};
+  } metrics_;
   std::uint64_t completed_ = 0;
   std::vector<ResolutionResult> results_;
   std::map<std::uint64_t, Pending> pending_;

@@ -1,8 +1,7 @@
 #include "core/health_client.hpp"
 
 #include <stdexcept>
-
-#include "obs/registry.hpp"
+#include <string>
 
 namespace dohperf::core {
 
@@ -15,6 +14,10 @@ HealthTrackingClient::HealthTrackingClient(
       health_(resolvers_.size()) {
   if (resolvers_.empty()) {
     throw std::logic_error("HealthTrackingClient needs >= 1 resolver");
+  }
+  metrics_.breaker_state.reserve(resolvers_.size());
+  for (std::size_t i = 0; i < resolvers_.size(); ++i) {
+    metrics_.breaker_state.emplace_back("breaker.state." + std::to_string(i));
   }
 }
 
@@ -60,9 +63,7 @@ void HealthTrackingClient::dispatch(std::uint64_t id, std::size_t resolver) {
   ResolverHealth& h = health_[resolver];
   if (h.state == BreakerState::kOpen && loop_.now() >= h.open_until) {
     h.state = BreakerState::kHalfOpen;  // this query is the probe
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.probes");
-    }
+    metrics_.probes.add(config_.obs);
     export_state(resolver);
   }
   ++h.queries;
@@ -93,16 +94,12 @@ void HealthTrackingClient::on_result(std::uint64_t id, std::size_t resolver,
     const int next = pick(pending);
     if (next >= 0) {
       ++failovers_;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add("health.failovers");
-      }
+      metrics_.failovers.add(config_.obs);
       dispatch(id, static_cast<std::size_t>(next));
       return;
     }
     ++exhausted_;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("health.exhausted");
-    }
+    metrics_.exhausted.add(config_.obs);
   }
 
   pending.done = true;
@@ -125,9 +122,7 @@ void HealthTrackingClient::record_success(std::size_t resolver) {
   ResolverHealth& h = health_[resolver];
   h.consecutive_failures = 0;
   if (h.state != BreakerState::kClosed) {
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.closes");
-    }
+    metrics_.closes.add(config_.obs);
     h.state = BreakerState::kClosed;  // probe success closes the breaker
     export_state(resolver);
   }
@@ -144,21 +139,17 @@ void HealthTrackingClient::record_failure(std::size_t resolver) {
     h.open_until = loop_.now() + config_.open_duration;
     h.consecutive_failures = 0;
     ++h.breaker_trips;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.trips");
-    }
+    metrics_.trips.add(config_.obs);
     export_state(resolver);
   }
 }
 
 void HealthTrackingClient::export_state(std::size_t resolver) {
-  if (config_.obs.metrics == nullptr) return;
   const ResolverHealth& h = health_[resolver];
   std::int64_t value = 0;
   if (h.state == BreakerState::kOpen) value = 1;
   if (h.state == BreakerState::kHalfOpen) value = 2;
-  config_.obs.metrics->set_gauge(
-      "breaker.state." + std::to_string(resolver), value);
+  metrics_.breaker_state[resolver].set(config_.obs, value);
 }
 
 const ResolutionResult& HealthTrackingClient::result(std::uint64_t id) const {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "simnet/event_loop.hpp"
 
@@ -90,6 +91,14 @@ class HealthTrackingClient final : public ResolverClient {
   std::uint64_t completed_ = 0;
   std::uint64_t failovers_ = 0;
   std::uint64_t exhausted_ = 0;
+  struct Metrics {
+    obs::CounterHandle failovers{"health.failovers"};
+    obs::CounterHandle exhausted{"health.exhausted"};
+    obs::CounterHandle probes{"breaker.probes"};
+    obs::CounterHandle trips{"breaker.trips"};
+    obs::CounterHandle closes{"breaker.closes"};
+    std::vector<obs::GaugeHandle> breaker_state;  ///< breaker.state.<i>
+  } metrics_;
   std::vector<ResolutionResult> results_;
   std::vector<Pending> pending_;
 };

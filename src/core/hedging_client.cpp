@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/registry.hpp"
-
 namespace dohperf::core {
 
 HedgingResolverClient::HedgingResolverClient(simnet::EventLoop& loop,
@@ -52,16 +50,12 @@ void HedgingResolverClient::start_hedge(std::uint64_t id,
   if ((stats_.hedges_issued + 1) * 1000 >
       started_ * config_.hedge_budget_permille) {
     ++stats_.hedges_suppressed;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("hedge.suppressed");
-    }
+    metrics_.suppressed.add(config_.obs);
     return;
   }
   it->second.hedged = true;
   ++stats_.hedges_issued;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add("hedge.issued");
-  }
+  metrics_.issued.add(config_.obs);
   it->second.hedge_span = config_.obs.begin("hedge");
   config_.obs.set_attr(it->second.hedge_span, "reason", std::string(reason));
   secondary_.resolve(it->second.name, it->second.type,
@@ -88,11 +82,8 @@ void HedgingResolverClient::on_result(std::uint64_t id, bool from_primary,
     if (usable(r)) {
       ++stats_.wasted_answers;
       stats_.wasted_wire_bytes += r.cost.wire_bytes;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add("hedge.wasted_answers");
-        config_.obs.metrics->add("hedge.wasted_wire_bytes",
-                                 r.cost.wire_bytes);
-      }
+      metrics_.wasted_answers.add(config_.obs);
+      metrics_.wasted_wire_bytes.add(config_.obs, r.cost.wire_bytes);
     }
     maybe_erase(id);
     return;
@@ -101,14 +92,10 @@ void HedgingResolverClient::on_result(std::uint64_t id, bool from_primary,
   if (usable(r)) {
     if (from_primary) {
       ++stats_.primary_wins;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add("hedge.primary_wins");
-      }
+      metrics_.primary_wins.add(config_.obs);
     } else {
       ++stats_.hedge_wins;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add("hedge.wins");
-      }
+      metrics_.wins.add(config_.obs);
     }
     config_.obs.set_attr(pending.hedge_span, "winner",
                          std::string(from_primary ? "primary" : "secondary"));
@@ -123,9 +110,7 @@ void HedgingResolverClient::on_result(std::uint64_t id, bool from_primary,
     const auto retry = pending_.find(id);
     if (retry != pending_.end() && retry->second.hedged) return;
     ++stats_.both_failed;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("hedge.both_failed");
-    }
+    metrics_.both_failed.add(config_.obs);
     finish(id, r, from_primary);
     return;
   }
@@ -135,9 +120,7 @@ void HedgingResolverClient::on_result(std::uint64_t id, bool from_primary,
                                 : !pending.primary_done;
   if (other_racing) return;  // the other side may still rescue the query
   ++stats_.both_failed;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add("hedge.both_failed");
-  }
+  metrics_.both_failed.add(config_.obs);
   finish(id, r, from_primary);
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "simnet/event_loop.hpp"
 
@@ -90,6 +91,15 @@ class HedgingResolverClient final : public ResolverClient {
   ResolverClient& secondary_;
   HedgeConfig config_;
   HedgeStats stats_;
+  struct Metrics {
+    obs::CounterHandle issued{"hedge.issued"};
+    obs::CounterHandle suppressed{"hedge.suppressed"};
+    obs::CounterHandle primary_wins{"hedge.primary_wins"};
+    obs::CounterHandle wins{"hedge.wins"};
+    obs::CounterHandle both_failed{"hedge.both_failed"};
+    obs::CounterHandle wasted_answers{"hedge.wasted_answers"};
+    obs::CounterHandle wasted_wire_bytes{"hedge.wasted_wire_bytes"};
+  } metrics_;
   std::uint64_t started_ = 0;  ///< resolve() calls, the budget denominator
   std::uint64_t completed_ = 0;
   std::vector<ResolutionResult> results_;

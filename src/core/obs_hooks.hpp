@@ -4,127 +4,83 @@
 //
 // All helpers are no-ops when the SpanContext carries no tracer/registry, so
 // uninstrumented runs pay only a null-pointer check. Metric writes go through
-// pre-registered handles: the per-query cost is a dense slot write once the
-// first call has bound them.
+// self-binding handles (obs/metric.hpp): a dense slot write in whichever
+// registry the context carries.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
 #include "core/client.hpp"
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 
 namespace dohperf::core {
 
-/// Pre-registered handles for one transport's client.* metric family.
-/// Clients keep one of these per instance; bind() is idempotent and
-/// re-binds automatically when the registry changes (set_obs rebinding),
-/// so the per-query path is pure dense-slot writes.
-struct TransportMetrics {
-  obs::Registry* registry = nullptr;
-  obs::MetricId queries;
-  obs::MetricId success;
-  obs::MetricId failures;
-  obs::MetricId servfail;
-  obs::MetricId resolution_ms;
+/// One client's client.<t>.* family: resolution counts and latency for
+/// every transport, connection-lifecycle counters for the connection-
+/// oriented ones (a handle never written leaves no trace in exports).
+struct ClientMetrics {
+  /// `transport` is the <t> in client.<t>.*, and the resolution span's
+  /// `transport` attribute.
+  explicit ClientMetrics(std::string transport)
+      : transport(std::move(transport)),
+        queries(name("queries")),
+        success(name("success")),
+        failures(name("failures")),
+        servfail(name("servfail")),
+        resolution_ms(name("resolution_ms")),
+        conn_open(name("conn_open")),
+        conn_reuse(name("conn_reuse")),
+        reconnects(name("reconnects")),
+        retries(name("retries")),
+        timeouts(name("timeouts")),
+        migrations(name("migrations")),
+        migration_wasted_bytes(name("migration_wasted_bytes")),
+        resumed_handshakes(name("resumed_handshakes")) {}
 
-  void bind(obs::Registry* r, const std::string& transport) {
-    registry = r;
-    if (r == nullptr) return;
-    const std::string prefix = "client." + transport;
-    queries = r->register_counter(prefix + ".queries");
-    success = r->register_counter(prefix + ".success");
-    failures = r->register_counter(prefix + ".failures");
-    servfail = r->register_counter(prefix + ".servfail");
-    resolution_ms = r->register_histogram(prefix + ".resolution_ms");
-  }
-};
-
-/// Pre-registered handles for the global bytes.* counters (obs_count_cost).
-struct CostMetrics {
-  obs::Registry* registry = nullptr;
-  obs::MetricId wire;
-  obs::MetricId dns;
-  obs::MetricId tcp;
-  obs::MetricId tls;
-  obs::MetricId http_hdr;
-  obs::MetricId http_body;
-  obs::MetricId http_mgmt;
-
-  void bind(obs::Registry* r) {
-    registry = r;
-    if (r == nullptr) return;
-    wire = r->register_counter("bytes.wire");
-    dns = r->register_counter("bytes.dns");
-    tcp = r->register_counter("bytes.tcp");
-    tls = r->register_counter("bytes.tls");
-    http_hdr = r->register_counter("bytes.http_hdr");
-    http_body = r->register_counter("bytes.http_body");
-    http_mgmt = r->register_counter("bytes.http_mgmt");
-  }
-};
-
-/// Pre-registered handles for a connection-oriented transport's
-/// connection-lifecycle counters, client.<t>.{conn_open,conn_reuse,
-/// reconnects,retries,timeouts,migrations,migration_wasted_bytes,
-/// resumed_handshakes}. Bound lazily like TransportMetrics: add() re-binds
-/// whenever the context's registry differs from the bound one.
-struct ConnectionMetrics {
-  enum Counter : std::uint8_t {
-    kConnOpen,
-    kConnReuse,
-    kReconnects,
-    kRetries,
-    kTimeouts,
-    kMigrations,
-    kMigrationWastedBytes,
-    kResumedHandshakes,
-    kCount,
-  };
-
-  /// `transport` is the <t> in client.<t>.*.
-  explicit ConnectionMetrics(std::string transport)
-      : transport_(std::move(transport)) {}
-
-  /// Count `delta` on one counter of `obs`'s registry (no-op without one).
-  void add(const obs::SpanContext& obs, Counter counter,
-           std::uint64_t delta = 1) {
-    if (obs.metrics == nullptr) return;
-    if (registry_ != obs.metrics) bind(obs.metrics);
-    obs.metrics->add(ids_[counter], delta);
-  }
+  std::string transport;
+  obs::CounterHandle queries;
+  obs::CounterHandle success;
+  obs::CounterHandle failures;
+  obs::CounterHandle servfail;
+  obs::HistogramHandle resolution_ms;
+  obs::CounterHandle conn_open;
+  obs::CounterHandle conn_reuse;
+  obs::CounterHandle reconnects;
+  obs::CounterHandle retries;
+  obs::CounterHandle timeouts;
+  obs::CounterHandle migrations;
+  obs::CounterHandle migration_wasted_bytes;
+  obs::CounterHandle resumed_handshakes;
 
  private:
-  void bind(obs::Registry* r) {
-    static constexpr std::array<const char*, kCount> kNames = {
-        "conn_open", "conn_reuse", "reconnects", "retries", "timeouts",
-        "migrations", "migration_wasted_bytes", "resumed_handshakes"};
-    registry_ = r;
-    const std::string prefix = "client." + transport_ + ".";
-    for (std::size_t i = 0; i < kCount; ++i) {
-      ids_[i] = r->register_counter(prefix + kNames[i]);
-    }
+  std::string name(const char* leaf) const {
+    return "client." + transport + "." + leaf;
   }
+};
 
-  std::string transport_;
-  obs::Registry* registry_ = nullptr;
-  std::array<obs::MetricId, kCount> ids_;
+/// The global bytes.* counters (obs_count_cost).
+struct CostMetrics {
+  obs::CounterHandle wire{"bytes.wire"};
+  obs::CounterHandle dns{"bytes.dns"};
+  obs::CounterHandle tcp{"bytes.tcp"};
+  obs::CounterHandle tls{"bytes.tls"};
+  obs::CounterHandle http_hdr{"bytes.http_hdr"};
+  obs::CounterHandle http_body{"bytes.http_body"};
+  obs::CounterHandle http_mgmt{"bytes.http_mgmt"};
 };
 
 /// Open the root `resolution` span for one query and count it under
 /// `client.<transport>.queries`. Returns 0 when tracing is off.
 inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
-                                        TransportMetrics& m,
-                                        const std::string& transport,
+                                        const ClientMetrics& m,
                                         const dns::Name& name,
                                         dns::RType type) {
-  if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
-  if (obs.metrics != nullptr) obs.metrics->add(m.queries);
+  m.queries.add(obs);
   const obs::SpanId span = obs.begin("resolution");
   if (span != 0) {
-    obs.set_attr(span, "transport", transport);
+    obs.set_attr(span, "transport", m.transport);
     obs.set_attr(span, "query", name.to_string());
     obs.set_attr(span, "qtype", dns::to_string(type));
   }
@@ -149,18 +105,15 @@ inline void obs_span_cost(const obs::SpanContext& obs, obs::SpanId span,
 }
 
 /// Accumulate a CostReport into the global bytes.* counters.
-inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
+inline void obs_count_cost(const obs::SpanContext& obs, const CostMetrics& m,
                            const CostReport& cost) {
-  if (obs.metrics == nullptr) return;
-  if (m.registry != obs.metrics) m.bind(obs.metrics);
-  auto& r = *obs.metrics;
-  r.add(m.wire, cost.wire_bytes);
-  r.add(m.dns, cost.dns_message_bytes);
-  r.add(m.tcp, cost.tcp_overhead_bytes);
-  r.add(m.tls, cost.tls_overhead_bytes);
-  r.add(m.http_hdr, cost.http_header_bytes);
-  r.add(m.http_body, cost.http_body_bytes);
-  r.add(m.http_mgmt, cost.http_mgmt_bytes);
+  m.wire.add(obs, cost.wire_bytes);
+  m.dns.add(obs, cost.dns_message_bytes);
+  m.tcp.add(obs, cost.tcp_overhead_bytes);
+  m.tls.add(obs, cost.tls_overhead_bytes);
+  m.http_hdr.add(obs, cost.http_header_bytes);
+  m.http_body.add(obs, cost.http_body_bytes);
+  m.http_mgmt.add(obs, cost.http_mgmt_bytes);
 }
 
 /// Close the `resolution` span with its outcome and record the
@@ -168,20 +121,15 @@ inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
 /// Byte attributes are NOT set here — clients with lazily finalized costs
 /// attach them later via obs_span_cost().
 inline void obs_finish_resolution(const obs::SpanContext& obs,
-                                  TransportMetrics& m, obs::SpanId span,
-                                  const std::string& transport,
+                                  const ClientMetrics& m, obs::SpanId span,
                                   const ResolutionResult& result) {
-  if (obs.metrics != nullptr) {
-    if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
-    auto& r = *obs.metrics;
-    r.add(result.success ? m.success : m.failures);
-    if (result.success &&
-        result.response.flags.rcode == dns::Rcode::kServFail) {
-      r.add(m.servfail);
-    }
-    r.observe(m.resolution_ms,
-              static_cast<double>(result.resolution_time()) / 1000.0);
+  (result.success ? m.success : m.failures).add(obs);
+  if (result.success &&
+      result.response.flags.rcode == dns::Rcode::kServFail) {
+    m.servfail.add(obs);
   }
+  m.resolution_ms.observe(
+      obs, static_cast<double>(result.resolution_time()) / 1000.0);
   if (span != 0) {
     obs.set_attr(span, "success", result.success);
     obs.end(span);

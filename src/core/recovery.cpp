@@ -46,8 +46,7 @@ Recovery::Recovery(simnet::Host& host, Session& session,
       retry_(retry),
       migration_(migration),
       obs_(obs),
-      transport_(std::move(transport)),
-      metrics_(transport_),
+      metrics_(std::move(transport)),
       backoff_(retry) {
   if (migration_.enabled) {
     listener_id_ = host_.add_network_change_listener(
@@ -72,7 +71,7 @@ std::uint64_t Recovery::accept(const dns::Name& name, dns::RType type,
   a.name = name;
   a.type = type;
   a.retries_left = retry_.max_retries;
-  a.span = obs_begin_resolution(obs_, tmetrics_, transport_, name, type);
+  a.span = obs_begin_resolution(obs_, metrics_, name, type);
   session_.send(std::move(a));
   return id;
 }
@@ -146,7 +145,7 @@ void Recovery::finish(Attempt&& a, dns::Message* response,
     slot.cost_recorded = true;
     observe_cost(slot);
   }
-  obs_finish_resolution(obs_, tmetrics_, a.span, transport_, result);
+  obs_finish_resolution(obs_, metrics_, a.span, result);
 
   // The callback gets the result moved out of slots_: a resolve() inside it
   // may grow slots_ and move every slot. It goes back afterwards.
@@ -170,7 +169,7 @@ void Recovery::record_cost(std::uint64_t id, const CostReport& cost) const {
 
 void Recovery::observe_cost(const Slot& slot) const {
   obs_span_cost(obs_, slot.span, slot.result.cost);
-  obs_count_cost(obs_, cmetrics_, slot.result.cost);
+  obs_count_cost(obs_, cost_metrics_, slot.result.cost);
 }
 
 void Recovery::on_deadline(std::uint64_t key) {
@@ -178,7 +177,7 @@ void Recovery::on_deadline(std::uint64_t key) {
   if (it == in_flight_.end()) return;
   Attempt& a = it->second;
   ++retry_stats_.query_timeouts;
-  count(ConnectionMetrics::kTimeouts);
+  metrics_.timeouts.add(obs_);
   if (retry_.max_retries <= 0 || a.retries_left <= 0) {
     if (retry_.max_retries > 0) ++retry_stats_.budget_exhausted;
     fail(key);
@@ -210,7 +209,7 @@ bool Recovery::retry(Attempt& a, RetryReason reason, bool charged) {
   if (charged) --a.retries_left;
   ++retry_stats_.retried_queries;
   trace_retry(obs_, a.span, reason, a.attempt);
-  count(ConnectionMetrics::kRetries);
+  metrics_.retries.add(obs_);
   return true;
 }
 
@@ -257,7 +256,7 @@ void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
     if (!drew) {  // one reconnect for the whole batch
       delay = backoff_.next();
       ++retry_stats_.reconnects;
-      count(ConnectionMetrics::kReconnects);
+      metrics_.reconnects.add(obs_);
       drew = true;
     }
     host_.loop().schedule_in(delay, [this, a = std::move(a)]() mutable {
@@ -271,7 +270,7 @@ void Recovery::on_stall() {
   if (obs_.tracer != nullptr) {
     // The probe that condemned the old path before we migrate away from it.
     const obs::SpanId s = obs_.tracer->begin(0, "path_probe");
-    obs_.set_attr(s, "transport", transport_);
+    obs_.set_attr(s, "transport", metrics_.transport);
     obs_.end(s);
   }
   session_.migrate("stall");
@@ -280,7 +279,7 @@ void Recovery::on_stall() {
 void Recovery::open_migrate_span(const char* reason) {
   if (obs_.tracer == nullptr || migrate_span_ != 0) return;
   migrate_span_ = obs_.tracer->begin(0, "migrate");
-  obs_.set_attr(migrate_span_, "transport", transport_);
+  obs_.set_attr(migrate_span_, "transport", metrics_.transport);
   obs_.set_attr(migrate_span_, "reason", std::string(reason));
 }
 
@@ -293,7 +292,7 @@ void Recovery::close_migrate_span(const char* winner) {
 
 void Recovery::migrated(const char* winner) {
   ++migration_stats_.migrations;
-  count(ConnectionMetrics::kMigrations);
+  metrics_.migrations.add(obs_);
   close_migrate_span(winner);
 }
 
@@ -315,14 +314,14 @@ void Recovery::race_lost(const simnet::TcpConnection* racer) {
 
 void Recovery::waste(std::uint64_t bytes) {
   migration_stats_.migration_wasted_bytes += bytes;
-  count(ConnectionMetrics::kMigrationWastedBytes, bytes);
+  metrics_.migration_wasted_bytes.add(obs_, bytes);
 }
 
 void Recovery::account_tls(const tlssim::TlsConnection& tls) {
   const bool resumed = tls.resumed();
   if (resumed) {
     ++migration_stats_.resumed_handshakes;
-    count(ConnectionMetrics::kResumedHandshakes);
+    metrics_.resumed_handshakes.add(obs_);
   } else {
     ++migration_stats_.full_handshakes;
   }
@@ -334,7 +333,7 @@ void Recovery::account_tls(const tlssim::TlsConnection& tls) {
   if (ever_connected_ && resumed && obs_.tracer != nullptr) {
     // A reconnect that skipped the full handshake via the session ticket.
     const obs::SpanId s = obs_.tracer->begin(0, "reconnect_resume");
-    obs_.set_attr(s, "transport", transport_);
+    obs_.set_attr(s, "transport", metrics_.transport);
     obs_.end(s);
   }
   ever_connected_ = true;

@@ -183,15 +183,12 @@ class Recovery {
   Recovery(const Recovery&) = delete;
   Recovery& operator=(const Recovery&) = delete;
 
-  const std::string& transport() const noexcept { return transport_; }
   const RetryStats& retry_stats() const noexcept { return retry_stats_; }
   const MigrationStats& migration_stats() const noexcept {
     return migration_stats_;
   }
-  /// Count on one of the client.<t>.* connection counters.
-  void count(ConnectionMetrics::Counter counter, std::uint64_t delta = 1) {
-    metrics_.add(obs_, counter, delta);
-  }
+  /// The client.<t>.* handles; clients count their connections here.
+  const ClientMetrics& metrics() const noexcept { return metrics_; }
 
   // --- a query from resolve() to its callback ----------------------------
 
@@ -326,10 +323,8 @@ class Recovery {
   const RetryPolicy& retry_;
   const MigrationConfig& migration_;
   const obs::SpanContext& obs_;
-  std::string transport_;
-  TransportMetrics tmetrics_;
-  mutable CostMetrics cmetrics_;  ///< mutable: record_cost() is const
-  ConnectionMetrics metrics_;
+  ClientMetrics metrics_;
+  CostMetrics cost_metrics_;
   Backoff backoff_;
   RetryStats retry_stats_;
   MigrationStats migration_stats_;

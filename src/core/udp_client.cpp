@@ -8,7 +8,7 @@ namespace dohperf::core {
 UdpResolverClient::UdpResolverClient(simnet::Host& host,
                                      simnet::Address server,
                                      UdpClientConfig config)
-    : host_(host), server_(server), config_(config),
+    : host_(host), server_(server), config_(config), metrics_("udp"),
       socket_(&host.udp_open()) {
   socket_->set_receiver(
       [this](const dns::Bytes& payload, simnet::Address /*from*/) {
@@ -23,15 +23,6 @@ UdpResolverClient::~UdpResolverClient() {
   host_.udp_close(*socket_);
 }
 
-void UdpResolverClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_retries_ = r->register_counter("client.udp.retries");
-  m_timeouts_ = r->register_counter("client.udp.timeouts");
-}
-
 std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
                                          dns::RType type,
                                          ResolveCallback callback) {
@@ -40,9 +31,7 @@ std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
   pending.query_id = query_id;
   pending.callback = std::move(callback);
   pending.retries_left = config_.max_retries;
-  bind_obs_ids();
-  pending.span =
-      obs_begin_resolution(config_.obs, tmetrics_, "udp", name, type);
+  pending.span = obs_begin_resolution(config_.obs, metrics_, name, type);
 
   ResolutionResult result;
   result.sent_at = host_.loop().now();
@@ -95,17 +84,13 @@ void UdpResolverClient::on_timeout(std::uint16_t dns_id) {
     config_.obs.end(p.request_span);
     p.request_span = 0;
     trace_retry(config_.obs, p.span, RetryReason::kTimeout, p.attempt);
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    metrics_.retries.add(config_.obs);
     ++retransmissions_;
     send_query(dns_id);
     return;
   }
   ++timeouts_;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
+  metrics_.timeouts.add(config_.obs);
   finish(dns_id, false, {}, 0);
 }
 
@@ -146,8 +131,8 @@ void UdpResolverClient::complete(Pending& pending, bool success,
   ++completed_;
   config_.obs.end(pending.request_span);
   obs_span_cost(config_.obs, pending.span, result.cost);
-  obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, tmetrics_, pending.span, "udp", result);
+  obs_count_cost(config_.obs, cost_metrics_, result.cost);
+  obs_finish_resolution(config_.obs, metrics_, pending.span, result);
   // The callback gets the result moved out of results_: a resolve() inside
   // it may grow results_ and move every result. It goes back afterwards.
   ResolutionResult done = std::move(result);

@@ -16,7 +16,7 @@ struct UdpClientConfig {
   simnet::TimeUs timeout = simnet::seconds(5);
   int max_retries = 0;  ///< retransmissions after the first attempt
   bool edns = true;     ///< attach an EDNS0 OPT record to queries
-  obs::SpanContext obs; ///< tracing/metrics sink (default: off)
+  obs::SpanContext obs{};  ///< tracing/metrics sink (default: off)
 };
 
 class UdpResolverClient final : public ResolverClient {
@@ -36,7 +36,7 @@ class UdpResolverClient final : public ResolverClient {
   std::uint64_t retransmissions() const noexcept { return retransmissions_; }
 
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
-  /// a different context; metric handles re-bind automatically).
+  /// a different context; metric handles follow the registry it carries).
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
  private:
@@ -60,17 +60,11 @@ class UdpResolverClient final : public ResolverClient {
   void complete(Pending& pending, bool success, dns::Message response,
                 std::size_t response_bytes);
 
-  /// Re-register the client.udp.* handles when the registry changes.
-  void bind_obs_ids();
-
   simnet::Host& host_;
   simnet::Address server_;
   UdpClientConfig config_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::Registry* bound_metrics_ = nullptr;
+  ClientMetrics metrics_;
+  CostMetrics cost_metrics_;
   simnet::UdpSocket* socket_;
   std::uint16_t next_dns_id_ = 1;
   std::uint64_t next_query_id_ = 0;

@@ -7,14 +7,14 @@ void NetMetricsBridge::on_packet(simnet::TimeUs /*when*/,
   if (registry_ == nullptr) return;
   const std::uint64_t wire = packet.wire_size();
   if (dropped) {
-    registry_->add(dropped_);
-    registry_->add(dropped_bytes_, wire);
+    dropped_.add(registry_);
+    dropped_bytes_.add(registry_, wire);
     return;
   }
-  registry_->add(packets_);
-  registry_->add(bytes_, wire);
-  registry_->add(header_bytes_, packet.header_size());
-  registry_->add(packet.is_tcp() ? tcp_bytes_ : udp_bytes_, wire);
+  packets_.add(registry_);
+  bytes_.add(registry_, wire);
+  header_bytes_.add(registry_, packet.header_size());
+  (packet.is_tcp() ? tcp_bytes_ : udp_bytes_).add(registry_, wire);
 }
 
 void publish_arena_stats(Registry& registry,

@@ -14,6 +14,7 @@
 //   net.dropped_bytes  wire bytes of those discarded packets
 #pragma once
 
+#include "obs/metric.hpp"
 #include "obs/registry.hpp"
 #include "simnet/arena.hpp"
 #include "simnet/packet.hpp"
@@ -30,31 +31,20 @@ void publish_arena_stats(Registry& registry,
 class NetMetricsBridge final : public simnet::PacketTap {
  public:
   /// `registry` must outlive the bridge; null disables (null-sink path).
-  /// The net.* counters are pre-registered here so the per-packet hot path
-  /// is pure dense-slot writes (no map lookups).
-  explicit NetMetricsBridge(Registry* registry) : registry_(registry) {
-    if (registry_ == nullptr) return;
-    packets_ = registry_->register_counter("net.packets");
-    bytes_ = registry_->register_counter("net.bytes");
-    header_bytes_ = registry_->register_counter("net.header_bytes");
-    tcp_bytes_ = registry_->register_counter("net.tcp_bytes");
-    udp_bytes_ = registry_->register_counter("net.udp_bytes");
-    dropped_ = registry_->register_counter("net.dropped");
-    dropped_bytes_ = registry_->register_counter("net.dropped_bytes");
-  }
+  explicit NetMetricsBridge(Registry* registry) : registry_(registry) {}
 
   void on_packet(simnet::TimeUs when, const simnet::Packet& packet,
                  bool dropped) override;
 
  private:
   Registry* registry_;
-  MetricId packets_;
-  MetricId bytes_;
-  MetricId header_bytes_;
-  MetricId tcp_bytes_;
-  MetricId udp_bytes_;
-  MetricId dropped_;
-  MetricId dropped_bytes_;
+  CounterHandle packets_{"net.packets"};
+  CounterHandle bytes_{"net.bytes"};
+  CounterHandle header_bytes_{"net.header_bytes"};
+  CounterHandle tcp_bytes_{"net.tcp_bytes"};
+  CounterHandle udp_bytes_{"net.udp_bytes"};
+  CounterHandle dropped_{"net.dropped"};
+  CounterHandle dropped_bytes_{"net.dropped_bytes"};
 };
 
 }  // namespace dohperf::obs

@@ -4,144 +4,121 @@
 
 namespace dohperf::obs {
 
-MetricId Registry::register_counter(const std::string& name) {
-  const auto it = counter_ids_.find(name);
-  if (it != counter_ids_.end()) {
-    return MetricId(MetricKind::kCounter, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(counter_slots_.size());
-  counter_slots_.push_back(CounterSlot{name, 0, false});
-  counter_ids_.emplace(name, index);
-  return MetricId(MetricKind::kCounter, index);
-}
+namespace {
 
-MetricId Registry::register_gauge(const std::string& name) {
-  const auto it = gauge_ids_.find(name);
-  if (it != gauge_ids_.end()) {
-    return MetricId(MetricKind::kGauge, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(gauge_slots_.size());
-  gauge_slots_.push_back(GaugeSlot{name, 0, false});
-  gauge_ids_.emplace(name, index);
-  return MetricId(MetricKind::kGauge, index);
-}
-
-MetricId Registry::register_histogram(const std::string& name) {
-  const auto it = hist_ids_.find(name);
-  if (it != hist_ids_.end()) {
-    return MetricId(MetricKind::kHistogram, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(hist_slots_.size());
-  hist_slots_.push_back(HistSlot{name, {}});
-  hist_ids_.emplace(name, index);
-  return MetricId(MetricKind::kHistogram, index);
-}
-
-void Registry::sync() const {
-  if (!slots_dirty_) return;
-  for (CounterSlot& slot : counter_slots_) {
-    if (!slot.touched) continue;
-    counters_[slot.name] += slot.pending;
-    slot.pending = 0;
-    slot.touched = false;
-  }
-  for (GaugeSlot& slot : gauge_slots_) {
-    if (!slot.dirty) continue;
-    gauges_[slot.name] = slot.value;
-    slot.dirty = false;
-  }
-  for (HistSlot& slot : hist_slots_) {
-    if (slot.pending.empty()) continue;
-    histograms_[slot.name].add_all(slot.pending);
-    slot.pending.clear();
-  }
-  slots_dirty_ = false;
-}
-
-std::uint64_t Registry::counter(const std::string& name) const {
-  sync();
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::int64_t Registry::gauge(const std::string& name) const {
-  sync();
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
-}
-
-const stats::Cdf* Registry::histogram(const std::string& name) const {
-  sync();
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-HistogramSummary Registry::histogram_summary(const std::string& name) const {
+HistogramSummary summarize(const stats::Cdf& cdf) {
   HistogramSummary s;
-  const stats::Cdf* cdf = histogram(name);
-  if (cdf == nullptr || cdf->empty()) return s;
-  s.count = cdf->count();
-  s.min = cdf->sorted_values().front();
-  s.p25 = cdf->quantile(0.25);
-  s.p50 = cdf->quantile(0.50);
-  s.p75 = cdf->quantile(0.75);
-  s.p90 = cdf->quantile(0.90);
-  s.p95 = cdf->quantile(0.95);
-  s.p99 = cdf->quantile(0.99);
-  s.max = cdf->quantile(1.0);
+  if (cdf.empty()) return s;
+  s.count = cdf.count();
+  s.min = cdf.sorted_values().front();
+  s.p25 = cdf.quantile(0.25);
+  s.p50 = cdf.quantile(0.50);
+  s.p75 = cdf.quantile(0.75);
+  s.p90 = cdf.quantile(0.90);
+  s.p95 = cdf.quantile(0.95);
+  s.p99 = cdf.quantile(0.99);
+  s.max = cdf.quantile(1.0);
   return s;
 }
 
+/// The slot index of `name` in `ids`, appending a fresh slot on first use.
+template <class Index, class Slot>
+std::uint32_t slot_index(Index& ids, std::vector<Slot>& slots,
+                         std::string_view name) {
+  auto it = ids.find(name);
+  if (it == ids.end()) {
+    it = ids.emplace(std::string(name),
+                     static_cast<std::uint32_t>(slots.size()))
+             .first;
+    slots.emplace_back();
+  }
+  return it->second;
+}
+
+}  // namespace
+
+MetricId Registry::register_counter(std::string_view name) {
+  return MetricId(MetricKind::kCounter,
+                  slot_index(counter_ids_, counters_, name));
+}
+
+MetricId Registry::register_gauge(std::string_view name) {
+  return MetricId(MetricKind::kGauge, slot_index(gauge_ids_, gauges_, name));
+}
+
+MetricId Registry::register_histogram(std::string_view name) {
+  return MetricId(MetricKind::kHistogram,
+                  slot_index(histogram_ids_, histograms_, name));
+}
+
+std::uint64_t Registry::counter(std::string_view name) const {
+  const auto it = counter_ids_.find(name);
+  return it == counter_ids_.end() ? 0 : counters_[it->second].value;
+}
+
+std::int64_t Registry::gauge(std::string_view name) const {
+  const auto it = gauge_ids_.find(name);
+  return it == gauge_ids_.end() ? 0 : gauges_[it->second].value;
+}
+
+const stats::Cdf* Registry::histogram(std::string_view name) const {
+  const auto it = histogram_ids_.find(name);
+  if (it == histogram_ids_.end()) return nullptr;
+  const stats::Cdf& cdf = histograms_[it->second];
+  return cdf.empty() ? nullptr : &cdf;
+}
+
+HistogramSummary Registry::histogram_summary(std::string_view name) const {
+  const stats::Cdf* cdf = histogram(name);
+  return cdf == nullptr ? HistogramSummary{} : summarize(*cdf);
+}
+
+bool Registry::empty() const {
+  bool empty = true;
+  const auto written = [&](const std::string&, const auto&) { empty = false; };
+  each_counter(written);
+  each_gauge(written);
+  each_histogram(written);
+  return empty;
+}
+
 void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  for (CounterSlot& slot : counter_slots_) {
-    slot.pending = 0;
-    slot.touched = false;
-  }
-  for (GaugeSlot& slot : gauge_slots_) {
-    slot.value = 0;
-    slot.dirty = false;
-  }
-  for (HistSlot& slot : hist_slots_) slot.pending.clear();
-  slots_dirty_ = false;
+  for (CounterSlot& slot : counters_) slot = CounterSlot{};
+  for (GaugeSlot& slot : gauges_) slot = GaugeSlot{};
+  for (stats::Cdf& cdf : histograms_) cdf = stats::Cdf{};
 }
 
 void Registry::merge_from(const Registry& other) {
-  sync();
-  other.sync();
-  for (const auto& [name, value] : other.counters_) {
-    counters_[name] += value;
-  }
-  for (const auto& [name, value] : other.gauges_) {
-    gauges_[name] = value;
-  }
-  for (const auto& [name, cdf] : other.histograms_) {
-    histograms_[name].add_all(cdf.sorted_values());
-  }
+  other.each_counter([&](const std::string& name, std::uint64_t value) {
+    add(register_counter(name), value);
+  });
+  other.each_gauge([&](const std::string& name, std::int64_t value) {
+    set_gauge(register_gauge(name), value);
+  });
+  other.each_histogram([&](const std::string& name, const stats::Cdf& cdf) {
+    histograms_[register_histogram(name).index_].add_all(cdf.sorted_values());
+  });
 }
 
 dns::JsonValue Registry::to_json() const {
-  sync();
   dns::JsonObject root;
   root["schema"] = dns::JsonValue("dohperf-metrics-v1");
 
   dns::JsonObject counters;
-  for (const auto& [name, value] : counters_) {
+  each_counter([&](const std::string& name, std::uint64_t value) {
     counters[name] = dns::JsonValue(static_cast<std::int64_t>(value));
-  }
+  });
   root["counters"] = dns::JsonValue(std::move(counters));
 
   dns::JsonObject gauges;
-  for (const auto& [name, value] : gauges_) {
+  each_gauge([&](const std::string& name, std::int64_t value) {
     gauges[name] = dns::JsonValue(value);
-  }
+  });
   root["gauges"] = dns::JsonValue(std::move(gauges));
 
   dns::JsonObject histograms;
-  for (const auto& [name, cdf] : histograms_) {
-    const HistogramSummary s = histogram_summary(name);
+  each_histogram([&](const std::string& name, const stats::Cdf& cdf) {
+    const HistogramSummary s = summarize(cdf);
     dns::JsonObject h;
     h["count"] = dns::JsonValue(static_cast<std::int64_t>(s.count));
     h["min"] = dns::JsonValue(s.min);
@@ -153,25 +130,24 @@ dns::JsonValue Registry::to_json() const {
     h["p99"] = dns::JsonValue(s.p99);
     h["max"] = dns::JsonValue(s.max);
     histograms[name] = dns::JsonValue(std::move(h));
-  }
+  });
   root["histograms"] = dns::JsonValue(std::move(histograms));
   return dns::JsonValue(std::move(root));
 }
 
 std::string Registry::render() const {
-  sync();
   std::ostringstream os;
-  for (const auto& [name, value] : counters_) {
+  each_counter([&](const std::string& name, std::uint64_t value) {
     os << name << ' ' << value << '\n';
-  }
-  for (const auto& [name, value] : gauges_) {
+  });
+  each_gauge([&](const std::string& name, std::int64_t value) {
     os << name << ' ' << value << '\n';
-  }
-  for (const auto& [name, cdf] : histograms_) {
-    const HistogramSummary s = histogram_summary(name);
+  });
+  each_histogram([&](const std::string& name, const stats::Cdf& cdf) {
+    const HistogramSummary s = summarize(cdf);
     os << name << " n=" << s.count << " p50=" << s.p50 << " p90=" << s.p90
        << " max=" << s.max << '\n';
-  }
+  });
   return os.str();
 }
 

@@ -1,20 +1,24 @@
 // The metrics registry: named counters, gauges and histograms with
-// deterministic iteration order (ordered maps only — DET003-clean), so a
-// metrics snapshot serializes byte-identically across identically seeded
+// deterministic iteration order (an ordered name index — DET003-clean), so
+// a metrics snapshot serializes byte-identically across identically seeded
 // runs. Metric names form a stable contract documented in EXPERIMENTS.md
 // ("Observability" section); benches and tests key on them.
 //
-// Every write goes through a pre-registered MetricId handle
-// (`register_counter` once, then `add(id)`): a dense-slot array write, for
-// hot loops (tier dispatch, cache lookups, per-packet taps, shard inner
-// loops). The name-keyed overloads (`add("cache.hits")`) are sugar for
-// cold code: register, then write through the handle. Slot writes are
-// folded lazily into the ordered maps on any read (sync-on-read).
+// Each registered name owns one slot, and the slot is the only copy of its
+// value: a counter's total and touched flag, a gauge's value and set flag,
+// a histogram's sample. `register_*` returns the slot's MetricId, and a
+// write through it is one dense-slot store. Components write through the
+// self-binding handles of obs/metric.hpp, which register their name in
+// whichever registry they are handed. The name-keyed overloads
+// (`add("cache.hits")`) are sugar for cold one-shot code: register, then
+// write through the id. Reads and exports walk the name index in name
+// order; a registered name nobody wrote leaves no trace in them.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/json_value.hpp"
@@ -38,7 +42,7 @@ struct HistogramSummary {
 
 enum class MetricKind : std::uint8_t { kNone, kCounter, kGauge, kHistogram };
 
-/// Opaque handle from Registry::register_*; default-constructed = invalid
+/// Opaque slot id from Registry::register_*; default-constructed = invalid
 /// (all operations through it are no-ops). Valid only for the registry that
 /// issued it.
 class MetricId {
@@ -57,83 +61,83 @@ class MetricId {
 
 class Registry {
  public:
-  // ---- Pre-registered fast path -----------------------------------------
-  // Registering the same name twice returns the same handle; registration
-  // alone leaves no trace in exports (only touched metrics serialize).
+  // ---- Slots ------------------------------------------------------------
+  // Registering the same name twice returns the same id; registration
+  // alone leaves no trace in exports (only written metrics serialize).
 
-  MetricId register_counter(const std::string& name);
-  MetricId register_gauge(const std::string& name);
-  MetricId register_histogram(const std::string& name);
+  MetricId register_counter(std::string_view name);
+  MetricId register_gauge(std::string_view name);
+  MetricId register_histogram(std::string_view name);
 
-  /// Increment a pre-registered counter: one dense-slot write, no lookup.
+  /// Increment a counter: one dense-slot write, no lookup. A delta of 0
+  /// still makes the counter export (as 0).
   void add(MetricId id, std::uint64_t delta = 1) {
     if (id.kind_ != MetricKind::kCounter) return;
-    CounterSlot& slot = counter_slots_[id.index_];
-    slot.pending += delta;
+    CounterSlot& slot = counters_[id.index_];
+    slot.value += delta;
     slot.touched = true;
-    slots_dirty_ = true;
   }
 
-  /// Set a pre-registered gauge (last write wins).
+  /// Set a gauge (last write wins).
   void set_gauge(MetricId id, std::int64_t value) {
     if (id.kind_ != MetricKind::kGauge) return;
-    GaugeSlot& slot = gauge_slots_[id.index_];
-    slot.value = value;
-    slot.dirty = true;
-    slots_dirty_ = true;
+    gauges_[id.index_] = GaugeSlot{value, true};
   }
 
-  /// Record one observation against a pre-registered histogram.
+  /// Record one histogram observation.
   void observe(MetricId id, double value) {
     if (id.kind_ != MetricKind::kHistogram) return;
-    hist_slots_[id.index_].pending.push_back(value);
-    slots_dirty_ = true;
+    histograms_[id.index_].add(value);
   }
 
-  // ---- Name-keyed sugar: register, then write through the handle -------
+  // ---- Name-keyed sugar: register, then write through the id ------------
 
-  /// Increment a counter (created at 0 on first touch).
-  void add(const std::string& name, std::uint64_t delta = 1) {
+  void add(std::string_view name, std::uint64_t delta = 1) {
     add(register_counter(name), delta);
   }
-
-  /// Set a gauge to an absolute value (e.g. circuit-breaker state).
-  void set_gauge(const std::string& name, std::int64_t value) {
+  void set_gauge(std::string_view name, std::int64_t value) {
     set_gauge(register_gauge(name), value);
   }
-
-  /// Record one histogram observation (fixed-quantile export).
-  void observe(const std::string& name, double value) {
+  void observe(std::string_view name, double value) {
     observe(register_histogram(name), value);
   }
 
-  // ---- Reads / exports (sync slot writes first) -------------------------
+  // ---- Reads / exports --------------------------------------------------
 
-  /// Point reads; absent names read as 0 / empty.
-  std::uint64_t counter(const std::string& name) const;
-  std::int64_t gauge(const std::string& name) const;
-  const stats::Cdf* histogram(const std::string& name) const;
-  HistogramSummary histogram_summary(const std::string& name) const;
+  /// Point reads; absent or unwritten names read as 0 / null.
+  std::uint64_t counter(std::string_view name) const;
+  std::int64_t gauge(std::string_view name) const;
+  const stats::Cdf* histogram(std::string_view name) const;
+  HistogramSummary histogram_summary(std::string_view name) const;
 
-  const std::map<std::string, std::uint64_t>& counters() const {
-    sync();
-    return counters_;
+  /// Visit every written counter / gauge / histogram in name order as
+  /// f(const std::string& name, value).
+  template <class F>
+  void each_counter(F&& f) const {
+    for (const auto& [name, index] : counter_ids_) {
+      const CounterSlot& slot = counters_[index];
+      if (slot.touched) f(name, slot.value);
+    }
   }
-  const std::map<std::string, std::int64_t>& gauges() const {
-    sync();
-    return gauges_;
+  template <class F>
+  void each_gauge(F&& f) const {
+    for (const auto& [name, index] : gauge_ids_) {
+      const GaugeSlot& slot = gauges_[index];
+      if (slot.set) f(name, slot.value);
+    }
   }
-  const std::map<std::string, stats::Cdf>& histograms() const {
-    sync();
-    return histograms_;
+  template <class F>
+  void each_histogram(F&& f) const {
+    for (const auto& [name, index] : histogram_ids_) {
+      const stats::Cdf& cdf = histograms_[index];
+      if (!cdf.empty()) f(name, cdf);
+    }
   }
 
-  bool empty() const {
-    sync();
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
+  /// True when nothing has been written since construction or clear().
+  bool empty() const;
 
-  /// Reset all values; registrations (and their handles) stay valid.
+  /// Reset all values; registrations (and their ids) stay valid.
   void clear();
 
   /// Fold another registry into this one: counters add, gauges take the
@@ -152,36 +156,23 @@ class Registry {
 
  private:
   struct CounterSlot {
-    std::string name;
-    std::uint64_t pending = 0;
+    std::uint64_t value = 0;
     bool touched = false;
   };
   struct GaugeSlot {
-    std::string name;
     std::int64_t value = 0;
-    bool dirty = false;
+    bool set = false;
   };
-  struct HistSlot {
-    std::string name;
-    std::vector<double> pending;
-  };
+  /// Name -> slot index; std::less<> lets string_view names look up
+  /// without building a std::string.
+  using Index = std::map<std::string, std::uint32_t, std::less<>>;
 
-  /// Fold pending slot writes into the ordered maps (no-op when clean).
-  void sync() const;
-
-  // Mutable: sync-on-read folds slot state into the maps from const reads.
-  mutable std::map<std::string, std::uint64_t> counters_;
-  mutable std::map<std::string, std::int64_t> gauges_;
-  mutable std::map<std::string, stats::Cdf> histograms_;
-
-  mutable std::vector<CounterSlot> counter_slots_;
-  mutable std::vector<GaugeSlot> gauge_slots_;
-  mutable std::vector<HistSlot> hist_slots_;
-  mutable bool slots_dirty_ = false;
-
-  std::map<std::string, std::uint32_t> counter_ids_;
-  std::map<std::string, std::uint32_t> gauge_ids_;
-  std::map<std::string, std::uint32_t> hist_ids_;
+  Index counter_ids_;
+  Index gauge_ids_;
+  Index histogram_ids_;
+  std::vector<CounterSlot> counters_;
+  std::vector<GaugeSlot> gauges_;
+  std::vector<stats::Cdf> histograms_;
 };
 
 }  // namespace dohperf::obs

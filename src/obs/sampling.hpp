@@ -16,7 +16,7 @@
 
 #include <cstdint>
 
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "stats/rng.hpp"
 
@@ -35,7 +35,8 @@ class SamplingTracer {
   /// `tracer` must outlive this object; `metrics` may be null (no
   /// self-metrics, sampling decisions unaffected).
   SamplingTracer(Tracer& tracer, Registry* metrics,
-                 SamplingConfig config = {});
+                 SamplingConfig config = {})
+      : tracer_(tracer), metrics_(metrics), config_(config) {}
 
   /// The pure decision function: true iff a root with `key` is recorded.
   /// Static so tests (and shards) can evaluate it without a tracer.
@@ -51,7 +52,7 @@ class SamplingTracer {
   /// dropped. Counts obs.spans_sampled / obs.spans_dropped either way.
   SpanContext root_context(std::uint64_t key) {
     const bool kept = keep(config_, key);
-    if (metrics_ != nullptr) metrics_->add(kept ? sampled_ : dropped_);
+    (kept ? sampled_ : dropped_).add(metrics_);
     return SpanContext{kept ? &tracer_ : nullptr, 0, metrics_};
   }
 
@@ -62,8 +63,8 @@ class SamplingTracer {
   Tracer& tracer_;
   Registry* metrics_;
   SamplingConfig config_;
-  MetricId sampled_;
-  MetricId dropped_;
+  CounterHandle sampled_{"obs.spans_sampled"};
+  CounterHandle dropped_{"obs.spans_dropped"};
 };
 
 }  // namespace dohperf::obs

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "obs/registry.hpp"
-
 namespace dohperf::resolver {
 
 Engine::Engine(simnet::EventLoop& loop, EngineConfig config)
@@ -87,40 +85,22 @@ simnet::TimeUs Engine::next_service_time() {
   if (config_.upstream.cache_hit_ratio < 1.0 &&
       cache_rng_.next_double() >= config_.upstream.cache_hit_ratio) {
     ++stats_.cache_misses;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_cache_misses_);
-    }
+    metrics_.cache_misses.add(config_.obs);
     t += simnet::from_sec(upstream_latency_.sample() / 1e3);
   }
   return t;
-}
-
-void Engine::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_queries_ = r->register_counter("engine.queries");
-  m_delayed_ = r->register_counter("engine.delayed");
-  m_cache_misses_ = r->register_counter("engine.cache_misses");
-  m_stalled_ = r->register_counter("engine.stalled");
-  m_servfail_injected_ = r->register_counter("engine.servfail_injected");
-  m_refused_injected_ = r->register_counter("engine.refused_injected");
-  m_negative_answers_ = r->register_counter("engine.negative_answers");
 }
 
 void Engine::handle(const dns::Message& query, const QueryContext& context,
                     Continuation done) {
   (void)context;  // policy-free back-end: the tier consumes the context
   ++stats_.queries;
-  bind_obs_ids();
-  obs::Registry* metrics = config_.obs.metrics;
-  if (metrics != nullptr) metrics->add(m_queries_);
+  metrics_.queries.add(config_.obs);
   simnet::TimeUs service = next_service_time();
   const auto& dp = config_.delay_policy;
   if (dp.every_n > 0 && stats_.queries % dp.every_n == 0) {
     ++stats_.delayed;
-    if (metrics != nullptr) metrics->add(m_delayed_);
+    metrics_.delayed.add(config_.obs);
     service += dp.delay;
   }
 
@@ -132,12 +112,12 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
     const double u = fault_rng_.next_double();
     if (u < fp.stall_rate) {
       ++stats_.stalled;
-      if (metrics != nullptr) metrics->add(m_stalled_);
+      metrics_.stalled.add(config_.obs);
       return;  // accept-then-never-answer: the continuation is dropped
     }
     if (u < fp.stall_rate + fp.servfail_rate) {
       ++stats_.injected_servfail;
-      if (metrics != nullptr) metrics->add(m_servfail_injected_);
+      metrics_.servfail_injected.add(config_.obs);
       dns::Message error = dns::Message::make_error(query, dns::Rcode::kServFail);
       loop_.schedule_in(service, [done = std::move(done),
                                   error = std::move(error)]() mutable {
@@ -147,7 +127,7 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
     }
     if (u < fp.stall_rate + fp.servfail_rate + fp.refused_rate) {
       ++stats_.injected_refused;
-      if (metrics != nullptr) metrics->add(m_refused_injected_);
+      metrics_.refused_injected.add(config_.obs);
       dns::Message error = dns::Message::make_error(query, dns::Rcode::kRefused);
       loop_.schedule_in(service, [done = std::move(done),
                                   error = std::move(error)]() mutable {
@@ -162,7 +142,7 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
       (response.flags.rcode == dns::Rcode::kNoError &&
        response.answers.empty() && !response.questions.empty())) {
     ++stats_.negative_answers;
-    if (metrics != nullptr) metrics->add(m_negative_answers_);
+    metrics_.negative_answers.add(config_.obs);
   }
   loop_.schedule_in(service, [done = std::move(done),
                               response = std::move(response)]() mutable {

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "dns/message.hpp"
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "resolver/query_handler.hpp"
 #include "simnet/event_loop.hpp"
@@ -107,9 +107,6 @@ class Engine final : public QueryHandler {
   const EngineConfig& config() const noexcept { return config_; }
 
  private:
-  /// Re-register the engine.* handles when the registry changes.
-  void bind_obs_ids();
-
   dns::Message answer(const dns::Message& query) const;
   /// The SOA record negative responses carry (RFC 2308): owner is the
   /// query name's parent zone, MINIMUM comes from config.soa_minimum.
@@ -119,14 +116,15 @@ class Engine final : public QueryHandler {
   simnet::EventLoop& loop_;
   EngineConfig config_;
   EngineStats stats_;
-  obs::MetricId m_queries_;
-  obs::MetricId m_delayed_;
-  obs::MetricId m_cache_misses_;
-  obs::MetricId m_stalled_;
-  obs::MetricId m_servfail_injected_;
-  obs::MetricId m_refused_injected_;
-  obs::MetricId m_negative_answers_;
-  obs::Registry* bound_metrics_ = nullptr;
+  struct Metrics {
+    obs::CounterHandle queries{"engine.queries"};
+    obs::CounterHandle delayed{"engine.delayed"};
+    obs::CounterHandle cache_misses{"engine.cache_misses"};
+    obs::CounterHandle stalled{"engine.stalled"};
+    obs::CounterHandle servfail_injected{"engine.servfail_injected"};
+    obs::CounterHandle refused_injected{"engine.refused_injected"};
+    obs::CounterHandle negative_answers{"engine.negative_answers"};
+  } metrics_;
   stats::LogNormalSampler upstream_latency_;
   stats::SplitMix64 cache_rng_;
   stats::SplitMix64 fault_rng_;

@@ -6,6 +6,8 @@
 // oblivious to whether they talk to a bare engine or the full tier.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -15,17 +17,17 @@ namespace dohperf::resolver {
 
 /// Transport the query arrived over; the tier keys per-transport metrics
 /// (and the DoH-vs-UDP server-cost comparison) off this tag.
-enum class Transport : std::uint8_t { kUdp, kTcp, kDot, kDoh, kDoq };
+enum class Transport : std::uint8_t { kUdp, kTcp, kDot, kDoh, kDoq, kCount };
+
+inline constexpr std::array<const char*, 5> kTransportNames = {
+    "udp", "tcp", "dot", "doh", "doq"};
+static_assert(static_cast<std::size_t>(Transport::kCount) ==
+                  kTransportNames.size(),
+              "Enum values index kTransportNames");
 
 inline const char* transport_name(Transport t) {
-  switch (t) {
-    case Transport::kUdp: return "udp";
-    case Transport::kTcp: return "tcp";
-    case Transport::kDot: return "dot";
-    case Transport::kDoh: return "doh";
-    case Transport::kDoq: return "doq";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(t);
+  return i < kTransportNames.size() ? kTransportNames[i] : "unknown";
 }
 
 /// Per-query request context the front-end attaches: which simulated client

@@ -1,34 +1,14 @@
 #include "resolver/recursive_tier.hpp"
 
+#include <array>
 #include <string>
-
-#include "obs/registry.hpp"
 
 namespace dohperf::resolver {
 
 namespace {
 
-const char* shed_metric(int reason) {
-  switch (reason) {
-    case 0: return "tier.shed.queue_full";
-    case 1: return "tier.shed.deadline";
-    case 2: return "tier.shed.admission";
-    case 3: return "tier.shed.fairness";
-    case 4: return "tier.shed.retry_budget";
-  }
-  return "tier.shed.other";
-}
-
-const char* shed_reason_name(int reason) {
-  switch (reason) {
-    case 0: return "queue_full";
-    case 1: return "deadline";
-    case 2: return "admission";
-    case 3: return "fairness";
-    case 4: return "retry_budget";
-  }
-  return "other";
-}
+constexpr std::array<const char*, 5> kShedReasonNames = {
+    "queue_full", "deadline", "admission", "fairness", "retry_budget"};
 
 }  // namespace
 
@@ -48,62 +28,25 @@ RecursiveTier::RecursiveTier(simnet::EventLoop& loop, QueryHandler& upstream,
   }
 }
 
-void RecursiveTier::count(obs::MetricId id, std::uint64_t delta) {
-  if (config_.obs.metrics != nullptr) config_.obs.metrics->add(id, delta);
-}
-
-void RecursiveTier::set_gauge(obs::MetricId id, std::int64_t value) {
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->set_gauge(id, value);
-  }
-}
-
-void RecursiveTier::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_requests_ = r->register_counter("tier.requests");
-  for (int t = 0; t < 5; ++t) {
-    m_requests_transport_[t] = r->register_counter(
-        std::string("tier.requests.") +
-        transport_name(static_cast<Transport>(t)));
-  }
-  m_served_ = r->register_counter("tier.served");
-  m_cache_hits_ = r->register_counter("tier.cache_hits");
-  m_cache_misses_ = r->register_counter("tier.cache_misses");
-  m_cache_evictions_ = r->register_counter("tier.cache_evictions");
-  m_retries_detected_ = r->register_counter("tier.retries_detected");
-  m_coalesced_ = r->register_counter("tier.coalesced");
-  m_upstream_timeouts_ = r->register_counter("tier.upstream_timeouts");
-  m_fairness_admitted_ = r->register_counter("fairness.admitted");
-  m_fairness_throttled_ = r->register_counter("fairness.throttled");
-  for (int s = 0; s < 5; ++s) {
-    m_shed_[s] = r->register_counter(shed_metric(s));
-  }
-  m_queue_depth_ = r->register_gauge("tier.queue_depth");
-  m_inflight_ = r->register_gauge("tier.inflight");
-  m_admission_limit_ = r->register_gauge("tier.admission_limit");
-  m_latency_ms_ = r->register_histogram("tier.latency_ms");
-  m_queue_wait_ms_ = r->register_histogram("tier.queue_wait_ms");
-}
-
 void RecursiveTier::shed(const dns::Message& query,
                          const QueryContext& context, Continuation done,
                          ShedReason reason) {
-  const int r = static_cast<int>(reason);
+  static_assert(kShedReasonNames.size() == kShedReasons,
+                "Enum values index kShedReasonNames");
+  const auto r = static_cast<std::size_t>(reason);
   switch (reason) {
     case ShedReason::kQueueFull: ++stats_.shed_queue_full; break;
     case ShedReason::kDeadline: ++stats_.shed_deadline; break;
     case ShedReason::kAdmission: ++stats_.shed_admission; break;
     case ShedReason::kFairness: ++stats_.shed_fairness; break;
     case ShedReason::kRetryBudget: ++stats_.shed_retry_budget; break;
+    case ShedReason::kCount: break;
   }
-  count(m_shed_[r]);
+  metrics_.shed[r].add(config_.obs);
   ++stats_.per_client[context.client].shed;
   if (config_.obs) {
     const obs::SpanId span = config_.obs.begin("shed");
-    config_.obs.set_attr(span, "reason", std::string(shed_reason_name(r)));
+    config_.obs.set_attr(span, "reason", std::string(kShedReasonNames[r]));
     config_.obs.set_attr(span, "client",
                          static_cast<std::int64_t>(context.client));
     config_.obs.set_attr(span, "transport",
@@ -126,11 +69,9 @@ void RecursiveTier::deliver(Job& job, const dns::Message& response) {
   copy.id = job.query.id;
   ++stats_.served;
   ++stats_.per_client[job.context.client].served;
-  count(m_served_);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->observe(m_latency_ms_,
-                                 simnet::to_ms(loop_.now() - job.arrived));
-  }
+  metrics_.served.add(config_.obs);
+  metrics_.latency_ms.observe(config_.obs,
+                              simnet::to_ms(loop_.now() - job.arrived));
   job.done(std::move(copy));
 }
 
@@ -177,7 +118,7 @@ void RecursiveTier::cache_insert(const Key& key, Answer response) {
       cache_.erase(victim->second);
       expiry_.erase(victim);
       ++stats_.cache_evictions;
-      count(m_cache_evictions_);
+      metrics_.cache_evictions.add(config_.obs);
     }
     cache_.emplace(key, CacheEntry{std::move(response), expires});
   }
@@ -210,9 +151,9 @@ void RecursiveTier::handle(const dns::Message& query,
                            const QueryContext& context, Continuation done) {
   ++stats_.requests;
   ++stats_.per_client[context.client].requests;
-  bind_obs_ids();
-  count(m_requests_);
-  count(m_requests_transport_[static_cast<std::size_t>(context.transport)]);
+  metrics_.requests.add(config_.obs);
+  metrics_.requests_by_transport[static_cast<std::size_t>(context.transport)]
+      .add(config_.obs);
 
   obs::SpanId span = 0;
   if (config_.obs) {
@@ -245,7 +186,8 @@ void RecursiveTier::handle(const dns::Message& query,
   //    sees every request, not just misses.
   if (fairness_) {
     const bool admitted = fairness_->admit(context.client, loop_.now());
-    count(admitted ? m_fairness_admitted_ : m_fairness_throttled_);
+    (admitted ? metrics_.fairness_admitted : metrics_.fairness_throttled)
+        .add(config_.obs);
     if (!admitted) {
       decide("shed_fairness");
       shed(query, context, std::move(done), ShedReason::kFairness);
@@ -263,11 +205,11 @@ void RecursiveTier::handle(const dns::Message& query,
   job.cached = cache_lookup(key);
   if (job.cached) {
     ++stats_.cache_hits;
-    count(m_cache_hits_);
+    metrics_.cache_hits.add(config_.obs);
     decide("hit");
   } else {
     ++stats_.cache_misses;
-    count(m_cache_misses_);
+    metrics_.cache_misses.add(config_.obs);
     // 3. Retry budget, misses only: a repeat (client, name, type) among
     //    misses inside retry_window is a retransmission/re-issue — the
     //    original is still queued/in flight, or was shed/failed (a repeat
@@ -278,7 +220,7 @@ void RecursiveTier::handle(const dns::Message& query,
     if (retry_budget_) {
       if (detect_retry(key, context)) {
         ++stats_.retries_detected;
-        count(m_retries_detected_);
+        metrics_.retries_detected.add(config_.obs);
         if (!retry_budget_->try_withdraw()) {
           decide("shed_retry_budget");
           shed(job.query, job.context, std::move(job.done),
@@ -295,7 +237,7 @@ void RecursiveTier::handle(const dns::Message& query,
       const auto it = pending_.find(key);
       if (it != pending_.end()) {
         ++stats_.coalesced;
-        count(m_coalesced_);
+        metrics_.coalesced.add(config_.obs);
         decide("coalesced");
         it->second.waiters.push_back(std::move(job));
         return;
@@ -320,7 +262,8 @@ void RecursiveTier::handle(const dns::Message& query,
 
   queue_.push_back(std::move(job));
   if (queue_.size() > stats_.queue_peak) stats_.queue_peak = queue_.size();
-  set_gauge(m_queue_depth_, static_cast<std::int64_t>(queue_.size()));
+  metrics_.queue_depth.set(config_.obs,
+                           static_cast<std::int64_t>(queue_.size()));
   pump();
 }
 
@@ -328,7 +271,8 @@ void RecursiveTier::pump() {
   while (inflight_ < config_.workers && !queue_.empty()) {
     Job job = std::move(queue_.front());
     queue_.pop_front();
-    set_gauge(m_queue_depth_, static_cast<std::int64_t>(queue_.size()));
+    metrics_.queue_depth.set(config_.obs,
+                             static_cast<std::int64_t>(queue_.size()));
     const simnet::TimeUs waited = loop_.now() - job.arrived;
     // Deadline-aware shedding: if the client has (probably) given up by the
     // time service would finish, answering is wasted work.
@@ -338,21 +282,19 @@ void RecursiveTier::pump() {
            ShedReason::kDeadline);
       continue;
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->observe(m_queue_wait_ms_, simnet::to_ms(waited));
-    }
+    metrics_.queue_wait_ms.observe(config_.obs, simnet::to_ms(waited));
     dispatch(std::move(job));
   }
   if (admission_) {
-    set_gauge(m_admission_limit_,
-              static_cast<std::int64_t>(admission_->limit()));
+    metrics_.admission_limit.set(
+        config_.obs, static_cast<std::int64_t>(admission_->limit()));
   }
 }
 
 void RecursiveTier::dispatch(Job job) {
   ++inflight_;
   if (inflight_ > stats_.inflight_peak) stats_.inflight_peak = inflight_;
-  set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+  metrics_.inflight.set(config_.obs, static_cast<std::int64_t>(inflight_));
 
   if (job.cached) {
     // Serve from cache after the hit-processing cost; the slot is held for
@@ -362,7 +304,8 @@ void RecursiveTier::dispatch(Job job) {
       if (admission_) admission_->record(loop_.now() - job.arrived);
       deliver(job, *job.cached);
       --inflight_;
-      set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+      metrics_.inflight.set(config_.obs,
+                            static_cast<std::int64_t>(inflight_));
       pump();
     });
     return;
@@ -381,7 +324,7 @@ void RecursiveTier::dispatch(Job job) {
     loop_.schedule_in(config_.service_timeout, [this, key, settled]() {
       if (*settled) return;
       ++stats_.upstream_timeouts;
-      count(m_upstream_timeouts_);
+      metrics_.upstream_timeouts.add(config_.obs);
       dns::Message timeout_error;
       // Synthesize SERVFAIL from the first waiter's query below.
       complete(key, std::move(timeout_error), /*timed_out=*/true);
@@ -418,7 +361,7 @@ void RecursiveTier::complete(const Key& key, dns::Message response,
     deliver(waiter, *answer);
   }
   --inflight_;
-  set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+  metrics_.inflight.set(config_.obs, static_cast<std::int64_t>(inflight_));
   pump();
 }
 

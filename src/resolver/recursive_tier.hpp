@@ -32,6 +32,7 @@
 // fairness.admitted / fairness.throttled; spans `admission_check` / `shed`.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "dns/message.hpp"
-#include "obs/registry.hpp"
+#include "obs/metric.hpp"
 #include "obs/span.hpp"
 #include "resolver/overload.hpp"
 #include "resolver/query_handler.hpp"
@@ -148,7 +149,8 @@ class RecursiveTier final : public QueryHandler {
   }
 
   /// Rebind the tracing/metrics sink (per-request sampling hands the tier a
-  /// different context per query; metric handles re-bind automatically).
+  /// different context per query; metric handles follow the registry it
+  /// carries).
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
  private:
@@ -156,13 +158,18 @@ class RecursiveTier final : public QueryHandler {
   /// One cached answer, shared by the cache entry and every hit in flight.
   using Answer = std::shared_ptr<const dns::Message>;
 
-  enum class ShedReason {
+  enum class ShedReason : std::uint8_t {
     kQueueFull,
     kDeadline,
     kAdmission,
     kFairness,
     kRetryBudget,
+    kCount,
   };
+  static constexpr std::size_t kShedReasons =
+      static_cast<std::size_t>(ShedReason::kCount);
+  static constexpr std::size_t kTransports =
+      static_cast<std::size_t>(Transport::kCount);
 
   struct Job {
     dns::Message query;
@@ -193,34 +200,43 @@ class RecursiveTier final : public QueryHandler {
   /// True when the request is a retry (same client/name/type seen within
   /// retry_window). Updates the seen map either way.
   bool detect_retry(const Key& key, const QueryContext& context);
-  void count(obs::MetricId id, std::uint64_t delta = 1);
-  void set_gauge(obs::MetricId id, std::int64_t value);
-  /// Re-register the tier.* / fairness.* handles when the registry changes.
-  void bind_obs_ids();
 
   simnet::EventLoop& loop_;
   QueryHandler& upstream_;
   TierConfig config_;
   TierStats stats_;
 
-  obs::Registry* bound_metrics_ = nullptr;
-  obs::MetricId m_requests_;
-  obs::MetricId m_requests_transport_[5];  ///< indexed by Transport
-  obs::MetricId m_served_;
-  obs::MetricId m_cache_hits_;
-  obs::MetricId m_cache_misses_;
-  obs::MetricId m_cache_evictions_;
-  obs::MetricId m_retries_detected_;
-  obs::MetricId m_coalesced_;
-  obs::MetricId m_upstream_timeouts_;
-  obs::MetricId m_fairness_admitted_;
-  obs::MetricId m_fairness_throttled_;
-  obs::MetricId m_shed_[5];  ///< indexed by ShedReason
-  obs::MetricId m_queue_depth_;
-  obs::MetricId m_inflight_;
-  obs::MetricId m_admission_limit_;
-  obs::MetricId m_latency_ms_;
-  obs::MetricId m_queue_wait_ms_;
+  struct Metrics {
+    obs::CounterHandle requests{"tier.requests"};
+    /// tier.requests.<t>, indexed by Transport.
+    std::array<obs::CounterHandle, kTransports> requests_by_transport{
+        obs::CounterHandle("tier.requests.udp"),
+        obs::CounterHandle("tier.requests.tcp"),
+        obs::CounterHandle("tier.requests.dot"),
+        obs::CounterHandle("tier.requests.doh"),
+        obs::CounterHandle("tier.requests.doq")};
+    obs::CounterHandle served{"tier.served"};
+    obs::CounterHandle cache_hits{"tier.cache_hits"};
+    obs::CounterHandle cache_misses{"tier.cache_misses"};
+    obs::CounterHandle cache_evictions{"tier.cache_evictions"};
+    obs::CounterHandle retries_detected{"tier.retries_detected"};
+    obs::CounterHandle coalesced{"tier.coalesced"};
+    obs::CounterHandle upstream_timeouts{"tier.upstream_timeouts"};
+    obs::CounterHandle fairness_admitted{"fairness.admitted"};
+    obs::CounterHandle fairness_throttled{"fairness.throttled"};
+    /// tier.shed.<reason>, indexed by ShedReason.
+    std::array<obs::CounterHandle, kShedReasons> shed{
+        obs::CounterHandle("tier.shed.queue_full"),
+        obs::CounterHandle("tier.shed.deadline"),
+        obs::CounterHandle("tier.shed.admission"),
+        obs::CounterHandle("tier.shed.fairness"),
+        obs::CounterHandle("tier.shed.retry_budget")};
+    obs::GaugeHandle queue_depth{"tier.queue_depth"};
+    obs::GaugeHandle inflight{"tier.inflight"};
+    obs::GaugeHandle admission_limit{"tier.admission_limit"};
+    obs::HistogramHandle latency_ms{"tier.latency_ms"};
+    obs::HistogramHandle queue_wait_ms{"tier.queue_wait_ms"};
+  } metrics_;
 
   std::deque<Job> queue_;
   std::size_t inflight_ = 0;

@@ -132,18 +132,25 @@ void Network::send(Packet packet) {
   ch->busy_until = departure;
   const TimeUs arrival = departure + latency;
 
-  const NodeId dst = packet.dst_node;
-  auto deliver = [this, dst, p = std::move(packet)]() {
-    auto& handler = handlers_.at(dst);
-    if (handler) handler(p);
-    // Packets to nodes without a handler are silently discarded, like a
-    // host with no listener (no ICMP in this simulator).
-  };
   // The simulator's hottest event: one per packet on the wire. It must fit
   // SmallFn's inline storage, or every delivery costs a heap allocation.
-  static_assert(sizeof(deliver) <= SmallFn::kInlineSize,
+  // A named type built in the call, not a local lambda moved into it: GCC
+  // 12 reports the moved lambda's Packet variant as maybe-uninitialized.
+  struct Deliver {
+    Network* net;
+    NodeId dst;
+    Packet packet;
+    void operator()() {
+      auto& handler = net->handlers_.at(dst);
+      if (handler) handler(packet);
+      // Packets to nodes without a handler are silently discarded, like a
+      // host with no listener (no ICMP in this simulator).
+    }
+  };
+  static_assert(SmallFn::fits_inline<Deliver>(),
                 "packet delivery closure must not spill to the heap");
-  loop_.schedule_at(arrival, std::move(deliver));
+  const NodeId dst = packet.dst_node;
+  loop_.schedule_at(arrival, Deliver{this, dst, std::move(packet)});
 }
 
 void Network::add_tap(PacketTap* tap) { taps_.push_back(tap); }

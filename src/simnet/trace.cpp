@@ -11,7 +11,9 @@ void RecordingTap::on_packet(TimeUs when, const Packet& packet,
   if (filtered_ && packet.src_node != node_ && packet.dst_node != node_) {
     return;
   }
-  entries_.push_back(TraceEntry{when, packet, dropped});
+  // Built in place: a moved TraceEntry temporary trips GCC 12's
+  // -Wmaybe-uninitialized on the Packet variant.
+  entries_.emplace_back(when, packet, dropped);
 }
 
 std::uint64_t RecordingTap::total_bytes() const noexcept {

@@ -15,17 +15,20 @@ std::string to_string(TrafficSteering s) {
 
 const std::vector<ProviderSpec>& paper_providers() {
   static const std::vector<ProviderSpec> kProviders = [] {
+    // Strings and sets are built by designated initializers, not assigned:
+    // assigning "CF" to a fresh std::string member trips GCC 12's
+    // -Wmaybe-uninitialized inside std::string.
     std::vector<ProviderSpec> providers;
 
     {
       // Google runs two services on one domain: /resolve (JSON only, G1)
       // and /dns-query (wire format only, G2, formerly /experimental).
-      ProviderSpec p;
-      p.name = "Google (i)";
-      p.marker = "G1";
-      p.hostname = "dns.google.com";
-      p.endpoints = {{"/resolve", /*dns_message=*/false, /*dns_json=*/true}};
-      p.tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "Google (i)",
+                     .marker = "G1",
+                     .hostname = "dns.google.com",
+                     .endpoints = {{"/resolve", /*dns_message=*/false,
+                                    /*dns_json=*/true}},
+                     .tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13}};
       p.certificate_bytes = 3101;  // measured in §4
       p.dns_caa = true;            // only Google publishes CAA (Table 2)
       p.quic = true;
@@ -39,13 +42,12 @@ const std::vector<ProviderSpec>& paper_providers() {
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "Cloudflare";
-      p.marker = "CF";
-      p.hostname = "cloudflare-dns.com";
-      p.endpoints = {{"/dns-query", true, true}};
-      p.tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
-                        TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "Cloudflare",
+                     .marker = "CF",
+                     .hostname = "cloudflare-dns.com",
+                     .endpoints = {{"/dns-query", true, true}},
+                     .tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
+                                      TlsVersion::kTls12, TlsVersion::kTls13}};
       p.certificate_bytes = 1960;  // measured in §4
       p.quic = false;
       p.dns_over_tls = true;
@@ -53,77 +55,70 @@ const std::vector<ProviderSpec>& paper_providers() {
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "Quad9";
-      p.marker = "Q9";
-      p.hostname = "dns.quad9.net";
-      p.endpoints = {{"/dns-query", true, true}};
-      p.tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "Quad9",
+                     .marker = "Q9",
+                     .hostname = "dns.quad9.net",
+                     .endpoints = {{"/dns-query", true, true}},
+                     .tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13}};
       p.dns_over_tls = true;
       p.steering = TrafficSteering::kAnycast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "CleanBrowsing";
-      p.marker = "CB";
-      p.hostname = "doh.cleanbrowsing.org";
-      p.endpoints = {{"/doh/family-filter", true, false}};
-      p.tls_versions = {TlsVersion::kTls12};
+      ProviderSpec p{.name = "CleanBrowsing",
+                     .marker = "CB",
+                     .hostname = "doh.cleanbrowsing.org",
+                     .endpoints = {{"/doh/family-filter", true, false}},
+                     .tls_versions = {TlsVersion::kTls12}};
       p.dns_over_tls = true;
       p.steering = TrafficSteering::kAnycast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "PowerDNS";
-      p.marker = "PD";
-      p.hostname = "doh.powerdns.org";
-      p.endpoints = {{"/", true, false}};
-      p.tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
-                        TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "PowerDNS",
+                     .marker = "PD",
+                     .hostname = "doh.powerdns.org",
+                     .endpoints = {{"/", true, false}},
+                     .tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
+                                      TlsVersion::kTls12, TlsVersion::kTls13}};
       p.steering = TrafficSteering::kUnicast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "Blahdns";
-      p.marker = "BD";
-      p.hostname = "doh-ch.blahdns.com";
-      p.endpoints = {{"/dns-query", true, true}};
-      p.tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "Blahdns",
+                     .marker = "BD",
+                     .hostname = "doh-ch.blahdns.com",
+                     .endpoints = {{"/dns-query", true, true}},
+                     .tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13}};
       p.steering = TrafficSteering::kUnicast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "SecureDNS";
-      p.marker = "SD";
-      p.hostname = "doh.securedns.eu";
-      p.endpoints = {{"/dns-query", true, false}};
-      p.tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
-                        TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "SecureDNS",
+                     .marker = "SD",
+                     .hostname = "doh.securedns.eu",
+                     .endpoints = {{"/dns-query", true, false}},
+                     .tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
+                                      TlsVersion::kTls12, TlsVersion::kTls13}};
       p.steering = TrafficSteering::kUnicast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "Rubyfish";
-      p.marker = "RF";
-      p.hostname = "dns.rubyfish.cn";
-      p.endpoints = {{"/dns-query", true, true}};
-      p.tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
-                        TlsVersion::kTls12};
+      ProviderSpec p{.name = "Rubyfish",
+                     .marker = "RF",
+                     .hostname = "dns.rubyfish.cn",
+                     .endpoints = {{"/dns-query", true, true}},
+                     .tls_versions = {TlsVersion::kTls10, TlsVersion::kTls11,
+                                      TlsVersion::kTls12}};
       p.steering = TrafficSteering::kUnicast;
       providers.push_back(p);
     }
     {
-      ProviderSpec p;
-      p.name = "Commons Host";
-      p.marker = "CH";
-      p.hostname = "commons.host";
-      p.endpoints = {{"/", true, false}};
-      p.tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13};
+      ProviderSpec p{.name = "Commons Host",
+                     .marker = "CH",
+                     .hostname = "commons.host",
+                     .endpoints = {{"/", true, false}},
+                     .tls_versions = {TlsVersion::kTls12, TlsVersion::kTls13}};
       p.steering = TrafficSteering::kAnycast;
       providers.push_back(p);
     }

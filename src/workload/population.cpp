@@ -8,8 +8,11 @@ PopulationWorkload::PopulationWorkload(PopulationConfig config)
     : config_(std::move(config)) {}
 
 dns::Name PopulationWorkload::name_for(std::size_t rank) const {
-  return dns::Name::parse("w" + std::to_string(rank) + "." +
-                          config_.base_domain);
+  // Appended, not `"w" + ...`: prepending a literal trips a GCC 12
+  // -Wrestrict false positive inside std::string.
+  std::string name = "w";
+  name.append(std::to_string(rank)).append(".").append(config_.base_domain);
+  return dns::Name::parse(name);
 }
 
 std::vector<QueryEvent> PopulationWorkload::generate() const {

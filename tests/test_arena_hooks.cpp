@@ -108,7 +108,8 @@ std::uint64_t churn_once(std::uint64_t seed) {
   std::uint64_t acc = seed;
   for (int i = 0; i < 64; ++i) {
     acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-    names.push_back("q" + std::to_string(acc % 100000) + ".example.com");
+    const std::string index = std::to_string(acc % 100000);
+    names.push_back("q" + index + ".example.com");
   }
   std::vector<std::uint64_t> lens;
   lens.reserve(names.size());

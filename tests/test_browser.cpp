@@ -76,6 +76,39 @@ TEST_F(BrowserTest, OriginReusedForSameDomain) {
   EXPECT_EQ(farm.origin_count(), 2u);
 }
 
+// A closed session goes at the next accept of any origin: pages whose
+// origins no later page revisits leave no closed session behind.
+TEST_F(BrowserTest, FarmReleasesClosedSessionsOfOriginsNeverRevisited) {
+  core::UdpResolverClient resolver(browser_host, udp_server.address());
+  for (int p = 0; p < 4; ++p) {
+    const std::string index = std::to_string(p);
+    workload::Page page;  // its own HTML origin and object origin
+    page.primary = dns::Name::parse("site" + index + ".example");
+    page.html_bytes = 2000;
+    workload::PageObject object;
+    object.domain = dns::Name::parse("cdn" + index + ".example");
+    object.bytes = 2000;
+    object.depth = 0;
+    page.objects.push_back(object);
+
+    std::size_t held_at_onload = 0;
+    PageLoadResult result;
+    {
+      PageLoader loader(browser_host, farm, resolver);
+      loader.load(page, [&](const PageLoadResult& r) {
+        result = r;
+        held_at_onload = farm.session_count();
+      });
+      loop.run();
+    }
+    loop.run();  // the loader closed its connections
+    ASSERT_TRUE(result.success);
+    // This page's two open sessions; every earlier page's closed ones went
+    // at this page's first accept.
+    EXPECT_EQ(held_at_onload, 2u) << "page " << p;
+  }
+}
+
 TEST_F(BrowserTest, LoadsASmallPage) {
   workload::AlexaPageModel model;
   const auto page = model.page(1);

@@ -7,6 +7,8 @@
 #include "core/health_client.hpp"
 #include "core/hedging_client.hpp"
 #include "core/udp_client.hpp"
+#include "obs/registry.hpp"
+#include "registry_switch.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/recursive_tier.hpp"
 #include "resolver/doh_server.hpp"
@@ -355,6 +357,47 @@ TEST_F(CacheTest, TtlClampObeyed) {
   EXPECT_EQ(cache->stats().misses, 2u);  // expired despite 300s record TTL
 }
 
+// An eviction and a stale serve that happen after set_obs() hands the
+// cache another registry count there, under the cache's own names.
+TEST_F(CacheTest, EvictionAndStaleServeAfterSetObsLandInTheNewRegistry) {
+  obs::Registry a, b;
+  testing::add_foreign_metrics(b);
+  const auto b_foreign = testing::exported(b);
+  CacheConfig config;
+  config.max_entries = 1;
+  config.max_stale = simnet::seconds(60);
+  config.stale_serve_delay = simnet::ms(1);  // before the refresh answers
+  config.obs.metrics = &a;
+  start(config);
+  cache->resolve(name("a.example.com"), dns::RType::kA, {});
+  loop.run();
+  loop.schedule_in(simnet::seconds(301), []() {});  // past TTL, within stale
+  loop.run();
+
+  // a is served stale while its refresh runs; b's answer then evicts a.
+  cache->resolve(name("a.example.com"), dns::RType::kA, {});
+  cache->resolve(name("b.example.com"), dns::RType::kA, {});
+  const auto a_at_switch = testing::exported(a);
+  cache->set_obs(obs::SpanContext{nullptr, 0, &b});
+  loop.run();
+  EXPECT_EQ(a.counter("cache.misses"), 3u);  // a, stale a, b
+  EXPECT_EQ(testing::exported(a), a_at_switch);
+  testing::expect_only_added(b_foreign, b, {"cache."});
+  EXPECT_EQ(b.counter("cache.stale_serves"), 1u);
+  EXPECT_EQ(b.histogram_summary("cache.staleness_age_ms").count, 1u);
+  EXPECT_EQ(b.counter("cache.evictions"), 1u);
+
+  // Switched to a context without a registry mid-flight: nothing counts.
+  cache->resolve(name("c.example.com"), dns::RType::kA, {});
+  cache->set_obs(obs::SpanContext{});
+  const auto a_before = testing::exported(a);
+  const auto b_before = testing::exported(b);
+  loop.run();
+  EXPECT_EQ(cache->stats().evictions, 2u);
+  EXPECT_EQ(testing::exported(a), a_before);
+  EXPECT_EQ(testing::exported(b), b_before);
+}
+
 TEST_F(CacheTest, HitRatioOnZipfWorkload) {
   start();
   stats::ZipfSampler zipf(50, 1.2, 99);
@@ -471,7 +514,8 @@ TEST_F(FallbackTest, ManyQueriesMixedHealth) {
   start(/*doh_server_up=*/true, config);
   int succeeded = 0;
   for (int i = 0; i < 12; ++i) {
-    trr->resolve(name("q" + std::to_string(i) + ".example.com"),
+    const std::string index = std::to_string(i);
+    trr->resolve(name("q" + index + ".example.com"),
                  dns::RType::kA, [&](const ResolutionResult& r) {
                    if (r.success) ++succeeded;
                  });

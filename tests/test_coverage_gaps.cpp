@@ -37,8 +37,9 @@ TEST_F(EngineModelTest, CacheMissesPayUpstreamLatency) {
   std::size_t fast = 0;
   std::size_t slow = 0;
   for (int i = 0; i < 200; ++i) {
+    const std::string index = std::to_string(i);
     resolver_client.resolve(
-        dns::Name::parse("q" + std::to_string(i) + ".example.com"),
+        dns::Name::parse("q" + index + ".example.com"),
         dns::RType::kA, [&](const core::ResolutionResult& r) {
           // RTT is 10ms; upstream misses add tens of ms on top.
           if (r.resolution_time() > simnet::ms(20)) {

@@ -289,8 +289,9 @@ TEST_F(DohChaosTest, QueryTimeoutRecoversFromStalledServer) {
 
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 20; ++i) {
+    const std::string index = std::to_string(i);
     ids.push_back(stub.resolve(
-        name(("s" + std::to_string(i) + ".example").c_str()),
+        name(("s" + index + ".example").c_str()),
         dns::RType::kA, {}));
   }
   loop.run();

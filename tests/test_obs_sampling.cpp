@@ -26,7 +26,8 @@ void run_unit(SamplingTracer& sampler, Registry& registry,
               std::uint64_t key) {
   const SpanContext obs = sampler.root_context(key);
   const SpanId root = obs.begin("resolution");
-  obs.set_attr(root, "query", "q" + std::to_string(key));
+  const std::string index = std::to_string(key);
+  obs.set_attr(root, "query", "q" + index);
   const SpanContext in_root = obs.child(root);
   const SpanId connect = in_root.begin("connect");
   in_root.set_attr(connect, "transport", "doh-h2");
@@ -277,12 +278,14 @@ TEST(TracerPool, ArenaGrowthKeepsAttributesAndCountsWaste) {
   Tracer tracer;
   const SpanId span = tracer.begin(0, "resolution");
   for (int i = 0; i < 24; ++i) {  // force several slice doublings
-    tracer.set_attr(span, "k" + std::to_string(i), std::int64_t(i));
+    const std::string index = std::to_string(i);
+    tracer.set_attr(span, "k" + index, std::int64_t(i));
   }
   const auto attrs = tracer.span(span).attrs();
   ASSERT_EQ(attrs.size(), 24u);
   for (int i = 0; i < 24; ++i) {  // insertion order, values intact
-    EXPECT_EQ(attrs[std::size_t(i)].key, "k" + std::to_string(i));
+    const std::string index = std::to_string(i);
+    EXPECT_EQ(attrs[std::size_t(i)].key, "k" + index);
     EXPECT_EQ(std::get<std::int64_t>(attrs[std::size_t(i)].value), i);
   }
   const PoolStats stats = tracer.pool_stats();

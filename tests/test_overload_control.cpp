@@ -4,7 +4,8 @@
 // tests for every tier decision path (cache hit, coalesce, queue bound,
 // deadline shed, admission shed, fairness shed, retry-budget shed, upstream
 // service timeout), plus the tier cache's eviction order, checked case by
-// case and against a linear-scan reference model.
+// case and against a linear-scan reference model, and where the tier's
+// metrics land after set_obs() switches registries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "dns/message.hpp"
+#include "obs/registry.hpp"
+#include "registry_switch.hpp"
 #include "resolver/overload.hpp"
 #include "resolver/recursive_tier.hpp"
 #include "simnet/event_loop.hpp"
@@ -596,6 +599,45 @@ TEST_F(RecursiveTierTest, ZeroCacheEntriesCachesNothing) {
   EXPECT_EQ(tier.stats().cache_evictions, 0u);
 }
 
+// A completion already in flight when set_obs() hands the tier another
+// registry counts there, under the tier's own names.
+TEST_F(RecursiveTierTest, AnswerAfterSetObsLandsInTheNewRegistry) {
+  ScriptedUpstream upstream(loop);  // answers 10 ms after each miss
+  obs::Registry a, b;
+  testing::add_foreign_metrics(b);
+  const auto b_foreign = testing::exported(b);
+  resolver::TierConfig config;
+  config.obs.metrics = &a;
+  resolver::RecursiveTier tier(loop, upstream, config);
+  std::optional<dns::Message> first, second;
+  ask(tier, "a.example.com", 1, 0, &first);
+  std::map<std::string, std::string> a_at_switch;
+  loop.schedule_at(simnet::ms(1), [&]() {
+    a_at_switch = testing::exported(a);
+    tier.set_obs(obs::SpanContext{nullptr, 0, &b});
+  });
+  loop.run();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(a.counter("tier.requests"), 1u);
+  EXPECT_EQ(testing::exported(a), a_at_switch);
+  testing::expect_only_added(b_foreign, b, {"tier."});
+  EXPECT_EQ(b.counter("tier.served"), 1u);
+  EXPECT_EQ(b.histogram_summary("tier.latency_ms").count, 1u);
+
+  // Switched to a context without a registry mid-flight: nothing counts.
+  ask(tier, "b.example.com", 1, loop.now(), &second);
+  std::map<std::string, std::string> a_before, b_before;
+  loop.schedule_at(loop.now() + simnet::ms(1), [&]() {
+    a_before = testing::exported(a);
+    b_before = testing::exported(b);
+    tier.set_obs(obs::SpanContext{});
+  });
+  loop.run();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(testing::exported(a), a_before);
+  EXPECT_EQ(testing::exported(b), b_before);
+}
+
 /// The tier cache's eviction rule as a linear scan: the entry with the
 /// earliest expiry goes, the first in key order on a tie, and a key that is
 /// already cached is replaced in place. The differential test below checks
@@ -650,7 +692,8 @@ TEST_F(RecursiveTierTest, EvictionMatchesALinearScanQueryByQuery) {
 
   std::vector<dns::Name> names;
   for (std::size_t i = 0; i < kNames; ++i) {
-    names.push_back(name(("n" + std::to_string(i) + ".example.com").c_str()));
+    const std::string index = std::to_string(i);
+    names.push_back(name(("n" + index + ".example.com").c_str()));
   }
   // Seeded bursts of 1-4 queries, one per tick, names skewed towards low
   // indices, each answer's TTL drawn from {1, 2, 3} s.

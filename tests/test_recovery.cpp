@@ -304,11 +304,11 @@ class RecoveryTest : public testing::TwoHostFixture,
        << " handshake_bytes=" << ms.handshake_bytes
        << " handshake_rtts=" << ms.handshake_rtts << '\n';
     os << "counters:\n";
-    for (const auto& [name, value] : registry.counters()) {
+    registry.each_counter([&](const std::string& name, std::uint64_t value) {
       if (name.rfind("client.", 0) == 0) {
         os << "  " << name << '=' << value << '\n';
       }
-    }
+    });
     os << "timeline:\n" << obs::render_timeline(tracer);
     return os.str();
   }

@@ -5,6 +5,8 @@
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/udp_client.hpp"
+#include "obs/registry.hpp"
+#include "registry_switch.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
 #include "resolver/dot_server.hpp"
@@ -78,6 +80,41 @@ TEST_F(ResolveTest, UdpTimeoutWithoutServer) {
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(client_stub.timeouts(), 1u);
   EXPECT_EQ(observed.resolution_time(), simnet::ms(300));
+}
+
+// A retransmission and a timeout that fire after set_obs() hands the
+// client another registry count there, under the client's own names.
+TEST_F(ResolveTest, UdpRetryAndTimeoutAfterSetObsLandInTheNewRegistry) {
+  obs::Registry a, b;
+  testing::add_foreign_metrics(b);
+  const auto b_foreign = testing::exported(b);
+  UdpClientConfig config;  // no server: every attempt times out
+  config.timeout = simnet::ms(300);
+  config.max_retries = 1;
+  config.obs.metrics = &a;
+  UdpResolverClient client_stub(client, {server.id(), 53}, config);
+  client_stub.resolve(name("x.example.com"), dns::RType::kA, {});
+  const auto a_at_switch = testing::exported(a);
+  client_stub.set_obs(obs::SpanContext{nullptr, 0, &b});
+  loop.run();
+  EXPECT_EQ(client_stub.retransmissions(), 1u);
+  EXPECT_EQ(client_stub.timeouts(), 1u);
+  EXPECT_EQ(a.counter("client.udp.queries"), 1u);
+  EXPECT_EQ(testing::exported(a), a_at_switch);
+  testing::expect_only_added(b_foreign, b, {"client.udp.", "bytes."});
+  EXPECT_EQ(b.counter("client.udp.retries"), 1u);
+  EXPECT_EQ(b.counter("client.udp.timeouts"), 1u);
+  EXPECT_EQ(b.counter("client.udp.failures"), 1u);
+
+  // Switched to a context without a registry mid-flight: nothing counts.
+  client_stub.resolve(name("y.example.com"), dns::RType::kA, {});
+  client_stub.set_obs(obs::SpanContext{});
+  const auto a_before = testing::exported(a);
+  const auto b_before = testing::exported(b);
+  loop.run();
+  EXPECT_EQ(client_stub.timeouts(), 2u);
+  EXPECT_EQ(testing::exported(a), a_before);
+  EXPECT_EQ(testing::exported(b), b_before);
 }
 
 TEST_F(ResolveTest, UdpRetryRecoversFromLoss) {
@@ -328,6 +365,44 @@ TEST_F(DohTest, PersistentConnectionAmortizesSetup) {
   EXPECT_LE(later.cost.packets, 12u);
 }
 
+// HPACK dynamic-table hits of a request on a reused h2 connection whose
+// answer arrives after set_obs() hands the client another registry count
+// there, under the client's own names.
+TEST_F(DohTest, HpackHitsAfterSetObsLandInTheNewRegistry) {
+  start_server();
+  obs::Registry a, b;
+  testing::add_foreign_metrics(b);
+  const auto b_foreign = testing::exported(b);
+  DohClientConfig config = base_config();
+  config.obs.metrics = &a;
+  DohClient client_stub(client, {server.id(), 443}, config);
+  client_stub.resolve(name("a.example.com"), dns::RType::kA, {});
+  loop.run();
+  // The second request's headers hit HPACK's dynamic table.
+  const auto id =
+      client_stub.resolve(name("b.example.com"), dns::RType::kA, {});
+  const auto a_at_switch = testing::exported(a);
+  client_stub.set_obs(obs::SpanContext{nullptr, 0, &b});
+  loop.run();
+  EXPECT_TRUE(client_stub.result(id).success);  // settles bytes.* too
+  EXPECT_EQ(a.counter("client.doh_h2.queries"), 2u);
+  EXPECT_EQ(testing::exported(a), a_at_switch);
+  testing::expect_only_added(b_foreign, b,
+                             {"client.doh.", "client.doh_h2.", "bytes."});
+  EXPECT_GT(b.counter("client.doh.hpack_dyn_hits"), 0u);
+  EXPECT_EQ(b.counter("client.doh_h2.success"), 1u);
+
+  // Switched to a context without a registry mid-flight: nothing counts.
+  client_stub.resolve(name("c.example.com"), dns::RType::kA, {});
+  client_stub.set_obs(obs::SpanContext{});
+  const auto a_before = testing::exported(a);
+  const auto b_before = testing::exported(b);
+  loop.run();
+  EXPECT_EQ(client_stub.completed(), 3u);
+  EXPECT_EQ(testing::exported(a), a_before);
+  EXPECT_EQ(testing::exported(b), b_before);
+}
+
 TEST_F(DohTest, FreshConnectionsPayFullPrice) {
   start_server();
   auto config = base_config();
@@ -438,7 +513,8 @@ TEST_F(DohTest, DelayPolicyDelaysEveryNth) {
   DohClient client_stub(client, {server.id(), 443}, base_config());
   std::vector<simnet::TimeUs> times;
   for (int i = 0; i < 50; ++i) {
-    client_stub.resolve(name("q" + std::to_string(i) + ".example.com"),
+    const std::string index = std::to_string(i);
+    client_stub.resolve(name("q" + index + ".example.com"),
                         dns::RType::kA, [&](const ResolutionResult& r) {
                           times.push_back(r.resolution_time());
                         });

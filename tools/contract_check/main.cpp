@@ -4,11 +4,11 @@
 // Two inventories are extracted with detlint's lexer (no execution, no
 // libclang):
 //
-//   * metric names: every string literal in src/ matching the documented
-//     resolver-tier families (tier.* / cache.* / hedge.* / fairness.*).  A
-//     literal ending in '.' that is concatenated with `+` (e.g.
-//     "tier.requests." + transport) becomes the prefix pattern
-//     "tier.requests.*".
+//   * metric names: every string literal in src/ matching a documented
+//     metric family (kFamilies: client.* / cache.* / tier.* / net.* ...).
+//     A literal ending in '.' that is concatenated with `+` (e.g.
+//     "breaker.state." + index) becomes the prefix pattern
+//     "breaker.state.*".
 //   * span names: the last string-literal argument of every `begin(...)`
 //     call (covers `obs.begin("shed")` and `tracer->begin(parent, "retry")`).
 //
@@ -41,11 +41,13 @@ namespace {
 using detlint::Token;
 using detlint::TokenKind;
 
-// The metric families owned by the resolver tier / cache / hedging /
-// fairness / observability subsystems, plus the client-side transport
-// counters — the contract this tool enforces.
-const char* kFamilies[] = {"tier.",     "cache.", "hedge.",
-                           "fairness.", "obs.",   "mem.",  "client."};
+// Every metric family the contract in EXPERIMENTS.md documents: the
+// client, decorator, resolver, browser, wire and self-observability
+// families this tool enforces.
+const char* kFamilies[] = {"client.",   "cache.",   "fallback.", "hedge.",
+                           "breaker.",  "health.",  "tier.",     "fairness.",
+                           "engine.",   "browser.", "obs.",      "net.",
+                           "bytes.",    "mem."};
 
 bool in_family(const std::string& name) {
   for (const char* f : kFamilies)
@@ -199,14 +201,19 @@ void expand_braces(const std::string& name, std::set<std::string>& out) {
 }
 
 /// `<t>` / `<i>` placeholders and `.*` shorthand both become glob stars.
-std::string to_pattern(std::string name) {
+/// Returns "" for an unclosed placeholder. Appends rather than calling
+/// std::string::replace, which trips a GCC 12 -Wrestrict false positive.
+std::string to_pattern(const std::string& name) {
+  std::string pattern;
+  std::size_t from = 0;
   for (std::size_t at = name.find('<'); at != std::string::npos;
-       at = name.find('<')) {
+       at = name.find('<', from)) {
     const std::size_t close = name.find('>', at);
     if (close == std::string::npos) return "";
-    name.replace(at, close - at + 1, "*");
+    pattern.append(name, from, at - from).push_back('*');
+    from = close + 1;
   }
-  return name;
+  return pattern.append(name, from);
 }
 
 void parse_metric_contract(const std::string& section, DocInventory& inv) {
@@ -271,8 +278,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-h" || arg == "--help") {
       std::printf(
           "usage: contract_check [--root DIR]\n"
-          "Diffs tier./cache./hedge./fairness./obs./client. metric names and\n"
-          "span names\n"
+          "Diffs the metric names (every documented family) and span names\n"
           "emitted by src/ against the contract in EXPERIMENTS.md.\n");
       return 0;
     } else {

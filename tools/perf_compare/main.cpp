@@ -1,9 +1,9 @@
 // perf_compare — diff two dohperf-bench-v1 JSON reports.
 //
 // Usage:
-//   perf_compare BASELINE.json CANDIDATE.json \
-//       [--require=scenarios.event_loop.schedule_fire_events_per_sec>=2.0] \
-//       [--require-abs-max=scenarios.tier.sampled64.overhead_ratio<=1.02] \
+//   perf_compare BASELINE.json CANDIDATE.json
+//       [--require=scenarios.event_loop.schedule_fire_events_per_sec>=2.0]
+//       [--require-abs-max=scenarios.tier.sampled64.overhead_ratio<=1.02]
 //       [--warn=PATH>=RATIO] [--warn-abs=PATH>=VALUE] ...
 //
 // Prints every numeric leaf the two reports share (dotted path, baseline,
