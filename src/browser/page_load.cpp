@@ -194,7 +194,6 @@ void PageLoader::on_object_done(int object_index, bool success) {
           enqueue_fetch(static_cast<int>(i));
         }
       }
-      html_done_ = true;
       maybe_finish();  // pages with zero objects
     });
     return;

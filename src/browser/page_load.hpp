@@ -106,7 +106,6 @@ class PageLoader {
   std::map<int, obs::SpanId> fetch_spans_;
   std::map<dns::Name, Origin> origins_;
   std::size_t objects_outstanding_ = 0;  ///< fetches not yet finished
-  bool html_done_ = false;
   bool finished_ = false;
 };
 

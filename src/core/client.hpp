@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "core/cost.hpp"
 #include "dns/message.hpp"
@@ -28,19 +27,6 @@ struct ResolutionResult {
 };
 
 using ResolveCallback = std::function<void(const ResolutionResult&)>;
-
-/// DNS message ID for the next query of a client that matches responses by
-/// ID (UDP, DoT, plain TCP): the first ID from `next` on that is neither 0
-/// nor a key of `in_flight`, with `next` advanced past it. nullopt once all
-/// 65,535 non-zero IDs are in flight — the caller fails the query.
-template <typename Map>
-std::optional<std::uint16_t> allocate_dns_id(std::uint16_t& next,
-                                             const Map& in_flight) {
-  if (in_flight.size() >= 65535) return std::nullopt;
-  std::uint16_t id = next++;
-  while (in_flight.count(id) != 0 || id == 0) id = next++;
-  return id;
-}
 
 class ResolverClient {
  public:

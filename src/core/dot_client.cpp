@@ -115,21 +115,11 @@ void DotClient::ensure_connection(obs::SpanId parent) {
 }
 
 void DotClient::send(Attempt&& a) {
-  const std::optional<std::uint16_t> id =
-      allocate_dns_id(next_dns_id_, recovery_.in_flight());
-  if (!id) {
-    // Every DNS ID is in flight: fail the query, one event later so the
-    // callback never runs inside resolve().
-    host_.loop().schedule_in(0, [this, a = std::move(a)]() mutable {
-      recovery_.fail(std::move(a));
-    });
-    return;
-  }
   ensure_connection(a.span);
   recovery_.open_request(a);
-  const dns::Bytes wire =
-      dns::Message::make_query(*id, a.name, a.type).encode();
-  recovery_.sent(*id, std::move(a), wire.size());
+  const std::uint16_t id = a.dns_id;
+  const dns::Bytes wire = dns::Message::make_query(id, a.name, a.type).encode();
+  recovery_.sent(id, std::move(a), wire.size());
 
   dns::ByteWriter framed;
   framed.u16(static_cast<std::uint16_t>(wire.size()));

@@ -79,11 +79,10 @@ class DotClient final : public ResolverClient, private Session {
   };
 
   // Session: queries are keyed by DNS message ID.
-  /// Allocate a DNS ID and send one attempt of `a`; fails it (one event
-  /// later) when all 65,535 non-zero IDs are in flight.
   void send(Attempt&& a) override;
   void abort(std::uint64_t key) override;
   void migrate(const char* reason) override;
+  bool keyed_by_dns_id() const override { return true; }
 
   Connection open_connection();
   void ensure_connection(obs::SpanId parent);
@@ -105,8 +104,6 @@ class DotClient final : public ResolverClient, private Session {
   obs::SpanId connect_span_ = 0;
   obs::SpanId tcp_hs_span_ = 0;
   obs::SpanId tls_hs_span_ = 0;
-
-  std::uint16_t next_dns_id_ = 1;
 };
 
 }  // namespace dohperf::core

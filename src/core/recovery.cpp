@@ -26,8 +26,7 @@ std::uint64_t tls_handshake_rtts(tlssim::TlsVersion version,
   return resumed ? 1 : 2;
 }
 
-}  // namespace
-
+/// Trace one re-issue as a `retry` child of resolution span `span` (0: off).
 void trace_retry(const obs::SpanContext& obs, obs::SpanId span,
                  RetryReason reason, int attempt) {
   if (span == 0) return;
@@ -37,6 +36,8 @@ void trace_retry(const obs::SpanContext& obs, obs::SpanId span,
   obs.set_attr(retry, "attempt", static_cast<std::int64_t>(attempt));
   obs.end(retry);
 }
+
+}  // namespace
 
 Recovery::Recovery(simnet::Host& host, Session& session,
                    const RetryPolicy& retry, const MigrationConfig& migration,
@@ -57,6 +58,11 @@ Recovery::Recovery(simnet::Host& host, Session& session,
 }
 
 Recovery::~Recovery() {
+  // The loop outlives this Recovery: nothing it scheduled may fire into it.
+  for (const auto& entry : in_flight_) {
+    host_.loop().cancel(entry.second.timeout_timer);
+  }
+  for (const auto& entry : deferred_) host_.loop().cancel(entry.second);
   host_.loop().cancel(stall_timer_);
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
 }
@@ -72,8 +78,34 @@ std::uint64_t Recovery::accept(const dns::Name& name, dns::RType type,
   a.type = type;
   a.retries_left = retry_.max_retries;
   a.span = obs_begin_resolution(obs_, metrics_, name, type);
-  session_.send(std::move(a));
+  issue(std::move(a));
   return id;
+}
+
+void Recovery::issue(Attempt&& a) {
+  if (session_.keyed_by_dns_id()) {
+    if (in_flight_.size() >= 65535) {
+      defer(0, std::move(a), /*reissue=*/false);
+      return;
+    }
+    do {
+      a.dns_id = dns_id_cursor_++;
+    } while (a.dns_id == 0 || in_flight_.count(a.dns_id) != 0);
+  }
+  session_.send(std::move(a));
+}
+
+void Recovery::defer(simnet::TimeUs delay, Attempt&& a, bool reissue) {
+  const std::uint64_t id = a.query_id;
+  deferred_[id] = host_.loop().schedule_in(
+      delay, [this, reissue, a = std::move(a)]() mutable {
+        deferred_.erase(a.query_id);
+        if (reissue) {
+          issue(std::move(a));
+        } else {
+          fail(std::move(a));
+        }
+      });
 }
 
 void Recovery::open_request(Attempt& a,
@@ -250,7 +282,7 @@ void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
       continue;
     }
     if (migrated) {  // the new path is validated: no wait
-      session_.send(std::move(a));
+      issue(std::move(a));
       continue;
     }
     if (!drew) {  // one reconnect for the whole batch
@@ -259,9 +291,7 @@ void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
       metrics_.reconnects.add(obs_);
       drew = true;
     }
-    host_.loop().schedule_in(delay, [this, a = std::move(a)]() mutable {
-      session_.send(std::move(a));
-    });
+    defer(delay, std::move(a), /*reissue=*/true);
   }
 }
 

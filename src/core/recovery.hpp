@@ -1,14 +1,15 @@
-// How a stateful DNS client runs its queries and recovers when its
-// connection dies — one path for DotClient (DoT and plain TCP), DohClient
-// and DoqClient. DoH and DoT amortize TCP+TLS setup over a long-lived
-// connection (the paper's cost argument), so what losing it costs is decided
-// here, once: the per-query retry budget and backoff, the loss batch, stall
-// detection, handshake and migration accounting, and every
-// retry/path_probe/migrate/reconnect_resume span. Recovery also owns each
-// query from resolve() to its callback: its id and result, its spans, the
+// How a DNS client runs its queries and recovers when one goes unanswered
+// or its connection dies — one path for UdpResolverClient, DotClient (DoT
+// and plain TCP), DohClient and DoqClient. DoH and DoT amortize TCP+TLS
+// setup over a long-lived connection (the paper's cost argument), so what
+// losing it costs is decided here, once: the per-query retry budget and
+// backoff, the loss batch, stall detection, handshake and migration
+// accounting, and every retry/path_probe/migrate/reconnect_resume span.
+// Recovery also owns each query from resolve() to its callback: its id and
+// result, its spans, its DNS ID where responses are matched by one, the
 // in-flight map, its deadline and its completion. A client supplies a
-// Session: its connection object, its framing, how it migrates, and where
-// it arms and disarms the stall timer.
+// Session: its socket or connection object, its framing, how it migrates,
+// and where it arms and disarms the stall timer.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +120,6 @@ enum class RetryReason : std::uint8_t {
   kCount,
 };
 
-/// Trace one re-issue as a `retry` child of resolution span `span` (0: off).
-void trace_retry(const obs::SpanContext& obs, obs::SpanId span,
-                 RetryReason reason, int attempt);
-
 /// One query as Recovery tracks it, across every attempt.
 struct Attempt {
   std::uint64_t query_id = 0;
@@ -134,12 +131,14 @@ struct Attempt {
   int retries_left = 0;
   int attempt = 0;
   dns::RType type = dns::RType::kA;
+  /// The DNS message ID of this attempt, for a Session keyed by DNS ID.
+  std::uint16_t dns_id = 0;
 };
 
-/// What a DoT, DoH or DoQ client supplies to Recovery: how one attempt goes
-/// on the wire, how a condemned connection is dropped, and how the client
-/// migrates. The client implements it privately and hands itself to its
-/// Recovery; every query it accepts then runs through Recovery.
+/// What a UDP, DoT, DoH or DoQ client supplies to Recovery: how one attempt
+/// goes on the wire, how a condemned connection is dropped, and how the
+/// client migrates. The client implements it privately and hands itself to
+/// its Recovery; every query it accepts then runs through Recovery.
 class Session {
  public:
   /// Send one attempt of `a`'s query: open the connection if needed, call
@@ -161,6 +160,12 @@ class Session {
   /// False when a result's cost settles only after completion; the client
   /// then reports it with Recovery::record_cost.
   virtual bool cost_final_at_finish() const { return true; }
+  /// True when responses are matched by DNS message ID: before each send()
+  /// Recovery gives the attempt, in Attempt::dns_id, the next non-zero ID
+  /// no query in flight holds, and the client keys the attempt by it. A
+  /// re-send alone keeps its ID. With all 65,535 IDs in flight the query
+  /// fails instead, one event later, so no callback runs inside resolve().
+  virtual bool keyed_by_dns_id() const { return false; }
 
  protected:
   ~Session() = default;
@@ -172,8 +177,8 @@ class Recovery {
   /// suspect and the client migrates.
   static constexpr simnet::TimeUs kStallTimeout = simnet::ms(400);
 
-  /// `retry`, `migration` and `obs` live in the client's config and are
-  /// read at each use (set_obs rebinds the sink); `transport` is the <t> of
+  /// `retry`, `migration` and `obs` live in the client and are read at each
+  /// use (set_obs rebinds the sink); `transport` is the <t> of
   /// client.<t>.*.
   Recovery(simnet::Host& host, Session& session, const RetryPolicy& retry,
            const MigrationConfig& migration, const obs::SpanContext& obs,
@@ -203,6 +208,11 @@ class Recovery {
   /// will carry `key`: count the bytes, start the deadline, keep it in
   /// flight.
   void sent(std::uint64_t key, Attempt&& a, std::size_t query_bytes);
+  /// Add `cost`, spent on the wire by query `id`, to its result. A client
+  /// whose cost is final at finish adds it before the query completes.
+  void add_cost(std::uint64_t id, const CostReport& cost) {
+    slots_[id].result.cost += cost;
+  }
   /// Queries in flight, by key.
   const std::map<std::uint64_t, Attempt>& in_flight() const noexcept {
     return in_flight_;
@@ -296,6 +306,12 @@ class Recovery {
     bool cost_recorded = false;  ///< bytes.* attributes and counters added
   };
 
+  /// Send `a`'s next attempt through the Session, with a fresh DNS ID if
+  /// it is keyed by one (or fail it one event later when none is free).
+  void issue(Attempt&& a);
+  /// After `delay`, issue `a` again (`reissue`) or fail it. ~Recovery
+  /// cancels the event if it has not fired.
+  void defer(simnet::TimeUs delay, Attempt&& a, bool reissue);
   /// `key`'s deadline passed: fail it, re-send it alone, or condemn its
   /// connection, which charges only it.
   void on_deadline(std::uint64_t key);
@@ -331,6 +347,10 @@ class Recovery {
 
   mutable std::vector<Slot> slots_;  ///< by query id
   std::map<std::uint64_t, Attempt> in_flight_;
+  /// Events holding a query out of flight (a re-send waiting out its
+  /// backoff, a deferred failure), by query id.
+  std::map<std::uint64_t, simnet::EventId> deferred_;
+  std::uint16_t dns_id_cursor_ = 1;  ///< where the next DNS ID search starts
   std::size_t completed_ = 0;
   std::uint64_t failures_ = 0;
 

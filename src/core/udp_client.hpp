@@ -1,78 +1,74 @@
-// Legacy UDP DNS stub resolver client with ID matching, timeout and
-// retransmission.
+// Legacy UDP DNS stub resolver client: one datagram per attempt, responses
+// matched by DNS message ID. Each query runs on core::Recovery, which owns
+// its id, result, spans, client.udp.* counters, DNS ID, deadline (`timeout`)
+// and re-sends (`max_retries`). A re-send goes alone and reuses the query's
+// DNS ID, so a late answer to an earlier datagram still completes the query.
 #pragma once
 
-#include <map>
-#include <vector>
-
 #include "core/client.hpp"
-#include "core/obs_hooks.hpp"
+#include "core/recovery.hpp"
 #include "obs/span.hpp"
 #include "simnet/host.hpp"
 
 namespace dohperf::core {
 
 struct UdpClientConfig {
+  /// How long one datagram waits for its answer before the query is re-sent
+  /// (while retries are left) or fails; 0 means no deadline, as for
+  /// RetryPolicy::query_timeout.
   simnet::TimeUs timeout = simnet::seconds(5);
   int max_retries = 0;  ///< retransmissions after the first attempt
-  bool edns = true;     ///< attach an EDNS0 OPT record to queries
   obs::SpanContext obs{};  ///< tracing/metrics sink (default: off)
 };
 
-class UdpResolverClient final : public ResolverClient {
+class UdpResolverClient final : public ResolverClient, private Session {
  public:
   UdpResolverClient(simnet::Host& host, simnet::Address server,
                     UdpClientConfig config = {});
   ~UdpResolverClient() override;
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
-                        ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+                        ResolveCallback callback) override {
+    return recovery_.accept(name, type, std::move(callback));
+  }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return recovery_.result(id);
+  }
+  std::size_t completed() const override { return recovery_.completed(); }
 
-  std::uint64_t timeouts() const noexcept { return timeouts_; }
+  /// Queries failed by the deadline of their last datagram.
+  std::uint64_t timeouts() const noexcept {
+    const RetryStats& s = recovery_.retry_stats();
+    return s.query_timeouts - s.retried_queries;
+  }
   /// Retransmissions sent after first attempts (the client-side half of
   /// the retry-amplification factor the overload bench reports).
-  std::uint64_t retransmissions() const noexcept { return retransmissions_; }
+  std::uint64_t retransmissions() const noexcept {
+    return recovery_.retry_stats().retried_queries;
+  }
 
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
   /// a different context; metric handles follow the registry it carries).
-  void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
+  void set_obs(const obs::SpanContext& obs) noexcept { obs_ = obs; }
 
  private:
-  struct Pending {
-    std::uint64_t query_id;
-    dns::Bytes wire;  ///< for retransmission
-    ResolveCallback callback;
-    simnet::EventId timer;
-    int retries_left;
-    obs::SpanId span = 0;          ///< the resolution span
-    obs::SpanId request_span = 0;  ///< current attempt
-    int attempt = 0;
-  };
+  // Session: queries are keyed by DNS message ID, and every deadline with
+  // budget left re-sends its datagram alone, so nothing is ever condemned.
+  void send(Attempt&& a) override;
+  void abort(std::uint64_t /*key*/) override {}
+  void migrate(const char* /*reason*/) override {}  // migration is off
+  bool resend_alone(std::uint64_t /*key*/) const override { return true; }
+  bool keyed_by_dns_id() const override { return true; }
 
   void on_datagram(const dns::Bytes& payload);
-  void send_query(std::uint16_t dns_id);
-  void on_timeout(std::uint16_t dns_id);
-  void finish(std::uint16_t dns_id, bool success, dns::Message response,
-              std::size_t response_bytes);
-  /// Record the outcome of `pending` (already out of the map) and call back.
-  void complete(Pending& pending, bool success, dns::Message response,
-                std::size_t response_bytes);
 
   simnet::Host& host_;
   simnet::Address server_;
-  UdpClientConfig config_;
-  ClientMetrics metrics_;
-  CostMetrics cost_metrics_;
+  obs::SpanContext obs_;
+  RetryPolicy retry_;          ///< the config's timeout and max_retries
+  MigrationConfig migration_;  ///< off
+  Recovery recovery_;
   simnet::UdpSocket* socket_;
-  std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::map<std::uint16_t, Pending> pending_;  ///< keyed by DNS message ID
-  std::vector<ResolutionResult> results_;     ///< indexed by query id
 };
 
 }  // namespace dohperf::core

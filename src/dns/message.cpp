@@ -32,14 +32,13 @@ Flags Flags::decode(std::uint16_t raw) noexcept {
   return f;
 }
 
-Message Message::make_query(std::uint16_t id, const Name& name, RType type,
-                            bool edns) {
+Message Message::make_query(std::uint16_t id, const Name& name, RType type) {
   Message m;
   m.id = id;
   m.flags.qr = false;
   m.flags.rd = true;
   m.questions.push_back(Question{name, type, RClass::kIN});
-  if (edns) m.additionals.push_back(ResourceRecord::opt());
+  m.additionals.push_back(ResourceRecord::opt());
   return m;
 }
 

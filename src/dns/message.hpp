@@ -47,7 +47,7 @@ class Message {
 
   /// Build a standard recursive query for (`name`, `type`) with EDNS0.
   static Message make_query(std::uint16_t id, const Name& name,
-                            RType type = RType::kA, bool edns = true);
+                            RType type = RType::kA);
 
   /// Build a NOERROR response to `query` answering with `answers`.
   static Message make_response(const Message& query,

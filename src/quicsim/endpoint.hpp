@@ -22,9 +22,6 @@ class QuicClientEndpoint {
   QuicClientEndpoint& operator=(const QuicClientEndpoint&) = delete;
 
   QuicConnection& connection() noexcept { return *connection_; }
-  const simnet::UdpCounters& udp_counters() const {
-    return socket_->counters();
-  }
 
  private:
   simnet::Host& host_;

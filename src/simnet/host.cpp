@@ -80,7 +80,6 @@ std::uint16_t Host::allocate_ephemeral() {
 }
 
 void Host::rebind(bool rst_old_flows) {
-  ++addr_gen_;
   // Re-port every UDP socket in place: pointers held by clients stay valid
   // (the heap objects move maps, not memory), but the source port changes,
   // so replies in flight toward the old port find no socket and vanish.

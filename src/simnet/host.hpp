@@ -71,11 +71,6 @@ class Host {
   /// with kFlap — the one churn event the OS *does* surface.
   void interface_down();
   void interface_up();
-  bool interface_is_up() const noexcept { return if_up_; }
-
-  /// Monotone counter bumped on every re-addressing (rebind or flap-up);
-  /// lets clients cheaply detect "the path changed under me".
-  std::uint64_t address_generation() const noexcept { return addr_gen_; }
 
   /// OS-visible change notifications (kProfileSwap, kFlap). Silent NAT
   /// rebinds are deliberately NOT delivered — clients must detect those by
@@ -147,7 +142,6 @@ class Host {
   int depth_ = 0;
   std::uint16_t next_ephemeral_ = 49152;
   bool if_up_ = true;
-  std::uint64_t addr_gen_ = 0;
   std::vector<std::pair<std::uint64_t, NetworkChangeListener>> listeners_;
   std::uint64_t next_listener_id_ = 1;
 };

@@ -33,10 +33,6 @@ std::size_t Packet::header_size() const {
   return kIpHeaderBytes + kUdpHeaderBytes;
 }
 
-std::size_t Packet::payload_size() const {
-  return std::visit([](const auto& b) { return b.payload.size(); }, body);
-}
-
 void CountingTap::on_packet(TimeUs /*when*/, const Packet& packet,
                             bool dropped) {
   if (filter_) {

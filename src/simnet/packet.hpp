@@ -81,7 +81,6 @@ struct Packet {
   std::size_t wire_size() const;
   /// IP + transport header bytes only.
   std::size_t header_size() const;
-  std::size_t payload_size() const;
   bool is_tcp() const noexcept {
     return std::holds_alternative<TcpSegment>(body);
   }

@@ -129,9 +129,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   const TcpCounters& counters() const noexcept { return counters_; }
   const TcpConfig& config() const noexcept { return config_; }
 
-  /// Bytes currently queued but not yet sent (flow/congestion limited).
-  std::size_t unsent() const noexcept { return send_buffer_bytes_; }
-
  private:
   friend class Host;
 

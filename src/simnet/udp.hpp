@@ -39,7 +39,6 @@ class UdpSocket {
   void send_to(const Address& dst, Bytes payload);
 
   const UdpCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = UdpCounters{}; }
 
  private:
   friend class Host;

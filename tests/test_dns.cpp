@@ -204,8 +204,8 @@ TEST(Message, EdnsPaddingBlocksSize) {
 }
 
 TEST(Message, PaddingWithoutEdnsThrows) {
-  auto query = Message::make_query(5, Name::parse("a.example.com"),
-                                   RType::kA, /*edns=*/false);
+  auto query = Message::make_query(5, Name::parse("a.example.com"));
+  query.additionals.clear();  // drop the OPT record
   EXPECT_THROW(query.pad_to_multiple(128), WireError);
 }
 

@@ -560,6 +560,28 @@ TEST_F(RecoveryRules, ResendAloneRetriesAtOnceWithReasonTimeout) {
   EXPECT_EQ(rs.reconnects, 0u);
 }
 
+// A client destroyed with queries pending leaves no event behind that would
+// fire into its Recovery: not a deadline, not a re-send waiting out its
+// backoff.
+TEST_F(RecoveryRules, DestroyedWithAQueryInFlightCancelsItsDeadline) {
+  retry.query_timeout = simnet::ms(300);
+  start().resolve(0);
+  loop.run_until(simnet::ms(100));
+  ASSERT_EQ(loop.pending(), 1u);  // the deadline, due at 300 ms
+  fake.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST_F(RecoveryRules, DestroyedDuringABackoffCancelsTheResend) {
+  FakeSession& s = start();
+  s.resolve(0);
+  at(simnet::ms(10), [&]() { s.recovery.lose(); });
+  loop.run_until(simnet::ms(50));
+  ASSERT_EQ(loop.pending(), 1u);  // the re-send, due at 100 ms
+  fake.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
 TEST_F(RecoveryRules, WonRaceResendsEveryQueryAtOnceWithReasonMigration) {
   FakeSession& s = start();
   for (int i = 0; i < 3; ++i) s.resolve(i);

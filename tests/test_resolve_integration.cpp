@@ -12,6 +12,7 @@
 #include "resolver/dot_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "sim_fixture.hpp"
+#include "simnet/packet.hpp"
 
 namespace dohperf::core {
 namespace {
@@ -103,7 +104,8 @@ TEST_F(ResolveTest, UdpRetryAndTimeoutAfterSetObsLandInTheNewRegistry) {
   EXPECT_EQ(testing::exported(a), a_at_switch);
   testing::expect_only_added(b_foreign, b, {"client.udp.", "bytes."});
   EXPECT_EQ(b.counter("client.udp.retries"), 1u);
-  EXPECT_EQ(b.counter("client.udp.timeouts"), 1u);
+  // Every expired deadline: the re-sent first datagram's and the last one's.
+  EXPECT_EQ(b.counter("client.udp.timeouts"), 2u);
   EXPECT_EQ(b.counter("client.udp.failures"), 1u);
 
   // Switched to a context without a registry mid-flight: nothing counts.
@@ -137,6 +139,71 @@ TEST_F(ResolveTest, UdpRetryRecoversFromLoss) {
   }
   loop.run();
   EXPECT_EQ(succeeded, 20);
+}
+
+/// Every datagram on the wire, in send order.
+class DatagramLog final : public simnet::PacketTap {
+ public:
+  struct Entry {
+    simnet::NodeId from;
+    std::uint16_t dns_id;
+    std::size_t wire_bytes;
+  };
+
+  void on_packet(simnet::TimeUs /*when*/, const simnet::Packet& packet,
+                 bool /*dropped*/) override {
+    const auto& d = std::get<simnet::UdpDatagram>(packet.body);
+    const auto id = static_cast<std::uint16_t>((d.payload[0] << 8) |
+                                               d.payload[1]);
+    entries.push_back({packet.src_node, id, d.wire_size()});
+  }
+
+  std::vector<Entry> entries;
+};
+
+// The server answers after the client re-sent: the re-send reused the
+// query's DNS ID, so the answer to the first datagram completes the query,
+// and the answer to the second finds nothing in flight.
+TEST_F(ResolveTest, UdpLateAnswerToTheFirstDatagramCompletesTheQuery) {
+  engine_config.upstream.processing = simnet::ms(500);
+  resolver::UdpServer udp_server(server, make_engine(), 53);
+  UdpClientConfig config;
+  config.timeout = simnet::ms(300);
+  config.max_retries = 1;
+  UdpResolverClient client_stub(client, {server.id(), 53}, config);
+  DatagramLog datagrams;
+  net.add_tap(&datagrams);
+  const auto id = client_stub.resolve(name("late.example.com"),
+                                      dns::RType::kA, {});
+  loop.run();
+  net.remove_tap(&datagrams);
+
+  // Sent at 0, re-sent at 300 ms, answered at 5 + 500 + 5 ms.
+  const ResolutionResult& r = client_stub.result(id);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.completed_at, simnet::ms(510));
+  EXPECT_EQ(client_stub.completed(), 1u);
+  EXPECT_EQ(client_stub.retransmissions(), 1u);
+  EXPECT_EQ(client_stub.timeouts(), 0u);
+
+  // Query, re-send, first answer, second answer: one DNS ID throughout.
+  const auto& log = datagrams.entries;
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].from, client.id());
+  EXPECT_EQ(log[1].from, client.id());
+  EXPECT_EQ(log[2].from, server.id());
+  for (const auto& d : log) EXPECT_EQ(d.dns_id, r.response.id);
+
+  // DNS bytes of one query and one answer; wire bytes and packets of the
+  // three datagrams before completion.
+  const std::uint64_t overhead =
+      simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes;
+  const std::uint64_t query_bytes = log[0].wire_bytes - overhead;
+  const std::uint64_t answer_bytes = log[2].wire_bytes - overhead;
+  EXPECT_EQ(r.cost.dns_message_bytes, query_bytes + answer_bytes);
+  EXPECT_EQ(r.cost.wire_bytes,
+            log[0].wire_bytes + log[1].wire_bytes + log[2].wire_bytes);
+  EXPECT_EQ(r.cost.packets, 3u);
 }
 
 // --- DoT --------------------------------------------------------------------------

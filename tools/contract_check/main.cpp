@@ -8,7 +8,9 @@
 //     metric family (kFamilies: client.* / cache.* / tier.* / net.* ...).
 //     A literal ending in '.' that is concatenated with `+` (e.g.
 //     "breaker.state." + index) becomes the prefix pattern
-//     "breaker.state.*".
+//     "breaker.state.*". A documented name with a leaf after the dynamic
+//     part ("client.<t>.queries") must find that leaf as a string literal
+//     in a file that composes the prefix (ClientMetrics's name("queries")).
 //   * span names: the last string-literal argument of every `begin(...)`
 //     call (covers `obs.begin("shed")` and `tracer->begin(parent, "retry")`).
 //
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -91,14 +94,30 @@ bool read_file(const fs::path& p, std::string& out) {
 // ---------------------------------------------------------------- code --
 
 struct CodeInventory {
-  std::set<std::string> metrics;          // exact names, family-filtered
-  std::set<std::string> metric_prefixes;  // "tier.requests." style
+  std::set<std::string> metrics;  // exact names, family-filtered
+  /// "tier.requests." style prefixes, each with every string literal of
+  /// the files that compose it: the leaves a composed name may end in.
+  std::map<std::string, std::set<std::string>> metric_prefixes;
   std::set<std::string> spans;
 };
 
+/// Whether `pattern` is a name `prefix` composes: the dynamic part ends it
+/// ("breaker.state.*"), or the leaf after it is one of `leaves`
+/// ("client.*.queries").
+bool composes(const std::string& prefix, const std::set<std::string>& leaves,
+              const std::string& pattern) {
+  if (pattern.rfind(prefix, 0) != 0) return false;
+  const std::size_t dot = pattern.rfind('.');
+  return dot + 1 == prefix.size() ||
+         leaves.count(pattern.substr(dot + 1)) != 0;
+}
+
 void scan_tokens(const std::vector<Token>& toks, CodeInventory& inv) {
+  std::set<std::string> prefixes;  // composed in this file
+  std::set<std::string> literals;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
+    if (t.kind == TokenKind::String) literals.insert(t.text);
     if (t.kind == TokenKind::String && in_family(t.text)) {
       if (t.text.back() == '.') {
         // Concatenated dynamic suffix: "tier.requests." + transport, also
@@ -111,7 +130,7 @@ void scan_tokens(const std::vector<Token>& toks, CodeInventory& inv) {
                             toks[j].kind == TokenKind::Punct &&
                             toks[j].text == "+";
         if (concat && metric_chars_only(t.text, false)) {
-          inv.metric_prefixes.insert(t.text);
+          prefixes.insert(t.text);
         }
       } else if (metric_chars_only(t.text, false)) {
         inv.metrics.insert(t.text);
@@ -137,6 +156,8 @@ void scan_tokens(const std::vector<Token>& toks, CodeInventory& inv) {
       inv.spans.insert(last);
     }
   }
+  for (const std::string& prefix : prefixes)
+    inv.metric_prefixes[prefix].insert(literals.begin(), literals.end());
 }
 
 bool scan_src(const fs::path& src_dir, CodeInventory& inv) {
@@ -326,7 +347,8 @@ int main(int argc, char** argv) {
       }
     if (!ok) complain("emitted metric missing from EXPERIMENTS.md", name);
   }
-  for (const std::string& prefix : code.metric_prefixes) {
+  for (const auto& composed : code.metric_prefixes) {
+    const std::string& prefix = composed.first;
     bool ok = false;
     for (const std::string& p : documented.metric_patterns)
       if (p.rfind(prefix, 0) == 0) {
@@ -351,8 +373,8 @@ int main(int argc, char** argv) {
         break;
       }
     if (!ok) {
-      for (const std::string& prefix : code.metric_prefixes)
-        if (p.rfind(prefix, 0) == 0) {
+      for (const auto& [prefix, leaves] : code.metric_prefixes)
+        if (composes(prefix, leaves, p)) {
           ok = true;
           break;
         }
