@@ -2,8 +2,9 @@
 // schedule/fire and schedule/cancel throughput, bytes/sec through a full
 // tcp -> tls -> h2 echo path, fig6-style page-load shard throughput at
 // several --jobs values, the fig1 corpus scan (dns::Name parsing, sorting
-// and run merging) with its allocations per page, and the resolver
-// tier's cache under churn with its evictions and allocations per query.
+// and run merging) with its allocations per page, the resolver tier's
+// cache under churn with its evictions and allocations per query, and one
+// DoH/h2 exchange on a warm connection with its allocations.
 //
 // Unlike the figure harnesses, the numbers here are wall-clock derived and
 // therefore machine-dependent: micro_simcore (like micro_codecs) is exempt
@@ -26,8 +27,10 @@
 #include "obs/bridge.hpp"
 #include "browser/vantage.hpp"
 #include "browser/web_farm.hpp"
+#include "core/doh_client.hpp"
 #include "core/udp_client.hpp"
 #include "http2/connection.hpp"
+#include "resolver/doh_server.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/recursive_tier.hpp"
 #include "resolver/udp_server.hpp"
@@ -389,6 +392,85 @@ TierChurnRun bench_tier_churn() {
   return run;
 }
 
+// --- one DoH/h2 exchange ------------------------------------------------------
+
+/// Exchanges in each pass of the doh/exchange stream.
+constexpr std::size_t kDohExchanges = 2000;
+
+// detlint: hot-slot
+struct alignas(64) DohShard {
+  std::uint64_t answered = 0;      ///< successful resolutions, both passes
+  std::uint64_t arena_allocs = 0;  ///< during the second pass
+};
+
+struct DohExchangeRun {
+  double exchanges_per_sec = 0.0;
+  std::uint64_t answered = 0;
+  std::uint64_t arena_allocs = 0;  ///< deterministic for the fixed stream
+};
+
+/// DoH/h2 POST queries for Alexa third-party names, one at a time and each
+/// run until the loop is idle, over one persistent connection from a
+/// DohClient to a DohServer in front of an Engine, in one arena shard. The
+/// first pass opens the connection and fills both HPACK tables; the second
+/// counts what a warm exchange allocates on both ends: HTTP/2 frames, HPACK
+/// blocks, the DNS codec and the Engine's answer.
+DohExchangeRun bench_doh_exchange() {
+  const workload::AlexaPageModel model;
+  std::vector<dns::Name> names;
+  names.reserve(kDohExchanges);
+  for (std::size_t i = 0; i < kDohExchanges; ++i) {
+    names.push_back(model.third_party_domain(i));
+  }
+  simnet::ShardMemoryStats mem;
+  const double t0 = now_sec();
+  const auto shards = bench::run_sharded<DohShard>(
+      1, 1,
+      [&names](std::size_t) {
+        simnet::EventLoop loop;
+        simnet::Network net(loop, 7);
+        simnet::Host client(net, "client");
+        simnet::Host server(net, "server");
+        simnet::LinkConfig link;
+        link.latency = simnet::ms(5);
+        net.connect(client.id(), server.id(), link);
+        resolver::Engine engine(loop, {});
+        resolver::DohServerConfig server_config;
+        server_config.tls.chain =
+            tlssim::CertificateChain::generic("local.resolver");
+        resolver::DohServer doh_server(server, engine, server_config, 443);
+        core::DohClientConfig config;
+        config.server_name = "local.resolver";
+        core::DohClient doh(client, {server.id(), 443}, config);
+        DohShard out;
+        const auto pass = [&]() {
+          for (const dns::Name& name : names) {
+            doh.resolve(name, dns::RType::kA,
+                        [&out](const core::ResolutionResult& r) {
+                          out.answered += r.success ? 1 : 0;
+                        });
+            loop.run();
+          }
+        };
+        pass();
+        const auto allocs = []() {
+          const simnet::ShardMemoryStats s = simnet::current_arena()->stats();
+          return s.arena_allocs + s.huge_allocs;
+        };
+        const std::uint64_t before = allocs();
+        pass();
+        out.arena_allocs = allocs() - before;
+        return out;
+      },
+      &mem);
+  DohExchangeRun run;
+  run.exchanges_per_sec =
+      static_cast<double>(2 * kDohExchanges) / (now_sec() - t0);
+  run.answered = shards[0].answered;
+  run.arena_allocs = shards[0].arena_allocs;
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -585,6 +667,24 @@ int main(int argc, char** argv) {
              static_cast<double>(tier.evictions) / queries);
   report.set("tier/churn", "arena_allocs_per_query",
              static_cast<double>(tier.arena_allocs) / queries);
+
+  // One DoH/h2 exchange on a warm connection. Exchanges per second is
+  // informational; allocations per exchange are a pure function of the
+  // fixed stream (CI gates them).
+  const DohExchangeRun doh = bench_doh_exchange();
+  if (doh.answered != 2 * kDohExchanges) {
+    std::fprintf(stderr, "FATAL: doh/exchange answered %llu of %zu queries\n",
+                 static_cast<unsigned long long>(doh.answered),
+                 2 * kDohExchanges);
+    return 1;
+  }
+  const double allocs_per_exchange = static_cast<double>(doh.arena_allocs) /
+                                     static_cast<double>(kDohExchanges);
+  std::printf("doh/exchange               : %12.0f exchanges/sec "
+              "(%.2f arena allocs/exchange)\n",
+              doh.exchanges_per_sec, allocs_per_exchange);
+  report.set("doh/exchange", "exchanges_per_sec", doh.exchanges_per_sec);
+  report.set("doh/exchange", "arena_allocs_per_exchange", allocs_per_exchange);
 
   std::printf("\nshard digests identical across jobs values: OK\n");
   report.params["hw_threads"] =

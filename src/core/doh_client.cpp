@@ -99,7 +99,7 @@ std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
     if (s == racing_stack_) {
       // Defer one (zero-delay) event: promotion tears the old stack down
       // and must not run inside this stack's own TLS callback.
-      host_.loop().schedule_in(0, [this]() { promote_racer(); });
+      recovery_.post([this]() { promote_racer(); });
     }
   });
 
@@ -208,9 +208,9 @@ void DohClient::send(Attempt&& a) {
   }
   dns::Bytes body;
   std::string target = config_.path;
-  std::string method = "POST";
-  std::string accept(kDnsMessage);
-  std::string content_type(kDnsMessage);
+  std::string_view method = "POST";
+  std::string_view accept = kDnsMessage;
+  std::string_view content_type = kDnsMessage;
   std::size_t query_dns_bytes = 0;
 
   switch (config_.method) {
@@ -224,14 +224,14 @@ void DohClient::send(Attempt&& a) {
       query_dns_bytes = wire.size();
       target += "?dns=" + dns::base64url_encode(wire);
       method = "GET";
-      content_type.clear();
+      content_type = {};
       break;
     }
     case DohMethod::kJsonGet: {
       target += "?" + dns::dns_json_query_string(a.name, a.type);
       method = "GET";
       accept = kDnsJson;
-      content_type.clear();
+      content_type = {};
       break;
     }
   }
@@ -266,16 +266,17 @@ void DohClient::send(Attempt&& a) {
 
   if (stack->h2) {
     http2::H2Message request;
-    request.headers.push_back({":method", method});
+    request.headers.reserve(10);
+    request.headers.push_back({":method", std::string(method)});
     request.headers.push_back({":scheme", "https"});
     request.headers.push_back({":authority", config_.server_name});
-    request.headers.push_back({":path", target});
-    request.headers.push_back({"accept", accept});
+    request.headers.push_back({":path", std::move(target)});
+    request.headers.push_back({"accept", std::string(accept)});
     request.headers.push_back({"accept-encoding", "gzip, deflate, br"});
     request.headers.push_back({"accept-language", "en-US,en;q=0.5"});
     request.headers.push_back({"user-agent", std::string(kUserAgent)});
     if (!content_type.empty()) {
-      request.headers.push_back({"content-type", content_type});
+      request.headers.push_back({"content-type", std::string(content_type)});
       request.headers.push_back(
           {"content-length", std::to_string(body.size())});
     }
@@ -294,12 +295,12 @@ void DohClient::send(Attempt&& a) {
   } else {
     http1::Request request;
     request.method = method;
-    request.target = target;
+    request.target = std::move(target);
     request.headers.add("Host", config_.server_name);
     request.headers.add("User-Agent", std::string(kUserAgent));
-    request.headers.add("Accept", accept);
+    request.headers.add("Accept", std::string(accept));
     if (!content_type.empty()) {
-      request.headers.add("Content-Type", content_type);
+      request.headers.add("Content-Type", std::string(content_type));
     }
     if (!config_.persistent) {
       request.headers.add("Connection", "close");
@@ -322,7 +323,7 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
     // teardown one event — this may be running inside the racer's own
     // TLS/HTTP callbacks.
     stack->broken = true;
-    host_.loop().schedule_in(0, [this, stack]() {
+    recovery_.post([this, stack]() {
       if (stack == racing_stack_) teardown_racer();
     });
     return;
@@ -386,7 +387,7 @@ void DohClient::finishing(Attempt& a, bool success) {
     // Freeze the counter window one event from now, so the TCP ACK
     // triggered by the response segment is still attributed to this query,
     // but later queries are not.
-    host_.loop().schedule_in(0, [this, query_id]() {
+    recovery_.post([this, query_id]() {
       Exchange& e = exchanges_[query_id];
       if (!e.have_end) {
         e.end = e.stack->snapshot();

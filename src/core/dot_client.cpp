@@ -198,11 +198,9 @@ void DotClient::migrate(const char* reason) {
   simnet::ByteStream::Handlers rh;
   // Both outcomes defer one (zero-delay) event: the handlers below must
   // not destroy the std::function currently executing.
-  rh.on_open = [this]() {
-    host_.loop().schedule_in(0, [this]() { promote_racer(); });
-  };
+  rh.on_open = [this]() { recovery_.post([this]() { promote_racer(); }); };
   rh.on_close = [this]() {
-    host_.loop().schedule_in(0, [this]() {
+    recovery_.post([this]() {
       if (racer_ && !racer_.usable()) teardown_racer();
     });
   };

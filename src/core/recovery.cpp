@@ -63,6 +63,7 @@ Recovery::~Recovery() {
     host_.loop().cancel(entry.second.timeout_timer);
   }
   for (const auto& entry : deferred_) host_.loop().cancel(entry.second);
+  for (const auto& entry : posted_) host_.loop().cancel(entry.second);
   host_.loop().cancel(stall_timer_);
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
 }

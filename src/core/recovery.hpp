@@ -297,6 +297,19 @@ class Recovery {
   /// combined transport+crypto round trip.
   void account_quic(std::uint64_t handshake_bytes);
 
+  // --- the client's own events -------------------------------------------
+
+  /// Run `fn`, a callback of the client that owns this Recovery, as a
+  /// zero-delay event: outside the call stack that asks for it. ~Recovery
+  /// cancels it if the client is destroyed before it fires.
+  template <typename F>
+  void post(F&& fn) {
+    const simnet::TimeUs now = host_.loop().now();
+    // An event due before now has fired: only this instant's are pending.
+    std::erase_if(posted_, [now](const auto& e) { return e.first < now; });
+    posted_.emplace_back(now, host_.loop().schedule_in(0, std::forward<F>(fn)));
+  }
+
  private:
   /// A query's result, and what record_cost needs after its attempt is gone.
   struct Slot {
@@ -355,6 +368,8 @@ class Recovery {
   std::uint64_t failures_ = 0;
 
   simnet::EventId stall_timer_;
+  /// post()'s events, by the instant they are due.
+  std::vector<std::pair<simnet::TimeUs, simnet::EventId>> posted_;
   std::uint64_t listener_id_ = 0;
   obs::SpanId migrate_span_ = 0;
   /// The stalled connection's byte count when the current race began.

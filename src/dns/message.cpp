@@ -63,7 +63,14 @@ Message Message::make_error(const Message& query, Rcode rcode) {
 }
 
 Bytes Message::encode(bool compress) const {
-  ByteWriter w;
+  // Sized once: the header, then each question and record with every name
+  // in full, which compression only shortens.
+  std::size_t size = 12;
+  for (const auto& q : questions) size += q.qname.wire_length() + 4;
+  for (const auto* section : {&answers, &authorities, &additionals}) {
+    for (const auto& rr : *section) size += rr.max_wire_size();
+  }
+  ByteWriter w(size);
   NameCompressor compressor(compress);
   w.u16(id);
   w.u16(flags.encode());

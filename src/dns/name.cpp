@@ -30,6 +30,32 @@ bool folded_equal(const std::uint8_t* a, const std::uint8_t* b,
   return true;
 }
 
+/// True if the name written at `at` in `out` (following its pointers) is
+/// `flat[0, size)` up to case.
+bool written_equal(const Bytes& out, std::size_t at, const std::uint8_t* flat,
+                   std::size_t size) noexcept {
+  const std::uint8_t* const end = flat + size;
+  while (at < out.size()) {
+    const std::uint8_t len = out[at];
+    if ((len & kPointerMask) == kPointerMask) {
+      // This compressor's pointers lead back to suffixes written earlier.
+      if (at + 1 >= out.size()) return false;
+      const std::size_t target = (std::size_t{len} & 0x3f) << 8 | out[at + 1];
+      if (target >= at) return false;
+      at = target;
+      continue;
+    }
+    if (len == 0) return flat == end;
+    if (flat == end || *flat != len || at + 1 + len > out.size() ||
+        !folded_equal(flat + 1, out.data() + at + 1, len)) {
+      return false;
+    }
+    flat += 1u + len;
+    at += 1u + len;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::uint8_t* Name::heap() const noexcept {
@@ -214,27 +240,64 @@ std::uint64_t Name::order_key() const noexcept {
   return key;
 }
 
+NameCompressor::Entry& NameCompressor::slot(const Bytes& out,
+                                            std::uint32_t hash,
+                                            const std::uint8_t* flat,
+                                            std::size_t size) {
+  for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    Entry& e = table_[i];
+    if (e.hash == 0 || (e.hash == hash && e.size == size &&
+                        written_equal(out, e.offset, flat, size))) {
+      return e;
+    }
+  }
+}
+
+void NameCompressor::grow() {
+  const std::size_t capacity = 2 * (mask_ + 1);
+  auto bigger = std::make_unique<Entry[]>(capacity);
+  for (std::size_t i = 0; i <= mask_; ++i) {
+    const Entry& e = table_[i];
+    if (e.hash == 0) continue;
+    std::size_t j = e.hash & (capacity - 1);
+    while (bigger[j].hash != 0) j = (j + 1) & (capacity - 1);
+    bigger[j] = e;
+  }
+  spill_ = std::move(bigger);
+  table_ = spill_.get();
+  mask_ = capacity - 1;
+}
+
 void NameCompressor::write(ByteWriter& w, const Name& name) {
   const std::uint8_t* flat = name.data();
   const std::size_t size = name.size_;
-  // Case-folded copy of the name; every suffix key is a view into it.
-  char folded[kMaxName] = {};
-  for (std::size_t i = 0; i < size; ++i) {
-    folded[i] = static_cast<char>(fold(flat[i]));
+  if (!enabled_) {
+    w.bytes(std::span<const std::uint8_t>(flat, size));
+    w.u8(0);
+    return;
+  }
+  // FNV-1a over the case-folded bytes, right to left: suffix_hash[i]
+  // covers the suffix flat[i, size).
+  std::uint32_t suffix_hash[kMaxName];
+  std::uint32_t h = 2166136261u;
+  for (std::size_t i = size; i-- > 0;) {
+    h = (h ^ fold(flat[i])) * 16777619u;
+    suffix_hash[i] = h;
   }
   for (std::size_t at = 0; at < size; at += 1u + flat[at]) {
-    const std::string_view key(folded + at, size - at);
-    const auto it = offsets_.lower_bound(key);
-    const bool seen = it != offsets_.end() && it->first == key;
-    if (enabled_ && seen && it->second <= 0x3fff) {
+    const std::uint32_t hash = suffix_hash[at] == 0 ? 1 : suffix_hash[at];
+    Entry& e = slot(w.data(), hash, flat + at, size - at);
+    if (e.hash != 0) {
       // Emit a two-octet pointer to the earlier occurrence and stop.
-      w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+      w.u16(static_cast<std::uint16_t>(0xc000 | e.offset));
       return;
     }
     // Record this suffix's offset for future reuse (only if it fits the
     // 14-bit pointer field).
-    if (!seen && w.size() <= 0x3fff) {
-      offsets_.emplace_hint(it, key, w.size());
+    if (w.size() <= 0x3fff) {
+      e = Entry{hash, static_cast<std::uint16_t>(w.size()),
+                static_cast<std::uint8_t>(size - at)};
+      if (2 * ++used_ > mask_ + 1) grow();
     }
     w.bytes(std::span<const std::uint8_t>(flat + at, 1u + flat[at]));
   }

@@ -5,8 +5,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -104,23 +103,47 @@ class Name {
   std::uint8_t inline_[kInlineCapacity] = {};
 };
 
-/// Tracks name -> offset mappings while writing a message so later
-/// occurrences of a suffix can be encoded as compression pointers.
+/// Tracks where each name suffix was first written in a message so later
+/// occurrences of it can be encoded as compression pointers. The suffixes
+/// live in an open-addressed table of (hash, offset, size) entries, inline
+/// for an ordinary message; a hit is confirmed against the bytes already
+/// written, so the table keeps no copy of any name. Only a message with
+/// more than kInlineEntries / 2 distinct suffixes moves it to the heap.
 class NameCompressor {
  public:
-  /// When `enabled` is false every name is written in full (suffix offsets
-  /// are still recorded, but never reused).
+  /// When `enabled` is false every name is written in full.
   explicit NameCompressor(bool enabled = true) : enabled_(enabled) {}
+  NameCompressor(const NameCompressor&) = delete;
+  NameCompressor& operator=(const NameCompressor&) = delete;
 
   /// Write `name` at the writer's current position, reusing previously
   /// written suffixes via pointers where possible (offsets must fit in the
-  /// 14-bit pointer field).
+  /// 14-bit pointer field). A compressor writes to one writer only.
   void write(ByteWriter& w, const Name& name);
 
  private:
+  /// A suffix written in full at `offset`: `size` flat bytes whose
+  /// case-folded hash is `hash` (0 marks a free slot).
+  struct Entry {
+    std::uint32_t hash = 0;
+    std::uint16_t offset = 0;
+    std::uint8_t size = 0;
+  };
+  static constexpr std::size_t kInlineEntries = 32;
+
+  /// The slot holding the suffix `flat[0, size)` hashed to `hash`, or the
+  /// free slot where it belongs.
+  Entry& slot(const Bytes& out, std::uint32_t hash, const std::uint8_t* flat,
+              std::size_t size);
+  /// Double the table once it is half full.
+  void grow();
+
   bool enabled_;
-  // Case-folded flat suffix -> wire offset.
-  std::map<std::string, std::size_t, std::less<>> offsets_;
+  std::size_t used_ = 0;
+  std::size_t mask_ = kInlineEntries - 1;
+  Entry* table_ = inline_;
+  Entry inline_[kInlineEntries];
+  std::unique_ptr<Entry[]> spill_;  ///< the table once it outgrows inline_
 };
 
 /// Read a possibly-compressed name starting at the reader's position.

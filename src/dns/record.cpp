@@ -172,26 +172,64 @@ void encode_rdata(ByteWriter& w, NameCompressor& compressor,
       rdata);
 }
 
+/// Octets encode_rdata writes at most: every name in full.
+std::size_t max_rdata_size(const Rdata& rdata) noexcept {
+  return std::visit(
+      [](const auto& rd) -> std::size_t {
+        using T = std::decay_t<decltype(rd)>;
+        if constexpr (std::is_same_v<T, ARdata> ||
+                      std::is_same_v<T, AaaaRdata>) {
+          return rd.addr.size();
+        } else if constexpr (std::is_same_v<T, CnameRdata>) {
+          return rd.target.wire_length();
+        } else if constexpr (std::is_same_v<T, NsRdata>) {
+          return rd.nsdname.wire_length();
+        } else if constexpr (std::is_same_v<T, PtrRdata>) {
+          return rd.ptrdname.wire_length();
+        } else if constexpr (std::is_same_v<T, MxRdata>) {
+          return 2 + rd.exchange.wire_length();
+        } else if constexpr (std::is_same_v<T, TxtRdata>) {
+          std::size_t n = 0;
+          for (const auto& s : rd.strings) n += 1 + s.size();
+          return n;
+        } else if constexpr (std::is_same_v<T, SoaRdata>) {
+          return rd.mname.wire_length() + rd.rname.wire_length() + 20;
+        } else if constexpr (std::is_same_v<T, CaaRdata>) {
+          return 2 + rd.tag.size() + rd.value.size();
+        } else if constexpr (std::is_same_v<T, OptRdata>) {
+          std::size_t n = 0;
+          for (const auto& opt : rd.options) n += 4 + opt.data.size();
+          return n;
+        } else {
+          return rd.data.size();
+        }
+      },
+      rdata);
+}
+
+/// Read `N` address octets in place.
+template <std::size_t N>
+std::array<std::uint8_t, N> read_address(ByteReader& r,
+                                         std::uint16_t rdlength) {
+  if (rdlength != N) {
+    throw WireError(N == 4 ? "A RDLENGTH != 4" : "AAAA RDLENGTH != 16");
+  }
+  std::array<std::uint8_t, N> addr;
+  const auto in = r.view(N);
+  std::copy(in.begin(), in.end(), addr.begin());
+  return addr;
+}
+
 Rdata decode_rdata(ByteReader& r, RType type, std::uint16_t rdlength) {
   const std::size_t end = r.offset() + rdlength;
   Rdata out;
   switch (type) {
-    case RType::kA: {
-      if (rdlength != 4) throw WireError("A RDLENGTH != 4");
-      ARdata rd;
-      const auto b = r.bytes(4);
-      std::copy(b.begin(), b.end(), rd.addr.begin());
-      out = rd;
+    case RType::kA:
+      out = ARdata{read_address<4>(r, rdlength)};
       break;
-    }
-    case RType::kAAAA: {
-      if (rdlength != 16) throw WireError("AAAA RDLENGTH != 16");
-      AaaaRdata rd;
-      const auto b = r.bytes(16);
-      std::copy(b.begin(), b.end(), rd.addr.begin());
-      out = rd;
+    case RType::kAAAA:
+      out = AaaaRdata{read_address<16>(r, rdlength)};
       break;
-    }
     case RType::kCNAME:
       out = CnameRdata{read_name(r)};
       break;
@@ -287,6 +325,11 @@ void ResourceRecord::encode(ByteWriter& w, NameCompressor& compressor) const {
   w.patch_u16(len_pos, static_cast<std::uint16_t>(rdlen));
 }
 
+std::size_t ResourceRecord::max_wire_size() const noexcept {
+  // Name, TYPE, CLASS, TTL and RDLENGTH, then the rdata.
+  return name.wire_length() + 10 + max_rdata_size(rdata);
+}
+
 ResourceRecord ResourceRecord::decode(ByteReader& r) {
   ResourceRecord rr;
   rr.name = read_name(r);
@@ -299,7 +342,7 @@ ResourceRecord ResourceRecord::decode(ByteReader& r) {
     rd.dnssec_ok = (r.u16() & 0x8000) != 0;
     const std::uint16_t rdlength = r.u16();
     auto decoded = decode_rdata(r, RType::kOPT, rdlength);
-    rd.options = std::get<OptRdata>(decoded).options;
+    rd.options = std::move(std::get<OptRdata>(decoded).options);
     rr.rclass = RClass::kIN;
     rr.ttl = 0;
     rr.rdata = std::move(rd);

@@ -168,6 +168,8 @@ struct ResourceRecord {
 
   /// Wire-encode with name compression via the shared compressor.
   void encode(ByteWriter& w, NameCompressor& compressor) const;
+  /// Octets encode() writes at most: every name in full.
+  std::size_t max_wire_size() const noexcept;
 
   /// Decode one record at the reader's position.
   static ResourceRecord decode(ByteReader& r);

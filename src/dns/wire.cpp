@@ -33,20 +33,19 @@ std::uint32_t ByteReader::u32() {
   return v;
 }
 
-Bytes ByteReader::bytes(std::size_t n) {
+std::span<const std::uint8_t> ByteReader::view(std::size_t n) {
   require(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset_ + n));
+  const auto out = data_.subspan(offset_, n);
   offset_ += n;
   return out;
 }
 
-std::string ByteReader::string(std::size_t n) {
-  require(n);
-  std::string out(reinterpret_cast<const char*>(data_.data() + offset_), n);
-  offset_ += n;
-  return out;
+Bytes ByteReader::bytes(std::size_t n) {
+  const auto in = view(n);
+  return Bytes(in.begin(), in.end());
 }
+
+std::string ByteReader::string(std::size_t n) { return to_string(view(n)); }
 
 std::uint8_t ByteReader::peek_at(std::size_t pos) const {
   if (pos >= data_.size()) throw WireError("peek past end");

@@ -42,6 +42,9 @@ class ByteReader {
   /// Read `n` raw bytes.
   Bytes bytes(std::size_t n);
 
+  /// Consume `n` bytes and return a view of them in the input, not a copy.
+  std::span<const std::uint8_t> view(std::size_t n);
+
   /// Read `n` bytes as a string (used for DNS labels and TXT segments).
   std::string string(std::size_t n);
 
@@ -64,11 +67,13 @@ class ByteReader {
 };
 
 /// Append-only big-endian writer. The buffer starts at kMinCapacity bytes,
-/// so a small message costs one allocation, not one per doubling from a
-/// single byte.
+/// or at the capacity a caller that knows its size asks for, so a message
+/// costs one allocation, not one per doubling from a single byte.
 class ByteWriter {
  public:
-  ByteWriter() { out_.reserve(kMinCapacity); }
+  explicit ByteWriter(std::size_t capacity = kMinCapacity) {
+    out_.reserve(capacity);
+  }
 
   std::size_t size() const noexcept { return out_.size(); }
 

@@ -1,9 +1,23 @@
 #include "http2/connection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 
 namespace dohperf::http2 {
+
+namespace {
+
+/// Store `v` big-endian at `out`.
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 24);
+  out[1] = static_cast<std::uint8_t>(v >> 16);
+  out[2] = static_cast<std::uint8_t>(v >> 8);
+  out[3] = static_cast<std::uint8_t>(v);
+}
+
+}  // namespace
 
 Http2Connection::Http2Connection(
     std::unique_ptr<simnet::ByteStream> transport, Role role,
@@ -41,10 +55,11 @@ void Http2Connection::send_preface_and_settings() {
   if (settings_sent_) return;
   settings_sent_ = true;
   if (role_ == Role::kClient) {
-    Bytes preface(kConnectionPreface.begin(), kConnectionPreface.end());
-    counters_.mgmt_bytes_sent += preface.size();
+    counters_.mgmt_bytes_sent += kConnectionPreface.size();
     cork();
-    cork_chain_.emplace_back(std::move(preface));
+    cork_chain_.push_back(slab_.copy(std::span(
+        reinterpret_cast<const std::uint8_t*>(kConnectionPreface.data()),
+        kConnectionPreface.size())));
     send_settings(/*ack=*/false);
     uncork();
     return;
@@ -52,33 +67,43 @@ void Http2Connection::send_preface_and_settings() {
   send_settings(/*ack=*/false);
 }
 
-void Http2Connection::send_frame(Frame frame) {
+void Http2Connection::send_frame(FrameType type, std::uint8_t flags,
+                                 std::uint32_t stream_id,
+                                 std::span<const std::uint8_t> copied,
+                                 BufferSlice shared) {
   // Dropping frames once the transport is gone mirrors a real server whose
   // late responses hit a closed socket (e.g. a delayed answer racing a
   // client disconnect).
   if (!transport_->is_open()) return;
+  const std::size_t length = copied.size() + shared.size();
   // Byte attribution per the Fig 5 convention (see H2Counters).
-  switch (frame.type) {
+  switch (type) {
     case FrameType::kHeaders:
     case FrameType::kContinuation:
-      counters_.header_bytes_sent += frame.wire_size();
+      counters_.header_bytes_sent += kFrameHeaderBytes + length;
       break;
     case FrameType::kData:
-      counters_.body_bytes_sent += frame.payload.size();
+      counters_.body_bytes_sent += length;
       counters_.mgmt_bytes_sent += kFrameHeaderBytes;
       break;
     default:
-      counters_.mgmt_bytes_sent += frame.wire_size();
+      counters_.mgmt_bytes_sent += kFrameHeaderBytes + length;
       break;
   }
-  // {9-byte header, payload slice}: the payload (for DATA frames, a view of
-  // the response body) crosses into the transport without being copied.
-  BufferSlice header{encode_frame_header(frame)};
+  BufferSlice head = slab_.write(
+      kFrameHeaderBytes + copied.size(), [&](std::uint8_t* out) {
+        write_frame_header(out, type, flags, stream_id, length);
+        if (!copied.empty()) {
+          std::memcpy(out + kFrameHeaderBytes, copied.data(), copied.size());
+        }
+      });
+  // {header, payload}: a DATA payload (a view of the body) crosses into the
+  // transport without being copied.
   if (corked_) {
-    cork_chain_.push_back(std::move(header));
-    if (!frame.payload.empty()) cork_chain_.push_back(std::move(frame.payload));
+    cork_chain_.push_back(std::move(head));
+    if (!shared.empty()) cork_chain_.push_back(std::move(shared));
   } else {
-    const BufferSlice pieces[2] = {std::move(header), std::move(frame.payload)};
+    const BufferSlice pieces[2] = {std::move(head), std::move(shared)};
     transport_->send_chain(std::span<const BufferSlice>(
         pieces, pieces[1].empty() ? 1 : 2));
   }
@@ -96,58 +121,57 @@ void Http2Connection::uncork() {
 }
 
 void Http2Connection::send_settings(bool ack) {
-  Frame frame;
-  frame.type = FrameType::kSettings;
-  frame.flags = ack ? kFlagAck : 0;
-  if (!ack) {
-    ByteWriter w;
-    auto put = [&w](SettingId id, std::uint32_t value) {
-      w.u16(static_cast<std::uint16_t>(id));
-      w.u32(value);
-    };
-    put(SettingId::kHeaderTableSize,
-        static_cast<std::uint32_t>(config_.header_table_size));
-    put(SettingId::kEnablePush, 0);
-    put(SettingId::kMaxConcurrentStreams, config_.max_concurrent_streams);
-    put(SettingId::kInitialWindowSize, config_.initial_window_size);
-    put(SettingId::kMaxFrameSize,
-        static_cast<std::uint32_t>(config_.max_frame_size));
-    frame.payload = w.take();
+  if (ack) {
+    send_frame(FrameType::kSettings, kFlagAck, 0, {});
+    return;
   }
-  send_frame(std::move(frame));
+  const std::pair<SettingId, std::uint32_t> settings[] = {
+      {SettingId::kHeaderTableSize,
+       static_cast<std::uint32_t>(config_.header_table_size)},
+      {SettingId::kEnablePush, 0},
+      {SettingId::kMaxConcurrentStreams, config_.max_concurrent_streams},
+      {SettingId::kInitialWindowSize, config_.initial_window_size},
+      {SettingId::kMaxFrameSize,
+       static_cast<std::uint32_t>(config_.max_frame_size)},
+  };
+  std::array<std::uint8_t, std::size(settings) * 6> payload;
+  std::uint8_t* out = payload.data();
+  for (const auto& [id, value] : settings) {
+    const auto code = static_cast<std::uint16_t>(id);
+    out[0] = static_cast<std::uint8_t>(code >> 8);
+    out[1] = static_cast<std::uint8_t>(code);
+    put_u32(out + 2, value);
+    out += 6;
+  }
+  send_frame(FrameType::kSettings, 0, 0, payload);
 }
 
 void Http2Connection::send_window_update(std::uint32_t stream_id,
                                          std::uint32_t increment) {
   if (increment == 0) return;
-  Frame frame;
-  frame.type = FrameType::kWindowUpdate;
-  frame.stream_id = stream_id;
-  ByteWriter w;
-  w.u32(increment);
-  frame.payload = w.take();
-  send_frame(std::move(frame));
+  std::uint8_t payload[4];
+  put_u32(payload, increment);
+  send_frame(FrameType::kWindowUpdate, 0, stream_id, payload);
 }
 
 void Http2Connection::send_headers(std::uint32_t stream_id,
                                    const std::vector<HeaderField>& headers,
                                    bool end_stream) {
-  const BufferSlice block{encoder_.encode(headers)};
+  // The encoder's buffer: each chunk is copied into the send slab before
+  // the next encode could reuse it.
+  const std::span<const std::uint8_t> block = encoder_.encode(headers);
   // Split into HEADERS + CONTINUATION if the block exceeds the frame limit.
   std::size_t offset = 0;
   bool first = true;
   do {
     const std::size_t chunk =
         std::min(config_.max_frame_size, block.size() - offset);
-    Frame frame;
-    frame.type = first ? FrameType::kHeaders : FrameType::kContinuation;
-    frame.stream_id = stream_id;
-    frame.payload = block.subslice(offset, chunk);
+    std::uint8_t flags = 0;
+    if (offset + chunk >= block.size()) flags |= kFlagEndHeaders;
+    if (first && end_stream) flags |= kFlagEndStream;
+    send_frame(first ? FrameType::kHeaders : FrameType::kContinuation, flags,
+               stream_id, block.subspan(offset, chunk));
     offset += chunk;
-    const bool last = offset >= block.size();
-    if (last) frame.flags |= kFlagEndHeaders;
-    if (first && end_stream) frame.flags |= kFlagEndStream;
-    send_frame(std::move(frame));
     first = false;
   } while (offset < block.size());
 }
@@ -163,32 +187,32 @@ void Http2Connection::send_data(std::uint32_t stream_id, BufferSlice body,
     const std::size_t chunk =
         std::min({config_.max_frame_size, body.size() - offset,
                   static_cast<std::size_t>(window)});
-    Frame frame;
-    frame.type = FrameType::kData;
-    frame.stream_id = stream_id;
-    frame.payload = body.subslice(offset, chunk);
+    BufferSlice payload = body.subslice(offset, chunk);
     offset += chunk;
     connection_send_window_ -= static_cast<std::int64_t>(chunk);
     stream.send_window -= static_cast<std::int64_t>(chunk);
-    const bool last = offset >= body.size();
-    if (last && end_stream) {
-      frame.flags |= kFlagEndStream;
+    std::uint8_t flags = 0;
+    if (offset >= body.size() && end_stream) {
+      flags = kFlagEndStream;
       stream.local_end = true;
     }
-    send_frame(std::move(frame));
+    send_frame(FrameType::kData, flags, stream_id, {}, std::move(payload));
   }
   if (offset < body.size()) {
     // Flow-control blocked: stash the remainder as a view, no copy.
     stream.pending_body.push_back(body.subslice(offset));
   } else if (body.empty() && end_stream && !stream.local_end) {
     // Zero-length END_STREAM DATA frame.
-    Frame frame;
-    frame.type = FrameType::kData;
-    frame.stream_id = stream_id;
-    frame.flags = kFlagEndStream;
     stream.local_end = true;
-    send_frame(std::move(frame));
+    send_frame(FrameType::kData, kFlagEndStream, stream_id, {});
   }
+}
+
+BufferSlice Http2Connection::body_slice(Bytes body) {
+  if (body.size() > simnet::ByteSlab::kMaxBlockAlloc) {
+    return BufferSlice(std::move(body));
+  }
+  return slab_.copy(body);
 }
 
 void Http2Connection::try_flush_blocked() {
@@ -227,7 +251,9 @@ void Http2Connection::request(H2Message message,
   // records / TCP segments), matching the 2019-era Python/doh-proxy
   // stacks whose traffic the paper measured.
   send_headers(stream_id, message.headers, /*end_stream=*/!has_body);
-  if (has_body) send_data(stream_id, std::move(message.body), true);
+  if (has_body) {
+    send_data(stream_id, body_slice(std::move(message.body)), true);
+  }
   if (stream_observer_) stream_observer_(stream_id, StreamEvent::kRequestSent);
 }
 
@@ -238,23 +264,18 @@ void Http2Connection::ping(std::function<void()> on_ack) {
     return;
   }
   ping_handlers_.push_back(std::move(on_ack));
-  Frame frame;
-  frame.type = FrameType::kPing;
-  frame.payload = Bytes(8, 0);
-  send_frame(std::move(frame));
+  const std::uint8_t opaque_data[8] = {};
+  send_frame(FrameType::kPing, 0, 0, opaque_data);
 }
 
 void Http2Connection::close(H2Error error) {
   if (goaway_sent_) return;
   goaway_sent_ = true;
   if (transport_->is_open() || transport_open_) {
-    Frame frame;
-    frame.type = FrameType::kGoaway;
-    ByteWriter w;
-    w.u32(next_stream_id_ > 2 ? next_stream_id_ - 2 : 0);
-    w.u32(static_cast<std::uint32_t>(error));
-    frame.payload = w.take();
-    send_frame(std::move(frame));
+    std::uint8_t payload[8];
+    put_u32(payload, next_stream_id_ > 2 ? next_stream_id_ - 2 : 0);
+    put_u32(payload + 4, static_cast<std::uint32_t>(error));
+    send_frame(FrameType::kGoaway, 0, 0, payload);
   }
   transport_->close();
 }
@@ -341,13 +362,19 @@ void Http2Connection::handle_headers(const Frame& frame) {
   }
 
   // A header block split across HEADERS + CONTINUATION frames is one HPACK
-  // unit: it must be reassembled before decoding (RFC 7540 §4.3).
-  stream.header_block.insert(stream.header_block.end(),
-                             frame.payload.begin(), frame.payload.end());
-  if (frame.has_flag(kFlagEndHeaders)) {
-    const auto fields = decoder_.decode(stream.header_block);
+  // unit: it must be reassembled before decoding (RFC 7540 §4.3). A block
+  // in one frame is decoded where it arrived, into the stream's fields.
+  if (!frame.has_flag(kFlagEndHeaders)) {
+    stream.header_block.insert(stream.header_block.end(),
+                               frame.payload.begin(), frame.payload.end());
+  } else if (stream.header_block.empty()) {
+    decoder_.decode(frame.payload, stream.headers);
+    stream.headers_done = true;
+  } else {
+    stream.header_block.insert(stream.header_block.end(),
+                               frame.payload.begin(), frame.payload.end());
+    decoder_.decode(stream.header_block, stream.headers);
     stream.header_block.clear();
-    stream.headers.insert(stream.headers.end(), fields.begin(), fields.end());
     stream.headers_done = true;
   }
   if (frame.has_flag(kFlagEndStream)) stream.remote_end = true;
@@ -435,11 +462,7 @@ void Http2Connection::handle_ping(const Frame& frame) {
     }
     return;
   }
-  Frame pong;
-  pong.type = FrameType::kPing;
-  pong.flags = kFlagAck;
-  pong.payload = frame.payload;
-  send_frame(std::move(pong));
+  send_frame(FrameType::kPing, kFlagAck, 0, frame.payload);
 }
 
 void Http2Connection::stream_complete(std::uint32_t stream_id) {
@@ -466,13 +489,15 @@ void Http2Connection::stream_complete(std::uint32_t stream_id) {
   response_stream.send_window = peer_initial_window_;
   streams_.emplace(stream_id, std::move(response_stream));
   if (!request_handler_) throw WireError("no request handler installed");
-  request_handler_(message, [this, stream_id](H2Message response) {
+  request_handler_(std::move(message), [this, stream_id](H2Message response) {
     const auto it = streams_.find(stream_id);
     if (it == streams_.end()) return;  // reset/closed meanwhile
     ++counters_.responses;
     const bool has_body = !response.body.empty();
     send_headers(stream_id, response.headers, !has_body);
-    if (has_body) send_data(stream_id, std::move(response.body), true);
+    if (has_body) {
+      send_data(stream_id, body_slice(std::move(response.body)), true);
+    }
     // If flow control blocked part of the body, it flushes on
     // WINDOW_UPDATE; erase only when fully sent.
     if (streams_.at(stream_id).pending_body.empty()) {

@@ -63,10 +63,10 @@ class Http2Connection {
   using ResponseHandler = std::function<void(const H2Message&)>;
   using StreamObserver = std::function<void(std::uint32_t, StreamEvent)>;
   /// Server side: respond may be called immediately or later; streams are
-  /// independent so late responses do not block other streams.
+  /// independent so late responses do not block other streams. The
+  /// handler gets the request by value: its fields and body move in.
   using Responder = std::function<void(H2Message)>;
-  using RequestHandler =
-      std::function<void(const H2Message&, Responder)>;
+  using RequestHandler = std::function<void(H2Message, Responder)>;
   using ErrorHandler = std::function<void()>;
 
   enum class Role { kClient, kServer };
@@ -116,7 +116,8 @@ class Http2Connection {
  private:
   struct Stream {
     std::vector<HeaderField> headers;   ///< decoded once END_HEADERS arrives
-    Bytes header_block;                 ///< fragments awaiting END_HEADERS
+    /// Fragments awaiting END_HEADERS; a block in one frame skips it.
+    Bytes header_block;
     Bytes body;
     bool remote_end = false;            ///< peer sent END_STREAM
     bool local_end = false;             ///< we sent END_STREAM
@@ -139,12 +140,22 @@ class Http2Connection {
   void uncork();
 
   void send_preface_and_settings();
-  void send_frame(Frame frame);
+  /// Send one frame whose payload is `copied` then `shared`. The 9-byte
+  /// header and `copied` (a control payload or header block) are written
+  /// together into the send slab; `shared` (a DATA payload) follows as a
+  /// slice of its own, uncopied.
+  void send_frame(FrameType type, std::uint8_t flags, std::uint32_t stream_id,
+                  std::span<const std::uint8_t> copied,
+                  BufferSlice shared = {});
   void send_settings(bool ack);
   void send_window_update(std::uint32_t stream_id, std::uint32_t increment);
   void send_headers(std::uint32_t stream_id,
                     const std::vector<HeaderField>& headers, bool end_stream);
   void send_data(std::uint32_t stream_id, BufferSlice body, bool end_stream);
+  /// A message body as a slice: copied into the send slab when a block
+  /// of it would hold it, so it costs no allocation of its own; a larger
+  /// body travels uncopied.
+  BufferSlice body_slice(Bytes body);
   void try_flush_blocked();
 
   void handle_frame(const Frame& frame);
@@ -194,6 +205,9 @@ class Http2Connection {
   /// (so a HEADERS + DATA pair shares one TLS record, like real stacks);
   /// payload slices are referenced, never concatenated.
   std::vector<BufferSlice> cork_chain_;
+  /// Frame headers, control payloads and header blocks, written into
+  /// shared blocks instead of a buffer each.
+  simnet::ByteSlab slab_;
 };
 
 }  // namespace dohperf::http2

@@ -1,5 +1,8 @@
 #include "http2/frame.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace dohperf::http2 {
 
 std::string to_string(FrameType t) {
@@ -18,71 +21,69 @@ std::string to_string(FrameType t) {
   return "UNKNOWN";
 }
 
+void write_frame_header(std::uint8_t* out, FrameType type, std::uint8_t flags,
+                        std::uint32_t stream_id, std::size_t length) {
+  if (length > 0xffffff) throw WireError("frame too large");
+  out[0] = static_cast<std::uint8_t>(length >> 16);
+  out[1] = static_cast<std::uint8_t>(length >> 8);
+  out[2] = static_cast<std::uint8_t>(length);
+  out[3] = static_cast<std::uint8_t>(type);
+  out[4] = flags;
+  stream_id &= 0x7fffffff;
+  out[5] = static_cast<std::uint8_t>(stream_id >> 24);
+  out[6] = static_cast<std::uint8_t>(stream_id >> 16);
+  out[7] = static_cast<std::uint8_t>(stream_id >> 8);
+  out[8] = static_cast<std::uint8_t>(stream_id);
+}
+
 Bytes encode_frame_header(const Frame& frame) {
-  if (frame.payload.size() > 0xffffff) throw WireError("frame too large");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>((frame.payload.size() >> 16) & 0xff));
-  w.u16(static_cast<std::uint16_t>(frame.payload.size() & 0xffff));
-  w.u8(static_cast<std::uint8_t>(frame.type));
-  w.u8(frame.flags);
-  w.u32(frame.stream_id & 0x7fffffff);
-  return w.take();
+  Bytes out(kFrameHeaderBytes);
+  write_frame_header(out.data(), frame.type, frame.flags, frame.stream_id,
+                     frame.payload.size());
+  return out;
 }
 
 Bytes encode_frame(const Frame& frame) {
-  ByteWriter w;
-  w.bytes(encode_frame_header(frame));
-  w.bytes(frame.payload);
-  return w.take();
-}
-
-void FrameReader::feed(std::span<const std::uint8_t> data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  Bytes out(kFrameHeaderBytes + frame.payload.size());
+  write_frame_header(out.data(), frame.type, frame.flags, frame.stream_id,
+                     frame.payload.size());
+  if (!frame.payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, frame.payload.data(),
+                frame.payload.size());
+  }
+  return out;
 }
 
 bool FrameReader::consume_preface() {
   if (buffered() < kConnectionPreface.size()) return false;
-  for (std::size_t i = 0; i < kConnectionPreface.size(); ++i) {
-    if (buffer_[offset_ + i] !=
-        static_cast<std::uint8_t>(kConnectionPreface[i])) {
-      throw WireError("bad HTTP/2 connection preface");
-    }
+  const auto bytes = buffer_.bytes();
+  if (!std::equal(kConnectionPreface.begin(), kConnectionPreface.end(),
+                  bytes.begin())) {
+    throw WireError("bad HTTP/2 connection preface");
   }
-  offset_ += kConnectionPreface.size();
+  buffer_.skip(kConnectionPreface.size());
   return true;
 }
 
 std::optional<Frame> FrameReader::next(std::size_t max_frame_size) {
   if (buffered() < kFrameHeaderBytes) return std::nullopt;
-  const auto frame_at = buffer_.begin() + static_cast<std::ptrdiff_t>(offset_);
-  const std::size_t length = (static_cast<std::size_t>(frame_at[0]) << 16) |
-                             (static_cast<std::size_t>(frame_at[1]) << 8) |
-                             frame_at[2];
+  const std::uint8_t* at = buffer_.bytes().data();
+  const std::size_t length = (static_cast<std::size_t>(at[0]) << 16) |
+                             (static_cast<std::size_t>(at[1]) << 8) | at[2];
   if (length > max_frame_size) {
     throw WireError("frame exceeds SETTINGS_MAX_FRAME_SIZE");
   }
   if (buffered() < kFrameHeaderBytes + length) return std::nullopt;
 
   Frame frame;
-  frame.type = static_cast<FrameType>(frame_at[3]);
-  frame.flags = frame_at[4];
-  frame.stream_id = ((static_cast<std::uint32_t>(frame_at[5]) << 24) |
-                     (static_cast<std::uint32_t>(frame_at[6]) << 16) |
-                     (static_cast<std::uint32_t>(frame_at[7]) << 8) |
-                     frame_at[8]) &
+  frame.type = static_cast<FrameType>(at[3]);
+  frame.flags = at[4];
+  frame.stream_id = ((static_cast<std::uint32_t>(at[5]) << 24) |
+                     (static_cast<std::uint32_t>(at[6]) << 16) |
+                     (static_cast<std::uint32_t>(at[7]) << 8) | at[8]) &
                     0x7fffffff;
-  frame.payload = Bytes(
-      frame_at + kFrameHeaderBytes,
-      frame_at + static_cast<std::ptrdiff_t>(kFrameHeaderBytes + length));
-  offset_ += kFrameHeaderBytes + length;
-  if (offset_ == buffer_.size()) {
-    buffer_.clear();
-    offset_ = 0;
-  } else if (offset_ >= 4096) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(offset_));
-    offset_ = 0;
-  }
+  buffer_.skip(kFrameHeaderBytes);
+  frame.payload = buffer_.take(length);
   return frame;
 }
 

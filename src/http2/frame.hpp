@@ -12,7 +12,6 @@
 namespace dohperf::http2 {
 
 using dns::ByteReader;
-using dns::ByteWriter;
 using dns::Bytes;
 using dns::WireError;
 using simnet::BufferSlice;
@@ -67,8 +66,8 @@ struct Frame {
   FrameType type = FrameType::kData;
   std::uint8_t flags = 0;
   std::uint32_t stream_id = 0;
-  /// DATA payloads are zero-copy views of the response body; control frame
-  /// payloads are small owned buffers wrapped in a slice.
+  /// Sent DATA payloads are zero-copy views of the body; a received
+  /// frame's payload shares the block FrameReader read it into.
   BufferSlice payload;
 
   bool has_flag(std::uint8_t flag) const noexcept {
@@ -79,17 +78,23 @@ struct Frame {
   }
 };
 
+/// Write the 9-byte header of a frame with a `length`-byte payload at
+/// `out`. Throws WireError past the 24-bit length field.
+void write_frame_header(std::uint8_t* out, FrameType type, std::uint8_t flags,
+                        std::uint32_t stream_id, std::size_t length);
+
 /// Serialize one frame (header + payload) into one contiguous buffer.
 Bytes encode_frame(const Frame& frame);
 
-/// Serialize just the 9-byte frame header; the payload travels as its own
-/// slice so the connection layer can send {header, payload} without copying.
+/// Serialize just the 9-byte frame header.
 Bytes encode_frame_header(const Frame& frame);
 
-/// Incremental frame reader over a byte stream.
+/// Incremental frame reader over a byte stream. A frame it returns shares
+/// the block its bytes arrived in (counted, not viewed), so its payload
+/// stays valid after later feed() calls and after the reader is gone.
 class FrameReader {
  public:
-  void feed(std::span<const std::uint8_t> data);
+  void feed(std::span<const std::uint8_t> data) { buffer_.append(data); }
 
   /// Pop the next complete frame if buffered. Throws WireError on frames
   /// exceeding `max_frame_size` (connection error in real HTTP/2).
@@ -99,13 +104,10 @@ class FrameReader {
   /// Returns false until enough bytes have arrived; throws on mismatch.
   bool consume_preface();
 
-  std::size_t buffered() const noexcept { return buffer_.size() - offset_; }
+  std::size_t buffered() const noexcept { return buffer_.size(); }
 
  private:
-  Bytes buffer_;
-  /// Consumed prefix of buffer_, reclaimed lazily instead of a per-frame
-  /// front-erase.
-  std::size_t offset_ = 0;
+  simnet::ByteQueue buffer_;
 };
 
 }  // namespace dohperf::http2

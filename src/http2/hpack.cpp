@@ -310,45 +310,33 @@ const std::vector<DecodeNode>& decode_tree() {
   return kTree;
 }
 
-class BitWriter {
- public:
-  void write(std::uint32_t bits, std::uint8_t length) {
-    for (int i = length - 1; i >= 0; --i) {
-      current_ = static_cast<std::uint8_t>((current_ << 1) |
-                                           ((bits >> i) & 1));
-      if (++filled_ == 8) {
-        out_.push_back(current_);
-        current_ = 0;
-        filled_ = 0;
-      }
+/// Write `text`'s Huffman code at `out`, which has room for
+/// huffman_encoded_size(text) bytes, padding the last byte with 1s (the
+/// EOS prefix, RFC 7541 §5.2).
+void huffman_encode_to(std::uint8_t* out, std::string_view text) {
+  const auto& cs = codes();
+  std::uint64_t pending = 0;  ///< bits not yet stored, right-aligned
+  int filled = 0;             ///< how many
+  for (unsigned char c : text) {
+    pending = pending << cs[c].length | cs[c].bits;
+    filled += cs[c].length;
+    while (filled >= 8) {
+      filled -= 8;
+      *out++ = static_cast<std::uint8_t>(pending >> filled);
     }
   }
-
-  /// Pad the final partial byte with 1s (EOS prefix, RFC 7541 §5.2).
-  Bytes finish() {
-    if (filled_ > 0) {
-      current_ = static_cast<std::uint8_t>(
-          (current_ << (8 - filled_)) | ((1u << (8 - filled_)) - 1));
-      out_.push_back(current_);
-    }
-    return std::move(out_);
+  if (filled > 0) {
+    *out = static_cast<std::uint8_t>(pending << (8 - filled) |
+                                     ((1u << (8 - filled)) - 1));
   }
-
- private:
-  Bytes out_;
-  std::uint8_t current_ = 0;
-  int filled_ = 0;
-};
+}
 
 }  // namespace
 
 Bytes huffman_encode(std::string_view text) {
-  BitWriter writer;
-  const auto& cs = codes();
-  for (unsigned char c : text) {
-    writer.write(cs[c].bits, cs[c].length);
-  }
-  return writer.finish();
+  Bytes out(huffman_encoded_size(text));
+  huffman_encode_to(out.data(), text);
+  return out;
 }
 
 std::size_t huffman_encoded_size(std::string_view text) {
@@ -363,6 +351,7 @@ std::string huffman_decode(std::span<const std::uint8_t> data) {
   std::string out;
   int node = 0;
   int depth = 0;
+  bool ones = true;  ///< every bit since the last symbol was a 1
   for (std::uint8_t byte : data) {
     for (int i = 7; i >= 0; --i) {
       const int b = (byte >> i) & 1;
@@ -370,18 +359,21 @@ std::string huffman_decode(std::span<const std::uint8_t> data) {
       if (next < 0) throw HpackError("invalid Huffman sequence");
       node = next;
       ++depth;
+      ones = ones && b == 1;
       const int sym = tree[static_cast<std::size_t>(node)].symbol;
       if (sym >= 0) {
         if (sym == 256) throw HpackError("unexpected EOS symbol");
         out += static_cast<char>(sym);
         node = 0;
         depth = 0;
+        ones = true;
       }
     }
   }
-  // Trailing bits must be a prefix of EOS (all 1s) shorter than a byte;
-  // our padding is at most 7 bits, so depth < 8 suffices as a check.
+  // Trailing bits must be a prefix of EOS (all 1s) shorter than a byte
+  // (RFC 7541 §5.2).
   if (depth >= 8) throw HpackError("excessive Huffman padding");
+  if (!ones) throw HpackError("Huffman padding is not a prefix of EOS");
   return out;
 }
 
@@ -397,8 +389,9 @@ void HpackEncoder::encode_string(Bytes& out, std::string_view text) {
   const std::size_t huffman_size = huffman_encoded_size(text);
   if (huffman_size < text.size()) {
     encode_integer(out, 7, 0x80, huffman_size);
-    const Bytes encoded = huffman_encode(text);
-    out.insert(out.end(), encoded.begin(), encoded.end());
+    const std::size_t at = out.size();
+    out.resize(at + huffman_size);
+    huffman_encode_to(out.data() + at, text);
   } else {
     encode_integer(out, 7, 0x00, text.size());
     out.insert(out.end(), text.begin(), text.end());
@@ -447,19 +440,19 @@ void HpackEncoder::encode_field(Bytes& out, const HeaderField& field) {
   }
 }
 
-Bytes HpackEncoder::encode(const std::vector<HeaderField>& headers) {
-  Bytes out;
+const Bytes& HpackEncoder::encode(const std::vector<HeaderField>& headers) {
+  block_.clear();
   if (pending_table_update_) {
-    encode_integer(out, 5, 0x20, pending_table_size_);
+    encode_integer(block_, 5, 0x20, pending_table_size_);
     pending_table_update_ = false;
   }
-  for (const auto& field : headers) encode_field(out, field);
-  return out;
+  for (const auto& field : headers) encode_field(block_, field);
+  return block_;
 }
 
 // --- decoder --------------------------------------------------------------------
 
-HeaderField HpackDecoder::lookup(std::size_t index) const {
+const HeaderField& HpackDecoder::lookup(std::size_t index) const {
   const auto& st = static_table();
   if (index == 0) throw HpackError("index 0");
   if (index <= st.size()) return st[index - 1];
@@ -469,7 +462,7 @@ HeaderField HpackDecoder::lookup(std::size_t index) const {
 std::string HpackDecoder::decode_string(dns::ByteReader& r) {
   std::uint8_t flags = 0;
   const std::uint64_t length = decode_integer(r, 7, &flags);
-  const Bytes raw = r.bytes(length);
+  const auto raw = r.view(length);
   if (flags & 0x80) return huffman_decode(raw);
   return dns::to_string(raw);
 }
@@ -477,6 +470,14 @@ std::string HpackDecoder::decode_string(dns::ByteReader& r) {
 std::vector<HeaderField> HpackDecoder::decode(
     std::span<const std::uint8_t> block) {
   std::vector<HeaderField> out;
+  decode(block, out);
+  return out;
+}
+
+void HpackDecoder::decode(std::span<const std::uint8_t> block,
+                          std::vector<HeaderField>& out) {
+  const std::size_t before = out.size();
+  out.reserve(before + last_fields_);
   dns::ByteReader r(block);
   while (!r.exhausted()) {
     const std::uint8_t first = r.peek_at(r.offset());
@@ -484,30 +485,23 @@ std::vector<HeaderField> HpackDecoder::decode(
       // Indexed field.
       const std::uint64_t index = decode_integer(r, 7);
       out.push_back(lookup(index));
-    } else if (first & 0x40) {
-      // Literal with incremental indexing.
-      const std::uint64_t name_index = decode_integer(r, 6);
-      HeaderField field;
-      field.name = name_index == 0 ? decode_string(r)
-                                   : lookup(name_index).name;
-      field.value = decode_string(r);
-      if (table_.max_size() > 0) table_.insert(field);
-      out.push_back(std::move(field));
-    } else if (first & 0x20) {
+    } else if ((first & 0x20) != 0 && (first & 0x40) == 0) {
       // Dynamic table size update.
       const std::uint64_t new_size = decode_integer(r, 5);
       table_.set_max_size(new_size);
     } else {
-      // Literal without indexing / never indexed (0x00 / 0x10 prefix).
-      const std::uint64_t name_index = decode_integer(r, 4);
-      HeaderField field;
+      // A literal: with incremental indexing (0x40, 6-bit name index), or
+      // without indexing / never indexed (0x00 / 0x10, 4-bit name index).
+      const bool indexing = (first & 0x40) != 0;
+      const std::uint64_t name_index = decode_integer(r, indexing ? 6 : 4);
+      HeaderField& field = out.emplace_back();
       field.name = name_index == 0 ? decode_string(r)
                                    : lookup(name_index).name;
       field.value = decode_string(r);
-      out.push_back(std::move(field));
+      if (indexing && table_.max_size() > 0) table_.insert(field);
     }
   }
-  return out;
+  last_fields_ = out.size() - before;
 }
 
 }  // namespace dohperf::http2

@@ -96,8 +96,9 @@ class HpackEncoder {
   explicit HpackEncoder(std::size_t max_table_size = 4096)
       : table_(max_table_size) {}
 
-  /// Encode a header list into one header block.
-  Bytes encode(const std::vector<HeaderField>& headers);
+  /// Encode a header list into one header block. The block is a buffer
+  /// the encoder reuses: it is valid until the next call.
+  const Bytes& encode(const std::vector<HeaderField>& headers);
 
   /// Disable the dynamic table (encodes a 0 size update on the next block);
   /// used by the fig5 HPACK ablation.
@@ -112,6 +113,7 @@ class HpackEncoder {
 
   DynamicTable table_;
   HpackEncoderStats stats_;
+  Bytes block_;  ///< the last block encoded; its capacity carries over
   bool pending_table_update_ = false;
   std::size_t pending_table_size_ = 0;
 };
@@ -123,14 +125,20 @@ class HpackDecoder {
 
   /// Decode one complete header block.
   std::vector<HeaderField> decode(std::span<const std::uint8_t> block);
+  /// Decode one complete header block, appending its fields to `out`.
+  void decode(std::span<const std::uint8_t> block,
+              std::vector<HeaderField>& out);
 
   const DynamicTable& table() const noexcept { return table_; }
 
  private:
-  HeaderField lookup(std::size_t index) const;
+  const HeaderField& lookup(std::size_t index) const;
   std::string decode_string(dns::ByteReader& r);
 
   DynamicTable table_;
+  /// Fields in the last block: room reserved for the next one, as the
+  /// blocks of one connection direction tend to carry the same headers.
+  std::size_t last_fields_ = 0;
 };
 
 /// The RFC 7541 Appendix A static table (1-based, 61 entries).

@@ -80,10 +80,13 @@ DohServer::DohServer(simnet::Host& host, QueryHandler& handler,
 }
 
 // The estimate below is published (overload_matrix's doh_memory_bytes and
-// its golden output), so a field added to TlsConnection must not silently
-// move it: change this size, and the recorded outputs, on purpose.
+// its golden output), so a field added to TlsConnection or Http2Connection
+// must not silently move it: change these sizes, and the recorded outputs,
+// on purpose.
 static_assert(sizeof(tlssim::TlsConnection) == 544,
               "TlsConnection's size feeds DohServer::memory_estimate_bytes");
+static_assert(sizeof(http2::Http2Connection) == 920,
+              "Http2Connection's size feeds DohServer::memory_estimate_bytes");
 
 std::size_t DohServer::memory_estimate_bytes() const noexcept {
   // Modeled per-session state: the TLS connection plus whichever HTTP
@@ -191,8 +194,8 @@ void DohServer::attach_http(const std::shared_ptr<Session>& session) {
     session->h2 = std::make_unique<http2::Http2Connection>(
         std::move(session->tls_holder), http2::Http2Connection::Role::kServer);
     session->h2->set_request_handler(
-        [this, weak](const http2::H2Message& request,
-               http2::Http2Connection::Responder respond) {
+        [this, weak](http2::H2Message request,
+                     http2::Http2Connection::Responder respond) {
           DohExchange exchange;
           for (const auto& f : request.headers) {
             if (f.name == ":method") exchange.method = f.value;
@@ -202,7 +205,7 @@ void DohServer::attach_http(const std::shared_ptr<Session>& session) {
             } else if (f.name == "accept") exchange.accept = f.value;
             else if (f.name == "content-type") exchange.content_type = f.value;
           }
-          exchange.body = request.body;
+          exchange.body = std::move(request.body);
           const auto active = weak.lock();
           if (active) active->last_active = host_.loop().now();
           const simnet::NodeId peer = active ? active->peer : 0;
@@ -211,6 +214,7 @@ void DohServer::attach_http(const std::shared_ptr<Session>& session) {
             const auto s = weak.lock();
             if (!s || s->dead) return;
             http2::H2Message response;
+            response.headers.reserve(6);
             response.headers.push_back(
                 {":status", std::to_string(result.status)});
             response.headers.push_back({"server", config_.server_header});
@@ -324,7 +328,9 @@ void DohServer::process(const DohExchange& exchange, simnet::NodeId peer,
     done(error_result(415));
     return;
   }
-  dns::Bytes query_wire;
+  // A POST query is decoded where it arrived; a GET query from its base64.
+  std::span<const std::uint8_t> query_wire;
+  dns::Bytes decoded;
   if (exchange.method == "POST") {
     if (exchange.content_type != kDnsMessage) {
       done(error_result(415));
@@ -343,7 +349,8 @@ void DohServer::process(const DohExchange& exchange, simnet::NodeId peer,
     const std::size_t amp = encoded.find('&');
     if (amp != std::string::npos) encoded.resize(amp);
     try {
-      query_wire = dns::base64url_decode(encoded);
+      decoded = dns::base64url_decode(encoded);
+      query_wire = decoded;
     } catch (const dns::WireError&) {
       done(error_result(400));
       return;

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <span>
@@ -83,8 +84,8 @@ class SharedBytes final : public SliceStorage {
   }
 };
 
-/// Header of a ByteSlab block; its `capacity` bytes follow in the same
-/// allocation.
+/// Header of a ByteSlab or ByteQueue block; its `capacity` bytes follow in
+/// the same allocation.
 class SlabBlock final : public SliceStorage {
  public:
   static SlabBlock* create(std::size_t capacity) {
@@ -227,6 +228,7 @@ class BufferSlice {
 
  private:
   friend class ByteSlab;
+  friend class ByteQueue;
 
   /// A window of `owner`'s bytes (or of unowned bytes when null); takes a
   /// reference of its own.
@@ -295,8 +297,94 @@ class ByteSlab {
     return BufferSlice(block_, out, size);
   }
 
+  /// Append a copy of `bytes` and return a slice of it.
+  BufferSlice copy(std::span<const std::uint8_t> bytes) {
+    return write(bytes.size(), [bytes](std::uint8_t* out) {
+      std::memcpy(out, bytes.data(), bytes.size());
+    });
+  }
+
  private:
   detail::SlabBlock* block_ = nullptr;
+};
+
+/// A receive buffer: bytes are appended at the back and consumed at the
+/// front, and consumed bytes may leave as slices that share its block, so
+/// a parsed message owns its bytes without a copy of its own and outlives
+/// the queue. Bytes a slice may view are never written again: an append
+/// fills the block's free tail, moves the unconsumed bytes to the front
+/// only while no slice shares the block, and otherwise starts a new block
+/// that the old one's slices do not see.
+class ByteQueue {
+ public:
+  /// Capacity of the first block, as ByteSlab's.
+  static constexpr std::size_t kFirstBlockBytes =
+      ByteSlab::kFirstBlockAlloc - ByteSlab::kHeaderRoom;
+
+  ByteQueue() noexcept = default;
+  ByteQueue(const ByteQueue&) = delete;
+  ByteQueue& operator=(const ByteQueue&) = delete;
+  ~ByteQueue() {
+    if (block_ != nullptr) block_->release();
+  }
+
+  /// Unconsumed bytes.
+  std::size_t size() const noexcept {
+    return block_ != nullptr ? block_->used - head_ : 0;
+  }
+  std::span<const std::uint8_t> bytes() const noexcept {
+    return block_ != nullptr
+               ? std::span<const std::uint8_t>(block_->bytes() + head_, size())
+               : std::span<const std::uint8_t>();
+  }
+
+  void append(std::span<const std::uint8_t> data) {
+    if (data.empty()) return;
+    const std::size_t pending = size();
+    const bool shared = block_ != nullptr && block_->use_count() > 1;
+    if (block_ != nullptr && !shared && head_ > 0 &&
+        block_->capacity - block_->used < data.size()) {
+      // Nothing views the consumed prefix any more: reclaim it.
+      std::memmove(block_->bytes(), block_->bytes() + head_, pending);
+      block_->used = pending;
+      head_ = 0;
+    }
+    if (block_ == nullptr || block_->capacity - block_->used < data.size()) {
+      // A block too small for everything grows twofold; a shared one is
+      // replaced by one of its size.
+      const std::size_t least =
+          block_ == nullptr ? kFirstBlockBytes
+          : shared          ? block_->capacity
+                            : 2 * block_->capacity;
+      auto* fresh =
+          detail::SlabBlock::create(std::max(pending + data.size(), least));
+      if (pending > 0) {
+        std::memcpy(fresh->bytes(), block_->bytes() + head_, pending);
+      }
+      fresh->used = pending;
+      if (block_ != nullptr) block_->release();
+      block_ = fresh;
+      head_ = 0;
+    }
+    std::memcpy(block_->bytes() + block_->used, data.data(), data.size());
+    block_->used += data.size();
+  }
+
+  /// Consume `n` unconsumed bytes (n <= size()).
+  void skip(std::size_t n) noexcept { head_ += n; }
+
+  /// Consume `n` unconsumed bytes (n <= size()) as a slice sharing the
+  /// block; an empty slice shares nothing.
+  BufferSlice take(std::size_t n) noexcept {
+    if (n == 0) return {};
+    BufferSlice out(block_, block_->bytes() + head_, n);
+    head_ += n;
+    return out;
+  }
+
+ private:
+  detail::SlabBlock* block_ = nullptr;
+  std::size_t head_ = 0;  ///< consumed prefix of the block
 };
 
 /// Concatenate a chain of slices into one contiguous buffer. Used where a

@@ -53,6 +53,40 @@ TEST(FrameCodec, OversizedFrameThrows) {
   EXPECT_THROW(reader.next(kDefaultMaxFrameSize), WireError);
 }
 
+TEST(FrameCodec, ReturnedFramesKeepTheirPayloadsPastFeedsAndReader) {
+  // perfbench's replay keeps the frames after their reader is gone.
+  Frame small;
+  small.type = FrameType::kHeaders;
+  small.stream_id = 1;
+  small.payload = Bytes(40, 0xaa);
+  Frame big;
+  big.type = FrameType::kData;
+  big.stream_id = 1;
+  big.payload = Bytes(3000, 0xbb);
+  const Bytes big_wire = encode_frame(big);
+  std::vector<Frame> kept;
+  {
+    FrameReader reader;
+    reader.feed(encode_frame(small));
+    // Half a frame waits behind the first: more bytes arrive while the
+    // first frame is still held.
+    reader.feed(std::span(big_wire).first(100));
+    kept.push_back(*reader.next());
+    EXPECT_FALSE(reader.next().has_value());
+    reader.feed(std::span(big_wire).subspan(100));
+    for (int i = 0; i < 4; ++i) {
+      reader.feed(encode_frame(small));
+      reader.feed(big_wire);
+    }
+    while (auto frame = reader.next()) kept.push_back(std::move(*frame));
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
+  ASSERT_EQ(kept.size(), 10u);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].payload, i % 2 == 0 ? small.payload : big.payload) << i;
+  }
+}
+
 TEST(FrameCodec, PrefaceConsumption) {
   FrameReader reader;
   reader.feed(dns::to_bytes(std::string(kConnectionPreface)));

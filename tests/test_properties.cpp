@@ -2,10 +2,17 @@
 // seeded random inputs rather than hand-picked cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "dns/base64url.hpp"
 #include "dns/json.hpp"
 #include "dns/message.hpp"
 #include "http1/message.hpp"
+#include "http2/frame.hpp"
 #include "http2/hpack.hpp"
 #include "stats/rng.hpp"
 
@@ -197,6 +204,208 @@ TEST_P(HuffmanProperty, RandomStringsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HuffmanProperty,
                          ::testing::Values(5ULL, 1234ULL));
+
+// --- HTTP/2 frames and HPACK blocks never crash on hostile input ---------------
+//
+// Every input either decodes or throws WireError or HpackError. Anything else
+// fails the case: another exception, or, under the asan-ubsan preset, a
+// memory error.
+
+/// A stream of `frames` frames with seeded types (unknown ones included),
+/// flags, stream ids and payloads, mostly small, sometimes past 4 KiB.
+Bytes random_frames(stats::SplitMix64& rng, std::size_t frames) {
+  Bytes wire;
+  for (std::size_t i = 0; i < frames; ++i) {
+    http2::Frame f;
+    f.type = static_cast<http2::FrameType>(rng.next_below(12));
+    f.flags = static_cast<std::uint8_t>(rng.next());
+    f.stream_id = static_cast<std::uint32_t>(rng.next());
+    Bytes payload(rng.next_below(8) == 0 ? rng.next_below(6000)
+                                         : rng.next_below(60));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+    f.payload = std::move(payload);
+    const Bytes frame = http2::encode_frame(f);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  return wire;
+}
+
+/// Feed `wire` to a FrameReader in seeded chunks, keeping every frame it
+/// yields. Once the reader is gone, each payload must still equal the bytes
+/// it was cut from. Returns the frame count, or nothing if the reader threw
+/// WireError.
+std::optional<std::size_t> read_frames(std::span<const std::uint8_t> wire,
+                                       stats::SplitMix64& rng) {
+  std::vector<std::pair<std::size_t, http2::Frame>> frames;  // at payload
+  std::size_t consumed = 0;
+  {
+    http2::FrameReader reader;
+    try {
+      for (std::size_t fed = 0; fed < wire.size();) {
+        const std::size_t n =
+            std::min<std::size_t>(wire.size() - fed, 1 + rng.next_below(700));
+        reader.feed(wire.subspan(fed, n));
+        fed += n;
+        while (auto frame = reader.next()) {
+          consumed += http2::kFrameHeaderBytes;
+          EXPECT_LE(frame->payload.size(), http2::kDefaultMaxFrameSize);
+          frames.emplace_back(consumed, std::move(*frame));
+          consumed += frames.back().second.payload.size();
+        }
+      }
+    } catch (const dns::WireError&) {
+      return std::nullopt;
+    }
+    EXPECT_EQ(consumed + reader.buffered(), wire.size());
+  }
+  for (const auto& [at, frame] : frames) {
+    EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                           wire.begin() + static_cast<std::ptrdiff_t>(at)))
+        << "payload at " << at;
+  }
+  return frames.size();
+}
+
+class H2FrameFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(H2FrameFuzz, ValidStreamsFrameUnderAnyChunking) {
+  stats::SplitMix64 rng(GetParam());
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t count = rng.next_below(12);
+    const Bytes wire = random_frames(rng, count);
+    EXPECT_EQ(read_frames(wire, rng), count) << "round " << round;
+  }
+}
+
+TEST_P(H2FrameFuzz, MutatedStreamsEitherFrameOrThrowWireError) {
+  stats::SplitMix64 rng(GetParam() ^ 0xbeef);
+  for (int round = 0; round < 300; ++round) {
+    Bytes wire = random_frames(rng, 1 + rng.next_below(6));
+    // Flip bits (length fields included), then maybe cut the stream short.
+    for (std::uint64_t flips = 1 + rng.next_below(4); flips > 0; --flips) {
+      wire[rng.next_below(wire.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.next_below(8));
+    }
+    if (rng.next_below(2) == 0) wire.resize(rng.next_below(wire.size() + 1));
+    (void)read_frames(wire, rng);
+  }
+}
+
+TEST_P(H2FrameFuzz, RandomBytesEitherFrameOrThrowWireError) {
+  stats::SplitMix64 rng(GetParam() ^ 0xfeed);
+  for (int round = 0; round < 300; ++round) {
+    Bytes garbage(rng.next_below(200));
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
+    // A zero high length byte keeps some garbage frames under the limit.
+    if (!garbage.empty() && rng.next_below(2) == 0) garbage[0] = 0;
+    (void)read_frames(garbage, rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, H2FrameFuzz,
+                         ::testing::Values(1ULL, 42ULL, 2019ULL, 7540ULL));
+
+/// Decode `block` with `decoder`: true if it decoded, false if it threw
+/// WireError or HpackError.
+bool decodes(http2::HpackDecoder& decoder,
+             std::span<const std::uint8_t> block) {
+  try {
+    (void)decoder.decode(block);
+    return true;
+  } catch (const dns::WireError&) {
+  } catch (const http2::HpackError&) {
+  }
+  return false;
+}
+
+class HpackFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HpackFuzz, MutatedBlocksEitherDecodeOrThrow) {
+  stats::SplitMix64 rng(GetParam());
+  http2::HpackEncoder encoder;
+  http2::HpackDecoder decoder;
+  for (int round = 0; round < 300; ++round) {
+    const auto headers = random_headers(rng);
+    const Bytes block = encoder.encode(headers);
+    // A trial decoder takes the hostile copy; the real one stays in step
+    // with the encoder, so later rounds mutate blocks that index a warm
+    // dynamic table.
+    Bytes mutated = block;
+    switch (rng.next_below(3)) {
+      case 0:
+        for (std::uint64_t flips = 1 + rng.next_below(3); flips > 0; --flips) {
+          mutated[rng.next_below(mutated.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      case 1:
+        mutated.resize(rng.next_below(mutated.size()));
+        break;
+      default:
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.next_below(mutated.size())),
+                       static_cast<std::uint8_t>(rng.next()));
+        break;
+    }
+    http2::HpackDecoder trial = decoder;
+    (void)decodes(trial, mutated);
+    EXPECT_EQ(decoder.decode(block), headers) << "round " << round;
+  }
+}
+
+TEST_P(HpackFuzz, RandomBlocksEitherDecodeOrThrow) {
+  stats::SplitMix64 rng(GetParam() ^ 0x5eed);
+  http2::HpackEncoder encoder;
+  http2::HpackDecoder warm;
+  for (int i = 0; i < 20; ++i) (void)warm.decode(encoder.encode(random_headers(rng)));
+  for (int round = 0; round < 500; ++round) {
+    Bytes garbage(rng.next_below(80));
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
+    http2::HpackDecoder trial = warm;
+    (void)decodes(trial, garbage);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HpackFuzz,
+                         ::testing::Values(1ULL, 42ULL, 2019ULL, 7541ULL));
+
+TEST(HpackHostile, AdversarialRepresentationsThrow) {
+  const auto rejects = [](const Bytes& block) {
+    http2::HpackDecoder decoder;
+    return !decodes(decoder, block);
+  };
+  // Table indices: 0, one past the static table with an empty dynamic
+  // table, and one far past both.
+  EXPECT_TRUE(rejects({0x80}));
+  EXPECT_TRUE(rejects({0xbe}));
+  EXPECT_TRUE(rejects({0xff, 0xff, 0xff, 0xff, 0x7f}));
+  // A literal whose name index points past the tables.
+  EXPECT_TRUE(rejects({0x7f, 0x40, 0x01, 'v'}));
+  // An integer whose continuation never ends within 64 bits, and one cut
+  // off mid-continuation.
+  Bytes overlong(12, 0xff);
+  overlong.push_back(0x01);
+  EXPECT_TRUE(rejects(overlong));
+  EXPECT_TRUE(rejects({0xff, 0x80}));
+  // String lengths past the end of the block, raw and Huffman, small and
+  // near 2^35.
+  EXPECT_TRUE(rejects({0x40, 0x0a, 'a', 'b'}));
+  EXPECT_TRUE(rejects({0x00, 0x01, 'n', 0x85, 0x11}));
+  EXPECT_TRUE(rejects({0x40, 0x7f, 0xff, 0xff, 0xff, 0xff, 0x7f}));
+  // Huffman padding: eight 1 bits, and padding of 0 bits (not a prefix of
+  // EOS).
+  EXPECT_TRUE(rejects({0x00, 0x81, 0xff, 0x01, 'v'}));
+  Bytes name = http2::huffman_encode("a");
+  ASSERT_EQ(name.size(), 1u);
+  const std::size_t code_bits = 8 - static_cast<std::size_t>(std::countr_one(
+                                        static_cast<unsigned>(name[0])));
+  ASSERT_LT(code_bits, 8u);
+  EXPECT_THROW(http2::huffman_decode(Bytes{static_cast<std::uint8_t>(
+                   name[0] & (0xff << (8 - code_bits)))}),
+               http2::HpackError);
+  // The same string padded with 1s decodes.
+  EXPECT_EQ(http2::huffman_decode(name), "a");
+}
 
 // --- HTTP/1.1 parser: any chunking of any message sequence ------------------------
 

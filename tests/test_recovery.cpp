@@ -597,5 +597,86 @@ TEST_F(RecoveryRules, WonRaceResendsEveryQueryAtOnceWithReasonMigration) {
   EXPECT_EQ(rs.retried_queries, 3u);
 }
 
+// --- client events and the client's lifetime -----------------------------
+//
+// A client schedules zero-delay events of its own that capture it: DoH
+// freezes a persistent query's counter window one event after completion,
+// and a racer is promoted or torn down one event after its handshake or
+// loss. Each case destroys its client while such an event is pending and
+// then runs the loop. Recovery cancels them with the client; left on the
+// loop, they are a heap-use-after-free under ASan.
+
+/// A client host and a resolver host on one 5 ms link, built afresh for
+/// each run of a case that runs the same world twice.
+struct World {
+  World() {
+    simnet::LinkConfig link;
+    link.latency = simnet::ms(5);
+    net.connect(client.id(), server.id(), link);
+  }
+
+  simnet::EventLoop loop;
+  simnet::Network net{loop, 7};
+  simnet::Host client{net, "client"};
+  simnet::Host server{net, "server"};
+  resolver::Engine engine{loop, {}};
+};
+
+TEST(ClientLifetime, PersistentDohClientGoneBeforeItsCounterWindowFreezes) {
+  World w;
+  resolver::DohServerConfig server_config;
+  server_config.tls.chain =
+      tlssim::CertificateChain::generic("local.resolver");
+  resolver::DohServer doh_server(w.server, w.engine, server_config, 443);
+  core::DohClientConfig config;
+  config.server_name = "local.resolver";
+  auto stub = std::make_unique<core::DohClient>(
+      w.client, simnet::Address{w.server.id(), 443}, config);
+  bool answered = false;
+  stub->resolve(dns::Name::parse("one.example.com"), dns::RType::kA,
+                [&](const core::ResolutionResult& r) { answered = r.success; });
+  while (!answered && w.loop.step()) {
+  }
+  ASSERT_TRUE(answered);
+  stub.reset();  // the freeze of that query's window is one event away
+  w.loop.run();
+}
+
+TEST(ClientLifetime, DotClientGoneBeforeItsRacerIsPromoted) {
+  // A silent NAT rebind stalls the second query; the stall timer races a
+  // fresh connection, whose handshake schedules its promotion. Returns how
+  // many events had run when the racer was promoted; destroys the client
+  // once `stop` events have run, if `stop` is not 0.
+  const auto race = [](std::uint64_t stop) {
+    World w;
+    resolver::DotServerConfig server_config;
+    server_config.tls.chain =
+        tlssim::CertificateChain::generic("local.resolver");
+    resolver::DotServer dot_server(w.server, w.engine, server_config, 853);
+    core::DotClientConfig config;
+    config.server_name = "local.resolver";
+    config.retry.max_retries = 3;
+    config.retry.query_timeout = simnet::ms(500);
+    config.migration.enabled = true;
+    auto stub = std::make_unique<core::DotClient>(
+        w.client, simnet::Address{w.server.id(), 853}, config);
+    stub->resolve(dns::Name::parse("one.example.com"), dns::RType::kA, {});
+    w.loop.schedule_at(simnet::ms(200), [&]() {
+      w.client.rebind(/*rst_old_flows=*/false);
+      stub->resolve(dns::Name::parse("two.example.com"), dns::RType::kA, {});
+    });
+    while (w.loop.step()) {
+      if (!stub) continue;
+      if (stub->migration_stats().migrations > 0) return w.loop.executed();
+      if (w.loop.executed() == stop) stub.reset();
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t promoted = race(0);
+  ASSERT_GT(promoted, 1u);
+  // One event earlier, the racer's handshake has scheduled the promotion.
+  EXPECT_EQ(race(promoted - 1), 0u);
+}
+
 }  // namespace
 }  // namespace dohperf
