@@ -121,7 +121,6 @@ struct RunMetrics {
   std::size_t rcode_fail = 0;  ///< answered, but SERVFAIL/REFUSED
   std::vector<double> resolution_ms;
   core::RetryStats retry;
-  std::uint64_t udp_final_timeouts = 0;
   // Tier-side retry-budget accounting (retry-storm cells only).
   std::uint64_t tier_retries_detected = 0;
   std::uint64_t tier_shed_retry_budget = 0;
@@ -276,7 +275,12 @@ RunMetrics run(const Scenario& scenario, const std::string& transport,
   }
   if (doh != nullptr) m.retry = doh->retry_stats();
   if (dot != nullptr) m.retry = dot->retry_stats();
-  if (udp != nullptr) m.udp_final_timeouts = udp->timeouts();
+  if (udp != nullptr) {
+    // UDP re-sends each query alone and never reconnects: its retries and
+    // deadlines count as the other transports' do.
+    m.retry.retried_queries = udp->retry_stats().retried_queries;
+    m.retry.query_timeouts = udp->retry_stats().query_timeouts;
+  }
   if (tier != nullptr) {
     m.tier_retries_detected = tier->stats().retries_detected;
     m.tier_shed_retry_budget = tier->stats().shed_retry_budget;
@@ -325,8 +329,6 @@ int main(int argc, char** argv) {
       [&](std::size_t s, std::size_t t, const RunMetrics& m,
           bench::CellJson& json) -> std::vector<std::string> {
         const double pct = bench::pct(m.ok, m.queries);
-        const std::uint64_t timeouts =
-            m.udp_final_timeouts + m.retry.query_timeouts;
         json.set("ok", static_cast<std::int64_t>(m.ok));
         json.set("rcode_fail", static_cast<std::int64_t>(m.rcode_fail));
         json.set("success_pct", pct);
@@ -334,7 +336,8 @@ int main(int argc, char** argv) {
         json.set("retries",
                  static_cast<std::int64_t>(m.retry.retried_queries));
         json.set("reconnects", static_cast<std::int64_t>(m.retry.reconnects));
-        json.set("timeouts", static_cast<std::int64_t>(timeouts));
+        json.set("timeouts",
+                 static_cast<std::int64_t>(m.retry.query_timeouts));
         json.set("budget_exhausted",
                  static_cast<std::int64_t>(m.retry.budget_exhausted));
         json.set("tier_retries_detected",
@@ -349,7 +352,8 @@ int main(int argc, char** argv) {
                 bench::pctl(m.resolution_ms, 95),
                 bench::pctl(m.resolution_ms, 100),
                 std::to_string(m.retry.retried_queries),
-                std::to_string(m.retry.reconnects), std::to_string(timeouts),
+                std::to_string(m.retry.reconnects),
+                std::to_string(m.retry.query_timeouts),
                 std::to_string(m.retry.budget_exhausted)};
       });
 

@@ -33,9 +33,12 @@ void PageLoader::load(const workload::Page& page,
   result_ = PageLoadResult{};
   result_.started_at = loop().now();
   page_span_ = config_.obs.begin("page_load");
-  config_.obs.set_attr(page_span_, "page", page_.primary.to_string());
-  config_.obs.set_attr(page_span_, "objects",
-                       static_cast<std::int64_t>(page_.objects.size()));
+  // Span attributes and span bookkeeping are built only for a tracer.
+  if (config_.obs) {
+    config_.obs.set_attr(page_span_, "page", page_.primary.to_string());
+    config_.obs.set_attr(page_span_, "objects",
+                         static_cast<std::int64_t>(page_.objects.size()));
+  }
   page_obs_ = config_.obs.child(page_span_);
   metrics_.pages.add(config_.obs);
   // Everything that must complete before onload: the HTML + all objects.
@@ -51,9 +54,11 @@ void PageLoader::resolve_origin(const dns::Name& domain) {
   if (origin.resolved || origin.resolving) return;
   origin.resolving = true;
   ++result_.dns_queries;
-  const obs::SpanId span = page_obs_.begin("resolve_origin");
-  page_obs_.set_attr(span, "domain", domain.to_string());
-  resolve_spans_[domain] = span;
+  if (page_obs_) {
+    const obs::SpanId span = page_obs_.begin("resolve_origin");
+    page_obs_.set_attr(span, "domain", domain.to_string());
+    resolve_spans_[domain] = span;
+  }
   metrics_.dns_queries.add(config_.obs);
   resolver_.resolve(domain, dns::RType::kA,
                     [this, domain](const core::ResolutionResult& r) {
@@ -104,7 +109,9 @@ void PageLoader::enqueue_fetch(int object_index) {
 
 void PageLoader::pump_origin(const dns::Name& domain) {
   Origin& origin = origins_[domain];
+  std::string host;  // the domain's text, formatted once there is a fetch
   while (!origin.pending_objects.empty()) {
+    if (host.empty()) host = domain.to_string();
     // Pick the connection with the least outstanding work; open a new one
     // if all are busy and the per-origin limit allows.
     Connection* best = nullptr;
@@ -119,9 +126,10 @@ void PageLoader::pump_origin(const dns::Name& domain) {
                         static_cast<std::size_t>(
                             config_.max_connections_per_origin)) {
       auto conn = std::make_unique<Connection>();
+      conn->loader = this;
       conn->tcp = browser_.tcp_connect(origin.address);
       tlssim::ClientConfig tls_config;
-      tls_config.sni = domain.to_string();
+      tls_config.sni = host;
       tls_config.alpn = {"http/1.1"};
       auto tls = std::make_unique<tlssim::TlsConnection>(
           std::make_unique<simnet::TcpByteStream>(conn->tcp),
@@ -143,15 +151,17 @@ void PageLoader::pump_origin(const dns::Name& domain) {
     http1::Request request;
     request.method = "GET";
     request.target = WebFarm::object_target(bytes);
-    request.headers.add("Host", domain.to_string());
+    request.headers.add("Host", host);
     request.headers.add("User-Agent", "dohperf-browser/1.0");
     request.headers.add("Accept", "*/*");
 
-    const obs::SpanId fetch_span = page_obs_.begin("fetch");
-    page_obs_.set_attr(fetch_span, "domain", domain.to_string());
-    page_obs_.set_attr(fetch_span, "bytes",
-                       static_cast<std::int64_t>(bytes));
-    fetch_spans_[index] = fetch_span;
+    if (page_obs_) {
+      const obs::SpanId fetch_span = page_obs_.begin("fetch");
+      page_obs_.set_attr(fetch_span, "domain", host);
+      page_obs_.set_attr(fetch_span, "bytes",
+                         static_cast<std::int64_t>(bytes));
+      fetch_spans_[index] = fetch_span;
+    }
     metrics_.fetches.add(config_.obs);
 
     ++best->outstanding;
@@ -163,9 +173,10 @@ void PageLoader::pump_origin(const dns::Name& domain) {
       for (int i = 0; i < lost; ++i) on_object_done(kHtmlIndex - 1, false);
     });
     best->http->request(std::move(request),
-                        [this, index, conn_ptr](const http1::Response& resp) {
+                        [conn_ptr, index](const http1::Response& resp) {
                           --conn_ptr->outstanding;
-                          on_object_done(index, resp.status == 200);
+                          conn_ptr->loader->on_object_done(
+                              index, resp.status == 200);
                         });
   }
 }

@@ -8,7 +8,6 @@
 // *only* difference between the U/LO, U/CF, U/GO, H/CF and H/GO runs.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,6 +17,7 @@
 #include "http1/client.hpp"
 #include "obs/metric.hpp"
 #include "obs/span.hpp"
+#include "simnet/fifo.hpp"
 #include "workload/alexa.hpp"
 
 namespace dohperf::browser {
@@ -64,6 +64,9 @@ class PageLoader {
 
  private:
   struct Connection {
+    /// The loader, so a response handler captures only its connection and
+    /// object index and fits std::function's inline storage.
+    PageLoader* loader = nullptr;
     std::shared_ptr<simnet::TcpConnection> tcp;
     std::unique_ptr<http1::Http1Client> http;
     int outstanding = 0;
@@ -72,7 +75,7 @@ class PageLoader {
     simnet::Address address;
     bool resolved = false;
     bool resolving = false;
-    std::deque<int> pending_objects;  ///< object indices awaiting fetch
+    simnet::Fifo<int> pending_objects;  ///< object indices awaiting fetch
     std::vector<std::unique_ptr<Connection>> connections;
   };
 

@@ -53,19 +53,20 @@ simnet::Address WebFarm::origin_for(const dns::Name& domain) {
 void WebFarm::accept(std::shared_ptr<simnet::TcpConnection> conn) {
   // Every origin's closed sessions go, not only this origin's: a page's
   // third-party origins may never be fetched from again.
-  std::erase_if(sessions_, [](const std::shared_ptr<Session>& s) {
+  std::erase_if(sessions_, [](const std::unique_ptr<Session>& s) {
     return s->dead || (s->http && !s->http->is_open());
   });
 
-  auto session = std::make_shared<Session>();
+  auto session = std::make_unique<Session>();
   session->tls_holder = std::make_unique<tlssim::TlsConnection>(
       std::make_unique<simnet::TcpByteStream>(std::move(conn)), &tls_config_);
 
-  std::weak_ptr<Session> weak = session;
+  // The handlers live in the session's own TLS connection, so they never
+  // run once it is released: a plain pointer to it keeps each closure in
+  // std::function's inline storage.
+  Session* s = session.get();
   tlssim::TlsConnection::Handlers h;
-  h.on_open = [this, weak]() {
-    const auto s = weak.lock();
-    if (!s) return;
+  h.on_open = [this, s]() {
     s->http = std::make_unique<http1::Http1ServerConnection>(
         std::move(s->tls_holder),
         [this](const http1::Request& request,
@@ -77,21 +78,23 @@ void WebFarm::accept(std::shared_ptr<simnet::TcpConnection> conn) {
             std::from_chars(num.data(), num.data() + num.size(), size);
           }
           ++objects_served_;
-          http1::Response response;
-          response.status = 200;
-          response.headers.add("Server", "webfarm/1.0");
-          response.headers.add("Content-Type", "application/octet-stream");
-          response.body = object_body(size);
-          // Model server think time before the first response byte.
+          // Model server think time before the first response byte. The
+          // response is built when it ends, so the event stays small
+          // enough for the loop's inline storage.
           net_.loop().schedule_in(
               config_.server_think_time,
-              [respond = std::move(respond),
-               r = std::move(response)]() mutable { respond(std::move(r)); });
+              [this, respond = std::move(respond), size]() {
+                http1::Response response;
+                response.status = 200;
+                response.headers.add("Server", "webfarm/1.0");
+                response.headers.add("Content-Type",
+                                     "application/octet-stream");
+                response.body = object_body(size);
+                respond(std::move(response));
+              });
         });
   };
-  h.on_close = [weak]() {
-    if (const auto s = weak.lock()) s->dead = true;
-  };
+  h.on_close = [s]() { s->dead = true; };
   session->tls_holder->set_handlers(std::move(h));
   sessions_.push_back(std::move(session));
 }

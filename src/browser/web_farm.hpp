@@ -63,7 +63,7 @@ class WebFarm {
   std::map<dns::Name, std::unique_ptr<simnet::Host>> origins_;
   /// Every origin's sessions. A closed one is released at the next accept
   /// of any origin, which runs outside every session's own callbacks.
-  std::vector<std::shared_ptr<Session>> sessions_;
+  std::vector<std::unique_ptr<Session>> sessions_;
   /// Every body served is a window of this one buffer. An object larger
   /// than it replaces it with one at least twice the size; bodies already
   /// handed out keep the old buffer alive. One per farm, so shards running

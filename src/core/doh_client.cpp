@@ -297,10 +297,10 @@ void DohClient::send(Attempt&& a) {
     request.method = method;
     request.target = std::move(target);
     request.headers.add("Host", config_.server_name);
-    request.headers.add("User-Agent", std::string(kUserAgent));
-    request.headers.add("Accept", std::string(accept));
+    request.headers.add("User-Agent", kUserAgent);
+    request.headers.add("Accept", accept);
     if (!content_type.empty()) {
-      request.headers.add("Content-Type", std::string(content_type));
+      request.headers.add("Content-Type", content_type);
     }
     if (!config_.persistent) {
       request.headers.add("Connection", "close");

@@ -22,7 +22,6 @@
 // attempt (dns_message_bytes accumulates: retransmissions cost bytes).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "http1/client.hpp"
 #include "http2/connection.hpp"
 #include "obs/span.hpp"
+#include "simnet/fifo.hpp"
 #include "simnet/host.hpp"
 #include "simnet/stream.hpp"
 #include "tlssim/connection.hpp"
@@ -115,7 +115,7 @@ class DohClient final : public ResolverClient, private Session {
     obs::SpanId tls_hs_span = 0;
     /// Query ids whose h2 HEADERS has not left yet, in request() order —
     /// the stream observer pops these to learn each stream's query.
-    std::deque<std::uint64_t> awaiting_stream;
+    simnet::Fifo<std::uint64_t> awaiting_stream;
     std::map<std::uint32_t, std::uint64_t> stream_to_query;
     std::uint64_t hpack_reported = 0;  ///< dyn-table hits already counted
 

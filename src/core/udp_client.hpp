@@ -36,6 +36,10 @@ class UdpResolverClient final : public ResolverClient, private Session {
   }
   std::size_t completed() const override { return recovery_.completed(); }
 
+  /// Every deadline and every re-send, counted as for DoT, DoH and DoQ.
+  const RetryStats& retry_stats() const noexcept {
+    return recovery_.retry_stats();
+  }
   /// Queries failed by the deadline of their last datagram.
   std::uint64_t timeouts() const noexcept {
     const RetryStats& s = recovery_.retry_stats();

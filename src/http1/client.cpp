@@ -36,7 +36,7 @@ void Http1Client::pump_queue() {
 
 void Http1Client::send_request(const Request& req) {
   WireSizes sizes;
-  Bytes wire = serialize(req, &sizes);
+  BufferSlice wire = serialize(slab_, req, &sizes);
   ++counters_.requests;
   counters_.header_bytes_sent += sizes.header_bytes;
   counters_.body_bytes_sent += sizes.body_bytes;

@@ -6,11 +6,11 @@
 // head-of-line blocking in Figure 2.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 
 #include "http1/message.hpp"
+#include "simnet/fifo.hpp"
 #include "simnet/stream.hpp"
 
 namespace dohperf::http1 {
@@ -65,8 +65,10 @@ class Http1Client {
   bool pipelining_;
   bool open_ = false;
   Parser parser_{Parser::Mode::kResponse};
-  std::deque<ResponseHandler> in_flight_;   ///< FIFO matching, RFC 7230 §6.3.2
-  std::deque<std::pair<Request, ResponseHandler>> queued_;
+  /// FIFO matching, RFC 7230 §6.3.2.
+  simnet::Fifo<ResponseHandler> in_flight_;
+  simnet::Fifo<std::pair<Request, ResponseHandler>> queued_;
+  simnet::ByteSlab slab_;  ///< request heads (and bodies) are written here
   HttpCounters counters_;
   ErrorHandler on_error_;
 };

@@ -34,40 +34,96 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+/// Each header's name and value lengths, ahead of their bytes.
+constexpr std::size_t kLengthBytes = 2 * sizeof(std::uint32_t);
+/// The first buffer of a list built by add(): room for a browser's request
+/// headers or an origin's response headers.
+constexpr std::size_t kFirstBufferBytes = 128;
+
+std::uint32_t load_u32(const char* at) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, at, sizeof v);
+  return v;
+}
+
+void store_u32(char* at, std::size_t v) noexcept {
+  const auto narrow = static_cast<std::uint32_t>(v);
+  std::memcpy(at, &narrow, sizeof narrow);
+}
+
+/// Append one header to `out`, which has room for it.
+void append_entry(std::string& out, std::string_view name,
+                  std::string_view value) {
+  const std::size_t at = out.size();
+  out.resize(at + kLengthBytes);
+  store_u32(out.data() + at, name.size());
+  store_u32(out.data() + at + 4, value.size());
+  out.append(name);
+  out.append(value);
+}
+
 }  // namespace
 
-void HeaderMap::add(std::string name, std::string value) {
-  entries_.emplace_back(std::move(name), std::move(value));
+HeaderMap::Entry HeaderMap::Iterator::operator*() const noexcept {
+  const std::uint32_t name_size = load_u32(at_);
+  const char* name = at_ + kLengthBytes;
+  return {{name, name_size}, {name + name_size, load_u32(at_ + 4)}};
 }
 
-void HeaderMap::set(std::string name, std::string value) {
-  for (auto& [n, v] : entries_) {
-    if (iequals(n, name)) {
-      v = std::move(value);
-      return;
-    }
-  }
-  add(std::move(name), std::move(value));
+HeaderMap::Iterator& HeaderMap::Iterator::operator++() noexcept {
+  at_ += kLengthBytes + load_u32(at_) + load_u32(at_ + 4);
+  return *this;
 }
 
-const std::string* HeaderMap::find(std::string_view name) const {
-  for (const auto& [n, v] : entries_) {
-    if (iequals(n, name)) return &v;
+void HeaderMap::add(std::string_view name, std::string_view value) {
+  const std::size_t needed =
+      buffer_.size() + kLengthBytes + name.size() + value.size();
+  if (needed <= buffer_.capacity()) {
+    append_entry(buffer_, name, value);
+  } else {
+    // Fill the grown buffer before letting go of this one: `name` or
+    // `value` may view it.
+    std::string grown;
+    grown.reserve(
+        std::max({needed, 2 * buffer_.capacity(), kFirstBufferBytes}));
+    grown.append(buffer_);
+    append_entry(grown, name, value);
+    buffer_.swap(grown);
   }
-  return nullptr;
+  ++count_;
+}
+
+void HeaderMap::set(std::string_view name, std::string_view value) {
+  const Iterator it = find(name);
+  if (it == end()) {
+    add(name, value);
+    return;
+  }
+  const std::size_t entry = static_cast<std::size_t>(it.at_ - buffer_.data());
+  const std::string_view old = (*it).value;
+  const auto at = static_cast<std::size_t>(old.data() - buffer_.data());
+  buffer_.replace(at, old.size(), value);
+  store_u32(buffer_.data() + entry + 4, value.size());
+}
+
+void HeaderMap::reserve(std::size_t count, std::size_t text_bytes) {
+  buffer_.reserve(buffer_.size() + count * kLengthBytes + text_bytes);
+}
+
+HeaderMap::Iterator HeaderMap::find(std::string_view name) const {
+  for (Iterator it = begin(); it != end(); ++it) {
+    if (iequals((*it).name, name)) return it;
+  }
+  return end();
 }
 
 std::optional<std::string> HeaderMap::get(std::string_view name) const {
-  const std::string* value = find(name);
-  if (value == nullptr) return std::nullopt;
-  return *value;
+  const Iterator it = find(name);
+  if (it == end()) return std::nullopt;
+  return std::string((*it).value);
 }
 
 namespace {
-
-void append(Bytes& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
 
 /// A start line in pieces: "GET /o/1 HTTP/1.1", "HTTP/1.1 200 OK". A
 /// response's status is formatted into `digits`.
@@ -84,102 +140,132 @@ StartLine start_line(const Response& r, std::span<char, 16> digits) {
           " ", r.reason};
 }
 
-/// Write `msg`'s start line, then `headers` and the blank line. `extra` is
-/// room reserved after the head, for a body to follow. A non-empty
-/// `content_length` is written where HeaderMap::set would put it: as the
-/// value of the first Content-Length header, else as a new last header.
-template <typename Message>
-Bytes write_head(const Message& msg, const HeaderMap& headers,
-                 std::size_t extra = 0,
-                 std::string_view content_length = {}) {
+/// Hand `msg`'s head to `emit(std::string_view)` piece by piece: the start
+/// line, the headers and the blank line. A non-empty `content_length` is
+/// written where HeaderMap::set would put it: as the value of the first
+/// Content-Length header, else as a new last header.
+template <typename Message, typename Emit>
+void emit_head(const Message& msg, std::string_view content_length,
+               Emit&& emit) {
   constexpr std::string_view kContentLength = "Content-Length";
-  char digits[16];
-  const StartLine start = start_line(msg, digits);
-  const auto& entries = headers.entries();
-  std::size_t replaced = entries.size();
-  if (!content_length.empty()) {
-    const auto it = std::find_if(entries.begin(), entries.end(),
-                                 [&](const auto& entry) {
-                                   return iequals(entry.first, kContentLength);
-                                 });
-    replaced = static_cast<std::size_t>(it - entries.begin());
+  char digits[16] = {};
+  for (const std::string_view part : start_line(msg, digits)) emit(part);
+  emit("\r\n");
+  bool placed = content_length.empty();
+  for (const auto [name, value] : msg.headers) {
+    const bool replaced = !placed && iequals(name, kContentLength);
+    placed = placed || replaced;
+    emit(name);
+    emit(": ");
+    emit(replaced ? content_length : value);
+    emit("\r\n");
   }
-  const bool added = !content_length.empty() && replaced == entries.size();
-  const auto value = [&](std::size_t i) -> std::string_view {
-    return i == replaced ? content_length : std::string_view(entries[i].second);
-  };
+  if (!placed) {
+    emit(kContentLength);
+    emit(": ");
+    emit(content_length);
+    emit("\r\n");
+  }
+  emit("\r\n");
+}
 
-  std::size_t size = 4 + extra;
-  for (const std::string_view part : start) size += part.size();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    size += entries[i].first.size() + value(i).size() + 4;
-  }
-  if (added) size += kContentLength.size() + content_length.size() + 4;
-  Bytes out;
-  out.reserve(size);
-  const auto header = [&](std::string_view name, std::string_view v) {
-    append(out, name);
-    append(out, ": ");
-    append(out, v);
-    append(out, "\r\n");
-  };
-  for (const std::string_view part : start) append(out, part);
-  append(out, "\r\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    header(entries[i].first, value(i));
-  }
-  if (added) header(kContentLength, content_length);
-  append(out, "\r\n");
+template <typename Message>
+std::size_t head_size(const Message& msg, std::string_view content_length) {
+  std::size_t size = 0;
+  emit_head(msg, content_length, [&](std::string_view s) { size += s.size(); });
+  return size;
+}
+
+/// Write `msg`'s head at `out`, which has room for head_size bytes; returns
+/// the end of what was written.
+template <typename Message>
+std::uint8_t* write_head(std::uint8_t* out, const Message& msg,
+                         std::string_view content_length) {
+  emit_head(msg, content_length, [&](std::string_view s) {
+    if (!s.empty()) std::memcpy(out, s.data(), s.size());
+    out += s.size();
+  });
   return out;
 }
 
-/// The head `serialize` writes: Content-Length set from the body whenever
-/// there is a body or a Content-Type.
+/// The Content-Length `serialize` sets, formatted into `digits`: the body's
+/// size whenever there is a body or a Content-Type, else none.
 template <typename Message>
-Bytes serialize_head_impl(const Message& msg, WireSizes* sizes,
-                          std::size_t extra) {
-  char length[24] = {};
-  std::string_view content_length;
-  if (!msg.body.empty() || msg.headers.has("content-type")) {
-    const char* end =
-        std::to_chars(length, length + sizeof length, msg.body.size()).ptr;
-    content_length = {length, static_cast<std::size_t>(end - length)};
-  }
-  Bytes head = write_head(msg, msg.headers, extra, content_length);
+std::string_view content_length(const Message& msg,
+                                std::span<char, 24> digits) {
+  if (msg.body.empty() && !msg.headers.has("content-type")) return {};
+  const char* end =
+      std::to_chars(digits.data(), digits.data() + digits.size(),
+                    msg.body.size())
+          .ptr;
+  return {digits.data(), static_cast<std::size_t>(end - digits.data())};
+}
+
+/// Lay `msg` out as serialize does — its head, then its body when
+/// `with_body` — and return `write(size, fill)`, where `fill(out)` writes
+/// those `size` bytes at `out`.
+template <typename Message, typename Write>
+auto serialize_with(const Message& msg, bool with_body, WireSizes* sizes,
+                    Write&& write) {
+  char digits[24] = {};
+  const std::string_view length = content_length(msg, digits);
+  const std::size_t head = head_size(msg, length);
   if (sizes != nullptr) {
-    sizes->header_bytes = head.size();
+    sizes->header_bytes = head;
     sizes->body_bytes = msg.body.size();
   }
-  return head;
+  const std::size_t body = with_body ? msg.body.size() : 0;
+  return write(head + body, [&](std::uint8_t* out) {
+    out = write_head(out, msg, length);
+    if (body > 0) std::memcpy(out, msg.body.data(), body);
+  });
 }
 
-template <typename Message>
-Bytes serialize_impl(const Message& msg, WireSizes* sizes) {
-  Bytes out = serialize_head_impl(msg, sizes, msg.body.size());
-  out.insert(out.end(), msg.body.begin(), msg.body.end());
+/// A `write` for serialize_with that returns a fresh buffer.
+constexpr auto new_buffer = [](std::size_t size, auto&& fill) {
+  Bytes out(size);
+  fill(out.data());
   return out;
+};
+
+/// A `write` for serialize_with that appends to `slab`.
+auto into(simnet::ByteSlab& slab) {
+  return [&slab](std::size_t size, auto&& fill) {
+    return slab.write(size, fill);
+  };
 }
 
 }  // namespace
 
 Bytes serialize(const Request& request, WireSizes* sizes) {
-  return serialize_impl(request, sizes);
+  return serialize_with(request, true, sizes, new_buffer);
 }
 
 Bytes serialize(const Response& response, WireSizes* sizes) {
-  return serialize_impl(response, sizes);
+  return serialize_with(response, true, sizes, new_buffer);
+}
+
+BufferSlice serialize(simnet::ByteSlab& slab, const Request& request,
+                      WireSizes* sizes) {
+  return serialize_with(request, true, sizes, into(slab));
 }
 
 Bytes serialize_head(const Response& response, WireSizes* sizes) {
-  return serialize_head_impl(response, sizes, 0);
+  return serialize_with(response, false, sizes, new_buffer);
+}
+
+BufferSlice serialize_head(simnet::ByteSlab& slab, const Response& response,
+                           WireSizes* sizes) {
+  return serialize_with(response, false, sizes, into(slab));
 }
 
 Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
                         WireSizes* sizes) {
   Response msg = response;
   msg.headers.set("Transfer-Encoding", "chunked");
-  Bytes out = write_head(msg, msg.headers);
-  const std::size_t head_size = out.size();
+  Bytes out(head_size(msg, {}));
+  write_head(out.data(), msg, {});
+  const std::size_t head_bytes = out.size();
   std::size_t offset = 0;
   char size_line[32];
   while (offset < msg.body.size()) {
@@ -195,8 +281,8 @@ Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
   const char* terminator = "0\r\n\r\n";
   out.insert(out.end(), terminator, terminator + 5);
   if (sizes != nullptr) {
-    sizes->header_bytes = head_size;
-    sizes->body_bytes = out.size() - head_size;
+    sizes->header_bytes = head_bytes;
+    sizes->body_bytes = out.size() - head_bytes;
   }
   return out;
 }
@@ -285,8 +371,9 @@ bool Parser::parse_head() {
   // Headers.
   HeaderMap& headers = mode_ == Mode::kRequest ? pending_request_.headers
                                                : pending_response_.headers;
+  // The header lines' text bounds the names and values they hold.
   const auto lines = std::count(head.begin(), head.end(), '\n');
-  headers.reserve(static_cast<std::size_t>(lines) + 1);
+  headers.reserve(static_cast<std::size_t>(lines) + 1, head.size());
   content_length_ = 0;
   while (next_line(head, line)) {
     if (line.empty()) continue;
@@ -311,7 +398,7 @@ bool Parser::parse_head() {
       }
       content_length_ = len;
     }
-    headers.add(std::string(name), std::string(value));
+    headers.add(name, value);
   }
   head_done_ = true;
   return true;

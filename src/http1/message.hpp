@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "dns/wire.hpp"
 #include "simnet/buffer.hpp"
@@ -18,24 +17,49 @@ using dns::Bytes;
 using simnet::BufferSlice;
 
 /// Ordered header list with case-insensitive lookup (header order matters
-/// for byte-accurate serialization).
+/// for byte-accurate serialization). The whole list lives in one buffer:
+/// for each header in order, the lengths of its name and value, then their
+/// bytes. Iterating yields (name, value) views into it.
 class HeaderMap {
  public:
-  void add(std::string name, std::string value);
-  /// Replace existing (first) occurrence or add.
-  void set(std::string name, std::string value);
+  struct Entry {
+    std::string_view name;
+    std::string_view value;
+  };
+
+  /// Walks the headers in order, for range-for.
+  class Iterator {
+   public:
+    Entry operator*() const noexcept;
+    Iterator& operator++() noexcept;
+    bool operator==(const Iterator&) const noexcept = default;
+
+   private:
+    friend class HeaderMap;
+    explicit Iterator(const char* at) noexcept : at_(at) {}
+    const char* at_ = nullptr;
+  };
+
+  void add(std::string_view name, std::string_view value);
+  /// Replace the value of the first occurrence (keeping its name), or add.
+  void set(std::string_view name, std::string_view value);
   std::optional<std::string> get(std::string_view name) const;
-  bool has(std::string_view name) const { return find(name) != nullptr; }
-  const std::vector<std::pair<std::string, std::string>>& entries() const {
-    return entries_;
+  bool has(std::string_view name) const { return find(name) != end(); }
+  std::size_t size() const noexcept { return count_; }
+  /// Make room for headers whose names and values take `text_bytes` bytes
+  /// in all, `count` headers in all.
+  void reserve(std::size_t count, std::size_t text_bytes);
+
+  Iterator begin() const noexcept { return Iterator(buffer_.data()); }
+  Iterator end() const noexcept {
+    return Iterator(buffer_.data() + buffer_.size());
   }
-  std::size_t size() const noexcept { return entries_.size(); }
-  void reserve(std::size_t n) { entries_.reserve(n); }
 
  private:
-  const std::string* find(std::string_view name) const;
+  Iterator find(std::string_view name) const;
 
-  std::vector<std::pair<std::string, std::string>> entries_;
+  std::string buffer_;
+  std::size_t count_ = 0;
 };
 
 struct Request {
@@ -64,11 +88,17 @@ struct WireSizes {
 /// Serialize with Content-Length set from the body.
 Bytes serialize(const Request& request, WireSizes* sizes = nullptr);
 Bytes serialize(const Response& response, WireSizes* sizes = nullptr);
+/// The same bytes as serialize(request), written once into `slab`.
+BufferSlice serialize(simnet::ByteSlab& slab, const Request& request,
+                      WireSizes* sizes = nullptr);
 
 /// The head `serialize` starts with (start line, headers with
 /// Content-Length set from the body, blank line): sending it and then the
 /// body puts the same bytes on the wire without copying the body.
 Bytes serialize_head(const Response& response, WireSizes* sizes = nullptr);
+/// The same bytes as serialize_head(response), written once into `slab`.
+BufferSlice serialize_head(simnet::ByteSlab& slab, const Response& response,
+                           WireSizes* sizes = nullptr);
 
 /// Serialize a response with "Transfer-Encoding: chunked", splitting the
 /// body into `chunk_size`-byte chunks (used by origin servers that stream

@@ -28,25 +28,30 @@ void Http1ServerConnection::on_data(std::span<const std::uint8_t> data) {
 
 void Http1ServerConnection::complete(std::uint64_t sequence,
                                      Response response) {
-  ready_.emplace(sequence, std::move(response));
-  flush_in_order();
+  if (sequence != next_to_send_) {
+    // Answered ahead of an earlier request: held until that one is sent.
+    ready_.emplace(sequence, std::move(response));
+    return;
+  }
+  send_next(response);
+  // Responses that were blocked behind this one follow it.
+  for (auto it = ready_.find(next_to_send_); it != ready_.end();
+       it = ready_.find(next_to_send_)) {
+    send_next(it->second);
+    ready_.erase(it);
+  }
 }
 
-void Http1ServerConnection::flush_in_order() {
-  while (true) {
-    const auto it = ready_.find(next_to_send_);
-    if (it == ready_.end()) break;
-    WireSizes sizes;
-    // One logical write of {head, body}: the body slice goes out uncopied.
-    const BufferSlice wire[] = {serialize_head(it->second, &sizes),
-                                it->second.body};
-    ++counters_.responses;
-    counters_.header_bytes_sent += sizes.header_bytes;
-    counters_.body_bytes_sent += sizes.body_bytes;
-    if (transport_->is_open()) transport_->send_chain(wire);
-    ready_.erase(it);
-    ++next_to_send_;
-  }
+void Http1ServerConnection::send_next(const Response& response) {
+  WireSizes sizes;
+  // One logical write of {head, body}: the body slice goes out uncopied.
+  const BufferSlice wire[] = {serialize_head(slab_, response, &sizes),
+                              response.body};
+  ++counters_.responses;
+  counters_.header_bytes_sent += sizes.header_bytes;
+  counters_.body_bytes_sent += sizes.body_bytes;
+  if (transport_->is_open()) transport_->send_chain(wire);
+  ++next_to_send_;
 }
 
 void Http1ServerConnection::close() { transport_->close(); }

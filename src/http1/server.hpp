@@ -38,7 +38,8 @@ class Http1ServerConnection {
  private:
   void on_data(std::span<const std::uint8_t> data);
   void complete(std::uint64_t sequence, Response response);
-  void flush_in_order();
+  /// Send the response to request next_to_send_.
+  void send_next(const Response& response);
 
   std::unique_ptr<simnet::ByteStream> transport_;
   RequestHandler handler_;
@@ -47,6 +48,7 @@ class Http1ServerConnection {
   std::uint64_t next_assigned_ = 0;  ///< sequence given to incoming requests
   std::uint64_t next_to_send_ = 0;   ///< lowest sequence not yet responded
   std::map<std::uint64_t, Response> ready_;  ///< completed out of order
+  simnet::ByteSlab slab_;  ///< response heads are written here
 };
 
 }  // namespace dohperf::http1

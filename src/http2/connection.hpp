@@ -7,13 +7,13 @@
 // streams are independent, so a delayed response never blocks others.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 
 #include "http2/frame.hpp"
 #include "http2/hpack.hpp"
+#include "simnet/fifo.hpp"
 #include "simnet/stream.hpp"
 
 namespace dohperf::http2 {
@@ -186,9 +186,9 @@ class Http2Connection {
 
   std::uint32_t next_stream_id_;  ///< client: 1, 3, 5, ...
   std::map<std::uint32_t, Stream> streams_;
-  std::deque<std::pair<H2Message, ResponseHandler>> queued_requests_;
-  std::deque<std::function<void()>> ping_handlers_;
-  std::deque<std::function<void()>> pending_pings_;  ///< sent once open
+  simnet::Fifo<std::pair<H2Message, ResponseHandler>> queued_requests_;
+  simnet::Fifo<std::function<void()>> ping_handlers_;
+  simnet::Fifo<std::function<void()>> pending_pings_;  ///< sent once open
 
   std::int64_t connection_send_window_ = 65535;
   std::uint32_t peer_initial_window_ = 65535;

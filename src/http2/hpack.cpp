@@ -488,6 +488,9 @@ void HpackDecoder::decode(std::span<const std::uint8_t> block,
     } else if ((first & 0x20) != 0 && (first & 0x40) == 0) {
       // Dynamic table size update.
       const std::uint64_t new_size = decode_integer(r, 5);
+      if (new_size > limit_) {
+        throw HpackError("dynamic table size update above the limit");
+      }
       table_.set_max_size(new_size);
     } else {
       // A literal: with incremental indexing (0x40, 6-bit name index), or

@@ -120,10 +120,13 @@ class HpackEncoder {
 
 class HpackDecoder {
  public:
+  /// `max_table_size` is the SETTINGS_HEADER_TABLE_SIZE this end
+  /// advertised: the most a peer's size update may ask for (RFC 7541 §4.2).
   explicit HpackDecoder(std::size_t max_table_size = 4096)
-      : table_(max_table_size) {}
+      : table_(max_table_size), limit_(max_table_size) {}
 
-  /// Decode one complete header block.
+  /// Decode one complete header block. A dynamic table size update above
+  /// the advertised size throws HpackError (RFC 7541 §6.3).
   std::vector<HeaderField> decode(std::span<const std::uint8_t> block);
   /// Decode one complete header block, appending its fields to `out`.
   void decode(std::span<const std::uint8_t> block,
@@ -136,6 +139,7 @@ class HpackDecoder {
   std::string decode_string(dns::ByteReader& r);
 
   DynamicTable table_;
+  std::size_t limit_;  ///< the largest table a size update may set
   /// Fields in the last block: room reserved for the next one, as the
   /// blocks of one connection direction tend to carry the same headers.
   std::size_t last_fields_ = 0;

@@ -80,15 +80,20 @@ DohServer::DohServer(simnet::Host& host, QueryHandler& handler,
 }
 
 // The estimate below is published (overload_matrix's doh_memory_bytes and
-// its golden output), so a field added to TlsConnection or Http2Connection
-// must not silently move it: change these sizes, and the recorded outputs,
-// on purpose.
-static_assert(sizeof(tlssim::TlsConnection) == 544,
+// its golden output), so a field added to any type it counts must not
+// silently move it: change these sizes, and the recorded outputs, on
+// purpose.
+static_assert(sizeof(tlssim::TlsConnection) == 488,
               "TlsConnection's size feeds DohServer::memory_estimate_bytes");
-static_assert(sizeof(http2::Http2Connection) == 920,
+static_assert(sizeof(http2::Http2Connection) == 760,
               "Http2Connection's size feeds DohServer::memory_estimate_bytes");
+static_assert(sizeof(http1::Http1ServerConnection) == 512,
+              "Http1ServerConnection's size feeds "
+              "DohServer::memory_estimate_bytes");
 
 std::size_t DohServer::memory_estimate_bytes() const noexcept {
+  static_assert(sizeof(Session) == 80,
+                "Session's size feeds DohServer::memory_estimate_bytes");
   // Modeled per-session state: the TLS connection plus whichever HTTP
   // layer is attached, and the session bookkeeping itself. Deliberately a
   // structure-size model (not heap tracking): deterministic and portable

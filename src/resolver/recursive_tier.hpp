@@ -33,7 +33,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -46,6 +45,7 @@
 #include "resolver/overload.hpp"
 #include "resolver/query_handler.hpp"
 #include "simnet/event_loop.hpp"
+#include "simnet/fifo.hpp"
 
 namespace dohperf::resolver {
 
@@ -238,7 +238,7 @@ class RecursiveTier final : public QueryHandler {
     obs::HistogramHandle queue_wait_ms{"tier.queue_wait_ms"};
   } metrics_;
 
-  std::deque<Job> queue_;
+  simnet::Fifo<Job> queue_;
   std::size_t inflight_ = 0;
   std::map<Key, Pending> pending_;  ///< in-flight back-end resolutions
 

@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 
+#include "simnet/fifo.hpp"
 #include "simnet/network.hpp"
 #include "simnet/packet.hpp"
 
@@ -186,7 +186,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint32_t snd_una_ = 0;   ///< oldest unacknowledged
   std::uint32_t snd_nxt_ = 0;   ///< next to send
   std::uint32_t snd_wnd_ = 65535;
-  std::deque<BufferSlice> send_buffer_;    ///< not yet segmented
+  Fifo<BufferSlice> send_buffer_;          ///< not yet segmented
   std::size_t send_buffer_bytes_ = 0;      ///< total bytes across slices
   ByteSlab slab_;                          ///< coalesced segment payloads
   /// A sent-but-unacked segment, kept for retransmission and RTT sampling.
@@ -199,7 +199,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     bool retransmitted = false;
   };
   /// Unacked segments in sequence order: an ACK retires a prefix.
-  std::deque<Inflight> inflight_;
+  Fifo<Inflight> inflight_;
   bool fin_pending_ = false;    ///< close() called, FIN not yet sent
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;

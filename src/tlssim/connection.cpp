@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 namespace dohperf::tlssim {
@@ -35,6 +37,54 @@ BufferSlice zero_tag(std::size_t size) {
   assert(size <= kZeroTag.size());
   return BufferSlice::unowned(std::span(kZeroTag).first(size));
 }
+
+/// The body of every ChangeCipherSpec record.
+constexpr std::uint8_t kChangeCipherSpecBody[] = {1};
+
+/// The ticket a server issues: "TKT|<subject>". Epoch 0 keeps these legacy
+/// bytes so pre-mobility traces are byte-identical; any bump (a server
+/// restart) appends "|<epoch>", which changes the expected value and
+/// silently rejects stale tickets. Built once, on the stack unless the
+/// subject is unusually long.
+class IssuedTicket {
+ public:
+  explicit IssuedTicket(const ServerConfig& config) {
+    char epoch[24] = {};
+    std::string_view suffix;
+    if (config.ticket_epoch != 0) {
+      epoch[0] = '|';
+      const char* end =
+          std::to_chars(epoch + 1, epoch + sizeof epoch, config.ticket_epoch)
+              .ptr;
+      suffix = {epoch, static_cast<std::size_t>(end - epoch)};
+    }
+    const std::string_view parts[] = {"TKT|", config.chain.subject, suffix};
+    std::size_t size = 0;
+    for (const std::string_view part : parts) size += part.size();
+    std::uint8_t* out = room_.data();
+    if (size > room_.size()) {
+      spill_.resize(size);
+      out = spill_.data();
+    }
+    bytes_ = {out, size};
+    for (const std::string_view part : parts) {
+      out = std::copy(part.begin(), part.end(), out);
+    }
+  }
+  IssuedTicket(const IssuedTicket&) = delete;
+  IssuedTicket& operator=(const IssuedTicket&) = delete;
+
+  std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
+  bool matches(std::span<const std::uint8_t> offered) const {
+    return std::equal(bytes_.begin(), bytes_.end(), offered.begin(),
+                      offered.end());
+  }
+
+ private:
+  std::array<std::uint8_t, 256> room_ = {};
+  Bytes spill_;
+  std::span<const std::uint8_t> bytes_;
+};
 
 }  // namespace
 
@@ -80,16 +130,12 @@ std::size_t TlsConnection::recv_tag_bytes() const noexcept {
                                         : kTls12RecordOverhead;
 }
 
-Bytes TlsConnection::expected_ticket() const {
+CertificateView TlsConnection::certificate() const noexcept {
   assert(role_ == TlsRole::kServer);
-  // Epoch 0 keeps the legacy ticket bytes so pre-mobility traces are
-  // byte-identical; any bump (server restart) changes the expected value
-  // and silently rejects stale tickets.
-  if (server_config_->ticket_epoch == 0) {
-    return dns::to_bytes("TKT|" + server_config_->chain.subject);
-  }
-  return dns::to_bytes("TKT|" + server_config_->chain.subject + "|" +
-                       std::to_string(server_config_->ticket_epoch));
+  const CertificateChain& chain = server_config_->chain;
+  return {chain.subject, static_cast<std::uint8_t>(chain.certificate_count),
+          chain.ct_logged, chain.ocsp_must_staple,
+          static_cast<std::uint32_t>(chain.wire_bytes)};
 }
 
 std::size_t TlsConnection::count_sent_record(ContentType type,
@@ -109,20 +155,41 @@ std::size_t TlsConnection::count_sent_record(ContentType type,
   return tag;
 }
 
-void TlsConnection::send_record(ContentType type,
-                                std::span<const std::uint8_t> body) {
+template <typename Fill>
+void TlsConnection::send_record(ContentType type, std::size_t body_len,
+                                Fill&& fill) {
   // Header, body and tag written together into the send slab: no
   // allocation of its own, and segments cut from it need no coalescing.
-  const std::size_t tag = count_sent_record(type, body.size());
-  const std::size_t record_len = body.size() + tag;
+  const std::size_t tag = count_sent_record(type, body_len);
+  const std::size_t record_len = body_len + tag;
   transport_->send(send_slab_.write(
       kRecordHeaderBytes + record_len, [&](std::uint8_t* out) {
         write_record_header(out, type, record_len);
-        if (!body.empty()) {
-          std::memcpy(out + kRecordHeaderBytes, body.data(), body.size());
-        }
-        std::memset(out + kRecordHeaderBytes + body.size(), 0, tag);
+        fill(out + kRecordHeaderBytes);
+        std::memset(out + kRecordHeaderBytes + body_len, 0, tag);
       }));
+}
+
+void TlsConnection::send_record(ContentType type,
+                                std::span<const std::uint8_t> body) {
+  send_record(type, body.size(), [body](std::uint8_t* out) {
+    std::memcpy(out, body.data(), body.size());
+  });
+}
+
+template <typename Write>
+void TlsConnection::send_handshake(std::size_t size, Write&& write) {
+  send_record(ContentType::kHandshake, size, [&](std::uint8_t* out) {
+    HandshakeCursor cursor(out);
+    write(cursor);
+    assert(cursor.position() == out + size);
+  });
+}
+
+void TlsConnection::send_plain(HsType type, std::size_t body_size) {
+  send_handshake(plain_size(body_size), [&](HandshakeCursor& w) {
+    encode_plain(w, type, body_size);
+  });
 }
 
 void TlsConnection::send_app_record(std::span<BufferSlice> record,
@@ -146,14 +213,13 @@ void TlsConnection::send_app_record(std::span<BufferSlice> record,
 }
 
 void TlsConnection::send_alert(AlertDescription desc, bool fatal) {
-  ByteWriter body;
-  body.u8(fatal ? 2 : 1);
-  body.u8(static_cast<std::uint8_t>(desc));
-  send_record(ContentType::kAlert, body.take());
+  const std::uint8_t body[] = {static_cast<std::uint8_t>(fatal ? 2 : 1),
+                               static_cast<std::uint8_t>(desc)};
+  send_record(ContentType::kAlert, body);
 }
 
 void TlsConnection::send_change_cipher_spec() {
-  send_record(ContentType::kChangeCipherSpec, Bytes{1});
+  send_record(ContentType::kChangeCipherSpec, kChangeCipherSpecBody);
 }
 
 void TlsConnection::on_transport_open() {
@@ -162,20 +228,20 @@ void TlsConnection::on_transport_open() {
 }
 
 void TlsConnection::send_client_hello() {
-  ClientHello ch;
+  ClientHelloView ch;
   ch.min_version = client_config_.min_version;
   ch.max_version = client_config_.max_version;
   ch.sni = client_config_.sni;
   ch.alpn = client_config_.alpn;
   if (client_config_.session_cache != nullptr) {
-    if (const auto session =
+    if (const Session* session =
             client_config_.session_cache->lookup(client_config_.sni)) {
       ch.session_ticket = session->ticket;
     }
   }
-  ByteWriter w;
-  encode_client_hello(w, ch);
-  send_record(ContentType::kHandshake, w.take());
+  send_handshake(encoded_size(ch), [&](HandshakeCursor& w) {
+    encode_client_hello(w, ch);
+  });
 }
 
 void TlsConnection::on_transport_data(std::span<const std::uint8_t> data) {
@@ -317,39 +383,36 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
   // --- resumption --------------------------------------------------------------
   resumed_ = server_config_->issue_session_tickets &&
              !ch.session_ticket.empty() &&
-             ch.session_ticket == expected_ticket();
+             IssuedTicket(*server_config_).matches(ch.session_ticket);
 
   // --- server flight -------------------------------------------------------------
+  // Each record's messages are sized first and written once, into the
+  // send slab.
   ServerHello sh;
   sh.version = version_;
   sh.alpn = alpn_;
   sh.resumed = resumed_;
-  {
-    ByteWriter w;
+  send_handshake(encoded_size(sh), [&](HandshakeCursor& w) {
     encode_server_hello(w, sh);
-    send_record(ContentType::kHandshake, w.take());
-  }
+  });
 
   if (version_ == TlsVersion::kTls13) {
     send_change_cipher_spec();
     send_encrypted_ = true;
-    ByteWriter flight;
-    encode_plain(flight, HsType::kEncryptedExtensions,
-                 kEncryptedExtensionsBody);
+    const CertificateView cert = certificate();
+    std::size_t size = plain_size(kEncryptedExtensionsBody) +
+                       plain_size(kFinishedBody);
     if (!resumed_) {
-      CertificateMsg cert;
-      cert.subject = server_config_->chain.subject;
-      cert.certificate_count =
-          static_cast<std::uint8_t>(server_config_->chain.certificate_count);
-      cert.ct_logged = server_config_->chain.ct_logged;
-      cert.ocsp_must_staple = server_config_->chain.ocsp_must_staple;
-      cert.chain_bytes =
-          static_cast<std::uint32_t>(server_config_->chain.wire_bytes);
-      encode_certificate(flight, cert);
-      encode_plain(flight, HsType::kCertificateVerify, kCertificateVerifyBody);
+      size += encoded_size(cert) + plain_size(kCertificateVerifyBody);
     }
-    encode_plain(flight, HsType::kFinished, kFinishedBody);
-    send_record(ContentType::kHandshake, flight.take());
+    send_handshake(size, [&](HandshakeCursor& w) {
+      encode_plain(w, HsType::kEncryptedExtensions, kEncryptedExtensionsBody);
+      if (!resumed_) {
+        encode_certificate(w, cert);
+        encode_plain(w, HsType::kCertificateVerify, kCertificateVerifyBody);
+      }
+      encode_plain(w, HsType::kFinished, kFinishedBody);
+    });
     sent_finished_ = true;
     recv_encrypted_ = true;  // client's Finished arrives encrypted
   } else {
@@ -357,24 +420,18 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
     if (resumed_) {
       send_change_cipher_spec();
       send_encrypted_ = true;
-      ByteWriter w;
-      encode_plain(w, HsType::kFinished, kFinishedBody);
-      send_record(ContentType::kHandshake, w.take());
+      send_plain(HsType::kFinished, kFinishedBody);
       sent_finished_ = true;
     } else {
-      ByteWriter flight;
-      CertificateMsg cert;
-      cert.subject = server_config_->chain.subject;
-      cert.certificate_count =
-          static_cast<std::uint8_t>(server_config_->chain.certificate_count);
-      cert.ct_logged = server_config_->chain.ct_logged;
-      cert.ocsp_must_staple = server_config_->chain.ocsp_must_staple;
-      cert.chain_bytes =
-          static_cast<std::uint32_t>(server_config_->chain.wire_bytes);
-      encode_certificate(flight, cert);
-      encode_plain(flight, HsType::kServerKeyExchange, kServerKeyExchangeBody);
-      encode_plain(flight, HsType::kServerHelloDone, kServerHelloDoneBody);
-      send_record(ContentType::kHandshake, flight.take());
+      const CertificateView cert = certificate();
+      const std::size_t size = encoded_size(cert) +
+                               plain_size(kServerKeyExchangeBody) +
+                               plain_size(kServerHelloDoneBody);
+      send_handshake(size, [&](HandshakeCursor& w) {
+        encode_certificate(w, cert);
+        encode_plain(w, HsType::kServerKeyExchange, kServerKeyExchangeBody);
+        encode_plain(w, HsType::kServerHelloDone, kServerHelloDoneBody);
+      });
     }
   }
 }
@@ -395,7 +452,7 @@ void TlsConnection::handle_server_hello(const ServerHello& sh) {
   }
 }
 
-void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
+void TlsConnection::handle_handshake_message(HandshakeMessage&& msg) {
   switch (msg.type) {
     case HsType::kClientHello:
       if (role_ != TlsRole::kServer) throw WireError("unexpected ClientHello");
@@ -408,7 +465,7 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
       return;
 
     case HsType::kCertificate:
-      peer_certificate_ = msg.certificate;
+      peer_certificate_ = std::move(msg.certificate);
       return;
 
     case HsType::kEncryptedExtensions:
@@ -420,14 +477,10 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
       // TLS 1.2 full handshake: client sends its second flight.
       assert(role_ == TlsRole::kClient);
       received_server_hello_done_ = true;
-      ByteWriter cke;
-      encode_plain(cke, HsType::kClientKeyExchange, kClientKeyExchangeBody);
-      send_record(ContentType::kHandshake, cke.take());
+      send_plain(HsType::kClientKeyExchange, kClientKeyExchangeBody);
       send_change_cipher_spec();
       send_encrypted_ = true;
-      ByteWriter fin;
-      encode_plain(fin, HsType::kFinished, kFinishedBody);
-      send_record(ContentType::kHandshake, fin.take());
+      send_plain(HsType::kFinished, kFinishedBody);
       sent_finished_ = true;
       return;
     }
@@ -442,18 +495,14 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
           // Respond with CCS + our Finished, then we are up.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
           finish_handshake();
         } else if (resumed_ && !sent_finished_) {
           // TLS 1.2 resumption: server finished first; reply in kind.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
           finish_handshake();
         } else {
@@ -466,19 +515,17 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
           // Full TLS 1.2: reply with our CCS + Finished.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
         }
         finish_handshake();
         // Issue a session ticket for future resumption.
         if (server_config_->issue_session_tickets) {
-          NewSessionTicketMsg t;
-          t.ticket = expected_ticket();
-          ByteWriter w;
-          encode_new_session_ticket(w, t);
-          send_record(ContentType::kHandshake, w.take());
+          const IssuedTicket issued(*server_config_);
+          const NewSessionTicketView ticket{issued.bytes()};
+          send_handshake(encoded_size(ticket), [&](HandshakeCursor& w) {
+            encode_new_session_ticket(w, ticket);
+          });
         }
       }
       return;
@@ -488,7 +535,8 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
       if (role_ == TlsRole::kClient &&
           client_config_.session_cache != nullptr) {
         client_config_.session_cache->store(
-            client_config_.sni, Session{msg.ticket->ticket, version_});
+            client_config_.sni,
+            Session{std::move(msg.ticket->ticket), version_});
       }
       return;
     }

@@ -10,10 +10,10 @@
 //   * session ticket issuance and client caching
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <set>
 
+#include "simnet/fifo.hpp"
 #include "simnet/stream.hpp"
 #include "tlssim/context.hpp"
 #include "tlssim/handshake.hpp"
@@ -106,7 +106,7 @@ class TlsConnection final : public ByteStream {
   void send_client_hello();
   void handle_client_hello(const ClientHello& ch);
   void handle_server_hello(const ServerHello& sh);
-  void handle_handshake_message(const HandshakeMessage& msg);
+  void handle_handshake_message(HandshakeMessage&& msg);
   void handle_record(ContentType type, std::span<const std::uint8_t> body);
   void process_rx_buffer();
 
@@ -114,9 +114,18 @@ class TlsConnection final : public ByteStream {
   /// return its AEAD expansion (nonzero once the send direction is
   /// encrypted).
   std::size_t count_sent_record(ContentType type, std::size_t body_len);
-  /// Wrap and transmit one record whose plaintext is `body` (handshake,
-  /// alert and CCS records, built by the handshake code).
+  /// Wrap and transmit one record of `body_len` plaintext bytes, which
+  /// `fill(std::uint8_t* out)` writes (handshake, alert and CCS records):
+  /// header, body and tag are written into the send slab together.
+  template <typename Fill>
+  void send_record(ContentType type, std::size_t body_len, Fill&& fill);
   void send_record(ContentType type, std::span<const std::uint8_t> body);
+  /// Transmit one handshake record of `size` bytes of messages, which
+  /// `write(HandshakeCursor&)` encodes.
+  template <typename Write>
+  void send_handshake(std::size_t size, Write&& write);
+  /// Transmit one handshake record holding one field-free message.
+  void send_plain(HsType type, std::size_t body_size);
   /// Transmit one application-data record from its pieces: slot 0 for the
   /// header, then the plaintext slices (`body_len` bytes in all), then a
   /// slot for the tag. Both slots are filled in here; the slices are
@@ -131,7 +140,8 @@ class TlsConnection final : public ByteStream {
   void flush_pending_app_data();
   std::size_t send_tag_bytes() const noexcept;
   std::size_t recv_tag_bytes() const noexcept;
-  Bytes expected_ticket() const;
+  /// The server's certificate chain as the Certificate message carries it.
+  CertificateView certificate() const noexcept;
 
   std::unique_ptr<ByteStream> transport_;
   TlsRole role_;
@@ -149,7 +159,7 @@ class TlsConnection final : public ByteStream {
   /// Consumed prefix of rx_buffer_: records are parsed at this cursor and
   /// the prefix reclaimed lazily, instead of an O(n) front-erase per record.
   std::size_t rx_offset_ = 0;
-  std::deque<BufferSlice> pending_app_data_;
+  simnet::Fifo<BufferSlice> pending_app_data_;
   /// Record headers and whole handshake/alert/CCS records are written here
   /// and sent as slices of it.
   simnet::ByteSlab send_slab_;

@@ -6,11 +6,9 @@ void SessionCache::store(const std::string& server_name, Session session) {
   sessions_[server_name] = std::move(session);
 }
 
-std::optional<Session> SessionCache::lookup(
-    const std::string& server_name) const {
+const Session* SessionCache::lookup(const std::string& server_name) const {
   const auto it = sessions_.find(server_name);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second;
+  return it == sessions_.end() ? nullptr : &it->second;
 }
 
 }  // namespace dohperf::tlssim

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 
 #include "tlssim/types.hpp"
@@ -20,7 +19,9 @@ struct Session {
 class SessionCache {
  public:
   void store(const std::string& server_name, Session session);
-  std::optional<Session> lookup(const std::string& server_name) const;
+  /// The session stored for `server_name`, or null; valid until the next
+  /// store() or clear().
+  const Session* lookup(const std::string& server_name) const;
   void clear() { sessions_.clear(); }
   std::size_t size() const noexcept { return sessions_.size(); }
 

@@ -3,11 +3,19 @@
 // Messages use a compact field encoding (both endpoints are ours) padded
 // with zeros to realistic wire sizes, so the byte accounting matches what a
 // real handshake puts on the network while the contents stay synthetic.
+//
+// Each encoder sizes its message from the fields first, so it writes once:
+// into a ByteWriter after one reserve, or at a HandshakeCursor over bytes
+// the caller has sized with encoded_size (a connection's whole flight,
+// written straight into its send slab).
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/wire.hpp"
@@ -47,12 +55,26 @@ constexpr std::size_t kClientKeyExchangeBody = 70;
 constexpr std::size_t kFinishedBody = 40;
 constexpr std::size_t kNewSessionTicketBody = 200;
 
+/// A ClientHello's fields by reference: what the encoders read, so a
+/// connection encodes its configured SNI and ALPN list without copies.
+struct ClientHelloView {
+  TlsVersion min_version = TlsVersion::kTls12;
+  TlsVersion max_version = TlsVersion::kTls13;
+  std::string_view sni;
+  std::span<const std::string> alpn;
+  std::span<const std::uint8_t> session_ticket;
+};
+
 struct ClientHello {
   TlsVersion min_version = TlsVersion::kTls12;
   TlsVersion max_version = TlsVersion::kTls13;
   std::string sni;
   std::vector<std::string> alpn;
   Bytes session_ticket;  ///< empty = no resumption attempt
+
+  ClientHelloView view() const noexcept {
+    return {min_version, max_version, sni, alpn, session_ticket};
+  }
 };
 
 struct ServerHello {
@@ -61,16 +83,37 @@ struct ServerHello {
   bool resumed = false;  ///< server accepted the offered ticket
 };
 
-struct CertificateMsg {
-  std::string subject;
+/// A Certificate message's fields, the subject by reference.
+struct CertificateView {
+  std::string_view subject;
   std::uint8_t certificate_count = 2;
   bool ct_logged = true;
   bool ocsp_must_staple = false;
   std::uint32_t chain_bytes = 2500;  ///< padded body size
 };
 
+struct CertificateMsg {
+  std::string subject;
+  std::uint8_t certificate_count = 2;
+  bool ct_logged = true;
+  bool ocsp_must_staple = false;
+  std::uint32_t chain_bytes = 2500;  ///< padded body size
+
+  CertificateView view() const noexcept {
+    return {subject, certificate_count, ct_logged, ocsp_must_staple,
+            chain_bytes};
+  }
+};
+
+/// A NewSessionTicket's ticket by reference.
+struct NewSessionTicketView {
+  std::span<const std::uint8_t> ticket;
+};
+
 struct NewSessionTicketMsg {
   Bytes ticket;
+
+  NewSessionTicketView view() const noexcept { return {ticket}; }
 };
 
 /// A parsed handshake message: type plus whichever struct applies. Messages
@@ -83,6 +126,49 @@ struct HandshakeMessage {
   std::optional<NewSessionTicketMsg> ticket;
 };
 
+/// Writes a handshake flight over bytes the caller sized with
+/// encoded_size: no bounds checks, no allocation.
+class HandshakeCursor {
+ public:
+  explicit HandshakeCursor(std::uint8_t* out) noexcept : out_(out) {}
+
+  void u8(std::uint8_t v) noexcept { *out_++ = v; }
+  void u16(std::uint16_t v) noexcept {
+    u8(static_cast<std::uint8_t>(v >> 8));
+    u8(static_cast<std::uint8_t>(v & 0xff));
+  }
+  void u32(std::uint32_t v) noexcept {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v & 0xffff));
+  }
+  void bytes(std::span<const std::uint8_t> data) noexcept {
+    if (!data.empty()) std::memcpy(out_, data.data(), data.size());
+    out_ += data.size();
+  }
+  void string(std::string_view s) noexcept {
+    if (!s.empty()) std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
+  }
+  void zeros(std::size_t n) noexcept {
+    std::memset(out_, 0, n);
+    out_ += n;
+  }
+  /// Where the next byte goes.
+  std::uint8_t* position() const noexcept { return out_; }
+
+ private:
+  std::uint8_t* out_;
+};
+
+/// Encoded size of one message (4-byte header + padded body). Throws
+/// WireError on a field too long to encode, before anything is written.
+std::size_t encoded_size(const ClientHelloView& ch);
+std::size_t encoded_size(const ServerHello& sh);
+std::size_t encoded_size(const CertificateView& cert);
+std::size_t encoded_size(const NewSessionTicketView& t);
+/// Encoded size of a field-free message.
+std::size_t plain_size(std::size_t body_size);
+
 // Encoders append one complete message (4-byte header + padded body).
 void encode_client_hello(ByteWriter& w, const ClientHello& ch);
 void encode_server_hello(ByteWriter& w, const ServerHello& sh);
@@ -90,6 +176,14 @@ void encode_certificate(ByteWriter& w, const CertificateMsg& cert);
 void encode_new_session_ticket(ByteWriter& w, const NewSessionTicketMsg& t);
 /// Field-free messages (Finished, EncryptedExtensions, SKE, SHD, CKE, CV).
 void encode_plain(ByteWriter& w, HsType type, std::size_t body_size);
+
+// The same messages, written at a cursor with room for encoded_size bytes.
+void encode_client_hello(HandshakeCursor& w, const ClientHelloView& ch);
+void encode_server_hello(HandshakeCursor& w, const ServerHello& sh);
+void encode_certificate(HandshakeCursor& w, const CertificateView& cert);
+void encode_new_session_ticket(HandshakeCursor& w,
+                               const NewSessionTicketView& t);
+void encode_plain(HandshakeCursor& w, HsType type, std::size_t body_size);
 
 /// Decode one message at the reader's position.
 HandshakeMessage decode_handshake(ByteReader& r);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "http2/hpack.hpp"
 
 namespace dohperf::http2 {
@@ -214,6 +216,42 @@ TEST(Hpack, DecoderTracksTableSizeUpdate) {
             (std::vector<HeaderField>{{"x-custom", "v"}}));
   EXPECT_EQ(decoder.table().max_size(), 0u);
   EXPECT_EQ(decoder.table().entry_count(), 0u);
+}
+
+/// A header block that sets the dynamic table's size to `size`, then adds
+/// `literals` distinct fields with incremental indexing (new names).
+Bytes size_update_then_literals(std::uint64_t size, int literals) {
+  Bytes block;
+  encode_integer(block, 5, 0x20, size);
+  for (int i = 0; i < literals; ++i) {
+    const std::string index = std::to_string(i);
+    const std::string name = "x-field-" + index;
+    const std::string value = "value-" + index;
+    block.push_back(0x40);  // literal with incremental indexing, new name
+    encode_integer(block, 7, 0x00, name.size());
+    block.insert(block.end(), name.begin(), name.end());
+    encode_integer(block, 7, 0x00, value.size());
+    block.insert(block.end(), value.begin(), value.end());
+  }
+  return block;
+}
+
+TEST(Hpack, DecoderRejectsTableSizeAboveItsLimit) {
+  // RFC 7541 §4.2 and §6.3: an update may not exceed the size this end
+  // advertised. Accepting one let a peer grow the table without bound.
+  HpackDecoder decoder(4096);
+  EXPECT_THROW(decoder.decode(size_update_then_literals(1u << 28, 2000)),
+               HpackError);
+  EXPECT_LE(decoder.table().size(), 4096u);
+  EXPECT_THROW(decoder.decode(size_update_then_literals(4097, 1)),
+               HpackError);
+  for (const std::uint64_t size : {std::uint64_t{0}, std::uint64_t{4096}}) {
+    HpackDecoder fresh(4096);
+    const auto fields = fresh.decode(size_update_then_literals(size, 2000));
+    EXPECT_EQ(fields.size(), 2000u);
+    EXPECT_EQ(fresh.table().max_size(), size);
+    EXPECT_LE(fresh.table().size(), size);
+  }
 }
 
 TEST(Hpack, LongValuesRoundTrip) {

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "http1/client.hpp"
 #include "http1/server.hpp"
 #include "sim_fixture.hpp"
+#include "stats/rng.hpp"
 
 namespace dohperf::http1 {
 namespace {
@@ -28,6 +36,160 @@ TEST(HeaderMap, SetReplacesFirst) {
   EXPECT_EQ(h.size(), 1u);
   h.set("Y", "3");
   EXPECT_EQ(h.size(), 2u);
+}
+
+/// The header list as the vector of (name, value) pairs HeaderMap kept
+/// before it moved into one buffer, as the reference: add appends, set
+/// replaces the value of the first case-insensitive match or appends, get
+/// and has look for the first match.
+class ReferenceHeaders {
+ public:
+  void add(std::string name, std::string value) {
+    entries.emplace_back(std::move(name), std::move(value));
+  }
+  void set(std::string name, std::string value) {
+    for (auto& [n, v] : entries) {
+      if (iequals(n, name)) {
+        v = std::move(value);
+        return;
+      }
+    }
+    add(std::move(name), std::move(value));
+  }
+  std::optional<std::string> get(std::string_view name) const {
+    for (const auto& [n, v] : entries) {
+      if (iequals(n, name)) return v;
+    }
+    return std::nullopt;
+  }
+  bool has(std::string_view name) const { return get(name).has_value(); }
+
+  std::vector<std::pair<std::string, std::string>> entries;
+
+ private:
+  static bool iequals(std::string_view a, std::string_view b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::tolower(static_cast<unsigned char>(a[i])) !=
+          std::tolower(static_cast<unsigned char>(b[i]))) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+/// `name` with each letter's case flipped at random.
+std::string random_case(std::string_view name, stats::SplitMix64& rng) {
+  std::string out(name);
+  for (char& c : out) {
+    if (rng.next() % 2 == 0) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    } else {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return out;
+}
+
+/// A value of 0 to 40 bytes, some of them NUL, ':' or spaces.
+std::string random_value(stats::SplitMix64& rng) {
+  static constexpr std::string_view kAlphabet{"ab:Z 09-/\0;=", 12};
+  std::string out(rng.next() % 41, ' ');
+  for (char& c : out) c = kAlphabet[rng.next() % kAlphabet.size()];
+  return out;
+}
+
+TEST(HeaderMap, MatchesTheVectorOfPairs) {
+  static constexpr std::string_view kNames[] = {
+      "Host", "Content-Type", "Content-Length", "Accept", "X-Empty",
+      "Set-Cookie", "a", "x-long-header-name-past-the-inline-buffer"};
+  for (const std::uint64_t seed : {1u, 7u, 13u, 41u}) {
+    stats::SplitMix64 rng(seed);
+    HeaderMap map;
+    ReferenceHeaders reference;
+    for (int step = 0; step < 300; ++step) {
+      const std::string name =
+          random_case(kNames[rng.next() % std::size(kNames)], rng);
+      const std::string value = rng.next() % 5 == 0 ? "" : random_value(rng);
+      if (rng.next() % 3 == 0) {
+        map.set(name, value);
+        reference.set(name, value);
+      } else {
+        map.add(name, value);
+        reference.add(name, value);
+      }
+      ASSERT_EQ(map.size(), reference.entries.size()) << "seed " << seed;
+      for (const std::string_view probe : kNames) {
+        const std::string asked = random_case(probe, rng);
+        ASSERT_EQ(map.get(asked), reference.get(asked)) << asked;
+        ASSERT_EQ(map.has(asked), reference.has(asked)) << asked;
+      }
+      EXPECT_FALSE(map.has("missing"));
+    }
+    std::size_t i = 0;
+    for (const auto [name, value] : map) {
+      ASSERT_LT(i, reference.entries.size());
+      EXPECT_EQ(name, reference.entries[i].first);
+      EXPECT_EQ(value, reference.entries[i].second);
+      ++i;
+    }
+    EXPECT_EQ(i, reference.entries.size());
+  }
+}
+
+TEST(HeaderMap, SetKeepsTheFirstNameAndLaterHeaders) {
+  HeaderMap h;
+  h.add("X-Dup", "first");
+  h.add("Other", "");
+  h.add("x-dup", "second");
+  h.set("X-DUP", "replaced with a much longer value: a:b");
+  std::vector<std::pair<std::string, std::string>> seen;
+  for (const auto [name, value] : h) seen.emplace_back(name, value);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, std::string>>{
+                      {"X-Dup", "replaced with a much longer value: a:b"},
+                      {"Other", ""},
+                      {"x-dup", "second"}}));
+  h.set("x-DUP", "");
+  EXPECT_EQ(h.get("X-Dup"), "");
+  EXPECT_TRUE(h.has("other"));
+  EXPECT_EQ(h.size(), 3u);
+  // Names and values may view the list itself, across growth too.
+  for (int i = 0; i < 40; ++i) {
+    const auto [name, value] = *h.begin();
+    h.add(name, (*++h.begin()).name);
+  }
+  EXPECT_EQ(h.size(), 43u);
+  std::size_t copies = 0;
+  for (const auto [name, value] : h) {
+    if (name == "X-Dup") {
+      ++copies;
+      if (copies > 1) {
+        EXPECT_EQ(value, "Other");
+      }
+    }
+  }
+  EXPECT_EQ(copies, 41u);
+}
+
+TEST(HeaderMap, ParsedHeadKeepsOrderDuplicatesAndColons) {
+  Parser parser(Parser::Mode::kResponse);
+  parser.feed(dns::to_bytes(
+      "HTTP/1.1 200 OK\r\nVia: a\r\nEmpty:\r\nvia: b\r\n"
+      "Time: 12:30:00 \r\nContent-Length: 0\r\n\r\n"));
+  const auto response = parser.next_response();
+  ASSERT_TRUE(response.has_value());
+  std::vector<std::pair<std::string, std::string>> seen;
+  for (const auto [name, value] : response->headers) {
+    seen.emplace_back(name, value);
+  }
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, std::string>>{
+                      {"Via", "a"},
+                      {"Empty", ""},
+                      {"via", "b"},
+                      {"Time", "12:30:00"},
+                      {"Content-Length", "0"}}));
+  EXPECT_EQ(response->headers.get("VIA"), "a");
 }
 
 TEST(Message, RequestSerialization) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim_fixture.hpp"
+#include "stats/rng.hpp"
 #include "tlssim/connection.hpp"
 
 namespace dohperf::tlssim {
@@ -297,6 +303,393 @@ TEST_F(TlsTest, Tls12ResumptionOneRtt) {
   EXPECT_TRUE(tls2.resumed());
   // Abbreviated handshake: TCP (1 RTT) + TLS (1 RTT) = 20 ms, vs 30 ms full.
   EXPECT_LE(established_at - start, simnet::ms(25));
+}
+
+// --- Handshake encoders against the two-writer reference -------------------
+//
+// Before the encoders sized each message from its fields, each wrote its
+// fields into a ByteWriter of their own, then a header with a reserve for
+// the body into the output, then the body and its padding. That encoding
+// is kept here as the reference the bytes must match.
+
+namespace reference {
+
+void write_header(ByteWriter& w, HsType type, std::size_t body_len) {
+  if (body_len > 0xffffff) throw WireError("handshake message too large");
+  w.reserve(w.size() + 4 + body_len);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(static_cast<std::uint8_t>((body_len >> 16) & 0xff));
+  w.u16(static_cast<std::uint16_t>(body_len & 0xffff));
+}
+
+void pad_body(ByteWriter& w, std::size_t body_start, std::size_t target) {
+  const std::size_t written = w.size() - body_start;
+  if (written < target) w.zeros(target - written);
+}
+
+void write_lv_string(ByteWriter& w, const std::string& s) {
+  if (s.size() > 0xffff) throw WireError("string too long");
+  w.u16(static_cast<std::uint16_t>(s.size()));
+  w.string(s);
+}
+
+/// Header, then `body`, padded to at least `target`.
+void write_message(ByteWriter& w, HsType type, const ByteWriter& body,
+                   std::size_t target) {
+  const std::size_t body_len = std::max(body.size(), target);
+  write_header(w, type, body_len);
+  const std::size_t start = w.size();
+  w.bytes(body.data());
+  pad_body(w, start, body_len);
+}
+
+void encode_client_hello(ByteWriter& w, const ClientHello& ch) {
+  ByteWriter body;
+  body.u16(static_cast<std::uint16_t>(ch.min_version));
+  body.u16(static_cast<std::uint16_t>(ch.max_version));
+  write_lv_string(body, ch.sni);
+  body.u8(static_cast<std::uint8_t>(ch.alpn.size()));
+  for (const auto& proto : ch.alpn) write_lv_string(body, proto);
+  body.u16(static_cast<std::uint16_t>(ch.session_ticket.size()));
+  body.bytes(ch.session_ticket);
+  write_message(w, HsType::kClientHello, body, kClientHelloBody);
+}
+
+void encode_server_hello(ByteWriter& w, const ServerHello& sh) {
+  ByteWriter body;
+  body.u16(static_cast<std::uint16_t>(sh.version));
+  write_lv_string(body, sh.alpn);
+  body.u8(sh.resumed ? 1 : 0);
+  write_message(w, HsType::kServerHello, body,
+                sh.version == TlsVersion::kTls13 ? kServerHello13Body
+                                                 : kServerHello12Body);
+}
+
+void encode_certificate(ByteWriter& w, const CertificateMsg& cert) {
+  ByteWriter body;
+  write_lv_string(body, cert.subject);
+  body.u8(cert.certificate_count);
+  body.u8(cert.ct_logged ? 1 : 0);
+  body.u8(cert.ocsp_must_staple ? 1 : 0);
+  body.u32(cert.chain_bytes);
+  write_message(w, HsType::kCertificate, body, cert.chain_bytes);
+}
+
+void encode_new_session_ticket(ByteWriter& w, const NewSessionTicketMsg& t) {
+  ByteWriter body;
+  body.u16(static_cast<std::uint16_t>(t.ticket.size()));
+  body.bytes(t.ticket);
+  write_message(w, HsType::kNewSessionTicket, body, kNewSessionTicketBody);
+}
+
+void encode_plain(ByteWriter& w, HsType type, std::size_t body_size) {
+  write_header(w, type, body_size);
+  const std::size_t start = w.size();
+  pad_body(w, start, body_size);
+}
+
+}  // namespace reference
+
+std::string random_text(stats::SplitMix64& rng, std::size_t max_size) {
+  std::string out(rng.next() % (max_size + 1), 'x');
+  for (char& c : out) c = static_cast<char>('a' + rng.next() % 26);
+  return out;
+}
+
+Bytes random_bytes(stats::SplitMix64& rng, std::size_t max_size) {
+  Bytes out(rng.next() % (max_size + 1));
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+TlsVersion random_version(stats::SplitMix64& rng) {
+  return rng.next() % 2 == 0 ? TlsVersion::kTls12 : TlsVersion::kTls13;
+}
+
+/// `encode` must append `expected` to a writer holding other bytes, and
+/// write exactly `expected` over `size` bytes at a cursor.
+template <typename ByWriter, typename ByCursor>
+void expect_same_encoding(const Bytes& expected, std::size_t size,
+                          ByWriter by_writer, ByCursor by_cursor) {
+  ByteWriter w;
+  w.u8(0xee);
+  by_writer(w);
+  ASSERT_EQ(w.size(), 1 + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         w.data().begin() + 1));
+  ASSERT_EQ(size, expected.size());
+  Bytes out(size + 1, 0xa5);
+  HandshakeCursor cursor(out.data());
+  by_cursor(cursor);
+  EXPECT_EQ(cursor.position(), out.data() + size);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()));
+  EXPECT_EQ(out.back(), 0xa5) << "wrote past the sized message";
+}
+
+TEST(HandshakeEncoders, MatchTheTwoWriterReference) {
+  for (const std::uint64_t seed : {1u, 7u, 13u, 41u, 97u}) {
+    stats::SplitMix64 rng(seed);
+    for (int round = 0; round < 60; ++round) {
+      ClientHello ch;
+      ch.min_version = random_version(rng);
+      ch.max_version = random_version(rng);
+      ch.sni = random_text(rng, rng.next() % 4 == 0 ? 600 : 40);
+      const std::size_t protocols = rng.next() % 6;
+      for (std::size_t i = 0; i < protocols; ++i) {
+        ch.alpn.push_back(random_text(rng, rng.next() % 3 == 0 ? 300 : 12));
+      }
+      ch.session_ticket = random_bytes(rng, rng.next() % 3 == 0 ? 700 : 0);
+      ByteWriter client_hello;
+      reference::encode_client_hello(client_hello, ch);
+      expect_same_encoding(
+          client_hello.data(), encoded_size(ch.view()),
+          [&](ByteWriter& w) { encode_client_hello(w, ch); },
+          [&](HandshakeCursor& w) { encode_client_hello(w, ch.view()); });
+
+      ServerHello sh;
+      sh.version = random_version(rng);
+      sh.alpn = random_text(rng, rng.next() % 3 == 0 ? 300 : 12);
+      sh.resumed = rng.next() % 2 == 0;
+      ByteWriter server_hello;
+      reference::encode_server_hello(server_hello, sh);
+      expect_same_encoding(
+          server_hello.data(), encoded_size(sh),
+          [&](ByteWriter& w) { encode_server_hello(w, sh); },
+          [&](HandshakeCursor& w) { encode_server_hello(w, sh); });
+
+      CertificateMsg cert;
+      cert.subject = random_text(rng, rng.next() % 3 == 0 ? 400 : 30);
+      cert.certificate_count = static_cast<std::uint8_t>(rng.next());
+      cert.ct_logged = rng.next() % 2 == 0;
+      cert.ocsp_must_staple = rng.next() % 2 == 0;
+      // Chains shorter than the fields are padded to nothing.
+      cert.chain_bytes = static_cast<std::uint32_t>(rng.next() % 5000);
+      ByteWriter certificate;
+      reference::encode_certificate(certificate, cert);
+      expect_same_encoding(
+          certificate.data(), encoded_size(cert.view()),
+          [&](ByteWriter& w) { encode_certificate(w, cert); },
+          [&](HandshakeCursor& w) { encode_certificate(w, cert.view()); });
+
+      NewSessionTicketMsg ticket;
+      ticket.ticket = random_bytes(rng, rng.next() % 3 == 0 ? 700 : 60);
+      ByteWriter new_session_ticket;
+      reference::encode_new_session_ticket(new_session_ticket, ticket);
+      expect_same_encoding(
+          new_session_ticket.data(), encoded_size(ticket.view()),
+          [&](ByteWriter& w) { encode_new_session_ticket(w, ticket); },
+          [&](HandshakeCursor& w) {
+            encode_new_session_ticket(w, ticket.view());
+          });
+
+      const HsType type = rng.next() % 2 == 0 ? HsType::kFinished
+                                              : HsType::kServerKeyExchange;
+      const std::size_t body = rng.next() % 400;
+      ByteWriter plain;
+      reference::encode_plain(plain, type, body);
+      expect_same_encoding(
+          plain.data(), plain_size(body),
+          [&](ByteWriter& w) { encode_plain(w, type, body); },
+          [&](HandshakeCursor& w) { encode_plain(w, type, body); });
+    }
+  }
+}
+
+TEST(HandshakeEncoders, OverlongFieldsThrowBeforeWriting) {
+  ClientHello ch;
+  ch.sni = std::string(0x10000, 'a');
+  ByteWriter reference_out;
+  EXPECT_THROW(reference::encode_client_hello(reference_out, ch), WireError);
+  EXPECT_THROW((void)encoded_size(ch.view()), WireError);
+  ByteWriter w;
+  EXPECT_THROW(encode_client_hello(w, ch), WireError);
+  EXPECT_EQ(w.size(), 0u);
+  ch.sni = "ok";
+  ch.alpn = {std::string(0x10000, 'h')};
+  EXPECT_THROW((void)encoded_size(ch.view()), WireError);
+  EXPECT_THROW((void)plain_size(std::size_t{1} << 24), WireError);
+}
+
+// --- Whole flights against the reference -------------------------------------
+
+/// Two in-memory ByteStream ends: what one end sends, the other receives
+/// when the pipe is pumped. Every byte each end sends is recorded.
+class Pipe {
+ public:
+  class End final : public simnet::ByteStream {
+   public:
+    End(Pipe& pipe, int side) : pipe_(pipe), side_(side) {}
+    void set_handlers(Handlers handlers) override {
+      handlers_ = std::move(handlers);
+    }
+    void send(simnet::BufferSlice data) override {
+      Bytes& sent = pipe_.sent[side_];
+      sent.insert(sent.end(), data.begin(), data.end());
+      pipe_.queue_.emplace_back(1 - side_, data.to_bytes());
+    }
+    void close() override { open_ = false; }
+    bool is_open() const override { return open_; }
+
+   private:
+    friend class Pipe;
+    Pipe& pipe_;
+    int side_;
+    Handlers handlers_;
+    bool open_ = true;
+  };
+
+  std::unique_ptr<simnet::ByteStream> end(int side) {
+    auto e = std::make_unique<End>(*this, side);
+    ends_[side] = e.get();
+    return e;
+  }
+
+  /// Open both ends, then deliver until nothing is left to deliver.
+  void run() {
+    for (End* e : ends_) {
+      if (e->handlers_.on_open) e->handlers_.on_open();
+    }
+    while (!queue_.empty()) {
+      auto [side, bytes] = std::move(queue_.front());
+      queue_.erase(queue_.begin());
+      const auto& on_data = ends_[side]->handlers_.on_data;
+      if (on_data) on_data(bytes);
+    }
+  }
+
+  Bytes sent[2];  ///< everything the client (0) and server (1) sent
+
+ private:
+  std::vector<std::pair<int, Bytes>> queue_;
+  End* ends_[2] = {nullptr, nullptr};
+};
+
+/// One record as a connection frames it: type, version 0x0303, length,
+/// the body and `tag` zero bytes.
+void append_record(Bytes& out, ContentType type, const Bytes& body,
+                   std::size_t tag) {
+  const std::size_t length = body.size() + tag;
+  out.push_back(static_cast<std::uint8_t>(type));
+  out.push_back(0x03);
+  out.push_back(0x03);
+  out.push_back(static_cast<std::uint8_t>(length >> 8));
+  out.push_back(static_cast<std::uint8_t>(length & 0xff));
+  out.insert(out.end(), body.begin(), body.end());
+  out.insert(out.end(), tag, 0);
+}
+
+Bytes plain(HsType type, std::size_t body) {
+  ByteWriter w;
+  reference::encode_plain(w, type, body);
+  return w.take();
+}
+
+/// What each side of a handshake sends, built with the reference encoders.
+struct Flights {
+  Bytes client;
+  Bytes server;
+};
+
+Flights expected_flights(const ServerConfig& server, const ClientHello& ch,
+                         TlsVersion version, bool resumed) {
+  const Bytes ccs{1};
+  const std::size_t tag =
+      version == TlsVersion::kTls13 ? kAeadTagBytes + 1 : kTls12RecordOverhead;
+  CertificateMsg cert;
+  cert.subject = server.chain.subject;
+  cert.chain_bytes = static_cast<std::uint32_t>(server.chain.wire_bytes);
+  NewSessionTicketMsg ticket;
+  ticket.ticket = dns::to_bytes("TKT|" + server.chain.subject);
+  Flights out;
+  ByteWriter w;
+  reference::encode_client_hello(w, ch);
+  append_record(out.client, ContentType::kHandshake, w.take(), 0);
+  w = ByteWriter();
+  reference::encode_server_hello(w, ServerHello{version, "h2", resumed});
+  append_record(out.server, ContentType::kHandshake, w.take(), 0);
+  w = ByteWriter();
+  if (version == TlsVersion::kTls13) {
+    append_record(out.server, ContentType::kChangeCipherSpec, ccs, 0);
+    reference::encode_plain(w, HsType::kEncryptedExtensions,
+                            kEncryptedExtensionsBody);
+    if (!resumed) {
+      reference::encode_certificate(w, cert);
+      reference::encode_plain(w, HsType::kCertificateVerify,
+                              kCertificateVerifyBody);
+    }
+    reference::encode_plain(w, HsType::kFinished, kFinishedBody);
+    append_record(out.server, ContentType::kHandshake, w.take(), tag);
+    append_record(out.client, ContentType::kChangeCipherSpec, ccs, 0);
+    append_record(out.client, ContentType::kHandshake,
+                  plain(HsType::kFinished, kFinishedBody), tag);
+  } else if (resumed) {
+    append_record(out.server, ContentType::kChangeCipherSpec, ccs, 0);
+    append_record(out.server, ContentType::kHandshake,
+                  plain(HsType::kFinished, kFinishedBody), tag);
+    append_record(out.client, ContentType::kChangeCipherSpec, ccs, 0);
+    append_record(out.client, ContentType::kHandshake,
+                  plain(HsType::kFinished, kFinishedBody), tag);
+  } else {
+    reference::encode_certificate(w, cert);
+    reference::encode_plain(w, HsType::kServerKeyExchange,
+                            kServerKeyExchangeBody);
+    reference::encode_plain(w, HsType::kServerHelloDone, kServerHelloDoneBody);
+    append_record(out.server, ContentType::kHandshake, w.take(), 0);
+    append_record(out.client, ContentType::kHandshake,
+                  plain(HsType::kClientKeyExchange, kClientKeyExchangeBody),
+                  0);
+    append_record(out.client, ContentType::kChangeCipherSpec, ccs, 0);
+    append_record(out.client, ContentType::kHandshake,
+                  plain(HsType::kFinished, kFinishedBody), tag);
+    append_record(out.server, ContentType::kChangeCipherSpec, ccs, 0);
+    append_record(out.server, ContentType::kHandshake,
+                  plain(HsType::kFinished, kFinishedBody), tag);
+  }
+  w = ByteWriter();
+  reference::encode_new_session_ticket(w, ticket);
+  append_record(out.server, ContentType::kHandshake, w.take(), tag);
+  return out;
+}
+
+TEST(HandshakeFlights, ByteIdenticalToTheReference) {
+  for (const TlsVersion version : {TlsVersion::kTls12, TlsVersion::kTls13}) {
+    ServerConfig server_config;
+    server_config.versions = {version};
+    server_config.chain = CertificateChain::generic(
+        "a-subject-longer-than-any-inline-string.example", 3101);
+    SessionCache cache;
+    for (const bool resumed : {false, true}) {
+      ClientHello ch;
+      ch.sni = "resolver-with-a-long-server-name.example";
+      ch.alpn = {"h2", "http/1.1"};
+      if (resumed) {
+        ch.session_ticket = dns::to_bytes("TKT|" + server_config.chain.subject);
+      }
+      Pipe pipe;
+      TlsConnection server(pipe.end(1), &server_config);
+      ClientConfig client_config;
+      client_config.sni = ch.sni;
+      client_config.alpn = ch.alpn;
+      client_config.session_cache = &cache;
+      TlsConnection client(pipe.end(0), std::move(client_config));
+      pipe.run();
+      ASSERT_TRUE(client.established());
+      ASSERT_TRUE(server.established());
+      EXPECT_EQ(client.resumed(), resumed);
+      EXPECT_EQ(client.version(), version);
+      const Flights expected =
+          expected_flights(server_config, ch, version, resumed);
+      EXPECT_EQ(pipe.sent[0], expected.client)
+          << to_string(version) << (resumed ? " resumed" : " full");
+      EXPECT_EQ(pipe.sent[1], expected.server)
+          << to_string(version) << (resumed ? " resumed" : " full");
+      if (!resumed) {
+        ASSERT_TRUE(client.peer_certificate().has_value());
+        EXPECT_EQ(client.peer_certificate()->subject,
+                  server_config.chain.subject);
+      }
+    }
+  }
 }
 
 }  // namespace
