@@ -19,8 +19,9 @@
 // --no-gate, determinism always checked): the policy ladder must be
 // monotone in availability at every churn rate, resumption must pay
 // strictly fewer handshake bytes than naive under churn, DoQ migration must
-// survive re-addressing with zero new handshakes, and the whole table must
-// be a pure function of --seed (two grid runs, byte-identical).
+// survive re-addressing with zero new handshakes, DoT and DoH must recover
+// alike on the race rung, and the whole table must be a pure function of
+// --seed (two grid runs, byte-identical).
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -407,6 +408,39 @@ int main(int argc, char** argv) {
               "doq migration check (connection survives re-addressing with "
               "zero new handshakes)",
               doq_ok);
+
+  // Gate 4: DoT and DoH share one connection lifecycle, so at every churn
+  // rate their race rungs recover alike: the same answers, retries,
+  // reconnects, deadline expiries, migrations and handshakes.
+  const auto recovery = [](const RunMetrics& m) {
+    return std::array<std::uint64_t, 7>{
+        m.ok,
+        m.retry.retried_queries,
+        m.retry.reconnects,
+        m.retry.query_timeouts,
+        m.migration.migrations,
+        m.migration.resumed_handshakes,
+        m.migration.full_handshakes};
+  };
+  bool alike_ok = true;
+  for (std::size_t c = 0; c < churns.size(); ++c) {
+    const auto dot = recovery(matrix.at(c, kDotRace));
+    const auto doh = recovery(matrix.at(c, kDohRace));
+    if (dot == doh) continue;
+    std::printf("race like-for-like check FAIL: churn=%s (ok, retries, "
+                "reconnects, timeouts, migrations, resumed, full) differ:",
+                churns[c].name.c_str());
+    for (std::size_t i = 0; i < dot.size(); ++i) {
+      std::printf(" %llu/%llu", static_cast<unsigned long long>(dot[i]),
+                  static_cast<unsigned long long>(doh[i]));
+    }
+    std::printf(" (dot/doh)\n");
+    alike_ok = false;
+  }
+  matrix.gate("race_alike",
+              "race like-for-like check (dot/race and doh/race recover "
+              "alike at every churn rate)",
+              alike_ok);
   const int status = matrix.finish(output, /*enforce=*/!no_gate);
   if (no_gate) {
     std::printf("(--no-gate: churn gates reported but not enforced)\n");

@@ -14,9 +14,9 @@
 // interned names) are printed at the end; bench/obs_overhead measures
 // what this path costs per query.
 //
-// Companion to trace_resolution (the packet-level tcpdump view): same
-// scenario, but seen as the hierarchical span tree the benches export
-// with --trace.
+// Act three drops to the packets: the full trace of one fresh-connection
+// resolution, the simulated equivalent of running tcpdump next to the stub
+// resolver, which is how the paper produced its byte accounting (Figs 3-5).
 #include <cstdio>
 #include <fstream>
 
@@ -27,9 +27,53 @@
 #include "obs/span.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "simnet/trace.hpp"
+
+namespace {
+
+using namespace dohperf;
+
+/// Act three: one resolution over a fresh connection (teardown included),
+/// seen by a RecordingTap on the network.
+void print_packet_trace() {
+  simnet::EventLoop loop;
+  simnet::Network net(loop);
+  simnet::Host client(net, "client");
+  simnet::Host server(net, "resolver");
+  simnet::LinkConfig link;
+  link.latency = simnet::ms(10);
+  net.connect(client.id(), server.id(), link);
+
+  simnet::RecordingTap tap;
+  net.add_tap(&tap);
+
+  resolver::Engine engine(loop, {});
+  resolver::DohServerConfig server_config;
+  server_config.tls.chain = tlssim::CertificateChain::cloudflare();
+  resolver::DohServer doh(server, engine, server_config, 443);
+
+  core::DohClientConfig config;
+  config.server_name = "cloudflare-dns.com";
+  config.persistent = false;  // include teardown in the trace
+  core::DohClient resolver_client(client, {server.id(), 443}, config);
+
+  const auto id = resolver_client.resolve(
+      dns::Name::parse("www.example.com"), dns::RType::kA, {});
+  loop.run();
+  net.remove_tap(&tap);
+
+  std::printf("\npacket trace of one fresh-connection DoH resolution:\n\n%s",
+              tap.render(net).c_str());
+  std::printf("\n%zu packets, %llu bytes on the wire\n", tap.size(),
+              static_cast<unsigned long long>(tap.total_bytes()));
+  std::printf("client-side accounting (cost window may differ by a boundary "
+              "ACK):\n  %s\n",
+              resolver_client.result(id).cost.to_string().c_str());
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace dohperf;
 
   simnet::EventLoop loop;
   simnet::Network net(loop);
@@ -108,6 +152,8 @@ int main(int argc, char** argv) {
               "  interned names %zu\n",
               pool.spans, pool.span_capacity, pool.attr_entries,
               pool.attr_capacity, pool.attr_wasted, pool.interned_names);
+
+  print_packet_trace();
 
   if (argc > 1) {
     std::ofstream out(argv[1], std::ios::binary);

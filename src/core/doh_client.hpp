@@ -16,10 +16,11 @@
 // finalized once the connection has fully closed (run the event loop to
 // idle before reading it).
 //
-// Resilience follows core::Recovery: a connection lost to a reset, server
-// restart or GOAWAY is replaced and its queries re-issued within their
-// budgets. For a retried query the recorded cost window covers its final
-// attempt (dns_message_bytes accumulates: retransmissions cost bytes).
+// Resilience follows core::Recovery, and the connections' life (racing
+// included) core::Connector: a connection lost to a reset, server restart
+// or GOAWAY is replaced and its queries re-issued within their budgets. For
+// a retried query the recorded cost window covers its final attempt
+// (dns_message_bytes accumulates: retransmissions cost bytes).
 #pragma once
 
 #include <map>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "core/client.hpp"
+#include "core/connector.hpp"
 #include "core/obs_hooks.hpp"
 #include "core/recovery.hpp"
 #include "http1/client.hpp"
@@ -67,7 +69,7 @@ struct DohClientConfig {
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class DohClient final : public ResolverClient, private Session {
+class DohClient final : public ResolverClient, private Session, private Layer {
  public:
   DohClient(simnet::Host& host, simnet::Address server,
             DohClientConfig config = {});
@@ -93,26 +95,20 @@ class DohClient final : public ResolverClient, private Session {
   /// a different context; metric handles follow the registry it carries).
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
-  /// Counters of the current persistent stack (null when none / fresh mode).
+  /// TCP counters of the current (or last) persistent stack; null when
+  /// none (and in fresh mode).
   const simnet::TcpCounters* tcp_counters() const;
-  const tlssim::TlsCounters* tls_counters() const;
 
  private:
   /// One TCP+TLS+HTTP pile. Kept alive after close so late counter reads
   /// (teardown packets) still work.
-  struct Stack {
-    std::shared_ptr<simnet::TcpConnection> tcp;
-    tlssim::TlsConnection* tls = nullptr;  ///< owned by the HTTP layer
+  struct Stack : Link {
     std::unique_ptr<http1::Http1Client> h1;
     std::unique_ptr<http2::Http2Connection> h2;
     /// Query ids in flight here, in issue order: the loss batch's order.
     std::vector<std::uint64_t> outstanding;
-    bool broken = false;  ///< transport failed; never reuse
 
     // Observability state (all unused when tracing is off).
-    obs::SpanId connect_span = 0;
-    obs::SpanId tcp_hs_span = 0;
-    obs::SpanId tls_hs_span = 0;
     /// Query ids whose h2 HEADERS has not left yet, in request() order —
     /// the stream observer pops these to learn each stream's query.
     simnet::Fifo<std::uint64_t> awaiting_stream;
@@ -120,8 +116,8 @@ class DohClient final : public ResolverClient, private Session {
     std::uint64_t hpack_reported = 0;  ///< dyn-table hits already counted
 
     CostReport snapshot() const;
-    /// Connecting or open: not failed, closed or shut down by GOAWAY.
-    bool usable() const;
+    /// Connecting or open, and not shut down by GOAWAY.
+    bool usable() const override;
   };
 
   /// What DoH keeps per query beside Recovery's record: the stack its
@@ -141,7 +137,7 @@ class DohClient final : public ResolverClient, private Session {
   // Session: queries are keyed by query id.
   void send(Attempt&& a) override;
   void abort(std::uint64_t key) override;
-  void migrate(const char* reason) override;
+  void migrate(const char* reason) override { connector_.migrate(reason); }
   /// HTTP/2 multiplexes streams independently: while the connection still
   /// receives bytes, only the late exchange is stalled.
   bool resend_alone(std::uint64_t key) const override;
@@ -149,25 +145,20 @@ class DohClient final : public ResolverClient, private Session {
   /// A cost is the stack's counter delta, settled in result().
   bool cost_final_at_finish() const override { return false; }
 
-  std::shared_ptr<Stack> make_stack(obs::SpanId parent);
-  std::shared_ptr<Stack> stack_for_query(obs::SpanId parent);
-  void on_stream_event(const std::shared_ptr<Stack>& stack,
-                       std::uint32_t stream_id, http2::StreamEvent event);
-  /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
-  /// fail every query that was in flight on `stack`.
-  void on_stack_error(const std::shared_ptr<Stack>& stack);
-  void promote_racer();
-  void teardown_racer();
+  // Layer: HTTP/1.1 or HTTP/2 over the TLS session.
+  std::shared_ptr<Link> attach(
+      std::unique_ptr<simnet::ByteStream> stream) override;
+  /// Retry or fail every query that was in flight on the stack.
+  void lost(Link& link, bool migrated) override;
 
-  simnet::Host& host_;
-  simnet::Address server_;
+  void on_stream_event(Stack& stack, std::uint32_t stream_id,
+                       http2::StreamEvent event);
+  Stack* current() const { return static_cast<Stack*>(connector_.current()); }
+
   DohClientConfig config_;
   obs::CounterHandle hpack_dyn_hits_{"client.doh.hpack_dyn_hits"};
   Recovery recovery_;  ///< transport "doh_h2" or "doh_h1"
-
-  std::shared_ptr<Stack> persistent_stack_;
-  /// Migration race: a fresh stack racing the stalled persistent one.
-  std::shared_ptr<Stack> racing_stack_;
+  Connector connector_;
   std::vector<Exchange> exchanges_;  ///< by query id
 };
 

@@ -65,28 +65,21 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
 void DoqClient::send(Attempt&& a) {
   ensure_connection(a.span);
   // RFC 9250 §4.2: queries use DNS message ID 0; the stream correlates.
-  const dns::Bytes wire = dns::Message::make_query(0, a.name, a.type).encode();
-  dns::ByteWriter framed;
-  framed.u16(static_cast<std::uint16_t>(wire.size()));
-  framed.bytes(wire);
-
+  dns::Bytes frame =
+      dns::Message::make_query(0, a.name, a.type).encode_framed();
   auto& conn = endpoint_->connection();
   const std::uint64_t stream_id = conn.open_stream();
   recovery_.open_request(a, stream_id);
-  recovery_.sent(stream_id, std::move(a), wire.size());
-  recovery_.arm_stall_timer();
-  conn.send_stream(stream_id, framed.take(), /*fin=*/true);
+  recovery_.sent(stream_id, std::move(a), frame.size() - dns::kFramePrefix);
+  conn.send_stream(stream_id, std::move(frame), /*fin=*/true);
 }
 
 void DoqClient::on_stream_data(std::uint64_t stream_id,
                                std::span<const std::uint8_t> data, bool fin) {
-  // Bytes arriving means the path is alive: restart stall detection.
-  recovery_.disarm_stall_timer();
   if (!fin) {  // the response ends with the stream
     if (recovery_.find(stream_id) == nullptr) return;
     dns::Bytes& rx = partial_[stream_id];
     rx.insert(rx.end(), data.begin(), data.end());
-    recovery_.arm_stall_timer();
     return;
   }
   dns::Bytes rx;
@@ -96,16 +89,14 @@ void DoqClient::on_stream_data(std::uint64_t stream_id,
     rx.insert(rx.end(), data.begin(), data.end());
     data = rx;
   }
+  const auto wire = dns::next_frame(data);
   std::optional<dns::Message> response;
-  std::size_t len = 0;
-  if (data.size() >= 2) {
-    len = (static_cast<std::size_t>(data[0]) << 8) | data[1];
-    if (data.size() >= 2 + len) response = try_decode(data.subspan(2, len));
+  if (wire) response = try_decode(*wire);
+  if (response) {
+    recovery_.answer(stream_id, std::move(*response), wire->size());
+  } else {
+    recovery_.fail(stream_id);
   }
-  const bool known =
-      response ? recovery_.answer(stream_id, std::move(*response), len)
-               : recovery_.fail(stream_id);
-  if (known && !recovery_.in_flight().empty()) recovery_.arm_stall_timer();
 }
 
 void DoqClient::on_closed() {
@@ -114,13 +105,11 @@ void DoqClient::on_closed() {
   quic_hs_span_ = connect_span_ = 0;
   // Re-issues are deferred behind a backoff delay, so the replacement
   // endpoint is never built inside this (dying) connection's callback.
-  recovery_.disarm_stall_timer();
   recovery_.lose();
 }
 
 void DoqClient::abort(std::uint64_t /*key*/) {
   endpoint_.reset();  // dropped, not closed: the path may be dead anyway
-  recovery_.disarm_stall_timer();
   recovery_.lose();
 }
 

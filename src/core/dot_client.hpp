@@ -6,14 +6,17 @@
 // Everything else is shared, so the fig2 tcp/dot gap isolates TLS.
 //
 // Reconnects, re-issues, query timeouts and migration follow core::Recovery
-// (config.retry, config.migration); a won migration race re-issues at once.
+// (config.retry, config.migration), and the connection's life follows
+// core::Connector; a won migration race re-issues at once.
 #pragma once
 
 #include <memory>
 
 #include "core/client.hpp"
+#include "core/connector.hpp"
 #include "core/recovery.hpp"
 #include "obs/span.hpp"
+#include "simnet/buffer.hpp"
 #include "simnet/host.hpp"
 #include "simnet/stream.hpp"
 #include "tlssim/connection.hpp"
@@ -32,7 +35,7 @@ struct DotClientConfig {
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class DotClient final : public ResolverClient, private Session {
+class DotClient final : public ResolverClient, private Session, private Layer {
  public:
   DotClient(simnet::Host& host, simnet::Address server,
             DotClientConfig config = {});
@@ -55,55 +58,39 @@ class DotClient final : public ResolverClient, private Session {
   /// Close the connection (a new one is opened on the next resolve).
   /// Outstanding queries fail without retry — the close was deliberate.
   void disconnect();
-  bool connected() const;
-
-  /// Connection-level counters of the current connection (null when none;
-  /// TLS counters are also null for plain TCP).
-  const tlssim::TlsCounters* tls_counters() const;
+  /// TCP counters of the current (or last) connection; null before any.
   const simnet::TcpCounters* tcp_counters() const;
 
  private:
-  /// One connection: TCP, plus a TLS session over it unless plain_tcp.
-  struct Connection {
-    std::shared_ptr<simnet::TcpConnection> tcp;  ///< kept for counters
-    std::unique_ptr<simnet::ByteStream> stream;  ///< the TLS session or TCP
-    tlssim::TlsConnection* tls = nullptr;        ///< stream, unless plain
-
-    explicit operator bool() const noexcept { return stream != nullptr; }
-    /// Open or still handshaking: worth sending on.
-    bool usable() const;
-    /// Every handshake (TCP, then TLS if any) has completed.
-    bool established() const;
-    /// RST the transport (no local callbacks fire) and drop the stream.
-    void abort();
+  /// One connection: the stream the framed messages ride (the TLS session,
+  /// or bare TCP) and what has arrived on it.
+  struct Conn : Link {
+    std::unique_ptr<simnet::ByteStream> stream;
+    simnet::ByteQueue rx;
   };
 
   // Session: queries are keyed by DNS message ID.
   void send(Attempt&& a) override;
   void abort(std::uint64_t key) override;
-  void migrate(const char* reason) override;
+  void migrate(const char* reason) override { connector_.migrate(reason); }
+  void finishing(Attempt& /*a*/, bool success) override {
+    if (success) connector_.answered();
+  }
   bool keyed_by_dns_id() const override { return true; }
 
-  Connection open_connection();
-  void ensure_connection(obs::SpanId parent);
-  void on_data(std::span<const std::uint8_t> data);
-  void on_close();
-  void install_handlers();
-  void promote_racer();
-  void teardown_racer();
+  // Layer: the length framing.
+  std::shared_ptr<Link> attach(
+      std::unique_ptr<simnet::ByteStream> stream) override;
+  void lost(Link& /*link*/, bool migrated) override {
+    recovery_.lose(migrated);  // everything in flight rides the connection
+  }
 
-  simnet::Host& host_;
-  simnet::Address server_;
+  void on_data(Conn& conn, std::span<const std::uint8_t> data);
+  Conn* current() const { return static_cast<Conn*>(connector_.current()); }
+
   DotClientConfig config_;
   Recovery recovery_;
-
-  Connection conn_;
-  dns::Bytes rx_;
-  /// The fresh connection racing the stalled one during a migration.
-  Connection racer_;
-  obs::SpanId connect_span_ = 0;
-  obs::SpanId tcp_hs_span_ = 0;
-  obs::SpanId tls_hs_span_ = 0;
+  Connector connector_;
 };
 
 }  // namespace dohperf::core

@@ -129,6 +129,7 @@ void Recovery::sent(std::uint64_t key, Attempt&& a, std::size_t query_bytes) {
         retry_.query_timeout, [this, key]() { on_deadline(key); });
   }
   in_flight_.emplace(key, std::move(a));
+  track_stall(/*progress=*/false);
 }
 
 Attempt* Recovery::find(std::uint64_t key) {
@@ -172,6 +173,7 @@ void Recovery::finish(Attempt&& a, dns::Message* response,
     ++failures_;
   }
   ++completed_;
+  track_stall(/*progress=*/true);
   slot.span = a.span;
   obs_.end(a.request_span);
   if (session_.cost_final_at_finish()) {
@@ -254,19 +256,21 @@ void Recovery::lose(bool migrated) {
   lose_batch(batch, migrated);
 }
 
-void Recovery::lose(const std::vector<std::uint64_t>& keys) {
+void Recovery::lose(const std::vector<std::uint64_t>& keys, bool migrated) {
   std::vector<Attempt> batch;
   batch.reserve(keys.size());
   for (const std::uint64_t key : keys) {
     auto node = in_flight_.extract(key);
     if (!node.empty()) batch.push_back(std::move(node.mapped()));
   }
-  lose_batch(batch, /*migrated=*/false);
+  lose_batch(batch, migrated);
 }
 
 void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
   // Every lost query is out of flight before any callback runs: a callback
-  // that resolves again may open a connection whose keys start over.
+  // that resolves again may open a connection whose keys start over. A
+  // re-issue starts the stall timer afresh.
+  track_stall(/*progress=*/false);
   const auto is_suspect = [this](const Attempt& a) {
     return suspect_ && a.query_id == *suspect_;
   };
@@ -296,8 +300,20 @@ void Recovery::lose_batch(std::vector<Attempt>& batch, bool migrated) {
   }
 }
 
+void Recovery::track_stall(bool progress) {
+  if (!migration_.enabled) return;
+  if (progress || in_flight_.empty()) {
+    host_.loop().cancel(stall_timer_);
+    stall_timer_ = simnet::EventId{};
+  }
+  if (in_flight_.empty() || stall_timer_.valid) return;
+  stall_timer_ = host_.loop().schedule_in(kStallTimeout, [this]() {
+    stall_timer_ = simnet::EventId{};
+    on_stall();
+  });
+}
+
 void Recovery::on_stall() {
-  if (in_flight_.empty()) return;
   if (obs_.tracer != nullptr) {
     // The probe that condemned the old path before we migrate away from it.
     const obs::SpanId s = obs_.tracer->begin(0, "path_probe");

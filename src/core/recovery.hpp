@@ -8,8 +8,9 @@
 // Recovery also owns each query from resolve() to its callback: its id and
 // result, its spans, its DNS ID where responses are matched by one, the
 // in-flight map, its deadline and its completion. A client supplies a
-// Session: its socket or connection object, its framing, how it migrates,
-// and where it arms and disarms the stall timer.
+// Session: its socket or connection object, its framing and how it
+// migrates. DoT and DoH keep their TCP(+TLS) connections, and race them,
+// through a core::Connector beside their Recovery.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +94,8 @@ struct RetryStats {
 /// Network-churn handling. Off, churn is only discovered through query
 /// timeouts. On, the host's OS-visible change events and Recovery's stall
 /// timer start a migration: a TCP client races a fresh connection against
-/// the stalled one, DoQ validates the new path of the same connection.
+/// the stalled one (core::Connector), DoQ validates the new path of the
+/// same connection.
 struct MigrationConfig {
   bool enabled = false;
 };
@@ -174,7 +176,11 @@ class Session {
 class Recovery {
  public:
   /// With queries in flight and no progress for this long, the path is
-  /// suspect and the client migrates.
+  /// suspect and the client migrates. The one stall rule, migration on:
+  /// the timer starts when a query goes in flight and none runs, restarts
+  /// when a query completes with others still in flight, and stops when
+  /// nothing is in flight. A DNS response fits one record or frame, so a
+  /// completion is the progress a byte count would show.
   static constexpr simnet::TimeUs kStallTimeout = simnet::ms(400);
 
   /// `retry`, `migration` and `obs` live in the client and are read at each
@@ -205,8 +211,8 @@ class Recovery {
   /// any, is named on the span before the attempt.
   void open_request(Attempt& a, std::optional<std::uint64_t> stream_id = {});
   /// `a` went on the wire as `query_bytes` of DNS message, and its response
-  /// will carry `key`: count the bytes, start the deadline, keep it in
-  /// flight.
+  /// will carry `key`: count the bytes, start the deadline (and the stall
+  /// timer, if none runs), keep it in flight.
   void sent(std::uint64_t key, Attempt&& a, std::size_t query_bytes);
   /// Add `cost`, spent on the wire by query `id`, to its result. A client
   /// whose cost is final at finish adds it before the query completes.
@@ -245,10 +251,10 @@ class Recovery {
   /// The connection died, or a deadline condemned it, with every query in
   /// flight on it: run the loss batch over them in key order. `migrated`:
   /// a race was won, so each query moves to the validated new path at
-  /// once (no backoff), charged one retry.
+  /// once (no backoff, no reconnect), charged one retry.
   void lose(bool migrated = false);
   /// The loss batch over the queries in flight under `keys`, in that order.
-  void lose(const std::vector<std::uint64_t>& keys);
+  void lose(const std::vector<std::uint64_t>& keys, bool migrated = false);
 
   /// `close()` shuts the connection on purpose: the loss batch it runs
   /// fails everything in flight.
@@ -257,22 +263,6 @@ class Recovery {
     closing_ = true;
     close();
     closing_ = false;
-  }
-
-  // --- stall detection ---------------------------------------------------
-
-  /// Start the stall timer unless it runs already (migration on only).
-  void arm_stall_timer() {
-    if (!migration_.enabled || stall_timer_.valid) return;
-    stall_timer_ = host_.loop().schedule_in(kStallTimeout, [this]() {
-      stall_timer_ = simnet::EventId{};
-      on_stall();
-    });
-  }
-  /// Progress seen: stop the stall timer.
-  void disarm_stall_timer() {
-    host_.loop().cancel(stall_timer_);
-    stall_timer_ = simnet::EventId{};
   }
 
   // --- migration accounting and spans ------------------------------------
@@ -342,6 +332,9 @@ class Recovery {
   /// its callback. `response` is null on failure.
   void finish(Attempt&& a, dns::Message* response, std::size_t dns_bytes);
   void observe_cost(const Slot& slot) const;
+  /// The stall rule (kStallTimeout), migration on: stop the timer when
+  /// nothing is in flight, else start it if `progress` or none runs.
+  void track_stall(bool progress);
   void on_stall();
   void close_migrate_span(const char* winner);
   /// Charge `bytes` of race traffic as migration waste.

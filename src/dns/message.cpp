@@ -62,16 +62,21 @@ Message Message::make_error(const Message& query, Rcode rcode) {
   return m;
 }
 
-Bytes Message::encode(bool compress) const {
+Bytes Message::encode(bool compress) const { return encode(compress, 0); }
+
+Bytes Message::encode_framed() const { return encode(true, kFramePrefix); }
+
+Bytes Message::encode(bool compress, std::size_t prefix) const {
   // Sized once: the header, then each question and record with every name
   // in full, which compression only shortens.
-  std::size_t size = 12;
+  std::size_t size = prefix + 12;
   for (const auto& q : questions) size += q.qname.wire_length() + 4;
   for (const auto* section : {&answers, &authorities, &additionals}) {
     for (const auto& rr : *section) size += rr.max_wire_size();
   }
   ByteWriter w(size);
-  NameCompressor compressor(compress);
+  w.zeros(prefix);
+  NameCompressor compressor(compress, prefix);
   w.u16(id);
   w.u16(flags.encode());
   w.u16(static_cast<std::uint16_t>(questions.size()));
@@ -89,6 +94,9 @@ Bytes Message::encode(bool compress) const {
   write_section(answers);
   write_section(authorities);
   write_section(additionals);
+  if (prefix > 0) {
+    w.patch_u16(0, static_cast<std::uint16_t>(w.size() - prefix));
+  }
   return w.take();
 }
 

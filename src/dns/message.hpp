@@ -60,6 +60,10 @@ class Message {
   /// all sections share a compression context as real servers do.
   Bytes encode(bool compress = true) const;
 
+  /// Wire-encode the message behind its two-byte length, in one buffer:
+  /// the framing of DNS over TCP, TLS and QUIC (see dns::next_frame).
+  Bytes encode_framed() const;
+
   /// Decode a message; throws WireError on malformed input.
   static Message decode(std::span<const std::uint8_t> wire);
 
@@ -73,6 +77,10 @@ class Message {
   std::string to_string() const;
 
   bool operator==(const Message&) const = default;
+
+ private:
+  /// encode(), behind `prefix` bytes that hold the message's length.
+  Bytes encode(bool compress, std::size_t prefix) const;
 };
 
 }  // namespace dohperf::dns

@@ -32,8 +32,8 @@ bool folded_equal(const std::uint8_t* a, const std::uint8_t* b,
 
 /// True if the name written at `at` in `out` (following its pointers) is
 /// `flat[0, size)` up to case.
-bool written_equal(const Bytes& out, std::size_t at, const std::uint8_t* flat,
-                   std::size_t size) noexcept {
+bool written_equal(std::span<const std::uint8_t> out, std::size_t at,
+                   const std::uint8_t* flat, std::size_t size) noexcept {
   const std::uint8_t* const end = flat + size;
   while (at < out.size()) {
     const std::uint8_t len = out[at];
@@ -240,14 +240,13 @@ std::uint64_t Name::order_key() const noexcept {
   return key;
 }
 
-NameCompressor::Entry& NameCompressor::slot(const Bytes& out,
-                                            std::uint32_t hash,
-                                            const std::uint8_t* flat,
-                                            std::size_t size) {
+NameCompressor::Entry& NameCompressor::slot(
+    std::span<const std::uint8_t> message, std::uint32_t hash,
+    const std::uint8_t* flat, std::size_t size) {
   for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
     Entry& e = table_[i];
     if (e.hash == 0 || (e.hash == hash && e.size == size &&
-                        written_equal(out, e.offset, flat, size))) {
+                        written_equal(message, e.offset, flat, size))) {
       return e;
     }
   }
@@ -286,7 +285,8 @@ void NameCompressor::write(ByteWriter& w, const Name& name) {
   }
   for (std::size_t at = 0; at < size; at += 1u + flat[at]) {
     const std::uint32_t hash = suffix_hash[at] == 0 ? 1 : suffix_hash[at];
-    Entry& e = slot(w.data(), hash, flat + at, size - at);
+    const auto written = std::span<const std::uint8_t>(w.data());
+    Entry& e = slot(written.subspan(base_), hash, flat + at, size - at);
     if (e.hash != 0) {
       // Emit a two-octet pointer to the earlier occurrence and stop.
       w.u16(static_cast<std::uint16_t>(0xc000 | e.offset));
@@ -294,8 +294,9 @@ void NameCompressor::write(ByteWriter& w, const Name& name) {
     }
     // Record this suffix's offset for future reuse (only if it fits the
     // 14-bit pointer field).
-    if (w.size() <= 0x3fff) {
-      e = Entry{hash, static_cast<std::uint16_t>(w.size()),
+    const std::size_t offset = w.size() - base_;
+    if (offset <= 0x3fff) {
+      e = Entry{hash, static_cast<std::uint16_t>(offset),
                 static_cast<std::uint8_t>(size - at)};
       if (2 * ++used_ > mask_ + 1) grow();
     }

@@ -111,8 +111,11 @@ class Name {
 /// more than kInlineEntries / 2 distinct suffixes moves it to the heap.
 class NameCompressor {
  public:
-  /// When `enabled` is false every name is written in full.
-  explicit NameCompressor(bool enabled = true) : enabled_(enabled) {}
+  /// When `enabled` is false every name is written in full. The message
+  /// starts `base` bytes into the writer (after a length prefix, say), and
+  /// pointers are offsets from there.
+  explicit NameCompressor(bool enabled = true, std::size_t base = 0)
+      : enabled_(enabled), base_(base) {}
   NameCompressor(const NameCompressor&) = delete;
   NameCompressor& operator=(const NameCompressor&) = delete;
 
@@ -133,12 +136,13 @@ class NameCompressor {
 
   /// The slot holding the suffix `flat[0, size)` hashed to `hash`, or the
   /// free slot where it belongs.
-  Entry& slot(const Bytes& out, std::uint32_t hash, const std::uint8_t* flat,
-              std::size_t size);
+  Entry& slot(std::span<const std::uint8_t> message, std::uint32_t hash,
+              const std::uint8_t* flat, std::size_t size);
   /// Double the table once it is half full.
   void grow();
 
   bool enabled_;
+  std::size_t base_;  ///< where the message starts in the writer
   std::size_t used_ = 0;
   std::size_t mask_ = kInlineEntries - 1;
   Entry* table_ = inline_;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -98,6 +99,28 @@ class ByteWriter {
 
   Bytes out_;
 };
+
+/// DNS over TCP, TLS and QUIC put each message behind its length, a
+/// big-endian u16 (RFC 1035 §4.2.2, RFC 7858 §3.3, RFC 9250 §4.2);
+/// Message::encode_framed writes such a frame.
+inline constexpr std::size_t kFramePrefix = 2;
+
+/// The message length the frame at the front of `buffered` declares, or
+/// nullopt while its prefix is incomplete.
+inline std::optional<std::size_t> frame_length(
+    std::span<const std::uint8_t> buffered) {
+  if (buffered.size() < kFramePrefix) return std::nullopt;
+  return (std::size_t{buffered[0]} << 8) | buffered[1];
+}
+
+/// A view of the message in the whole frame at the front of `buffered`,
+/// or nullopt while the frame is incomplete.
+inline std::optional<std::span<const std::uint8_t>> next_frame(
+    std::span<const std::uint8_t> buffered) {
+  const std::optional<std::size_t> length = frame_length(buffered);
+  if (!length || buffered.size() < kFramePrefix + *length) return std::nullopt;
+  return buffered.subspan(kFramePrefix, *length);
+}
 
 /// Convenience conversions.
 Bytes to_bytes(std::string_view s);

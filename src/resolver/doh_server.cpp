@@ -127,7 +127,7 @@ void DohServer::evict_oldest_idle() {
 }
 
 DohServer::~DohServer() {
-  *alive_ = false;
+  host_.loop().cancel(relisten_);
   if (listening_) host_.tcp_stop_listening(port_);
 }
 
@@ -152,12 +152,8 @@ void DohServer::restart(simnet::TimeUs downtime) {
   // The crashed process loses its session-ticket keys: tickets issued
   // before the restart must fall back to a full handshake.
   ++config_.tls.ticket_epoch;
-  host_.loop().schedule_in(downtime,
-                           [this, alive = std::weak_ptr<bool>(alive_)]() {
-                             const auto a = alive.lock();
-                             if (!a || !*a || listening_) return;
-                             listen();
-                           });
+  host_.loop().cancel(relisten_);
+  relisten_ = host_.loop().schedule_in(downtime, [this]() { listen(); });
 }
 
 void DohServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {

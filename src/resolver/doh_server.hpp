@@ -118,8 +118,7 @@ class DohServer {
   std::size_t peak_sessions_ = 0;
   std::uint64_t evicted_ = 0;
   std::uint64_t oversized_ = 0;
-  /// Guards the deferred re-listen against the server being destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  simnet::EventId relisten_;  ///< the end of the downtime; cancelled with us
   std::vector<std::shared_ptr<Session>> sessions_;
 };
 

@@ -23,21 +23,18 @@ void DoqServer::on_accept(quicsim::QuicConnection& conn) {
     stream.rx.insert(stream.rx.end(), data.begin(), data.end());
     if (!fin) return;
     // Complete query: 2-byte length prefix + DNS message.
-    if (stream.rx.size() < 2) return;
-    const std::size_t len =
-        (static_cast<std::size_t>(stream.rx[0]) << 8) | stream.rx[1];
-    if (stream.rx.size() < 2 + len) return;
-    const dns::Bytes wire(stream.rx.begin() + 2,
-                          stream.rx.begin() +
-                              static_cast<std::ptrdiff_t>(2 + len));
+    const auto wire = dns::next_frame(stream.rx);
+    if (!wire) return;
+    // on_query may close the connection; `state` (held here) outlives it.
+    on_query(*conn_ptr, stream_id, *wire);
     state->streams.erase(stream_id);
-    on_query(*conn_ptr, stream_id, wire);
   });
   conn.set_on_closed([this, conn_ptr]() { states_.erase(conn_ptr); });
 }
 
 void DoqServer::on_query(quicsim::QuicConnection& conn,
-                         std::uint64_t stream_id, const dns::Bytes& wire) {
+                         std::uint64_t stream_id,
+                         std::span<const std::uint8_t> wire) {
   dns::Message query;
   try {
     query = dns::Message::decode(wire);
@@ -55,11 +52,7 @@ void DoqServer::on_query(quicsim::QuicConnection& conn,
   handler_.handle(query, context,
                   [this, conn_ptr, stream_id](dns::Message response) {
                     if (states_.find(conn_ptr) == states_.end()) return;
-                    const dns::Bytes wire = response.encode();
-                    dns::ByteWriter framed;
-                    framed.u16(static_cast<std::uint16_t>(wire.size()));
-                    framed.bytes(wire);
-                    conn_ptr->send_stream(stream_id, framed.take(),
+                    conn_ptr->send_stream(stream_id, response.encode_framed(),
                                           /*fin=*/true);
                   });
 }

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "quicsim/endpoint.hpp"
 #include "resolver/query_handler.hpp"
@@ -40,7 +41,7 @@ class DoqServer {
 
   void on_accept(quicsim::QuicConnection& conn);
   void on_query(quicsim::QuicConnection& conn, std::uint64_t stream_id,
-                const dns::Bytes& wire);
+                std::span<const std::uint8_t> wire);
 
   simnet::Host& host_;
   QueryHandler& handler_;

@@ -12,7 +12,7 @@ DotServer::DotServer(simnet::Host& host, QueryHandler& handler,
 }
 
 DotServer::~DotServer() {
-  *alive_ = false;
+  host_.loop().cancel(relisten_);
   if (listening_) host_.tcp_stop_listening(port_);
 }
 
@@ -37,12 +37,8 @@ void DotServer::restart(simnet::TimeUs downtime) {
   // The crashed process loses its session-ticket keys: tickets issued
   // before the restart must fall back to a full handshake.
   ++config_.tls.ticket_epoch;
-  host_.loop().schedule_in(downtime,
-                           [this, alive = std::weak_ptr<bool>(alive_)]() {
-                             const auto a = alive.lock();
-                             if (!a || !*a || listening_) return;
-                             listen();
-                           });
+  host_.loop().cancel(relisten_);
+  relisten_ = host_.loop().schedule_in(downtime, [this]() { listen(); });
 }
 
 void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
@@ -73,26 +69,22 @@ void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
 }
 
 void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
-  session.rx.insert(session.rx.end(), data.begin(), data.end());
+  session.rx.append(data);
   // RFC 7858 framing: u16 length prefix per DNS message.
-  while (session.rx.size() >= 2) {
-    const std::size_t len =
-        (static_cast<std::size_t>(session.rx[0]) << 8) | session.rx[1];
-    if (len == 0 || len > config_.max_message_bytes) {
+  while (const auto length = dns::frame_length(session.rx.bytes())) {
+    if (*length == 0 || *length > config_.max_message_bytes) {
       ++malformed_;
       session.stream->close();
       session.dead = true;
       return;
     }
-    if (session.rx.size() < 2 + len) break;
-    dns::Bytes wire(session.rx.begin() + 2,
-                    session.rx.begin() + static_cast<std::ptrdiff_t>(2 + len));
-    session.rx.erase(session.rx.begin(),
-                     session.rx.begin() + static_cast<std::ptrdiff_t>(2 + len));
+    const auto wire = dns::next_frame(session.rx.bytes());
+    if (!wire) break;
+    session.rx.skip(dns::kFramePrefix + wire->size());
 
     dns::Message query;
     try {
-      query = dns::Message::decode(wire);
+      query = dns::Message::decode(*wire);
     } catch (const dns::WireError&) {
       ++malformed_;
       session.stream->close();
@@ -108,32 +100,26 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
     handler_.handle(query, context,
                     [this, weak, sequence](dns::Message response) {
                       if (const auto s = weak.lock()) {
-                        answer(*s, sequence, response.encode());
+                        answer(*s, sequence, response.encode_framed());
                       }
                     });
   }
 }
 
 void DotServer::answer(Session& session, std::uint64_t sequence,
-                       dns::Bytes wire) {
+                       dns::Bytes frame) {
   if (session.dead) return;
-  auto frame = [](const dns::Bytes& msg) {
-    dns::ByteWriter w;
-    w.u16(static_cast<std::uint16_t>(msg.size()));
-    w.bytes(msg);
-    return w.take();
-  };
   if (config_.out_of_order) {
-    session.stream->send(frame(wire));
+    session.stream->send(std::move(frame));
     return;
   }
   // In-order: buffer until every earlier response has been sent. This is
   // the serialization that makes delayed queries block later ones (Fig 2).
-  session.ready.emplace(sequence, std::move(wire));
+  session.ready.emplace(sequence, std::move(frame));
   while (true) {
     const auto it = session.ready.find(session.next_to_send);
     if (it == session.ready.end()) break;
-    session.stream->send(frame(it->second));
+    session.stream->send(std::move(it->second));
     session.ready.erase(it);
     ++session.next_to_send;
   }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "resolver/query_handler.hpp"
+#include "simnet/buffer.hpp"
 #include "simnet/host.hpp"
 #include "tlssim/connection.hpp"
 
@@ -61,10 +62,10 @@ class DotServer {
   struct Session {
     std::unique_ptr<simnet::ByteStream> stream;  ///< TLS, or bare TCP
     std::weak_ptr<simnet::TcpConnection> tcp;  ///< for abortive restart
-    simnet::Bytes rx;
+    simnet::ByteQueue rx;
     std::uint64_t next_assigned = 0;
     std::uint64_t next_to_send = 0;
-    std::map<std::uint64_t, dns::Bytes> ready;  ///< in-order buffering
+    std::map<std::uint64_t, dns::Bytes> ready;  ///< framed, in order
     bool dead = false;
     simnet::NodeId peer = 0;  ///< requesting client, for QueryContext
     std::weak_ptr<Session> self;  ///< for continuations that may outlive us
@@ -73,7 +74,8 @@ class DotServer {
   void listen();
   void on_accept(std::shared_ptr<simnet::TcpConnection> conn);
   void on_data(Session& session, std::span<const std::uint8_t> data);
-  void answer(Session& session, std::uint64_t sequence, dns::Bytes wire);
+  /// Send the framed response to the `sequence`-th query.
+  void answer(Session& session, std::uint64_t sequence, dns::Bytes frame);
   void prune();
 
   simnet::Host& host_;
@@ -84,8 +86,7 @@ class DotServer {
   std::uint64_t tls_handshakes_ = 0;
   bool listening_ = false;
   std::uint64_t restarts_ = 0;
-  /// Guards the deferred re-listen against the server being destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  simnet::EventId relisten_;  ///< the end of the downtime; cancelled with us
   std::vector<std::shared_ptr<Session>> sessions_;
 };
 

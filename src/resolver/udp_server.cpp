@@ -27,17 +27,14 @@ UdpServer::UdpServer(simnet::Host& host, QueryHandler& handler,
 }
 
 UdpServer::~UdpServer() {
-  *alive_ = false;
+  host_.loop().cancel(up_again_);
   host_.udp_close(*socket_);
 }
 
 void UdpServer::restart(simnet::TimeUs downtime) {
   down_ = true;
-  host_.loop().schedule_in(downtime,
-                           [this, alive = std::weak_ptr<bool>(alive_)]() {
-                             const auto a = alive.lock();
-                             if (a && *a) down_ = false;
-                           });
+  host_.loop().cancel(up_again_);
+  up_again_ = host_.loop().schedule_in(downtime, [this]() { down_ = false; });
 }
 
 }  // namespace dohperf::resolver

@@ -35,8 +35,7 @@ class UdpServer {
   std::uint64_t malformed_ = 0;
   bool down_ = false;
   std::uint64_t dropped_while_down_ = 0;
-  /// Guards the deferred restart against the server being destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  simnet::EventId up_again_;  ///< the end of the downtime; cancelled with us
 };
 
 }  // namespace dohperf::resolver

@@ -183,18 +183,22 @@ Page AlexaPageModel::page(std::size_t rank) {
 
   // Wire up parents: each depth-d object is discovered by a random
   // depth-(d-1) object; falls back to the HTML (-1) when none exists.
+  // Depths settle first, so no object takes a parent that fell back.
   std::vector<int> by_depth[3];
   for (std::size_t i = 0; i < page.objects.size(); ++i) {
     const int d = page.objects[i].depth;
     by_depth[d].push_back(static_cast<int>(i));
   }
+  for (int d = 1; d < 3; ++d) {
+    if (!by_depth[d - 1].empty()) continue;
+    for (const int i : by_depth[d]) {
+      page.objects[static_cast<std::size_t>(i)].depth = 0;
+    }
+    by_depth[d].clear();
+  }
   for (auto& obj : page.objects) {
     if (obj.depth == 0) continue;
     const auto& parents = by_depth[obj.depth - 1];
-    if (parents.empty()) {
-      obj.depth = 0;
-      continue;
-    }
     obj.parent = parents[rng.next_below(parents.size())];
   }
   return page;

@@ -14,6 +14,7 @@
 #include "dns/json.hpp"
 #include "dns/json_value.hpp"
 #include "dns/message.hpp"
+#include "simnet/buffer.hpp"
 #include "stats/rng.hpp"
 
 namespace dohperf::dns {
@@ -319,6 +320,92 @@ TEST(Wire, WriterPatch) {
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xdeadbeef);
   EXPECT_THROW(w.patch_u16(5, 1), WireError);
+}
+
+// --- the two-byte length framing of DNS over TCP, TLS and QUIC ----------------
+
+/// Seeded queries and responses whose names share suffixes, so compression
+/// pointers reach back across records.
+std::vector<Message> framing_messages(std::uint64_t seed) {
+  stats::SplitMix64 rng(seed);
+  std::vector<Message> out;
+  for (int i = 0; i < 12; ++i) {
+    // Numbers bound to locals first: GCC 12 misreads "lit" + to_string().
+    const std::string host = std::to_string(rng.next_below(500));
+    const std::string zone = std::to_string(i % 3);
+    const std::string octet = std::to_string(i);
+    const Name name = Name::parse("h" + host + ".zone" + zone + ".example");
+    Message query = Message::make_query(static_cast<std::uint16_t>(i), name,
+                                        i % 2 == 0 ? RType::kA : RType::kAAAA);
+    if (i % 3 == 0) {
+      out.push_back(std::move(query));
+      continue;
+    }
+    const Name alias = Name::parse("cdn.zone" + zone + ".example");
+    out.push_back(Message::make_response(
+        query, {ResourceRecord::cname(name, alias),
+                ResourceRecord::a(alias, "192.0.2." + octet)}));
+  }
+  return out;
+}
+
+TEST(Framing, WriterBytesAreTheLengthThenTheMessage) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const Message& m : framing_messages(seed)) {
+      const Bytes wire = m.encode();
+      ByteWriter expected;
+      expected.u16(static_cast<std::uint16_t>(wire.size()));
+      expected.bytes(wire);
+      EXPECT_EQ(m.encode_framed(), expected.data());
+    }
+  }
+}
+
+TEST(Framing, EverySplitOfAStreamYieldsTheSameMessages) {
+  const std::vector<Message> messages = framing_messages(7);
+  Bytes stream;
+  for (const Message& m : messages) {
+    const Bytes frame = m.encode_framed();
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  // Every chunk size, and every single cut into two chunks.
+  std::vector<std::vector<std::size_t>> splits;
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = chunk; at < stream.size(); at += chunk) {
+      cuts.push_back(at);
+    }
+    splits.push_back(std::move(cuts));
+  }
+  for (std::size_t at = 1; at < stream.size(); ++at) splits.push_back({at});
+  for (const std::vector<std::size_t>& cuts : splits) {
+    simnet::ByteQueue rx;
+    std::vector<Message> read;
+    std::size_t from = 0;
+    const auto feed = [&](std::size_t to) {
+      rx.append(std::span<const std::uint8_t>(stream).subspan(from, to - from));
+      from = to;
+      while (const auto wire = next_frame(rx.bytes())) {
+        rx.skip(kFramePrefix + wire->size());
+        read.push_back(Message::decode(*wire));
+      }
+    };
+    for (const std::size_t cut : cuts) feed(cut);
+    feed(stream.size());
+    ASSERT_EQ(read, messages);
+    EXPECT_EQ(rx.size(), 0u);
+  }
+}
+
+TEST(Framing, ReaderWaitsForTheWholeFrame) {
+  const Bytes frame = Message::make_query(9, Name::parse("a.example"))
+                          .encode_framed();
+  const std::span<const std::uint8_t> all(frame);
+  EXPECT_FALSE(frame_length(all.first(1)));
+  EXPECT_EQ(frame_length(all.first(2)), frame.size() - kFramePrefix);
+  EXPECT_FALSE(next_frame(all.first(frame.size() - 1)));
+  ASSERT_TRUE(next_frame(all));
+  EXPECT_EQ(next_frame(all)->data(), frame.data() + kFramePrefix);
 }
 
 // --- Name against the vector-of-labels reference -----------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
@@ -218,6 +219,28 @@ TEST_F(TwoHostFixture, UdpServerRestartDropsAndRecovers) {
   EXPECT_TRUE(observed.success);
   EXPECT_EQ(udp_server.dropped_while_down(), 2u);
   EXPECT_GE(observed.resolution_time(), simnet::ms(800));
+}
+
+// A server destroyed while it is down takes the end of its downtime with
+// it: nothing is left on the loop to run the clock on to.
+TEST_F(TwoHostFixture, ServersDestroyedMidDowntimeLeaveNoEvent) {
+  resolver::Engine engine(loop, {});
+  auto udp = std::make_unique<resolver::UdpServer>(server, engine, 53);
+  auto dot = std::make_unique<resolver::DotServer>(
+      server, engine, resolver::DotServerConfig{}, 853);
+  auto doh = std::make_unique<resolver::DohServer>(
+      server, engine, resolver::DohServerConfig{}, 443);
+  udp->restart(simnet::seconds(60));
+  dot->restart(simnet::seconds(60));
+  doh->restart(simnet::seconds(60));
+  EXPECT_EQ(loop.pending(), 3u);
+  udp.reset();
+  EXPECT_EQ(loop.pending(), 2u);
+  dot.reset();
+  EXPECT_EQ(loop.pending(), 1u);
+  doh.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.run(), 0);
 }
 
 // --- Reconnecting DoH client -----------------------------------------------------

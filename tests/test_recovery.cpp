@@ -17,9 +17,10 @@
 // budget charges, span order and handshake accounting are all pinned, so a
 // change to recovery behaviour must come with a deliberate golden update.
 //
-// The RecoveryRules cases at the end drive core::Recovery through a fake
-// Session, with no network: each rule of the loss batch and the deadline
-// on its own.
+// WonRaceTest checks the won-race rule on every transport that races TCP
+// connections. The RecoveryRules cases at the end drive core::Recovery
+// through a fake Session, with no network: each rule of the loss batch,
+// the deadline and the stall timer on its own.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -340,6 +341,59 @@ TEST_P(RecoveryTest, MatchesGolden) {
   EXPECT_EQ(read_file(path), actual) << "golden file: " << path;
 }
 
+// The won-race rule, on every transport that races TCP connections: when
+// the fresh connection is promoted, every query in flight on the stalled
+// one is re-sent at that instant with reason `migration`, charged one
+// retry, and no reconnect is counted.
+class WonRaceTest : public RecoveryTest {};
+
+TEST_P(WonRaceTest, ResendsEveryQueryInFlightAtThePromotionInstant) {
+  run_fault();
+  simnet::TimeUs promoted = -1;
+  for (const obs::Span& s : tracer.spans()) {
+    const obs::AttrValue* winner = s.attr("winner");
+    if (s.name == "migrate" && winner != nullptr &&
+        std::get<std::string>(*winner) == "fresh") {
+      promoted = s.end;
+    }
+  }
+  ASSERT_GE(promoted, 0) << "no race was won";
+  // q1..q3 were in flight on the stalled connection.
+  std::map<obs::SpanId, int> retries;
+  std::map<obs::SpanId, simnet::TimeUs> resent_at;
+  for (const obs::Span& s : tracer.spans()) {
+    if (s.name == "retry") {
+      EXPECT_EQ(std::get<std::string>(*s.attr("reason")), "migration");
+      EXPECT_EQ(s.start, promoted);
+      ++retries[s.parent];
+    } else if (s.name == "request" &&
+               std::get<std::int64_t>(*s.attr("attempt")) == 2) {
+      resent_at[s.parent] = s.start;
+    }
+  }
+  EXPECT_EQ(retries.size(), 3u);
+  for (const auto& [span, count] : retries) {
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(resent_at.at(span), promoted);
+  }
+  EXPECT_EQ(retry_stats().retried_queries, 3u);
+  EXPECT_EQ(retry_stats().reconnects, 0u);
+  EXPECT_EQ(registry.counter("client." + std::string(to_string(
+                                             GetParam().transport)) +
+                             ".reconnects"),
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TcpClients, WonRaceTest,
+    ::testing::Values(Case{Transport::kTcp, Fault::kSilentRebind},
+                      Case{Transport::kDot, Fault::kSilentRebind},
+                      Case{Transport::kDohH1, Fault::kSilentRebind},
+                      Case{Transport::kDohH2, Fault::kSilentRebind}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return std::string(to_string(info.param.transport));
+    });
+
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const Transport t : {Transport::kTcp, Transport::kDot,
@@ -403,12 +457,21 @@ class FakeSession final : public core::Session {
     aborted.push_back(key);
     recovery.lose();
   }
-  void migrate(const char*) override {}
+  void migrate(const char* reason) override {
+    migrations.push_back(std::string(reason) + "@" +
+                         std::to_string(loop_.now() / 1000));
+  }
   bool resend_alone(std::uint64_t) const override { return alone; }
+
+  /// Answer the latest attempt of query `id`.
+  void answer(std::uint64_t id) {
+    recovery.answer(key_of(id), dns::Message{}, 10);
+  }
 
   core::Recovery recovery;
   bool alone = false;  ///< resend_alone's answer
   std::vector<std::uint64_t> aborted;
+  std::vector<std::string> migrations;  ///< "<reason>@<ms>" per migrate()
   std::vector<bool> callbacks;  ///< success of each callback, in order
 
  private:
@@ -595,6 +658,60 @@ TEST_F(RecoveryRules, WonRaceResendsEveryQueryAtOnceWithReasonMigration) {
   const core::RetryStats& rs = s.recovery.retry_stats();
   EXPECT_EQ(rs.reconnects, 0u);
   EXPECT_EQ(rs.retried_queries, 3u);
+}
+
+// The one stall rule (Recovery::kStallTimeout, 400 ms), migration on.
+
+TEST_F(RecoveryRules, StallTimerStartsWithTheFirstQueryInFlight) {
+  migration.enabled = true;
+  FakeSession& s = start();
+  at(simnet::ms(100), [&]() { s.resolve(0); });
+  at(simnet::ms(300), [&]() { s.resolve(1); });  // a timer runs already
+  loop.run_until(simnet::ms(1000));
+
+  EXPECT_EQ(s.migrations, (Strings{"stall@500"}));
+}
+
+TEST_F(RecoveryRules, StallTimerRestartsOnACompletionWithOthersInFlight) {
+  migration.enabled = true;
+  FakeSession& s = start();
+  s.resolve(0);
+  s.resolve(1);
+  at(simnet::ms(300), [&]() { s.answer(0); });
+  loop.run_until(simnet::ms(1000));
+
+  EXPECT_EQ(s.migrations, (Strings{"stall@700"}));
+}
+
+TEST_F(RecoveryRules, StallTimerNeverFiresWithNothingInFlight) {
+  migration.enabled = true;
+  FakeSession& s = start();
+  s.resolve(0);
+  s.resolve(1);
+  at(simnet::ms(100), [&]() { s.answer(0); });
+  at(simnet::ms(200), [&]() { s.answer(1); });
+  loop.run_until(simnet::ms(200));
+  EXPECT_EQ(loop.pending(), 0u);  // stopped with the last completion
+  // A loss batch that holds its re-send back stops it too.
+  at(simnet::ms(300), [&]() { s.resolve(2); });
+  at(simnet::ms(350), [&]() { s.recovery.lose(); });
+  loop.run_until(simnet::ms(400));
+  EXPECT_EQ(loop.pending(), 1u);  // the re-send, due at 440 ms
+  loop.run_until(simnet::ms(440));
+  EXPECT_TRUE(s.migrations.empty());
+}
+
+TEST_F(RecoveryRules, StallTimerStartsAfreshAfterALossBatchReissues) {
+  migration.enabled = true;
+  FakeSession& s = start();
+  s.resolve(0);
+  at(simnet::ms(300), [&]() { s.recovery.lose(); });
+  loop.run_until(simnet::ms(1000));
+
+  // The batch re-sends q0 after one 90 ms backoff draw: the timer stopped
+  // with the loss at 300 ms and starts again with the re-send at 390 ms.
+  EXPECT_EQ(s.sent(), (Strings{"q0@0#1", "q0@390#2"}));
+  EXPECT_EQ(s.migrations, (Strings{"stall@790"}));
 }
 
 // --- client events and the client's lifetime -----------------------------

@@ -53,8 +53,10 @@ TEST(AlexaPageModel, PagesAreDeterministicPerRank) {
 }
 
 TEST(AlexaPageModel, ObjectsHaveValidParents) {
+  // Rank 2907 is the first page without a depth-0 object but with objects
+  // at depths 1 and 2.
   AlexaPageModel model;
-  for (std::size_t rank = 1; rank <= 50; ++rank) {
+  for (std::size_t rank = 1; rank <= 3000; ++rank) {
     const Page p = model.page(rank);
     for (const auto& obj : p.objects) {
       if (obj.depth == 0) {

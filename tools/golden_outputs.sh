@@ -72,8 +72,7 @@ run obs_overhead sh -c '"$0" "$@" >/dev/null' "$build/bench/obs_overhead" \
   --digest=obs_overhead.digest.json
 
 for example in chaos_recovery doq_quickstart hol_blocking_demo \
-  overhead_audit page_load_study quickstart resolver_survey \
-  trace_resolution; do
+  overhead_audit page_load_study quickstart resolver_survey; do
   run "$example" "$build/examples/$example"
 done
 run trace_a_resolution "$build/examples/trace_a_resolution" \
