@@ -27,7 +27,7 @@ std::shared_ptr<Link> DotClient::attach(
   h.on_open = [this, c]() {
     if (c->tls == nullptr) connector_.established(*c);
   };
-  h.on_data = [this, c](std::span<const std::uint8_t> d) { on_data(*c, d); };
+  h.on_data = [this, c](const simnet::BufferSlice& d) { on_data(*c, d); };
   h.on_close = [this, c]() {
     // The peer closed (or reset): close our side too, as TLS does for its
     // transport, so both TCP state machines can finish.
@@ -50,7 +50,7 @@ void DotClient::send(Attempt&& a) {
   conn.stream->send(std::move(frame));
 }
 
-void DotClient::on_data(Conn& conn, std::span<const std::uint8_t> data) {
+void DotClient::on_data(Conn& conn, const simnet::BufferSlice& data) {
   conn.rx.append(data);
   while (const auto wire = dns::next_frame(conn.rx.bytes())) {
     // The view stays valid until the next append.

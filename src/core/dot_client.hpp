@@ -85,7 +85,7 @@ class DotClient final : public ResolverClient, private Session, private Layer {
     recovery_.lose(migrated);  // everything in flight rides the connection
   }
 
-  void on_data(Conn& conn, std::span<const std::uint8_t> data);
+  void on_data(Conn& conn, const simnet::BufferSlice& data);
   Conn* current() const { return static_cast<Conn*>(connector_.current()); }
 
   DotClientConfig config_;

@@ -7,7 +7,7 @@ Http1Client::Http1Client(std::unique_ptr<simnet::ByteStream> transport,
     : transport_(std::move(transport)), pipelining_(pipelining) {
   simnet::ByteStream::Handlers h;
   h.on_open = [this]() { on_open(); };
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_data(d); };
+  h.on_data = [this](const BufferSlice& d) { on_data(d); };
   h.on_close = [this]() { on_close(); };
   transport_->set_handlers(std::move(h));
   open_ = transport_->is_open();
@@ -43,7 +43,7 @@ void Http1Client::send_request(const Request& req) {
   transport_->send(std::move(wire));
 }
 
-void Http1Client::on_data(std::span<const std::uint8_t> data) {
+void Http1Client::on_data(const BufferSlice& data) {
   parser_.feed(data);
   while (auto response = parser_.next_response()) {
     ++counters_.responses;

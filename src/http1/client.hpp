@@ -55,7 +55,7 @@ class Http1Client {
   std::size_t outstanding() const noexcept { return in_flight_.size(); }
 
  private:
-  void on_data(std::span<const std::uint8_t> data);
+  void on_data(const BufferSlice& data);
   void on_open();
   void on_close();
   void send_request(const Request& req);

@@ -296,6 +296,13 @@ constexpr std::size_t kMaxContentLength = UINT32_MAX;
 /// huge body gets its buffer grown only as the bytes actually arrive.
 constexpr std::size_t kMaxBodyReserve = std::size_t{1} << 20;
 
+/// The blank line that ends a head.
+constexpr std::string_view kBlankLine = "\r\n\r\n";
+
+std::string_view chars(const BufferSlice& bytes) noexcept {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
 /// Split off the next line of `text` by std::getline's rules: lines end at
 /// '\n', a final line needs none, and no line follows a trailing '\n'. One
 /// trailing '\r' is dropped, as HTTP's CRLF requires.
@@ -310,28 +317,66 @@ bool next_line(std::string_view& text, std::string_view& line) {
 
 }  // namespace
 
-void Parser::feed(std::span<const std::uint8_t> data) {
-  if (head_done_ && !chunked_) {
-    // Mid-body (buffer_ is empty here): copy straight into the message.
-    const std::size_t take =
-        std::min(content_length_ - body_.size(), data.size());
-    body_.insert(body_.end(), data.begin(), data.begin() + take);
-    data = data.subspan(take);
+void Parser::feed(const BufferSlice& data) {
+  if (error_) return;
+  // A slice fed before the last one was parsed through: what is left of
+  // that one joins the bytes held back.
+  hold_rest();
+  rest_ = data;
+}
+
+void Parser::hold_rest() {
+  buffer_.append(chars(rest_));
+  rest_ = {};
+}
+
+std::size_t Parser::head_length() const {
+  const std::string_view held = buffer_;
+  const std::string_view fed = chars(rest_);
+  if (const std::size_t at = held.find(kBlankLine); at != held.npos) {
+    return at + kBlankLine.size();
   }
-  buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
+  // The blank line may start in the last three bytes held.
+  for (std::size_t k = std::min<std::size_t>(3, held.size()); k > 0; --k) {
+    if (held.ends_with(kBlankLine.substr(0, k)) &&
+        fed.starts_with(kBlankLine.substr(k))) {
+      return held.size() + kBlankLine.size() - k;
+    }
+  }
+  const std::size_t at = fed.find(kBlankLine);
+  return at == fed.npos ? fed.npos : held.size() + at + kBlankLine.size();
 }
 
 bool Parser::parse_head() {
-  const std::size_t end = buffer_.find("\r\n\r\n");
-  if (end == std::string::npos) return false;
-  head_bytes_ = end + 4;
-
-  std::string_view head(buffer_.data(), end);
-  std::string_view line;
-  if (!next_line(head, line)) {
-    error_ = true;
+  const std::size_t length = head_length();
+  if (length == std::string_view::npos) {
+    hold_rest();  // a partial head, until the rest of it arrives
     return false;
   }
+  head_bytes_ = length;
+  const bool held = !buffer_.empty();
+  if (held && length > buffer_.size()) {
+    const std::size_t from_rest = length - buffer_.size();
+    buffer_.append(chars(rest_).substr(0, from_rest));
+    consume_rest(from_rest);
+  }
+  const std::string_view text = held ? std::string_view(buffer_)
+                                     : chars(rest_);
+  if (!parse_head_text(text.substr(0, length - kBlankLine.size()))) {
+    return false;
+  }
+  if (held) {
+    consume_buffer(length);
+  } else {
+    consume_rest(length);
+  }
+  head_done_ = true;
+  return true;
+}
+
+bool Parser::parse_head_text(std::string_view head) {
+  std::string_view line;
+  if (!next_line(head, line)) return fail();
 
   // Start line.
   if (mode_ == Mode::kRequest) {
@@ -339,8 +384,7 @@ bool Parser::parse_head() {
     const std::size_t sp1 = line.find(' ');
     const std::size_t sp2 = line.find(' ', sp1 + 1);
     if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-      error_ = true;
-      return false;
+      return fail();
     }
     pending_request_.method = line.substr(0, sp1);
     pending_request_.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
@@ -348,10 +392,7 @@ bool Parser::parse_head() {
     pending_response_ = Response{};
     // "HTTP/1.1 200 OK"
     const std::size_t sp1 = line.find(' ');
-    if (sp1 == std::string_view::npos) {
-      error_ = true;
-      return false;
-    }
+    if (sp1 == std::string_view::npos) return fail();
     const std::size_t sp2 = line.find(' ', sp1 + 1);
     const std::string_view code = line.substr(
         sp1 + 1,
@@ -359,10 +400,7 @@ bool Parser::parse_head() {
     int status = 0;
     const auto [p, ec] =
         std::from_chars(code.data(), code.data() + code.size(), status);
-    if (ec != std::errc{} || p != code.data() + code.size()) {
-      error_ = true;
-      return false;
-    }
+    if (ec != std::errc{} || p != code.data() + code.size()) return fail();
     pending_response_.status = status;
     pending_response_.reason =
         sp2 == std::string_view::npos ? "" : line.substr(sp2 + 1);
@@ -378,10 +416,7 @@ bool Parser::parse_head() {
   while (next_line(head, line)) {
     if (line.empty()) continue;
     const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      error_ = true;
-      return false;
-    }
+    if (colon == std::string_view::npos) return fail();
     const std::string_view name = line.substr(0, colon);
     const std::string_view value = trim(line.substr(colon + 1));
     if (iequals(name, "transfer-encoding") && iequals(value, "chunked")) {
@@ -393,27 +428,57 @@ bool Parser::parse_head() {
           std::from_chars(value.data(), value.data() + value.size(), len);
       if (ec != std::errc{} || p != value.data() + value.size() ||
           len > kMaxContentLength) {
-        error_ = true;
-        return false;
+        return fail();
       }
       content_length_ = len;
     }
     headers.add(name, value);
   }
-  head_done_ = true;
   return true;
 }
 
-void Parser::append_body(const char* data, std::size_t size) {
-  // The buffer holds chars and the body bytes: inserting the chars would
-  // convert them one at a time, inserting the same bytes as bytes is one
-  // memmove.
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
-  body_.insert(body_.end(), bytes, bytes + size);
+void Parser::gather(std::span<const std::uint8_t> bytes) {
+  // The first piece sizes the block from the declared length.
+  if (body_.size() == 0) {
+    body_.reserve(std::min(content_length_, kMaxBodyReserve));
+  }
+  body_.append(bytes);
+}
+
+bool Parser::take_body() {
+  if (content_length_ == 0) {
+    set_body({});
+    return true;
+  }
+  // Body bytes held back (after a chunked message) come first.
+  const std::size_t held =
+      std::min(content_length_ - body_.size(), buffer_.size());
+  if (held > 0) {
+    gather(std::span(reinterpret_cast<const std::uint8_t*>(buffer_.data()),
+                     held));
+    consume_buffer(held);
+  }
+  if (body_.size() == 0 && rest_.size() >= content_length_) {
+    // The whole body lies in the fed slice: it leaves as a window of it.
+    set_body(rest_.subslice(0, content_length_));
+    consume_rest(content_length_);
+    return true;
+  }
+  const std::size_t fed =
+      std::min(content_length_ - body_.size(), rest_.size());
+  if (fed > 0) {
+    gather(rest_.span().first(fed));
+    consume_rest(fed);
+  }
+  if (body_.size() < content_length_) return false;
+  set_body(body_.take(content_length_));
+  body_.release();
+  return true;
 }
 
 bool Parser::try_extract_chunked() {
   // RFC 7230 §4.1 framing: hex size CRLF, chunk CRLF, ..., 0 CRLF CRLF.
+  hold_rest();
   std::size_t pos = chunk_wire_bytes_;
   for (;;) {
     const std::size_t line_end = buffer_.find("\r\n", pos);
@@ -421,23 +486,19 @@ bool Parser::try_extract_chunked() {
     std::size_t chunk_len = 0;
     const auto [p, ec] = std::from_chars(
         buffer_.data() + pos, buffer_.data() + line_end, chunk_len, 16);
-    if (ec != std::errc{} || p == buffer_.data() + pos) {
-      error_ = true;
-      return false;
-    }
+    if (ec != std::errc{} || p == buffer_.data() + pos) return fail();
     if (chunk_len == 0) {
       // Terminator: expect the final CRLF (no trailers supported).
       if (buffer_.size() < line_end + 4) return false;
-      if (buffer_.compare(line_end, 4, "\r\n\r\n") != 0) {
-        error_ = true;
-        return false;
-      }
+      if (buffer_.compare(line_end, 4, "\r\n\r\n") != 0) return fail();
       const std::size_t total = line_end + 4;
       last_sizes_.header_bytes = head_bytes_;
       last_sizes_.body_bytes = total;
-      buffer_.erase(0, total);
+      consume_buffer(total);
       chunked_ = false;
       chunk_wire_bytes_ = 0;
+      set_body(body_.take(body_.size()));
+      body_.release();
       return true;
     }
     const std::size_t data_start = line_end + 2;
@@ -445,38 +506,50 @@ bool Parser::try_extract_chunked() {
         buffer_.size() - data_start - chunk_len < 2) {
       return false;
     }
-    append_body(buffer_.data() + data_start, chunk_len);
+    body_.append(std::span(
+        reinterpret_cast<const std::uint8_t*>(buffer_.data() + data_start),
+        chunk_len));
     pos = data_start + chunk_len + 2;  // skip chunk + CRLF
     chunk_wire_bytes_ = pos;
   }
 }
 
+void Parser::set_body(BufferSlice body) {
+  if (mode_ == Mode::kRequest) {
+    pending_request_.body = body.to_bytes();
+  } else {
+    pending_response_.body = std::move(body);
+  }
+}
+
+void Parser::consume_buffer(std::size_t n) {
+  buffer_.erase(0, n);
+  if (buffer_.empty()) std::string().swap(buffer_);
+}
+
+void Parser::consume_rest(std::size_t n) noexcept {
+  // An empty window would still hold the slice's storage.
+  rest_ = n < rest_.size() ? rest_.subslice(n) : BufferSlice();
+}
+
+bool Parser::fail() noexcept {
+  // Nothing more is parsed: hold on to nothing.
+  error_ = true;
+  rest_ = {};
+  std::string().swap(buffer_);
+  body_.release();
+  return false;
+}
+
 bool Parser::try_extract() {
   if (error_ || have_message_) return have_message_;
-  if (!head_done_) {
-    if (!parse_head()) return false;
-    buffer_.erase(0, head_bytes_);
-    if (!chunked_) {
-      // The body so far moves from buffer_ to body_; feed() appends the
-      // rest there directly.
-      const std::size_t take = std::min(content_length_, buffer_.size());
-      body_.reserve(std::min(content_length_,
-                             std::max(take, kMaxBodyReserve)));
-      append_body(buffer_.data(), take);
-      buffer_.erase(0, take);
-    }
-  }
+  if (!head_done_ && !parse_head()) return false;
   if (chunked_) {
     if (!try_extract_chunked()) return false;
   } else {
-    if (body_.size() < content_length_) return false;
+    if (!take_body()) return false;
     last_sizes_.header_bytes = head_bytes_;
     last_sizes_.body_bytes = content_length_;
-  }
-  if (mode_ == Mode::kRequest) {
-    pending_request_.body = std::exchange(body_, {});
-  } else if (!body_.empty()) {
-    pending_response_.body = BufferSlice(std::exchange(body_, {}));
   }
   head_done_ = false;
   have_message_ = true;

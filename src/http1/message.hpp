@@ -107,17 +107,20 @@ Bytes serialize_chunked(const Response& response, std::size_t chunk_size,
                         WireSizes* sizes = nullptr);
 
 /// Incremental parser: feed() bytes, poll for complete messages.
-/// Parses either requests or responses depending on `Mode`. A
-/// Content-Length body is copied once, from the fed bytes into the message.
+/// Parses either requests or responses depending on `Mode`. A head is
+/// parsed where it lies in the fed slice, and a Content-Length body that
+/// lies inside one fed slice leaves as a window of it; only a head split
+/// across feeds, chunked framing and a body spanning feeds are copied.
 class Parser {
  public:
   enum class Mode { kRequest, kResponse };
 
   explicit Parser(Mode mode) : mode_(mode) {}
 
-  /// Take raw bytes from the stream (copied; `data` need not outlive the
-  /// call).
-  void feed(std::span<const std::uint8_t> data);
+  /// Take the next bytes of the stream. The parser holds the slice until
+  /// they are parsed, and a response body that lies inside it stays a
+  /// window of it: keeping that body keeps the slice's storage alive.
+  void feed(const BufferSlice& data);
 
   /// Extract the next complete request, if any. Mode must be kRequest.
   std::optional<Request> next_request();
@@ -131,29 +134,45 @@ class Parser {
   bool error() const noexcept { return error_; }
 
  private:
+  /// Length of the head at the front of the unparsed bytes, blank line
+  /// included, or npos while it is incomplete.
+  std::size_t head_length() const;
   bool parse_head();
-  bool try_extract();
+  bool parse_head_text(std::string_view head);
+  /// The Content-Length body, as a window of rest_ when it lies there
+  /// whole, else gathered into body_.
+  bool take_body();
   bool try_extract_chunked();
-  /// Append `size` bytes of buffer_ (from `data`) to body_.
-  void append_body(const char* data, std::size_t size);
+  bool try_extract();
+  /// Append `bytes` to the body gathering in body_.
+  void gather(std::span<const std::uint8_t> bytes);
+  void set_body(BufferSlice body);
+  /// Move what is left of rest_ to the end of buffer_.
+  void hold_rest();
+  /// Drop the first `n` bytes of buffer_ / rest_.
+  void consume_buffer(std::size_t n);
+  void consume_rest(std::size_t n) noexcept;
+  bool fail() noexcept;
 
   Mode mode_;
-  /// Bytes not yet parsed: a head, chunked framing, or what follows the
-  /// current message. Once a Content-Length head is parsed, this is empty
-  /// until the body is complete, and feed() appends to body_ directly.
-  std::string buffer_;
   bool error_ = false;
-
   // In-progress message state.
   bool head_done_ = false;
   bool chunked_ = false;
+  bool have_message_ = false;
+  /// The unparsed bytes are buffer_ followed by rest_. buffer_ holds a head
+  /// split across feeds, chunked framing and what follows a chunked
+  /// message; it lets go of its capacity whenever it empties.
+  std::string buffer_;
+  /// What is left of the fed slice.
+  BufferSlice rest_;
+  /// A body that spans feeds, or a de-chunked body, gathered in one block.
+  simnet::ByteQueue body_;
   std::size_t head_bytes_ = 0;
   std::size_t content_length_ = 0;
-  Bytes body_;  ///< body received so far (de-chunked when chunked_)
   std::size_t chunk_wire_bytes_ = 0;  ///< raw chunked framing consumed
   Request pending_request_;
   Response pending_response_;
-  bool have_message_ = false;
   WireSizes last_sizes_;
 };
 

@@ -7,12 +7,12 @@ Http1ServerConnection::Http1ServerConnection(
     : transport_(std::move(transport)), handler_(std::move(handler)) {
   simnet::ByteStream::Handlers h;
   h.on_open = []() {};
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_data(d); };
+  h.on_data = [this](const BufferSlice& d) { on_data(d); };
   h.on_close = []() {};
   transport_->set_handlers(std::move(h));
 }
 
-void Http1ServerConnection::on_data(std::span<const std::uint8_t> data) {
+void Http1ServerConnection::on_data(const BufferSlice& data) {
   parser_.feed(data);
   while (auto request = parser_.next_request()) {
     ++counters_.requests;

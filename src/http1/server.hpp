@@ -36,7 +36,7 @@ class Http1ServerConnection {
   std::size_t blocked_responses() const noexcept { return ready_.size(); }
 
  private:
-  void on_data(std::span<const std::uint8_t> data);
+  void on_data(const BufferSlice& data);
   void complete(std::uint64_t sequence, Response response);
   /// Send the response to request next_to_send_.
   void send_next(const Response& response);

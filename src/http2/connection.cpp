@@ -28,7 +28,7 @@ Http2Connection::Http2Connection(
   if (!config_.enable_hpack_dynamic_table) encoder_.disable_dynamic_table();
   simnet::ByteStream::Handlers h;
   h.on_open = [this]() { on_transport_open(); };
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_transport_data(d); };
+  h.on_data = [this](const simnet::BufferSlice& d) { on_transport_data(d); };
   h.on_close = [this]() { on_transport_close(); };
   transport_->set_handlers(std::move(h));
   if (transport_->is_open()) on_transport_open();

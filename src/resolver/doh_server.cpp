@@ -83,7 +83,7 @@ DohServer::DohServer(simnet::Host& host, QueryHandler& handler,
 // its golden output), so a field added to any type it counts must not
 // silently move it: change these sizes, and the recorded outputs, on
 // purpose.
-static_assert(sizeof(tlssim::TlsConnection) == 488,
+static_assert(sizeof(tlssim::TlsConnection) == 472,
               "TlsConnection's size feeds DohServer::memory_estimate_bytes");
 static_assert(sizeof(http2::Http2Connection) == 760,
               "Http2Connection's size feeds DohServer::memory_estimate_bytes");
@@ -175,7 +175,7 @@ void DohServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
   h.on_open = [this, weak]() {
     if (const auto s = weak.lock()) attach_http(s);
   };
-  h.on_data = [](std::span<const std::uint8_t>) {};
+  h.on_data = [](const simnet::BufferSlice&) {};
   h.on_close = [weak]() {
     if (const auto s = weak.lock()) s->dead = true;
   };

@@ -56,7 +56,7 @@ void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
   }
   simnet::ByteStream::Handlers h;
   if (!config_.plain_tcp) h.on_open = [this]() { ++tls_handshakes_; };
-  h.on_data = [this, s](std::span<const std::uint8_t> d) { on_data(*s, d); };
+  h.on_data = [this, s](const simnet::BufferSlice& d) { on_data(*s, d); };
   h.on_close = [s]() {
     s->dead = true;
     // The peer closed (or half-closed): close our side so both TCP state
@@ -68,7 +68,7 @@ void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
   sessions_.push_back(std::move(session));
 }
 
-void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
+void DotServer::on_data(Session& session, const simnet::BufferSlice& data) {
   session.rx.append(data);
   // RFC 7858 framing: u16 length prefix per DNS message.
   while (const auto length = dns::frame_length(session.rx.bytes())) {

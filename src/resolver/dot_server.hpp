@@ -73,7 +73,7 @@ class DotServer {
 
   void listen();
   void on_accept(std::shared_ptr<simnet::TcpConnection> conn);
-  void on_data(Session& session, std::span<const std::uint8_t> data);
+  void on_data(Session& session, const simnet::BufferSlice& data);
   /// Send the framed response to the `sequence`-th query.
   void answer(Session& session, std::uint64_t sequence, dns::Bytes frame);
   void prune();

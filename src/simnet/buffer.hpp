@@ -324,9 +324,7 @@ class ByteQueue {
   ByteQueue() noexcept = default;
   ByteQueue(const ByteQueue&) = delete;
   ByteQueue& operator=(const ByteQueue&) = delete;
-  ~ByteQueue() {
-    if (block_ != nullptr) block_->release();
-  }
+  ~ByteQueue() { release(); }
 
   /// Unconsumed bytes.
   std::size_t size() const noexcept {
@@ -341,33 +339,25 @@ class ByteQueue {
   void append(std::span<const std::uint8_t> data) {
     if (data.empty()) return;
     const std::size_t pending = size();
-    const bool shared = block_ != nullptr && block_->use_count() > 1;
-    if (block_ != nullptr && !shared && head_ > 0 &&
-        block_->capacity - block_->used < data.size()) {
-      // Nothing views the consumed prefix any more: reclaim it.
-      std::memmove(block_->bytes(), block_->bytes() + head_, pending);
-      block_->used = pending;
-      head_ = 0;
-    }
-    if (block_ == nullptr || block_->capacity - block_->used < data.size()) {
+    if (!make_room(pending + data.size())) {
       // A block too small for everything grows twofold; a shared one is
       // replaced by one of its size.
       const std::size_t least =
           block_ == nullptr ? kFirstBlockBytes
-          : shared          ? block_->capacity
+          : shared()        ? block_->capacity
                             : 2 * block_->capacity;
-      auto* fresh =
-          detail::SlabBlock::create(std::max(pending + data.size(), least));
-      if (pending > 0) {
-        std::memcpy(fresh->bytes(), block_->bytes() + head_, pending);
-      }
-      fresh->used = pending;
-      if (block_ != nullptr) block_->release();
-      block_ = fresh;
-      head_ = 0;
+      replace(std::max(pending + data.size(), least));
     }
     std::memcpy(block_->bytes() + block_->used, data.data(), data.size());
     block_->used += data.size();
+  }
+
+  /// Make room for `total` unconsumed bytes, so that appends up to that
+  /// many allocate nothing: the block stays when it can hold them and no
+  /// slice shares it, else one of exactly `total` bytes replaces it.
+  void reserve(std::size_t total) {
+    total = std::max(total, size());
+    if (!make_room(total)) replace(total);
   }
 
   /// Consume `n` unconsumed bytes (n <= size()).
@@ -382,7 +372,44 @@ class ByteQueue {
     return out;
   }
 
+  /// Drop the unconsumed bytes and let go of the block (slices of it keep
+  /// it alive); the next append starts a new one.
+  void release() noexcept {
+    if (block_ != nullptr) block_->release();
+    block_ = nullptr;
+    head_ = 0;
+  }
+
  private:
+  bool shared() const noexcept { return block_->use_count() > 1; }
+
+  /// Whether `total` unconsumed bytes fit without a new block. Nothing
+  /// views the consumed prefix of a block no slice shares, so that prefix
+  /// is reclaimed when the free tail alone is too short.
+  bool make_room(std::size_t total) noexcept {
+    if (block_ == nullptr) return false;
+    if (block_->capacity - head_ >= total) return true;
+    if (shared() || block_->capacity < total) return false;
+    const std::size_t pending = size();
+    std::memmove(block_->bytes(), block_->bytes() + head_, pending);
+    block_->used = pending;
+    head_ = 0;
+    return true;
+  }
+
+  /// Move the unconsumed bytes into a new block of `capacity` bytes.
+  void replace(std::size_t capacity) {
+    const std::size_t pending = size();
+    auto* fresh = detail::SlabBlock::create(capacity);
+    if (pending > 0) {
+      std::memcpy(fresh->bytes(), block_->bytes() + head_, pending);
+    }
+    fresh->used = pending;
+    if (block_ != nullptr) block_->release();
+    block_ = fresh;
+    head_ = 0;
+  }
+
   detail::SlabBlock* block_ = nullptr;
   std::size_t head_ = 0;  ///< consumed prefix of the block
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dohperf::simnet {
 
@@ -255,10 +256,24 @@ void Host::tcp_unregister(std::uint64_t key) {
 
 void Host::release_parked() {
   // Freeing a connection may free application objects that abort others,
-  // which park again: drain until nothing is left.
-  while (!parked_.empty()) {
-    std::vector<std::shared_ptr<TcpConnection>> done;
-    done.swap(parked_);
+  // which park again, behind everything parked so far. Each call releases
+  // in parking order what was parked when it began, then what was parked
+  // meanwhile and not yet released by a nested call (an abort's own scope
+  // ending), until nothing is left. The outermost call empties the vector
+  // and keeps its capacity for the next connections to close.
+  const bool outermost = released_ == 0;
+  while (released_ < parked_.size()) {
+    const std::size_t end = parked_.size();
+    const std::size_t begin = std::exchange(released_, end);
+    for (std::size_t i = begin; i < end; ++i) {
+      // Out of the vector first: freeing it may park more, which may move
+      // the vector's elements.
+      const std::shared_ptr<TcpConnection> done = std::move(parked_[i]);
+    }
+  }
+  if (outermost) {
+    parked_.clear();
+    released_ = 0;
   }
 }
 

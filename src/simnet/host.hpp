@@ -139,6 +139,8 @@ class Host {
   std::vector<TcpEntry> tcp_conns_;
   /// Connections unregistered during a call still running (see CallScope).
   std::vector<std::shared_ptr<TcpConnection>> parked_;
+  /// Prefix of parked_ that release_parked has taken on.
+  std::size_t released_ = 0;
   int depth_ = 0;
   std::uint16_t next_ephemeral_ = 49152;
   bool if_up_ = true;

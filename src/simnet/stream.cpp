@@ -20,7 +20,7 @@ void TcpByteStream::set_handlers(Handlers handlers) {
       if (handlers_.on_open) handlers_.on_open();
     }
   };
-  cbs.on_data = [this](std::span<const std::uint8_t> data) {
+  cbs.on_data = [this](const BufferSlice& data) {
     if (handlers_.on_data) handlers_.on_data(data);
   };
   const auto report_close = [this]() {

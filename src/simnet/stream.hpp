@@ -16,7 +16,10 @@ class ByteStream {
  public:
   struct Handlers {
     std::function<void()> on_open;  ///< stream ready for send()
-    std::function<void(std::span<const std::uint8_t>)> on_data;
+    /// Received bytes, by reference: the reader may keep the slice (or a
+    /// subslice), which keeps the storage below it alive, or copy what it
+    /// needs and drop it.
+    std::function<void(const BufferSlice&)> on_data;
     std::function<void()> on_close;  ///< closed (orderly or reset)
   };
 

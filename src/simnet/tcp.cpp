@@ -382,15 +382,19 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
       rcv_nxt_ += len;
       advanced = true;
       if (callbacks_.on_data) callbacks_.on_data(seg.payload);
-      // Drain any now-contiguous out-of-order segments.
-      for (auto it = out_of_order_.begin(); it != out_of_order_.end();) {
+      // Drain any now-contiguous out-of-order segments. Each leaves the map
+      // before it is delivered, so a callback that closes the connection
+      // (which clears the map) cannot pull it from under the loop.
+      while (!out_of_order_.empty()) {
+        const auto it = out_of_order_.begin();
         if (it->first == rcv_nxt_) {
-          rcv_nxt_ += static_cast<std::uint32_t>(it->second.size());
-          if (callbacks_.on_data) callbacks_.on_data(it->second);
-          it = out_of_order_.erase(it);
+          const BufferSlice payload = std::move(it->second);
+          out_of_order_.erase(it);
+          rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
+          if (callbacks_.on_data) callbacks_.on_data(payload);
         } else if (seq_lt(it->first, rcv_nxt_)) {
           // Entirely duplicate data.
-          it = out_of_order_.erase(it);
+          out_of_order_.erase(it);
         } else {
           break;
         }

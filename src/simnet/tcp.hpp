@@ -82,7 +82,9 @@ const char* to_string(TcpState s) noexcept;
 
 struct TcpCallbacks {
   std::function<void()> on_connected;
-  std::function<void(std::span<const std::uint8_t>)> on_data;
+  /// The segment's payload as it arrived: the reader may keep the slice
+  /// (or a subslice), which keeps the sender's storage alive.
+  std::function<void(const BufferSlice&)> on_data;
   std::function<void()> on_remote_closed;  ///< peer sent FIN
   std::function<void()> on_closed;         ///< both directions closed
   std::function<void()> on_reset;          ///< connection reset

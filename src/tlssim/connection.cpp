@@ -38,6 +38,22 @@ BufferSlice zero_tag(std::size_t size) {
   return BufferSlice::unowned(std::span(kZeroTag).first(size));
 }
 
+/// Wire size of the record whose header `header` starts with. A header no
+/// peer could send fails at once, before any of its body is buffered: an
+/// unknown content type, or a length past what the send side allows
+/// (RFC 8446 §5.1).
+std::size_t record_size(std::span<const std::uint8_t> header) {
+  const std::uint8_t type = header[0];
+  if (type < static_cast<std::uint8_t>(ContentType::kChangeCipherSpec) ||
+      type > static_cast<std::uint8_t>(ContentType::kApplicationData)) {
+    throw WireError("unknown record type");
+  }
+  const std::size_t record_len =
+      (static_cast<std::size_t>(header[3]) << 8) | header[4];
+  if (record_len > kMaxFragment + 256) throw WireError("record too large");
+  return kRecordHeaderBytes + record_len;
+}
+
 /// The body of every ChangeCipherSpec record.
 constexpr std::uint8_t kChangeCipherSpecBody[] = {1};
 
@@ -94,7 +110,7 @@ TlsConnection::TlsConnection(std::unique_ptr<ByteStream> transport,
       client_config_(std::move(config)) {
   Handlers h;
   h.on_open = [this]() { on_transport_open(); };
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_transport_data(d); };
+  h.on_data = [this](const BufferSlice& d) { on_transport_data(d); };
   h.on_close = [this]() { on_transport_close(); };
   transport_->set_handlers(std::move(h));
 }
@@ -106,7 +122,7 @@ TlsConnection::TlsConnection(std::unique_ptr<ByteStream> transport,
   assert(config != nullptr);
   Handlers h;
   h.on_open = []() {};  // server waits for the ClientHello
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_transport_data(d); };
+  h.on_data = [this](const BufferSlice& d) { on_transport_data(d); };
   h.on_close = [this]() { on_transport_close(); };
   transport_->set_handlers(std::move(h));
 }
@@ -244,16 +260,15 @@ void TlsConnection::send_client_hello() {
   });
 }
 
-void TlsConnection::on_transport_data(std::span<const std::uint8_t> data) {
+void TlsConnection::on_transport_data(const BufferSlice& data) {
   assert(!in_rx_ && "a record handler fed its own connection");
-  rx_buffer_.insert(rx_buffer_.end(), data.begin(), data.end());
   // Hardening: bytes that don't parse as TLS (garbage to the port, a
   // truncated/oversized record, an out-of-place handshake message) must
   // never propagate an exception into the transport layer — answer with a
   // fatal decode_error alert and tear the connection down deterministically.
   try {
     in_rx_ = true;
-    process_rx_buffer();
+    receive(data);
     in_rx_ = false;
   } catch (const WireError&) {
     in_rx_ = false;
@@ -261,57 +276,70 @@ void TlsConnection::on_transport_data(std::span<const std::uint8_t> data) {
   }
 }
 
-void TlsConnection::process_rx_buffer() {
-  for (;;) {
-    if (closed_ || failed_) break;
-    const std::size_t avail = rx_buffer_.size() - rx_offset_;
-    if (avail < kRecordHeaderBytes) break;
-    const auto record_at = rx_buffer_.begin() +
-                           static_cast<std::ptrdiff_t>(rx_offset_);
-    const std::size_t record_len =
-        (static_cast<std::size_t>(record_at[3]) << 8) | record_at[4];
-    if (avail < kRecordHeaderBytes + record_len) break;
-
-    const auto type = static_cast<ContentType>(record_at[0]);
-    ++counters_.records_received;
-
-    // Strip the synthetic AEAD expansion for encrypted record types.
-    const std::size_t tag = type == ContentType::kChangeCipherSpec
-                                ? 0
-                                : recv_tag_bytes();
-    if (record_len < tag) throw WireError("record shorter than AEAD tag");
-    const std::size_t body_len = record_len - tag;
-
-    const std::size_t wire = kRecordHeaderBytes + record_len;
-    if (type == ContentType::kApplicationData) {
-      counters_.app_bytes_received += body_len;
-      counters_.record_overhead_received += kRecordHeaderBytes + tag;
-    } else {
-      counters_.handshake_bytes_received += wire;
+void TlsConnection::receive(const BufferSlice& data) {
+  std::size_t at = 0;
+  if (rx_.size() > 0) {
+    at = gather(data);
+    const auto gathered = rx_.bytes();
+    if (gathered.size() < kRecordHeaderBytes ||
+        gathered.size() < record_size(gathered)) {
+      return;
     }
-
-    // Advance the cursor before dispatching (handlers may re-enter by
-    // sending data), and hand the body out as a view: rx_buffer_ stays put
-    // until the loop ends. The consumed prefix is reclaimed below instead
-    // of front-erasing per record.
-    const std::span<const std::uint8_t> body(&record_at[kRecordHeaderBytes],
-                                             body_len);
-    rx_offset_ += kRecordHeaderBytes + record_len;
-    handle_record(type, body);
+    process_record(rx_.take(gathered.size()));
   }
-  if (rx_offset_ == rx_buffer_.size()) {
-    rx_buffer_.clear();
-    rx_offset_ = 0;
-  } else if (rx_offset_ >= 4096) {
-    rx_buffer_.erase(rx_buffer_.begin(),
-                     rx_buffer_.begin() +
-                         static_cast<std::ptrdiff_t>(rx_offset_));
-    rx_offset_ = 0;
+  while (!closed_ && !failed_ && data.size() - at >= kRecordHeaderBytes) {
+    const std::size_t size = record_size(data.span().subspan(at));
+    if (data.size() - at < size) break;
+    process_record(data.subslice(at, size));
+    at += size;
+  }
+  if (!closed_ && !failed_ && at < data.size()) {
+    gather(data.span().subspan(at));
   }
 }
 
-void TlsConnection::handle_record(ContentType type,
-                                  std::span<const std::uint8_t> body) {
+std::size_t TlsConnection::gather(std::span<const std::uint8_t> bytes) {
+  const std::size_t have = rx_.size();
+  // Until the header is whole, only the header is known to be coming.
+  std::size_t size = kRecordHeaderBytes;
+  if (have >= kRecordHeaderBytes) {
+    size = record_size(rx_.bytes());
+  } else if (have + bytes.size() >= kRecordHeaderBytes) {
+    std::array<std::uint8_t, kRecordHeaderBytes> header{};
+    const auto front = rx_.bytes();
+    std::copy(front.begin(), front.end(), header.begin());
+    std::copy_n(bytes.begin(), kRecordHeaderBytes - have,
+                header.begin() + static_cast<std::ptrdiff_t>(have));
+    size = record_size(header);
+  }
+  rx_.reserve(size);
+  const std::size_t took = std::min(size - have, bytes.size());
+  rx_.append(bytes.first(took));
+  return took;
+}
+
+void TlsConnection::process_record(const BufferSlice& record) {
+  const auto type = static_cast<ContentType>(record[0]);
+  ++counters_.records_received;
+
+  // Strip the synthetic AEAD expansion for encrypted record types.
+  const std::size_t record_len = record.size() - kRecordHeaderBytes;
+  const std::size_t tag = type == ContentType::kChangeCipherSpec
+                              ? 0
+                              : recv_tag_bytes();
+  if (record_len < tag) throw WireError("record shorter than AEAD tag");
+  const std::size_t body_len = record_len - tag;
+
+  if (type == ContentType::kApplicationData) {
+    counters_.app_bytes_received += body_len;
+    counters_.record_overhead_received += kRecordHeaderBytes + tag;
+  } else {
+    counters_.handshake_bytes_received += record.size();
+  }
+  handle_record(type, record.subslice(kRecordHeaderBytes, body_len));
+}
+
+void TlsConnection::handle_record(ContentType type, const BufferSlice& body) {
   switch (type) {
     case ContentType::kChangeCipherSpec:
       // In TLS 1.2 the peer's CCS switches its direction to encrypted.
@@ -338,9 +366,10 @@ void TlsConnection::handle_record(ContentType type,
       return;
     }
     case ContentType::kHandshake: {
+      // Decoded in place: the messages' fields view the record.
       ByteReader r(body);
       while (!r.exhausted()) {
-        handle_handshake_message(decode_handshake(r));
+        handle_handshake_message(decode_handshake_view(r));
         if (failed_ || closed_) return;
       }
       return;
@@ -349,7 +378,7 @@ void TlsConnection::handle_record(ContentType type,
   throw WireError("unknown record type");
 }
 
-void TlsConnection::handle_client_hello(const ClientHello& ch) {
+void TlsConnection::handle_client_hello(const ClientHelloOffer& ch) {
   assert(role_ == TlsRole::kServer);
   // --- version negotiation --------------------------------------------------
   std::optional<TlsVersion> chosen;
@@ -368,8 +397,7 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
   alpn_.clear();
   if (!ch.alpn.empty()) {
     for (const auto& preferred : server_config_->alpn_preference) {
-      if (std::find(ch.alpn.begin(), ch.alpn.end(), preferred) !=
-          ch.alpn.end()) {
+      if (ch.alpn.contains(preferred)) {
         alpn_ = preferred;
         break;
       }
@@ -436,7 +464,7 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
   }
 }
 
-void TlsConnection::handle_server_hello(const ServerHello& sh) {
+void TlsConnection::handle_server_hello(const ServerHelloView& sh) {
   assert(role_ == TlsRole::kClient);
   if (!version_le(client_config_.min_version, sh.version) ||
       !version_le(sh.version, client_config_.max_version)) {
@@ -452,7 +480,7 @@ void TlsConnection::handle_server_hello(const ServerHello& sh) {
   }
 }
 
-void TlsConnection::handle_handshake_message(HandshakeMessage&& msg) {
+void TlsConnection::handle_handshake_message(const HandshakeView& msg) {
   switch (msg.type) {
     case HsType::kClientHello:
       if (role_ != TlsRole::kServer) throw WireError("unexpected ClientHello");
@@ -465,7 +493,7 @@ void TlsConnection::handle_handshake_message(HandshakeMessage&& msg) {
       return;
 
     case HsType::kCertificate:
-      peer_certificate_ = std::move(msg.certificate);
+      peer_certificate_ = CertificateMsg::of(*msg.certificate);
       return;
 
     case HsType::kEncryptedExtensions:
@@ -532,11 +560,13 @@ void TlsConnection::handle_handshake_message(HandshakeMessage&& msg) {
     }
 
     case HsType::kNewSessionTicket: {
+      // Only a cache keeps a copy of the ticket.
       if (role_ == TlsRole::kClient &&
           client_config_.session_cache != nullptr) {
+        const auto ticket = msg.ticket->ticket;
         client_config_.session_cache->store(
             client_config_.sni,
-            Session{std::move(msg.ticket->ticket), version_});
+            Session{Bytes(ticket.begin(), ticket.end()), version_});
       }
       return;
     }
@@ -643,9 +673,11 @@ void TlsConnection::close() {
 }
 
 void TlsConnection::close_transport() {
-  // Nothing is sent after this, so the slab lets go of its block: a closed
-  // connection an application keeps around holds no send buffer.
+  // Nothing is sent after this, and no record is handled, so the slab and
+  // the gathering queue let go of their blocks: a closed connection an
+  // application keeps around holds no buffer.
   send_slab_.reset();
+  rx_.release();
   transport_->close();
 }
 

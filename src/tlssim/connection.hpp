@@ -100,15 +100,23 @@ class TlsConnection final : public ByteStream {
 
  private:
   void on_transport_open();
-  void on_transport_data(std::span<const std::uint8_t> data);
+  void on_transport_data(const BufferSlice& data);
   void on_transport_close();
 
   void send_client_hello();
-  void handle_client_hello(const ClientHello& ch);
-  void handle_server_hello(const ServerHello& sh);
-  void handle_handshake_message(HandshakeMessage&& msg);
-  void handle_record(ContentType type, std::span<const std::uint8_t> body);
-  void process_rx_buffer();
+  void handle_client_hello(const ClientHelloOffer& ch);
+  void handle_server_hello(const ServerHelloView& sh);
+  void handle_handshake_message(const HandshakeView& msg);
+  /// Handle every record that `data` completes: the one gathering in rx_
+  /// first, then those wholly inside `data` as windows of it; a record
+  /// that runs past its end starts gathering.
+  void receive(const BufferSlice& data);
+  /// Append the front of `bytes` to the record gathering in rx_, up to its
+  /// end; returns how many bytes were taken.
+  std::size_t gather(std::span<const std::uint8_t> bytes);
+  /// Count one whole record (header included) and handle its plaintext.
+  void process_record(const BufferSlice& record);
+  void handle_record(ContentType type, const BufferSlice& body);
 
   /// Count a record of `body_len` plaintext bytes about to be sent and
   /// return its AEAD expansion (nonzero once the send direction is
@@ -155,10 +163,10 @@ class TlsConnection final : public ByteStream {
   std::function<void()> transport_open_hook_;
   std::function<void()> established_hook_;
 
-  Bytes rx_buffer_;
-  /// Consumed prefix of rx_buffer_: records are parsed at this cursor and
-  /// the prefix reclaimed lazily, instead of an O(n) front-erase per record.
-  std::size_t rx_offset_ = 0;
+  /// A record that arrived split across transport slices, gathered in one
+  /// block sized from its header. The block is reused while no slice of an
+  /// earlier record shares it, and let go of when the connection closes.
+  simnet::ByteQueue rx_;
   simnet::Fifo<BufferSlice> pending_app_data_;
   /// Record headers and whole handshake/alert/CCS records are written here
   /// and sent as slices of it.
@@ -180,8 +188,9 @@ class TlsConnection final : public ByteStream {
   bool sent_finished_ = false;
   bool received_finished_ = false;
   bool received_server_hello_done_ = false;
-  /// True while records are handed out as views into rx_buffer_, which
-  /// nothing may then grow: no handler can feed this connection more bytes.
+  /// True while a transport slice is being taken apart into records: no
+  /// handler may feed this connection more bytes, which would land in rx_
+  /// ahead of the rest of that slice.
   bool in_rx_ = false;
 };
 

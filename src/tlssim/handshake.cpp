@@ -51,9 +51,10 @@ void write_lv_string(W& w, std::string_view s) {
   w.string(s);
 }
 
-std::string read_lv_string(ByteReader& r) {
+std::string_view read_lv_view(ByteReader& r) {
   const std::uint16_t len = r.u16();
-  return r.string(len);
+  const auto bytes = r.view(len);
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 std::size_t client_hello_fields(const ClientHelloView& ch) {
@@ -197,8 +198,8 @@ void encode_plain(HandshakeCursor& w, HsType type, std::size_t body_size) {
   write_plain(w, type, body_size);
 }
 
-HandshakeMessage decode_handshake(ByteReader& r) {
-  HandshakeMessage msg;
+HandshakeView decode_handshake_view(ByteReader& r) {
+  HandshakeView msg;
   msg.type = static_cast<HsType>(r.u8());
   const std::uint32_t hi = r.u8();
   const std::uint32_t lo = r.u16();
@@ -208,48 +209,76 @@ HandshakeMessage decode_handshake(ByteReader& r) {
 
   switch (msg.type) {
     case HsType::kClientHello: {
-      ClientHello ch;
+      ClientHelloOffer ch;
       ch.min_version = static_cast<TlsVersion>(r.u16());
       ch.max_version = static_cast<TlsVersion>(r.u16());
-      ch.sni = read_lv_string(r);
+      ch.sni = read_lv_view(r);
       const std::uint8_t n_alpn = r.u8();
-      for (std::uint8_t i = 0; i < n_alpn; ++i) {
-        ch.alpn.push_back(read_lv_string(r));
-      }
+      const std::size_t alpn_at = r.offset();
+      for (std::uint8_t i = 0; i < n_alpn; ++i) read_lv_view(r);
+      ch.alpn = AlpnOffer(n_alpn,
+                          r.data().subspan(alpn_at, r.offset() - alpn_at));
       const std::uint16_t ticket_len = r.u16();
-      ch.session_ticket = r.bytes(ticket_len);
-      msg.client_hello = std::move(ch);
+      ch.session_ticket = r.view(ticket_len);
+      msg.client_hello = ch;
       break;
     }
     case HsType::kServerHello: {
-      ServerHello sh;
+      ServerHelloView sh;
       sh.version = static_cast<TlsVersion>(r.u16());
-      sh.alpn = read_lv_string(r);
+      sh.alpn = read_lv_view(r);
       sh.resumed = r.u8() != 0;
-      msg.server_hello = std::move(sh);
+      msg.server_hello = sh;
       break;
     }
     case HsType::kCertificate: {
-      CertificateMsg cert;
-      cert.subject = read_lv_string(r);
+      CertificateView cert;
+      cert.subject = read_lv_view(r);
       cert.certificate_count = r.u8();
       cert.ct_logged = r.u8() != 0;
       cert.ocsp_must_staple = r.u8() != 0;
       cert.chain_bytes = r.u32();
-      msg.certificate = std::move(cert);
+      msg.certificate = cert;
       break;
     }
     case HsType::kNewSessionTicket: {
-      NewSessionTicketMsg t;
       const std::uint16_t len = r.u16();
-      t.ticket = r.bytes(len);
-      msg.ticket = std::move(t);
+      msg.ticket = NewSessionTicketView{r.view(len)};
       break;
     }
     default:
       break;  // field-free message
   }
   r.seek(body_end);  // skip padding
+  return msg;
+}
+
+HandshakeMessage decode_handshake(ByteReader& r) {
+  const HandshakeView view = decode_handshake_view(r);
+  HandshakeMessage msg;
+  msg.type = view.type;
+  if (const auto& offer = view.client_hello) {
+    ClientHello ch;
+    ch.min_version = offer->min_version;
+    ch.max_version = offer->max_version;
+    ch.sni = offer->sni;
+    offer->alpn.for_each(
+        [&](std::string_view proto) { ch.alpn.emplace_back(proto); });
+    ch.session_ticket.assign(offer->session_ticket.begin(),
+                             offer->session_ticket.end());
+    msg.client_hello = std::move(ch);
+  }
+  if (const auto& sh = view.server_hello) {
+    msg.server_hello = ServerHello{sh->version, std::string(sh->alpn),
+                                   sh->resumed};
+  }
+  if (view.certificate) {
+    msg.certificate = CertificateMsg::of(*view.certificate);
+  }
+  if (view.ticket) {
+    msg.ticket = NewSessionTicketMsg{
+        Bytes(view.ticket->ticket.begin(), view.ticket->ticket.end())};
+  }
   return msg;
 }
 

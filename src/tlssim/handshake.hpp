@@ -77,6 +77,58 @@ struct ClientHello {
   }
 };
 
+/// The ALPN protocols a received ClientHello offers, as they lie in its
+/// record (each a u16 length, then its bytes): matched in place, so a
+/// server reads the offer without building a list of strings.
+class AlpnOffer {
+ public:
+  AlpnOffer() noexcept = default;
+  /// `entries` holds `count` well-formed entries (decode checks them).
+  AlpnOffer(std::uint8_t count, std::span<const std::uint8_t> entries) noexcept
+      : entries_(entries), count_(count) {}
+
+  bool empty() const noexcept { return count_ == 0; }
+  /// Call `f(std::string_view)` for each protocol, in offer order.
+  template <typename F>
+  void for_each(F&& f) const {
+    std::size_t at = 0;
+    for (std::uint8_t i = 0; i < count_; ++i) {
+      const std::size_t len =
+          (static_cast<std::size_t>(entries_[at]) << 8) | entries_[at + 1];
+      f(std::string_view(
+          reinterpret_cast<const char*>(entries_.data() + at + 2), len));
+      at += 2 + len;
+    }
+  }
+  bool contains(std::string_view protocol) const noexcept {
+    bool found = false;
+    for_each([&](std::string_view offered) {
+      found = found || offered == protocol;
+    });
+    return found;
+  }
+
+ private:
+  std::span<const std::uint8_t> entries_;
+  std::uint8_t count_ = 0;
+};
+
+/// A received ClientHello decoded in place: its fields view the record.
+struct ClientHelloOffer {
+  TlsVersion min_version = TlsVersion::kTls12;
+  TlsVersion max_version = TlsVersion::kTls13;
+  std::string_view sni;
+  AlpnOffer alpn;
+  std::span<const std::uint8_t> session_ticket;
+};
+
+/// A received ServerHello's fields, the ALPN by reference.
+struct ServerHelloView {
+  TlsVersion version = TlsVersion::kTls13;
+  std::string_view alpn;  ///< empty = no ALPN negotiated
+  bool resumed = false;   ///< server accepted the offered ticket
+};
+
 struct ServerHello {
   TlsVersion version = TlsVersion::kTls13;
   std::string alpn;      ///< empty = no ALPN negotiated
@@ -103,6 +155,11 @@ struct CertificateMsg {
     return {subject, certificate_count, ct_logged, ocsp_must_staple,
             chain_bytes};
   }
+  /// A copy of a decoded message, owning its subject.
+  static CertificateMsg of(const CertificateView& v) {
+    return {std::string(v.subject), v.certificate_count, v.ct_logged,
+            v.ocsp_must_staple, v.chain_bytes};
+  }
 };
 
 /// A NewSessionTicket's ticket by reference.
@@ -116,8 +173,20 @@ struct NewSessionTicketMsg {
   NewSessionTicketView view() const noexcept { return {ticket}; }
 };
 
-/// A parsed handshake message: type plus whichever struct applies. Messages
-/// with no interesting fields (Finished, SKE, SHD, CKE, EE) carry nothing.
+/// A handshake message decoded in place: type plus whichever view applies.
+/// The views point into the bytes it was decoded from and last as long as
+/// those do. Messages with no interesting fields (Finished, SKE, SHD, CKE,
+/// EE) carry nothing.
+struct HandshakeView {
+  HsType type = HsType::kFinished;
+  std::optional<ClientHelloOffer> client_hello;
+  std::optional<ServerHelloView> server_hello;
+  std::optional<CertificateView> certificate;
+  std::optional<NewSessionTicketView> ticket;
+};
+
+/// A parsed handshake message that owns its fields: type plus whichever
+/// struct applies.
 struct HandshakeMessage {
   HsType type = HsType::kFinished;
   std::optional<ClientHello> client_hello;
@@ -185,7 +254,10 @@ void encode_new_session_ticket(HandshakeCursor& w,
                                const NewSessionTicketView& t);
 void encode_plain(HandshakeCursor& w, HsType type, std::size_t body_size);
 
-/// Decode one message at the reader's position.
+/// Decode one message at the reader's position, in place: the result views
+/// the reader's bytes.
+HandshakeView decode_handshake_view(ByteReader& r);
+/// Decode one message at the reader's position into fields of its own.
 HandshakeMessage decode_handshake(ByteReader& r);
 
 }  // namespace dohperf::tlssim

@@ -168,6 +168,40 @@ TEST(ByteSlab, HandedOutBytesNeverChangeWhileLaterWritesFillIt) {
   EXPECT_TRUE(slab.write(0, [](std::uint8_t*) {}).empty());
 }
 
+TEST(ByteQueue, ReserveReusesAnUnsharedBlockAndSizesANewOneExactly) {
+  const Bytes record(3000, 0x17);
+  ByteQueue queue;
+  queue.reserve(record.size());
+  queue.append(std::span(record).first(1000));
+  const std::uint8_t* block = queue.bytes().data();
+  queue.append(std::span(record).subspan(1000));
+  EXPECT_EQ(queue.bytes().data(), block) << "reserved room needs no regrowth";
+  BufferSlice kept = queue.take(record.size());
+  EXPECT_EQ(kept, record);
+  EXPECT_EQ(kept.use_count(), 2);  // the slice and the queue
+
+  // A slice still shares the block: its bytes stay put, a new block takes
+  // the next record.
+  queue.reserve(100);
+  queue.append(std::span(record).first(100));
+  EXPECT_NE(queue.bytes().data(), block);
+  EXPECT_EQ(kept, record);
+  queue.skip(100);
+
+  // Once nothing shares a block big enough, it is used again from its
+  // front.
+  const std::uint8_t* second = queue.bytes().data() - 100;
+  queue.reserve(80);
+  queue.append(std::span(record).first(80));
+  EXPECT_EQ(queue.bytes().data(), second);
+  EXPECT_EQ(queue.size(), 80u);
+
+  queue.release();
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_TRUE(queue.bytes().empty());
+  EXPECT_EQ(kept.use_count(), 1) << "the slice alone keeps the first block";
+}
+
 TEST(BufferSlice, EqualityIsByContentNotIdentity) {
   const BufferSlice a{Bytes{1, 2, 3}};
   const BufferSlice b{Bytes{1, 2, 3}};  // different storage, same bytes

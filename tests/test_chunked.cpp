@@ -48,7 +48,7 @@ TEST(Chunked, RoundTripByteByByte) {
   Parser parser(Parser::Mode::kResponse);
   std::optional<Response> out;
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    parser.feed(std::span(&wire[i], 1));
+    parser.feed(Bytes{wire[i]});
     if (auto r = parser.next_response()) out = std::move(r);
   }
   ASSERT_TRUE(out.has_value());

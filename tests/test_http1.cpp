@@ -219,7 +219,7 @@ TEST(Message, ParserHandlesArbitraryChunking) {
   Parser parser(Parser::Mode::kResponse);
   std::optional<Response> out;
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    parser.feed(std::span(&wire[i], 1));
+    parser.feed(Bytes{wire[i]});
     if (auto r = parser.next_response()) out = std::move(r);
   }
   ASSERT_TRUE(out.has_value());
@@ -286,6 +286,135 @@ TEST(Message, ParserRejectsContentLengthPastTheSliceWindow) {
       "HTTP/1.1 200 OK\r\nContent-Length: 4294967295\r\n\r\nxyz"));
   EXPECT_FALSE(parser.next_response().has_value());
   EXPECT_FALSE(parser.error());
+}
+
+/// What a response parser made of a stream: each message with its wire
+/// sizes, then whether it met malformed input.
+struct Parsed {
+  struct Message {
+    int status = 0;
+    std::string reason;
+    std::vector<std::pair<std::string, std::string>> headers;
+    Bytes body;
+    std::size_t header_bytes = 0;
+    std::size_t body_bytes = 0;
+    bool operator==(const Message&) const = default;
+  };
+  std::vector<Message> messages;
+  bool error = false;
+  bool operator==(const Parsed&) const = default;
+};
+
+/// Feed `wire` as slices of one buffer, cut at the increasing offsets
+/// `cuts`, polling after each feed as a connection does.
+Parsed parse_split(const Bytes& wire, const std::vector<std::size_t>& cuts) {
+  const auto buffer = std::make_shared<const Bytes>(wire);
+  Parser parser(Parser::Mode::kResponse);
+  Parsed out;
+  std::size_t from = 0;
+  const auto feed_to = [&](std::size_t to) {
+    if (to <= from) return;
+    parser.feed(simnet::BufferSlice(buffer, from, to - from));
+    from = to;
+    while (auto r = parser.next_response()) {
+      Parsed::Message m{r->status, r->reason, {}, r->body.to_bytes(),
+                        parser.last_sizes().header_bytes,
+                        parser.last_sizes().body_bytes};
+      for (const auto [name, value] : r->headers) {
+        m.headers.emplace_back(name, value);
+      }
+      out.messages.push_back(std::move(m));
+    }
+  };
+  for (const std::size_t cut : cuts) feed_to(cut);
+  feed_to(wire.size());
+  out.error = parser.error();
+  return out;
+}
+
+/// Pipelined responses: Content-Length bodies inside and across record
+/// sizes, an empty body, and a chunked body with another after it.
+Bytes pipelined_responses() {
+  Bytes wire;
+  const auto append = [&wire](const Bytes& more) {
+    wire.insert(wire.end(), more.begin(), more.end());
+  };
+  for (const std::size_t size : {5, 0, 3000}) {
+    Response r;
+    r.status = size == 0 ? 204 : 200;
+    r.reason = size == 0 ? "No Content" : "OK";
+    r.headers.add("Content-Type", "application/octet-stream");
+    Bytes body(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      body[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    r.body = std::move(body);
+    append(serialize(r));
+  }
+  Response chunked;
+  chunked.headers.add("Server", "origin");
+  chunked.body = Bytes(300, 0x63);
+  append(serialize_chunked(chunked, 64));
+  Response last;
+  last.status = 404;
+  last.reason = "Not Found";
+  last.body = dns::to_bytes("no such object...");
+  append(serialize(last));
+  return wire;
+}
+
+TEST(Message, ParserGivesTheSameMessagesForEverySplit) {
+  const Bytes wire = pipelined_responses();
+  const Parsed whole = parse_split(wire, {});
+  ASSERT_EQ(whole.messages.size(), 5u);
+  EXPECT_FALSE(whole.error);
+  EXPECT_EQ(whole.messages[2].body.size(), 3000u);
+  EXPECT_EQ(whole.messages[3].body, Bytes(300, 0x63));
+  EXPECT_EQ(whole.messages[4].status, 404);
+  // Every two-piece split (so every head split across feeds), three
+  // pieces around each head, and one byte at a time.
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    EXPECT_EQ(parse_split(wire, {cut}), whole) << "cut at " << cut;
+  }
+  const std::string text = dns::to_string(wire);
+  for (std::size_t head = text.find("HTTP/1.1"); head != std::string::npos;
+       head = text.find("HTTP/1.1", head + 1)) {
+    const std::size_t end = text.find("\r\n\r\n", head) + 4;
+    for (std::size_t a = head; a < end; a += 7) {
+      EXPECT_EQ(parse_split(wire, {a, a + 3, end - 1, end + 2}), whole)
+          << "around the head at " << head;
+    }
+  }
+  std::vector<std::size_t> bytes;
+  for (std::size_t i = 1; i < wire.size(); ++i) bytes.push_back(i);
+  EXPECT_EQ(parse_split(wire, bytes), whole);
+}
+
+TEST(Message, ParserMeetsMalformedInputAloneForEverySplit) {
+  Bytes wire = pipelined_responses();
+  const Bytes garbage = dns::to_bytes("NOT HTTP AT ALL\r\n\r\nHTTP/1.1 200 OK");
+  wire.insert(wire.end(), garbage.begin(), garbage.end());
+  const Parsed whole = parse_split(wire, {});
+  EXPECT_EQ(whole.messages.size(), 5u);
+  EXPECT_TRUE(whole.error);
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    EXPECT_EQ(parse_split(wire, {cut}), whole) << "cut at " << cut;
+  }
+}
+
+TEST(Message, BodyInsideTheFedSliceIsAWindowOfIt) {
+  Response r;
+  r.headers.add("Content-Type", "application/octet-stream");
+  r.body = Bytes(3000, 0x42);
+  WireSizes sizes;
+  const BufferSlice wire = serialize(r, &sizes);
+  Parser parser(Parser::Mode::kResponse);
+  parser.feed(wire);
+  const auto response = parser.next_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->body.data(), wire.data() + sizes.header_bytes);
+  EXPECT_EQ(response->body.size(), 3000u);
+  EXPECT_EQ(wire.use_count(), 2) << "the fed slice and the body";
 }
 
 /// serialize(message) must be `head` followed by the body.

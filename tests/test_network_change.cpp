@@ -38,7 +38,7 @@ TEST_F(NetworkChangeTest, SilentRebindBlackholesTcpBothWays) {
   server.tcp_listen(9000, [&](std::shared_ptr<simnet::TcpConnection> conn) {
     accepted = conn;
     simnet::TcpCallbacks cbs;
-    cbs.on_data = [&](std::span<const std::uint8_t> d) {
+    cbs.on_data = [&](const simnet::BufferSlice& d) {
       server_rx += d.size();
     };
     accepted->set_callbacks(std::move(cbs));
@@ -47,7 +47,7 @@ TEST_F(NetworkChangeTest, SilentRebindBlackholesTcpBothWays) {
   auto conn = client.tcp_connect({server.id(), 9000});
   simnet::TcpCallbacks cbs;
   cbs.on_connected = [&]() { conn->send(simnet::Bytes{1, 2, 3}); };
-  cbs.on_data = [&](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&](const simnet::BufferSlice& d) {
     client_rx += d.size();
   };
   cbs.on_reset = [&]() { client_reset = true; };
@@ -122,7 +122,7 @@ TEST_F(NetworkChangeTest, ProfileSwapDoesNotCorruptRtoState) {
   server.tcp_listen(9000, [&](std::shared_ptr<simnet::TcpConnection> conn) {
     accepted = conn;
     simnet::TcpCallbacks cbs;
-    cbs.on_data = [&](std::span<const std::uint8_t> d) {
+    cbs.on_data = [&](const simnet::BufferSlice& d) {
       server_rx += d.size();
       accepted->send(simnet::Bytes(d.begin(), d.end()));  // echo
     };
@@ -133,7 +133,7 @@ TEST_F(NetworkChangeTest, ProfileSwapDoesNotCorruptRtoState) {
   std::size_t echoes = 0;
   bool reset = false;
   simnet::TcpCallbacks cbs;
-  cbs.on_data = [&](std::span<const std::uint8_t> d) { echoes += d.size(); };
+  cbs.on_data = [&](const simnet::BufferSlice& d) { echoes += d.size(); };
   cbs.on_reset = [&]() { reset = true; };
   conn->set_callbacks(std::move(cbs));
 

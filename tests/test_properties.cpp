@@ -429,7 +429,8 @@ TEST_P(H1ChunkingProperty, ParserInvariantUnderChunkSize) {
   std::vector<std::size_t> seen;
   for (std::size_t off = 0; off < wire.size(); off += chunk) {
     const std::size_t n = std::min(chunk, wire.size() - off);
-    parser.feed(std::span(wire.data() + off, n));
+    parser.feed(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(off),
+                      wire.begin() + static_cast<std::ptrdiff_t>(off + n)));
     while (auto r = parser.next_response()) seen.push_back(r->body.size());
   }
   EXPECT_EQ(seen, body_sizes);

@@ -48,7 +48,7 @@ class TcpDnsHardeningTest : public TwoHostFixture {
     cbs.on_connected = [raw = conn.get(), bytes = std::move(bytes)]() {
       raw->send(bytes);
     };
-    cbs.on_data = [reply](std::span<const std::uint8_t> d) {
+    cbs.on_data = [reply](const simnet::BufferSlice& d) {
       if (reply) reply->insert(reply->end(), d.begin(), d.end());
     };
     conn->set_callbacks(std::move(cbs));
@@ -203,6 +203,29 @@ TEST_F(DohHardeningTest, RawGarbageToTlsPortIsRejectedNotFatal) {
                         dns::Message::make_query(1, name("x.example"))
                             .encode()),
             200);
+}
+
+TEST_F(DohHardeningTest, PlaintextHttpToTlsPortIsRejectedAtOnce) {
+  start();
+  auto conn = client.tcp_connect({server.id(), 443});
+  Bytes reply;
+  bool closed = false;
+  simnet::TcpCallbacks cbs;
+  cbs.on_connected = [raw = conn.get()]() {
+    // Its first five bytes read as a record header of type 0x47 ('G'):
+    // no TLS peer sends that, so the terminator must answer now, not wait
+    // for the 8,239 bytes the header claims while the client waits too.
+    raw->send(dns::to_bytes("GET /dns-query HTTP/1.1\r\nHost: example.net\r\n\r\n"));
+  };
+  cbs.on_data = [&reply](const simnet::BufferSlice& d) {
+    reply.insert(reply.end(), d.begin(), d.end());
+  };
+  cbs.on_remote_closed = [&closed]() { closed = true; };
+  conn->set_callbacks(std::move(cbs));
+  loop.run();
+  // One fatal decode_error alert, then the server's FIN.
+  EXPECT_EQ(reply, (Bytes{0x15, 0x03, 0x03, 0x00, 0x02, 0x02, 0x32}));
+  EXPECT_TRUE(closed);
 }
 
 TEST_F(DohHardeningTest, BadHttp2PrefaceAfterTlsResetsSession) {

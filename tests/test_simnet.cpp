@@ -291,7 +291,7 @@ class TcpTest : public TwoHostFixture {
       TcpCallbacks cbs;
       // The connection owns its callbacks: capturing its shared_ptr would
       // make a cycle that leaks it, so they hold a raw pointer.
-      cbs.on_data = [raw = conn.get()](std::span<const std::uint8_t> data) {
+      cbs.on_data = [raw = conn.get()](const simnet::BufferSlice& data) {
         raw->send(Bytes(data.begin(), data.end()));
       };
       conn->set_callbacks(std::move(cbs));
@@ -322,7 +322,7 @@ TEST_F(TcpTest, EchoSmallPayload) {
   Bytes echoed;
   TcpCallbacks cbs;
   cbs.on_connected = [&conn]() { conn->send(Bytes{1, 2, 3, 4}); };
-  cbs.on_data = [&](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&](const simnet::BufferSlice& d) {
     echoed.assign(d.begin(), d.end());
   };
   conn->set_callbacks(std::move(cbs));
@@ -340,7 +340,7 @@ TEST_F(TcpTest, LargeTransferSegmentsAndReassembles) {
   Bytes echoed;
   TcpCallbacks cbs;
   cbs.on_connected = [&]() { conn->send(sent); };
-  cbs.on_data = [&](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&](const simnet::BufferSlice& d) {
     echoed.insert(echoed.end(), d.begin(), d.end());
   };
   conn->set_callbacks(std::move(cbs));
@@ -355,7 +355,7 @@ TEST_F(TcpTest, SendBeforeEstablishedIsQueued) {
   auto conn = client.tcp_connect({server.id(), 80});
   Bytes echoed;
   TcpCallbacks cbs;
-  cbs.on_data = [&](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&](const simnet::BufferSlice& d) {
     echoed.assign(d.begin(), d.end());
   };
   conn->set_callbacks(std::move(cbs));
@@ -417,7 +417,7 @@ TEST_F(TcpTest, RetransmissionRecoversFromLoss) {
   Bytes echoed;
   TcpCallbacks cbs;
   cbs.on_connected = [&]() { conn->send(sent); };
-  cbs.on_data = [&](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&](const simnet::BufferSlice& d) {
     echoed.insert(echoed.end(), d.begin(), d.end());
   };
   conn->set_callbacks(std::move(cbs));
@@ -432,7 +432,7 @@ TEST_F(TcpTest, HeaderAccounting) {
   auto conn = client.tcp_connect({server.id(), 80});
   TcpCallbacks cbs;
   cbs.on_connected = [&conn]() { conn->send(Bytes(100, 1)); };
-  cbs.on_data = [](std::span<const std::uint8_t>) {};
+  cbs.on_data = [](const simnet::BufferSlice&) {};
   conn->set_callbacks(std::move(cbs));
   loop.run();
   const auto& c = conn->counters();
@@ -448,7 +448,7 @@ TEST_F(TcpTest, CountersSymmetric) {
   auto conn = client.tcp_connect({server.id(), 80});
   TcpCallbacks cbs;
   cbs.on_connected = [&conn]() { conn->send(Bytes(5000, 2)); };
-  cbs.on_data = [](std::span<const std::uint8_t>) {};
+  cbs.on_data = [](const simnet::BufferSlice&) {};
   conn->set_callbacks(std::move(cbs));
   loop.run();
   EXPECT_EQ(conn->counters().wire_bytes_sent,
@@ -515,7 +515,7 @@ TEST_F(TcpTest, CumulativeAckRetiresSeveralSegmentsInOrder) {
   server.tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) {
     accepted = c;
     TcpCallbacks cbs;
-    cbs.on_data = [&received](std::span<const std::uint8_t> d) {
+    cbs.on_data = [&received](const simnet::BufferSlice& d) {
       received += d.size();
     };
     c->set_callbacks(std::move(cbs));
@@ -789,7 +789,7 @@ TEST_F(TcpTest, ByteStreamAdapterRoundTrip) {
     opened = true;
     stream->send(Bytes{42});
   };
-  h.on_data = [&](std::span<const std::uint8_t> d) {
+  h.on_data = [&](const simnet::BufferSlice& d) {
     received.assign(d.begin(), d.end());
   };
   auto* raw = stream.get();

@@ -28,7 +28,7 @@ class TlsTest : public TwoHostFixture {
           std::make_unique<simnet::TcpByteStream>(std::move(c)),
           &server_config);
       TlsConnection::Handlers h;
-      h.on_data = [this](std::span<const std::uint8_t> d) {
+      h.on_data = [this](const simnet::BufferSlice& d) {
         server_tls->send(Bytes(d.begin(), d.end()));  // echo
       };
       server_tls->set_handlers(std::move(h));
@@ -66,7 +66,7 @@ TEST_F(TlsTest, EchoAppData) {
   Bytes echoed;
   TlsConnection::Handlers h;
   h.on_open = [&tls]() { tls.send(Bytes{1, 2, 3}); };
-  h.on_data = [&](std::span<const std::uint8_t> d) {
+  h.on_data = [&](const simnet::BufferSlice& d) {
     echoed.assign(d.begin(), d.end());
   };
   tls.set_handlers(std::move(h));
@@ -79,7 +79,7 @@ TEST_F(TlsTest, SendBeforeEstablishedIsQueued) {
   auto& tls = connect({});
   Bytes echoed;
   TlsConnection::Handlers h;
-  h.on_data = [&](std::span<const std::uint8_t> d) {
+  h.on_data = [&](const simnet::BufferSlice& d) {
     echoed.assign(d.begin(), d.end());
   };
   tls.set_handlers(std::move(h));
@@ -234,7 +234,7 @@ TEST_F(TlsTest, RecordOverheadPerSend) {
   int echoes = 0;
   TlsConnection::Handlers h;
   h.on_open = [&tls]() { tls.send(Bytes(100, 1)); };
-  h.on_data = [&](std::span<const std::uint8_t>) {
+  h.on_data = [&](const simnet::BufferSlice&) {
     if (++echoes < 3) tls.send(Bytes(100, 1));
   };
   tls.set_handlers(std::move(h));
@@ -252,7 +252,7 @@ TEST_F(TlsTest, LargePayloadFragmentsIntoRecords) {
   std::size_t received = 0;
   TlsConnection::Handlers h;
   h.on_open = [&tls]() { tls.send(Bytes(40000, 5)); };
-  h.on_data = [&](std::span<const std::uint8_t> d) { received += d.size(); };
+  h.on_data = [&](const simnet::BufferSlice& d) { received += d.size(); };
   tls.set_handlers(std::move(h));
   loop.run();
   EXPECT_EQ(received, 40000u);
@@ -689,6 +689,267 @@ TEST(HandshakeFlights, ByteIdenticalToTheReference) {
                   server_config.chain.subject);
       }
     }
+  }
+}
+
+// --- The receive path: records from slices ------------------------------------
+
+/// A transport that swallows what its connection sends and delivers the
+/// slices a test feeds it.
+class Feed final : public simnet::ByteStream {
+ public:
+  void set_handlers(Handlers handlers) override {
+    handlers_ = std::move(handlers);
+  }
+  void send(simnet::BufferSlice) override {}
+  void close() override { open_ = false; }
+  bool is_open() const override { return open_; }
+
+  void open() { handlers_.on_open(); }
+  void deliver(const simnet::BufferSlice& data) { handlers_.on_data(data); }
+
+ private:
+  Handlers handlers_;
+  bool open_ = true;
+};
+
+/// What a client made of a server's byte stream.
+struct Outcome {
+  Bytes app;                   ///< application bytes, in order
+  std::size_t app_slices = 0;  ///< on_data calls: one per record
+  std::vector<std::uint64_t> counters;
+  bool established = false;
+  bool failed = false;
+  bool closed = false;
+  std::optional<AlertDescription> alert;
+  TlsVersion version = TlsVersion::kTls13;
+  std::string alpn;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+ClientConfig replay_client() {
+  ClientConfig config;
+  config.sni = "origin.example";
+  config.alpn = {"http/1.1"};
+  return config;
+}
+
+/// Everything a server sends over one connection: the handshake flights,
+/// a ticket, application records of assorted sizes (one larger than a
+/// record, so it fragments) and close_notify.
+Bytes record_server_stream(TlsVersion version) {
+  ServerConfig server_config;
+  server_config.versions = {version};
+  server_config.alpn_preference = {"http/1.1"};
+  server_config.chain = CertificateChain::generic("origin.example");
+  Pipe pipe;
+  TlsConnection server(pipe.end(1), &server_config);
+  TlsConnection client(pipe.end(0), replay_client());
+  TlsConnection::Handlers h;
+  h.on_open = [&server]() {
+    std::uint8_t next = 0;
+    for (const std::size_t size : {1, 300, 5000, 20000, 16384, 7}) {
+      Bytes data(size);
+      for (auto& b : data) b = next++;
+      server.send(std::move(data));
+    }
+    server.close();
+  };
+  server.set_handlers(std::move(h));
+  pipe.run();
+  EXPECT_TRUE(client.closed());
+  return pipe.sent[1];
+}
+
+/// Offsets at which each record of `stream` starts.
+std::vector<std::size_t> record_starts(const Bytes& stream) {
+  std::vector<std::size_t> out;
+  for (std::size_t at = 0; at + kRecordHeaderBytes <= stream.size();) {
+    out.push_back(at);
+    at += kRecordHeaderBytes + ((std::size_t{stream[at + 3]} << 8) |
+                                stream[at + 4]);
+  }
+  return out;
+}
+
+/// Feed `stream` to a fresh client as slices of one buffer, cut at the
+/// increasing offsets `cuts`.
+Outcome replay(const Bytes& stream, const std::vector<std::size_t>& cuts) {
+  const auto buffer = std::make_shared<const Bytes>(stream);
+  auto transport = std::make_unique<Feed>();
+  Feed& feed = *transport;
+  TlsConnection client(std::move(transport), replay_client());
+  Outcome out;
+  TlsConnection::Handlers h;
+  h.on_data = [&out](const simnet::BufferSlice& d) {
+    out.app.insert(out.app.end(), d.begin(), d.end());
+    ++out.app_slices;
+  };
+  client.set_handlers(std::move(h));
+  feed.open();
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    if (cut > from) feed.deliver(simnet::BufferSlice(buffer, from, cut - from));
+    from = std::max(from, cut);
+  }
+  if (from < stream.size()) {
+    feed.deliver(simnet::BufferSlice(buffer, from, stream.size() - from));
+  }
+  const TlsCounters& c = client.counters();
+  out.counters = {c.handshake_bytes_sent,   c.handshake_bytes_received,
+                  c.record_overhead_sent,   c.record_overhead_received,
+                  c.app_bytes_sent,         c.app_bytes_received,
+                  c.records_sent,           c.records_received};
+  out.established = client.established();
+  out.failed = client.failed();
+  out.closed = client.closed();
+  out.alert = client.failure_alert();
+  out.version = client.version();
+  out.alpn = client.alpn();
+  return out;
+}
+
+/// The ways to cut a stream: one byte at a time, at each offset inside
+/// every record header, several records to a slice, and seeded sizes.
+std::vector<std::pair<std::string, std::vector<std::size_t>>> splits(
+    const Bytes& stream) {
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> out;
+  std::vector<std::size_t> bytes;
+  for (std::size_t i = 1; i < stream.size(); ++i) bytes.push_back(i);
+  out.emplace_back("one byte", std::move(bytes));
+  const auto starts = record_starts(stream);
+  for (std::size_t k = 1; k < kRecordHeaderBytes; ++k) {
+    std::vector<std::size_t> cuts;
+    for (const std::size_t at : starts) cuts.push_back(at + k);
+    out.emplace_back("header byte " + std::to_string(k), std::move(cuts));
+  }
+  std::vector<std::size_t> three;
+  for (std::size_t i = 3; i < starts.size(); i += 3) three.push_back(starts[i]);
+  out.emplace_back("three records", std::move(three));
+  stats::SplitMix64 rng(29);
+  std::vector<std::size_t> seeded;
+  for (std::size_t at = 1 + rng.next_below(3000); at < stream.size();
+       at += 1 + rng.next_below(3000)) {
+    seeded.push_back(at);
+  }
+  out.emplace_back("seeded", std::move(seeded));
+  return out;
+}
+
+TEST(TlsReceive, EverySplitMatchesOneContiguousSlice) {
+  for (const TlsVersion version : {TlsVersion::kTls12, TlsVersion::kTls13}) {
+    const Bytes stream = record_server_stream(version);
+    const Outcome whole = replay(stream, {});
+    ASSERT_TRUE(whole.established);
+    EXPECT_TRUE(whole.closed);
+    EXPECT_FALSE(whole.failed);
+    EXPECT_EQ(whole.version, version);
+    EXPECT_EQ(whole.alpn, "http/1.1");
+    EXPECT_EQ(whole.app.size(), 1u + 300 + 5000 + 20000 + 16384 + 7);
+    EXPECT_EQ(whole.app_slices, 7u) << "20,000 bytes take two records";
+    for (const auto& [name, cuts] : splits(stream)) {
+      EXPECT_EQ(replay(stream, cuts), whole)
+          << to_string(version) << ", " << name;
+    }
+  }
+}
+
+TEST(TlsReceive, EverySplitOfACorruptStreamFailsAlike) {
+  const Bytes stream = record_server_stream(TlsVersion::kTls13);
+  const auto starts = record_starts(stream);
+  // Corrupt the body of a handshake message (the first message of the
+  // encrypted flight claims more bytes than its record holds), and
+  // separately the header of the fifth record, after application data.
+  Bytes bad_message = stream;
+  bad_message[starts[2] + kRecordHeaderBytes + 1] = 0xff;
+  Bytes bad_header = stream;
+  bad_header[starts[5]] = 0x47;
+  for (const Bytes& corrupt : {bad_message, bad_header}) {
+    const Outcome whole = replay(corrupt, {});
+    EXPECT_TRUE(whole.failed);
+    EXPECT_EQ(whole.alert, AlertDescription::kDecodeError);
+    for (const auto& [name, cuts] : splits(corrupt)) {
+      EXPECT_EQ(replay(corrupt, cuts), whole) << name;
+    }
+  }
+}
+
+TEST(TlsReceive, ARecordInsideTheSliceGoesUpAsAWindowOfIt) {
+  const Bytes stream = record_server_stream(TlsVersion::kTls13);
+  std::vector<std::size_t> app;
+  for (const std::size_t at : record_starts(stream)) {
+    if (stream[at] == static_cast<std::uint8_t>(ContentType::kApplicationData)) {
+      app.push_back(at);
+    }
+  }
+  // Up to the 300-byte application record, then that record alone, then
+  // the 5,000-byte one in two pieces.
+  const std::size_t small = app[1];
+  const std::size_t large = app[2];
+  const std::size_t rest = app[3];
+  const auto buffer = std::make_shared<const Bytes>(stream);
+  auto transport = std::make_unique<Feed>();
+  Feed& feed = *transport;
+  TlsConnection client(std::move(transport), replay_client());
+  std::vector<simnet::BufferSlice> up;
+  TlsConnection::Handlers h;
+  h.on_data = [&up](const simnet::BufferSlice& d) { up.push_back(d); };
+  client.set_handlers(std::move(h));
+  feed.open();
+  feed.deliver(simnet::BufferSlice(buffer, 0, small));
+  ASSERT_TRUE(client.established());
+  ASSERT_EQ(up.size(), 1u);
+  up.clear();
+
+  const simnet::BufferSlice whole(buffer, small, large - small);
+  feed.deliver(whole);
+  ASSERT_EQ(up.size(), 1u);
+  EXPECT_EQ(up[0].size(), 300u);
+  EXPECT_EQ(up[0].data(), whole.data() + kRecordHeaderBytes)
+      << "handed up in place, not copied";
+  EXPECT_EQ(up[0].use_count(), whole.use_count());
+  EXPECT_GE(up[0].use_count(), 3) << "the buffer, the fed slice and this";
+
+  const std::size_t half = (rest - large) / 2;
+  const simnet::BufferSlice first(buffer, large, half);
+  const simnet::BufferSlice second(buffer, large + half, rest - large - half);
+  feed.deliver(first);
+  EXPECT_EQ(up.size(), 1u) << "nothing goes up before the record's last byte";
+  feed.deliver(second);
+  ASSERT_EQ(up.size(), 2u);
+  EXPECT_EQ(up[1].size(), 5000u);
+  EXPECT_EQ(up[1], simnet::BufferSlice(buffer, large + kRecordHeaderBytes,
+                                       5000));
+  EXPECT_TRUE(up[1].data() < buffer->data() ||
+              up[1].data() >= buffer->data() + buffer->size())
+      << "gathered into a block of the connection's";
+  EXPECT_EQ(up[1].use_count(), 2) << "that block and this slice";
+}
+
+TEST(TlsReceive, AnImpossibleHeaderFailsBeforeItsBodyArrives) {
+  const Bytes stream = record_server_stream(TlsVersion::kTls13);
+  const std::size_t established_at = record_starts(stream)[4];
+  const Bytes handshake(stream.begin(),
+                        stream.begin() +
+                            static_cast<std::ptrdiff_t>(established_at));
+  const auto outcome_of = [&](Bytes header) {
+    Bytes fed = handshake;
+    fed.insert(fed.end(), header.begin(), header.end());
+    return replay(fed, {established_at});
+  };
+  // The longest record the send side makes: waits for its body.
+  const Outcome longest = outcome_of({0x17, 0x03, 0x03, 0x41, 0x00});
+  EXPECT_TRUE(longest.established);
+  EXPECT_FALSE(longest.failed);
+  // One byte longer, or a content type outside 20-23: fails at once.
+  for (const Bytes& header : {Bytes{0x17, 0x03, 0x03, 0x41, 0x01},
+                              Bytes{0x17, 0x03, 0x03, 0xff, 0xff},
+                              Bytes{0x47, 0x45, 0x54, 0x20, 0x2f},
+                              Bytes{0x13, 0x03, 0x03, 0x00, 0x01}}) {
+    const Outcome outcome = outcome_of(header);
+    EXPECT_TRUE(outcome.failed);
+    EXPECT_EQ(outcome.alert, AlertDescription::kDecodeError);
   }
 }
 

@@ -53,7 +53,7 @@ TEST_P(TcpTransferMatrix, DeliversExactlyOnceInOrder) {
       [&](std::shared_ptr<simnet::TcpConnection> c) {
         accepted = c;
         simnet::TcpCallbacks cbs;
-        cbs.on_data = [&received](std::span<const std::uint8_t> d) {
+        cbs.on_data = [&received](const simnet::BufferSlice& d) {
           received.insert(received.end(), d.begin(), d.end());
         };
         c->set_callbacks(std::move(cbs));
@@ -101,7 +101,7 @@ TEST_P(TcpBidirectional, EchoSurvivesLoss) {
     simnet::TcpCallbacks cbs;
     // Raw pointer: the connection owns its callbacks, and capturing its
     // shared_ptr would make a cycle that leaks it.
-    cbs.on_data = [raw = c.get()](std::span<const std::uint8_t> d) {
+    cbs.on_data = [raw = c.get()](const simnet::BufferSlice& d) {
       raw->send(Bytes(d.begin(), d.end()));
     };
     c->set_callbacks(std::move(cbs));
@@ -112,7 +112,7 @@ TEST_P(TcpBidirectional, EchoSurvivesLoss) {
   auto conn = a.tcp_connect({b.id(), 80});
   simnet::TcpCallbacks cbs;
   cbs.on_connected = [&conn, &sent]() { conn->send(sent); };
-  cbs.on_data = [&echoed](std::span<const std::uint8_t> d) {
+  cbs.on_data = [&echoed](const simnet::BufferSlice& d) {
     echoed.insert(echoed.end(), d.begin(), d.end());
   };
   conn->set_callbacks(std::move(cbs));
@@ -231,7 +231,7 @@ TEST_F(FailureInjection, TlsHandshakeSurvivesHeavyLoss) {
         std::make_unique<simnet::TcpByteStream>(std::move(c)),
         &server_config);
     tlssim::TlsConnection::Handlers sh;
-    sh.on_data = [&](std::span<const std::uint8_t> d) {
+    sh.on_data = [&](const simnet::BufferSlice& d) {
       server_tls->send(Bytes(d.begin(), d.end()));  // echo
     };
     server_tls->set_handlers(std::move(sh));
@@ -244,7 +244,7 @@ TEST_F(FailureInjection, TlsHandshakeSurvivesHeavyLoss) {
       tlssim::ClientConfig{});
   tlssim::TlsConnection::Handlers h;
   h.on_open = [&tls]() { tls.send(Bytes{1, 2, 3}); };
-  h.on_data = [&](std::span<const std::uint8_t> d) {
+  h.on_data = [&](const simnet::BufferSlice& d) {
     echoed.assign(d.begin(), d.end());
   };
   tls.set_handlers(std::move(h));
