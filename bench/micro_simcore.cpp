@@ -4,7 +4,7 @@
 // several --jobs values, the fig1 corpus scan (dns::Name parsing, sorting
 // and run merging) with its allocations per page, the resolver tier's
 // cache under churn with its evictions and allocations per query, and one
-// DoH/h2 exchange on a warm connection with its allocations.
+// DoH/h2 and one DoQ exchange on a warm connection with their allocations.
 //
 // Unlike the figure harnesses, the numbers here are wall-clock derived and
 // therefore machine-dependent: micro_simcore (like micro_codecs) is exempt
@@ -28,9 +28,11 @@
 #include "browser/vantage.hpp"
 #include "browser/web_farm.hpp"
 #include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
 #include "core/udp_client.hpp"
 #include "http2/connection.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/recursive_tier.hpp"
 #include "resolver/udp_server.hpp"
@@ -392,41 +394,43 @@ TierChurnRun bench_tier_churn() {
   return run;
 }
 
-// --- one DoH/h2 exchange ------------------------------------------------------
+// --- one DoH/h2 or DoQ exchange ------------------------------------------------
 
-/// Exchanges in each pass of the doh/exchange stream.
-constexpr std::size_t kDohExchanges = 2000;
+/// Exchanges in each pass of the doh/exchange and doq/exchange streams.
+constexpr std::size_t kExchanges = 2000;
 
 // detlint: hot-slot
-struct alignas(64) DohShard {
+struct alignas(64) ExchangeShard {
   std::uint64_t answered = 0;      ///< successful resolutions, both passes
   std::uint64_t arena_allocs = 0;  ///< during the second pass
 };
 
-struct DohExchangeRun {
+struct ExchangeRun {
   double exchanges_per_sec = 0.0;
   std::uint64_t answered = 0;
   std::uint64_t arena_allocs = 0;  ///< deterministic for the fixed stream
 };
 
-/// DoH/h2 POST queries for Alexa third-party names, one at a time and each
-/// run until the loop is idle, over one persistent connection from a
-/// DohClient to a DohServer in front of an Engine, in one arena shard. The
-/// first pass opens the connection and fills both HPACK tables; the second
-/// counts what a warm exchange allocates on both ends: HTTP/2 frames, HPACK
-/// blocks, the DNS codec and the Engine's answer.
-DohExchangeRun bench_doh_exchange() {
+/// Queries for Alexa third-party names, one at a time and each run until
+/// the loop is idle, over one persistent connection from a `Client` to a
+/// `Server` in front of an Engine, in one arena shard. The first pass opens
+/// the connection (DoH/h2 also fills both HPACK tables); the second counts
+/// what a warm exchange allocates on both ends: the transport's framing,
+/// the DNS codec and the Engine's answer.
+template <typename Server, typename ServerConfig, typename Client,
+          typename ClientConfig>
+ExchangeRun bench_exchange(std::uint16_t port) {
   const workload::AlexaPageModel model;
   std::vector<dns::Name> names;
-  names.reserve(kDohExchanges);
-  for (std::size_t i = 0; i < kDohExchanges; ++i) {
+  names.reserve(kExchanges);
+  for (std::size_t i = 0; i < kExchanges; ++i) {
     names.push_back(model.third_party_domain(i));
   }
   simnet::ShardMemoryStats mem;
   const double t0 = now_sec();
-  const auto shards = bench::run_sharded<DohShard>(
+  const auto shards = bench::run_sharded<ExchangeShard>(
       1, 1,
-      [&names](std::size_t) {
+      [&names, port](std::size_t) {
         simnet::EventLoop loop;
         simnet::Network net(loop, 7);
         simnet::Host client(net, "client");
@@ -435,20 +439,20 @@ DohExchangeRun bench_doh_exchange() {
         link.latency = simnet::ms(5);
         net.connect(client.id(), server.id(), link);
         resolver::Engine engine(loop, {});
-        resolver::DohServerConfig server_config;
+        ServerConfig server_config;
         server_config.tls.chain =
             tlssim::CertificateChain::generic("local.resolver");
-        resolver::DohServer doh_server(server, engine, server_config, 443);
-        core::DohClientConfig config;
+        Server resolver_server(server, engine, server_config, port);
+        ClientConfig config;
         config.server_name = "local.resolver";
-        core::DohClient doh(client, {server.id(), 443}, config);
-        DohShard out;
+        Client stub(client, {server.id(), port}, config);
+        ExchangeShard out;
         const auto pass = [&]() {
           for (const dns::Name& name : names) {
-            doh.resolve(name, dns::RType::kA,
-                        [&out](const core::ResolutionResult& r) {
-                          out.answered += r.success ? 1 : 0;
-                        });
+            stub.resolve(name, dns::RType::kA,
+                         [&out](const core::ResolutionResult& r) {
+                           out.answered += r.success ? 1 : 0;
+                         });
             loop.run();
           }
         };
@@ -463,9 +467,9 @@ DohExchangeRun bench_doh_exchange() {
         return out;
       },
       &mem);
-  DohExchangeRun run;
+  ExchangeRun run;
   run.exchanges_per_sec =
-      static_cast<double>(2 * kDohExchanges) / (now_sec() - t0);
+      static_cast<double>(2 * kExchanges) / (now_sec() - t0);
   run.answered = shards[0].answered;
   run.arena_allocs = shards[0].arena_allocs;
   return run;
@@ -668,23 +672,31 @@ int main(int argc, char** argv) {
   report.set("tier/churn", "arena_allocs_per_query",
              static_cast<double>(tier.arena_allocs) / queries);
 
-  // One DoH/h2 exchange on a warm connection. Exchanges per second is
-  // informational; allocations per exchange are a pure function of the
-  // fixed stream (CI gates them).
-  const DohExchangeRun doh = bench_doh_exchange();
-  if (doh.answered != 2 * kDohExchanges) {
-    std::fprintf(stderr, "FATAL: doh/exchange answered %llu of %zu queries\n",
-                 static_cast<unsigned long long>(doh.answered),
-                 2 * kDohExchanges);
-    return 1;
+  // One DoH/h2 and one DoQ exchange on a warm connection. Exchanges per
+  // second is informational; allocations per exchange are a pure function
+  // of the fixed stream (CI gates them).
+  const std::pair<const char*, ExchangeRun> exchanges[] = {
+      {"doh/exchange",
+       bench_exchange<resolver::DohServer, resolver::DohServerConfig,
+                      core::DohClient, core::DohClientConfig>(443)},
+      {"doq/exchange",
+       bench_exchange<resolver::DoqServer, resolver::DoqServerConfig,
+                      core::DoqClient, core::DoqClientConfig>(853)},
+  };
+  for (const auto& [scenario, run] : exchanges) {
+    if (run.answered != 2 * kExchanges) {
+      std::fprintf(stderr, "FATAL: %s answered %llu of %zu queries\n",
+                   scenario, static_cast<unsigned long long>(run.answered),
+                   2 * kExchanges);
+      return 1;
+    }
+    const double allocs_per_exchange = static_cast<double>(run.arena_allocs) /
+                                       static_cast<double>(kExchanges);
+    std::printf("%-27s: %12.0f exchanges/sec (%.2f arena allocs/exchange)\n",
+                scenario, run.exchanges_per_sec, allocs_per_exchange);
+    report.set(scenario, "exchanges_per_sec", run.exchanges_per_sec);
+    report.set(scenario, "arena_allocs_per_exchange", allocs_per_exchange);
   }
-  const double allocs_per_exchange = static_cast<double>(doh.arena_allocs) /
-                                     static_cast<double>(kDohExchanges);
-  std::printf("doh/exchange               : %12.0f exchanges/sec "
-              "(%.2f arena allocs/exchange)\n",
-              doh.exchanges_per_sec, allocs_per_exchange);
-  report.set("doh/exchange", "exchanges_per_sec", doh.exchanges_per_sec);
-  report.set("doh/exchange", "arena_allocs_per_exchange", allocs_per_exchange);
 
   std::printf("\nshard digests identical across jobs values: OK\n");
   report.params["hw_threads"] =

@@ -43,7 +43,7 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
   tls.alpn = {"doq"};
   endpoint_ = std::make_unique<quicsim::QuicClientEndpoint>(
       host_, server_, std::move(tls), config_.quic);
-  partial_.clear();  // stream ids start over on the new connection
+  responses_.clear();  // stream ids start over on the new connection
   endpoint_->connection().set_on_established([this]() {
     config_.obs.end(quic_hs_span_);
     config_.obs.end(connect_span_);
@@ -76,20 +76,12 @@ void DoqClient::send(Attempt&& a) {
 
 void DoqClient::on_stream_data(std::uint64_t stream_id,
                                std::span<const std::uint8_t> data, bool fin) {
-  if (!fin) {  // the response ends with the stream
-    if (recovery_.find(stream_id) == nullptr) return;
-    dns::Bytes& rx = partial_[stream_id];
-    rx.insert(rx.end(), data.begin(), data.end());
-    return;
-  }
-  dns::Bytes rx;
-  if (const auto it = partial_.find(stream_id); it != partial_.end()) {
-    rx = std::move(it->second);
-    partial_.erase(it);
-    rx.insert(rx.end(), data.begin(), data.end());
-    data = rx;
-  }
-  const auto wire = dns::next_frame(data);
+  // The response ends with the stream; keep no pieces of one whose query
+  // is not in flight.
+  if (!fin && recovery_.find(stream_id) == nullptr) return;
+  const auto stream = responses_.add(stream_id, data, fin);
+  if (!stream) return;
+  const auto wire = dns::next_frame(*stream);
   std::optional<dns::Message> response;
   if (wire) response = try_decode(*wire);
   if (response) {

@@ -9,7 +9,6 @@
 // server permits migration, the connection survives without a new handshake.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "core/client.hpp"
@@ -74,9 +73,9 @@ class DoqClient final : public ResolverClient, private Session {
   DoqClientConfig config_;
   Recovery recovery_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
-  /// Responses that arrived in more than one STREAM frame, by stream id, on
-  /// the current endpoint.
-  std::map<std::uint64_t, dns::Bytes> partial_;
+  /// Responses that arrive in more than one STREAM frame, on the current
+  /// endpoint.
+  quicsim::StreamJoiner responses_;
   obs::SpanId connect_span_ = 0;
   obs::SpanId quic_hs_span_ = 0;
 };

@@ -7,6 +7,18 @@ namespace dohperf::quicsim {
 
 using tlssim::HsType;
 
+namespace {
+
+/// RFC 9000 §20.1 transport error codes for a peer that breaks the
+/// handshake: a malformed or misplaced message, or more CRYPTO data than
+/// the connection buffers.
+constexpr std::uint64_t kProtocolViolation = 0x0a;
+constexpr std::uint64_t kCryptoBufferExceeded = 0x0d;
+/// Handshake bytes a connection reassembles, far above a real flight.
+constexpr std::size_t kMaxCryptoBytes = std::size_t{64} << 10;
+
+}  // namespace
+
 QuicConnection::QuicConnection(simnet::EventLoop& loop, DatagramSender sender,
                                std::uint64_t connection_id,
                                tlssim::ClientConfig tls,
@@ -46,53 +58,52 @@ void QuicConnection::start_client_handshake() {
   counters_.handshake_bytes += crypto.data.size();
 
   // RFC 9000 §8.1: the Initial must be padded to at least 1200 bytes.
-  std::vector<Frame> frames{std::move(crypto)};
-  Packet probe;
-  probe.long_header = true;
-  probe.frames = frames;
-  const std::size_t unpadded = probe.udp_wire_size();
+  Packet initial;
+  initial.long_header = true;
+  initial.frames.push_back(crypto);
+  const std::size_t unpadded = initial.udp_wire_size();
+  std::uint16_t padding = 0;
   if (unpadded < kMinInitialPayload) {
-    PaddingFrame padding;
-    padding.length = static_cast<std::uint16_t>(kMinInitialPayload - unpadded);
-    counters_.handshake_bytes += padding.length;
-    frames.push_back(padding);
+    padding = static_cast<std::uint16_t>(kMinInitialPayload - unpadded);
+    counters_.handshake_bytes += padding;
   }
-  send_packet(std::move(frames), /*long_header=*/true);
+  send_packet(std::move(crypto), /*long_header=*/true, padding);
 }
 
-void QuicConnection::send_packet(std::vector<Frame> frames,
-                                 bool long_header) {
+void QuicConnection::send_packet(Frame frame, bool long_header,
+                                 std::uint16_t padding) {
   if (closed_) return;
   Packet packet;
   packet.long_header = long_header;
   packet.connection_id = connection_id_;
   packet.packet_number = next_packet_number_++;
-  packet.frames = std::move(frames);
+  packet.frames.push_back(frame);  // shares the frame's bytes
+  if (padding > 0) packet.frames.push_back(PaddingFrame{padding});
 
   ++counters_.packets_sent;
   counters_.wire_bytes_sent += packet.udp_wire_size();
-  for (const auto& f : packet.frames) {
-    if (const auto* sf = std::get_if<StreamFrame>(&f)) {
-      counters_.stream_bytes_sent += sf->data.size();
-    }
+  if (const auto* sf = std::get_if<StreamFrame>(&frame)) {
+    counters_.stream_bytes_sent += sf->data.size();
   }
-  if (packet.ack_eliciting()) {
-    unacked_.emplace(packet.packet_number,
-                     SentPacket{packet, loop_.now()});
+  Bytes datagram = packet.encode();
+  if (is_ack_eliciting(frame)) {
+    // Built in place: a moved SentPacket temporary trips GCC 12's
+    // -Wmaybe-uninitialized on the Frame variant.
+    unacked_.emplace_back(packet.packet_number, loop_.now(), long_header,
+                          std::move(frame));
     arm_pto();
   }
-  // Strip the IP+UDP accounting part for the actual datagram payload.
-  sender_(packet.encode());
+  sender_(std::move(datagram));
 }
 
 void QuicConnection::handle_datagram(std::span<const std::uint8_t> payload) {
   if (closed_) return;
-  Packet packet;
-  try {
-    packet = Packet::decode(payload);
-  } catch (const dns::WireError&) {
-    return;  // garbage datagram: dropped, like real QUIC
-  }
+  // A garbage datagram is dropped, like real QUIC drops it.
+  if (const auto packet = Packet::try_decode(payload)) handle_packet(*packet);
+}
+
+void QuicConnection::handle_packet(const Packet& packet) {
+  if (closed_) return;
   ++counters_.packets_received;
   counters_.wire_bytes_received += packet.udp_wire_size();
 
@@ -103,8 +114,36 @@ void QuicConnection::handle_datagram(std::span<const std::uint8_t> payload) {
     if (closed_) return;
   }
   if (needs_ack) {
-    ack_pending_.push_back(packet.packet_number);
+    add_acked(ack_pending_, packet.packet_number);
     schedule_ack();
+  }
+}
+
+void QuicConnection::handle_ack(const AckFrame& frame) {
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const std::uint64_t pn = frame[i];
+    const auto it = std::lower_bound(
+        unacked_.begin(), unacked_.end(), pn,
+        [](const SentPacket& s, std::uint64_t n) {
+          return s.packet_number < n;
+        });
+    if (it == unacked_.end() || it->packet_number != pn) continue;
+    // RTT sample (RFC 9002 §5): retransmitted frames travel in new packet
+    // numbers, so every sample is unambiguous.
+    const auto rtt = static_cast<double>(loop_.now() - it->sent_at);
+    if (srtt_us_ == 0.0) {
+      srtt_us_ = rtt;
+      rttvar_us_ = rtt / 2.0;
+    } else {
+      rttvar_us_ = 0.75 * rttvar_us_ + 0.25 * std::abs(srtt_us_ - rtt);
+      srtt_us_ = 0.875 * srtt_us_ + 0.125 * rtt;
+    }
+    unacked_.erase(it);
+  }
+  if (unacked_.empty()) {
+    loop_.cancel(pto_timer_);
+    pto_timer_ = simnet::EventId{};
+    pto_backoff_ = 0;
   }
 }
 
@@ -113,28 +152,7 @@ void QuicConnection::handle_frame(const Frame& frame) {
       [this](const auto& f) {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, AckFrame>) {
-          for (const auto pn : f.acked) {
-            const auto it = unacked_.find(pn);
-            if (it == unacked_.end()) continue;
-            // RTT sample (RFC 9002 §5): retransmitted frames travel in new
-            // packet numbers, so every sample is unambiguous.
-            const auto rtt =
-                static_cast<double>(loop_.now() - it->second.sent_at);
-            if (srtt_us_ == 0.0) {
-              srtt_us_ = rtt;
-              rttvar_us_ = rtt / 2.0;
-            } else {
-              rttvar_us_ =
-                  0.75 * rttvar_us_ + 0.25 * std::abs(srtt_us_ - rtt);
-              srtt_us_ = 0.875 * srtt_us_ + 0.125 * rtt;
-            }
-            unacked_.erase(it);
-          }
-          if (unacked_.empty()) {
-            loop_.cancel(pto_timer_);
-            pto_timer_ = simnet::EventId{};
-            pto_backoff_ = 0;
-          }
+          handle_ack(f);
         } else if constexpr (std::is_same_v<T, CryptoFrame>) {
           handle_crypto(f);
         } else if constexpr (std::is_same_v<T, StreamFrame>) {
@@ -147,7 +165,7 @@ void QuicConnection::handle_frame(const Frame& frame) {
           // Client: server confirmed the handshake; nothing further needed.
         } else if constexpr (std::is_same_v<T, PathChallengeFrame>) {
           // Echo on the (possibly new) path; never blocked on anything.
-          send_packet({PathResponseFrame{f.data}}, /*long_header=*/false);
+          send_packet(PathResponseFrame{f.data}, /*long_header=*/false);
         } else if constexpr (std::is_same_v<T, PathResponseFrame>) {
           if (outstanding_path_token_ != 0 &&
               f.data == outstanding_path_token_) {
@@ -165,6 +183,10 @@ void QuicConnection::handle_crypto(const CryptoFrame& frame) {
   counters_.handshake_bytes += frame.data.size();
   // Reassemble at the right offset (frames can arrive out of order).
   const std::size_t end = frame.offset + frame.data.size();
+  if (end > kMaxCryptoBytes) {
+    close(kCryptoBufferExceeded);
+    return;
+  }
   if (crypto_rx_.size() < end) crypto_rx_.resize(end);
   std::copy(frame.data.begin(), frame.data.end(),
             crypto_rx_.begin() + static_cast<std::ptrdiff_t>(frame.offset));
@@ -180,9 +202,15 @@ void QuicConnection::process_crypto_buffer() {
         (static_cast<std::size_t>(peek.u8()) << 16) | peek.u16();
     const std::size_t total = 4 + body_len;
     if (crypto_rx_.size() - crypto_rx_consumed_ < total) return;
-    dns::ByteReader r(crypto_rx_);
-    r.seek(crypto_rx_consumed_);
-    const auto msg = tlssim::decode_handshake(r);
+    dns::ByteReader r(std::span<const std::uint8_t>(crypto_rx_).subspan(
+        crypto_rx_consumed_, total));
+    tlssim::HandshakeMessage msg;
+    try {
+      msg = tlssim::decode_handshake(r);
+    } catch (const dns::WireError&) {
+      close(kProtocolViolation);
+      return;
+    }
     crypto_rx_consumed_ += total;
     handle_handshake_message(msg);
     if (closed_) return;
@@ -193,7 +221,10 @@ void QuicConnection::handle_handshake_message(
     const tlssim::HandshakeMessage& msg) {
   switch (msg.type) {
     case HsType::kClientHello: {
-      assert(role_ == Role::kServer);
+      if (role_ != Role::kServer) {
+        close(kProtocolViolation);
+        return;
+      }
       alpn_ = msg.client_hello->alpn.empty() ? "doq"
                                              : msg.client_hello->alpn.front();
       // Server flight: SH + EE + Certificate + CV + Finished, split across
@@ -218,7 +249,7 @@ void QuicConnection::handle_handshake_message(
                            tlssim::kCertificateVerifyBody);
       tlssim::encode_plain(flight, HsType::kFinished, tlssim::kFinishedBody);
 
-      const Bytes bytes = flight.take();
+      const simnet::BufferSlice bytes(flight.take());
       counters_.handshake_bytes += bytes.size();
       std::size_t offset = 0;
       while (offset < bytes.size()) {
@@ -226,17 +257,18 @@ void QuicConnection::handle_handshake_message(
             std::min(kMaxPacketPayload, bytes.size() - offset);
         CryptoFrame crypto;
         crypto.offset = crypto_tx_offset_ + offset;
-        crypto.data.assign(
-            bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-            bytes.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-        send_packet({std::move(crypto)}, /*long_header=*/true);
+        crypto.data = bytes.subslice(offset, chunk);
+        send_packet(std::move(crypto), /*long_header=*/true);
         offset += chunk;
       }
       crypto_tx_offset_ += bytes.size();
       return;
     }
     case HsType::kServerHello:
-      assert(role_ == Role::kClient);
+      if (role_ != Role::kClient) {
+        close(kProtocolViolation);
+        return;
+      }
       alpn_ = msg.server_hello->alpn;
       return;
     case HsType::kEncryptedExtensions:
@@ -254,13 +286,13 @@ void QuicConnection::handle_handshake_message(
         crypto.data = fin.take();
         crypto_tx_offset_ += crypto.data.size();
         counters_.handshake_bytes += crypto.data.size();
-        send_packet({std::move(crypto)}, /*long_header=*/true);
+        send_packet(std::move(crypto), /*long_header=*/true);
         become_established();
       } else {
         become_established();
         if (!handshake_done_sent_) {
           handshake_done_sent_ = true;
-          send_packet({HandshakeDoneFrame{}}, /*long_header=*/false);
+          send_packet(HandshakeDoneFrame{}, /*long_header=*/false);
         }
       }
       return;
@@ -283,14 +315,15 @@ std::uint64_t QuicConnection::open_stream() {
   return id;
 }
 
-void QuicConnection::send_stream(std::uint64_t stream_id, Bytes data,
-                                 bool fin) {
+void QuicConnection::send_stream(std::uint64_t stream_id,
+                                 simnet::BufferSlice data, bool fin) {
   if (closed_) throw std::logic_error("send on closed QUIC connection");
   if (!established_) {
     pending_writes_.push_back({stream_id, std::move(data), fin});
     return;
   }
-  auto& offset = tx_offsets_[stream_id];
+  const auto open = tx_offsets_.find(stream_id);
+  std::uint64_t offset = open != tx_offsets_.end() ? open->second : 0;
   std::size_t sent = 0;
   do {
     const std::size_t chunk =
@@ -298,13 +331,20 @@ void QuicConnection::send_stream(std::uint64_t stream_id, Bytes data,
     StreamFrame frame;
     frame.stream_id = stream_id;
     frame.offset = offset;
-    frame.data.assign(data.begin() + static_cast<std::ptrdiff_t>(sent),
-                      data.begin() + static_cast<std::ptrdiff_t>(sent + chunk));
+    frame.data = data.subslice(sent, chunk);
     sent += chunk;
     offset += chunk;
     frame.fin = fin && sent >= data.size();
-    send_packet({std::move(frame)}, /*long_header=*/false);
+    send_packet(std::move(frame), /*long_header=*/false);
   } while (sent < data.size());
+  // Only a stream with more to send keeps its offset.
+  if (fin) {
+    if (open != tx_offsets_.end()) tx_offsets_.erase(open);
+  } else if (open != tx_offsets_.end()) {
+    open->second = offset;
+  } else {
+    tx_offsets_.emplace(stream_id, offset);
+  }
 }
 
 void QuicConnection::flush_pending_streams() {
@@ -317,36 +357,86 @@ void QuicConnection::flush_pending_streams() {
 
 void QuicConnection::handle_stream(const StreamFrame& frame) {
   counters_.stream_bytes_received += frame.data.size();
-  RxStream& stream = rx_streams_[frame.stream_id];
-  if (!frame.data.empty()) {
-    stream.segments.emplace(frame.offset, frame.data);
-  }
-  if (frame.fin) {
-    stream.fin_offset = frame.offset + frame.data.size();
-  }
-  deliver_stream(frame.stream_id);
-}
-
-void QuicConnection::deliver_stream(std::uint64_t stream_id) {
-  RxStream& stream = rx_streams_[stream_id];
-  for (;;) {
-    const auto it = stream.segments.find(stream.delivered);
-    const bool fin_now = stream.fin_offset == stream.delivered &&
-                         !stream.fin_delivered &&
-                         it == stream.segments.end();
-    if (fin_now) {
-      stream.fin_delivered = true;
-      if (on_stream_data_) on_stream_data_(stream_id, {}, true);
+  const std::uint64_t id = frame.stream_id;
+  // A frame with neither data nor FIN changes nothing, and a finished
+  // stream's late duplicate is dropped.
+  if ((frame.data.empty() && !frame.fin) || rx_finished(id)) return;
+  auto it = rx_streams_.find(id);
+  if (it == rx_streams_.end()) {
+    if (frame.offset == 0 && frame.fin) {
+      // The whole stream in one frame: up straight from the datagram.
+      finish_rx(id);
+      if (on_stream_data_) on_stream_data_(id, frame.data, true);
       return;
     }
-    if (it == stream.segments.end()) return;
-    Bytes data = std::move(it->second);
-    stream.segments.erase(it);
+    it = rx_streams_.emplace(id, RxStream{}).first;
+  }
+  RxStream& stream = it->second;
+  if (frame.fin) stream.fin_offset = frame.offset + frame.data.size();
+  std::span<const std::uint8_t> in_order;
+  if (frame.offset == stream.delivered) {
+    in_order = frame.data;
+  } else if (frame.offset > stream.delivered && !frame.data.empty()) {
+    stream.early.emplace(frame.offset, frame.data.to_bytes());
+  }
+  deliver_stream(it, in_order);
+}
+
+void QuicConnection::deliver_stream(
+    std::map<std::uint64_t, RxStream>::iterator it,
+    std::span<const std::uint8_t> data) {
+  const std::uint64_t id = it->first;
+  RxStream& stream = it->second;
+  Bytes early;
+  for (;;) {
+    if (data.empty()) {
+      const auto next = stream.early.find(stream.delivered);
+      if (next == stream.early.end()) {
+        if (stream.fin_offset != stream.delivered) return;
+        rx_streams_.erase(it);
+        finish_rx(id);
+        if (on_stream_data_) on_stream_data_(id, {}, true);
+        return;
+      }
+      early = std::move(next->second);
+      stream.early.erase(next);
+      data = early;
+    }
     stream.delivered += data.size();
     const bool fin = stream.fin_offset == stream.delivered;
-    if (fin) stream.fin_delivered = true;
-    if (on_stream_data_) on_stream_data_(stream_id, data, fin);
+    if (fin) {
+      rx_streams_.erase(it);
+      finish_rx(id);
+    }
+    if (on_stream_data_) on_stream_data_(id, data, fin);
     if (fin) return;
+    data = {};
+  }
+}
+
+bool QuicConnection::rx_finished(std::uint64_t stream_id) const noexcept {
+  return stream_id < rx_finished_below_[stream_id & 3] ||
+         std::binary_search(rx_finished_.begin(), rx_finished_.end(),
+                            stream_id);
+}
+
+void QuicConnection::finish_rx(std::uint64_t stream_id) {
+  std::uint64_t& below = rx_finished_below_[stream_id & 3];
+  if (stream_id != below) {
+    rx_finished_.insert(std::upper_bound(rx_finished_.begin(),
+                                         rx_finished_.end(), stream_id),
+                        stream_id);
+    return;
+  }
+  // Move past this stream and those of its type that finished before it.
+  below += 4;
+  for (auto at = std::lower_bound(rx_finished_.begin(), rx_finished_.end(),
+                                  below);
+       at != rx_finished_.end() && *at == below;
+       at = std::lower_bound(rx_finished_.begin(), rx_finished_.end(),
+                             below)) {
+    rx_finished_.erase(at);
+    below += 4;
   }
 }
 
@@ -361,10 +451,8 @@ void QuicConnection::schedule_ack() {
 void QuicConnection::flush_acks() {
   ack_scheduled_ = false;
   if (ack_pending_.empty() || closed_) return;
-  AckFrame ack;
-  ack.acked = std::move(ack_pending_);
+  send_packet(AckFrame{ack_pending_}, /*long_header=*/!established_);
   ack_pending_.clear();
-  send_packet({std::move(ack)}, /*long_header=*/!established_);
 }
 
 simnet::TimeUs QuicConnection::current_pto() const noexcept {
@@ -396,32 +484,41 @@ void QuicConnection::on_pto() {
     return;
   }
   ++pto_backoff_;
-  // Retransmit the ack-eliciting frames of every unacked packet in fresh
-  // packets (QUIC never retransmits packets, only frames).
-  auto lost = std::move(unacked_);
-  unacked_.clear();
-  for (auto& [pn, sent] : lost) {
-    std::vector<Frame> frames;
-    for (auto& f : sent.packet.frames) {
-      if (is_ack_eliciting(f)) frames.push_back(std::move(f));
-    }
-    if (!frames.empty()) {
-      ++counters_.retransmits;
-      send_packet(std::move(frames), sent.packet.long_header);
-    }
+  // Retransmit the ack-eliciting frame of every unacked packet, oldest
+  // first, in fresh packets (QUIC never retransmits packets, only frames).
+  std::vector<SentPacket> lost;
+  lost.swap(unacked_);
+  for (SentPacket& sent : lost) {
+    ++counters_.retransmits;
+    send_packet(std::move(sent.frame), sent.long_header);
   }
 }
 
 void QuicConnection::probe_path() {
   if (closed_) return;
   outstanding_path_token_ = ++next_path_token_;
-  send_packet({PathChallengeFrame{outstanding_path_token_}},
+  send_packet(PathChallengeFrame{outstanding_path_token_},
               /*long_header=*/false);
+}
+
+std::optional<std::span<const std::uint8_t>> StreamJoiner::add(
+    std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin) {
+  const auto it = partial_.find(stream_id);
+  if (!fin) {
+    Bytes& pieces = it != partial_.end() ? it->second : partial_[stream_id];
+    pieces.insert(pieces.end(), data.begin(), data.end());
+    return std::nullopt;
+  }
+  if (it == partial_.end()) return data;
+  joined_ = std::move(it->second);
+  partial_.erase(it);
+  joined_.insert(joined_.end(), data.begin(), data.end());
+  return std::span<const std::uint8_t>(joined_);
 }
 
 void QuicConnection::close(std::uint64_t error_code) {
   if (closed_) return;
-  send_packet({ConnectionCloseFrame{error_code}}, /*long_header=*/false);
+  send_packet(ConnectionCloseFrame{error_code}, /*long_header=*/false);
   closed_ = true;
   loop_.cancel(pto_timer_);
   pto_timer_ = simnet::EventId{};

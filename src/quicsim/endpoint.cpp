@@ -44,12 +44,10 @@ QuicServer::QuicServer(simnet::Host& host, std::uint16_t port,
 QuicServer::~QuicServer() { host_.udp_close(*socket_); }
 
 void QuicServer::on_datagram(const Bytes& payload, simnet::Address from) {
-  Packet packet;
-  try {
-    packet = Packet::decode(payload);
-  } catch (const dns::WireError&) {
-    return;
-  }
+  // Decoded once: the connection takes the packet, not the datagram.
+  const auto decoded = Packet::try_decode(payload);
+  if (!decoded) return;
+  const Packet& packet = *decoded;
   auto it = connections_.find(packet.connection_id);
   if (it == connections_.end()) {
     // New connection: only a long-header (Initial) packet may open one.
@@ -79,7 +77,7 @@ void QuicServer::on_datagram(const Bytes& payload, simnet::Address from) {
       it->second->probe_path();
     }
   }
-  it->second->handle_datagram(payload);
+  it->second->handle_packet(packet);
 
   // Opportunistic cleanup of closed connections (not the one just touched).
   std::erase_if(connections_, [&](const auto& entry) {

@@ -8,6 +8,15 @@ using dns::ByteReader;
 using dns::ByteWriter;
 using dns::WireError;
 
+namespace {
+
+/// Header bytes before the frames' u16 length.
+std::size_t header_bytes(bool long_header) noexcept {
+  return long_header ? kLongHeaderBytes : kShortHeaderBytes;
+}
+
+}  // namespace
+
 bool is_ack_eliciting(const Frame& frame) noexcept {
   return !std::holds_alternative<AckFrame>(frame) &&
          !std::holds_alternative<PaddingFrame>(frame);
@@ -20,6 +29,31 @@ bool Packet::ack_eliciting() const noexcept {
   return false;
 }
 
+std::size_t frame_size(const Frame& frame) noexcept {
+  return std::visit(
+      [](const auto& f) -> std::size_t {
+        using T = std::decay_t<decltype(f)>;
+        // Type byte, then the fields encode_frame writes.
+        if constexpr (std::is_same_v<T, PaddingFrame>) {
+          return 1 + 2 + std::size_t{f.length};
+        } else if constexpr (std::is_same_v<T, AckFrame>) {
+          return 1 + 2 + f.size() * kAckedNumberBytes;
+        } else if constexpr (std::is_same_v<T, CryptoFrame>) {
+          return 1 + 4 + 2 + f.data.size();
+        } else if constexpr (std::is_same_v<T, StreamFrame>) {
+          return 1 + 4 + 4 + 1 + 2 + f.data.size();
+        } else if constexpr (std::is_same_v<T, ConnectionCloseFrame>) {
+          return 1 + 4;
+        } else if constexpr (std::is_same_v<T, PathChallengeFrame> ||
+                             std::is_same_v<T, PathResponseFrame>) {
+          return 1 + 8;
+        } else {  // PING, HANDSHAKE_DONE
+          return 1;
+        }
+      },
+      frame);
+}
+
 void encode_frame(ByteWriter& w, const Frame& frame) {
   std::visit(
       [&w](const auto& f) {
@@ -27,13 +61,13 @@ void encode_frame(ByteWriter& w, const Frame& frame) {
         if constexpr (std::is_same_v<T, PaddingFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kPadding));
           w.u16(f.length);
-          for (std::uint16_t i = 0; i < f.length; ++i) w.u8(0);
+          w.zeros(f.length);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kPing));
         } else if constexpr (std::is_same_v<T, AckFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kAck));
-          w.u16(static_cast<std::uint16_t>(f.acked.size()));
-          for (const auto pn : f.acked) w.u32(static_cast<std::uint32_t>(pn));
+          w.u16(static_cast<std::uint16_t>(f.size()));
+          w.bytes(f.acked.first(f.size() * kAckedNumberBytes));
         } else if constexpr (std::is_same_v<T, CryptoFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kCrypto));
           w.u32(static_cast<std::uint32_t>(f.offset));
@@ -76,17 +110,14 @@ Frame decode_frame(ByteReader& r) {
     case FrameType::kPing:
       return PingFrame{};
     case FrameType::kAck: {
-      AckFrame f;
       const std::uint16_t n = r.u16();
-      f.acked.reserve(n);
-      for (std::uint16_t i = 0; i < n; ++i) f.acked.push_back(r.u32());
-      return f;
+      return AckFrame{r.view(std::size_t{n} * kAckedNumberBytes)};
     }
     case FrameType::kCrypto: {
       CryptoFrame f;
       f.offset = r.u32();
       const std::uint16_t len = r.u16();
-      f.data = r.bytes(len);
+      f.data = simnet::BufferSlice::unowned(r.view(len));
       return f;
     }
     case FrameType::kStream: {
@@ -95,7 +126,7 @@ Frame decode_frame(ByteReader& r) {
       f.offset = r.u32();
       f.fin = r.u8() != 0;
       const std::uint16_t len = r.u16();
-      f.data = r.bytes(len);
+      f.data = simnet::BufferSlice::unowned(r.view(len));
       return f;
     }
     case FrameType::kConnectionClose: {
@@ -123,68 +154,79 @@ Frame decode_frame(ByteReader& r) {
   throw WireError("unknown QUIC frame type");
 }
 
-std::size_t Packet::frames_size() const {
-  ByteWriter w;
-  for (const auto& f : frames) encode_frame(w, f);
-  return w.size();
+std::size_t Packet::frames_size() const noexcept {
+  std::size_t size = 0;
+  for (const auto& f : frames) size += frame_size(f);
+  return size;
+}
+
+std::size_t Packet::payload_size() const noexcept {
+  return header_bytes(long_header) + 2 + frames_size() + kAeadTagBytes;
 }
 
 Bytes Packet::encode() const {
-  ByteWriter w;
+  const std::size_t frames_len = frames_size();
+  const std::size_t header = header_bytes(long_header);
+  ByteWriter w(header + 2 + frames_len + kAeadTagBytes);
   // Header: flags byte encodes form; fixed-size connection id + packet
-  // number fields (we count realistic sizes via explicit padding below).
+  // number fields, then zeros up to the modelled size (long headers carry
+  // a version and source-cid fields we do not need structurally).
   w.u8(long_header ? 0xc0 : 0x40);
   w.u32(static_cast<std::uint32_t>(connection_id >> 32));
   w.u32(static_cast<std::uint32_t>(connection_id & 0xffffffff));
   w.u32(static_cast<std::uint32_t>(packet_number));
-  // Bring the header bytes up to the modelled sizes (long headers carry a
-  // version and source-cid fields we do not need structurally).
-  const std::size_t header_target =
-      long_header ? kLongHeaderBytes : kShortHeaderBytes;
-  if (w.size() > header_target) {
-    throw WireError("QUIC header fields exceed modelled header size");
-  }
-  while (w.size() < header_target) w.u8(0);
-
-  w.u16(0);  // frame-bytes length, backpatched
-  const std::size_t frames_start = w.size();
+  static_assert(1 + 4 + 4 + 4 <= kShortHeaderBytes,
+                "QUIC header fields exceed modelled header size");
+  w.zeros(header - w.size());
+  w.u16(static_cast<std::uint16_t>(frames_len));
   for (const auto& f : frames) encode_frame(w, f);
-  const std::size_t frames_len = w.size() - frames_start;
-  w.patch_u16(header_target, static_cast<std::uint16_t>(frames_len));
-
-  // Synthetic AEAD tag.
-  for (std::size_t i = 0; i < kAeadTagBytes; ++i) w.u8(0);
+  w.zeros(kAeadTagBytes);  // synthetic AEAD tag
   return w.take();
 }
 
 Packet Packet::decode(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
   Packet p;
-  const std::uint8_t flags = r.u8();
-  p.long_header = (flags & 0x80) != 0;
-  const std::uint64_t hi = r.u32();
-  const std::uint64_t lo = r.u32();
-  p.connection_id = (hi << 32) | lo;
-  p.packet_number = r.u32();
-  const std::size_t header_target =
-      p.long_header ? kLongHeaderBytes : kShortHeaderBytes;
-  r.seek(header_target);
-  const std::uint16_t frames_len = r.u16();
-  const std::size_t frames_end = r.offset() + frames_len;
-  if (frames_end + kAeadTagBytes > payload.size()) {
-    throw WireError("QUIC packet truncated");
-  }
-  while (r.offset() < frames_end) {
-    p.frames.push_back(decode_frame(r));
+  p.decode_from(payload);
+  return p;
+}
+
+std::optional<Packet> Packet::try_decode(
+    std::span<const std::uint8_t> payload) {
+  std::optional<Packet> p(std::in_place);
+  try {
+    p->decode_from(payload);
+  } catch (const WireError&) {
+    p.reset();
   }
   return p;
 }
 
-std::size_t Packet::udp_wire_size() const {
-  const std::size_t header =
-      long_header ? kLongHeaderBytes : kShortHeaderBytes;
-  return simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes + header + 2 +
-         frames_size() + kAeadTagBytes;
+void Packet::decode_from(std::span<const std::uint8_t> payload) {
+  ByteReader header(payload);
+  const std::uint8_t flags = header.u8();
+  long_header = (flags & 0x80) != 0;
+  const std::uint64_t hi = header.u32();
+  const std::uint64_t lo = header.u32();
+  connection_id = (hi << 32) | lo;
+  packet_number = header.u32();
+  header.seek(header_bytes(long_header));
+  const std::uint16_t frames_len = header.u16();
+  const std::size_t frames_start = header.offset();
+  if (frames_start + frames_len + kAeadTagBytes > payload.size()) {
+    throw WireError("QUIC packet truncated");
+  }
+  // Every frame lies inside the frames' length.
+  ByteReader r(payload.subspan(frames_start, frames_len));
+  while (!r.exhausted()) {
+    if (frames.size() == FrameList::kMaxFrames) {
+      throw WireError("QUIC packet carries too many frames");
+    }
+    frames.push_back(decode_frame(r));
+  }
+}
+
+std::size_t Packet::udp_wire_size() const noexcept {
+  return simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes + payload_size();
 }
 
 }  // namespace dohperf::quicsim

@@ -15,11 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "dns/wire.hpp"
+#include "simnet/buffer.hpp"
 
 namespace dohperf::quicsim {
 
@@ -56,23 +57,44 @@ struct PaddingFrame {
 
 struct PingFrame {};
 
+/// Bytes of one packet number in an ACK frame.
+constexpr std::size_t kAckedNumberBytes = 4;
+
 /// Simplified ACK: the explicit set of packet numbers being acknowledged
 /// (real QUIC uses ranges; the size difference is negligible at our scale).
+/// It views the numbers in their wire form, a big-endian u32 each: in the
+/// sender's pending list while it is encoded, in the datagram once decoded.
 struct AckFrame {
-  std::vector<std::uint64_t> acked;
+  std::span<const std::uint8_t> acked;
+
+  std::size_t size() const noexcept { return acked.size() / kAckedNumberBytes; }
+  std::uint64_t operator[](std::size_t i) const noexcept {
+    const std::uint8_t* p = acked.data() + i * kAckedNumberBytes;
+    return (std::uint64_t{p[0]} << 24) | (std::uint64_t{p[1]} << 16) |
+           (std::uint64_t{p[2]} << 8) | p[3];
+  }
 };
 
-/// Carries handshake bytes (the tlssim handshake messages).
+/// Append `packet_number` to an ACK frame's numbers, in their wire form.
+inline void add_acked(Bytes& acked, std::uint64_t packet_number) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    acked.push_back(static_cast<std::uint8_t>(packet_number >> shift));
+  }
+}
+
+/// Carries handshake bytes (the tlssim handshake messages). A sent frame
+/// shares its bytes with the sender; a decoded one views the datagram.
 struct CryptoFrame {
   std::uint64_t offset = 0;
-  Bytes data;
+  simnet::BufferSlice data;
 };
 
+/// Stream data, held like a CryptoFrame's.
 struct StreamFrame {
   std::uint64_t stream_id = 0;
   std::uint64_t offset = 0;
   bool fin = false;
-  Bytes data;
+  simnet::BufferSlice data;
 };
 
 struct ConnectionCloseFrame {

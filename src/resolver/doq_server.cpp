@@ -19,15 +19,13 @@ void DoqServer::on_accept(quicsim::QuicConnection& conn) {
   conn.set_on_stream_data([this, conn_ptr, state](
                               std::uint64_t stream_id,
                               std::span<const std::uint8_t> data, bool fin) {
-    auto& stream = state->streams[stream_id];
-    stream.rx.insert(stream.rx.end(), data.begin(), data.end());
-    if (!fin) return;
-    // Complete query: 2-byte length prefix + DNS message.
-    const auto wire = dns::next_frame(stream.rx);
+    // The query ends with the stream: 2-byte length prefix + DNS message.
+    const auto stream = state->queries.add(stream_id, data, fin);
+    if (!stream) return;
+    const auto wire = dns::next_frame(*stream);
     if (!wire) return;
     // on_query may close the connection; `state` (held here) outlives it.
     on_query(*conn_ptr, stream_id, *wire);
-    state->streams.erase(stream_id);
   });
   conn.set_on_closed([this, conn_ptr]() { states_.erase(conn_ptr); });
 }

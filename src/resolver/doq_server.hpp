@@ -31,12 +31,10 @@ class DoqServer {
   std::size_t connection_count() const { return server_->connection_count(); }
 
  private:
-  struct StreamState {
-    dns::Bytes rx;
-  };
-  /// Per-connection stream buffers, dropped when the connection closes.
+  /// Per-connection state, dropped when the connection closes: the queries
+  /// that arrive in more than one STREAM frame, until their FIN.
   struct ConnState : std::enable_shared_from_this<ConnState> {
-    std::map<std::uint64_t, StreamState> streams;
+    quicsim::StreamJoiner queries;
   };
 
   void on_accept(quicsim::QuicConnection& conn);

@@ -547,8 +547,9 @@ void TlsConnection::handle_handshake_message(const HandshakeView& msg) {
           sent_finished_ = true;
         }
         finish_handshake();
-        // Issue a session ticket for future resumption.
-        if (server_config_->issue_session_tickets) {
+        // Issue a session ticket for future resumption, unless on_open
+        // closed the connection: nothing follows a close_notify.
+        if (server_config_->issue_session_tickets && is_open()) {
           const IssuedTicket issued(*server_config_);
           const NewSessionTicketView ticket{issued.bytes()};
           send_handshake(encoded_size(ticket), [&](HandshakeCursor& w) {

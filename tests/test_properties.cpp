@@ -8,12 +8,18 @@
 #include <span>
 #include <vector>
 
+#include "core/doq_client.hpp"
 #include "dns/base64url.hpp"
 #include "dns/json.hpp"
 #include "dns/message.hpp"
 #include "http1/message.hpp"
 #include "http2/frame.hpp"
 #include "http2/hpack.hpp"
+#include "quicsim/endpoint.hpp"
+#include "quicsim/packet.hpp"
+#include "resolver/doq_server.hpp"
+#include "resolver/engine.hpp"
+#include "simnet/network.hpp"
 #include "stats/rng.hpp"
 
 namespace dohperf {
@@ -304,6 +310,252 @@ TEST_P(H2FrameFuzz, RandomBytesEitherFrameOrThrowWireError) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, H2FrameFuzz,
                          ::testing::Values(1ULL, 42ULL, 2019ULL, 7540ULL));
+
+// --- QUIC packets: sizing, round trips and hostile input ---------------------
+//
+// frames_size() adds up each frame's fixed layout instead of encoding, so
+// two properties tie it to the encoder. Every hostile input either decodes
+// or throws WireError, and a QuicServer given the same bytes over simnet
+// drops them (or closes the connection they reach) without an exception.
+
+/// `n` seeded bytes.
+Bytes seeded_bytes(stats::SplitMix64& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+/// One seeded frame of each of the nine types, in FrameType order. The
+/// ACK's numbers are written into `acked`, which the frame views.
+std::vector<quicsim::Frame> frames_of_every_type(stats::SplitMix64& rng,
+                                                 Bytes& acked) {
+  const auto u32 = [&rng]() { return rng.next() & 0xffffffff; };
+  acked.clear();
+  for (std::uint64_t n = rng.next_below(6); n > 0; --n) {
+    quicsim::add_acked(acked, u32());
+  }
+  return {
+      quicsim::PaddingFrame{static_cast<std::uint16_t>(rng.next_below(40))},
+      quicsim::PingFrame{},
+      quicsim::AckFrame{acked},
+      quicsim::CryptoFrame{u32(), seeded_bytes(rng, rng.next_below(90))},
+      quicsim::StreamFrame{u32(), u32(), rng.next_below(2) == 0,
+                           seeded_bytes(rng, rng.next_below(90))},
+      quicsim::PathChallengeFrame{rng.next()},
+      quicsim::PathResponseFrame{rng.next()},
+      quicsim::ConnectionCloseFrame{u32()},
+      quicsim::HandshakeDoneFrame{},
+  };
+}
+
+/// A seeded header around `frames`.
+quicsim::Packet packet_of(stats::SplitMix64& rng,
+                          const std::vector<quicsim::Frame>& frames) {
+  quicsim::Packet p;
+  p.long_header = rng.next_below(2) == 0;
+  p.connection_id = rng.next();
+  p.packet_number = rng.next() & 0xffffffff;
+  for (const auto& f : frames) p.frames.push_back(f);
+  return p;
+}
+
+/// Valid packets to mutate: one per frame type and one carrying all nine,
+/// under seeded headers, or under short headers with `connection_id`.
+std::vector<Bytes> valid_packets(
+    stats::SplitMix64& rng,
+    std::optional<std::uint64_t> connection_id = std::nullopt) {
+  Bytes acked;
+  auto frames = frames_of_every_type(rng, acked);
+  std::vector<std::vector<quicsim::Frame>> lists;
+  for (const auto& f : frames) lists.push_back({f});
+  lists.push_back(std::move(frames));
+  std::vector<Bytes> out;
+  for (const auto& list : lists) {
+    quicsim::Packet p = packet_of(rng, list);
+    if (connection_id) {
+      p.long_header = false;
+      p.connection_id = *connection_id;
+    }
+    out.push_back(p.encode());
+  }
+  return out;
+}
+
+/// Decode `wire`: true if it decoded, false if it threw WireError. What
+/// decodes must encode again.
+bool quic_decodes(std::span<const std::uint8_t> wire) {
+  try {
+    (void)quicsim::Packet::decode(wire).encode();
+    return true;
+  } catch (const dns::WireError&) {
+    return false;
+  }
+}
+
+class QuicPacketFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(QuicPacketFuzz, FramesSizeEqualsTheEncodedFrameBytes) {
+  stats::SplitMix64 rng(GetParam());
+  for (int round = 0; round < 100; ++round) {
+    Bytes acked;
+    const auto frames = frames_of_every_type(rng, acked);
+    std::size_t total = 0;
+    for (const auto& f : frames) {
+      dns::ByteWriter w;
+      quicsim::encode_frame(w, f);
+      EXPECT_EQ(quicsim::frame_size(f), w.size()) << "type " << f.index();
+      total += w.size();
+    }
+    const quicsim::Packet p = packet_of(rng, frames);
+    EXPECT_EQ(p.frames_size(), total);
+    const Bytes wire = p.encode();
+    EXPECT_EQ(p.payload_size(), wire.size());
+    EXPECT_EQ(p.udp_wire_size(), wire.size() + simnet::kIpHeaderBytes +
+                                     simnet::kUdpHeaderBytes);
+  }
+}
+
+TEST_P(QuicPacketFuzz, DecodeOfEncodeEncodesToTheSameBytes) {
+  stats::SplitMix64 rng(GetParam() ^ 0x51);
+  for (int round = 0; round < 100; ++round) {
+    Bytes acked;
+    const auto frames = frames_of_every_type(rng, acked);
+    // Every frame alone, then a seeded subset of them in seeded order.
+    std::vector<std::vector<quicsim::Frame>> packets;
+    for (const auto& f : frames) packets.push_back({f});
+    std::vector<quicsim::Frame> mixed;
+    for (std::uint64_t n = rng.next_below(10); n > 0; --n) {
+      mixed.push_back(frames[rng.next_below(frames.size())]);
+    }
+    packets.push_back(std::move(mixed));
+    for (const auto& list : packets) {
+      const quicsim::Packet p = packet_of(rng, list);
+      const Bytes wire = p.encode();
+      const quicsim::Packet q = quicsim::Packet::decode(wire);
+      EXPECT_EQ(q.long_header, p.long_header);
+      EXPECT_EQ(q.connection_id, p.connection_id);
+      EXPECT_EQ(q.packet_number, p.packet_number);
+      ASSERT_EQ(q.frames.size(), p.frames.size());
+      for (std::size_t i = 0; i < p.frames.size(); ++i) {
+        EXPECT_EQ(q.frames[i].index(), p.frames[i].index());
+      }
+      EXPECT_EQ(q.encode(), wire);
+    }
+  }
+}
+
+TEST_P(QuicPacketFuzz, RandomBytesEitherDecodeOrThrowWireError) {
+  stats::SplitMix64 rng(GetParam() ^ 0xfeed);
+  for (int round = 0; round < 500; ++round) {
+    Bytes garbage = seeded_bytes(rng, rng.next_below(200));
+    // A frames length that fits lets some garbage reach the frame decoder.
+    const std::size_t header = garbage.empty() || (garbage[0] & 0x80) != 0
+                                   ? quicsim::kLongHeaderBytes
+                                   : quicsim::kShortHeaderBytes;
+    if (garbage.size() > header + 2 + quicsim::kAeadTagBytes &&
+        rng.next_below(2) == 0) {
+      const std::size_t fit =
+          garbage.size() - header - 2 - quicsim::kAeadTagBytes;
+      garbage[header] = static_cast<std::uint8_t>(fit >> 8);
+      garbage[header + 1] = static_cast<std::uint8_t>(fit);
+    }
+    (void)quic_decodes(garbage);
+  }
+}
+
+TEST_P(QuicPacketFuzz, EveryTruncationOfAValidPacketThrows) {
+  stats::SplitMix64 rng(GetParam() ^ 0xbeef);
+  for (const Bytes& wire : valid_packets(rng)) {
+    ASSERT_TRUE(quic_decodes(wire));
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      EXPECT_FALSE(quic_decodes(std::span(wire).first(cut))) << "cut=" << cut;
+    }
+  }
+}
+
+TEST_P(QuicPacketFuzz, BitFlipsOfValidPacketsEitherDecodeOrThrow) {
+  stats::SplitMix64 rng(GetParam() ^ 0xf11b);
+  for (const Bytes& wire : valid_packets(rng)) {
+    for (int round = 0; round < 200; ++round) {
+      Bytes mutated = wire;
+      for (std::uint64_t flips = 1 + rng.next_below(3); flips > 0; --flips) {
+        mutated[rng.next_below(mutated.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      (void)quic_decodes(mutated);
+    }
+  }
+}
+
+/// `wire`, every seventh truncation of it and 40 single bit flips of it.
+std::vector<Bytes> hostile_forms(stats::SplitMix64& rng, const Bytes& wire) {
+  std::vector<Bytes> out{wire};
+  for (std::size_t cut = 0; cut < wire.size(); cut += 7) {
+    out.emplace_back(wire.begin(), wire.begin() + static_cast<long>(cut));
+  }
+  for (int round = 0; round < 40; ++round) {
+    Bytes mutated = wire;
+    mutated[rng.next_below(mutated.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+    out.push_back(std::move(mutated));
+  }
+  return out;
+}
+
+TEST_P(QuicPacketFuzz, AServerDropsHostileDatagramsWithoutAnException) {
+  stats::SplitMix64 rng(GetParam() ^ 0x5e7);
+  simnet::EventLoop loop;
+  simnet::Network net(loop, 7);
+  simnet::Host client(net, "client");
+  simnet::Host server(net, "server");
+  simnet::LinkConfig link;
+  link.latency = simnet::ms(5);
+  net.connect(client.id(), server.id(), link);
+  resolver::Engine engine(loop, {});
+  resolver::DoqServerConfig config;
+  config.tls.chain = tlssim::CertificateChain::generic("doq.example");
+  resolver::DoqServer doq_server(server, engine, config, 853);
+
+  simnet::UdpSocket& attacker = client.udp_open();
+  const auto attack = [&](const std::vector<Bytes>& datagrams) {
+    for (const Bytes& d : datagrams) attacker.send_to({server.id(), 853}, d);
+    EXPECT_NO_THROW(loop.run());
+  };
+  // Seeded bytes, and valid packets under seeded headers: a long header
+  // with an unknown connection id opens a fresh connection.
+  std::vector<Bytes> datagrams;
+  for (int i = 0; i < 100; ++i) {
+    datagrams.push_back(seeded_bytes(rng, rng.next_below(200)));
+  }
+  for (const Bytes& wire : valid_packets(rng)) {
+    for (Bytes& d : hostile_forms(rng, wire)) datagrams.push_back(std::move(d));
+  }
+  attack(datagrams);
+  // Each valid packet again on an established connection, one connection
+  // per packet: the first datagram that closes one ends its use.
+  for (std::size_t i = 0, n = 1; i < n; ++i) {
+    quicsim::QuicClientEndpoint live(client, {server.id(), 853}, {});
+    loop.run();
+    ASSERT_TRUE(live.connection().established());
+    const auto packets = valid_packets(rng, live.connection().connection_id());
+    n = packets.size();
+    attack(hostile_forms(rng, packets[i]));
+  }
+  client.udp_close(attacker);
+
+  // The server still answers a well-behaved client.
+  core::DoqClient stub(client, {server.id(), 853});
+  bool answered = false;
+  stub.resolve(dns::Name::parse("after.example"), dns::RType::kA,
+               [&answered](const core::ResolutionResult& r) {
+                 answered = r.success;
+               });
+  EXPECT_NO_THROW(loop.run());
+  EXPECT_TRUE(answered);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuicPacketFuzz,
+                         ::testing::Values(1ULL, 42ULL, 2019ULL, 9250ULL));
 
 /// Decode `block` with `decoder`: true if it decoded, false if it threw
 /// WireError or HpackError.

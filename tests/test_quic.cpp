@@ -15,14 +15,22 @@ using dohperf::testing::TwoHostFixture;
 
 // --- packet codec ---------------------------------------------------------------
 
+/// An ACK frame's numbers in their wire form.
+Bytes acked_numbers(std::initializer_list<std::uint64_t> packet_numbers) {
+  Bytes out;
+  for (const std::uint64_t pn : packet_numbers) add_acked(out, pn);
+  return out;
+}
+
 TEST(QuicPacket, RoundTripAllFrameTypes) {
+  const Bytes acked = acked_numbers({1, 2, 5});
   Packet p;
   p.long_header = true;
   p.connection_id = 0xdeadbeefcafe;
   p.packet_number = 42;
   p.frames = {
       PingFrame{},
-      AckFrame{{1, 2, 5}},
+      AckFrame{acked},
       CryptoFrame{100, Bytes{9, 9, 9}},
       StreamFrame{4, 10, true, Bytes{1, 2}},
       PaddingFrame{32},
@@ -30,26 +38,33 @@ TEST(QuicPacket, RoundTripAllFrameTypes) {
       ConnectionCloseFrame{7},
   };
   const Bytes wire = p.encode();
+  EXPECT_EQ(wire.size(), p.payload_size());
   const Packet out = Packet::decode(wire);
   EXPECT_EQ(out.long_header, true);
   EXPECT_EQ(out.connection_id, p.connection_id);
   EXPECT_EQ(out.packet_number, 42u);
   ASSERT_EQ(out.frames.size(), p.frames.size());
-  EXPECT_EQ(std::get<AckFrame>(out.frames[1]).acked,
-            (std::vector<std::uint64_t>{1, 2, 5}));
+  const auto& ack = std::get<AckFrame>(out.frames[1]);
+  ASSERT_EQ(ack.size(), 3u);
+  EXPECT_EQ(ack[0], 1u);
+  EXPECT_EQ(ack[1], 2u);
+  EXPECT_EQ(ack[2], 5u);
   EXPECT_EQ(std::get<CryptoFrame>(out.frames[2]).offset, 100u);
+  EXPECT_EQ(std::get<CryptoFrame>(out.frames[2]).data, (Bytes{9, 9, 9}));
   const auto& sf = std::get<StreamFrame>(out.frames[3]);
   EXPECT_EQ(sf.stream_id, 4u);
   EXPECT_TRUE(sf.fin);
+  EXPECT_EQ(sf.data, (Bytes{1, 2}));
   EXPECT_EQ(std::get<ConnectionCloseFrame>(out.frames[6]).error_code, 7u);
 }
 
 TEST(QuicPacket, AckElicitingClassification) {
+  const Bytes acked = acked_numbers({1});
   Packet acks_only;
-  acks_only.frames = {AckFrame{{1}}, PaddingFrame{10}};
+  acks_only.frames = {AckFrame{acked}, PaddingFrame{10}};
   EXPECT_FALSE(acks_only.ack_eliciting());
   Packet with_data;
-  with_data.frames = {AckFrame{{1}}, StreamFrame{0, 0, false, Bytes{1}}};
+  with_data.frames = {AckFrame{acked}, StreamFrame{0, 0, false, Bytes{1}}};
   EXPECT_TRUE(with_data.ack_eliciting());
 }
 
@@ -189,6 +204,47 @@ TEST_F(QuicTest, RecoversFromLoss) {
   EXPECT_EQ(echoed, data);
   EXPECT_GT(conn.counters().retransmits + accepted->counters().retransmits,
             0u);
+}
+
+TEST_F(QuicTest, FrameResentAfterItsStreamFinishedIsDeliveredOnce) {
+  std::size_t server_deliveries = 0;
+  quic_server = std::make_unique<QuicServer>(
+      server, 853, &server_tls, [&](QuicConnection& conn) {
+        accepted = &conn;
+        conn.set_on_stream_data([&conn, &server_deliveries](
+                                    std::uint64_t id,
+                                    std::span<const std::uint8_t> d,
+                                    bool fin) {
+          ++server_deliveries;
+          conn.send_stream(id, Bytes(d.begin(), d.end()), fin);
+        });
+      });
+  QuicClientEndpoint endpoint(client, {server.id(), 853}, {});
+  loop.run();
+  auto& conn = endpoint.connection();
+  ASSERT_TRUE(conn.established());
+  // The link drops everything sent in the millisecond the request arrives:
+  // the server's ACK of it and the echo. The client's PTO then sends the
+  // request again after the server finished that stream, and the server's
+  // PTO sends the echo again.
+  simnet::FaultSchedule faults;
+  faults.add_outage(loop.now() + simnet::ms(5), simnet::ms(1));
+  net.inject_faults(client.id(), server.id(), std::move(faults));
+  Bytes echoed;
+  std::size_t client_fins = 0;
+  conn.set_on_stream_data(
+      [&](std::uint64_t, std::span<const std::uint8_t> d, bool fin) {
+        echoed.insert(echoed.end(), d.begin(), d.end());
+        client_fins += fin ? 1 : 0;
+      });
+  conn.send_stream(conn.open_stream(), Bytes{1, 2, 3}, true);
+  loop.run();
+  EXPECT_GT(net.fault_drops(), 0u);
+  EXPECT_GT(conn.counters().retransmits, 0u);
+  EXPECT_GT(accepted->counters().retransmits, 0u);
+  EXPECT_EQ(server_deliveries, 1u);
+  EXPECT_EQ(echoed, (Bytes{1, 2, 3}));
+  EXPECT_EQ(client_fins, 1u);
 }
 
 TEST_F(QuicTest, CloseNotifiesBothSides) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim_fixture.hpp"
+#include "simnet/trace.hpp"
 #include "stats/rng.hpp"
 #include "tlssim/connection.hpp"
 
@@ -549,6 +550,11 @@ class Pipe {
     for (End* e : ends_) {
       if (e->handlers_.on_open) e->handlers_.on_open();
     }
+    deliver();
+  }
+
+  /// Deliver until nothing is left to deliver.
+  void deliver() {
     while (!queue_.empty()) {
       auto [side, bytes] = std::move(queue_.front());
       queue_.erase(queue_.begin());
@@ -736,8 +742,8 @@ ClientConfig replay_client() {
 }
 
 /// Everything a server sends over one connection: the handshake flights,
-/// a ticket, application records of assorted sizes (one larger than a
-/// record, so it fragments) and close_notify.
+/// application records of assorted sizes (one larger than a record, so it
+/// fragments), a ticket and close_notify.
 Bytes record_server_stream(TlsVersion version) {
   ServerConfig server_config;
   server_config.versions = {version};
@@ -754,10 +760,13 @@ Bytes record_server_stream(TlsVersion version) {
       for (auto& b : data) b = next++;
       server.send(std::move(data));
     }
-    server.close();
   };
   server.set_handlers(std::move(h));
   pipe.run();
+  // Closed once the handshake is over: a server that closes inside
+  // on_open sends no ticket.
+  server.close();
+  pipe.deliver();
   EXPECT_TRUE(client.closed());
   return pipe.sent[1];
 }
@@ -840,6 +849,13 @@ std::vector<std::pair<std::string, std::vector<std::size_t>>> splits(
 TEST(TlsReceive, EverySplitMatchesOneContiguousSlice) {
   for (const TlsVersion version : {TlsVersion::kTls12, TlsVersion::kTls13}) {
     const Bytes stream = record_server_stream(version);
+    // It ends with the ticket, then close_notify.
+    const auto starts = record_starts(stream);
+    ASSERT_GE(starts.size(), 2u);
+    EXPECT_EQ(stream[starts[starts.size() - 2]],
+              static_cast<std::uint8_t>(ContentType::kHandshake));
+    EXPECT_EQ(stream[starts.back()],
+              static_cast<std::uint8_t>(ContentType::kAlert));
     const Outcome whole = replay(stream, {});
     ASSERT_TRUE(whole.established);
     EXPECT_TRUE(whole.closed);
@@ -950,6 +966,50 @@ TEST(TlsReceive, AnImpossibleHeaderFailsBeforeItsBodyArrives) {
     const Outcome outcome = outcome_of(header);
     EXPECT_TRUE(outcome.failed);
     EXPECT_EQ(outcome.alert, AlertDescription::kDecodeError);
+  }
+}
+
+// A server whose application closes the connection as it opens ends with
+// its close_notify: no session ticket follows it. Over simnet TCP the
+// ticket used to be written on the closed transport, which threw out of
+// the event loop.
+TEST_F(TlsTest, ServerClosingInOnOpenEndsWithCloseNotify) {
+  std::uint16_t port = 443;
+  for (const TlsVersion version : {TlsVersion::kTls12, TlsVersion::kTls13}) {
+    SCOPED_TRACE(to_string(version));
+    server_config.versions = {version};
+    std::unique_ptr<TlsConnection> closing;
+    server.tcp_listen(port, [&](std::shared_ptr<simnet::TcpConnection> c) {
+      closing = std::make_unique<TlsConnection>(
+          std::make_unique<simnet::TcpByteStream>(std::move(c)),
+          &server_config);
+      TlsConnection::Handlers h;
+      h.on_open = [&closing]() { closing->close(); };
+      closing->set_handlers(std::move(h));
+    });
+    simnet::RecordingTap tap(server.id());
+    net.add_tap(&tap);
+    auto& tls = connect({}, port);
+    bool client_closed = false;
+    TlsConnection::Handlers h;
+    h.on_close = [&client_closed]() { client_closed = true; };
+    tls.set_handlers(std::move(h));
+    EXPECT_NO_THROW(loop.run());
+    net.remove_tap(&tap);
+    EXPECT_TRUE(client_closed);
+    EXPECT_FALSE(tls.is_open());
+
+    Bytes sent;  // the server's stream, in wire order
+    for (const auto& entry : tap.entries()) {
+      if (entry.packet.src_node != server.id() || entry.dropped) continue;
+      const auto& segment = std::get<simnet::TcpSegment>(entry.packet.body);
+      sent.insert(sent.end(), segment.payload.begin(), segment.payload.end());
+    }
+    const auto starts = record_starts(sent);
+    ASSERT_FALSE(starts.empty());
+    EXPECT_EQ(sent[starts.back()],
+              static_cast<std::uint8_t>(ContentType::kAlert));
+    ++port;
   }
 }
 
